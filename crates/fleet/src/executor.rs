@@ -11,14 +11,11 @@
 //! or 16, batched by 1 tick or 10 000.
 //!
 //! Worker 0 is the calling thread: the executor spawns `workers - 1`
-//! scoped threads and participates itself, which also gives it
-//! barrier-aligned timestamps for the build and tick phases without any
-//! cross-thread clock plumbing.
+//! scoped threads and participates itself.
 
 use std::ops::Range;
 use std::sync::Barrier;
 use std::thread;
-use std::time::{Duration, Instant};
 
 use crate::trace_digest;
 
@@ -122,38 +119,18 @@ pub struct MachineOutcome {
     pub trace_log: Option<String>,
 }
 
-/// The whole fleet's result plus executor telemetry.
+/// The whole fleet's result. Timing is the caller's business: wrap the
+/// call, or time the [`FleetWorkload`] methods it makes.
 #[derive(Debug)]
 pub struct FleetOutcome {
     /// Per-machine outcomes, in fleet-index order.
     pub outcomes: Vec<MachineOutcome>,
-    /// Workers actually used (after clamping).
-    pub workers: usize,
-    /// Barrier rounds executed.
-    pub rounds: u64,
-    /// Wall-clock time of the build phase (all shards).
-    pub build_elapsed: Duration,
-    /// Wall-clock time of the tick phase (all shards, all rounds).
-    pub tick_elapsed: Duration,
 }
 
 impl FleetOutcome {
     /// Total ticks executed across the fleet.
     pub fn total_ticks(&self) -> u64 {
         self.outcomes.iter().map(|o| o.ticks).sum()
-    }
-
-    /// Aggregate throughput: systems × ticks per second of tick-phase
-    /// wall clock.
-    pub fn systems_ticks_per_sec(&self) -> f64 {
-        let secs = self.tick_elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)] // throughput reporting only
-        {
-            self.total_ticks() as f64 / secs
-        }
     }
 
     /// A single digest over the whole fleet: FNV-1a folded over the
@@ -262,8 +239,6 @@ pub fn run_fleet<W: FleetWorkload>(workload: &W, config: &FleetConfig) -> FleetO
     let barrier = Barrier::new(workers);
     let mut shard_results: Vec<Vec<MachineOutcome>> = Vec::new();
     shard_results.resize_with(workers, Vec::new);
-    let mut build_elapsed = Duration::ZERO;
-    let mut tick_elapsed = Duration::ZERO;
 
     thread::scope(|s| {
         let (own, spawned) = shard_results.split_at_mut(1);
@@ -279,54 +254,38 @@ pub fn run_fleet<W: FleetWorkload>(workload: &W, config: &FleetConfig) -> FleetO
                 *slot = finalize_shard(workload, shard, capture);
             });
         }
-        // The calling thread is worker 0; the barriers after the build
-        // phase and after each round make its timestamps fleet-wide.
-        let build_start = Instant::now();
+        // The calling thread is worker 0.
         let mut shard = build_shard(workload, ranges[0].clone());
         barrier.wait();
-        build_elapsed = build_start.elapsed();
-        let tick_start = Instant::now();
         for _ in 0..rounds {
             tick_shard(workload, &mut shard, batch);
             barrier.wait();
         }
-        tick_elapsed = tick_start.elapsed();
         own[0] = finalize_shard(workload, shard, capture);
     });
 
     // Shards are contiguous ascending ranges, so concatenation in worker
     // order is fleet-index order.
-    let outcomes: Vec<MachineOutcome> = shard_results.into_iter().flatten().collect();
     FleetOutcome {
-        outcomes,
-        workers,
-        rounds,
-        build_elapsed,
-        tick_elapsed,
+        outcomes: shard_results.into_iter().flatten().collect(),
     }
 }
 
 /// The sequential baseline: one machine at a time, built and run to its
 /// horizon in a plain loop — no threads, no barriers, no batching. The
-/// scaling curve's denominator, and the reference the determinism
-/// property compares every sharded run against.
+/// reference the determinism property compares every sharded run
+/// against.
 pub fn run_sequential<W: FleetWorkload>(
     workload: &W,
     machines: usize,
     capture: Capture,
 ) -> FleetOutcome {
-    let mut build_elapsed = Duration::ZERO;
-    let mut tick_elapsed = Duration::ZERO;
     let mut render = String::new();
     let outcomes = (0..machines)
         .map(|index| {
-            let build_start_i = Instant::now();
             let mut instance = workload.build(index);
             let horizon = workload.horizon(index);
-            build_elapsed += build_start_i.elapsed();
-            let tick_start = Instant::now();
             workload.tick(&mut instance, horizon);
-            tick_elapsed += tick_start.elapsed();
             render.clear();
             workload.render_trace(&instance, &mut render);
             MachineOutcome {
@@ -337,13 +296,7 @@ pub fn run_sequential<W: FleetWorkload>(
             }
         })
         .collect();
-    FleetOutcome {
-        outcomes,
-        workers: 1,
-        rounds: 1,
-        build_elapsed,
-        tick_elapsed,
-    }
+    FleetOutcome { outcomes }
 }
 
 #[cfg(test)]

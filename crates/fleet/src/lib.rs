@@ -26,7 +26,7 @@
 //! let fleet = CampaignFleet::new(42, 1).with_horizon(180);
 //! let outcome = run_fleet(&fleet, &FleetConfig::new(16, 4));
 //! assert_eq!(outcome.outcomes.len(), 16);
-//! println!("{:.0} systems×ticks/sec", outcome.systems_ticks_per_sec());
+//! println!("fleet digest {:#x}", outcome.fleet_digest());
 //! ```
 
 #![warn(missing_docs)]
@@ -51,17 +51,6 @@ pub fn trace_digest(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(PRIME);
     }
     hash
-}
-
-/// The worker count for this run: `AIR_FLEET_WORKERS` if set and valid
-/// (≥ 1), else `default`. CI pins the variable so fleet runs are
-/// reproducible machine to machine.
-pub fn workers_from_env(default: usize) -> usize {
-    std::env::var("AIR_FLEET_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or(default)
 }
 
 #[cfg(test)]

@@ -4,9 +4,13 @@
 //! local-only delivery. A counting global allocator proves it — any
 //! `String` clone, `Vec` growth, or map rehash sneaking back into the hot
 //! path fails this test.
+//!
+//! The count is per thread, so a test added to this file later, running
+//! on a parallel harness thread, cannot allocate into the measured
+//! window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use air_model::{PartitionId, Ticks};
 use air_ports::{
@@ -14,15 +18,26 @@ use air_ports::{
     SamplingPortConfig,
 };
 
-/// Counts every allocation (alloc + realloc) while delegating to the
-/// system allocator.
+/// Counts every allocation (alloc + realloc) on the allocating thread
+/// while delegating to the system allocator.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_allocation() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method delegates to `System` with the caller's own
+// arguments; the counter neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -31,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -100,7 +115,7 @@ fn steady_state_route_is_allocation_free() {
 
     // Measured phase: the full write → route → read cycle, zero heap
     // traffic.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     for round in 16..116u64 {
         let now = Ticks(round);
         reg.sampling_port_mut(p(0), "s.tx")
@@ -116,7 +131,7 @@ fn steady_state_route_is_allocation_free() {
         let _ = reg.sampling_port_mut(p(2), "s.rx2").unwrap().read(now);
         let _ = reg.queuing_port_mut(p(1), "q.rx").unwrap().receive();
     }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
 
     assert!(frames.is_empty(), "local-only channels emit no link frames");
     assert_eq!(

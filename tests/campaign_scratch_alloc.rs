@@ -1,25 +1,40 @@
 //! Scratch reuse across campaign seeds must pay off at the allocator: a
 //! warm [`CampaignScratch`] already owns the repeat probe's record table,
 //! detection FIFO and rendered trace log, so a second campaign on the
-//! same scratch performs strictly fewer allocations than the first. The
-//! counting global allocator (the PR 1 pattern) proves it — campaigns
-//! are deterministic, so allocation counts are too, and a strict
-//! inequality is a stable assertion.
+//! same scratch performs strictly fewer allocations than the first. A
+//! counting global allocator proves it — campaigns are deterministic, so
+//! allocation counts are too, and a strict inequality is a stable
+//! assertion.
+//!
+//! The count is per thread: the test harness runs this file's tests on
+//! parallel threads, and a process-wide counter would charge one test's
+//! allocations to another's measurement window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use air_core::campaign::{standard_plan, CampaignRunner, CampaignScratch};
 
-/// Counts every allocation (alloc + realloc) while delegating to the
-/// system allocator.
+/// Counts every allocation (alloc + realloc) on the allocating thread
+/// while delegating to the system allocator.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_allocation() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method delegates to `System` with the caller's own
+// arguments; the counter neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -28,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -36,10 +51,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations `f` makes on the calling thread.
 fn allocations_of(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]

@@ -1,18 +1,20 @@
-//! Benchmark-input guard: every example fed to `BENCH_lint.json`'s
-//! exploration rows must present a non-degenerate state space, or the
-//! published states/sec numbers measure nothing.
+//! Benchmark-input guard: every example used to time exploration must
+//! present a non-degenerate state space, or the published states/sec
+//! numbers measure nothing.
 //!
 //! An earlier revision benched `full_system.air` when it still had a
 //! single schedule and no link: one abstract state, zero events, and the
 //! "exploration throughput" row timed hash-map boilerplate. This guard
 //! pins the floor: each benched example must reach more than 16 distinct
-//! abstract states within 3 events, and the deeper benchmark configuration
-//! must clear 10^4 states so the parallel engine rows measure real work.
+//! abstract states within 3 events, and the hub must clear 10^4 states
+//! by depth 8, the depth airbench's `explore_hub` workload explores (its
+//! `model.states.d4`…`d8` and `model.states_per_s.d4`…`d8` metrics).
 
 use air_lint::{explore_with, ExploreConfig, SystemModel};
 
-/// The examples the lint benchmark explores, kept in sync with
-/// `crates/bench/src/bin/lint.rs`.
+/// The guarded examples: airbench's `explore_hub` workload times a
+/// frozen copy of `constellation_hub.air`, and `full_system.air` is the
+/// other example `scripts/ci.sh` explores.
 const BENCHED: &[&str] = &["full_system.air", "constellation_hub.air"];
 
 fn model_of(example: &str) -> SystemModel {
@@ -58,7 +60,7 @@ fn the_hub_example_reaches_bench_scale_by_depth_8() {
     assert!(
         exploration.states_explored >= 10_000,
         "constellation_hub.air: {} states at depth 8, need >= 10^4 for the \
-         benchmark rows",
+         explore_hub workload",
         exploration.states_explored
     );
     assert!(!exploration.cap_hit, "raise the default cap for the bench");

@@ -5,8 +5,10 @@
 //! For 50 base seeds, a small campaign fleet is executed sequentially
 //! (the reference) and then with K ∈ {1, 4, 16} workers; every
 //! per-machine rendered trace log must be byte-identical to the
-//! reference. A link-campaign fleet (two full nodes per machine) holds
-//! the same property over a lighter seed sweep.
+//! reference, and the default configuration (64-tick batches, digests
+//! only) must reproduce the reference's fleet digest. A link-campaign
+//! fleet (two full nodes per machine) holds the same property over a
+//! lighter seed sweep.
 
 use air_fleet::workloads::{CampaignFleet, LinkFleet};
 use air_fleet::{run_fleet, run_sequential, Capture, FleetConfig, FleetOutcome, FleetWorkload};
@@ -42,6 +44,13 @@ fn holds_for<W: FleetWorkload>(workload: &W, machines: usize, seed: u64) {
             .with_capture(Capture::FullTrace);
         let fleet = run_fleet(workload, &config);
         assert_logs_identical(seed, workers, &fleet, &reference);
+        // The default shape: 64-tick batches keeping digests only.
+        let digests = run_fleet(workload, &FleetConfig::new(machines, workers));
+        assert_eq!(
+            digests.fleet_digest(),
+            reference.fleet_digest(),
+            "seed {seed}, {workers} workers: default-config fleet digest diverged"
+        );
     }
 }
 
