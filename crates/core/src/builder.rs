@@ -128,9 +128,10 @@ impl std::fmt::Display for BuildError {
                 if r.has_code(air_lint::Code::ExplorationCapped) {
                     write!(
                         f,
-                        "\nnote: the bounded exploration hit its state cap \
-                         (AIR098), so this report may be incomplete; re-run \
-                         `airlint --explore` with a larger --max-states"
+                        "\nnote: the bounded exploration raised AIR098 (its \
+                         state cap, or more mesh edges than it toggles); \
+                         after a cap hit this report may be incomplete, so \
+                         re-run `airlint --explore` with a larger --max-states"
                     )?;
                 }
                 Ok(())
@@ -659,5 +660,30 @@ mod tests {
         let mut system = b.build().unwrap();
         system.run_for(100);
         assert_eq!(system.trace().deadline_miss_count(), 0);
+    }
+    #[test]
+    fn a_system_too_wide_to_explore_is_refused_not_waved_through() {
+        // 65 partitions need 65 mode bits, one more than a packed
+        // exploration state holds: the gate cannot check the mode/HM
+        // graph, so it refuses the build (AIR087) instead of passing it.
+        let windows: Vec<(u32, u64, u64)> = (0..65u32).map(|m| (m, u64::from(m), 1)).collect();
+        let partitions = || {
+            (0..65u32).map(|m| PartitionConfig::new(Partition::new(PartitionId(m), format!("p{m}"))))
+        };
+        let mut b = SystemBuilder::new(schedule(windows.clone()));
+        for p in partitions() {
+            b = b.with_partition(p);
+        }
+        let err = b.build().unwrap_err();
+        let BuildError::Lint(report) = &err else {
+            panic!("expected Lint, got {err}");
+        };
+        assert!(report.has_code(air_lint::Code::ExplorationInfeasible), "{report}");
+        // Only the exploration stage objects.
+        let mut b = SystemBuilder::new(schedule(windows)).with_exploration_depth(0);
+        for p in partitions() {
+            b = b.with_partition(p);
+        }
+        assert!(b.build().is_ok());
     }
 }

@@ -194,6 +194,8 @@ codes! {
         "chi1 fails Eq. 23 and an authority request reaches it from chi0"),
     DegradedScheduleTrap = ("AIR086", Warning, "recovery from the degraded schedule depends solely on link restoration",
         "`link … degraded=chi1` where chi1 windows no authority partition"),
+    ExplorationInfeasible = ("AIR087", Error, "the mode/HM graph is too large for the packed explorer and was not explored",
+        "65 partitions need 65 mode bits, one more than a packed state holds; the build gate refuses what it cannot check"),
     // Mesh-level cross-checks (`airlint --cluster` with ≥ 1 `node` directive).
     MeshUnreachableNode = ("AIR090", Error, "a declared mesh node has no route from this node",
         "node A declares `node N0` and the mesh knows N3, but N0 has no `route N3 via=…`"),
@@ -211,7 +213,7 @@ codes! {
         "an `arq` transport over a link with no `degraded=` schedule: exhaustion has no repair path in any reachable state"),
     FailoverScheduleTrap = ("AIR097", Warning, "link failover stops a partition that recovery never restarts",
         "the degraded schedule stops a running partition and the nominal schedule has no restart action for the way back"),
-    ExplorationCapped = ("AIR098", Warning, "bounded exploration hit the state cap before the requested depth",
+    ExplorationCapped = ("AIR098", Warning, "bounded exploration is incomplete: it hit the state cap, or toggled only 16 of the node's mesh edges",
         "a 16-edge mesh node explored to depth 8 with `--max-states 4096`; findings may be incomplete"),
     FuzzDivergence = ("AIR099", Error, "a fuzzed configuration diverged between abstraction and concrete replay",
         "a minimized witness replayed on the built system lands in a different abstract state than predicted"),

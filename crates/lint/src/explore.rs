@@ -1,4 +1,4 @@
-//! Bounded exploration of the mode/HM configuration graph (AIR081–AIR086,
+//! Bounded exploration of the mode/HM configuration graph (AIR081–AIR087,
 //! AIR095–AIR098).
 //!
 //! The per-schedule analyses check every scheduling table in isolation; this
@@ -10,7 +10,8 @@
 //! exhaustion/resync and per-edge mesh link toggles — and explored
 //! breadth-first up to a configurable event depth by the parallel sharded
 //! engine of [`air_model::explore::search`]. Safety invariants are
-//! evaluated in every reachable state; each violation carries a
+//! evaluated in every reachable state, directly on the packed
+//! [`StateKey`]s with mask tests; each violation carries a
 //! counterexample [`Witness`], the minimal event sequence from boot to the
 //! bad state (BFS order guarantees minimality), in a stable text form that
 //! `air-core` can parse back and replay against the concrete system.
@@ -35,8 +36,12 @@
 //!   path ever resynchronises the transport;
 //! * **AIR097** — link failover stops a partition that link recovery does
 //!   not restart (the failover ratchet);
+//! * **AIR087** — the system does not fit the packed state (more than 64
+//!   mode bits or 32,768 schedules) and was not explored; an error, so the
+//!   build gate refuses a system it cannot check;
 //! * **AIR098** — the exploration hit its state cap before the requested
-//!   depth, so any "no finding" verdict is incomplete.
+//!   depth, so any "no finding" verdict is incomplete, or the node routes
+//!   over more than 16 mesh edges and only 16 were toggled.
 //!
 //! A *recovery path* is a sequence of controllable or design-transient
 //! events: authority schedule requests plus link recovery (`link_up`) and
@@ -50,19 +55,23 @@ use std::collections::BTreeSet;
 
 use air_hm::{ErrorId, ErrorLevel, EscalatedProcessAction, ProcessRecoveryAction};
 use air_model::explore::search::{
-    search, SearchConfig, SearchGraph, DEFAULT_MAX_STATES,
+    search, KeyMap, SearchConfig, SearchEdge, SearchGraph, DEFAULT_MAX_STATES,
 };
 use air_model::explore::{
-    AbstractEvent, AbstractMode, AbstractState, ArqHealth, ExploreOptions,
-    LinkState, TransitionSystem, Witness,
+    AbstractEvent, ExploreOptions, StateKey, TransitionSystem,
+    TransitionSystemError, Witness, MAX_MESH_EDGES,
 };
 use air_model::schedule::ScheduleSet;
 use air_model::verify::{verify_schedule, Report};
-use air_model::{PartitionId, ScheduleId};
+use air_model::PartitionId;
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::model::SystemModel;
 use crate::temporal::unschedulable_pairs;
+
+/// Dedup subject of the AIR098 for a node routing over more than
+/// [`MAX_MESH_EDGES`] mesh edges, distinct from the state-cap AIR098's 0.
+const MESH_LIMIT_SUBJECT: u32 = 1;
 
 /// Tuning knobs for [`explore_with`]: event depth, state cap, worker count
 /// and the partial-order reduction switch. Mirrors `airlint --explore
@@ -150,18 +159,39 @@ pub fn explore(model: &SystemModel, depth: usize) -> Exploration {
 ///
 /// Structural preconditions (a non-empty, duplicate-free schedule set) are
 /// the province of the static analyses; when they fail, exploration returns
-/// an empty report rather than duplicating their findings.
+/// an empty report rather than duplicating their findings. A system too
+/// large for the packed state (more than 64 mode bits or 32,768 schedules)
+/// is not explored and gets the AIR087 error. A node routing over more than
+/// 16 mesh edges is explored with 16 of them and gets the AIR098 warning;
+/// mesh edges gate no invariant, so its findings are unaffected.
 pub fn explore_with(model: &SystemModel, config: &ExploreConfig) -> Exploration {
-    let Some(ts) = transition_system_for(model) else {
-        return Exploration {
-            depth: config.depth,
-            states_explored: 0,
-            cap_hit: false,
-            report: LintReport::new(),
-            counterexamples: Vec::new(),
-            reachable_schedule_violations: 0,
-        };
+    let mut findings = Findings::default();
+    let ts = match build_transition_system(model) {
+        None => return findings.into_exploration(config.depth, 0, false, 0),
+        Some(Err(error)) => {
+            findings.push(Code::ExplorationInfeasible, 0, || {
+                let message = format!(
+                    "the mode/HM graph was not explored: {error}; no \
+                     reachable-state invariant was checked"
+                );
+                (Witness::default(), message)
+            });
+            return findings.into_exploration(config.depth, 0, false, 0);
+        }
+        Some(Ok(ts)) => ts,
     };
+    let edges = mesh_edge_count(model);
+    if edges > usize::from(MAX_MESH_EDGES) {
+        findings.push(Code::ExplorationCapped, MESH_LIMIT_SUBJECT, || {
+            let message = format!(
+                "exploration incomplete: the node routes over {edges} mesh \
+                 edges but a packed state tracks {MAX_MESH_EDGES}, so only \
+                 {MAX_MESH_EDGES} were toggled; mesh edges gate no \
+                 invariant, so the other findings are unaffected"
+            );
+            (Witness::default(), message)
+        });
+    }
     let graph = search(
         &ts,
         &SearchConfig {
@@ -172,18 +202,15 @@ pub fn explore_with(model: &SystemModel, config: &ExploreConfig) -> Exploration 
         },
     );
     let ctx = InvariantCtx::new(model, &ts, config.max_states);
-    let mut findings = Findings::default();
-    check_states(&ctx, &graph, &mut findings);
+    let mut memo = RecoveryMemo::default();
+    check_states(&ctx, &mut memo, &graph, &mut findings);
     check_failover_traps(&ctx, &graph, &mut findings);
-    check_restart_loops(&ts, &graph, &mut findings);
+    check_restart_loops(&ctx, &graph, &mut findings);
     let reachable_schedule_violations =
-        check_reachable_schedules(model, &ts, &graph, &mut findings);
+        check_reachable_schedules(&ctx, &graph, &mut findings);
     if graph.cap_hit {
-        findings.push(
-            Code::ExplorationCapped,
-            0,
-            Witness::default(),
-            format!(
+        findings.push(Code::ExplorationCapped, 0, || {
+            let message = format!(
                 "exploration hit the state cap of {} ({} states kept, {} \
                  frontier states pending, {} successors dropped); findings \
                  may be incomplete — raise --max-states",
@@ -191,23 +218,16 @@ pub fn explore_with(model: &SystemModel, config: &ExploreConfig) -> Exploration 
                 graph.states.len(),
                 graph.frontier_at_cap,
                 graph.dropped_states
-            ),
-        );
+            );
+            (Witness::default(), message)
+        });
     }
-
-    let mut report = LintReport::new();
-    for c in &findings.counterexamples {
-        report.push(Diagnostic::new(c.code, c.message.clone()));
-    }
-    report.finish();
-    Exploration {
-        depth: config.depth,
-        states_explored: graph.states.len(),
-        cap_hit: graph.cap_hit,
-        report,
-        counterexamples: findings.counterexamples,
+    findings.into_exploration(
+        config.depth,
+        graph.states.len(),
+        graph.cap_hit,
         reachable_schedule_violations,
-    }
+    )
 }
 
 /// Builds the abstract transition system from the analysable snapshot, or
@@ -216,6 +236,14 @@ pub fn explore_with(model: &SystemModel, config: &ExploreConfig) -> Exploration 
 /// Public so the fuzz farm (`air-core`) can cross-validate abstract
 /// predictions against concrete replay.
 pub fn transition_system_for(model: &SystemModel) -> Option<TransitionSystem> {
+    build_transition_system(model)?.ok()
+}
+
+/// [`transition_system_for`], keeping the reason a structurally sound
+/// snapshot does not fit the packed state.
+fn build_transition_system(
+    model: &SystemModel,
+) -> Option<Result<TransitionSystem, TransitionSystemError>> {
     let schedules = ScheduleSet::try_new(model.schedules.clone()).ok()?;
     let partitions: Vec<PartitionId> =
         model.partitions.iter().map(|p| p.id()).collect();
@@ -236,9 +264,11 @@ pub fn transition_system_for(model: &SystemModel) -> Option<TransitionSystem> {
         partition_faults: partition_faults_possible(model),
         deadline_faults: deadline_fault_partitions(model),
         arq: model.arq.is_some() && model.link.is_some(),
-        mesh_edges: mesh_edge_count(model),
+        // Past the key's width the excess edges are not toggled;
+        // `explore_with` reports that as AIR098.
+        mesh_edges: mesh_edge_count(model).min(usize::from(MAX_MESH_EDGES)) as u8,
     };
-    TransitionSystem::new(schedules, partitions, authorities, options).ok()
+    Some(TransitionSystem::new(schedules, partitions, authorities, options))
 }
 
 /// Whether any error id is classified at module level (`Reset` recovery).
@@ -298,25 +328,30 @@ fn deadline_fault_partitions(model: &SystemModel) -> Vec<PartitionId> {
 }
 
 /// The number of distinct next-hop mesh edges this node routes over.
-fn mesh_edge_count(model: &SystemModel) -> u8 {
+fn mesh_edge_count(model: &SystemModel) -> usize {
     let mut vias: Vec<_> = model.routes.iter().map(|r| r.via).collect();
     vias.sort_unstable();
     vias.dedup();
     vias.len()
-        .min(air_model::explore::MAX_MESH_EDGES as usize) as u8
 }
 
 /// Precomputed facts shared by the per-state invariant checks and the
-/// witness minimizer.
+/// witness minimizer, as masks over the mode-word slots and vectors over
+/// the schedule indices of the keys.
 struct InvariantCtx<'a> {
     ts: &'a TransitionSystem,
-    /// Partitions that require time under at least one schedule.
-    time_requiring: BTreeSet<PartitionId>,
-    /// `(schedule, partition)` pairs failing the supply-bound test.
-    unschedulable: BTreeSet<(ScheduleId, PartitionId)>,
-    /// Schedules failing the per-schedule verification conditions.
-    unclean_schedules: BTreeSet<ScheduleId>,
-    boot: ScheduleId,
+    /// Declared partitions with their mode-word slots, by id.
+    partitions: Vec<(PartitionId, usize)>,
+    /// Slot bits of the partitions that require time under at least one
+    /// schedule.
+    time_requiring: u64,
+    /// Per schedule index: slot bits of the partitions failing the
+    /// supply-bound test under it.
+    unschedulable: Vec<u64>,
+    /// Per schedule index: the per-schedule verification verdict.
+    verdicts: Vec<Report>,
+    /// Slot bits of the authority partitions.
+    authorities: u64,
     multiple_schedules: bool,
     has_authorities: bool,
     /// Cap on recovery-closure sizes (mirrors the search cap).
@@ -329,80 +364,140 @@ impl<'a> InvariantCtx<'a> {
         ts: &'a TransitionSystem,
         closure_cap: usize,
     ) -> Self {
-        let time_requiring: BTreeSet<PartitionId> = ts
+        let bit = |p: PartitionId| ts.slot_of(p).map_or(0, |slot| 1u64 << slot);
+        let time_requiring = ts
             .schedules()
             .iter()
-            .flat_map(|s| {
-                s.requirements()
-                    .iter()
-                    .filter(|q| !q.duration.is_zero())
-                    .map(|q| q.partition)
-            })
-            .collect();
-        let unclean_schedules: BTreeSet<ScheduleId> = ts
-            .schedules()
-            .iter()
-            .filter(|s| !verify_schedule(s, &model.partitions).is_ok())
-            .map(|s| s.id())
-            .collect();
+            .flat_map(|s| s.requirements())
+            .filter(|q| !q.duration.is_zero())
+            .fold(0, |mask, q| mask | bit(q.partition));
+        let mut unschedulable = vec![0u64; ts.schedules().len()];
+        for (schedule, p) in unschedulable_pairs(model) {
+            if let Some(mask) = ts
+                .schedule_index(schedule)
+                .and_then(|i| unschedulable.get_mut(i))
+            {
+                *mask |= bit(p);
+            }
+        }
         Self {
             ts,
+            partitions: ts
+                .partitions()
+                .into_iter()
+                .filter_map(|p| ts.slot_of(p).map(|slot| (p, slot)))
+                .collect(),
             time_requiring,
-            unschedulable: unschedulable_pairs(model),
-            unclean_schedules,
-            boot: ts.schedules().initial().id(),
+            unschedulable,
+            verdicts: ts
+                .schedules()
+                .iter()
+                .map(|s| verify_schedule(s, &model.partitions))
+                .collect(),
+            authorities: ts.authority_mask(),
             multiple_schedules: ts.schedules().len() > 1,
-            has_authorities: !ts.authorities().is_empty(),
+            has_authorities: ts.authority_mask() != 0,
             closure_cap: closure_cap.max(1),
         }
     }
-}
 
-/// States reachable from `start` along recovery paths: authority schedule
-/// requests plus link recovery and ARQ resync. Faults are adversarial and
-/// excluded; mesh edge toggles are environmental and gate no invariant.
-fn recovery_closure(
-    ts: &TransitionSystem,
-    start: &AbstractState,
-    cap: usize,
-) -> Vec<AbstractState> {
-    let mut seen: BTreeSet<AbstractState> = BTreeSet::new();
-    seen.insert(start.clone());
-    let mut queue: Vec<AbstractState> = vec![start.clone()];
-    while let Some(state) = queue.pop() {
-        for event in ts.enabled_events(&state) {
-            let controllable = matches!(
-                event,
-                AbstractEvent::ScheduleRequest { .. }
-                    | AbstractEvent::LinkUp
-                    | AbstractEvent::ArqRecovered
-            );
-            if !controllable {
-                continue;
-            }
-            let Some(t) = ts.step(&state, event) else {
-                continue;
-            };
-            if seen.len() < cap && seen.insert(t.state.clone()) {
-                queue.push(t.state);
+    /// Whether any authority is running with a window in `key`.
+    fn has_command(&self, key: StateKey) -> bool {
+        self.authorities & self.ts.window_mask(key.schedule()) & !key.modes()
+            != 0
+    }
+
+    /// Whether the schedule at `index` fails the per-schedule conditions.
+    fn unclean(&self, index: usize) -> bool {
+        self.verdicts.get(index).is_some_and(|v| !v.is_ok())
+    }
+
+    /// AIR095's predicate: the partition at `bit` runs in `key` under a
+    /// schedule that cannot meet its deadlines while the boot schedule can.
+    fn deadline_starved(&self, key: StateKey, bit: u64) -> bool {
+        let mask = |i: usize| self.unschedulable.get(i).copied().unwrap_or(0);
+        key.modes() & bit == 0
+            && key.schedule() != 0
+            && mask(key.schedule()) & bit != 0
+            && mask(0) & bit == 0
+    }
+
+    /// What the recovery paths from `key` reach, memoized on the mesh-free
+    /// projection: recovery events never touch the mesh bits and no
+    /// predicate reads them, so every mesh variant of a state shares one
+    /// closure.
+    fn recovery(&self, memo: &mut RecoveryMemo, key: StateKey) -> Recovery {
+        let start = key.without_mesh();
+        if let Some(&recovery) = memo.0.get(&start) {
+            return recovery;
+        }
+        let recovery = self.recovery_closure(start);
+        memo.0.insert(start, recovery);
+        recovery
+    }
+
+    /// Walks the states reachable from `start` along recovery paths:
+    /// authority schedule requests plus link recovery and ARQ resync.
+    /// Faults are adversarial and excluded; mesh edge toggles are
+    /// environmental and gate no invariant.
+    fn recovery_closure(&self, start: StateKey) -> Recovery {
+        let ts = self.ts;
+        let mut seen: KeyMap<()> = KeyMap::default();
+        seen.insert(start, ());
+        let mut stack = vec![start];
+        let mut events = Vec::new();
+        while let Some(key) = stack.pop() {
+            events.clear();
+            ts.key_events(key, &mut events);
+            for &event in &events {
+                let controllable = matches!(
+                    event,
+                    AbstractEvent::ScheduleRequest { .. }
+                        | AbstractEvent::LinkUp
+                        | AbstractEvent::ArqRecovered
+                );
+                if !controllable {
+                    continue;
+                }
+                let Some(t) = ts.step_key(key, event) else {
+                    continue;
+                };
+                if seen.len() < self.closure_cap
+                    && seen.insert(t.key, ()).is_none()
+                {
+                    stack.push(t.key);
+                }
             }
         }
+        let arq = ts.options().arq;
+        seen.keys().fold(Recovery::default(), |r, &key| {
+            let running = !key.modes();
+            Recovery {
+                service: r.service | (ts.window_mask(key.schedule()) & running),
+                running: r.running | running,
+                arq_nominal: r.arq_nominal || (arq && !key.arq_exhausted()),
+                command: r.command || self.has_command(key),
+            }
+        })
     }
-    seen.into_iter().collect()
 }
 
-/// Whether `partition` has service (running with a window) in `state`.
-fn has_service(ts: &TransitionSystem, state: &AbstractState, partition: PartitionId) -> bool {
-    state.mode_of(partition) == AbstractMode::Running
-        && ts.has_window(state.schedule, partition)
+/// What some state on a recovery path from a given state achieves.
+#[derive(Debug, Clone, Copy, Default)]
+struct Recovery {
+    /// Slot bits of partitions running with a window.
+    service: u64,
+    /// Slot bits of running partitions.
+    running: u64,
+    /// Whether the ARQ transport is nominal.
+    arq_nominal: bool,
+    /// Whether an authority is running with a window.
+    command: bool,
 }
 
-/// Whether any authority can issue a schedule request in `state`.
-fn has_command(ts: &TransitionSystem, state: &AbstractState) -> bool {
-    ts.authorities()
-        .iter()
-        .any(|&a| has_service(ts, state, a))
-}
+/// Recovery summaries by mesh-free key.
+#[derive(Default)]
+struct RecoveryMemo(KeyMap<Recovery>);
 
 #[derive(Default)]
 struct Findings {
@@ -412,8 +507,16 @@ struct Findings {
 }
 
 impl Findings {
-    fn push(&mut self, code: Code, subject: u32, witness: Witness, message: String) {
+    /// Records the first violation of `(code, subject)`; `describe` builds
+    /// its witness and message only then.
+    fn push(
+        &mut self,
+        code: Code,
+        subject: u32,
+        describe: impl FnOnce() -> (Witness, String),
+    ) {
         if self.flagged.insert((code, subject)) {
+            let (witness, message) = describe();
             self.counterexamples.push(Counterexample {
                 code,
                 subject,
@@ -422,142 +525,143 @@ impl Findings {
             });
         }
     }
+
+    fn into_exploration(
+        self,
+        depth: usize,
+        states_explored: usize,
+        cap_hit: bool,
+        reachable_schedule_violations: usize,
+    ) -> Exploration {
+        let mut report = LintReport::new();
+        for c in &self.counterexamples {
+            report.push(Diagnostic::new(c.code, c.message.clone()));
+        }
+        report.finish();
+        Exploration {
+            depth,
+            states_explored,
+            cap_hit,
+            report,
+            counterexamples: self.counterexamples,
+            reachable_schedule_violations,
+        }
+    }
 }
 
 /// Per-state invariants: starvation (AIR081), lost authority (AIR082),
 /// unrecoverable stops (AIR083), degraded traps (AIR086), cross-mode
 /// deadline starvation (AIR095) and unrecoverable ARQ exhaustion (AIR096).
-fn check_states(ctx: &InvariantCtx<'_>, graph: &SearchGraph, findings: &mut Findings) {
+fn check_states(
+    ctx: &InvariantCtx<'_>,
+    memo: &mut RecoveryMemo,
+    graph: &SearchGraph,
+    findings: &mut Findings,
+) {
     let ts = ctx.ts;
-    for (idx, state) in graph.states.iter().enumerate() {
-        // Computed lazily: most states need no closure at all.
-        let mut cached: Option<Vec<AbstractState>> = None;
-        let closure_of = |state: &AbstractState,
-                              cached: &mut Option<Vec<AbstractState>>|
-         -> Vec<AbstractState> {
-            cached
-                .get_or_insert_with(|| {
-                    recovery_closure(ts, state, ctx.closure_cap)
-                })
-                .clone()
+    for (idx, &key) in graph.states.iter().enumerate() {
+        let schedule = ts.schedule_id(key.schedule());
+        let windows = ts.window_mask(key.schedule());
+        let witness = || {
+            let witness = graph.witness_of(idx);
+            let rendered = witness.render();
+            (witness, rendered)
         };
-
-        for &p in ts.partitions() {
-            let starved = state.mode_of(p) == AbstractMode::Running
-                && ctx.time_requiring.contains(&p)
-                && !ts.has_window(state.schedule, p);
-            if starved {
-                let closure = closure_of(state, &mut cached);
-                if !closure.iter().any(|s| has_service(ts, s, p)) {
-                    findings.push(
-                        Code::ModeStarvation,
-                        p.as_u32(),
-                        graph.witness_of(idx),
-                        format!(
-                            "partition {p} requires time but is left without \
-                             a window under {}; reachable via: {}; no \
-                             command path restores its service",
-                            state.schedule,
-                            graph.witness_of(idx).render()
-                        ),
+        for &(p, slot) in &ctx.partitions {
+            let bit = 1u64 << slot;
+            let running = key.modes() & bit == 0;
+            let starved = running
+                && ctx.time_requiring & bit != 0
+                && windows & bit == 0;
+            if starved && ctx.recovery(memo, key).service & bit == 0 {
+                findings.push(Code::ModeStarvation, p.as_u32(), || {
+                    let (witness, path) = witness();
+                    let message = format!(
+                        "partition {p} requires time but is left without \
+                         a window under {schedule}; reachable via: {path}; \
+                         no command path restores its service"
                     );
-                }
+                    (witness, message)
+                });
             }
-            if state.mode_of(p) == AbstractMode::Stopped {
-                let closure = closure_of(state, &mut cached);
-                if !closure
-                    .iter()
-                    .any(|s| s.mode_of(p) == AbstractMode::Running)
-                {
-                    findings.push(
-                        Code::StoppedPartitionUnrecoverable,
-                        p.as_u32(),
-                        graph.witness_of(idx),
-                        format!(
+            if !running && ctx.recovery(memo, key).running & bit == 0 {
+                findings.push(
+                    Code::StoppedPartitionUnrecoverable,
+                    p.as_u32(),
+                    || {
+                        let (witness, path) = witness();
+                        let message = format!(
                             "partition {p} is stopped and no command path \
-                             ever restarts it; reachable via: {}",
-                            graph.witness_of(idx).render()
-                        ),
-                    );
-                }
+                             ever restarts it; reachable via: {path}"
+                        );
+                        (witness, message)
+                    },
+                );
             }
             // AIR095: this state's schedule cannot satisfy p's process
             // deadlines, while the boot schedule can — so a mode change
             // (not the task set itself) starves the deadlines.
-            if state.mode_of(p) == AbstractMode::Running
-                && state.schedule != ctx.boot
-                && ctx.unschedulable.contains(&(state.schedule, p))
-                && !ctx.unschedulable.contains(&(ctx.boot, p))
-            {
+            if ctx.deadline_starved(key, bit) {
                 findings.push(
                     Code::DeadlineStarvationAcrossModes,
                     p.as_u32(),
-                    graph.witness_of(idx),
-                    format!(
-                        "processes of {p} are schedulable under boot \
-                         schedule {} but may miss deadlines under reachable \
-                         schedule {}; reachable via: {}",
-                        ctx.boot,
-                        state.schedule,
-                        graph.witness_of(idx).render()
-                    ),
+                    || {
+                        let (witness, path) = witness();
+                        let message = format!(
+                            "processes of {p} are schedulable under boot \
+                             schedule {} but may miss deadlines under \
+                             reachable schedule {schedule}; reachable via: \
+                             {path}",
+                            ts.schedule_id(0)
+                        );
+                        (witness, message)
+                    },
                 );
             }
         }
 
         // AIR096: exhausted ARQ with no resync on any recovery path.
-        if state.arq == ArqHealth::Exhausted {
-            let closure = closure_of(state, &mut cached);
-            if !closure.iter().any(|s| s.arq == ArqHealth::Nominal) {
-                findings.push(
-                    Code::ArqExhaustionUnrecoverable,
-                    0,
-                    graph.witness_of(idx),
-                    format!(
-                        "the ARQ retransmit budget can be exhausted with no \
-                         recovery path that resynchronises the transport; \
-                         reachable via: {}; bind a degraded schedule to the \
-                         link so exhaustion has a repair path",
-                        graph.witness_of(idx).render()
-                    ),
+        if key.arq_exhausted() && !ctx.recovery(memo, key).arq_nominal {
+            findings.push(Code::ArqExhaustionUnrecoverable, 0, || {
+                let (witness, path) = witness();
+                let message = format!(
+                    "the ARQ retransmit budget can be exhausted with no \
+                     recovery path that resynchronises the transport; \
+                     reachable via: {path}; bind a degraded schedule to the \
+                     link so exhaustion has a repair path"
                 );
-            }
+                (witness, message)
+            });
         }
 
-        if ctx.multiple_schedules
-            && ctx.has_authorities
-            && !has_command(ts, state)
+        if ctx.multiple_schedules && ctx.has_authorities && !ctx.has_command(key)
         {
-            if let LinkState::Degraded { nominal } = state.link {
+            if let Some(nominal) = key.saved_schedule() {
                 findings.push(
                     Code::DegradedScheduleTrap,
-                    state.schedule.as_u32(),
-                    graph.witness_of(idx),
-                    format!(
-                        "under degraded schedule {} no running authority \
-                         partition holds a window; recovery to {nominal} \
-                         depends solely on the link being restored; \
-                         reachable via: {}",
-                        state.schedule,
-                        graph.witness_of(idx).render()
-                    ),
+                    schedule.as_u32(),
+                    || {
+                        let (witness, path) = witness();
+                        let message = format!(
+                            "under degraded schedule {schedule} no running \
+                             authority partition holds a window; recovery to \
+                             {} depends solely on the link being restored; \
+                             reachable via: {path}",
+                            ts.schedule_id(nominal)
+                        );
+                        (witness, message)
+                    },
                 );
-            } else {
-                let closure = closure_of(state, &mut cached);
-                if !closure.iter().any(|s| has_command(ts, s)) {
-                    findings.push(
-                        Code::AuthorityLostAcrossModes,
-                        0,
-                        graph.witness_of(idx),
-                        format!(
-                            "no running authority partition holds a window \
-                             under {}; the module can never change schedule \
-                             again; reachable via: {}",
-                            state.schedule,
-                            graph.witness_of(idx).render()
-                        ),
+            } else if !ctx.recovery(memo, key).command {
+                findings.push(Code::AuthorityLostAcrossModes, 0, || {
+                    let (witness, path) = witness();
+                    let message = format!(
+                        "no running authority partition holds a window \
+                         under {schedule}; the module can never change \
+                         schedule again; reachable via: {path}"
                     );
-                }
+                    (witness, message)
+                });
             }
         }
     }
@@ -575,129 +679,147 @@ fn check_failover_traps(
         if edge.event != AbstractEvent::LinkDown {
             continue;
         }
-        let before = &graph.states[edge.from];
-        let after = &graph.states[edge.to];
-        for &p in ts.partitions() {
-            if before.mode_of(p) != AbstractMode::Running
-                || after.mode_of(p) != AbstractMode::Stopped
-            {
+        let before = graph.states[edge.from as usize];
+        let after = graph.states[edge.to as usize];
+        // Running before the failover, stopped after it.
+        let ratcheted = !before.modes() & after.modes();
+        if ctx.partitions.iter().all(|&(_, slot)| (ratcheted >> slot) & 1 == 0)
+        {
+            continue;
+        }
+        let Some(recovered) = ts.step_key(after, AbstractEvent::LinkUp) else {
+            continue;
+        };
+        for &(p, slot) in &ctx.partitions {
+            let bit = 1u64 << slot;
+            if ratcheted & bit == 0 || recovered.key.modes() & bit == 0 {
                 continue;
             }
-            let Some(recovered) = ts.step(after, AbstractEvent::LinkUp) else {
-                continue;
-            };
-            if recovered.state.mode_of(p) == AbstractMode::Stopped {
-                let mut witness = graph.witness_of(edge.to);
+            findings.push(Code::FailoverScheduleTrap, p.as_u32(), || {
+                let mut witness = graph.witness_of(edge.to as usize);
                 witness.events.push(AbstractEvent::LinkUp);
-                let rendered = witness.render();
-                findings.push(
-                    Code::FailoverScheduleTrap,
-                    p.as_u32(),
-                    witness,
-                    format!(
-                        "link failover into {} stops partition {p}, and link \
-                         recovery back to {} does not restart it; the \
-                         failover ratchets the partition off: {rendered}; \
-                         add a restart action for {p} to the nominal \
-                         schedule",
-                        after.schedule, recovered.state.schedule
-                    ),
+                let message = format!(
+                    "link failover into {} stops partition {p}, and link \
+                     recovery back to {} does not restart it; the failover \
+                     ratchets the partition off: {}; add a restart action \
+                     for {p} to the nominal schedule",
+                    ts.schedule_id(after.schedule()),
+                    ts.schedule_id(recovered.key.schedule()),
+                    witness.render()
                 );
-            }
+                (witness, message)
+            });
         }
     }
 }
 
 /// AIR084: a cycle of commanded schedule switches that restarts the same
 /// partition on every lap.
-fn check_restart_loops(ts: &TransitionSystem, graph: &SearchGraph, findings: &mut Findings) {
-    for &p in ts.partitions() {
-        // Subgraph of commanded-switch edges that restart `p`.
-        let edges: Vec<&air_model::explore::search::SearchEdge> = graph
-            .edges
-            .iter()
-            .filter(|e| {
-                matches!(e.event, AbstractEvent::ScheduleRequest { .. })
-                    && e.restarted.contains(&p)
-            })
-            .collect();
+fn check_restart_loops(
+    ctx: &InvariantCtx<'_>,
+    graph: &SearchGraph,
+    findings: &mut Findings,
+) {
+    // One pass over the edges builds every partition's subgraph of
+    // commanded-switch edges that restart it.
+    let mut restarting: Vec<Vec<&SearchEdge>> =
+        vec![Vec::new(); ctx.partitions.len()];
+    for edge in &graph.edges {
+        if edge.restarted == 0
+            || !matches!(edge.event, AbstractEvent::ScheduleRequest { .. })
+        {
+            continue;
+        }
+        for (edges, &(_, slot)) in restarting.iter_mut().zip(&ctx.partitions) {
+            if edge.restarts(slot) {
+                edges.push(edge);
+            }
+        }
+    }
+    for (&(p, _), edges) in ctx.partitions.iter().zip(&restarting) {
         if edges.is_empty() {
             continue;
         }
-        let Some(cycle) = find_cycle(graph.states.len(), &edges) else {
+        let Some(cycle) = find_cycle(graph.states.len(), edges) else {
             continue;
         };
-        let entry = cycle[0].from;
-        let lap: Vec<String> =
-            cycle.iter().map(|e| e.event.to_string()).collect();
-        findings.push(
-            Code::RestartLoop,
-            p.as_u32(),
-            graph.witness_of(entry),
-            format!(
+        let entry = cycle[0].from as usize;
+        findings.push(Code::RestartLoop, p.as_u32(), || {
+            let witness = graph.witness_of(entry);
+            let lap: Vec<String> =
+                cycle.iter().map(|e| e.event.to_string()).collect();
+            let message = format!(
                 "schedule-switch cycle restarts {p} on every lap: {}; cycle \
                  entered via: {}; repeated switching restarts the partition \
                  unboundedly",
                 lap.join("; "),
-                graph.witness_of(entry).render()
-            ),
-        );
+                witness.render()
+            );
+            (witness, message)
+        });
     }
 }
 
 /// Finds a directed cycle in `edges` (indices into a `node_count`-node
-/// graph), returning its edge sequence, or `None`.
+/// graph), returning its edge sequence, or `None`. Roots are tried in
+/// ascending node order and each node's edges in the given order.
 fn find_cycle<'e>(
     node_count: usize,
-    edges: &[&'e air_model::explore::search::SearchEdge],
-) -> Option<Vec<&'e air_model::explore::search::SearchEdge>> {
-    use air_model::explore::search::SearchEdge;
-    // Iterative DFS with an explicit path stack; the subgraphs here are
-    // tiny (commanded switches only), so clarity wins over asymptotics.
-    let mut adjacency: std::collections::BTreeMap<usize, Vec<&SearchEdge>> =
-        std::collections::BTreeMap::new();
-    for e in edges {
-        adjacency.entry(e.from).or_default().push(e);
-    }
+    edges: &[&'e SearchEdge],
+) -> Option<Vec<&'e SearchEdge>> {
+    // Adjacency as one sorted run of `(from, to, edge)` per node, with the
+    // endpoints inline so the walk stays in this array; the sort is
+    // stable, so each node keeps its edges in the given order.
+    let mut sorted: Vec<(u32, u32, &SearchEdge)> =
+        edges.iter().map(|&e| (e.from, e.to, e)).collect();
+    sorted.sort_by_key(|&(from, _, _)| from);
+    let out_of = |node: u32| {
+        let lo = sorted.partition_point(|&(from, _, _)| from < node);
+        (lo, lo + sorted[lo..].partition_point(|&(from, _, _)| from == node))
+    };
     let mut visited = vec![false; node_count];
-    for &start in adjacency.keys() {
-        if visited[start] {
+    // Every entry is false again once a root's DFS unwinds, so one buffer
+    // serves all roots.
+    let mut on_path = vec![false; node_count];
+    // Tree edges from the root to the node on top of the stack.
+    let mut path: Vec<usize> = Vec::new();
+    // Each stack entry is (node, next adjacency position, run end).
+    let mut stack: Vec<(u32, usize, usize)> = Vec::new();
+    for &(start, _, _) in &sorted {
+        if visited[start as usize] {
             continue;
         }
-        let mut path: Vec<&SearchEdge> = Vec::new();
-        let mut on_path = vec![false; node_count];
-        // Each stack entry is (node, next adjacency position to try).
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-        on_path[start] = true;
-        visited[start] = true;
-        while let Some(&mut (node, ref mut pos)) = stack.last_mut() {
-            let next = adjacency.get(&node).and_then(|a| a.get(*pos)).copied();
-            *pos += 1;
-            match next {
-                None => {
-                    stack.pop();
-                    on_path[node] = false;
-                    path.pop();
-                }
-                Some(edge) => {
-                    if on_path[edge.to] {
-                        // Back edge: the cycle is the path suffix from
-                        // `edge.to`, closed by `edge`.
-                        let mut cycle: Vec<&SearchEdge> = path
-                            .iter()
-                            .skip_while(|e| e.from != edge.to)
-                            .copied()
-                            .collect();
-                        cycle.push(edge);
-                        return Some(cycle);
-                    }
-                    if !visited[edge.to] {
-                        visited[edge.to] = true;
-                        on_path[edge.to] = true;
-                        path.push(edge);
-                        stack.push((edge.to, 0));
-                    }
-                }
+        let (lo, hi) = out_of(start);
+        stack.push((start, lo, hi));
+        on_path[start as usize] = true;
+        visited[start as usize] = true;
+        while let Some(&mut (node, ref mut next, end)) = stack.last_mut() {
+            if *next == end {
+                stack.pop();
+                on_path[node as usize] = false;
+                path.pop();
+                continue;
+            }
+            let position = *next;
+            *next += 1;
+            let (_, to, _) = sorted[position];
+            if on_path[to as usize] {
+                // Back edge: the cycle is the path suffix from `to`,
+                // closed by this edge.
+                let mut cycle: Vec<&SearchEdge> = path
+                    .iter()
+                    .map(|&i| sorted[i].2)
+                    .skip_while(|e| e.from != to)
+                    .collect();
+                cycle.push(sorted[position].2);
+                return Some(cycle);
+            }
+            if !visited[to as usize] {
+                visited[to as usize] = true;
+                on_path[to as usize] = true;
+                path.push(position);
+                let (lo, hi) = out_of(to);
+                stack.push((to, lo, hi));
             }
         }
     }
@@ -707,49 +829,49 @@ fn find_cycle<'e>(
 /// AIR085: every reachable schedule must satisfy the per-schedule
 /// verification conditions.
 ///
-/// The schedule in force is re-verified in *every* reachable state and the
-/// verdicts are accumulated through [`Report::merge`]: a schedule reached
-/// along several paths yields identical violations each time, and the
-/// merge deduplication keeps them from double-counting. The merged,
-/// deduplicated total is returned (and exposed as
+/// Each distinct reachable schedule is verified once (its verdict is the
+/// same on every path that reaches it) and the verdicts are accumulated
+/// through [`Report::merge`], which deduplicates. The merged total is
+/// returned (and exposed as
 /// [`Exploration::reachable_schedule_violations`]).
 fn check_reachable_schedules(
-    model: &SystemModel,
-    ts: &TransitionSystem,
+    ctx: &InvariantCtx<'_>,
     graph: &SearchGraph,
     findings: &mut Findings,
 ) -> usize {
-    let mut first_reached: std::collections::BTreeMap<ScheduleId, usize> =
-        std::collections::BTreeMap::new();
-    for (idx, state) in graph.states.iter().enumerate() {
-        first_reached.entry(state.schedule).or_insert(idx);
+    let ts = ctx.ts;
+    let mut first_reached: Vec<Option<usize>> = vec![None; ctx.verdicts.len()];
+    for (idx, key) in graph.states.iter().enumerate() {
+        if let Some(first) = first_reached.get_mut(key.schedule()) {
+            first.get_or_insert(idx);
+        }
     }
+    let mut reached: Vec<(usize, usize)> = first_reached
+        .iter()
+        .enumerate()
+        .filter_map(|(schedule, first)| first.map(|idx| (schedule, idx)))
+        .collect();
+    reached.sort_by_key(|&(schedule, _)| ts.schedule_id(schedule));
     let mut merged = Report::new();
-    for state in &graph.states {
-        let Some(table) = ts.schedules().get(state.schedule) else {
+    for (index, idx) in reached {
+        let Some(verdict) = ctx.verdicts.get(index) else {
             continue;
         };
-        merged.merge(verify_schedule(table, &model.partitions));
-    }
-    for (&schedule, &idx) in &first_reached {
-        let Some(table) = ts.schedules().get(schedule) else {
-            continue;
-        };
-        let verdict = verify_schedule(table, &model.partitions);
         if !verdict.is_ok() {
+            let schedule = ts.schedule_id(index);
             let count = verdict.violations().len();
-            findings.push(
-                Code::ReachableScheduleUnclean,
-                schedule.as_u32(),
-                graph.witness_of(idx),
-                format!(
+            findings.push(Code::ReachableScheduleUnclean, schedule.as_u32(), || {
+                let witness = graph.witness_of(idx);
+                let message = format!(
                     "schedule {schedule} is reachable via: {}; but violates \
                      {count} per-schedule verification condition(s) — the \
                      module can be commanded into an invalid table",
-                    graph.witness_of(idx).render()
-                ),
-            );
+                    witness.render()
+                );
+                (witness, message)
+            });
         }
+        merged.merge(verdict.clone());
     }
     merged.violations().len()
 }
@@ -778,9 +900,11 @@ pub fn minimize_witness_with(
         return cx.witness.clone();
     };
     let ctx = InvariantCtx::new(model, &ts, config.max_states);
-    if !violation_is_state_predicate(cx.code)
-        || !replays_to_violation(&ctx, &cx.witness.events, cx.code, cx.subject)
-    {
+    let mut memo = RecoveryMemo::default();
+    let mut replays = |events: &[AbstractEvent]| {
+        replays_to_violation(&ctx, &mut memo, events, cx.code, cx.subject)
+    };
+    if !violation_is_state_predicate(cx.code) || !replays(&cx.witness.events) {
         return cx.witness.clone();
     }
     let mut events = cx.witness.events.clone();
@@ -788,7 +912,7 @@ pub fn minimize_witness_with(
     while i < events.len() {
         let mut trimmed = events.clone();
         trimmed.remove(i);
-        if replays_to_violation(&ctx, &trimmed, cx.code, cx.subject) {
+        if replays(&trimmed) {
             events = trimmed;
             i = 0;
         } else {
@@ -814,85 +938,75 @@ fn violation_is_state_predicate(code: Code) -> bool {
 
 fn replays_to_violation(
     ctx: &InvariantCtx<'_>,
+    memo: &mut RecoveryMemo,
     events: &[AbstractEvent],
     code: Code,
     subject: u32,
 ) -> bool {
-    let mut state = ctx.ts.initial_state();
+    let mut key = ctx.ts.initial_key();
     for &event in events {
-        match ctx.ts.step(&state, event) {
-            Some(t) => state = t.state,
+        match ctx.ts.step_key(key, event) {
+            Some(t) => key = t.key,
             None => return false,
         }
     }
-    state_violates(ctx, &state, code, subject)
+    state_violates(ctx, memo, key, code, subject)
 }
 
-/// Whether `state` exhibits the violation `(code, subject)` — the same
+/// Whether `key` exhibits the violation `(code, subject)` — the same
 /// predicates as [`check_states`], keyed for the minimizer.
 fn state_violates(
     ctx: &InvariantCtx<'_>,
-    state: &AbstractState,
+    memo: &mut RecoveryMemo,
+    key: StateKey,
     code: Code,
     subject: u32,
 ) -> bool {
     let ts = ctx.ts;
+    // A partition outside the mode domain (bit 0) is never running.
+    let bit = ts
+        .slot_of(PartitionId(subject))
+        .map_or(0, |slot| 1u64 << slot);
+    let running = key.modes() & bit == 0 && bit != 0;
+    let degraded = key.saved_schedule().is_some();
     match code {
         Code::ModeStarvation => {
-            let p = PartitionId(subject);
-            state.mode_of(p) == AbstractMode::Running
-                && ctx.time_requiring.contains(&p)
-                && !ts.has_window(state.schedule, p)
-                && !recovery_closure(ts, state, ctx.closure_cap)
-                    .iter()
-                    .any(|s| has_service(ts, s, p))
+            running
+                && ctx.time_requiring & bit != 0
+                && ts.window_mask(key.schedule()) & bit == 0
+                && ctx.recovery(memo, key).service & bit == 0
         }
         Code::StoppedPartitionUnrecoverable => {
-            let p = PartitionId(subject);
-            state.mode_of(p) == AbstractMode::Stopped
-                && !recovery_closure(ts, state, ctx.closure_cap)
-                    .iter()
-                    .any(|s| s.mode_of(p) == AbstractMode::Running)
+            !running && ctx.recovery(memo, key).running & bit == 0
         }
         Code::AuthorityLostAcrossModes => {
             ctx.multiple_schedules
                 && ctx.has_authorities
-                && !has_command(ts, state)
-                && !matches!(state.link, LinkState::Degraded { .. })
-                && !recovery_closure(ts, state, ctx.closure_cap)
-                    .iter()
-                    .any(|s| has_command(ts, s))
+                && !ctx.has_command(key)
+                && !degraded
+                && !ctx.recovery(memo, key).command
         }
         Code::DegradedScheduleTrap => {
             ctx.multiple_schedules
                 && ctx.has_authorities
-                && state.schedule.as_u32() == subject
-                && matches!(state.link, LinkState::Degraded { .. })
-                && !has_command(ts, state)
+                && ts.schedule_id(key.schedule()).as_u32() == subject
+                && degraded
+                && !ctx.has_command(key)
         }
         Code::ReachableScheduleUnclean => {
-            state.schedule.as_u32() == subject
-                && ctx.unclean_schedules.contains(&state.schedule)
+            ts.schedule_id(key.schedule()).as_u32() == subject
+                && ctx.unclean(key.schedule())
         }
         Code::DeadlineStarvationAcrossModes => {
-            let p = PartitionId(subject);
-            state.mode_of(p) == AbstractMode::Running
-                && state.schedule != ctx.boot
-                && ctx.unschedulable.contains(&(state.schedule, p))
-                && !ctx.unschedulable.contains(&(ctx.boot, p))
+            bit != 0 && ctx.deadline_starved(key, bit)
         }
         Code::ArqExhaustionUnrecoverable => {
-            state.arq == ArqHealth::Exhausted
-                && !recovery_closure(ts, state, ctx.closure_cap)
-                    .iter()
-                    .any(|s| s.arq == ArqHealth::Nominal)
+            key.arq_exhausted() && !ctx.recovery(memo, key).arq_nominal
         }
         Code::FailoverScheduleTrap => {
             // The witness ends after the failed `link_up`: the partition is
             // still stopped although the link is back.
-            let p = PartitionId(subject);
-            state.mode_of(p) == AbstractMode::Stopped
-                && state.link == LinkState::Nominal
+            !running && ts.options().degraded_schedule.is_some() && !degraded
         }
         _ => false,
     }
@@ -1335,5 +1449,219 @@ link primary_latency=3 secondary_latency=6 degraded=chi1
             message: String::new(),
         };
         assert_eq!(minimize_witness(&model, &cx), cx.witness);
+    }
+
+    #[test]
+    fn find_cycle_survives_many_acyclic_roots() {
+        let edge = |from: u32, to: u32| SearchEdge {
+            from,
+            event: AbstractEvent::ScheduleRequest {
+                by: PartitionId(0),
+                to: air_model::ScheduleId(to % 3),
+            },
+            restarted: 1,
+            to,
+        };
+        // 2000 roots with one acyclic edge each, one root leading into the
+        // cycle 5000 -> 5001 -> 5002 -> 5000, and more roots after it.
+        let mut edges: Vec<SearchEdge> =
+            (0..2000).map(|i| edge(i, 10_000 + i)).collect();
+        edges.push(edge(4000, 5000));
+        edges.extend([edge(5000, 5001), edge(5001, 5002), edge(5002, 5000)]);
+        edges.extend((6000..8000).map(|i| edge(i, 12_000 + i)));
+        let refs: Vec<&SearchEdge> = edges.iter().collect();
+        let cycle = find_cycle(20_000, &refs).expect("the cycle is found");
+        let hops: Vec<(u32, u32)> = cycle.iter().map(|e| (e.from, e.to)).collect();
+        assert_eq!(hops, vec![(5000, 5001), (5001, 5002), (5002, 5000)]);
+        // Without the closing edge the subgraph is acyclic.
+        let acyclic: Vec<&SearchEdge> =
+            edges.iter().filter(|e| e.from != 5002).collect();
+        assert!(find_cycle(20_000, &acyclic).is_none());
+    }
+
+    /// chi1 (no window for P2) is reachable by request from both
+    /// authorities and by link failover; chi3 overlaps two windows.
+    const UNCLEAN_ON_MANY_PATHS: &str = "\
+partition P0 name=AOCS authority=true
+partition P1 name=AUX authority=true
+partition P2 name=PAYLOAD
+schedule chi0 name=ops mtf=100
+  require P0 cycle=100 duration=30
+  require P1 cycle=100 duration=30
+  require P2 cycle=100 duration=30
+  window P0 offset=0 duration=30
+  window P1 offset=30 duration=30
+  window P2 offset=60 duration=30
+schedule chi1 name=broken mtf=100
+  require P0 cycle=100 duration=30
+  require P1 cycle=100 duration=30
+  require P2 cycle=100 duration=30
+  window P0 offset=0 duration=30
+  window P1 offset=30 duration=30
+schedule chi2 name=alt mtf=100
+  require P0 cycle=100 duration=30
+  require P1 cycle=100 duration=30
+  require P2 cycle=100 duration=30
+  window P0 offset=0 duration=30
+  window P1 offset=30 duration=30
+  window P2 offset=60 duration=30
+  action P2 stop
+schedule chi3 name=overbooked mtf=100
+  require P0 cycle=100 duration=30
+  require P1 cycle=100 duration=30
+  require P2 cycle=100 duration=50
+  window P0 offset=0 duration=30
+  window P1 offset=30 duration=30
+  window P2 offset=50 duration=50
+link primary_latency=2 secondary_latency=4 degraded=chi1
+";
+
+    /// Renders each finding as `code subject witness`.
+    fn findings_of(ex: &Exploration) -> Vec<String> {
+        ex.counterexamples
+            .iter()
+            .map(|c| format!("{} {} {}", c.code, c.subject, c.witness.render()))
+            .collect()
+    }
+
+    #[test]
+    fn reachable_schedule_violations_count_each_schedule_once() {
+        // Pinned from the per-state implementation: every reachable state
+        // re-verified its schedule and the merge deduplicated.
+        for (depth, states) in [(1, 5), (2, 15), (3, 31), (4, 40), (6, 40)] {
+            let ex = explored(UNCLEAN_ON_MANY_PATHS, depth);
+            assert_eq!(ex.states_explored, states, "depth {depth}");
+            assert_eq!(ex.reachable_schedule_violations, 2, "depth {depth}");
+            assert_eq!(
+                findings_of(&ex),
+                [
+                    "AIR083 2 request(P0->chi2)",
+                    "AIR085 1 request(P0->chi1)",
+                    "AIR085 3 request(P0->chi3)",
+                ],
+                "depth {depth}"
+            );
+        }
+    }
+
+    /// An undeclared P7 owns windows in chi1 (restarted there) and chi2
+    /// (stopped there): AIR005/AIR020 territory, but the explorer must
+    /// still track P7 once an action inserts it, including through a
+    /// later module reset.
+    const UNDECLARED_TARGET: &str = "\
+partition P0 name=CMD authority=true
+partition P1 name=PAYLOAD
+schedule chi0 name=ops mtf=100
+  require P0 cycle=100 duration=40
+  require P1 cycle=100 duration=40
+  window P0 offset=0 duration=40
+  window P1 offset=40 duration=40
+schedule chi1 name=spare mtf=100
+  require P0 cycle=100 duration=40
+  require P1 cycle=100 duration=20
+  window P0 offset=0 duration=40
+  window P1 offset=40 duration=20
+  window P7 offset=60 duration=20
+  action P7 warm_restart
+schedule chi2 name=quiet mtf=100
+  require P0 cycle=100 duration=40
+  window P0 offset=0 duration=40
+  window P7 offset=40 duration=20
+  action P7 stop
+";
+
+    /// Action lists out of partition order, with repeated actions for one
+    /// partition: a schedule keeps the last one declared (chi0 ends on
+    /// `none` for P1, so chi1's final `stop` of P1 is unrecoverable).
+    const UNSORTED_ACTIONS: &str = "\
+partition P0 name=CMD authority=true
+partition P1 name=PAYLOAD
+partition P2 name=SCIENCE
+schedule chi0 name=ops mtf=100
+  require P0 cycle=100 duration=30
+  require P1 cycle=100 duration=30
+  require P2 cycle=100 duration=30
+  window P0 offset=0 duration=30
+  window P1 offset=30 duration=30
+  window P2 offset=60 duration=30
+  action P2 warm_restart
+  action P1 cold_restart
+  action P1 none
+schedule chi1 name=shed mtf=100
+  require P0 cycle=100 duration=30
+  require P1 cycle=100 duration=30
+  require P2 cycle=100 duration=30
+  window P0 offset=0 duration=30
+  window P1 offset=30 duration=30
+  window P2 offset=60 duration=30
+  action P2 stop
+  action P1 warm_restart
+  action P0 none
+  action P1 stop
+  action P2 cold_restart
+  action P2 stop
+";
+
+    #[test]
+    fn packing_edge_cases_keep_their_pinned_verdicts() {
+        // State counts and findings pinned from the map-based explorer.
+        for por in [true, false] {
+            for (depth, states) in [(1, 3), (2, 6), (4, 6), (6, 6)] {
+                let ex = explore_with(
+                    &model_of(UNDECLARED_TARGET),
+                    &ExploreConfig { depth, por, ..ExploreConfig::default() },
+                );
+                assert_eq!(ex.states_explored, states, "undeclared d{depth}");
+                assert_eq!(ex.reachable_schedule_violations, 2);
+                assert_eq!(
+                    findings_of(&ex),
+                    ["AIR085 1 request(P0->chi1)", "AIR085 2 request(P0->chi2)"]
+                );
+            }
+            for (depth, states) in [(1, 2), (2, 4), (4, 4), (6, 4)] {
+                let ex = explore_with(
+                    &model_of(UNSORTED_ACTIONS),
+                    &ExploreConfig { depth, por, ..ExploreConfig::default() },
+                );
+                assert_eq!(ex.states_explored, states, "unsorted d{depth}");
+                assert_eq!(findings_of(&ex), ["AIR083 1 request(P0->chi1)"]);
+            }
+        }
+    }
+
+    #[test]
+    fn more_than_16_mesh_edges_keep_every_finding_and_add_air098() {
+        let mut routed = String::from(STARVATION);
+        routed.push_str("node N0 name=HUB\n");
+        for i in 1..=17 {
+            routed.push_str(&format!("route N{i} via=N{i}\n"));
+        }
+        let ex = explored(&routed, 2);
+        assert!(ex.report.has_code(Code::ModeStarvation), "{}", ex.report);
+        assert!(ex.report.has_code(Code::ExplorationCapped), "{}", ex.report);
+        assert!(!ex.cap_hit);
+        let notice = ex
+            .counterexamples
+            .iter()
+            .find(|c| c.code == Code::ExplorationCapped)
+            .map(|c| c.message.as_str())
+            .unwrap_or_default();
+        assert!(notice.contains("17 mesh edges"), "{notice}");
+        // The same exploration as 16 routes: the excess edge is the only
+        // difference, and it is reported rather than explored.
+        let mut sixteen = String::from(STARVATION);
+        sixteen.push_str("node N0 name=HUB\n");
+        for i in 1..=16 {
+            sixteen.push_str(&format!("route N{i} via=N{i}\n"));
+        }
+        let capped = explored(&sixteen, 2);
+        assert_eq!(capped.states_explored, ex.states_explored);
+        assert!(!capped.report.has_code(Code::ExplorationCapped));
+        assert_eq!(
+            capped.report.error_count(),
+            ex.report.error_count(),
+            "{}",
+            ex.report
+        );
     }
 }

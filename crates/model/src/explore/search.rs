@@ -1,22 +1,28 @@
 //! Parallel bounded breadth-first search over a [`TransitionSystem`].
 //!
+//! The engine works on packed [`StateKey`]s only: states, parents and
+//! edges are stored by `u32` index, and a state is decoded back into an
+//! [`AbstractState`] only when asked for ([`SearchGraph::state`]).
+//!
 //! The engine is level-synchronous: each BFS level runs three phases —
 //!
 //! 1. **Expand** (parallel): the frontier is split into contiguous slices,
 //!    one per worker (`std::thread::scope`, the calling thread doubles as
 //!    worker 0 — the air-fleet sharding idiom). Each worker applies every
 //!    enabled event to its slice and emits successor candidates, tagged with
-//!    the FNV-1a shard of the successor state. Workers write into
-//!    preallocated per-worker buffers, concatenated in worker order so the
-//!    candidate sequence is identical to a sequential expansion.
-//! 2. **Dedup** (parallel): the seen-set is sharded by FNV-1a into
+//!    the seen-set shard of the successor key. Workers write into
+//!    per-worker buffers, concatenated in worker order so the candidate
+//!    sequence is identical to a sequential expansion.
+//! 2. **Dedup** (parallel): the seen-set maps each key to its state index
+//!    and is sharded by a fixed key hash ([`KeyHasher`]) into
 //!    [`SEEN_SHARDS`] hash maps; worker `w` owns the shards `s` with
 //!    `s % workers == w`. A single sequential O(candidates) pass buckets
-//!    each candidate's position into its owner's hand-off list, then each
-//!    worker classifies only its own bucket as already known, fresh, or a
-//!    duplicate of an earlier candidate in the same batch. Outcomes depend
-//!    only on the seen-set contents and the candidate order, never on the
-//!    worker layout.
+//!    each candidate's position into its owner's hand-off list (a
+//!    successor equal to its source needs no lookup), then each worker
+//!    classifies only its own bucket as already known, fresh — entered
+//!    provisionally at its batch position — or a duplicate of an earlier
+//!    fresh candidate. Outcomes depend only on the seen-set contents and
+//!    the candidate order, never on the worker layout.
 //!
 //! Levels whose frontier is smaller than [`PARALLEL_FRONTIER_THRESHOLD`]
 //! run both phases sequentially: early BFS levels are tiny even when the
@@ -24,9 +30,10 @@
 //! used to cost more than the expansion itself (the depth-8 benchmark
 //! *lost* throughput as workers were added).
 //! 3. **Commit** (sequential): fresh states get indices in candidate order
-//!    (bounded by [`SearchConfig::max_states`]), parent pointers for minimal
-//!    witnesses, and edges — so the resulting graph is byte-identical for
-//!    every worker count.
+//!    (bounded by [`SearchConfig::max_states`]; a provisional entry past
+//!    the cap leaves the seen-set), parent pointers for minimal witnesses,
+//!    and edges — so the resulting graph is byte-identical for every
+//!    worker count.
 //!
 //! # Partial-order reduction
 //!
@@ -45,18 +52,18 @@
 //! discovered at its true BFS depth and witnesses stay minimal
 //! (`tests/explore_parallel_prop.rs` cross-checks this on random systems).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::thread;
 
-use super::{AbstractEvent, AbstractState, TransitionSystem, Witness};
-use crate::ids::PartitionId;
+use super::{AbstractEvent, AbstractState, StateKey, TransitionSystem, Witness};
 
 /// Default bound on stored states (raise via `airlint --max-states`).
 pub const DEFAULT_MAX_STATES: usize = 262_144;
 
-/// Number of FNV shards in the seen-set; worker counts that divide it
-/// balance exactly.
+/// Number of seen-set shards; worker counts that divide it balance
+/// exactly.
 pub const SEEN_SHARDS: usize = 16;
 
 /// Frontiers smaller than this expand and dedup on the calling thread
@@ -70,6 +77,7 @@ pub struct SearchConfig {
     /// Maximum number of events in an explored path.
     pub depth: usize,
     /// Bound on stored states; exceeding it sets [`SearchGraph::cap_hit`].
+    /// State indices are 31-bit, so bounds past 2^31 - 1 act as 2^31 - 1.
     pub max_states: usize,
     /// Worker threads (the calling thread is worker 0); 0 behaves as 1.
     pub workers: usize,
@@ -89,25 +97,33 @@ impl Default for SearchConfig {
 }
 
 /// One explored transition.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchEdge {
     /// Index of the source state.
-    pub from: usize,
+    pub from: u32,
     /// The event applied.
     pub event: AbstractEvent,
-    /// Partitions restarted during the transition.
-    pub restarted: Vec<PartitionId>,
+    /// Slot mask of the partitions restarted during the transition.
+    pub restarted: u64,
     /// Index of the successor state.
-    pub to: usize,
+    pub to: u32,
+}
+
+impl SearchEdge {
+    /// Whether the transition restarted the partition in mode-word slot
+    /// `slot` ([`TransitionSystem::slot_of`]).
+    pub fn restarts(&self, slot: usize) -> bool {
+        slot < 64 && (self.restarted >> slot) & 1 != 0
+    }
 }
 
 /// The explored portion of the state graph.
 #[derive(Debug, Clone, Default)]
 pub struct SearchGraph {
     /// Discovered states, in BFS discovery order (index 0 = initial).
-    pub states: Vec<AbstractState>,
+    pub states: Vec<StateKey>,
     /// BFS tree-parent of each state (`None` for the initial state).
-    pub parents: Vec<Option<(usize, AbstractEvent)>>,
+    pub parents: Vec<Option<(u32, AbstractEvent)>>,
     /// Every explored edge, including edges to already-known states.
     pub edges: Vec<SearchEdge>,
     /// Whether the state cap truncated the search.
@@ -119,6 +135,12 @@ pub struct SearchGraph {
 }
 
 impl SearchGraph {
+    /// State `index`, decoded by `ts`, the system the graph was searched
+    /// over.
+    pub fn state(&self, ts: &TransitionSystem, index: usize) -> AbstractState {
+        ts.unpack(self.states[index])
+    }
+
     /// The minimal event sequence from the initial state to state `index`.
     pub fn witness_of(&self, index: usize) -> Witness {
         let mut events = Vec::new();
@@ -127,34 +149,55 @@ impl SearchGraph {
             self.parents.get(cursor).copied().flatten()
         {
             events.push(event);
-            cursor = parent;
+            cursor = parent as usize;
         }
         events.reverse();
         Witness { events }
     }
 }
 
-/// FNV-1a over the state's stable `Hash` encoding — the fleet sharding
-/// hash, reused so shard ownership is layout-independent.
-struct FnvHasher(u64);
+/// The seen-set hash of a key: the murmur3 64-bit finalizer over both
+/// halves. It is fixed, so shard ownership is the same on every run,
+/// host and worker layout.
+fn key_hash(key: StateKey) -> u64 {
+    let mut h = (key.0 as u64)
+        ^ ((key.0 >> 64) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
 
-impl Hasher for FnvHasher {
+/// [`Hasher`] for [`StateKey`] maps: a fixed 64-bit mix of the key, the
+/// same one that picks the key's seen-set shard.
+#[derive(Default)]
+pub struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
     fn finish(&self) -> u64 {
         self.0
     }
 
     fn write(&mut self, bytes: &[u8]) {
         for &byte in bytes {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+            self.0 = key_hash(StateKey(u128::from(self.0 ^ u64::from(byte))));
         }
+    }
+
+    fn write_u128(&mut self, value: u128) {
+        self.0 = key_hash(StateKey(value));
     }
 }
 
-fn shard_of(state: &AbstractState) -> usize {
-    let mut hasher = FnvHasher(0xcbf2_9ce4_8422_2325);
-    state.hash(&mut hasher);
-    (hasher.finish() % SEEN_SHARDS as u64) as usize
+/// A map keyed by [`StateKey`], hashed with [`KeyHasher`].
+pub type KeyMap<V> = HashMap<StateKey, V, BuildHasherDefault<KeyHasher>>;
+
+/// The seen-set shard of a key hash. Bits 32–35: hashbrown indexes
+/// buckets with the low bits and tags them with the top seven, so the
+/// shard selector takes neither.
+fn shard_of(hash: u64) -> usize {
+    ((hash >> 32) % SEEN_SHARDS as u64) as usize
 }
 
 /// The independence component of an event, or `None` for global events.
@@ -171,19 +214,32 @@ fn por_component(event: AbstractEvent) -> Option<u16> {
     }
 }
 
+/// Seen-set value bit marking an entry provisional: the first occurrence
+/// of its key in the batch being classified, at the batch position in the
+/// low bits, not yet committed to a state index.
+const PROVISIONAL: u32 = 1 << 31;
+
+/// Largest state count (and batch size) the seen-set values encode. A
+/// batch cannot reach it: 2^31 candidates of 48 B would need 96 GiB.
+const MAX_INDEX: usize = PROVISIONAL as usize - 1;
+
+/// [`Candidate::shard`] of a successor equal to its source, whose index
+/// is known without a seen-set lookup.
+const SELF_LOOP: u32 = u32::MAX;
+
 /// A successor produced by the expand phase, waiting for dedup + commit.
 struct Candidate {
-    from: usize,
+    from: u32,
+    shard: u32,
     event: AbstractEvent,
-    restarted: Vec<PartitionId>,
-    state: AbstractState,
-    shard: usize,
+    restarted: u64,
+    key: StateKey,
 }
 
 #[derive(Clone, Copy)]
 enum Outcome {
     /// Already in the seen-set at this state index.
-    Known(usize),
+    Known(u32),
     /// First occurrence of a new state in this batch.
     Fresh,
     /// Duplicate of the fresh candidate at this batch position.
@@ -192,20 +248,23 @@ enum Outcome {
 
 fn expand_slice(
     ts: &TransitionSystem,
-    states: &[AbstractState],
-    parents: &[Option<(usize, AbstractEvent)>],
-    frontier: &[usize],
+    states: &[StateKey],
+    parents: &[Option<(u32, AbstractEvent)>],
+    frontier: &[u32],
     por: bool,
     out: &mut Vec<Candidate>,
 ) {
+    let mut events = Vec::new();
     for &index in frontier {
-        let state = &states[index];
+        let key = states[index as usize];
         let parent_component = if por {
-            parents[index].and_then(|(_, event)| por_component(event))
+            parents[index as usize].and_then(|(_, event)| por_component(event))
         } else {
             None
         };
-        for event in ts.enabled_events(state) {
+        events.clear();
+        ts.key_events(key, &mut events);
+        for &event in &events {
             if let (Some(ce), Some(cf)) =
                 (parent_component, por_component(event))
             {
@@ -213,14 +272,18 @@ fn expand_slice(
                     continue;
                 }
             }
-            if let Some(transition) = ts.step(state, event) {
-                let shard = shard_of(&transition.state);
+            if let Some(t) = ts.step_key(key, event) {
+                let shard = if t.key == key {
+                    SELF_LOOP
+                } else {
+                    shard_of(key_hash(t.key)) as u32
+                };
                 out.push(Candidate {
                     from: index,
-                    event,
-                    restarted: transition.restarted,
-                    state: transition.state,
                     shard,
+                    event,
+                    restarted: t.restarted,
+                    key: t.key,
                 });
             }
         }
@@ -228,47 +291,50 @@ fn expand_slice(
 }
 
 /// Classifies the candidates at `positions` (one worker's hand-off
-/// bucket, in ascending candidate order). All occurrences of a state
-/// share its shard, so they land in the same bucket and batch-level
+/// bucket, in ascending candidate order) against the worker's own shards,
+/// `owned[s / lanes]` holding shard `s`. All occurrences of a state share
+/// its shard, so they land in the same bucket: the first enters the
+/// seen-set provisionally and later ones find it there, so batch-level
 /// first/duplicate resolution needs no cross-worker traffic.
 fn dedup_positions(
-    shards: &[HashMap<AbstractState, usize>],
+    owned: &mut [&mut KeyMap<u32>],
+    lanes: usize,
     candidates: &[Candidate],
-    positions: &[usize],
-) -> Vec<(usize, Outcome)> {
-    let mut out = Vec::with_capacity(positions.len());
-    let mut first_in_batch: HashMap<&AbstractState, usize> = HashMap::new();
-    for &position in positions {
+    positions: impl Iterator<Item = usize>,
+    mut record: impl FnMut(usize, Outcome),
+) {
+    for position in positions {
         let candidate = &candidates[position];
-        let outcome =
-            if let Some(&index) = shards[candidate.shard].get(&candidate.state)
-            {
-                Outcome::Known(index)
-            } else if let Some(&first) = first_in_batch.get(&candidate.state) {
-                Outcome::Dup(first)
-            } else {
-                first_in_batch.insert(&candidate.state, position);
+        let map = &mut owned[candidate.shard as usize / lanes];
+        let outcome = match map.entry(candidate.key) {
+            Entry::Occupied(entry) if *entry.get() & PROVISIONAL != 0 => {
+                Outcome::Dup((*entry.get() & !PROVISIONAL) as usize)
+            }
+            Entry::Occupied(entry) => Outcome::Known(*entry.get()),
+            Entry::Vacant(entry) => {
+                entry.insert(PROVISIONAL | position as u32);
                 Outcome::Fresh
-            };
-        out.push((position, outcome));
+            }
+        };
+        record(position, outcome);
     }
-    out
 }
 
 /// Runs the bounded BFS. The resulting graph is identical for every
 /// `workers` value.
 pub fn search(ts: &TransitionSystem, config: &SearchConfig) -> SearchGraph {
     let workers = config.workers.max(1);
-    let max_states = config.max_states.max(1);
+    let max_states = config.max_states.clamp(1, MAX_INDEX);
+    let initial = ts.initial_key();
     let mut graph = SearchGraph {
-        states: vec![ts.initial_state()],
+        states: vec![initial],
         parents: vec![None],
         ..SearchGraph::default()
     };
-    let mut shards: Vec<HashMap<AbstractState, usize>> =
-        (0..SEEN_SHARDS).map(|_| HashMap::new()).collect();
-    shards[shard_of(&graph.states[0])].insert(graph.states[0].clone(), 0);
-    let mut frontier: Vec<usize> = vec![0];
+    let mut shards: Vec<KeyMap<u32>> =
+        (0..SEEN_SHARDS).map(|_| KeyMap::default()).collect();
+    shards[shard_of(key_hash(initial))].insert(initial, 0);
+    let mut frontier: Vec<u32> = vec![0];
 
     for _ in 0..config.depth {
         if frontier.is_empty() {
@@ -325,44 +391,69 @@ pub fn search(ts: &TransitionSystem, config: &SearchConfig) -> SearchGraph {
         // shard owner's hand-off list; each worker then walks only its
         // own bucket (every worker used to rescan the full candidate
         // list, costing O(candidates × workers) at every level).
-        let dedup_workers = if candidates.len() < PARALLEL_FRONTIER_THRESHOLD
-        {
+        let mut outcomes: Vec<Outcome> = candidates
+            .iter()
+            .map(|c| match c.shard {
+                SELF_LOOP => Outcome::Known(c.from),
+                _ => Outcome::Fresh,
+            })
+            .collect();
+        let lanes = if candidates.len() < PARALLEL_FRONTIER_THRESHOLD {
             1
         } else {
             workers
         };
-        let mut outcomes: Vec<Outcome> =
-            vec![Outcome::Fresh; candidates.len()];
-        let mut buckets: Vec<Vec<usize>> =
-            (0..dedup_workers).map(|_| Vec::new()).collect();
-        for (position, candidate) in candidates.iter().enumerate() {
-            buckets[candidate.shard % dedup_workers].push(position);
+        // Shard `s` belongs to worker `s % lanes`, at `s / lanes` in its list.
+        let mut owned: Vec<Vec<&mut KeyMap<u32>>> =
+            (0..lanes).map(|_| Vec::new()).collect();
+        for (s, map) in shards.iter_mut().enumerate() {
+            owned[s % lanes].push(map);
         }
-        if dedup_workers <= 1 {
-            for (position, outcome) in
-                dedup_positions(&shards, &candidates, &buckets[0])
-            {
-                outcomes[position] = outcome;
-            }
+        if lanes <= 1 {
+            let positions = (0..candidates.len())
+                .filter(|&p| candidates[p].shard != SELF_LOOP);
+            dedup_positions(&mut owned[0], 1, &candidates, positions, |p, o| {
+                outcomes[p] = o;
+            });
         } else {
+            let mut buckets: Vec<Vec<usize>> =
+                (0..lanes).map(|_| Vec::new()).collect();
+            for (position, candidate) in candidates.iter().enumerate() {
+                if candidate.shard != SELF_LOOP {
+                    buckets[candidate.shard as usize % lanes].push(position);
+                }
+            }
             let mut results: Vec<Vec<(usize, Outcome)>> =
-                (0..dedup_workers).map(|_| Vec::new()).collect();
+                (0..lanes).map(|_| Vec::new()).collect();
             thread::scope(|scope| {
-                let shard_ref = shards.as_slice();
                 let candidate_ref = candidates.as_slice();
-                let bucket_ref = buckets.as_slice();
-                let (mine, rest) = results.split_at_mut(1);
-                for (i, slot) in rest.iter_mut().enumerate() {
+                let mut lanes_work =
+                    owned.iter_mut().zip(&buckets).zip(results.iter_mut());
+                let mine = lanes_work.next();
+                for ((maps, bucket), out) in lanes_work {
                     scope.spawn(move || {
-                        *slot = dedup_positions(
-                            shard_ref,
+                        let positions = bucket.iter().copied();
+                        let record = |p, o| out.push((p, o));
+                        dedup_positions(
+                            maps,
+                            lanes,
                             candidate_ref,
-                            &bucket_ref[i + 1],
+                            positions,
+                            record,
                         );
                     });
                 }
-                mine[0] =
-                    dedup_positions(shard_ref, candidate_ref, &bucket_ref[0]);
+                if let Some(((maps, bucket), out)) = mine {
+                    let positions = bucket.iter().copied();
+                    let record = |p, o| out.push((p, o));
+                    dedup_positions(
+                        maps,
+                        lanes,
+                        candidate_ref,
+                        positions,
+                        record,
+                    );
+                }
             });
             for pairs in results {
                 for (position, outcome) in pairs {
@@ -374,54 +465,47 @@ pub fn search(ts: &TransitionSystem, config: &SearchConfig) -> SearchGraph {
         // Phase 3: commit fresh states, parents and edges in candidate
         // order — index assignment is therefore worker-count independent.
         let mut next_frontier = Vec::new();
-        let mut assigned: HashMap<usize, usize> = HashMap::new();
+        // State index assigned to each fresh position (`u32::MAX`: none).
+        let mut assigned: Vec<u32> = vec![u32::MAX; candidates.len()];
+        graph.edges.reserve(candidates.len());
         for (position, candidate) in candidates.into_iter().enumerate() {
-            match outcomes[position] {
-                Outcome::Known(index) => graph.edges.push(SearchEdge {
-                    from: candidate.from,
-                    event: candidate.event,
-                    restarted: candidate.restarted,
-                    to: index,
-                }),
+            let to = match outcomes[position] {
+                Outcome::Known(index) => index,
+                Outcome::Fresh if graph.states.len() < max_states => {
+                    let index = graph.states.len() as u32;
+                    // Commit the provisional seen-set entry.
+                    shards[candidate.shard as usize]
+                        .insert(candidate.key, index);
+                    graph.states.push(candidate.key);
+                    graph.parents.push(Some((candidate.from, candidate.event)));
+                    assigned[position] = index;
+                    next_frontier.push(index);
+                    index
+                }
                 Outcome::Fresh => {
-                    if graph.states.len() < max_states {
-                        let index = graph.states.len();
-                        shards[candidate.shard]
-                            .insert(candidate.state.clone(), index);
-                        graph.states.push(candidate.state);
-                        graph
-                            .parents
-                            .push(Some((candidate.from, candidate.event)));
-                        graph.edges.push(SearchEdge {
-                            from: candidate.from,
-                            event: candidate.event,
-                            restarted: candidate.restarted,
-                            to: index,
-                        });
-                        assigned.insert(position, index);
-                        next_frontier.push(index);
-                    } else {
-                        if !graph.cap_hit {
-                            graph.cap_hit = true;
-                            graph.frontier_at_cap = frontier.len();
-                        }
-                        graph.dropped_states += 1;
+                    shards[candidate.shard as usize].remove(&candidate.key);
+                    if !graph.cap_hit {
+                        graph.cap_hit = true;
+                        graph.frontier_at_cap = frontier.len();
                     }
+                    graph.dropped_states += 1;
+                    continue;
                 }
-                Outcome::Dup(first) => {
-                    if let Some(&index) = assigned.get(&first) {
-                        graph.edges.push(SearchEdge {
-                            from: candidate.from,
-                            event: candidate.event,
-                            restarted: candidate.restarted,
-                            to: index,
-                        });
-                    } else {
-                        // The first occurrence itself fell past the cap.
-                        graph.dropped_states += 1;
-                    }
+                Outcome::Dup(first) if assigned[first] != u32::MAX => {
+                    assigned[first]
                 }
-            }
+                Outcome::Dup(_) => {
+                    // The first occurrence itself fell past the cap.
+                    graph.dropped_states += 1;
+                    continue;
+                }
+            };
+            graph.edges.push(SearchEdge {
+                from: candidate.from,
+                event: candidate.event,
+                restarted: candidate.restarted,
+                to,
+            });
         }
         frontier = next_frontier;
     }
@@ -432,7 +516,7 @@ pub fn search(ts: &TransitionSystem, config: &SearchConfig) -> SearchGraph {
 mod tests {
     use super::super::{ArqHealth, ExploreOptions};
     use super::*;
-    use crate::ids::ScheduleId;
+    use crate::ids::{PartitionId, ScheduleId};
     use crate::schedule::{
         PartitionRequirement, Schedule, ScheduleChangeAction, ScheduleSet,
         TimeWindow,
@@ -514,9 +598,11 @@ mod tests {
                 expected.len(),
                 "por={por} must preserve state coverage"
             );
+            let found: Vec<AbstractState> =
+                (0..graph.states.len()).map(|i| graph.state(&ts, i)).collect();
             for state in &expected {
                 assert!(
-                    graph.states.contains(state),
+                    found.contains(state),
                     "missing state {state} with por={por}"
                 );
             }
@@ -633,13 +719,13 @@ mod tests {
         let graph = search(&ts, &SearchConfig { depth: 3, ..SearchConfig::default() });
         // Replaying each witness abstractly must land on its state, and the
         // length must match the BFS level of the state.
-        for (index, state) in graph.states.iter().enumerate() {
+        for index in 0..graph.states.len() {
             let witness = graph.witness_of(index);
             let mut cursor = ts.initial_state();
             for event in &witness.events {
                 cursor = ts.step(&cursor, *event).expect("witness steps").state;
             }
-            assert_eq!(&cursor, state);
+            assert_eq!(cursor, graph.state(&ts, index));
         }
     }
 
@@ -660,6 +746,6 @@ mod tests {
             full.edges.len()
         );
         // The initial state's arq must still be nominal in both.
-        assert_eq!(full.states[0].arq, ArqHealth::Nominal);
+        assert_eq!(full.state(&ts, 0).arq, ArqHealth::Nominal);
     }
 }
