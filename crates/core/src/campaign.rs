@@ -45,6 +45,7 @@ use air_ports::wire::Frame;
 use air_ports::{ChannelConfig, Destination, PortAddr, QueuingPortConfig};
 
 use crate::builder::{PartitionConfig, ProcessConfig, SystemBuilder};
+use crate::scenario::Scenario;
 use crate::system::AirSystem;
 use crate::trace::{RecoveryDisposition, TraceEvent};
 use crate::workload::{FaultSwitch, FaultyPeriodic, QueuingConsumer, QueuingProducer};
@@ -286,9 +287,10 @@ struct RunArtifacts {
 ///
 /// ```
 /// use air_core::campaign::{default_horizon, standard_plan, CampaignSim};
+/// use air_core::Scenario;
 ///
 /// let plan = standard_plan(7, 1);
-/// let mut sim = CampaignSim::new(&plan);
+/// let mut sim = CampaignSim::build(&plan);
 /// sim.run_to_horizon();
 /// assert_eq!(sim.now(), default_horizon(&plan));
 /// assert_eq!(sim.detected(), plan.len());
@@ -306,15 +308,9 @@ pub struct CampaignSim {
 }
 
 impl CampaignSim {
-    /// A sim for `plan` on the default machine profile, over
+    /// A sim for `plan` on machine profile `config`, over
     /// [`default_horizon`]. The workload configuration passes the full
     /// build gate (lint + bounded exploration).
-    pub fn new(plan: &FaultPlan) -> Self {
-        Self::assemble(plan, &MachineConfig::default(), true)
-    }
-
-    /// A sim for `plan` on machine profile `config`, lint-gated like
-    /// [`CampaignSim::new`].
     pub fn with_config(plan: &FaultPlan, config: &MachineConfig) -> Self {
         Self::assemble(plan, config, true)
     }
@@ -361,26 +357,92 @@ impl CampaignSim {
         self
     }
 
-    /// Current time.
-    pub fn now(&self) -> u64 {
+    // Inherent forwarders to the `Scenario` methods, so callers step a
+    // sim without importing the trait.
+
+    /// [`Scenario::horizon`].
+    pub fn horizon(&self) -> u64 {
+        Scenario::horizon(self)
+    }
+
+    /// [`Scenario::is_done`].
+    pub fn is_done(&self) -> bool {
+        Scenario::is_done(self)
+    }
+
+    /// [`Scenario::step`].
+    pub fn step(&mut self) {
+        Scenario::step(self);
+    }
+
+    /// [`Scenario::run_for`].
+    pub fn run_for(&mut self, n: u64) {
+        Scenario::run_for(self, n);
+    }
+
+    /// [`Scenario::render_trace_into`].
+    pub fn render_trace_into(&self, out: &mut String) {
+        Scenario::render_trace_into(self, out);
+    }
+
+    /// Per-fault records, in injection order.
+    pub fn records(&self) -> &[FaultRecord] {
+        &self.records
+    }
+
+    /// Number of faults detected by health monitoring so far.
+    pub fn detected(&self) -> usize {
+        self.records.iter().filter(|r| r.detected_at.is_some()).count()
+    }
+
+    /// The underlying system (trace, health-monitor log, consoles).
+    pub fn system(&self) -> &AirSystem {
+        &self.system
+    }
+
+    fn into_artifacts(self) -> RunArtifacts {
+        RunArtifacts {
+            records: self.records,
+            events: self.system.trace().events().to_vec(),
+            occupancy: self.system.trace().occupancy().to_vec(),
+            trace_log: self.system.trace().render_log(),
+            hm_entries: self.system.hm().log().len(),
+            deadline_misses: self.system.trace().deadline_miss_count(),
+            spurious: self.spurious,
+        }
+    }
+}
+
+/// As a [`Scenario`], a campaign runs on the compact fleet profile
+/// ([`MachineConfig::compact`]).
+impl Scenario for CampaignSim {
+    type Plan = FaultPlan;
+
+    fn build(plan: &FaultPlan) -> Self {
+        Self::with_config(plan, &MachineConfig::compact())
+    }
+
+    fn build_unchecked(plan: &FaultPlan) -> Self {
+        Self::new_unchecked(plan, &MachineConfig::compact())
+    }
+
+    fn planned_horizon(plan: &FaultPlan) -> u64 {
+        default_horizon(plan)
+    }
+
+    fn now(&self) -> u64 {
         self.system.now().as_u64()
     }
 
-    /// The tick the sim stops at.
-    pub fn horizon(&self) -> u64 {
+    fn horizon(&self) -> u64 {
         self.horizon
     }
 
-    /// Whether the sim has reached its horizon.
-    pub fn is_done(&self) -> bool {
-        self.now() >= self.horizon
-    }
-
-    /// Advances one tick: due echo traffic and planned faults strike
-    /// first, the system executes the tick, the window-start probe touches
-    /// application data, and new health-monitor entries are attributed to
-    /// pending fault records. No-op past the horizon.
-    pub fn step(&mut self) {
+    /// Due echo traffic and planned faults strike first, the system
+    /// executes the tick, the window-start probe touches application
+    /// data, and new health-monitor entries are attributed to pending
+    /// fault records.
+    fn step(&mut self) {
         if self.is_done() {
             return;
         }
@@ -424,59 +486,15 @@ impl CampaignSim {
         );
     }
 
-    /// Advances up to `n` ticks, stopping at the horizon.
-    pub fn run_for(&mut self, n: u64) {
-        for _ in 0..n {
-            if self.is_done() {
-                break;
-            }
-            self.step();
-        }
-    }
-
-    /// Runs to the horizon.
-    pub fn run_to_horizon(&mut self) {
-        while !self.is_done() {
-            self.step();
-        }
-    }
-
-    /// Appends the canonical trace log to `out` (byte-stable; see
+    /// The canonical trace log (byte-stable; see
     /// [`Trace::render_log`](crate::trace::Trace::render_log)).
-    pub fn render_trace_into(&self, out: &mut String) {
+    fn render_trace_into(&self, out: &mut String) {
         self.system.trace().render_log_into(out);
-    }
-
-    /// Per-fault records, in injection order.
-    pub fn records(&self) -> &[FaultRecord] {
-        &self.records
-    }
-
-    /// Number of faults detected by health monitoring so far.
-    pub fn detected(&self) -> usize {
-        self.records.iter().filter(|r| r.detected_at.is_some()).count()
-    }
-
-    /// The underlying system (trace, health-monitor log, consoles).
-    pub fn system(&self) -> &AirSystem {
-        &self.system
-    }
-
-    fn into_artifacts(self) -> RunArtifacts {
-        RunArtifacts {
-            records: self.records,
-            events: self.system.trace().events().to_vec(),
-            occupancy: self.system.trace().occupancy().to_vec(),
-            trace_log: self.system.trace().render_log(),
-            hm_entries: self.system.hm().log().len(),
-            deadline_misses: self.system.trace().deadline_miss_count(),
-            spurious: self.spurious,
-        }
     }
 }
 
 fn execute(plan: &FaultPlan, horizon: u64) -> RunArtifacts {
-    let mut sim = CampaignSim::new(plan).with_horizon(horizon);
+    let mut sim = CampaignSim::with_config(plan, &MachineConfig::default()).with_horizon(horizon);
     sim.run_to_horizon();
     sim.into_artifacts()
 }

@@ -54,6 +54,7 @@ pub mod link_campaign;
 pub mod mesh;
 pub mod prototype;
 pub mod replay;
+pub mod scenario;
 pub mod system;
 pub mod trace;
 pub mod workload;
@@ -65,9 +66,8 @@ pub use campaign::{
     FaultRecord,
 };
 pub use cluster::{AirCluster, ClusterError, LinkHealth, Node};
-pub use link_campaign::{
-    link_plan, planned_horizon, LinkCampaignOutcome, LinkCampaignRunner, LinkSim,
-};
+pub use link_campaign::{link_plan, LinkCampaignOutcome, LinkCampaignRunner, LinkSim};
+pub use scenario::Scenario;
 pub use system::{AirSystem, KeyAction};
 pub use trace::{RecoveryDisposition, Trace, TraceEvent};
 pub use workload::{FaultSwitch, ProcessApi, ProcessBody};

@@ -30,7 +30,7 @@ use air_hw::redundant::LinkRole;
 use air_hw::machine::MachineConfig;
 use air_model::process::Priority;
 use air_model::schedule::{PartitionRequirement, Schedule, TimeWindow};
-use air_model::verify::{Report, Violation};
+use air_model::verify::{check_exactly_once, Report, Violation};
 use air_model::{Partition, PartitionId, ProcessAttributes, ScheduleId, ScheduleSet, Ticks};
 use air_model::{Deadline, Recurrence};
 use air_ports::wire::bytes_look_like_ack;
@@ -39,6 +39,7 @@ use air_ports::{ArqConfig, ChannelConfig, Destination, PortAddr, QueuingPortConf
 
 use crate::builder::{PartitionConfig, ProcessConfig, SystemBuilder};
 use crate::cluster::{AirCluster, Node};
+use crate::scenario::Scenario;
 use crate::trace::TraceEvent;
 use crate::workload::{FiniteQueuingProducer, QueuingConsumer, SamplingConsumer,
                       SamplingProducer};
@@ -158,56 +159,34 @@ impl LinkCampaignRunner {
         let second = execute(&self.plan);
 
         let mut report = Report::new();
-        check_exactly_once(&first, &mut report);
+        check_exactly_once(
+            first.delivered.iter().copied(),
+            first.outcome.expected,
+            true,
+            |_| false,
+            &mut report,
+        );
         check_staleness(&first, &mut report);
         check_degradation_visibility(&self.plan, &first, &mut report);
-        let deterministic =
-            first.trace_log_a == second.trace_log_a && first.trace_log_b == second.trace_log_b;
-
-        let (degraded_entries, degraded_exits, recovery_latency) = degraded_stats(&first.events_a);
+        let (a, b) = (&first.outcome, &second.outcome);
+        let deterministic = a.trace_log_a == b.trace_log_a && a.trace_log_b == b.trace_log_b;
         LinkCampaignOutcome {
-            plan: self.plan.clone(),
             report,
-            expected: first.expected,
-            delivered: first.delivered.len() as u64,
-            retransmissions: first.retransmissions,
-            duplicates_suppressed: first.duplicates_suppressed,
-            failovers: first.failovers,
-            reverts: first.reverts,
-            degraded_entries,
-            degraded_exits,
-            recovery_latency,
-            trace_log_a: first.trace_log_a,
-            trace_log_b: first.trace_log_b,
             deterministic,
+            ..first.outcome
         }
     }
 }
 
-/// Everything one faulted execution leaves behind.
+/// Everything one faulted execution leaves behind: the outcome (its
+/// report still empty) and what the invariant checks walk.
 struct RunArtifacts {
-    expected: u64,
+    outcome: LinkCampaignOutcome,
     /// Frame indices in the order node B's consumer logged them.
     delivered: Vec<u64>,
-    retransmissions: u64,
-    duplicates_suppressed: u64,
-    failovers: u64,
-    reverts: u64,
     /// Worst sampling-message age observed at any boundary probe.
     worst_sample_age: Option<Ticks>,
     events_a: Vec<TraceEvent>,
-    trace_log_a: String,
-    trace_log_b: String,
-}
-
-/// The total simulated horizon of a link campaign over `plan`: traffic
-/// outlives the plan so late faults find frames to strike, and the drain
-/// covers the ARQ's worst-case repair plus the secondary-link probation
-/// and a few routing rounds.
-pub fn planned_horizon(plan: &FaultPlan) -> u64 {
-    let horizon = plan.horizon() + 2 * LINK_MTF;
-    let drain = ArqConfig::default().worst_case_delay() + REVERT_TICKS + 4 * LINK_MTF;
-    horizon + drain
 }
 
 /// One incrementally-steppable link campaign: the two-node reliable-
@@ -228,18 +207,6 @@ pub struct LinkSim {
 }
 
 impl LinkSim {
-    /// A sim for `plan`; both nodes pass the full build gate.
-    pub fn new(plan: &FaultPlan) -> Self {
-        Self::assemble(plan, true)
-    }
-
-    /// The fleet fast path: the fixed two-node workload is built without
-    /// re-running the static-analysis gate (validate once with
-    /// [`LinkSim::new`], then mass-construct through this).
-    pub fn new_unchecked(plan: &FaultPlan) -> Self {
-        Self::assemble(plan, false)
-    }
-
     fn assemble(plan: &FaultPlan, checked: bool) -> Self {
         let horizon = plan.horizon() + 2 * LINK_MTF;
         let budget = horizon / TM_PERIOD;
@@ -250,34 +217,86 @@ impl LinkSim {
             pending: plan.events().to_vec(),
             worst_sample_age: None,
             expected: budget,
-            end: planned_horizon(plan),
+            end: Self::planned_horizon(plan),
         }
     }
 
-    /// Current time (both nodes run in lockstep).
-    pub fn now(&self) -> u64 {
+    /// The underlying cluster (traces, consoles, link health).
+    pub fn cluster(&self) -> &AirCluster {
+        &self.cluster
+    }
+
+    fn into_artifacts(self, plan: &FaultPlan) -> RunArtifacts {
+        let health_a = self.cluster.link_health(Node::A);
+        let health_b = self.cluster.link_health(Node::B);
+        let delivered: Vec<u64> = self
+            .cluster
+            .node(Node::B)
+            .console_of(P0)
+            .lines()
+            .filter_map(|l| l.strip_prefix("rx frame-")?.parse().ok())
+            .collect();
+        let events_a = self.cluster.node(Node::A).trace().events().to_vec();
+        let (degraded_entries, degraded_exits, recovery_latency) = degraded_stats(&events_a);
+        let outcome = LinkCampaignOutcome {
+            plan: plan.clone(),
+            report: Report::new(),
+            expected: self.expected,
+            delivered: delivered.len() as u64,
+            retransmissions: health_a.retransmissions,
+            duplicates_suppressed: health_b.duplicates_suppressed,
+            failovers: health_a.failovers,
+            reverts: health_a.reverts,
+            degraded_entries,
+            degraded_exits,
+            recovery_latency,
+            trace_log_a: self.cluster.node(Node::A).trace().render_log(),
+            trace_log_b: self.cluster.node(Node::B).trace().render_log(),
+            deterministic: false,
+        };
+        RunArtifacts {
+            outcome,
+            delivered,
+            worst_sample_age: self.worst_sample_age,
+            events_a,
+        }
+    }
+}
+
+impl Scenario for LinkSim {
+    type Plan = FaultPlan;
+
+    /// Both nodes pass the full build gate.
+    fn build(plan: &FaultPlan) -> Self {
+        Self::assemble(plan, true)
+    }
+
+    fn build_unchecked(plan: &FaultPlan) -> Self {
+        Self::assemble(plan, false)
+    }
+
+    /// Traffic outlives the plan so late faults find frames to strike,
+    /// and the drain covers the ARQ's worst-case repair plus the
+    /// secondary-link probation and a few routing rounds.
+    fn planned_horizon(plan: &FaultPlan) -> u64 {
+        let horizon = plan.horizon() + 2 * LINK_MTF;
+        let drain = ArqConfig::default().worst_case_delay() + REVERT_TICKS + 4 * LINK_MTF;
+        horizon + drain
+    }
+
+    /// Both nodes run in lockstep.
+    fn now(&self) -> u64 {
         self.cluster.now().as_u64()
     }
 
-    /// The tick the sim stops at (traffic horizon plus drain).
-    pub fn horizon(&self) -> u64 {
+    /// The traffic horizon plus the drain.
+    fn horizon(&self) -> u64 {
         self.end
     }
 
-    /// Whether the sim has reached its horizon.
-    pub fn is_done(&self) -> bool {
-        self.now() >= self.end
-    }
-
-    /// The closed producer budget (queuing messages offered on node A).
-    pub fn expected(&self) -> u64 {
-        self.expected
-    }
-
-    /// Advances one tick: due link faults strike first, both nodes execute
-    /// the tick in lockstep, and MTF boundaries probe the attitude
-    /// sample's age. No-op past the horizon.
-    pub fn step(&mut self) {
+    /// Due link faults strike first, both nodes execute the tick in
+    /// lockstep, and MTF boundaries probe the attitude sample's age.
+    fn step(&mut self) {
         if self.is_done() {
             return;
         }
@@ -289,66 +308,20 @@ impl LinkSim {
         }
     }
 
-    /// Advances up to `n` ticks, stopping at the horizon.
-    pub fn run_for(&mut self, n: u64) {
-        for _ in 0..n {
-            if self.is_done() {
-                break;
-            }
-            self.step();
-        }
-    }
-
-    /// Runs to the horizon.
-    pub fn run_to_horizon(&mut self) {
-        while !self.is_done() {
-            self.step();
-        }
-    }
-
-    /// Appends both nodes' canonical trace logs (headed `== node A ==` /
-    /// `== node B ==`) to `out`, byte-stable across reruns.
-    pub fn render_trace_into(&self, out: &mut String) {
+    /// Both nodes' canonical trace logs, headed `== node A ==` and
+    /// `== node B ==`.
+    fn render_trace_into(&self, out: &mut String) {
         out.push_str("== node A ==\n");
         self.cluster.node(Node::A).trace().render_log_into(out);
         out.push_str("== node B ==\n");
         self.cluster.node(Node::B).trace().render_log_into(out);
     }
-
-    /// The underlying cluster (traces, consoles, link health).
-    pub fn cluster(&self) -> &AirCluster {
-        &self.cluster
-    }
-
-    fn into_artifacts(self) -> RunArtifacts {
-        let health_a = self.cluster.link_health(Node::A);
-        let health_b = self.cluster.link_health(Node::B);
-        let delivered: Vec<u64> = self
-            .cluster
-            .node(Node::B)
-            .console_of(P0)
-            .lines()
-            .filter_map(|l| l.strip_prefix("rx frame-")?.parse().ok())
-            .collect();
-        RunArtifacts {
-            expected: self.expected,
-            delivered,
-            retransmissions: health_a.retransmissions,
-            duplicates_suppressed: health_b.duplicates_suppressed,
-            failovers: health_a.failovers,
-            reverts: health_a.reverts,
-            worst_sample_age: self.worst_sample_age,
-            events_a: self.cluster.node(Node::A).trace().events().to_vec(),
-            trace_log_a: self.cluster.node(Node::A).trace().render_log(),
-            trace_log_b: self.cluster.node(Node::B).trace().render_log(),
-        }
-    }
 }
 
 fn execute(plan: &FaultPlan) -> RunArtifacts {
-    let mut sim = LinkSim::new(plan);
+    let mut sim = LinkSim::build(plan);
     sim.run_to_horizon();
-    sim.into_artifacts()
+    sim.into_artifacts(plan)
 }
 
 /// Strikes every fault whose time has come. Drop- and tamper-style faults
@@ -407,37 +380,6 @@ fn probe_sample_age(cluster: &mut AirCluster, worst: &mut Option<Ticks>) {
             if worst.is_none_or(|w| age > w) {
                 *worst = Some(age);
             }
-        }
-    }
-}
-
-fn check_exactly_once(run: &RunArtifacts, report: &mut Report) {
-    let mut seen = vec![0u64; run.expected as usize];
-    let mut next_expected = 0u64;
-    for &seq in &run.delivered {
-        if seq >= run.expected {
-            report.record(Violation::SpuriousDetection {
-                at: Ticks::ZERO,
-                detail: format!("consumer logged frame #{seq} beyond the producer budget"),
-            });
-            continue;
-        }
-        seen[seq as usize] += 1;
-        if seq < next_expected {
-            report.record(Violation::DuplicateDelivery { seq });
-        } else if seq > next_expected {
-            report.record(Violation::OutOfOrderDelivery {
-                expected: next_expected,
-                got: seq,
-            });
-            next_expected = seq + 1;
-        } else {
-            next_expected = seq + 1;
-        }
-    }
-    for (seq, &count) in seen.iter().enumerate() {
-        if count == 0 {
-            report.record(Violation::MessageLost { seq: seq as u64 });
         }
     }
 }

@@ -12,9 +12,10 @@
 //! ARQ link; verification reports and event telemetry route back. A
 //! seeded [`FaultPlan`] over [`FaultClass::LINK`] strikes individual
 //! edges — in-flight drops, header corruption, sustained outages,
-//! acknowledgement destruction — and the campaign checks exactly-once
-//! in-order command delivery, complete verification-ack round trips, and
-//! byte-identical trace logs on re-execution.
+//! acknowledgement destruction — and [`RerouteCampaignRunner`] checks
+//! exactly-once in-order command delivery, complete verification-ack
+//! round trips, loop freedom and byte-identical trace logs on
+//! re-execution.
 //!
 //! Mesh nodes are deliberately *not* full [`crate::system::AirSystem`]s:
 //! the mesh layer exercises the transport, routing and service state
@@ -33,10 +34,10 @@
 //! tables; packets with no surviving route park until an edge recovers;
 //! and an optional `fallback` pair promotes a hot-spare executor when
 //! the quorum-of-edges heuristic declares the primary partitioned.
-//! [`RerouteCampaignRunner`] drives seeded partition scenarios
-//! ([`PartitionScenario`]) and checks exactly-once delivery, eventual
-//! redelivery after heal, loop-freedom (zero TTL-expiry drops) and
-//! byte-identical re-execution. DESIGN.md §14 states the reroute
+//! The same runner drives seeded partition scenarios
+//! ([`PartitionScenario`]); it then drops the in-order demand, since
+//! rerouted packets legally overtake parked ones, and checks eventual
+//! redelivery after heal in its place. DESIGN.md §14 states the reroute
 //! determinism argument.
 
 use std::collections::BTreeSet;
@@ -44,7 +45,7 @@ use std::collections::BTreeSet;
 use air_hw::inject::{FaultClass, FaultEvent, FaultPlan};
 use air_hw::link::LinkEndpoint;
 use air_hw::mesh::{EdgeHealth, EdgeHealthEvent, EdgeMonitorConfig, MeshFabric};
-use air_model::verify::{Report, Violation};
+use air_model::verify::{check_exactly_once, Report, Violation};
 use air_model::Ticks;
 use air_ports::pus::{
     verification_report, AckStage, CommandVerifier, EventReporter, EventSeverity,
@@ -55,6 +56,7 @@ use air_ports::spacepacket::{PacketKind, SpacePacket};
 use air_ports::transport::{ArqConfig, ArqEndpoint, ArqEvent, DataDisposition};
 use air_ports::wire::{bytes_look_like_ack, Frame};
 
+use crate::scenario::Scenario;
 use crate::trace::{PacketDropReason, Trace, TraceEvent};
 
 /// Per-hop link latency of every mesh edge, in ticks.
@@ -203,6 +205,18 @@ fn mix(seed: u64, salt: u64) -> u64 {
 /// from tick 150 in 400-tick slots with seeded jitter — the same cadence
 /// as [`crate::link_campaign::link_plan`], so each fault resolves before
 /// the next lands.
+///
+/// # Examples
+///
+/// ```
+/// use air_core::mesh::{mesh_plan, RerouteCampaignRunner};
+/// use air_ports::routing::MeshTopology;
+///
+/// let plan = mesh_plan(MeshTopology::Line, 5, 7, 1);
+/// let outcome = RerouteCampaignRunner::new(plan).run();
+/// assert!(outcome.is_ok(), "{}", outcome.report);
+/// assert!(outcome.command_hops >= 2);
+/// ```
 pub fn mesh_plan(topology: MeshTopology, nodes: usize, seed: u64, per_class: usize) -> MeshPlan {
     MeshPlan {
         topology,
@@ -675,7 +689,7 @@ impl MeshNode {
 }
 
 /// One incrementally-steppable mesh campaign: N nodes in lockstep over a
-/// faulted fabric, advanced one tick at a time. [`MeshCampaignRunner`]
+/// faulted fabric, advanced one tick at a time. [`RerouteCampaignRunner`]
 /// drives two back to back (the second is the determinism probe); the
 /// fleet executor interleaves many across worker threads.
 pub struct MeshSim {
@@ -805,105 +819,37 @@ impl MeshSim {
         }
     }
 
-    /// The executed plan.
-    pub fn plan(&self) -> &MeshPlan {
-        &self.plan
-    }
+    // Inherent forwarders to the `Scenario` methods, so callers step a
+    // sim without importing the trait.
 
-    /// Current tick (all nodes run in lockstep).
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// The tick the sim stops at (traffic window plus drain).
+    /// [`Scenario::horizon`].
     pub fn horizon(&self) -> u64 {
-        self.end
+        Scenario::horizon(self)
     }
 
-    /// Whether the sim has reached its horizon.
+    /// [`Scenario::is_done`].
     pub fn is_done(&self) -> bool {
-        self.now >= self.end
+        Scenario::is_done(self)
     }
 
-    /// The closed command budget the ground node originates.
-    pub fn expected(&self) -> u64 {
-        self.expected
+    /// [`Scenario::step`].
+    pub fn step(&mut self) {
+        Scenario::step(self);
+    }
+
+    /// [`Scenario::run_to_horizon`].
+    pub fn run_to_horizon(&mut self) {
+        Scenario::run_to_horizon(self);
+    }
+
+    /// [`Scenario::render_trace_into`].
+    pub fn render_trace_into(&self, out: &mut String) {
+        Scenario::render_trace_into(self, out);
     }
 
     /// Hops between commander and executor.
     pub fn command_hops(&self) -> u64 {
         self.hops
-    }
-
-    /// The ground node's index.
-    pub fn commander(&self) -> usize {
-        self.commander
-    }
-
-    /// The executor node's index.
-    pub fn executor(&self) -> usize {
-        self.executor
-    }
-
-    /// Where the commander currently addresses telecommands: the
-    /// declared spare while failed over, the executor otherwise.
-    pub fn active_executor(&self) -> usize {
-        self.active_executor
-    }
-
-    /// Advances one tick: due edge faults and partition faults strike
-    /// first, probes go out on dead edges, then every node (ascending
-    /// index) drains its inbound links, dispatches packets, services
-    /// its verifier, and transmits; edge health transitions reroute at
-    /// the boundary and the failover quorum is re-evaluated last.
-    /// No-op past the horizon.
-    pub fn step(&mut self) {
-        if self.is_done() {
-            return;
-        }
-        let now = self.now;
-        self.realise_due_faults(now);
-        self.realise_partition_faults(now);
-        self.send_probes(now);
-        self.originate_commands(now);
-        for i in 0..self.nodes.len() {
-            for (edge, event) in self.node_receive(i, now) {
-                self.apply_edge_transition(edge, event, i, now);
-            }
-            self.node_service(i, now);
-            for (edge, event) in self.node_transmit(i, now) {
-                self.apply_edge_transition(edge, event, i, now);
-            }
-        }
-        self.evaluate_quorum(now);
-        self.now += 1;
-    }
-
-    /// Advances up to `n` ticks, stopping at the horizon.
-    pub fn run_for(&mut self, n: u64) {
-        for _ in 0..n {
-            if self.is_done() {
-                break;
-            }
-            self.step();
-        }
-    }
-
-    /// Runs to the horizon.
-    pub fn run_to_horizon(&mut self) {
-        while !self.is_done() {
-            self.step();
-        }
-    }
-
-    /// Appends every node's canonical trace log (headed `== node 0 ==`,
-    /// `== node 1 ==`, …) to `out`, byte-stable across reruns.
-    pub fn render_trace_into(&self, out: &mut String) {
-        use std::fmt::Write;
-        for (i, node) in self.nodes.iter().enumerate() {
-            let _ = writeln!(out, "== node {i} ==");
-            node.trace.render_log_into(out);
-        }
     }
 
     /// Strikes every fault whose time has come. The faulted edge is
@@ -1417,7 +1363,7 @@ impl MeshSim {
             .and_then(|heal| heal.policy.fallback)
             .map(|(_, spare)| self.nodes[spare].delivered_cmds.clone())
             .unwrap_or_default();
-        let parked_cmd_seqs = self
+        let parked_cmd_seqs: Vec<u16> = self
             .nodes
             .iter()
             .flat_map(|n| n.parked.iter())
@@ -1436,7 +1382,7 @@ impl MeshSim {
         };
         // Observed end-to-end latency samples: each completion report at
         // the commander joined with its command's origination tick.
-        let flow_latencies = commander
+        let flow_latencies: Vec<u64> = commander
             .completion_arrivals
             .iter()
             .filter_map(|&(seq, at)| {
@@ -1445,13 +1391,14 @@ impl MeshSim {
                     .map(|&sent| at.saturating_sub(sent))
             })
             .collect();
-        MeshArtifacts {
+        let outcome = RerouteCampaignOutcome {
+            plan: self.plan.clone(),
+            report: Report::new(),
             expected: self.expected,
-            delivered: executor.delivered_cmds.clone(),
-            delivered_spare,
-            parked_cmd_seqs,
+            delivered: executor.delivered_cmds.len() as u64,
+            delivered_spare: delivered_spare.len() as u64,
+            parked: parked_cmd_seqs.len() as u64,
             acks: commander.acks,
-            flow_latencies,
             events_received: commander.events_received,
             retransmissions: self
                 .nodes
@@ -1472,7 +1419,9 @@ impl MeshSim {
                 .sum(),
             packets_dropped: self.nodes.iter().map(|n| n.packets_dropped).sum(),
             corrupt_frames: self.nodes.iter().map(|n| n.corrupt_frames).sum(),
-            ttl_drops: self.nodes.iter().map(|n| n.ttl_drops).sum(),
+            command_hops: self.command_hops(),
+            max_observed_latency: flow_latencies.iter().copied().max(),
+            latency_samples: flow_latencies.len() as u64,
             duplicates_filtered: self.nodes.iter().map(|n| n.duplicates_filtered).sum(),
             reroutes,
             failovers,
@@ -1480,6 +1429,77 @@ impl MeshSim {
             edge_downs,
             edge_ups,
             trace_log,
+            deterministic: false,
+        };
+        MeshArtifacts {
+            outcome,
+            delivered: executor.delivered_cmds.clone(),
+            delivered_spare,
+            parked_cmd_seqs,
+            ttl_drops: self.nodes.iter().map(|n| n.ttl_drops).sum(),
+        }
+    }
+}
+
+impl Scenario for MeshSim {
+    type Plan = MeshPlan;
+
+    fn build(plan: &MeshPlan) -> Self {
+        Self::new(plan)
+    }
+
+    fn build_unchecked(plan: &MeshPlan) -> Self {
+        Self::new_unchecked(plan)
+    }
+
+    fn planned_horizon(plan: &MeshPlan) -> u64 {
+        planned_mesh_horizon(plan)
+    }
+
+    /// All nodes run in lockstep.
+    fn now(&self) -> u64 {
+        self.now
+    }
+
+    /// The traffic window plus the drain.
+    fn horizon(&self) -> u64 {
+        self.end
+    }
+
+    /// Due edge faults and partition faults strike first, probes go out
+    /// on dead edges, then every node (ascending index) drains its
+    /// inbound links, dispatches packets, services its verifier, and
+    /// transmits; edge health transitions reroute at the boundary and
+    /// the failover quorum is re-evaluated last.
+    fn step(&mut self) {
+        if self.is_done() {
+            return;
+        }
+        let now = self.now;
+        self.realise_due_faults(now);
+        self.realise_partition_faults(now);
+        self.send_probes(now);
+        self.originate_commands(now);
+        for i in 0..self.nodes.len() {
+            for (edge, event) in self.node_receive(i, now) {
+                self.apply_edge_transition(edge, event, i, now);
+            }
+            self.node_service(i, now);
+            for (edge, event) in self.node_transmit(i, now) {
+                self.apply_edge_transition(edge, event, i, now);
+            }
+        }
+        self.evaluate_quorum(now);
+        self.now += 1;
+    }
+
+    /// Every node's canonical trace log, headed `== node 0 ==`,
+    /// `== node 1 ==`, ….
+    fn render_trace_into(&self, out: &mut String) {
+        use std::fmt::Write;
+        for (i, node) in self.nodes.iter().enumerate() {
+            let _ = writeln!(out, "== node {i} ==");
+            node.trace.render_log_into(out);
         }
     }
 }
@@ -1516,183 +1536,22 @@ pub struct EdgeStatus {
     pub health: Option<EdgeHealth>,
 }
 
-/// Everything one faulted mesh execution leaves behind.
+/// Everything one faulted mesh execution leaves behind: the outcome
+/// (its report still empty) and the sequences the oracle walks.
 struct MeshArtifacts {
-    expected: u64,
+    outcome: RerouteCampaignOutcome,
+    /// Commands delivered at the executor, in arrival order.
     delivered: Vec<u16>,
     /// Commands delivered at the declared spare (fallback plans only).
     delivered_spare: Vec<u16>,
     /// Command seqs still parked anywhere at the horizon.
     parked_cmd_seqs: Vec<u16>,
-    acks: [u64; 3],
-    /// Observed end-to-end TC→TM completion latencies at the commander,
-    /// one sample per completed command (ticks).
-    flow_latencies: Vec<u64>,
-    events_received: u64,
-    retransmissions: u64,
-    forwarded: u64,
-    packets_dropped: u64,
-    corrupt_frames: u64,
+    /// Packets dropped on TTL expiry.
     ttl_drops: u64,
-    duplicates_filtered: u64,
-    reroutes: u64,
-    failovers: u64,
-    failbacks: u64,
-    edge_downs: u64,
-    edge_ups: u64,
-    trace_log: String,
 }
 
-/// The result of one mesh campaign: the invariant report, the delivery
-/// and service metrics, and the determinism verdict.
-#[derive(Debug)]
-pub struct MeshCampaignOutcome {
-    /// The executed plan.
-    pub plan: MeshPlan,
-    /// The reliability-invariant report (empty = all invariants hold).
-    pub report: Report,
-    /// Telecommands originated by the ground node (the closed budget).
-    pub expected: u64,
-    /// Telecommands delivered to the executor.
-    pub delivered: u64,
-    /// Verification reports received back at the ground node, indexed
-    /// acceptance/start/completion.
-    pub acks: [u64; 3],
-    /// Event-telemetry reports received at the ground node.
-    pub events_received: u64,
-    /// Frames retransmitted by any ARQ sender in the mesh.
-    pub retransmissions: u64,
-    /// Per-hop packet relays recorded across all nodes.
-    pub forwarded: u64,
-    /// Packets discarded (TTL exhaustion, missing routes).
-    pub packets_dropped: u64,
-    /// Frames rejected by wire-decode integrity.
-    pub corrupt_frames: u64,
-    /// Hops between commander and executor.
-    pub command_hops: u64,
-    /// The worst observed end-to-end TC→TM completion latency at the
-    /// ground node (`None` when no command completed).
-    pub max_observed_latency: Option<u64>,
-    /// Number of latency samples behind `max_observed_latency`.
-    pub latency_samples: u64,
-    /// Concatenated per-node trace logs.
-    pub trace_log: String,
-    /// Whether re-executing the same plan reproduced the trace log byte
-    /// for byte.
-    pub deterministic: bool,
-}
-
-impl MeshCampaignOutcome {
-    /// Whether every invariant held: exactly-once in-order delivery, a
-    /// complete accept/start/complete ack round trip per command, and a
-    /// reproduced trace log.
-    pub fn is_ok(&self) -> bool {
-        self.report.is_ok()
-            && self.deterministic
-            && self.acks.iter().all(|&a| a == self.expected)
-    }
-}
-
-/// Runs a [`MeshPlan`] twice (the second run is the determinism probe)
-/// and checks exactly-once in-order command delivery plus the
-/// verification-ack round trips.
-///
-/// # Examples
-///
-/// ```
-/// use air_core::mesh::{mesh_plan, MeshCampaignRunner};
-/// use air_ports::routing::MeshTopology;
-///
-/// let plan = mesh_plan(MeshTopology::Line, 5, 7, 1);
-/// let outcome = MeshCampaignRunner::new(plan).run();
-/// assert!(outcome.is_ok(), "{}", outcome.report);
-/// assert!(outcome.command_hops >= 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct MeshCampaignRunner {
-    plan: MeshPlan,
-}
-
-impl MeshCampaignRunner {
-    /// A runner for `plan`.
-    pub fn new(plan: MeshPlan) -> Self {
-        Self { plan }
-    }
-
-    /// Executes the campaign twice and checks every invariant.
-    pub fn run(&self) -> MeshCampaignOutcome {
-        let first = execute(&self.plan);
-        let second = execute(&self.plan);
-        let mut report = Report::new();
-        check_exactly_once(&first, &mut report);
-        let deterministic = first.trace_log == second.trace_log;
-        let hops = {
-            let tables = self.plan.topology.routing_tables(self.plan.nodes);
-            let (src, dst) = command_endpoints(self.plan.topology, self.plan.nodes);
-            hop_count(&tables, src, dst).unwrap_or(0)
-        };
-        MeshCampaignOutcome {
-            plan: self.plan.clone(),
-            report,
-            expected: first.expected,
-            delivered: first.delivered.len() as u64,
-            acks: first.acks,
-            events_received: first.events_received,
-            retransmissions: first.retransmissions,
-            forwarded: first.forwarded,
-            packets_dropped: first.packets_dropped,
-            corrupt_frames: first.corrupt_frames,
-            command_hops: hops,
-            max_observed_latency: first.flow_latencies.iter().copied().max(),
-            latency_samples: first.flow_latencies.len() as u64,
-            trace_log: first.trace_log,
-            deterministic,
-        }
-    }
-}
-
-fn execute(plan: &MeshPlan) -> MeshArtifacts {
-    let mut sim = MeshSim::new(plan);
-    sim.run_to_horizon();
-    sim.into_artifacts()
-}
-
-/// Walks the executor's delivered command sequence against the closed
-/// budget: every index exactly once, in order.
-fn check_exactly_once(run: &MeshArtifacts, report: &mut Report) {
-    let expected = run.expected;
-    let mut seen = vec![0u64; expected as usize];
-    let mut next_expected = 0u64;
-    for &seq in &run.delivered {
-        let seq = u64::from(seq);
-        if seq >= expected {
-            report.record(Violation::SpuriousDetection {
-                at: Ticks::ZERO,
-                detail: format!("executor delivered unknown command seq {seq}"),
-            });
-            continue;
-        }
-        seen[seq as usize] += 1;
-        if seen[seq as usize] > 1 {
-            report.record(Violation::DuplicateDelivery { seq });
-            continue;
-        }
-        if seq != next_expected {
-            report.record(Violation::OutOfOrderDelivery {
-                expected: next_expected,
-                got: seq,
-            });
-        }
-        next_expected = seq + 1;
-    }
-    for (seq, &count) in seen.iter().enumerate() {
-        if count == 0 {
-            report.record(Violation::MessageLost { seq: seq as u64 });
-        }
-    }
-}
-
-/// The result of one self-healing mesh campaign.
+/// The result of one mesh campaign: the invariant report, the delivery,
+/// service and self-healing metrics, and the determinism verdict.
 #[derive(Debug)]
 pub struct RerouteCampaignOutcome {
     /// The executed plan.
@@ -1721,8 +1580,19 @@ pub struct RerouteCampaignOutcome {
     pub duplicates_filtered: u64,
     /// Frames retransmitted by any ARQ sender in the mesh.
     pub retransmissions: u64,
-    /// Verification reports received back at the ground node.
+    /// Verification reports received back at the ground node, indexed
+    /// acceptance/start/completion.
     pub acks: [u64; 3],
+    /// Event-telemetry reports received at the ground node.
+    pub events_received: u64,
+    /// Per-hop packet relays recorded across all nodes.
+    pub forwarded: u64,
+    /// Packets discarded (TTL exhaustion, missing routes).
+    pub packets_dropped: u64,
+    /// Frames rejected by wire-decode integrity.
+    pub corrupt_frames: u64,
+    /// Hops between commander and executor.
+    pub command_hops: u64,
     /// The worst observed end-to-end TC→TM completion latency at the
     /// ground node (`None` when no command completed).
     pub max_observed_latency: Option<u64>,
@@ -1736,22 +1606,21 @@ pub struct RerouteCampaignOutcome {
 }
 
 impl RerouteCampaignOutcome {
-    /// Whether every invariant held: exactly-once delivery across
-    /// primary and spare, eventual redelivery when the plan heals, zero
-    /// TTL-expiry drops (loop freedom), and a reproduced trace log.
+    /// Whether every invariant in the report held and the trace log
+    /// reproduced.
     pub fn is_ok(&self) -> bool {
         self.report.is_ok() && self.deterministic
     }
 }
 
-/// Runs a self-healing [`MeshPlan`] twice (the second run is the
-/// determinism probe) and checks the reroute invariants: every command
-/// delivered **exactly once** across primary and spare, **eventual
-/// redelivery** (full delivery when the plan heals; delivered-or-parked
-/// when a partition is permanent), **loop freedom** (zero TTL-expiry
-/// drops under rerouting) and a byte-identical re-execution. In-order
-/// delivery is deliberately *not* demanded: rerouted packets legally
-/// overtake parked ones.
+/// Runs a [`MeshPlan`] twice (the second run is the determinism probe)
+/// and checks the delivery invariants: every command delivered
+/// **exactly once** across primary and spare, **in order** when the plan
+/// has no [`HealPolicy`] (rerouted packets legally overtake parked
+/// ones), **eventual redelivery** (full delivery when the plan heals;
+/// delivered-or-parked when a partition is permanent), **loop freedom**
+/// (zero TTL-expiry drops), complete verification-ack round trips when
+/// the plan heals, and a byte-identical re-execution.
 ///
 /// # Examples
 ///
@@ -1774,79 +1643,54 @@ impl RerouteCampaignRunner {
         Self { plan }
     }
 
-    /// Executes the campaign twice and checks every reroute invariant.
+    /// Executes the campaign twice and checks every invariant.
     pub fn run(&self) -> RerouteCampaignOutcome {
         let first = execute(&self.plan);
         let second = execute(&self.plan);
-        let mut report = Report::new();
-        check_reroute_invariants(&self.plan, &first, &mut report);
-        let deterministic = first.trace_log == second.trace_log;
+        let report = check_invariants(&self.plan, &first);
         RerouteCampaignOutcome {
-            plan: self.plan.clone(),
             report,
-            expected: first.expected,
-            delivered: first.delivered.len() as u64,
-            delivered_spare: first.delivered_spare.len() as u64,
-            parked: first.parked_cmd_seqs.len() as u64,
-            reroutes: first.reroutes,
-            edge_downs: first.edge_downs,
-            edge_ups: first.edge_ups,
-            failovers: first.failovers,
-            failbacks: first.failbacks,
-            duplicates_filtered: first.duplicates_filtered,
-            retransmissions: first.retransmissions,
-            acks: first.acks,
-            max_observed_latency: first.flow_latencies.iter().copied().max(),
-            latency_samples: first.flow_latencies.len() as u64,
-            trace_log: first.trace_log,
-            deterministic,
+            deterministic: first.outcome.trace_log == second.outcome.trace_log,
+            ..first.outcome
         }
     }
+}
+
+fn execute(plan: &MeshPlan) -> MeshArtifacts {
+    let mut sim = MeshSim::new(plan);
+    sim.run_to_horizon();
+    sim.into_artifacts()
 }
 
 /// Verification stage labels, indexed like the ack counters.
 const ACK_STAGES: [&str; 3] = ["acceptance", "start", "completion"];
 
-/// The reroute oracle: exactly-once across primary and spare, eventual
-/// redelivery, loop freedom, and (for healed plans) complete ack round
-/// trips.
-fn check_reroute_invariants(plan: &MeshPlan, run: &MeshArtifacts, report: &mut Report) {
-    let expected = run.expected;
+/// The mesh oracle: exactly-once across primary and spare (in order
+/// without a heal policy), eventual redelivery, loop freedom, and (for
+/// healed plans) complete ack round trips.
+fn check_invariants(plan: &MeshPlan, run: &MeshArtifacts) -> Report {
+    let mut report = Report::new();
+    let expected = run.outcome.expected;
     let heals = plan_heals(plan);
-    let mut seen = vec![0u64; expected as usize];
-    for &seq in run.delivered.iter().chain(run.delivered_spare.iter()) {
-        let seq = u64::from(seq);
-        if seq >= expected {
-            report.record(Violation::SpuriousDetection {
-                at: Ticks::ZERO,
-                detail: format!("mesh delivered unknown command seq {seq}"),
-            });
-            continue;
-        }
-        seen[seq as usize] += 1;
-        if seen[seq as usize] > 1 {
-            report.record(Violation::DuplicateDelivery { seq });
-        }
-    }
-    for (seq, &count) in seen.iter().enumerate() {
-        if count > 0 {
-            continue;
-        }
-        let parked = run.parked_cmd_seqs.iter().any(|&p| u64::from(p) == seq as u64);
-        if heals || !parked {
-            // A healed mesh must eventually redeliver everything; in a
-            // permanent partition an undelivered command must at least
-            // be parked somewhere, not silently lost.
-            report.record(Violation::MessageLost { seq: seq as u64 });
-        }
-    }
+    let delivered = run.delivered.iter().chain(&run.delivered_spare);
+    // A healed mesh must eventually redeliver everything; in a permanent
+    // partition an undelivered command must at least be parked
+    // somewhere, not silently lost.
+    let parked = |seq: u64| !heals && run.parked_cmd_seqs.iter().any(|&p| u64::from(p) == seq);
+    check_exactly_once(
+        delivered.map(|&seq| u64::from(seq)),
+        expected,
+        plan.heal.is_none(),
+        parked,
+        &mut report,
+    );
     if run.ttl_drops > 0 {
         report.record(Violation::RoutingLoop {
             drops: run.ttl_drops,
         });
     }
     if heals {
-        for (stage, &got) in run.acks.iter().enumerate() {
+        for (stage, &got) in run.outcome.acks.iter().enumerate() {
             if got != expected {
                 report.record(Violation::IncompleteAckRoundTrip {
                     stage: ACK_STAGES[stage],
@@ -1856,6 +1700,7 @@ fn check_reroute_invariants(plan: &MeshPlan, run: &MeshArtifacts, report: &mut R
             }
         }
     }
+    report
 }
 
 /// The result of an [`replay_edge_loss`] witness replay.
@@ -1892,11 +1737,11 @@ pub fn replay_edge_loss(
         }],
         heal: rerouting.then(HealPolicy::default),
     };
-    let artifacts = execute(&plan);
+    let outcome = execute(&plan).outcome;
     EdgeLossReplay {
-        expected: artifacts.expected,
-        delivered: artifacts.delivered.len() as u64,
-        parked: artifacts.parked_cmd_seqs.len() as u64,
+        expected: outcome.expected,
+        delivered: outcome.delivered,
+        parked: outcome.parked,
     }
 }
 
@@ -1969,7 +1814,7 @@ mod tests {
             partitions: Vec::new(),
             heal: None,
         };
-        let outcome = MeshCampaignRunner::new(plan).run();
+        let outcome = RerouteCampaignRunner::new(plan).run();
         assert!(outcome.is_ok(), "{}", outcome.report);
         assert_eq!(outcome.delivered, outcome.expected);
         assert_eq!(outcome.command_hops, 4);
@@ -1985,7 +1830,7 @@ mod tests {
     #[test]
     fn faulted_star_mesh_survives_and_reproduces() {
         let plan = mesh_plan(MeshTopology::Star, 5, 42, 1);
-        let outcome = MeshCampaignRunner::new(plan).run();
+        let outcome = RerouteCampaignRunner::new(plan).run();
         assert!(outcome.is_ok(), "{}", outcome.report);
         assert_eq!(outcome.delivered, outcome.expected);
         assert_eq!(outcome.command_hops, 2);

@@ -219,10 +219,11 @@ fn finalize_shard<W: FleetWorkload>(
 /// # Examples
 ///
 /// ```
-/// use air_fleet::{run_fleet, run_sequential, Capture, FleetConfig};
-/// use air_fleet::workloads::CampaignFleet;
+/// use air_core::campaign::{standard_plan, CampaignSim};
+/// use air_fleet::{run_fleet, run_sequential, Capture, FleetConfig, ScenarioFleet};
 ///
-/// let fleet = CampaignFleet::new(42, 1).with_horizon(120);
+/// let fleet = ScenarioFleet::<CampaignSim, _>::new(42, |seed, _| standard_plan(seed, 1))
+///     .with_horizon_cap(120);
 /// let parallel = run_fleet(&fleet, &FleetConfig::new(8, 4));
 /// let sequential = run_sequential(&fleet, 8, Capture::Digest);
 /// assert_eq!(parallel.fleet_digest(), sequential.fleet_digest());

@@ -19,11 +19,12 @@
 //! ## Quickstart
 //!
 //! ```
-//! use air_fleet::{run_fleet, FleetConfig};
-//! use air_fleet::workloads::CampaignFleet;
+//! use air_core::campaign::{standard_plan, CampaignSim};
+//! use air_fleet::{run_fleet, FleetConfig, ScenarioFleet};
 //!
 //! // 16 campaign machines, 4 workers, 3 MTFs each.
-//! let fleet = CampaignFleet::new(42, 1).with_horizon(180);
+//! let fleet = ScenarioFleet::<CampaignSim, _>::new(42, |seed, _| standard_plan(seed, 1))
+//!     .with_horizon_cap(180);
 //! let outcome = run_fleet(&fleet, &FleetConfig::new(16, 4));
 //! assert_eq!(outcome.outcomes.len(), 16);
 //! println!("fleet digest {:#x}", outcome.fleet_digest());
@@ -37,7 +38,7 @@ pub mod workloads;
 pub use executor::{
     run_fleet, run_sequential, Capture, FleetConfig, FleetOutcome, FleetWorkload, MachineOutcome,
 };
-pub use workloads::{machine_seed, CampaignFleet, LinkFleet};
+pub use workloads::{machine_seed, ScenarioFleet};
 
 /// FNV-1a over `bytes`: the fleet's trace-digest function. Stable across
 /// platforms and runs — digests are comparable between a CI log and a

@@ -1,25 +1,21 @@
-//! Fleet workloads over the `air-core` campaigns.
+//! The fleet workload over the `air-core` campaigns.
 //!
-//! Each machine of a fleet runs the standard fault campaign (or the
-//! two-node link campaign) under its own seeded fault plan, derived from
-//! the fleet's base seed by a SplitMix64 mix of the machine index — so a
-//! 10 000-machine fleet is 10 000 *different* deterministic experiments,
-//! not one experiment repeated.
+//! Each machine of a fleet runs one [`Scenario`] (the standard fault
+//! campaign, the two-node link campaign, or an N-node mesh campaign)
+//! under its own seeded plan, derived from the fleet's base seed by a
+//! SplitMix64 mix of the machine index — so a 10 000-machine fleet is
+//! 10 000 *different* deterministic experiments, not one experiment
+//! repeated.
 //!
-//! Constructing a workload performs exactly one *checked* system build
-//! (static-analysis gate plus bounded exploration) for the fixed
-//! configuration; every fleet instance is then mass-constructed through
-//! the `new_unchecked` fast path, which skips re-proving the same proof
-//! per machine.
+//! Constructing a workload performs exactly one *gated* build (for the
+//! campaign systems: static analysis plus bounded exploration) of the
+//! fixed configuration; every fleet instance is then mass-constructed
+//! through [`Scenario::build_unchecked`], which skips re-proving the same
+//! proof per machine.
 
-use air_core::campaign::{default_horizon, standard_plan, CampaignSim};
-use air_core::link_campaign::{link_plan, planned_horizon, LinkSim};
-use air_core::mesh::{
-    mesh_plan, planned_mesh_horizon, reroute_plan, MeshPlan, MeshSim, PartitionScenario,
-};
-use air_hw::inject::FaultPlan;
-use air_hw::machine::MachineConfig;
-use air_ports::routing::MeshTopology;
+use std::marker::PhantomData;
+
+use air_core::Scenario;
 
 use crate::executor::FleetWorkload;
 
@@ -33,241 +29,70 @@ pub fn machine_seed(base: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A fleet of standard fault campaigns: machine `i` runs the
-/// three-partition campaign workload on the compact machine profile under
-/// `standard_plan(machine_seed(base_seed, i), per_class)`.
-#[derive(Debug, Clone)]
-pub struct CampaignFleet {
+/// A fleet of seeded scenarios: machine `i` runs `S` on
+/// `plan(machine_seed(base_seed, i), i)`. The plan function sees the
+/// index too, so a fleet can cycle scenario shapes by machine (e.g.
+/// `PartitionScenario::ALL[i % 4]`).
+pub struct ScenarioFleet<S, F> {
     base_seed: u64,
-    per_class: usize,
-    horizon_override: Option<u64>,
-    config: MachineConfig,
+    plan: F,
+    horizon_cap: Option<u64>,
+    scenario: PhantomData<fn() -> S>,
 }
 
-impl CampaignFleet {
-    /// A campaign fleet from `base_seed` with `per_class` faults of every
-    /// class per machine. Runs the one-time checked build of the fixed
-    /// campaign workload on the compact profile.
-    pub fn new(base_seed: u64, per_class: usize) -> Self {
-        let config = MachineConfig::compact();
-        // Validate once: the workload topology is identical for every
-        // machine (plans differ, systems don't), so one gated build
-        // proves them all.
-        let _gate = CampaignSim::with_config(&standard_plan(base_seed, per_class), &config);
+impl<S, F> ScenarioFleet<S, F>
+where
+    S: Scenario,
+    F: Fn(u64, usize) -> S::Plan,
+{
+    /// A fleet from `base_seed`. Runs the one-time gated build on
+    /// machine 0's plan: plans differ, systems don't, so one gated build
+    /// proves them all.
+    pub fn new(base_seed: u64, plan: F) -> Self {
+        let _gate = S::build(&plan(machine_seed(base_seed, 0), 0));
         Self {
             base_seed,
-            per_class,
-            horizon_override: None,
-            config,
+            plan,
+            horizon_cap: None,
+            scenario: PhantomData,
         }
     }
 
-    /// Caps every machine at `horizon` ticks (the smoke fleet runs 3 MTFs
-    /// instead of each plan's full default horizon).
+    /// Caps every machine at `horizon` ticks (a smoke fleet runs a few
+    /// MTFs instead of each plan's full horizon).
     #[must_use]
-    pub fn with_horizon(mut self, horizon: u64) -> Self {
-        self.horizon_override = Some(horizon);
+    pub fn with_horizon_cap(mut self, horizon: u64) -> Self {
+        self.horizon_cap = Some(horizon);
         self
     }
 
-    /// Machine `index`'s fault plan.
-    pub fn plan_for(&self, index: usize) -> FaultPlan {
-        standard_plan(machine_seed(self.base_seed, index), self.per_class)
+    /// Machine `index`'s plan.
+    pub fn plan_for(&self, index: usize) -> S::Plan {
+        (self.plan)(machine_seed(self.base_seed, index), index)
     }
 }
 
-impl FleetWorkload for CampaignFleet {
-    type Instance = CampaignSim;
+impl<S, F> FleetWorkload for ScenarioFleet<S, F>
+where
+    S: Scenario + Send,
+    F: Fn(u64, usize) -> S::Plan + Sync,
+{
+    type Instance = S;
 
-    fn build(&self, index: usize) -> CampaignSim {
-        let plan = self.plan_for(index);
-        let sim = CampaignSim::new_unchecked(&plan, &self.config);
-        match self.horizon_override {
-            Some(h) => sim.with_horizon(h),
-            None => sim,
-        }
+    fn build(&self, index: usize) -> S {
+        S::build_unchecked(&self.plan_for(index))
     }
 
     fn horizon(&self, index: usize) -> u64 {
-        self.horizon_override
-            .unwrap_or_else(|| default_horizon(&self.plan_for(index)))
+        let planned = S::planned_horizon(&self.plan_for(index));
+        self.horizon_cap.map_or(planned, |cap| planned.min(cap))
     }
 
-    fn tick(&self, instance: &mut CampaignSim, ticks: u64) {
+    fn tick(&self, instance: &mut S, ticks: u64) {
         instance.run_for(ticks);
     }
 
-    fn render_trace(&self, instance: &CampaignSim, out: &mut String) {
-        instance.render_trace_into(out);
-    }
-}
-
-/// A fleet of link campaigns: machine `i` is a *pair* of nodes running
-/// the reliable-transport workload under
-/// `link_plan(machine_seed(base_seed, i), per_class)`.
-#[derive(Debug, Clone)]
-pub struct LinkFleet {
-    base_seed: u64,
-    per_class: usize,
-}
-
-impl LinkFleet {
-    /// A link-campaign fleet from `base_seed` with `per_class` faults of
-    /// every link class per machine. Runs the one-time checked build of
-    /// both node configurations.
-    pub fn new(base_seed: u64, per_class: usize) -> Self {
-        let _gate = LinkSim::new(&link_plan(base_seed, per_class));
-        Self {
-            base_seed,
-            per_class,
-        }
-    }
-
-    /// Machine `index`'s link-fault plan.
-    pub fn plan_for(&self, index: usize) -> FaultPlan {
-        link_plan(machine_seed(self.base_seed, index), self.per_class)
-    }
-}
-
-impl FleetWorkload for LinkFleet {
-    type Instance = LinkSim;
-
-    fn build(&self, index: usize) -> LinkSim {
-        LinkSim::new_unchecked(&self.plan_for(index))
-    }
-
-    fn horizon(&self, index: usize) -> u64 {
-        planned_horizon(&self.plan_for(index))
-    }
-
-    fn tick(&self, instance: &mut LinkSim, ticks: u64) {
-        instance.run_for(ticks);
-    }
-
-    fn render_trace(&self, instance: &LinkSim, out: &mut String) {
-        instance.render_trace_into(out);
-    }
-}
-
-/// A fleet of mesh campaigns: machine `i` is an N-node routed mesh
-/// running the TM/TC workload under
-/// `mesh_plan(topology, nodes, machine_seed(base_seed, i), per_class)`.
-#[derive(Debug, Clone)]
-pub struct MeshFleet {
-    base_seed: u64,
-    per_class: usize,
-    topology: MeshTopology,
-    nodes: usize,
-}
-
-impl MeshFleet {
-    /// A mesh-campaign fleet from `base_seed` with `per_class` faults of
-    /// every link class per machine, each machine a `nodes`-node
-    /// `topology`. Runs the one-time reachability-gated build.
-    pub fn new(base_seed: u64, per_class: usize, topology: MeshTopology, nodes: usize) -> Self {
-        let _gate = MeshSim::new(&mesh_plan(topology, nodes, base_seed, per_class));
-        Self {
-            base_seed,
-            per_class,
-            topology,
-            nodes,
-        }
-    }
-
-    /// Machine `index`'s mesh plan.
-    pub fn plan_for(&self, index: usize) -> MeshPlan {
-        mesh_plan(
-            self.topology,
-            self.nodes,
-            machine_seed(self.base_seed, index),
-            self.per_class,
-        )
-    }
-}
-
-impl FleetWorkload for MeshFleet {
-    type Instance = MeshSim;
-
-    fn build(&self, index: usize) -> MeshSim {
-        MeshSim::new_unchecked(&self.plan_for(index))
-    }
-
-    fn horizon(&self, index: usize) -> u64 {
-        planned_mesh_horizon(&self.plan_for(index))
-    }
-
-    fn tick(&self, instance: &mut MeshSim, ticks: u64) {
-        instance.run_for(ticks);
-    }
-
-    fn render_trace(&self, instance: &MeshSim, out: &mut String) {
-        instance.render_trace_into(out);
-    }
-}
-
-/// A fleet of self-healing mesh campaigns: machine `i` runs
-/// `reroute_plan(topology, nodes, machine_seed(base_seed, i), scenario)`
-/// where the scenario cycles through [`PartitionScenario::ALL`] by
-/// machine index — a 4k-machine fleet covers every scenario 1000 times
-/// under 1000 different seeds.
-#[derive(Debug, Clone)]
-pub struct RerouteFleet {
-    base_seed: u64,
-    topology: MeshTopology,
-    nodes: usize,
-}
-
-impl RerouteFleet {
-    /// A reroute fleet from `base_seed`, each machine a `nodes`-node
-    /// `topology` with link-health monitors installed. Runs the one-time
-    /// reachability-gated build.
-    pub fn new(base_seed: u64, topology: MeshTopology, nodes: usize) -> Self {
-        let _gate = MeshSim::new(&reroute_plan(
-            topology,
-            nodes,
-            base_seed,
-            PartitionScenario::EdgeOutage,
-        ));
-        Self {
-            base_seed,
-            topology,
-            nodes,
-        }
-    }
-
-    /// Machine `index`'s partition scenario (round-robin over
-    /// [`PartitionScenario::ALL`]).
-    pub fn scenario_for(&self, index: usize) -> PartitionScenario {
-        PartitionScenario::ALL[index % PartitionScenario::ALL.len()]
-    }
-
-    /// Machine `index`'s self-healing mesh plan.
-    pub fn plan_for(&self, index: usize) -> MeshPlan {
-        reroute_plan(
-            self.topology,
-            self.nodes,
-            machine_seed(self.base_seed, index),
-            self.scenario_for(index),
-        )
-    }
-}
-
-impl FleetWorkload for RerouteFleet {
-    type Instance = MeshSim;
-
-    fn build(&self, index: usize) -> MeshSim {
-        MeshSim::new_unchecked(&self.plan_for(index))
-    }
-
-    fn horizon(&self, index: usize) -> u64 {
-        planned_mesh_horizon(&self.plan_for(index))
-    }
-
-    fn tick(&self, instance: &mut MeshSim, ticks: u64) {
-        instance.run_for(ticks);
-    }
-
-    fn render_trace(&self, instance: &MeshSim, out: &mut String) {
+    fn render_trace(&self, instance: &S, out: &mut String) {
         instance.render_trace_into(out);
     }
 }
@@ -275,6 +100,9 @@ impl FleetWorkload for RerouteFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use air_core::campaign::{standard_plan, CampaignSim};
+    use air_core::mesh::{mesh_plan, reroute_plan, MeshSim, PartitionScenario};
+    use air_ports::routing::MeshTopology;
 
     #[test]
     fn machine_seeds_are_well_spread() {
@@ -282,20 +110,26 @@ mod tests {
         let mut unique = seeds.clone();
         unique.sort_unstable();
         unique.dedup();
-        assert_eq!(unique.len(), seeds.len(), "no seed collisions in a small fleet");
+        assert_eq!(
+            unique.len(),
+            seeds.len(),
+            "no seed collisions in a small fleet"
+        );
         // Adjacent indices must not produce adjacent seeds.
         assert!(seeds[1].abs_diff(seeds[0]) > 1 << 32);
     }
 
     #[test]
     fn campaign_fleet_machines_differ() {
-        let fleet = CampaignFleet::new(7, 1);
+        let fleet = ScenarioFleet::<CampaignSim, _>::new(7, |seed, _| standard_plan(seed, 1));
         assert_ne!(fleet.plan_for(0).events(), fleet.plan_for(1).events());
     }
 
     #[test]
     fn mesh_fleet_machines_differ() {
-        let fleet = MeshFleet::new(7, 1, MeshTopology::Ring, 5);
+        let fleet = ScenarioFleet::<MeshSim, _>::new(7, |seed, _| {
+            mesh_plan(MeshTopology::Ring, 5, seed, 1)
+        });
         assert_ne!(
             fleet.plan_for(0).faults.events(),
             fleet.plan_for(1).faults.events()
@@ -304,16 +138,26 @@ mod tests {
 
     #[test]
     fn reroute_fleet_cycles_scenarios_and_differs_per_machine() {
-        let fleet = RerouteFleet::new(7, MeshTopology::Ring, 5);
-        assert_eq!(fleet.scenario_for(0), PartitionScenario::EdgeOutage);
-        assert_eq!(fleet.scenario_for(4), PartitionScenario::EdgeOutage);
-        assert_eq!(fleet.scenario_for(3), PartitionScenario::HealedPartition);
+        let scenario_for = |i: usize| PartitionScenario::ALL[i % PartitionScenario::ALL.len()];
+        let fleet = ScenarioFleet::<MeshSim, _>::new(7, |seed, i| {
+            reroute_plan(MeshTopology::Ring, 5, seed, scenario_for(i))
+        });
+        assert_eq!(scenario_for(0), PartitionScenario::EdgeOutage);
+        assert_eq!(scenario_for(4), PartitionScenario::EdgeOutage);
+        assert_eq!(scenario_for(3), PartitionScenario::HealedPartition);
         // Same scenario, different seed: the partition events differ.
-        assert_ne!(
-            fleet.plan_for(0).partitions,
-            fleet.plan_for(4).partitions
-        );
+        assert_ne!(fleet.plan_for(0).partitions, fleet.plan_for(4).partitions);
         // Every machine has monitors installed.
         assert!(fleet.plan_for(1).heal.is_some());
+    }
+
+    #[test]
+    fn the_horizon_cap_only_shortens() {
+        let fleet = ScenarioFleet::<CampaignSim, _>::new(7, |seed, _| standard_plan(seed, 1));
+        let planned = fleet.horizon(0);
+        let fleet = fleet.with_horizon_cap(180);
+        assert_eq!(fleet.horizon(0), 180);
+        let fleet = fleet.with_horizon_cap(planned + 1);
+        assert_eq!(fleet.horizon(0), planned);
     }
 }

@@ -24,6 +24,10 @@
 //! A brute-force re-check ([`verify_schedule_brute_force`]) validates the
 //! analytic conditions tick-by-tick; the property-test suite keeps the two
 //! in agreement.
+//!
+//! The campaigns' robustness and reliability findings land in the same
+//! [`Report`]; [`check_exactly_once`] is the delivery oracle the link
+//! and mesh campaigns share.
 
 use std::fmt;
 
@@ -424,6 +428,54 @@ impl fmt::Display for Report {
             writeln!(f, "  - {v}")?;
         }
         Ok(())
+    }
+}
+
+/// The exactly-once delivery oracle of the reliable-transport campaigns.
+///
+/// Walks `delivered`, the sender-side sequence numbers in arrival order,
+/// against a closed budget of sequence numbers `0..budget`:
+///
+/// * a seq at or past the budget is a [`Violation::SpuriousDetection`];
+/// * a repeat of an earlier arrival is a [`Violation::DuplicateDelivery`];
+/// * with `in_order`, a first arrival other than the successor of the
+///   previous first arrival is a [`Violation::OutOfOrderDelivery`];
+/// * a seq that never arrived is a [`Violation::MessageLost`], unless
+///   `excused(seq)` holds.
+pub fn check_exactly_once(
+    delivered: impl IntoIterator<Item = u64>,
+    budget: u64,
+    in_order: bool,
+    excused: impl Fn(u64) -> bool,
+    report: &mut Report,
+) {
+    let mut seen = vec![0u64; budget as usize];
+    let mut next_expected = 0u64;
+    for seq in delivered {
+        if seq >= budget {
+            report.record(Violation::SpuriousDetection {
+                at: Ticks::ZERO,
+                detail: format!("delivered seq {seq} beyond the budget of {budget}"),
+            });
+            continue;
+        }
+        seen[seq as usize] += 1;
+        if seen[seq as usize] > 1 {
+            report.record(Violation::DuplicateDelivery { seq });
+            continue;
+        }
+        if in_order && seq != next_expected {
+            report.record(Violation::OutOfOrderDelivery {
+                expected: next_expected,
+                got: seq,
+            });
+        }
+        next_expected = seq + 1;
+    }
+    for (seq, &count) in (0u64..).zip(&seen) {
+        if count == 0 && !excused(seq) {
+            report.record(Violation::MessageLost { seq });
+        }
     }
 }
 
@@ -879,6 +931,54 @@ mod tests {
                 Violation::ZeroMtf { schedule: s1 },
             ]
         );
+    }
+
+    fn exactly_once(delivered: &[u64], budget: u64) -> Vec<Violation> {
+        let mut report = Report::new();
+        check_exactly_once(delivered.iter().copied(), budget, true, |_| false, &mut report);
+        report.violations().to_vec()
+    }
+
+    #[test]
+    fn a_late_first_delivery_is_out_of_order_not_a_duplicate() {
+        let found = exactly_once(&[0, 2, 1], 3);
+        assert!(found
+            .iter()
+            .any(|v| matches!(v, Violation::OutOfOrderDelivery { expected: 3, got: 1 })));
+        assert!(!found
+            .iter()
+            .any(|v| matches!(v, Violation::DuplicateDelivery { .. })));
+    }
+
+    #[test]
+    fn a_repeat_is_a_duplicate() {
+        assert_eq!(
+            exactly_once(&[0, 1, 1], 2),
+            vec![Violation::DuplicateDelivery { seq: 1 }]
+        );
+    }
+
+    #[test]
+    fn a_missing_seq_is_lost_unless_excused() {
+        assert_eq!(
+            exactly_once(&[0, 2], 3),
+            vec![
+                Violation::OutOfOrderDelivery { expected: 1, got: 2 },
+                Violation::MessageLost { seq: 1 },
+            ]
+        );
+        let mut report = Report::new();
+        check_exactly_once([0, 2], 3, false, |seq| seq == 1, &mut report);
+        assert!(report.is_ok(), "{report}");
+    }
+
+    #[test]
+    fn a_seq_past_the_budget_is_spurious() {
+        let found = exactly_once(&[0, 1, 2], 2);
+        assert!(matches!(
+            found.as_slice(),
+            [Violation::SpuriousDetection { .. }]
+        ));
     }
 
     #[test]

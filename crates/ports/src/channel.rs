@@ -13,10 +13,10 @@
 //! the tick cost of the whole system. Port addresses are therefore
 //! **interned**: each `⟨partition, name⟩` pair maps to a dense [`PortKey`]
 //! (`u32`) at port-creation time, and [`PortRegistry::add_channel`]
-//! compiles the channel description into a [`CompiledChannel`] holding the
-//! source key and the destination keys as plain index arrays. The
-//! steady-state [`PortRegistry::route_into`] walk touches no `String`, no
-//! hash map, and performs **zero heap allocations** for local-only
+//! compiles the channel description into a private `CompiledChannel`
+//! holding the source key and the destination keys as plain index
+//! arrays. The steady-state [`PortRegistry::route_into`] walk touches no
+//! `String`, no hash map, and performs **zero heap allocations** for local-only
 //! delivery — payloads move as reference-counted [`Payload`] handoffs and
 //! frames go into a caller-provided scratch buffer.
 

@@ -21,9 +21,10 @@
 //! ```
 
 use air_core::mesh::{
-    mesh_plan, planned_mesh_horizon, reroute_plan, MeshCampaignRunner, MeshSim, MeshStatus,
-    PartitionScenario, CMD_APID,
+    mesh_plan, planned_mesh_horizon, reroute_plan, MeshSim, MeshStatus, PartitionScenario,
+    RerouteCampaignRunner, CMD_APID,
 };
+use air_core::Scenario;
 use air_ports::routing::MeshTopology;
 
 fn render_status(label: &str, status: &MeshStatus) {
@@ -49,7 +50,7 @@ fn render_status(label: &str, status: &MeshStatus) {
 
 fn main() {
     let plan = mesh_plan(MeshTopology::Line, 5, 0xA17, 1);
-    let outcome = MeshCampaignRunner::new(plan).run();
+    let outcome = RerouteCampaignRunner::new(plan).run();
 
     println!("five-node line mesh, seeded link faults:");
     println!(

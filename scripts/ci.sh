@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 verify plus lint. Run from the repo root.
 #
-#   scripts/ci.sh          # build + test + clippy
+#   scripts/ci.sh          # build + test + clippy + rustdoc
 #   scripts/ci.sh --bench  # additionally run the campaign matrix and the
 #                          # fuzz soak
 #
@@ -19,6 +19,9 @@ cargo test -q
 
 echo "== lint: clippy (all targets, warnings are errors) =="
 cargo clippy --all-targets -- -D warnings
+
+echo "== docs: rustdoc (warnings, stale intra-doc links among them, are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== airbench: tests and clippy against the current crates =="
 # airbench is a package of its own, compiled against the crates by path;

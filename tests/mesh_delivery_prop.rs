@@ -10,7 +10,7 @@
 //!
 //! Any failure prints its seed and topology for replay.
 
-use air_core::mesh::{mesh_plan, MeshCampaignRunner};
+use air_core::mesh::{mesh_plan, RerouteCampaignRunner};
 use air_model::testkit::TestRng;
 use air_ports::routing::MeshTopology;
 
@@ -24,7 +24,7 @@ fn any_mesh_fault_plan_delivers_exactly_once_in_order_over_50_seeds() {
         let topology = TOPOLOGIES[rng.below_usize(TOPOLOGIES.len())];
         let seed = rng.range(1, 1 << 20);
         let plan = mesh_plan(topology, 5, seed, 1);
-        let outcome = MeshCampaignRunner::new(plan).run();
+        let outcome = RerouteCampaignRunner::new(plan).run();
         let label = outcome.plan.topology.label();
         assert!(
             outcome.command_hops >= 2,
@@ -67,8 +67,8 @@ fn any_mesh_fault_plan_delivers_exactly_once_in_order_over_50_seeds() {
 #[test]
 fn reruns_are_byte_identical_per_topology() {
     for topology in TOPOLOGIES {
-        let first = MeshCampaignRunner::new(mesh_plan(topology, 5, 7, 1)).run();
-        let second = MeshCampaignRunner::new(mesh_plan(topology, 5, 7, 1)).run();
+        let first = RerouteCampaignRunner::new(mesh_plan(topology, 5, 7, 1)).run();
+        let second = RerouteCampaignRunner::new(mesh_plan(topology, 5, 7, 1)).run();
         assert!(first.is_ok(), "{}: {}", topology.label(), first.report);
         assert_eq!(
             first.trace_log,
@@ -91,7 +91,7 @@ fn reruns_are_byte_identical_per_topology() {
 #[test]
 fn nine_node_meshes_hold_the_guarantee() {
     for topology in [MeshTopology::Line, MeshTopology::Ring] {
-        let outcome = MeshCampaignRunner::new(mesh_plan(topology, 9, 3, 1)).run();
+        let outcome = RerouteCampaignRunner::new(mesh_plan(topology, 9, 3, 1)).run();
         assert!(
             outcome.is_ok(),
             "{}[9]: {}",

@@ -17,8 +17,7 @@
 //! Any failure prints its seed, topology and scenario for replay.
 
 use air_core::mesh::{
-    command_endpoints, mesh_plan, reroute_plan, MeshCampaignRunner, PartitionScenario,
-    RerouteCampaignRunner,
+    command_endpoints, mesh_plan, reroute_plan, PartitionScenario, RerouteCampaignRunner,
 };
 use air_lint::lint_timing_config_texts;
 use air_model::testkit::TestRng;
@@ -136,7 +135,7 @@ fn legacy_fault_campaigns_stay_inside_the_fault_free_term() {
         let topology = TOPOLOGIES[pick];
         let (_, fault_free) = certify(topology);
         let seed = rng.range(1, 1 << 20);
-        let outcome = MeshCampaignRunner::new(mesh_plan(topology, NODES, seed, 1)).run();
+        let outcome = RerouteCampaignRunner::new(mesh_plan(topology, NODES, seed, 1)).run();
         assert!(
             outcome.is_ok(),
             "case {case} ({}, seed {seed}): {}",
