@@ -3,9 +3,10 @@
 //! The exploration stage of `air-lint` is only trustworthy if its abstract
 //! transition system agrees with the concrete machine. This module mass-
 //! produces that evidence: a seeded generator emits randomized-but-parsable
-//! system configurations, each is pushed through lint → bounded exploration
-//! → witness minimization, and every minimized counterexample witness is
-//! replayed against a freshly built *concrete* system. The final concrete
+//! system configurations, each is pushed through lint → bounded exploration,
+//! and every counterexample witness is replayed against a freshly built
+//! *concrete* system. BFS witnesses are already length-minimal, so the
+//! witness the explorer reports is the one replayed. The final concrete
 //! state, projected back through
 //! [`crate::replay::observe_abstract_state`], must equal the state the
 //! abstract transition system predicts for the same event sequence — any
@@ -18,10 +19,7 @@
 //! driven by an explicit injection instead, so the twin's trajectory is
 //! exactly the witness's, which is the property under test.
 
-use air_lint::{
-    explore_with, minimize_witness_with, transition_system_for, ExploreConfig,
-    SystemModel,
-};
+use air_lint::{explore_with, transition_system_for, ExploreConfig, SystemModel};
 use air_model::explore::{AbstractState, ArqHealth, LinkState, Witness};
 use air_model::schedule::ScheduleSet;
 use air_model::testkit::TestRng;
@@ -36,7 +34,7 @@ pub struct Divergence {
     pub seed: u64,
     /// The diagnostic code of the finding whose witness diverged.
     pub finding: air_lint::Code,
-    /// The minimized witness that was replayed.
+    /// The counterexample witness that was replayed.
     pub witness: Witness,
     /// The state the abstract transition system predicts.
     pub predicted: AbstractState,
@@ -64,12 +62,10 @@ impl std::fmt::Display for Divergence {
 pub struct FuzzReport {
     /// Configurations generated and explored.
     pub cases: usize,
-    /// Exploration findings across all cases (pre-minimization).
+    /// Exploration findings across all cases.
     pub findings: usize,
     /// Witnesses replayed against concrete twins.
     pub replayed: usize,
-    /// Witnesses the greedy minimizer actually shortened.
-    pub minimized: usize,
     /// Abstract-vs-concrete disagreements (must be empty).
     pub divergences: Vec<Divergence>,
 }
@@ -203,8 +199,8 @@ fn predict(model: &SystemModel, witness: &Witness) -> Option<AbstractState> {
 }
 
 /// Runs `count` generated configurations starting at `first_seed` through
-/// lint → exploration (to `depth` events) → witness minimization →
-/// concrete replay, and reports every abstraction divergence found.
+/// lint → exploration (to `depth` events) → concrete replay of every
+/// counterexample witness, and reports every abstraction divergence found.
 pub fn run_fuzz(first_seed: u64, count: usize, depth: usize) -> FuzzReport {
     let config = ExploreConfig {
         depth,
@@ -243,24 +239,20 @@ pub fn run_fuzz(first_seed: u64, count: usize, depth: usize) -> FuzzReport {
         let exploration = explore_with(&model, &config);
         report.findings += exploration.counterexamples.len();
         for cx in &exploration.counterexamples {
-            let minimized = minimize_witness_with(&model, cx, &config);
-            if minimized.events.len() < cx.witness.events.len() {
-                report.minimized += 1;
-            }
-            let Some(predicted) = predict(&model, &minimized) else {
+            let Some(predicted) = predict(&model, &cx.witness) else {
                 continue;
             };
             let Some(mut twin) = build_twin(&model) else {
                 continue;
             };
-            replay_witness(&mut twin, &minimized, 2);
+            replay_witness(&mut twin, &cx.witness, 2);
             let observed = observe_abstract_state(&twin);
             report.replayed += 1;
             if observed != predicted {
                 report.divergences.push(Divergence {
                     seed,
                     finding: cx.code,
-                    witness: minimized,
+                    witness: cx.witness.clone(),
                     predicted,
                     observed,
                 });
@@ -297,8 +289,9 @@ mod tests {
         let rendered: Vec<String> =
             report.divergences.iter().map(|d| d.to_string()).collect();
         assert!(rendered.is_empty(), "{}", rendered.join("\n"));
-        // The generator shapes must actually exercise the explorer.
-        assert!(report.findings > 0, "no findings across 16 fuzz cases");
-        assert!(report.replayed > 0, "no witness ever replayed");
+        // The generator shapes must actually exercise the explorer, and
+        // every finding's witness must be replayed.
+        assert!(report.findings >= 16, "{} findings across 16 cases", report.findings);
+        assert_eq!(report.replayed, report.findings, "not every witness replayed");
     }
 }

@@ -112,17 +112,6 @@ pub struct LinkCampaignOutcome {
 }
 
 impl LinkCampaignOutcome {
-    /// Delivered-to-expected ratio (1.0 = every message arrived).
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.expected == 0 {
-            return 1.0;
-        }
-        #[allow(clippy::cast_precision_loss)] // campaign budgets are tiny
-        {
-            self.delivered as f64 / self.expected as f64
-        }
-    }
-
     /// Whether every reliability invariant held and the run reproduced.
     pub fn is_ok(&self) -> bool {
         self.report.is_ok() && self.deterministic

@@ -216,7 +216,7 @@ codes! {
     ExplorationCapped = ("AIR098", Warning, "bounded exploration is incomplete: it hit the state cap, or toggled only 16 of the node's mesh edges",
         "a 16-edge mesh node explored to depth 8 with `--max-states 4096`; findings may be incomplete"),
     FuzzDivergence = ("AIR099", Error, "a fuzzed configuration diverged between abstraction and concrete replay",
-        "a minimized witness replayed on the built system lands in a different abstract state than predicted"),
+        "a witness replayed on the built system lands in a different abstract state than predicted"),
     // Self-healing mesh cross-checks (AIR100–AIR102).
     UnreachableAfterSingleEdgeLoss = ("AIR100", Warning, "a single edge loss disconnects part of the mesh beyond any reroute",
         "losing bridge edge N2-N3 of a line mesh strands N3; no alternate next hop can exist"),

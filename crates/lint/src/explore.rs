@@ -104,8 +104,8 @@ impl Default for ExploreConfig {
 pub struct Counterexample {
     /// The diagnostic code of the violated invariant.
     pub code: Code,
-    /// The dedup subject (a partition or schedule id, or 0), used by
-    /// [`minimize_witness`] to re-identify the violation.
+    /// The dedup subject (a partition or schedule id, or 0): one finding
+    /// is kept per `(code, subject)`.
     pub subject: u32,
     /// Minimal event sequence from boot to the violating state.
     pub witness: Witness,
@@ -335,9 +335,9 @@ fn mesh_edge_count(model: &SystemModel) -> usize {
     vias.len()
 }
 
-/// Precomputed facts shared by the per-state invariant checks and the
-/// witness minimizer, as masks over the mode-word slots and vectors over
-/// the schedule indices of the keys.
+/// Precomputed facts shared by the per-state invariant checks, as masks
+/// over the mode-word slots and vectors over the schedule indices of the
+/// keys.
 struct InvariantCtx<'a> {
     ts: &'a TransitionSystem,
     /// Declared partitions with their mode-word slots, by id.
@@ -405,11 +405,6 @@ impl<'a> InvariantCtx<'a> {
     fn has_command(&self, key: StateKey) -> bool {
         self.authorities & self.ts.window_mask(key.schedule()) & !key.modes()
             != 0
-    }
-
-    /// Whether the schedule at `index` fails the per-schedule conditions.
-    fn unclean(&self, index: usize) -> bool {
-        self.verdicts.get(index).is_some_and(|v| !v.is_ok())
     }
 
     /// AIR095's predicate: the partition at `bit` runs in `key` under a
@@ -876,142 +871,6 @@ fn check_reachable_schedules(
     merged.violations().len()
 }
 
-/// Greedy drop-one minimization of a counterexample witness.
-///
-/// Each event is tentatively removed; if the shortened sequence still steps
-/// through the transition system and its final state still violates the
-/// counterexample's `(code, subject)`, the removal sticks and the scan
-/// restarts. BFS witnesses are already length-minimal, but fuzz-farm and
-/// cap-limited witnesses can carry redundant events. Codes whose violation
-/// is not a single-state predicate (AIR084, AIR098, AIR099) are returned
-/// unchanged.
-pub fn minimize_witness(model: &SystemModel, cx: &Counterexample) -> Witness {
-    minimize_witness_with(model, cx, &ExploreConfig::default())
-}
-
-/// [`minimize_witness`] with an explicit engine configuration (the closure
-/// cap is taken from `config.max_states`).
-pub fn minimize_witness_with(
-    model: &SystemModel,
-    cx: &Counterexample,
-    config: &ExploreConfig,
-) -> Witness {
-    let Some(ts) = transition_system_for(model) else {
-        return cx.witness.clone();
-    };
-    let ctx = InvariantCtx::new(model, &ts, config.max_states);
-    let mut memo = RecoveryMemo::default();
-    let mut replays = |events: &[AbstractEvent]| {
-        replays_to_violation(&ctx, &mut memo, events, cx.code, cx.subject)
-    };
-    if !violation_is_state_predicate(cx.code) || !replays(&cx.witness.events) {
-        return cx.witness.clone();
-    }
-    let mut events = cx.witness.events.clone();
-    let mut i = 0;
-    while i < events.len() {
-        let mut trimmed = events.clone();
-        trimmed.remove(i);
-        if replays(&trimmed) {
-            events = trimmed;
-            i = 0;
-        } else {
-            i += 1;
-        }
-    }
-    Witness { events }
-}
-
-fn violation_is_state_predicate(code: Code) -> bool {
-    matches!(
-        code,
-        Code::ModeStarvation
-            | Code::AuthorityLostAcrossModes
-            | Code::StoppedPartitionUnrecoverable
-            | Code::ReachableScheduleUnclean
-            | Code::DegradedScheduleTrap
-            | Code::DeadlineStarvationAcrossModes
-            | Code::ArqExhaustionUnrecoverable
-            | Code::FailoverScheduleTrap
-    )
-}
-
-fn replays_to_violation(
-    ctx: &InvariantCtx<'_>,
-    memo: &mut RecoveryMemo,
-    events: &[AbstractEvent],
-    code: Code,
-    subject: u32,
-) -> bool {
-    let mut key = ctx.ts.initial_key();
-    for &event in events {
-        match ctx.ts.step_key(key, event) {
-            Some(t) => key = t.key,
-            None => return false,
-        }
-    }
-    state_violates(ctx, memo, key, code, subject)
-}
-
-/// Whether `key` exhibits the violation `(code, subject)` — the same
-/// predicates as [`check_states`], keyed for the minimizer.
-fn state_violates(
-    ctx: &InvariantCtx<'_>,
-    memo: &mut RecoveryMemo,
-    key: StateKey,
-    code: Code,
-    subject: u32,
-) -> bool {
-    let ts = ctx.ts;
-    // A partition outside the mode domain (bit 0) is never running.
-    let bit = ts
-        .slot_of(PartitionId(subject))
-        .map_or(0, |slot| 1u64 << slot);
-    let running = key.modes() & bit == 0 && bit != 0;
-    let degraded = key.saved_schedule().is_some();
-    match code {
-        Code::ModeStarvation => {
-            running
-                && ctx.time_requiring & bit != 0
-                && ts.window_mask(key.schedule()) & bit == 0
-                && ctx.recovery(memo, key).service & bit == 0
-        }
-        Code::StoppedPartitionUnrecoverable => {
-            !running && ctx.recovery(memo, key).running & bit == 0
-        }
-        Code::AuthorityLostAcrossModes => {
-            ctx.multiple_schedules
-                && ctx.has_authorities
-                && !ctx.has_command(key)
-                && !degraded
-                && !ctx.recovery(memo, key).command
-        }
-        Code::DegradedScheduleTrap => {
-            ctx.multiple_schedules
-                && ctx.has_authorities
-                && ts.schedule_id(key.schedule()).as_u32() == subject
-                && degraded
-                && !ctx.has_command(key)
-        }
-        Code::ReachableScheduleUnclean => {
-            ts.schedule_id(key.schedule()).as_u32() == subject
-                && ctx.unclean(key.schedule())
-        }
-        Code::DeadlineStarvationAcrossModes => {
-            bit != 0 && ctx.deadline_starved(key, bit)
-        }
-        Code::ArqExhaustionUnrecoverable => {
-            key.arq_exhausted() && !ctx.recovery(memo, key).arq_nominal
-        }
-        Code::FailoverScheduleTrap => {
-            // The witness ends after the failed `link_up`: the partition is
-            // still stopped although the link is back.
-            !running && ts.options().degraded_schedule.is_some() && !degraded
-        }
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1419,36 +1278,6 @@ link primary_latency=3 secondary_latency=6 degraded=chi1
             assert_eq!(seq.states_explored, par.states_explored);
             assert_eq!(seq.counterexamples, par.counterexamples);
         }
-    }
-
-    #[test]
-    fn minimizer_drops_redundant_events() {
-        let model = model_of(STARVATION);
-        // Hand-build a counterexample padded with fault self-loops at boot.
-        let padded = Witness::parse(
-            "fault(P0); module_fault; fault(P1); request(P0->chi1)",
-        )
-        .expect("parses");
-        let cx = Counterexample {
-            code: Code::ModeStarvation,
-            subject: 0,
-            witness: padded,
-            message: String::new(),
-        };
-        let minimized = minimize_witness(&model, &cx);
-        assert_eq!(minimized.render(), "request(P0->chi1)");
-    }
-
-    #[test]
-    fn minimizer_returns_unsupported_witnesses_unchanged() {
-        let model = model_of(STARVATION);
-        let cx = Counterexample {
-            code: Code::ExplorationCapped,
-            subject: 0,
-            witness: Witness::parse("module_fault").expect("parses"),
-            message: String::new(),
-        };
-        assert_eq!(minimize_witness(&model, &cx), cx.witness);
     }
 
     #[test]

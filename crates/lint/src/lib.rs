@@ -67,8 +67,8 @@ mod transport;
 
 pub use diag::{Code, Diagnostic, LintReport, Severity};
 pub use explore::{
-    explore, explore_with, minimize_witness, minimize_witness_with,
-    transition_system_for, Counterexample, Exploration, ExploreConfig,
+    explore, explore_with, transition_system_for, Counterexample, Exploration,
+    ExploreConfig,
 };
 pub use mesh::REROUTE_TTL_BUDGET;
 pub use model::SystemModel;

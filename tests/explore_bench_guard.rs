@@ -14,7 +14,7 @@ use air_lint::{explore_with, ExploreConfig, SystemModel};
 
 /// The guarded examples: airbench's `explore_hub` workload times a
 /// frozen copy of `constellation_hub.air`, and `full_system.air` is the
-/// other example `scripts/ci.sh` explores.
+/// other example `tests/lint_corpus.rs` explores through `airlint`.
 const BENCHED: &[&str] = &["full_system.air", "constellation_hub.air"];
 
 fn model_of(example: &str) -> SystemModel {

@@ -3,16 +3,23 @@
 //! touched with a byte-identical event stream, and equal seeds must yield
 //! byte-identical trace logs.
 //!
+//! The file also pins the EXPERIMENTS B7 table: the single-class sweeps
+//! over seeds {1, 3, 7, 11, 42} with their exact detection counts and
+//! latency triples, and the all-classes matrix on the same seeds.
+//!
 //! The restriction/comparison core is the reusable
 //! [`air_model::testkit::isolation_divergence`] assertion — the executable
 //! form of the paper's "a fault in partition A never perturbs partition B".
 
 use air_core::campaign::{event_owner, standard_plan, CampaignOutcome, CampaignRunner};
-use air_hw::inject::FaultClass;
+use air_hw::inject::{FaultClass, FaultPlan};
 use air_model::testkit::isolation_divergence;
 use air_model::PartitionId;
 
 const PARTITIONS: [PartitionId; 3] = [PartitionId(0), PartitionId(1), PartitionId(2)];
+
+/// The campaign seeds of EXPERIMENTS B7.
+const SEEDS: [u64; 5] = [1, 3, 7, 11, 42];
 
 fn affected_by_class(outcome: &CampaignOutcome, class: FaultClass) -> Vec<PartitionId> {
     outcome
@@ -106,9 +113,50 @@ fn equal_seeds_give_byte_identical_campaigns() {
 fn every_fault_of_a_two_per_class_plan_is_detected() {
     // All six classes interleaved, two faults each: every fault reaches
     // health monitoring and every robustness invariant holds.
-    for seed in [1, 7, 42] {
+    for seed in SEEDS {
         let outcome = CampaignRunner::new(standard_plan(seed, 2)).run();
         assert!(outcome.is_ok(), "seed {seed}: {}", outcome.report);
-        assert_eq!(outcome.detected(), outcome.injected(), "seed {seed}");
+        assert_eq!(
+            (outcome.detected(), outcome.injected()),
+            (12, 12),
+            "seed {seed}"
+        );
+    }
+}
+
+#[test]
+fn single_class_sweeps_match_the_b7_table() {
+    // Three faults of one class per seed isolate that class's detection
+    // path. Same-class faults are 200 ticks apart, past the worst
+    // detection + recovery latency (an overrun needs ~110 ticks to reach
+    // its PAL deadline check): a fault striking a component that is
+    // already faulty would merge into the ongoing episode.
+    //
+    // (class, min, median, max) detection latency in ticks.
+    let table = [
+        (FaultClass::MmuTamper, 3, 28, 60),
+        (FaultClass::SpuriousTrap, 1, 1, 1),
+        (FaultClass::LinkDrop, 3, 6, 9),
+        (FaultClass::LinkBitFlip, 2, 2, 2),
+        (FaultClass::ClockInterference, 1, 1, 1),
+        (FaultClass::ProcessOverrun, 59, 85, 110),
+    ];
+    for (class, min, median, max) in table {
+        let (mut injected, mut detected) = (0, 0);
+        let mut latencies = Vec::new();
+        for seed in SEEDS {
+            let plan = FaultPlan::generate(seed, &[class], 3, 70, 200, 11);
+            let outcome = CampaignRunner::new(plan).run();
+            assert!(outcome.is_ok(), "{class} seed {seed}: {}", outcome.report);
+            injected += outcome.injected();
+            detected += outcome.detected();
+            latencies.extend(outcome.latencies());
+        }
+        assert_eq!((detected, injected), (15, 15), "{class}");
+        latencies.sort_unstable();
+        // The median is element round((n - 1) / 2) of the sorted list.
+        let n = latencies.len();
+        let triple = (latencies[0], latencies[n / 2], latencies[n - 1]);
+        assert_eq!(triple, (min, median, max), "{class} latency min/median/max");
     }
 }

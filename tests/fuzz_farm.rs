@@ -1,46 +1,64 @@
 //! Fuzz-farm soundness gate: generated configurations through lint →
-//! exploration → witness minimization → concrete replay, with zero
-//! tolerated divergences (the `AIR099` defect class).
+//! exploration → concrete replay of every counterexample witness, with
+//! zero tolerated divergences (the `AIR099` defect class).
 //!
-//! The in-crate unit test covers a handful of cases; this integration run
-//! is the wider sweep that the CI `--smoke-fuzz` gate mirrors. Seeds are
-//! fixed so a failure is reproducible by number alone.
+//! Seeded sweeps up to a 256-case depth-4 soak; the in-crate unit test
+//! holds the quickest `(1000, 16, 3)` run. Seeds are fixed so a failure
+//! is reproducible by number alone: `run_fuzz(first_seed, cases, depth)`
+//! replays any sweep.
 
 use air_core::fuzz::{generate_config_text, run_fuzz};
 
-#[test]
-fn farm_sweep_is_divergence_free() {
-    let report = run_fuzz(0, 48, 3);
-    assert_eq!(report.cases, 48);
+/// The fixed seed base of the smoke and soak rows.
+const FARM_SEED: u64 = 0x5eed_0a1b;
+
+/// Runs one seeded sweep and asserts it is divergence-free and a real
+/// exercise of the explorer.
+fn assert_sweep(label: &str, first_seed: u64, cases: usize, depth: usize) {
+    let report = run_fuzz(first_seed, cases, depth);
+    assert_eq!(report.cases, cases, "{label}");
     let rendered: Vec<String> =
         report.divergences.iter().map(|d| d.to_string()).collect();
     assert!(
         rendered.is_empty(),
-        "abstraction diverged from the concrete system:\n{}",
+        "{label}: abstraction diverged from the concrete system:\n{}",
         rendered.join("\n")
     );
-    // The sweep must be a real exercise, not a vacuous pass.
+    // At least one finding per case on average: a generator too tame
+    // to produce findings would pass vacuously.
     assert!(
-        report.findings >= 10,
-        "only {} findings across 48 cases — generator shapes too tame",
+        report.findings >= cases,
+        "{label}: only {} findings across {cases} cases",
         report.findings
     );
-    assert!(
-        report.replayed >= 10,
-        "only {} witnesses replayed across 48 cases",
-        report.replayed
+    // Every finding's witness must step through the abstraction and
+    // build a concrete twin; a skipped replay would hide a divergence.
+    assert_eq!(
+        report.replayed, report.findings,
+        "{label}: not every witness was replayed"
     );
 }
 
 #[test]
+fn farm_sweep_is_divergence_free() {
+    // (label, first seed, cases, depth).
+    let rows = [
+        ("sweep", 0, 48, 3),
+        ("smoke", FARM_SEED, 64, 3),
+        ("soak", FARM_SEED + 64, 256, 4),
+    ];
+    for (label, first_seed, cases, depth) in rows {
+        assert_sweep(label, first_seed, cases, depth);
+    }
+}
+
+#[test]
 fn minimized_witnesses_still_replay_to_their_violation() {
-    // Deeper exploration produces longer raw witnesses, giving the greedy
-    // minimizer real work; run_fuzz re-verifies every kept witness by
-    // replaying it concretely, so a non-empty `minimized` count plus zero
-    // divergences means minimization preserved the violations.
-    let report = run_fuzz(500, 24, 4);
-    assert!(report.divergences.is_empty());
-    assert!(report.replayed > 0);
+    // BFS witnesses are already length-minimal, so the explorer's own
+    // witness is the minimized one. Depth 4 yields the longest witnesses
+    // of the quick rows; each must replay to the state the abstraction
+    // predicts.
+    assert_sweep("deep", 500, 24, 4);
 }
 
 #[test]

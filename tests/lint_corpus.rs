@@ -23,6 +23,11 @@
 //!   per-member report and the mesh cross-check (exactly what
 //!   `airlint --json --cluster` prints for the member list).
 //!
+//! Every golden is checked twice: once through the library, and once
+//! through the built `airlint` binary, which must print the golden byte
+//! for byte and exit 1 exactly when it holds an Error-level line. The
+//! binary must also exit 0 on every example invocation below.
+//!
 //! To regenerate a golden after an intentional change:
 //! `cargo run -p air-lint --bin airlint -- --json tests/lint_corpus/<case>.air`
 //! (add `--explore --depth N` — plus `--max-states M` when the marker
@@ -32,7 +37,9 @@
 //! review the diff by hand before committing it.
 
 use std::collections::BTreeSet;
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use air_lint::{
     lint_cluster_config_texts, lint_config_text, lint_config_text_explored_with,
@@ -55,6 +62,36 @@ fn corpus_cases() -> Vec<PathBuf> {
         .collect();
     cases.sort();
     cases
+}
+
+/// Multi-node corpus sets whose first member's stem ends in `first`
+/// (`_pair_a` or `_mesh_a`), sorted: each set's base name, its golden and
+/// its member files in letter order up to the first gap.
+fn member_sets(first: &str) -> Vec<(String, PathBuf, Vec<PathBuf>)> {
+    let mut sets = Vec::new();
+    for entry in std::fs::read_dir(corpus_dir()).expect("corpus directory exists") {
+        let path = entry.expect("readable entry").path();
+        let Some(stem) = path.file_stem().map(|s| s.to_string_lossy().into_owned()) else {
+            continue;
+        };
+        if path.extension().is_none_or(|ext| ext != "air") || !stem.ends_with(first) {
+            continue;
+        }
+        let base = stem.trim_end_matches("_a").to_owned();
+        let members = ('a'..='z')
+            .map(|letter| path.with_file_name(format!("{base}_{letter}.air")))
+            .take_while(|member| member.exists())
+            .collect();
+        let golden = path.with_file_name(format!("{base}.expected"));
+        sets.push((base, golden, members));
+    }
+    sets.sort();
+    sets
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
 fn is_pair_node(path: &Path) -> bool {
@@ -142,73 +179,46 @@ fn corpus_reports_match_goldens() {
 
 #[test]
 fn cluster_pairs_match_goldens() {
-    let mut pairs = 0;
-    for entry in std::fs::read_dir(corpus_dir()).expect("corpus directory exists") {
-        let path = entry.expect("readable entry").path();
-        let Some(stem) = path.file_stem().map(|s| s.to_string_lossy().into_owned()) else {
-            continue;
+    let pairs = member_sets("_pair_a");
+    assert!(!pairs.is_empty(), "expected at least one cluster pair case");
+    for (base, golden, members) in &pairs {
+        let [a, b] = members.as_slice() else {
+            panic!("pair {base} needs exactly two nodes");
         };
-        if path.extension().is_none_or(|ext| ext != "air") || !stem.ends_with("_pair_a") {
-            continue;
-        }
-        let base = stem.trim_end_matches("_a");
-        let a = std::fs::read_to_string(&path).expect("readable pair node A");
-        let b = std::fs::read_to_string(path.with_file_name(format!("{base}_b.air")))
-            .expect("readable pair node B");
-        let golden_path = path.with_file_name(format!("{base}.expected"));
-        let golden = std::fs::read_to_string(&golden_path).unwrap_or_else(|_| {
-            panic!("missing golden file {}", golden_path.display())
-        });
+        let (a, b) = (read(a), read(b));
         let actual = format!(
             "{}{}{}",
             report_for(&a).to_json_lines(),
             report_for(&b).to_json_lines(),
             lint_cluster_config_texts(&a, &b).to_json_lines()
         );
-        assert_eq!(actual, golden, "pair {base} diverged from its golden");
+        assert_eq!(actual, read(golden), "pair {base} diverged from its golden");
         // Pairs follow the same naming convention as per-file cases.
         assert!(
             lint_cluster_config_texts(&a, &b).has_errors() != base.starts_with("clean_"),
             "pair {base} violates the naming convention"
         );
-        pairs += 1;
     }
-    assert!(pairs >= 1, "expected at least one cluster pair case");
 }
 
 #[test]
 fn mesh_sets_match_goldens() {
-    let mut sets = 0;
-    for entry in std::fs::read_dir(corpus_dir()).expect("corpus directory exists") {
-        let path = entry.expect("readable entry").path();
-        let Some(stem) = path.file_stem().map(|s| s.to_string_lossy().into_owned()) else {
-            continue;
-        };
-        if path.extension().is_none_or(|ext| ext != "air") || !stem.ends_with("_mesh_a") {
-            continue;
-        }
-        let base = stem.trim_end_matches("_a");
-        // Collect the member files in letter order until the first gap.
-        let mut texts = Vec::new();
-        for letter in 'a'..='z' {
-            let member = path.with_file_name(format!("{base}_{letter}.air"));
-            match std::fs::read_to_string(&member) {
-                Ok(text) => texts.push(text),
-                Err(_) => break,
-            }
-        }
-        assert!(texts.len() >= 2, "mesh set {base} needs at least two members");
-        let golden_path = path.with_file_name(format!("{base}.expected"));
-        let golden = std::fs::read_to_string(&golden_path).unwrap_or_else(|_| {
-            panic!("missing golden file {}", golden_path.display())
-        });
+    let sets = member_sets("_mesh_a");
+    assert!(
+        sets.len() >= 6,
+        "expected the clean set plus one per AIR09x code, found {}",
+        sets.len()
+    );
+    for (base, golden, members) in &sets {
+        assert!(members.len() >= 2, "mesh set {base} needs at least two members");
+        let texts: Vec<String> = members.iter().map(|m| read(m)).collect();
         let mut actual = String::new();
         for text in &texts {
             actual.push_str(&report_for(text).to_json_lines());
         }
         let cross = lint_mesh_config_texts(&texts);
         actual.push_str(&cross.to_json_lines());
-        assert_eq!(actual, golden, "mesh set {base} diverged from its golden");
+        assert_eq!(actual, read(golden), "mesh set {base} diverged from its golden");
         // Mesh sets follow the same naming convention as per-file cases.
         if base.starts_with("clean_") {
             assert!(!cross.has_errors(), "mesh set {base} should be clean");
@@ -218,9 +228,99 @@ fn mesh_sets_match_goldens() {
         } else {
             assert!(cross.has_errors(), "mesh set {base} should report errors");
         }
-        sets += 1;
     }
-    assert!(sets >= 6, "expected the clean set plus one per AIR09x code, found {sets}");
+}
+
+/// Runs the built `airlint` binary on `args`; returns its stdout and exit
+/// status.
+fn airlint(args: &[OsString]) -> (String, i32) {
+    let output = Command::new(env!("CARGO_BIN_EXE_airlint"))
+        .args(args)
+        .output()
+        .expect("airlint runs");
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 output");
+    (stdout, output.status.code().expect("airlint exited normally"))
+}
+
+#[test]
+fn airlint_binary_reproduces_every_golden() {
+    let mut invocations: Vec<(Vec<OsString>, PathBuf)> = Vec::new();
+    for case in corpus_cases() {
+        let mut args: Vec<OsString> = vec!["--json".into()];
+        if let Some(config) = explore_marker(&read(&case)) {
+            args.extend([
+                "--explore".into(),
+                "--depth".into(),
+                config.depth.to_string().into(),
+                "--max-states".into(),
+                config.max_states.to_string().into(),
+            ]);
+        }
+        let golden = case.with_extension("expected");
+        args.push(case.into());
+        invocations.push((args, golden));
+    }
+    for (_, golden, members) in member_sets("_pair_a").into_iter().chain(member_sets("_mesh_a")) {
+        let mut args: Vec<OsString> = vec!["--json".into(), "--cluster".into()];
+        args.extend(members.into_iter().map(OsString::from));
+        invocations.push((args, golden));
+    }
+
+    let mut failures = Vec::new();
+    for (args, golden) in &invocations {
+        let golden = read(golden);
+        let (stdout, status) = airlint(args);
+        // Exit 1 exactly when an Error-level finding was printed.
+        let want = i32::from(golden.contains("\"severity\":\"error\""));
+        if stdout != golden || status != want {
+            failures.push(format!(
+                "== airlint {args:?} ==\nexit {status} (want {want})\n--- expected\n{golden}--- actual\n{stdout}"
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+#[test]
+fn airlint_binary_passes_every_example_invocation() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let mut examples: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("examples directory exists")
+        .filter_map(|entry| entry.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "air"))
+        .collect();
+    examples.sort();
+    let example = |name: &str| OsString::from(dir.join(name));
+    let cluster = [example("cluster_degraded_a.air"), example("cluster_degraded_b.air")];
+    let mesh: Vec<OsString> = (0..5).map(|n| example(&format!("mesh_n{n}.air"))).collect();
+
+    let mut invocations: Vec<Vec<OsString>> = Vec::new();
+    // Plain lint over every example at once.
+    invocations.push(examples.iter().map(OsString::from).collect());
+    // Timing certification, one file at a time: `--timing` treats its
+    // files as one member set, and the examples are independent systems.
+    for path in &examples {
+        invocations.push(vec!["--timing".into(), path.into()]);
+    }
+    // The cluster and mesh cross-checks.
+    invocations.push([vec!["--cluster".into()], cluster.to_vec()].concat());
+    invocations.push([vec!["--cluster".into()], mesh].concat());
+    // Bounded mode/HM exploration at depth 3.
+    let explore: Vec<OsString> = vec!["--explore".into(), "--depth".into(), "3".into()];
+    invocations.push([explore.clone(), vec![example("full_system.air")]].concat());
+    invocations.push([explore.clone(), vec![example("constellation_hub.air")]].concat());
+    invocations.push([explore, cluster.to_vec()].concat());
+
+    for args in &invocations {
+        let (stdout, status) = airlint(args);
+        assert_eq!(status, 0, "airlint {args:?}:\n{stdout}");
+    }
+    // The hub carries the one deadlined flow: it must certify within it.
+    let (stdout, _) = airlint(&["--timing".into(), example("constellation_hub.air")]);
+    assert!(
+        stdout.contains("flow N0:100 -> N4  certified 4900  deadline 6000  slack 1100"),
+        "{stdout}"
+    );
 }
 
 #[test]
