@@ -10,7 +10,7 @@ use air_hw::machine::MachineConfig;
 use air_hw::{CpuContext, Machine};
 use air_model::ids::GlobalProcessId;
 use air_model::partition::{OperatingMode, Partition, PosKind, StartCondition};
-use air_lint::{LintReport, SystemModel};
+use air_lint::{ExploreConfig, LintReport, SystemModel};
 use air_model::process::ProcessAttributes;
 use air_model::{ScheduleSet, Ticks};
 use air_pmk::spatial::standard_application_layout;
@@ -298,8 +298,9 @@ impl SystemBuilder {
     /// inspect them here. The build gate additionally explores the
     /// reachable mode/HM state space
     /// ([`SystemBuilder::with_exploration_depth`]); use
-    /// [`air_lint::lint_explored`] on the same description to reproduce
-    /// that stage ahead of building.
+    /// [`air_lint::lint_explored`] with an [`ExploreConfig`] of
+    /// that depth on the same description to reproduce that stage ahead
+    /// of building.
     pub fn lint(&self) -> LintReport {
         air_lint::lint(&self.snapshot())
     }
@@ -320,7 +321,13 @@ impl SystemBuilder {
     /// or an initialisation step fails.
     pub fn build(self) -> Result<AirSystem, BuildError> {
         let report = if self.exploration_depth > 0 {
-            air_lint::lint_explored(&self.snapshot(), self.exploration_depth)
+            air_lint::lint_explored(
+                &self.snapshot(),
+                &ExploreConfig {
+                    depth: self.exploration_depth,
+                    ..ExploreConfig::default()
+                },
+            )
         } else {
             self.lint()
         };

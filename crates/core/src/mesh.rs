@@ -51,7 +51,7 @@ use air_ports::pus::{
     verification_report, AckStage, CommandVerifier, EventReporter, EventSeverity,
     SERVICE_EVENT, SERVICE_VERIFICATION,
 };
-use air_ports::routing::{LiveRouter, MeshTopology, NodeId, RoutingTable};
+use air_ports::routing::{LiveRouter, MeshTopology, NodeId, RoutingTable, MESH_HOP_SLACK};
 use air_ports::spacepacket::{PacketKind, SpacePacket};
 use air_ports::transport::{ArqConfig, ArqEndpoint, ArqEvent, DataDisposition};
 use air_ports::wire::{bytes_look_like_ack, Frame};
@@ -59,10 +59,8 @@ use air_ports::wire::{bytes_look_like_ack, Frame};
 use crate::scenario::Scenario;
 use crate::trace::{PacketDropReason, Trace, TraceEvent};
 
-/// Per-hop link latency of every mesh edge, in ticks.
-pub const MESH_LATENCY: u64 = 2;
-/// Initial hop budget stamped on every originated packet.
-pub const MESH_TTL: u8 = 16;
+pub use air_ports::routing::{MESH_LATENCY, MESH_TTL};
+
 /// The wire channel mesh frames ride on (distinct from the cluster's
 /// telemetry/attitude channels).
 const MESH_CHANNEL: u32 = 60;
@@ -436,7 +434,7 @@ pub fn planned_budget(plan: &MeshPlan) -> u64 {
 /// then a drain long enough for one worst-case ARQ repair plus a clean
 /// multi-hop round trip of the last command's completion report.
 pub fn planned_mesh_horizon(plan: &MeshPlan) -> u64 {
-    let per_hop = ArqConfig::default().worst_case_delay() + MESH_LATENCY + 4;
+    let per_hop = ArqConfig::default().worst_case_delay() + MESH_LATENCY + MESH_HOP_SLACK;
     let base =
         traffic_window_end(plan) + EXEC_TICKS + 2 * (plan.nodes as u64) * per_hop + DRAIN_SLACK;
     match &plan.heal {
@@ -1748,25 +1746,6 @@ pub fn replay_edge_loss(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lint_ttl_budget_mirrors_the_real_one() {
-        // air-lint's AIR102 reasons about the same TTL budget the mesh
-        // enforces, but cannot depend on this crate; pin the copy.
-        assert_eq!(MESH_TTL as usize, air_lint::REROUTE_TTL_BUDGET);
-    }
-
-    #[test]
-    fn lint_hop_terms_mirror_the_real_ones() {
-        // airlint --timing composes per-hop worst cases as
-        // `arq.worst_case_delay() + fabric latency + service slack`; the
-        // sim's own drain horizon (`planned_mesh_horizon`) uses
-        // `worst_case_delay() + MESH_LATENCY + 4`. Pin the mirrored
-        // constants so the certified bound and the simulator never
-        // drift apart.
-        assert_eq!(air_lint::MESH_HOP_FABRIC_LATENCY, MESH_LATENCY);
-        assert_eq!(air_lint::MESH_HOP_SERVICE_SLACK, 4);
-    }
 
     #[test]
     fn lint_failover_penalty_covers_every_scenario_class() {

@@ -41,12 +41,8 @@
 use std::process::ExitCode;
 
 use air_lint::{
-    lint_config_text, lint_config_text_explored_with, lint_mesh_config_texts,
-    lint_timing_config_texts, Code, ExploreConfig, FlowBound,
+    lint, lint_explored, lint_members, lint_timing, parse_members, Code, ExploreConfig, FlowBound,
 };
-
-/// Default exploration depth for `--explore` without `--depth`.
-const DEFAULT_DEPTH: usize = 4;
 
 fn usage() {
     eprintln!(
@@ -91,10 +87,7 @@ fn main() -> ExitCode {
     let mut cluster = false;
     let mut explore = false;
     let mut timing = false;
-    let mut config = ExploreConfig {
-        depth: DEFAULT_DEPTH,
-        ..ExploreConfig::default()
-    };
+    let mut config = ExploreConfig::default();
     let mut files = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -174,12 +167,13 @@ fn main() -> ExitCode {
         }
     }
 
+    let members = parse_members(&texts);
     let mut any_error = false;
-    for (file, text) in files.iter().zip(&texts) {
-        let report = if explore {
-            lint_config_text_explored_with(text, &config)
-        } else {
-            lint_config_text(text)
+    for (i, file) in files.iter().enumerate() {
+        let report = match members.member(i) {
+            Ok(model) if explore => lint_explored(model, &config),
+            Ok(model) => lint(model),
+            Err(report) => report,
         };
         any_error |= report.has_errors();
         if json {
@@ -189,8 +183,12 @@ fn main() -> ExitCode {
             println!("{report}");
         }
     }
+    let set = members.into_models();
     if cluster {
-        let report = lint_mesh_config_texts(&texts);
+        let report = match &set {
+            Ok(models) => lint_members(models),
+            Err(report) => report.clone(),
+        };
         any_error |= report.has_errors();
         if json {
             print!("{}", report.to_json_lines());
@@ -200,18 +198,26 @@ fn main() -> ExitCode {
         }
     }
     if timing {
-        let certified = lint_timing_config_texts(&texts);
-        any_error |= certified.report.has_errors();
+        let bounds = match &set {
+            Ok(models) => {
+                let certified = lint_timing(models);
+                any_error |= certified.report.has_errors();
+                certified.bounds
+            }
+            // A member that fails to parse suppresses certification; its
+            // own report above already carries the AIR000.
+            Err(_) => Vec::new(),
+        };
         if json {
-            for b in &certified.bounds {
+            for b in &bounds {
                 println!("{}", flow_json(b));
             }
         } else {
             println!("== timing: certified worst-case flow latencies ==");
-            if certified.bounds.is_empty() {
+            if bounds.is_empty() {
                 println!("(no `flow` directives declared)");
             }
-            for b in &certified.bounds {
+            for b in &bounds {
                 let shown = |v: Option<u64>| {
                     v.map_or("-".to_owned(), |v| v.to_string())
                 };

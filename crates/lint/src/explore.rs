@@ -54,9 +54,7 @@
 use std::collections::BTreeSet;
 
 use air_hm::{ErrorId, ErrorLevel, EscalatedProcessAction, ProcessRecoveryAction};
-use air_model::explore::search::{
-    search, KeyMap, SearchConfig, SearchEdge, SearchGraph, DEFAULT_MAX_STATES,
-};
+use air_model::explore::search::{search, KeyMap, SearchEdge, SearchGraph};
 use air_model::explore::{
     AbstractEvent, ExploreOptions, StateKey, TransitionSystem,
     TransitionSystemError, Witness, MAX_MESH_EDGES,
@@ -73,31 +71,11 @@ use crate::temporal::unschedulable_pairs;
 /// [`MAX_MESH_EDGES`] mesh edges, distinct from the state-cap AIR098's 0.
 const MESH_LIMIT_SUBJECT: u32 = 1;
 
-/// Tuning knobs for [`explore_with`]: event depth, state cap, worker count
-/// and the partial-order reduction switch. Mirrors `airlint --explore
-/// --depth N --max-states M --workers W [--no-por]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExploreConfig {
-    /// Maximum number of events in an explored path.
-    pub depth: usize,
-    /// Bound on stored states; hitting it raises AIR098.
-    pub max_states: usize,
-    /// Worker threads for the parallel BFS (the calling thread is worker 0).
-    pub workers: usize,
-    /// Whether the partial-order reduction prunes commuting interleavings.
-    pub por: bool,
-}
-
-impl Default for ExploreConfig {
-    fn default() -> Self {
-        Self {
-            depth: 4,
-            max_states: DEFAULT_MAX_STATES,
-            workers: 1,
-            por: true,
-        }
-    }
-}
+/// Tuning knobs for [`explore_with`]: event depth, state cap (hitting it
+/// raises AIR098), worker count and the partial-order reduction switch,
+/// passed to the search engine as they are. `airlint --explore --depth N
+/// --max-states M --workers W [--no-por]` sets them.
+pub use air_model::explore::search::SearchConfig as ExploreConfig;
 
 /// One invariant violation with its replayable path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,18 +120,6 @@ impl Exploration {
     }
 }
 
-/// Explores `model`'s mode/HM configuration graph up to `depth` events with
-/// the default engine settings. See [`explore_with`].
-pub fn explore(model: &SystemModel, depth: usize) -> Exploration {
-    explore_with(
-        model,
-        &ExploreConfig {
-            depth,
-            ..ExploreConfig::default()
-        },
-    )
-}
-
 /// Explores `model`'s mode/HM configuration graph and checks the invariants
 /// in every reachable state.
 ///
@@ -192,15 +158,7 @@ pub fn explore_with(model: &SystemModel, config: &ExploreConfig) -> Exploration 
             (Witness::default(), message)
         });
     }
-    let graph = search(
-        &ts,
-        &SearchConfig {
-            depth: config.depth,
-            max_states: config.max_states,
-            workers: config.workers,
-            por: config.por,
-        },
-    );
+    let graph = search(&ts, config);
     let ctx = InvariantCtx::new(model, &ts, config.max_states);
     let mut memo = RecoveryMemo::default();
     check_states(&ctx, &mut memo, &graph, &mut findings);
@@ -877,8 +835,13 @@ mod tests {
     use crate::lint_config_text;
 
     fn explored(text: &str, depth: usize) -> Exploration {
-        let doc = air_tools::config::parse(text).expect("config parses");
-        explore(&SystemModel::from_config(&doc), depth)
+        explore_with(
+            &model_of(text),
+            &ExploreConfig {
+                depth,
+                ..ExploreConfig::default()
+            },
+        )
     }
 
     fn model_of(text: &str) -> SystemModel {

@@ -11,7 +11,7 @@
 //! code (`AIR000`…), a severity, a message, and (when the description
 //! came from text) the source line.
 //!
-//! Five analyses run over the snapshot:
+//! Seven analyses run over one snapshot ([`lint`]):
 //!
 //! 1. **temporal** — window overlap / out-of-MTF placement, Eq. (21)–(23)
 //!    fulfilment, and deadline-vs-supply schedulability;
@@ -26,11 +26,18 @@
 //! 6. **reliable transport** — ARQ timers that cannot serve the major
 //!    time frame, identically-configured redundant link adapters, and
 //!    remote senders riding the raw datagram substrate;
+//! 7. **timing** — the certified worst-case latency of every declared
+//!    `flow` against its deadline (AIR110–AIR117);
 //!
-//! plus structural identifier checks (duplicates, contiguity). For
-//! dual-node integrations, [`lint_cluster`] cross-checks the two node
-//! descriptions (remote channel ids must pair up with inbound gateways
-//! on the peer) — mismatches a single-node lint cannot see.
+//! plus structural identifier checks (duplicates, contiguity). Three
+//! more entry points build on it: [`lint_explored`] adds the bounded
+//! mode/HM exploration ([`explore_with`]); [`lint_members`] cross-checks
+//! the members of a multi-node integration (remote channels must pair up
+//! with inbound gateways on a peer; routed-mesh identities, routes and
+//! APIDs must agree) — mismatches a single-node lint cannot see; and
+//! [`lint_timing`] certifies the flows across a member set and returns
+//! the bound table. [`parse_members`] turns member texts into the
+//! snapshots these take.
 //!
 //! # Examples
 //!
@@ -65,16 +72,14 @@ mod temporal;
 mod timing;
 mod transport;
 
+use air_tools::config::ConfigError;
+
 pub use diag::{Code, Diagnostic, LintReport, Severity};
 pub use explore::{
-    explore, explore_with, transition_system_for, Counterexample, Exploration,
-    ExploreConfig,
+    explore_with, transition_system_for, Counterexample, Exploration, ExploreConfig,
 };
-pub use mesh::REROUTE_TTL_BUDGET;
 pub use model::SystemModel;
-pub use timing::{
-    FlowBound, FAILOVER_PENALTY_BUDGET, MESH_HOP_FABRIC_LATENCY, MESH_HOP_SERVICE_SLACK,
-};
+pub use timing::{FlowBound, FAILOVER_PENALTY_BUDGET};
 
 /// Runs every analysis over `model` and returns the sorted report.
 pub fn lint(model: &SystemModel) -> LintReport {
@@ -91,23 +96,16 @@ pub fn lint(model: &SystemModel) -> LintReport {
     report
 }
 
-/// Cross-checks the two node snapshots of a dual-node cluster
-/// (AIR080): every channel with a remote destination on one node must
-/// pair up with an inbound gateway channel (same id) on the other, and
-/// vice versa. Per-node findings are *not* included — lint each node
-/// with [`lint`] separately.
-pub fn lint_cluster(a: &SystemModel, b: &SystemModel) -> LintReport {
-    let mut report = LintReport::new();
-    cluster::analyze_pair(a, b, &mut report);
+/// Runs every static analysis plus a bounded mode/HM exploration
+/// ([`explore_with`], AIR081–AIR087 and AIR095–AIR098) under `config`,
+/// returning one merged, sorted report.
+pub fn lint_explored(model: &SystemModel, config: &ExploreConfig) -> LintReport {
+    let mut report = lint(model);
+    for d in explore_with(model, config).report.diagnostics() {
+        report.push(d.clone());
+    }
     report.finish();
     report
-}
-
-/// Parses two node configuration texts and runs the cluster-level
-/// cross-checks; a parse failure on either side becomes an `AIR000`
-/// diagnostic carrying the offending line.
-pub fn lint_cluster_config_texts(a: &str, b: &str) -> LintReport {
-    lint_mesh_config_texts(&[a, b])
 }
 
 /// Cross-checks the member snapshots of an N-node cluster or routed
@@ -118,11 +116,11 @@ pub fn lint_cluster_config_texts(a: &str, b: &str) -> LintReport {
 /// members (or once mesh identities appear) every outbound channel id
 /// must land in a gateway of *some* other member and vice versa. When
 /// any member declares a `node` directive, the mesh cross-checks
-/// (AIR090–AIR094) run too: identity uniqueness, routing-table
-/// completeness, loop freedom, and APID ownership. Per-member findings
-/// are *not* included — lint each member with [`lint`] separately.
-pub fn lint_mesh(members: &[SystemModel], report_sink: Option<LintReport>) -> LintReport {
-    let mut report = report_sink.unwrap_or_default();
+/// (AIR090–AIR094, AIR100–AIR102) and the flow certification
+/// (AIR110–AIR117) run too. Per-member findings are *not* included —
+/// lint each member with [`lint`] separately.
+pub fn lint_members(members: &[SystemModel]) -> LintReport {
+    let mut report = LintReport::new();
     let meshy = members.iter().any(|m| m.mesh_node.is_some());
     match members {
         [a, b] if !meshy => cluster::analyze_pair(a, b, &mut report),
@@ -158,129 +156,90 @@ pub fn lint_timing(members: &[SystemModel]) -> TimingReport {
     TimingReport { report, bounds }
 }
 
-/// Parses member configuration texts and certifies their declared flows
-/// ([`lint_timing`]); a parse failure on any member becomes an `AIR000`
-/// diagnostic and suppresses certification.
-pub fn lint_timing_config_texts<T: AsRef<str>>(texts: &[T]) -> TimingReport {
-    let mut report = LintReport::new();
-    let mut members = Vec::with_capacity(texts.len());
-    for (i, text) in texts.iter().enumerate() {
-        match air_tools::config::parse(text.as_ref()) {
-            Ok(doc) => members.push(SystemModel::from_config(&doc)),
-            Err(e) => report.push(
-                Diagnostic::new(
-                    Code::ParseError,
-                    format!("{}: {}", mesh::node_label(i), e.message),
-                )
-                .with_line(Some(e.line)),
-            ),
-        }
-    }
-    if members.len() < texts.len() {
-        report.finish();
-        return TimingReport { report, bounds: Vec::new() };
-    }
-    let bounds = timing::analyze(&members, &mut report);
-    report.finish();
-    TimingReport { report, bounds }
-}
+/// Member configuration texts, each parsed once, as [`parse_members`]
+/// returns them: one parse serves every member's own report and the
+/// member-set analyses ([`lint_members`], [`lint_timing`]).
+#[derive(Debug)]
+pub struct Members(Vec<Result<SystemModel, ConfigError>>);
 
-/// Parses N member configuration texts and runs the cluster/mesh
-/// cross-checks ([`lint_mesh`]); a parse failure on any member becomes
-/// an `AIR000` diagnostic naming the member (`node A`, `node B`, …) and
-/// carrying the offending line, and suppresses the cross-checks.
-pub fn lint_mesh_config_texts<T: AsRef<str>>(texts: &[T]) -> LintReport {
-    let mut report = LintReport::new();
-    let mut members = Vec::with_capacity(texts.len());
-    for (i, text) in texts.iter().enumerate() {
-        match air_tools::config::parse(text.as_ref()) {
-            Ok(doc) => members.push(SystemModel::from_config(&doc)),
-            Err(e) => report.push(
-                Diagnostic::new(
-                    Code::ParseError,
-                    format!("{}: {}", mesh::node_label(i), e.message),
-                )
-                .with_line(Some(e.line)),
-            ),
-        }
-    }
-    if members.len() < texts.len() {
-        report.finish();
-        return report;
-    }
-    lint_mesh(&members, Some(report))
-}
-
-/// Runs every static analysis plus a bounded mode/HM exploration
-/// (`explore.rs`, AIR081–AIR086 and AIR095–AIR098) to `depth` events,
-/// returning one merged, sorted report.
-pub fn lint_explored(model: &SystemModel, depth: usize) -> LintReport {
-    lint_explored_with(
-        model,
-        &ExploreConfig {
-            depth,
-            ..ExploreConfig::default()
-        },
-    )
-}
-
-/// [`lint_explored`] with explicit exploration settings (state cap, worker
-/// count, partial-order reduction).
-pub fn lint_explored_with(model: &SystemModel, config: &ExploreConfig) -> LintReport {
-    let mut report = lint(model);
-    for d in explore::explore_with(model, config).report.diagnostics() {
-        report.push(d.clone());
-    }
-    report.finish();
-    report
-}
-
-/// Parses configuration text, lints it, and explores its mode/HM graph to
-/// `depth` events; a parse failure becomes a single `AIR000` diagnostic.
-pub fn lint_config_text_explored(text: &str, depth: usize) -> LintReport {
-    lint_config_text_explored_with(
-        text,
-        &ExploreConfig {
-            depth,
-            ..ExploreConfig::default()
-        },
-    )
-}
-
-/// [`lint_config_text_explored`] with explicit exploration settings.
-pub fn lint_config_text_explored_with(text: &str, config: &ExploreConfig) -> LintReport {
-    match air_tools::config::parse(text) {
-        Ok(doc) => lint_explored_with(&SystemModel::from_config(&doc), config),
-        Err(e) => {
+impl Members {
+    /// Member `i` on its own: its snapshot, or the `AIR000` report of
+    /// its parse failure, carrying the offending line.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is not below the number of parsed texts.
+    pub fn member(&self, i: usize) -> Result<&SystemModel, LintReport> {
+        self.0[i].as_ref().map_err(|e| {
             let mut report = LintReport::new();
-            report.push(
-                Diagnostic::new(Code::ParseError, e.message.clone()).with_line(Some(e.line)),
-            );
-            report.finish();
+            report.push(parse_error(e, None));
             report
-        }
+        })
     }
+
+    /// Every member's snapshot, in order. When any member failed to
+    /// parse, the report of those failures instead — one `AIR000` each,
+    /// naming the member (`node A`, `node B`, …) and carrying the
+    /// offending line — since the member-set analyses need every member.
+    pub fn into_models(self) -> Result<Vec<SystemModel>, LintReport> {
+        let mut report = LintReport::new();
+        for (i, parsed) in self.0.iter().enumerate() {
+            if let Err(e) = parsed {
+                report.push(parse_error(e, Some(i)));
+            }
+        }
+        if report.is_empty() {
+            return Ok(self.0.into_iter().flatten().collect());
+        }
+        report.finish();
+        Err(report)
+    }
+}
+
+/// Parses member configuration texts into snapshots, each text once.
+pub fn parse_members<T: AsRef<str>>(texts: &[T]) -> Members {
+    Members(
+        texts
+            .iter()
+            .map(|text| {
+                air_tools::config::parse(text.as_ref()).map(|doc| SystemModel::from_config(&doc))
+            })
+            .collect(),
+    )
+}
+
+/// The `AIR000` diagnostic for a configuration text that failed to
+/// parse: a lone file's carries the parser's message as is, member `i`
+/// of a set prefixes it with the member label (`node A`, `node B`, …).
+fn parse_error(e: &ConfigError, member: Option<usize>) -> Diagnostic {
+    let message = match member {
+        None => e.message.clone(),
+        Some(i) => format!("{}: {}", mesh::node_label(i), e.message),
+    };
+    Diagnostic::new(Code::ParseError, message).with_line(Some(e.line))
 }
 
 /// Parses configuration text and lints it; a parse failure becomes a
 /// single `AIR000` diagnostic carrying the offending line.
 pub fn lint_config_text(text: &str) -> LintReport {
-    match air_tools::config::parse(text) {
-        Ok(doc) => lint(&SystemModel::from_config(&doc)),
-        Err(e) => {
-            let mut report = LintReport::new();
-            report.push(
-                Diagnostic::new(Code::ParseError, e.message.clone()).with_line(Some(e.line)),
-            );
-            report.finish();
-            report
-        }
+    match parse_members(&[text]).member(0) {
+        Ok(model) => lint(model),
+        Err(report) => report,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The member-set report of `texts`: the cross-checks, or the parse
+    /// failures that suppress them.
+    fn cross_check<T: AsRef<str>>(texts: &[T]) -> LintReport {
+        match parse_members(texts).into_models() {
+            Ok(models) => lint_members(&models),
+            Err(report) => report,
+        }
+    }
 
     #[test]
     fn fig8_prototype_text_lints_clean() {
@@ -329,7 +288,7 @@ channel 50 from=P0:tm-remote-source to=P0:tm
     fn matched_cluster_pair_lints_clean() {
         assert!(!lint_config_text(NODE_A).has_errors(), "{}", lint_config_text(NODE_A));
         assert!(!lint_config_text(NODE_B).has_errors(), "{}", lint_config_text(NODE_B));
-        let pair = lint_cluster_config_texts(NODE_A, NODE_B);
+        let pair = cross_check(&[NODE_A, NODE_B]);
         assert!(pair.is_empty(), "{pair}");
     }
 
@@ -338,7 +297,7 @@ channel 50 from=P0:tm-remote-source to=P0:tm
         // Node B's gateway listens on channel 51 while node A sends on 50:
         // one finding for the orphaned sender, one for the starved gateway.
         let node_b = NODE_B.replace("channel 50", "channel 51");
-        let pair = lint_cluster_config_texts(NODE_A, &node_b);
+        let pair = cross_check(&[NODE_A, node_b.as_str()]);
         assert!(pair.has_errors());
         assert_eq!(
             pair.diagnostics()
@@ -352,7 +311,7 @@ channel 50 from=P0:tm-remote-source to=P0:tm
 
     #[test]
     fn cluster_parse_failures_name_the_node() {
-        let pair = lint_cluster_config_texts(NODE_A, "bogus directive\n");
+        let pair = cross_check(&[NODE_A, "bogus directive\n"]);
         assert!(pair.has_errors());
         let d = &pair.diagnostics()[0];
         assert_eq!(d.code, Code::ParseError);
@@ -403,7 +362,7 @@ channel 50 from=P0:tm-remote-source to=P0:tm
         for t in &texts {
             assert!(!lint_config_text(t).has_errors(), "{}", lint_config_text(t));
         }
-        let report = lint_mesh_config_texts(&texts);
+        let report = cross_check(&texts);
         assert!(report.is_empty(), "{report}");
     }
 
@@ -411,7 +370,7 @@ channel 50 from=P0:tm-remote-source to=P0:tm
     fn missing_route_is_air090() {
         let mut texts: Vec<String> = (0..3).map(mesh_member).collect();
         texts[0] = texts[0].replace("route N2 via=N2\n", "");
-        let report = lint_mesh_config_texts(&texts);
+        let report = cross_check(&texts);
         assert!(report.has_code(Code::MeshUnreachableNode), "{report}");
     }
 
@@ -421,7 +380,7 @@ channel 50 from=P0:tm-remote-source to=P0:tm
         // N0 and N1 point packets for N2 at each other.
         texts[0] = texts[0].replace("route N2 via=N2", "route N2 via=N1");
         texts[1] = texts[1].replace("route N2 via=N2", "route N2 via=N0");
-        let report = lint_mesh_config_texts(&texts);
+        let report = cross_check(&texts);
         let loops = report
             .diagnostics()
             .iter()
@@ -434,7 +393,7 @@ channel 50 from=P0:tm-remote-source to=P0:tm
     fn apid_collision_is_air092() {
         let mut texts: Vec<String> = (0..3).map(mesh_member).collect();
         texts[2] = texts[2].replace("apid 102", "apid 100");
-        let report = lint_mesh_config_texts(&texts);
+        let report = cross_check(&texts);
         assert!(report.has_code(Code::MeshApidCollision), "{report}");
     }
 
@@ -442,7 +401,7 @@ channel 50 from=P0:tm-remote-source to=P0:tm
     fn route_to_undeclared_node_is_air093() {
         let mut texts: Vec<String> = (0..3).map(mesh_member).collect();
         texts[0] = texts[0].replace("route N2 via=N2", "route N7 via=N1");
-        let report = lint_mesh_config_texts(&texts);
+        let report = cross_check(&texts);
         assert!(report.has_code(Code::MeshRouteToUndeclaredNode), "{report}");
         // Dropping the N2 route also leaves N2 unreachable from node A.
         assert!(report.has_code(Code::MeshUnreachableNode), "{report}");
@@ -452,18 +411,18 @@ channel 50 from=P0:tm-remote-source to=P0:tm
     fn identity_conflicts_are_air094() {
         let mut texts: Vec<String> = (0..3).map(mesh_member).collect();
         texts[2] = texts[2].replace("node N2 name=NODE2", "node N0 name=IMPOSTOR");
-        let report = lint_mesh_config_texts(&texts);
+        let report = cross_check(&texts);
         assert!(report.has_code(Code::MeshNodeIdentityConflict), "{report}");
 
         let mut texts: Vec<String> = (0..3).map(mesh_member).collect();
         texts[1] = texts[1].replace("node N1 name=NODE1\n", "");
-        let report = lint_mesh_config_texts(&texts);
+        let report = cross_check(&texts);
         assert!(report.has_code(Code::MeshNodeIdentityConflict), "{report}");
     }
 
     #[test]
     fn bridges_and_leaves_are_air100_and_air101() {
-        let report = lint_mesh_config_texts(&line_mesh());
+        let report = cross_check(&line_mesh());
         assert!(report.has_code(Code::UnreachableAfterSingleEdgeLoss), "{report}");
         assert!(report.has_code(Code::NoFallbackForCutNode), "{report}");
         assert!(!report.has_errors(), "{report}");
@@ -474,7 +433,7 @@ channel 50 from=P0:tm-remote-source to=P0:tm
         let mut texts = line_mesh();
         texts[0] = texts[0].replace("name=NODE0", "name=NODE0 fallback=N1");
         texts[2] = texts[2].replace("name=NODE2", "name=NODE2 fallback=N1");
-        let report = lint_mesh_config_texts(&texts);
+        let report = cross_check(&texts);
         assert!(!report.has_code(Code::NoFallbackForCutNode), "{report}");
         // The bridges are still bridges.
         assert!(report.has_code(Code::UnreachableAfterSingleEdgeLoss), "{report}");
@@ -484,7 +443,7 @@ channel 50 from=P0:tm-remote-source to=P0:tm
     fn dangling_fallback_is_air101() {
         let mut texts: Vec<String> = (0..3).map(mesh_member).collect();
         texts[1] = texts[1].replace("name=NODE1", "name=NODE1 fallback=N9");
-        let report = lint_mesh_config_texts(&texts);
+        let report = cross_check(&texts);
         assert!(report.has_code(Code::NoFallbackForCutNode), "{report}");
     }
 
@@ -494,7 +453,7 @@ channel 50 from=P0:tm-remote-source to=P0:tm
         // the line mesh would otherwise warn about its bridges.
         let mut texts = line_mesh();
         texts[0] = texts[0].replace("route N2 via=N1\n", "");
-        let report = lint_mesh_config_texts(&texts);
+        let report = cross_check(&texts);
         assert!(report.has_errors(), "{report}");
         assert!(!report.has_code(Code::UnreachableAfterSingleEdgeLoss), "{report}");
         assert!(!report.has_code(Code::NoFallbackForCutNode), "{report}");
@@ -519,7 +478,7 @@ channel 50 from=P0:tm-remote-source to=P0:tm
                 mesh_member_with_routes(i, &routes)
             })
             .collect();
-        let report = lint_mesh_config_texts(&texts);
+        let report = cross_check(&texts);
         assert!(report.has_code(Code::RerouteTtlExhaustible), "{report}");
         assert!(!report.has_errors(), "{report}");
         // An 11-ring's worst detour is 14 hops — inside the budget.
@@ -538,14 +497,14 @@ channel 50 from=P0:tm-remote-source to=P0:tm
                 mesh_member_with_routes(i, &routes)
             })
             .collect();
-        let report = lint_mesh_config_texts(&texts);
+        let report = cross_check(&texts);
         assert!(!report.has_code(Code::RerouteTtlExhaustible), "{report}");
     }
 
     #[test]
     fn mesh_parse_failures_name_the_member() {
         let texts = [mesh_member(0), "bogus directive\n".into(), mesh_member(2)];
-        let report = lint_mesh_config_texts(&texts);
+        let report = cross_check(&texts);
         assert!(report.has_errors());
         let d = &report.diagnostics()[0];
         assert_eq!(d.code, Code::ParseError);

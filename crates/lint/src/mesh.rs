@@ -9,17 +9,20 @@
 //! single-document lint can see.
 //!
 //! Soundness caveat: the analysis is static. It proves the declared
-//! tables are loop-free and complete; it says nothing about TTL budgets
-//! under transient faults — that is the mesh campaign's job.
+//! tables are loop-free and complete; what happens beyond a single edge
+//! loss under transient faults is the mesh campaign's job.
 //!
 //! On top of the structural checks, a second pass (AIR100–AIR102)
 //! reasons about *self-healing*: what the mesh can still do after a
 //! single edge loss. It runs only when the structural pass found no
 //! errors — a mesh with identity conflicts or routing loops has bigger
-//! problems than its failover posture.
+//! problems than its failover posture. AIR102 measures detours against
+//! the hop budget the runtime stamps on every packet,
+//! `air_ports::routing::MESH_TTL` — the same constant, not a copy.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use air_ports::routing::MESH_TTL;
 use air_tools::config::span_key;
 
 use crate::diag::{Code, Diagnostic, LintReport};
@@ -235,12 +238,6 @@ pub(crate) fn analyze_mesh(models: &[SystemModel], report: &mut LintReport) {
     }
 }
 
-/// The TTL budget a rerouted packet lives under. Mirrors
-/// `air_core::mesh::MESH_TTL` — air-lint deliberately does not depend on
-/// air-core (the dependency runs the other way), so the constant is
-/// duplicated here and pinned against the real one by an air-core test.
-pub const REROUTE_TTL_BUDGET: usize = 16;
-
 /// Undirected physical edges recovered from direct-neighbour routes
 /// (`route N<k> via=N<k>`), normalized `(low, high)`, plus the adjacency
 /// view. With `include_undeclared`, edges into nodes no member document
@@ -438,8 +435,7 @@ fn analyze_self_healing(
                     continue; // no detour at all — AIR100's finding
                 };
                 let total = hops_spent + detour;
-                if total >= REROUTE_TTL_BUDGET
-                    && worst.as_ref().is_none_or(|w| total > w.total)
+                if total >= usize::from(MESH_TTL) && worst.as_ref().is_none_or(|w| total > w.total)
                 {
                     worst = Some(WorstDetour { total, origin, dst, edge: (u, v), hops_spent });
                 }
@@ -451,7 +447,7 @@ fn analyze_self_healing(
             Diagnostic::new(
                 Code::RerouteTtlExhaustible,
                 format!(
-                    "the worst rerouted path meets the {REROUTE_TTL_BUDGET}-hop \
+                    "the worst rerouted path meets the {MESH_TTL}-hop \
                      TTL budget: N{origin}->N{dst} loses edge N{u}-N{v} after \
                      {hops_spent} hops and the shortest detour brings the total \
                      to {total}; packets on that detour die of TtlExpired"

@@ -29,10 +29,13 @@
 //! probe-recovery streak. Relays forward at the transport layer, below
 //! partition scheduling, so only the endpoints contribute node terms.
 //!
-//! Soundness is pinned two ways: `air-core` asserts the mirrored
-//! constants against the real simulator values, and a 50-seed property
-//! test replays adversarial partition campaigns and hard-fails if any
-//! observed completion latency exceeds the certified bound.
+//! The per-hop terms and the TTL cap are the simulator's own constants
+//! (`MESH_LATENCY`, `MESH_HOP_SLACK` and `MESH_TTL` in
+//! `air_ports::routing`), not copies. Soundness rests on two checks:
+//! `air-core` recomputes the failover penalty from the real scenario
+//! timings and monitor tuning, and a 50-seed property test replays
+//! adversarial partition campaigns and hard-fails if any observed
+//! completion latency exceeds the certified bound.
 //!
 //! Members the cross-check set does not describe (a hub document
 //! declaring routes to spokes whose documents are not on the command
@@ -45,12 +48,13 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use air_model::process::{Deadline, ProcessAttributes};
+use air_ports::routing::{MESH_HOP_SLACK, MESH_LATENCY, MESH_TTL};
 use air_ports::transport::ArqConfig;
 use air_tools::config::span_key;
 use air_tools::schedulability::{analyze_partition_with_phasing, Phasing};
 
 use crate::diag::{Code, Diagnostic, LintReport};
-use crate::mesh::{node_label, REROUTE_TTL_BUDGET};
+use crate::mesh::node_label;
 use crate::model::SystemModel;
 
 /// Worst-case reroute/failover penalty one in-flight packet can absorb
@@ -63,16 +67,6 @@ use crate::model::SystemModel;
 /// budget is declared here and pinned against the real scenario
 /// generators and monitor tuning by an air-core test.
 pub const FAILOVER_PENALTY_BUDGET: u64 = 2048;
-
-/// Fabric propagation latency assumed for members that declare no
-/// `link` directive. Mirrors `air_core::mesh::MESH_LATENCY` (pinned by
-/// an air-core test).
-pub const MESH_HOP_FABRIC_LATENCY: u64 = 2;
-
-/// Fixed per-hop store-and-forward slack: decode, table lookup and ARQ
-/// service ordering inside the relay tick loop. Mirrors the `+ 4` of
-/// `air_core::mesh::planned_mesh_horizon` (pinned by an air-core test).
-pub const MESH_HOP_SERVICE_SLACK: u64 = 4;
 
 /// One certified flow: the declared endpoints and deadline, the bound
 /// decomposition, and the rendered critical path.
@@ -254,7 +248,7 @@ pub(crate) fn analyze(models: &[SystemModel], report: &mut LintReport) -> Vec<Fl
             // No detour: the packet parks and later re-takes the
             // baseline — covered by the failover penalty, not by hops.
         }
-        worst.min(REROUTE_TTL_BUDGET as u64)
+        worst.min(u64::from(MESH_TTL))
     };
 
     // Flows, first declaring member wins.
@@ -450,11 +444,7 @@ pub(crate) fn analyze(models: &[SystemModel], report: &mut LintReport) -> Vec<Fl
                     .with_line(line),
                 );
             }
-            let link_latency = latencies
-                .iter()
-                .max()
-                .copied()
-                .unwrap_or(MESH_HOP_FABRIC_LATENCY);
+            let link_latency = latencies.iter().max().copied().unwrap_or(MESH_LATENCY);
 
             // The per-hop worst case: one full ARQ repair plus the wire.
             let arq_worst = on_path_members
@@ -463,7 +453,7 @@ pub(crate) fn analyze(models: &[SystemModel], report: &mut LintReport) -> Vec<Fl
                 .map(ArqConfig::worst_case_delay)
                 .max()
                 .unwrap_or(0);
-            let per_hop = arq_worst + link_latency + MESH_HOP_SERVICE_SLACK;
+            let per_hop = arq_worst + link_latency + MESH_HOP_SLACK;
 
             // Node terms at the endpoints; an undescribed destination is
             // assumed configuration-symmetric to the source.

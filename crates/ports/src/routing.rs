@@ -22,6 +22,18 @@
 
 use std::collections::BTreeMap;
 
+/// Initial hop budget stamped on every originated mesh packet; a relay
+/// drops a packet whose budget runs out (the bound `airlint` checks
+/// rerouted paths against).
+pub const MESH_TTL: u8 = 16;
+/// Per-hop propagation latency of a mesh edge, in ticks (the fabric
+/// latency `airlint --timing` assumes for members with no `link`
+/// directive).
+pub const MESH_LATENCY: u64 = 2;
+/// Per-hop store-and-forward slack, in ticks: decode, table lookup and
+/// ARQ service ordering inside a relay's tick loop.
+pub const MESH_HOP_SLACK: u64 = 4;
+
 /// A mesh node identity, as declared by a `node` directive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u16);

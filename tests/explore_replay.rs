@@ -13,7 +13,7 @@
 
 use air_core::builder::BuildError;
 use air_core::{replay_witness, PartitionConfig, SystemBuilder};
-use air_lint::{explore, Code, SystemModel};
+use air_lint::{explore_with, Code, ExploreConfig, SystemModel};
 use air_model::explore::AbstractMode;
 use air_model::partition::OperatingMode;
 use air_model::schedule::{PartitionRequirement, Schedule, TimeWindow};
@@ -97,7 +97,13 @@ fn depth_zero_disables_the_exploration_stage() {
 fn witness_replays_to_concrete_starvation() {
     // The explorer's verdict on the text twin, with its minimal witness.
     let doc = air_tools::config::parse(STARVATION).expect("parses");
-    let exploration = explore(&SystemModel::from_config(&doc), 2);
+    let exploration = explore_with(
+        &SystemModel::from_config(&doc),
+        &ExploreConfig {
+            depth: 2,
+            ..ExploreConfig::default()
+        },
+    );
     let witness = exploration
         .witness_for(Code::ModeStarvation)
         .expect("starvation witness")

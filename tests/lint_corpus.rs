@@ -8,20 +8,18 @@
 //! - `clean_*` cases lint without errors, `warn_*` cases have findings
 //!   but no errors, everything else must produce at least one error;
 //! - a first line `#!explore depth=N [max_states=M]` (a comment to the
-//!   parser) runs the case through [`lint_config_text_explored_with`] at
+//!   parser) runs the case through [`lint_explored`] at
 //!   that depth (and, when given, under that state cap), so the golden
 //!   pins the exploration diagnostics (AIR081–AIR086, AIR095–AIR098)
 //!   too;
 //! - `<base>_pair_a.air` / `<base>_pair_b.air` describe the two nodes of
-//!   a cluster; they are excluded from the per-file loops and checked
-//!   against `<base>_pair.expected`, the concatenation of both per-node
-//!   reports and the cluster cross-check (exactly what
-//!   `airlint --json --cluster` prints);
-//! - `<base>_mesh_a.air`, `<base>_mesh_b.air`, … describe the members of
-//!   an N-node routed mesh; they are excluded from the per-file loops and
-//!   checked against `<base>_mesh.expected`, the concatenation of every
-//!   per-member report and the mesh cross-check (exactly what
-//!   `airlint --json --cluster` prints for the member list).
+//!   a cluster, and `<base>_mesh_a.air`, `<base>_mesh_b.air`, … the
+//!   members of an N-node routed mesh: a pair is a two-member set. Set
+//!   members are excluded from the per-file loops; each set is checked
+//!   against `<base>_pair.expected` / `<base>_mesh.expected`, the
+//!   concatenation of every per-member report and the member-set
+//!   cross-check (exactly what `airlint --json --cluster` prints for the
+//!   member list).
 //!
 //! Every golden is checked twice: once through the library, and once
 //! through the built `airlint` binary, which must print the golden byte
@@ -42,8 +40,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use air_lint::{
-    lint_cluster_config_texts, lint_config_text, lint_config_text_explored_with,
-    lint_mesh_config_texts, Code, ExploreConfig,
+    lint_config_text, lint_explored, lint_members, parse_members, Code, ExploreConfig, LintReport,
 };
 
 fn corpus_dir() -> PathBuf {
@@ -64,17 +61,19 @@ fn corpus_cases() -> Vec<PathBuf> {
     cases
 }
 
-/// Multi-node corpus sets whose first member's stem ends in `first`
-/// (`_pair_a` or `_mesh_a`), sorted: each set's base name, its golden and
-/// its member files in letter order up to the first gap.
-fn member_sets(first: &str) -> Vec<(String, PathBuf, Vec<PathBuf>)> {
+/// Multi-node corpus sets (cluster pairs and mesh sets, found by a first
+/// member whose stem ends in `_pair_a` or `_mesh_a`), sorted: each set's
+/// base name, its golden and its member files in letter order up to the
+/// first gap.
+fn member_sets() -> Vec<(String, PathBuf, Vec<PathBuf>)> {
     let mut sets = Vec::new();
     for entry in std::fs::read_dir(corpus_dir()).expect("corpus directory exists") {
         let path = entry.expect("readable entry").path();
         let Some(stem) = path.file_stem().map(|s| s.to_string_lossy().into_owned()) else {
             continue;
         };
-        if path.extension().is_none_or(|ext| ext != "air") || !stem.ends_with(first) {
+        let first = stem.ends_with("_pair_a") || stem.ends_with("_mesh_a");
+        if path.extension().is_none_or(|ext| ext != "air") || !first {
             continue;
         }
         let base = stem.trim_end_matches("_a").to_owned();
@@ -119,11 +118,13 @@ fn is_mesh_member(path: &Path) -> bool {
 
 /// Lints `text` honouring the `#!explore depth=N [max_states=M]`
 /// first-line marker.
-fn report_for(text: &str) -> air_lint::LintReport {
-    if let Some(config) = explore_marker(text) {
-        lint_config_text_explored_with(text, &config)
-    } else {
-        lint_config_text(text)
+fn report_for(text: &str) -> LintReport {
+    let Some(config) = explore_marker(text) else {
+        return lint_config_text(text);
+    };
+    match parse_members(&[text]).member(0) {
+        Ok(model) => lint_explored(model, &config),
+        Err(report) => report,
     }
 }
 
@@ -179,54 +180,51 @@ fn corpus_reports_match_goldens() {
 
 #[test]
 fn cluster_pairs_match_goldens() {
-    let pairs = member_sets("_pair_a");
-    assert!(!pairs.is_empty(), "expected at least one cluster pair case");
-    for (base, golden, members) in &pairs {
-        let [a, b] = members.as_slice() else {
-            panic!("pair {base} needs exactly two nodes");
-        };
-        let (a, b) = (read(a), read(b));
-        let actual = format!(
-            "{}{}{}",
-            report_for(&a).to_json_lines(),
-            report_for(&b).to_json_lines(),
-            lint_cluster_config_texts(&a, &b).to_json_lines()
-        );
-        assert_eq!(actual, read(golden), "pair {base} diverged from its golden");
-        // Pairs follow the same naming convention as per-file cases.
-        assert!(
-            lint_cluster_config_texts(&a, &b).has_errors() != base.starts_with("clean_"),
-            "pair {base} violates the naming convention"
-        );
-    }
+    check_member_sets("_pair", 1);
 }
 
 #[test]
 fn mesh_sets_match_goldens() {
-    let sets = member_sets("_mesh_a");
+    // The clean set plus one per AIR09x code.
+    check_member_sets("_mesh", 6);
+}
+
+/// The one member-set loop: checks every set whose base name ends in
+/// `kind` (`_pair` or `_mesh`; a pair is a two-member set) against its
+/// golden and the naming convention, and demands at least `min_sets`.
+fn check_member_sets(kind: &str, min_sets: usize) {
+    let sets: Vec<_> =
+        member_sets().into_iter().filter(|(base, ..)| base.ends_with(kind)).collect();
     assert!(
-        sets.len() >= 6,
-        "expected the clean set plus one per AIR09x code, found {}",
+        sets.len() >= min_sets,
+        "expected at least {min_sets} {kind} member sets, found {}",
         sets.len()
     );
     for (base, golden, members) in &sets {
-        assert!(members.len() >= 2, "mesh set {base} needs at least two members");
+        if kind == "_pair" {
+            assert_eq!(members.len(), 2, "pair {base} needs exactly two nodes");
+        } else {
+            assert!(members.len() >= 2, "member set {base} needs at least two members");
+        }
         let texts: Vec<String> = members.iter().map(|m| read(m)).collect();
         let mut actual = String::new();
         for text in &texts {
             actual.push_str(&report_for(text).to_json_lines());
         }
-        let cross = lint_mesh_config_texts(&texts);
+        let cross = match parse_members(&texts).into_models() {
+            Ok(models) => lint_members(&models),
+            Err(report) => report,
+        };
         actual.push_str(&cross.to_json_lines());
-        assert_eq!(actual, read(golden), "mesh set {base} diverged from its golden");
-        // Mesh sets follow the same naming convention as per-file cases.
+        assert_eq!(actual, read(golden), "member set {base} diverged from its golden");
+        // Member sets follow the same naming convention as per-file cases.
         if base.starts_with("clean_") {
-            assert!(!cross.has_errors(), "mesh set {base} should be clean");
+            assert!(!cross.has_errors(), "member set {base} should be clean");
         } else if base.starts_with("warn_") {
-            assert!(!cross.has_errors(), "mesh set {base} should have no errors");
-            assert!(!cross.is_empty(), "mesh set {base} should have findings");
+            assert!(!cross.has_errors(), "member set {base} should have no errors");
+            assert!(!cross.is_empty(), "member set {base} should have findings");
         } else {
-            assert!(cross.has_errors(), "mesh set {base} should report errors");
+            assert!(cross.has_errors(), "member set {base} should report errors");
         }
     }
 }
@@ -260,7 +258,7 @@ fn airlint_binary_reproduces_every_golden() {
         args.push(case.into());
         invocations.push((args, golden));
     }
-    for (_, golden, members) in member_sets("_pair_a").into_iter().chain(member_sets("_mesh_a")) {
+    for (_, golden, members) in member_sets() {
         let mut args: Vec<OsString> = vec!["--json".into(), "--cluster".into()];
         args.extend(members.into_iter().map(OsString::from));
         invocations.push((args, golden));
@@ -279,6 +277,19 @@ fn airlint_binary_reproduces_every_golden() {
         }
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+#[test]
+fn airlint_timing_certifies_nothing_when_a_member_fails_to_parse() {
+    // Member B of this set fails to parse; member A declares a flow that
+    // would certify if it did.
+    let members: Vec<OsString> = ["a", "b"]
+        .into_iter()
+        .map(|m| corpus_dir().join(format!("member_parse_error_mesh_{m}.air")).into())
+        .collect();
+    let (stdout, status) = airlint(&[vec!["--timing".into()], members].concat());
+    assert_eq!(status, 1, "{stdout}");
+    assert!(!stdout.lines().any(|l| l.starts_with("flow ")), "{stdout}");
 }
 
 #[test]

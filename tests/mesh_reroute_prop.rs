@@ -19,7 +19,7 @@ use air_core::mesh::{
     PartitionScenario, RerouteCampaignRunner,
 };
 use air_hw::inject::FaultPlan;
-use air_lint::{lint_mesh_config_texts, Code};
+use air_lint::{lint_members, parse_members, Code};
 use air_model::testkit::TestRng;
 use air_ports::routing::MeshTopology;
 
@@ -124,7 +124,7 @@ fn air100_witness_replays_to_concrete_undelivered_packets() {
         mesh_member_text(1, &[(0, 0), (2, 2)]),
         mesh_member_text(2, &[(0, 1), (1, 1)]),
     ];
-    let report = lint_mesh_config_texts(&texts);
+    let report = lint_members(&parse_members(&texts).into_models().expect("members parse"));
     let finding = report
         .diagnostics()
         .iter()
@@ -166,7 +166,8 @@ fn air100_witness_replays_to_concrete_undelivered_packets() {
         mesh_member_text(1, &[(0, 0), (2, 2)]),
         mesh_member_text(2, &[(0, 0), (1, 1)]),
     ];
-    let clean = lint_mesh_config_texts(&triangle);
+    let triangle = parse_members(&triangle).into_models().expect("members parse");
+    let clean = lint_members(&triangle);
     assert!(
         !clean
             .diagnostics()

@@ -12,14 +12,18 @@
 //! static composition (per-node window terms + per-hop ARQ/link worst
 //! cases + the reroute/failover penalty) under-approximates something
 //! the transport can actually do, mirroring how `tests/explore_prop.rs`
-//! pins the exploration abstraction.
+//! pins the exploration abstraction. The certificate and the simulator
+//! read the same hop constants (`air_ports::routing`: the TTL, the
+//! fabric latency and the store-and-forward slack), so no copy of them
+//! needs pinning; only the failover budget is declared on the lint side,
+//! and an `air-core` unit test checks it against the scenario timings.
 //!
 //! Any failure prints its seed, topology and scenario for replay.
 
 use air_core::mesh::{
     command_endpoints, mesh_plan, reroute_plan, PartitionScenario, RerouteCampaignRunner,
 };
-use air_lint::lint_timing_config_texts;
+use air_lint::{lint_timing, parse_members};
 use air_model::testkit::TestRng;
 use air_ports::routing::MeshTopology;
 
@@ -67,7 +71,10 @@ fn member_texts(topology: MeshTopology, src: usize, dst: usize) -> Vec<String> {
 fn certify(topology: MeshTopology) -> (u64, u64) {
     let (src, dst) = command_endpoints(topology, NODES);
     let texts = member_texts(topology, src, dst);
-    let timing = lint_timing_config_texts(&texts);
+    let members = parse_members(&texts)
+        .into_models()
+        .expect("generated members parse");
+    let timing = lint_timing(&members);
     assert!(
         !timing.report.has_errors(),
         "{}: generated member set must certify cleanly:\n{}",
