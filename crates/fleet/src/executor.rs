@@ -1,26 +1,25 @@
-//! The sharded fleet executor.
+//! The streaming fleet executor.
 //!
-//! A *fleet* is N independent emulated AIR systems advanced over their
-//! horizons. The executor splits the fleet into contiguous shards, one
-//! per worker thread, and runs batched tick delivery: every worker
-//! advances each machine of its shard up to [`FleetConfig::batch_ticks`]
-//! ticks, then all workers meet at a barrier before the next round. The
-//! barrier cadence is the only cross-shard coupling — machines never
-//! share state (see [`FleetWorkload`]'s contract), so a fleet's
-//! per-machine trace logs are byte-identical whether it ran on 1 worker
-//! or 16, batched by 1 tick or 10 000.
+//! A *fleet* is N independent emulated AIR systems, each run over its
+//! horizon. The executor streams them: every worker claims the next
+//! machine index from one shared atomic cursor, builds that machine,
+//! ticks it to its horizon in one call, renders and digests its trace,
+//! and drops it. Machines never share state (see [`FleetWorkload`]'s
+//! contract), so which worker claimed which machine, and in what order,
+//! cannot reach a trace: a fleet's per-machine logs are byte-identical
+//! whether it ran on 1 worker or 16.
 //!
 //! Worker 0 is the calling thread: the executor spawns `workers - 1`
-//! scoped threads and participates itself.
+//! scoped threads and participates itself. With one worker the executor
+//! is the sequential baseline, [`run_sequential`].
 
-use std::ops::Range;
-use std::sync::Barrier;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use crate::trace_digest;
 
 /// A family of independent simulation instances the fleet executor can
-/// shard across worker threads.
+/// spread across worker threads.
 ///
 /// # Determinism contract
 ///
@@ -29,8 +28,9 @@ use crate::trace_digest;
 ///   yields the same initial state.
 /// * Instances must be fully self-contained — `tick` on one instance
 ///   must not observe or mutate any other instance, directly or through
-///   shared/global state. This is what makes the shard assignment and
-///   batch size invisible in the rendered traces.
+///   shared/global state. This is what makes the worker count and the
+///   order in which workers claim machines invisible in the rendered
+///   traces.
 /// * `tick(inst, n)` advances exactly `min(n, remaining)` ticks; calling
 ///   it as `tick(inst, a); tick(inst, b)` must leave the same state as
 ///   `tick(inst, a + b)`.
@@ -64,37 +64,26 @@ pub enum Capture {
     FullTrace,
 }
 
-/// Fleet shape: how many machines, across how many workers, at what
-/// batch cadence.
+/// Fleet shape: how many machines, across how many workers.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of machines in the fleet.
     pub machines: usize,
     /// Worker threads (clamped to `1..=machines`).
     pub workers: usize,
-    /// Ticks each worker advances a machine between barriers (≥ 1).
-    pub batch_ticks: u64,
     /// Trace retention policy.
     pub capture: Capture,
 }
 
 impl FleetConfig {
-    /// A fleet of `machines` machines on `workers` workers with a
-    /// 64-tick batch, keeping digests only.
+    /// A fleet of `machines` machines on `workers` workers, keeping
+    /// digests only.
     pub fn new(machines: usize, workers: usize) -> Self {
         Self {
             machines,
             workers,
-            batch_ticks: 64,
             capture: Capture::Digest,
         }
-    }
-
-    /// Overrides the batch size.
-    #[must_use]
-    pub fn with_batch_ticks(mut self, batch_ticks: u64) -> Self {
-        self.batch_ticks = batch_ticks;
-        self
     }
 
     /// Overrides the capture policy.
@@ -145,76 +134,14 @@ impl FleetOutcome {
     }
 }
 
-/// The contiguous shard ranges for `machines` over `workers` (first
-/// `machines % workers` shards take one extra machine).
-fn shard_ranges(machines: usize, workers: usize) -> Vec<Range<usize>> {
-    let base = machines / workers;
-    let extra = machines % workers;
-    let mut ranges = Vec::with_capacity(workers);
-    let mut start = 0;
-    for w in 0..workers {
-        let len = base + usize::from(w < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
-}
-
-/// One worker's machine: index, live instance, ticks still to run.
-struct ShardSlot<I> {
-    index: usize,
-    instance: I,
-    remaining: u64,
-    horizon: u64,
-}
-
-fn build_shard<W: FleetWorkload>(workload: &W, range: Range<usize>) -> Vec<ShardSlot<W::Instance>> {
-    range
-        .map(|index| {
-            let horizon = workload.horizon(index);
-            ShardSlot {
-                index,
-                instance: workload.build(index),
-                remaining: horizon,
-                horizon,
-            }
-        })
-        .collect()
-}
-
-fn tick_shard<W: FleetWorkload>(workload: &W, shard: &mut [ShardSlot<W::Instance>], batch: u64) {
-    for slot in shard.iter_mut() {
-        let n = batch.min(slot.remaining);
-        if n > 0 {
-            workload.tick(&mut slot.instance, n);
-            slot.remaining -= n;
-        }
-    }
-}
-
-fn finalize_shard<W: FleetWorkload>(
-    workload: &W,
-    shard: Vec<ShardSlot<W::Instance>>,
-    capture: Capture,
-) -> Vec<MachineOutcome> {
-    let mut render = String::new();
-    shard
-        .into_iter()
-        .map(|slot| {
-            render.clear();
-            workload.render_trace(&slot.instance, &mut render);
-            MachineOutcome {
-                index: slot.index,
-                ticks: slot.horizon,
-                digest: trace_digest(render.as_bytes()),
-                trace_log: (capture == Capture::FullTrace).then(|| render.clone()),
-            }
-        })
-        .collect()
-}
-
-/// Runs `workload` as a sharded fleet per `config` and gathers every
+/// Runs `workload` as a streaming fleet per `config` and gathers every
 /// machine's outcome (fleet-index order).
+///
+/// Each worker claims the next machine index from one shared cursor,
+/// builds that machine, ticks it to its whole horizon in one call,
+/// renders and digests its trace, and drops it before claiming the next.
+/// A fleet therefore holds at most `workers` machines at once, and a
+/// worker that draws short horizons simply claims more of them.
 ///
 /// # Examples
 ///
@@ -231,78 +158,64 @@ fn finalize_shard<W: FleetWorkload>(
 pub fn run_fleet<W: FleetWorkload>(workload: &W, config: &FleetConfig) -> FleetOutcome {
     let machines = config.machines;
     let workers = config.workers.clamp(1, machines.max(1));
-    let batch = config.batch_ticks.max(1);
-    let ranges = shard_ranges(machines, workers);
-    let max_horizon = (0..machines).map(|i| workload.horizon(i)).max().unwrap_or(0);
-    let rounds = max_horizon.div_ceil(batch);
-    let capture = config.capture;
-
-    let barrier = Barrier::new(workers);
-    let mut shard_results: Vec<Vec<MachineOutcome>> = Vec::new();
-    shard_results.resize_with(workers, Vec::new);
-
-    thread::scope(|s| {
-        let (own, spawned) = shard_results.split_at_mut(1);
-        for (slot, range) in spawned.iter_mut().zip(ranges[1..].iter().cloned()) {
-            let barrier = &barrier;
-            s.spawn(move || {
-                let mut shard = build_shard(workload, range);
-                barrier.wait();
-                for _ in 0..rounds {
-                    tick_shard(workload, &mut shard, batch);
-                    barrier.wait();
-                }
-                *slot = finalize_shard(workload, shard, capture);
-            });
-        }
-        // The calling thread is worker 0.
-        let mut shard = build_shard(workload, ranges[0].clone());
-        barrier.wait();
-        for _ in 0..rounds {
-            tick_shard(workload, &mut shard, batch);
-            barrier.wait();
-        }
-        own[0] = finalize_shard(workload, shard, capture);
-    });
-
-    // Shards are contiguous ascending ranges, so concatenation in worker
-    // order is fleet-index order.
-    FleetOutcome {
-        outcomes: shard_results.into_iter().flatten().collect(),
-    }
-}
-
-/// The sequential baseline: one machine at a time, built and run to its
-/// horizon in a plain loop — no threads, no barriers, no batching. The
-/// reference the determinism property compares every sharded run
-/// against.
-pub fn run_sequential<W: FleetWorkload>(
-    workload: &W,
-    machines: usize,
-    capture: Capture,
-) -> FleetOutcome {
-    let mut render = String::new();
-    let outcomes = (0..machines)
-        .map(|index| {
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        let mut render = String::new();
+        let mut outcomes = Vec::new();
+        loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= machines {
+                return outcomes;
+            }
             let mut instance = workload.build(index);
             let horizon = workload.horizon(index);
             workload.tick(&mut instance, horizon);
             render.clear();
             workload.render_trace(&instance, &mut render);
-            MachineOutcome {
+            drop(instance);
+            outcomes.push(MachineOutcome {
                 index,
                 ticks: horizon,
                 digest: trace_digest(render.as_bytes()),
-                trace_log: (capture == Capture::FullTrace).then(|| render.clone()),
+                trace_log: (config.capture == Capture::FullTrace).then(|| render.clone()),
+            });
+        }
+    };
+
+    let mut outcomes = thread::scope(|s| {
+        let spawned: Vec<_> = (1..workers).map(|_| s.spawn(worker)).collect();
+        // The calling thread is worker 0.
+        let mut outcomes = worker();
+        for handle in spawned {
+            match handle.join() {
+                Ok(more) => outcomes.extend(more),
+                Err(panic) => std::panic::resume_unwind(panic),
             }
-        })
-        .collect();
+        }
+        outcomes
+    });
+    outcomes.sort_unstable_by_key(|o| o.index);
     FleetOutcome { outcomes }
+}
+
+/// The sequential baseline: [`run_fleet`] on one worker, the calling
+/// thread, so machines run one at a time in index order. The reference
+/// the determinism property compares every multi-worker run against.
+pub fn run_sequential<W: FleetWorkload>(
+    workload: &W,
+    machines: usize,
+    capture: Capture,
+) -> FleetOutcome {
+    run_fleet(
+        workload,
+        &FleetConfig::new(machines, 1).with_capture(capture),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScenarioFleet;
 
     /// A trivial deterministic workload: machine `i` counts `100 + i`
     /// ticks and renders its count history length.
@@ -322,7 +235,10 @@ mod tests {
         fn tick(&self, instance: &mut Self::Instance, ticks: u64) {
             for _ in 0..ticks {
                 instance.0 += 1;
-                instance.1 = instance.1.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(instance.0);
+                instance.1 = instance
+                    .1
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(instance.0);
             }
         }
 
@@ -332,37 +248,130 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shard_ranges_cover_exactly() {
-        for machines in [0usize, 1, 7, 16, 100] {
-            for workers in [1usize, 2, 3, 16] {
-                let ranges = shard_ranges(machines, workers);
-                assert_eq!(ranges.len(), workers);
-                let mut next = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, next);
-                    next = r.end;
-                }
-                assert_eq!(next, machines);
+    /// [`Counter`] with very uneven horizons: every seventh machine runs
+    /// 50× longer than its neighbours, so workers claim machines out of
+    /// step with one another.
+    struct Uneven;
+
+    impl FleetWorkload for Uneven {
+        type Instance = (u64, u64);
+
+        fn build(&self, index: usize) -> Self::Instance {
+            Counter.build(index)
+        }
+
+        fn horizon(&self, index: usize) -> u64 {
+            if index.is_multiple_of(7) {
+                5000
+            } else {
+                1 + index as u64
             }
+        }
+
+        fn tick(&self, instance: &mut Self::Instance, ticks: u64) {
+            Counter.tick(instance, ticks);
+        }
+
+        fn render_trace(&self, instance: &Self::Instance, out: &mut String) {
+            Counter.render_trace(instance, out);
         }
     }
 
     #[test]
-    fn worker_count_and_batch_do_not_change_digests() {
+    fn worker_count_does_not_change_digests() {
         let reference = run_sequential(&Counter, 33, Capture::Digest);
         for workers in [1, 2, 5, 16] {
-            for batch in [1, 7, 1000] {
-                let cfg = FleetConfig::new(33, workers).with_batch_ticks(batch);
-                let fleet = run_fleet(&Counter, &cfg);
-                assert_eq!(fleet.outcomes.len(), 33);
+            let fleet = run_fleet(&Counter, &FleetConfig::new(33, workers));
+            assert_eq!(fleet.outcomes.len(), 33);
+            assert_eq!(
+                fleet.fleet_digest(),
+                reference.fleet_digest(),
+                "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_machine_runs_exactly_once_in_index_order() {
+        for machines in [0usize, 1, 3, 33] {
+            for workers in [1usize, 2, 5, 16] {
+                let fleet = run_fleet(&Uneven, &FleetConfig::new(machines, workers));
+                let indices: Vec<usize> = fleet.outcomes.iter().map(|o| o.index).collect();
                 assert_eq!(
-                    fleet.fleet_digest(),
-                    reference.fleet_digest(),
-                    "workers={workers} batch={batch}"
+                    indices,
+                    (0..machines).collect::<Vec<_>>(),
+                    "machines={machines} workers={workers}"
                 );
+                for o in &fleet.outcomes {
+                    assert_eq!(o.ticks, Uneven.horizon(o.index));
+                }
             }
         }
+    }
+
+    /// Wraps a workload and counts its live instances: incremented in
+    /// `build`, decremented when an instance drops.
+    struct Residency<'a, W> {
+        inner: W,
+        live: &'a AtomicUsize,
+        peak: &'a AtomicUsize,
+    }
+
+    struct Counted<'a, I> {
+        instance: I,
+        live: &'a AtomicUsize,
+    }
+
+    impl<I> Drop for Counted<'_, I> {
+        fn drop(&mut self) {
+            self.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    impl<'a, W: FleetWorkload> FleetWorkload for Residency<'a, W> {
+        type Instance = Counted<'a, W::Instance>;
+
+        fn build(&self, index: usize) -> Self::Instance {
+            let now = self.live.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+            Counted {
+                instance: self.inner.build(index),
+                live: self.live,
+            }
+        }
+
+        fn horizon(&self, index: usize) -> u64 {
+            self.inner.horizon(index)
+        }
+
+        fn tick(&self, counted: &mut Self::Instance, ticks: u64) {
+            self.inner.tick(&mut counted.instance, ticks);
+        }
+
+        fn render_trace(&self, counted: &Self::Instance, out: &mut String) {
+            self.inner.render_trace(&counted.instance, out);
+        }
+    }
+
+    #[test]
+    fn a_fleet_holds_at_most_one_machine_per_worker() {
+        use air_core::campaign::{standard_plan, CampaignSim};
+
+        let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let fleet = Residency {
+            inner: ScenarioFleet::<CampaignSim, _>::new(42, |seed, _| standard_plan(seed, 1))
+                .with_horizon_cap(120),
+            live: &live,
+            peak: &peak,
+        };
+        let outcome = run_fleet(&fleet, &FleetConfig::new(64, 4));
+        assert_eq!(outcome.outcomes.len(), 64);
+        assert_eq!(live.load(Ordering::SeqCst), 0, "every machine was dropped");
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(
+            (1..=4).contains(&peak),
+            "4 workers held {peak} machines at once"
+        );
     }
 
     #[test]

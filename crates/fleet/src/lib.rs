@@ -1,18 +1,19 @@
-//! # air-fleet — sharded fleet execution of emulated AIR systems
+//! # air-fleet — streaming fleet execution of emulated AIR systems
 //!
 //! Every crate below this one reasons about *one* emulated AIR system at
 //! a time. This crate turns the repo into a traffic-serving engine: a
 //! *fleet* of thousands of independent emulated systems — each a full
 //! machine + PMK + partitions stack under its own seeded fault plan — is
-//! split into contiguous shards and advanced concurrently on
-//! `std::thread` workers with batched tick delivery (each worker runs a
-//! machine `batch_ticks` ticks between synchronization barriers).
+//! streamed through `std::thread` workers. Each worker claims the next
+//! machine from a shared cursor, builds it, runs it to its horizon,
+//! digests its trace and drops it, so a fleet holds at most one machine
+//! per worker.
 //!
 //! The load-bearing property is **strict per-machine determinism**: a
 //! machine's rendered trace log is a pure function of its fault plan.
 //! Machines own all of their state (no globals anywhere in the stack —
 //! see [`air_hw::machine::MachineConfig::compact`]), so neither the
-//! worker count, nor the shard assignment, nor the batch size can leak
+//! worker count nor the order in which workers claim machines can leak
 //! into a trace. `tests/fleet_determinism_prop.rs` holds this property
 //! over 50 seeds × {1, 4, 16} workers against the sequential baseline.
 //!

@@ -14,7 +14,8 @@
 //! * **CPU contexts** with save/restore, cycle accounting and an MMU
 //!   context register, for the Partition Dispatcher's context switch
 //!   ([`cpu`]);
-//! * **physical memory** and a LEON3-style **three-level page-table MMU**
+//! * **physical memory**, paged on demand like an emulator's guest RAM,
+//!   and a LEON3-style **three-level page-table MMU**
 //!   with per-context translation and access-permission faults, the
 //!   mechanism the spatial-partitioning descriptors of Fig. 3 are mapped
 //!   onto ([`memory`], [`mmu`]);

@@ -53,7 +53,9 @@ impl MachineConfig {
     /// A compact profile for fleet-scale emulation: enough installed
     /// memory for a handful of partitions under the standard application
     /// layout (each partition takes ~144 KiB of frames), and a narrow
-    /// console fan-out. Thousands of compact machines fit in one process.
+    /// console fan-out. Installed memory is paged on demand (see
+    /// [`PhysicalMemory`]), so a machine costs only the pages its
+    /// software writes, whatever `memory_size` says.
     ///
     /// Every field of a [`Machine`] is owned per instance — there is no
     /// shared or global state anywhere in `air-hw` — so compact machines

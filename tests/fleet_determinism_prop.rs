@@ -1,13 +1,15 @@
 //! The fleet determinism property: a machine's rendered trace log is a
-//! pure function of its plan — the worker count, the shard assignment
-//! and the batch size must all be invisible.
+//! pure function of its plan — the worker count, the order in which
+//! workers claim machines, and how a machine's horizon is sliced into
+//! `tick` calls must all be invisible.
 //!
 //! One driver holds it for every workload kind of the generic
 //! [`ScenarioFleet`]: a small fleet is executed sequentially (the
-//! reference) and then with K ∈ {1, 4, 16} workers in odd 37-tick
-//! batches; every per-machine rendered trace log must be byte-identical
-//! to the reference, and the default configuration (64-tick batches,
-//! digests only) must reproduce the reference's fleet digest.
+//! reference), then with K ∈ {1, 4, 16} workers, then by a local driver
+//! that keeps every machine live and advances them in turn in odd
+//! 37-tick slices. Every per-machine rendered trace log must be
+//! byte-identical to the reference, and the default configuration
+//! (digests only) must reproduce the reference's fleet digest.
 //!
 //! | kind     | scenario      | seeds                         | machines |
 //! |----------|---------------|-------------------------------|----------|
@@ -25,7 +27,7 @@ use air_core::mesh::{mesh_plan, reroute_plan, MeshSim, PartitionScenario};
 use air_core::Scenario;
 use air_fleet::{
     run_fleet, run_sequential, trace_digest, Capture, FleetConfig, FleetOutcome, FleetWorkload,
-    ScenarioFleet,
+    MachineOutcome, ScenarioFleet,
 };
 use air_ports::routing::MeshTopology;
 
@@ -33,12 +35,7 @@ const WORKER_COUNTS: [usize; 3] = [1, 4, 16];
 const TOPOLOGIES: [MeshTopology; 3] = [MeshTopology::Line, MeshTopology::Star, MeshTopology::Ring];
 
 /// Asserts byte-identical per-machine logs between `got` and `reference`.
-fn assert_logs_identical(
-    label: &str,
-    workers: usize,
-    got: &FleetOutcome,
-    reference: &FleetOutcome,
-) {
+fn assert_logs_identical(label: &str, how: &str, got: &FleetOutcome, reference: &FleetOutcome) {
     assert_eq!(got.outcomes.len(), reference.outcomes.len());
     for (g, r) in got.outcomes.iter().zip(&reference.outcomes) {
         assert_eq!(g.index, r.index);
@@ -48,7 +45,7 @@ fn assert_logs_identical(
         );
         assert!(
             g_log == r_log,
-            "{label}, {workers} workers: machine {} diverged from the sequential run\n\
+            "{label}, {how}: machine {} diverged from the sequential run\n\
              --- sequential ---\n{r_log}\n--- fleet ---\n{g_log}",
             g.index
         );
@@ -56,19 +53,52 @@ fn assert_logs_identical(
     }
 }
 
+/// A deliberately odd slice: slice boundaries must not align with MTFs,
+/// fault slots or horizons for the slicing check to mean anything.
+const SLICE_TICKS: u64 = 37;
+
+/// Builds all `machines` machines of `workload`, then advances them in
+/// turn by [`SLICE_TICKS`] per `tick` call until each reaches its
+/// horizon: `tick(a); tick(b)` must leave the state `tick(a + b)` does,
+/// and interleaving live machines must not couple them.
+fn run_sliced<W: FleetWorkload>(workload: &W, machines: usize) -> FleetOutcome {
+    let mut live: Vec<(W::Instance, u64)> = (0..machines)
+        .map(|index| (workload.build(index), workload.horizon(index)))
+        .collect();
+    while live.iter().any(|(_, remaining)| *remaining > 0) {
+        for (instance, remaining) in &mut live {
+            let n = SLICE_TICKS.min(*remaining);
+            if n > 0 {
+                workload.tick(instance, n);
+                *remaining -= n;
+            }
+        }
+    }
+    let outcomes = live
+        .iter()
+        .enumerate()
+        .map(|(index, (instance, _))| {
+            let mut log = String::new();
+            workload.render_trace(instance, &mut log);
+            MachineOutcome {
+                index,
+                ticks: workload.horizon(index),
+                digest: trace_digest(log.as_bytes()),
+                trace_log: Some(log),
+            }
+        })
+        .collect();
+    FleetOutcome { outcomes }
+}
+
 /// The property for one fleet of `machines` machines.
 fn holds_for<W: FleetWorkload>(label: &str, workload: &W, machines: usize) {
     let reference = run_sequential(workload, machines, Capture::FullTrace);
     for workers in WORKER_COUNTS {
-        // A deliberately odd batch size: batch boundaries must not align
-        // with MTFs, fault slots or horizons for the property to be
-        // meaningful.
-        let config = FleetConfig::new(machines, workers)
-            .with_batch_ticks(37)
-            .with_capture(Capture::FullTrace);
+        let config = FleetConfig::new(machines, workers).with_capture(Capture::FullTrace);
         let fleet = run_fleet(workload, &config);
-        assert_logs_identical(label, workers, &fleet, &reference);
-        // The default shape: 64-tick batches keeping digests only.
+        assert_logs_identical(label, &format!("{workers} workers"), &fleet, &reference);
+        // The default shape: digests only.
         let digests = run_fleet(workload, &FleetConfig::new(machines, workers));
         assert_eq!(
             digests.fleet_digest(),
@@ -76,13 +106,20 @@ fn holds_for<W: FleetWorkload>(label: &str, workload: &W, machines: usize) {
             "{label}, {workers} workers: default-config fleet digest diverged"
         );
     }
+    let sliced = run_sliced(workload, machines);
+    assert_logs_identical(
+        label,
+        &format!("{SLICE_TICKS}-tick slices"),
+        &sliced,
+        &reference,
+    );
 }
 
 #[test]
 fn campaign_fleet_is_schedule_invariant_over_50_seeds() {
     for seed in 1..=50u64 {
-        // 6 machines × 3 MTFs per seed keeps 50 × 4 executions tractable
-        // while still crossing several batch and window boundaries.
+        // 6 machines × 3 MTFs per seed keeps 50 × 8 executions tractable
+        // while still crossing several slice and window boundaries.
         let fleet = ScenarioFleet::<CampaignSim, _>::new(seed, |s, _| standard_plan(s, 1))
             .with_horizon_cap(180);
         holds_for(&format!("campaign seed {seed}"), &fleet, 6);
@@ -138,10 +175,7 @@ fn mesh_fleet_digests_match_sequential_without_full_capture() {
     let machines = 8;
     let sequential = run_sequential(&fleet, machines, Capture::Digest);
     for workers in WORKER_COUNTS {
-        let outcome = run_fleet(
-            &fleet,
-            &FleetConfig::new(machines, workers).with_batch_ticks(37),
-        );
+        let outcome = run_fleet(&fleet, &FleetConfig::new(machines, workers));
         assert_eq!(
             outcome.fleet_digest(),
             sequential.fleet_digest(),
