@@ -11,12 +11,19 @@
 //! * `static` (n(χ)=1) vs `mode_based` (n(χ)=2) — same code path;
 //! * `naive_window_scan` — the rejected design, for contrast;
 //! * a sweep over windows-per-MTF showing the scheduler's tick cost is
-//!   independent of table size (the scan's is not).
+//!   independent of table size (the scan's is not);
+//! * `system_step_off_point` — the whole clock ISR (`AirSystem::step` on
+//!   the Sect. 6 prototype: interrupt dispatch, Algorithm 1, the PAL
+//!   announcement, the heir's body), so the gap between the scheduler's
+//!   cost and a whole tick's is measured rather than assumed.
 
 use bench::experiment_header;
 use bench::criterion::{BenchmarkId, Criterion};
 use bench::{criterion_group, criterion_main};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+use air_core::prototype::PrototypeHarness;
 
 use air_model::prototype::{fig8_chi1, fig8_system};
 use air_model::schedule::{PartitionRequirement, Schedule, TimeWindow};
@@ -109,6 +116,30 @@ fn bench_tick(c: &mut Criterion) {
                 t += 1;
                 black_box(naive.tick(t));
             }
+        })
+    });
+
+    // The whole ISR off a preemption point. χ1's P4 window [400, 1000)
+    // holds 599 off-point ticks; each iteration steps 512 of them, after
+    // an untimed run up to a P4 window start whenever fewer than 512 of
+    // the current window remain.
+    group.bench_function("system_step_off_point_x512", |b| {
+        let mut system = PrototypeHarness::build().system;
+        b.iter_custom(|iters| {
+            let mut measured = Duration::ZERO;
+            for _ in 0..iters {
+                let now = system.now().as_u64();
+                if !(400..=1000 - 1 - 512).contains(&(now % 1300)) {
+                    system.run_until(Ticks((now / 1300 + 1) * 1300 + 400));
+                }
+                let start = Instant::now();
+                for _ in 0..512 {
+                    system.step();
+                }
+                measured += start.elapsed();
+            }
+            black_box(system.now());
+            measured
         })
     });
 

@@ -3,7 +3,8 @@
 //! The workspace builds offline with the standard library alone, so the
 //! external `criterion` crate is out; the benches keep its API surface —
 //! `criterion_group!`/`criterion_main!`, [`Criterion`], benchmark groups,
-//! [`BenchmarkId`], [`Throughput`], `Bencher::iter` — through this
+//! [`BenchmarkId`], [`Throughput`], `Bencher::iter` and
+//! `Bencher::iter_custom` — through this
 //! module, so a bench file ports with a one-line import change.
 //!
 //! Methodology: each benchmark calibrates a batch size so one sample
@@ -197,6 +198,30 @@ impl Bencher {
                 std::hint::black_box(routine());
             }
             let elapsed = start.elapsed().as_nanos() as f64;
+            self.samples.push(elapsed / batch as f64);
+        }
+    }
+
+    /// Like `criterion::Bencher::iter_custom`: `routine(n)` runs `n`
+    /// iterations and returns the time they took, so it can exclude
+    /// per-iteration set-up from the measurement.
+    pub fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
+        // Warm-up calibrates on measured time, not wall time: the untimed
+        // set-up must not shrink the batch.
+        let warm_start = Instant::now();
+        let mut warm_iters: u64 = 0;
+        let mut warm_measured = Duration::ZERO;
+        while warm_start.elapsed() < self.warm_up {
+            warm_measured += routine(1);
+            warm_iters += 1;
+        }
+        let per_iter = warm_measured.as_nanos() as f64 / warm_iters.max(1) as f64;
+        let budget = self.measurement.as_nanos() as f64 / self.sample_size as f64;
+        let batch = ((budget / per_iter.max(1.0)) as u64).max(1);
+
+        self.samples.clear();
+        for _ in 0..self.sample_size {
+            let elapsed = routine(batch).as_nanos() as f64;
             self.samples.push(elapsed / batch as f64);
         }
     }

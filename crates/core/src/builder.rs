@@ -2,13 +2,10 @@
 //! performing the verification and initialisation steps the paper assigns
 //! to "system integration time".
 
-use std::collections::HashMap;
-
 use air_apex::{ApexPartition, ErrorHandlerTable};
 use air_hm::{HealthMonitor, HmTables};
 use air_hw::machine::MachineConfig;
 use air_hw::{CpuContext, Machine};
-use air_model::ids::GlobalProcessId;
 use air_model::partition::{OperatingMode, Partition, PosKind, StartCondition};
 use air_lint::{ExploreConfig, LintReport, SystemModel};
 use air_model::process::ProcessAttributes;
@@ -389,7 +386,7 @@ impl SystemBuilder {
         // 4. Per-partition spatial configuration, CPU context, APEX boot.
         let mut partitions = Vec::with_capacity(self.partitions.len());
         let mut runtime = Vec::with_capacity(self.partitions.len());
-        let mut bodies: HashMap<GlobalProcessId, Box<dyn ProcessBody>> = HashMap::new();
+        let mut bodies = Vec::with_capacity(self.partitions.len());
         let titles: Vec<String> = self
             .partitions
             .iter()
@@ -417,11 +414,14 @@ impl SystemBuilder {
             // handler in coldStart, then transition to normal and start
             // the auto-start set.
             let mut auto_start = Vec::new();
+            let mut partition_bodies = Vec::with_capacity(config.processes.len());
             for proc in config.processes {
                 let pid = apex
                     .create_process(proc.attributes)
                     .map_err(|e| BuildError::Initialisation(e.to_string()))?;
-                bodies.insert(GlobalProcessId::new(m, pid), proc.body);
+                // The POS hands out process ids densely from 0.
+                debug_assert_eq!(pid.as_usize(), partition_bodies.len());
+                partition_bodies.push(proc.body);
                 if proc.auto_start {
                     auto_start.push(pid);
                 }
@@ -438,6 +438,7 @@ impl SystemBuilder {
             }
 
             partitions.push(apex);
+            bodies.push(partition_bodies);
             runtime.push(PartitionRuntime {
                 auto_start,
                 error_handler: config.error_handler,

@@ -277,8 +277,9 @@ struct RunArtifacts {
 /// tick at a time.
 ///
 /// [`CampaignRunner`] drives three of these back to back (faulted,
-/// repeat, clean); the fleet executor (`air-fleet`) instead interleaves
-/// thousands of them across worker threads in batches of ticks. All state
+/// repeat, clean); the fleet executor (`air-fleet`) instead streams
+/// thousands of them through its workers, each of which builds one, runs
+/// it to its horizon and drops it before claiming the next. All state
 /// — machine, PMK, trace, fault cursor, detection FIFO — is owned by the
 /// instance, so two sims never share anything and per-machine trace logs
 /// are a pure function of the plan, independent of scheduling order.
@@ -302,7 +303,9 @@ pub struct CampaignSim {
     spurious: Vec<(Ticks, String)>,
     next_fault: usize,
     echo_seq: u64,
-    hm_cursor: usize,
+    /// [`HmLog::total_recorded`](air_hm::HmLog::total_recorded) at the
+    /// last attribution pass.
+    hm_cursor: u64,
     prev_active: Option<PartitionId>,
     horizon: u64,
 }
@@ -406,7 +409,7 @@ impl CampaignSim {
             events: self.system.trace().events().to_vec(),
             occupancy: self.system.trace().occupancy().to_vec(),
             trace_log: self.system.trace().render_log(),
-            hm_entries: self.system.hm().log().len(),
+            hm_entries: self.system.hm().log().total_recorded() as usize,
             deadline_misses: self.system.trace().deadline_miss_count(),
             spurious: self.spurious,
         }
@@ -694,12 +697,12 @@ fn classify_entry(entry: &HmLogEntry) -> Option<FaultClass> {
 fn attribute_detections(
     system: &AirSystem,
     records: &mut [FaultRecord],
-    hm_cursor: &mut usize,
+    hm_cursor: &mut u64,
     overrun: &FaultSwitch,
     spurious: &mut Vec<(Ticks, String)>,
 ) {
     let log = system.hm().log();
-    for entry in log.entries().skip(*hm_cursor) {
+    for entry in log.entries_since(*hm_cursor) {
         let Some(class) = classify_entry(entry) else {
             spurious.push((entry.time, format!("{entry}")));
             continue;
@@ -737,7 +740,7 @@ fn attribute_detections(
             None => spurious.push((entry.time, format!("{entry}"))),
         }
     }
-    *hm_cursor = log.len();
+    *hm_cursor = log.total_recorded();
 }
 
 /// Checks the robustness invariants and assembles the outcome.

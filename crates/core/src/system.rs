@@ -60,7 +60,9 @@ pub struct AirSystem {
     pub(crate) schedules: ScheduleSet,
     pub(crate) partitions: Vec<ApexPartition>,
     pub(crate) runtime: Vec<PartitionRuntime>,
-    pub(crate) bodies: HashMap<GlobalProcessId, Box<dyn ProcessBody>>,
+    /// Process bodies by partition, then process
+    /// (`bodies[m.as_usize()][pid.as_usize()]`).
+    pub(crate) bodies: Vec<Vec<Box<dyn ProcessBody>>>,
     pub(crate) consoles: Vec<String>,
     key_actions: HashMap<char, KeyAction>,
     trace: Trace,
@@ -118,7 +120,7 @@ impl AirSystem {
         schedules: ScheduleSet,
         partitions: Vec<ApexPartition>,
         runtime: Vec<PartitionRuntime>,
-        bodies: HashMap<GlobalProcessId, Box<dyn ProcessBody>>,
+        bodies: Vec<Vec<Box<dyn ProcessBody>>>,
         vitral: Option<Vitral>,
     ) -> Self {
         let consoles = vec![String::new(); partitions.len()];
@@ -768,26 +770,22 @@ impl AirSystem {
         let Some(pid) = self.partitions[idx].select_heir(now) else {
             return;
         };
-        let gpid = GlobalProcessId::new(m, pid);
-        // Temporarily detach the body so it can borrow the system pieces.
-        let Some(mut body) = self.bodies.remove(&gpid) else {
+        // The body runs in place: `bodies` is a field of its own, disjoint
+        // from everything `ProcessApi` borrows.
+        let Some(body) = self.bodies[idx].get_mut(pid.as_usize()) else {
             return;
         };
         let mut raised = Vec::new();
-        {
-            let mut api = ProcessApi {
-                now,
-                me: pid,
-                apex: &mut self.partitions[idx],
-                ports: self.ipc.registry_mut(),
-                scheduler: &mut self.scheduler,
-                console: &mut self.consoles[idx],
-                raised_errors: &mut raised,
-            };
-            body.on_tick(&mut api);
-        }
+        body.on_tick(&mut ProcessApi {
+            now,
+            me: pid,
+            apex: &mut self.partitions[idx],
+            ports: self.ipc.registry_mut(),
+            scheduler: &mut self.scheduler,
+            console: &mut self.consoles[idx],
+            raised_errors: &mut raised,
+        });
         self.machine.cpu.retire_work(1);
-        self.bodies.insert(gpid, body);
         // RAISE_APPLICATION_ERROR path (and the reporting port services):
         // route raised errors through HM under their own error class.
         for (raiser, error, message) in raised {

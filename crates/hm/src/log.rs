@@ -95,6 +95,20 @@ impl HmLog {
         self.total_recorded
     }
 
+    /// The retained entries recorded after the first `recorded` ones,
+    /// oldest first: pass the [`total_recorded`](Self::total_recorded)
+    /// seen last time to get only the entries that are new since. Entries
+    /// already evicted are skipped, so a reader that falls more than
+    /// `capacity` entries behind loses the oldest of them.
+    pub fn entries_since(
+        &self,
+        recorded: u64,
+    ) -> std::collections::vec_deque::Iter<'_, HmLogEntry> {
+        let unseen = self.total_recorded.saturating_sub(recorded);
+        let unseen = usize::try_from(unseen).unwrap_or(usize::MAX);
+        self.entries.range(self.entries.len().saturating_sub(unseen)..)
+    }
+
     /// Retained entries matching `error`, oldest first.
     pub fn entries_for(&self, error: ErrorId) -> impl Iterator<Item = &HmLogEntry> {
         self.entries.iter().filter(move |e| e.error == error)
@@ -142,6 +156,28 @@ mod tests {
         let times: Vec<u64> = log.entries().map(|e| e.time.as_u64()).collect();
         assert_eq!(times, vec![2, 3]);
         assert_eq!(log.total_recorded(), 3);
+    }
+
+    #[test]
+    fn entries_since_survives_eviction() {
+        let mut log = HmLog::with_capacity(2);
+        let times = |log: &HmLog, seen: u64| -> Vec<u64> {
+            log.entries_since(seen).map(|e| e.time.as_u64()).collect()
+        };
+        log.record(entry(1));
+        assert_eq!(times(&log, 0), vec![1]);
+        let seen = log.total_recorded();
+        log.record(entry(2));
+        log.record(entry(3));
+        // Full ring: `len()` is stuck at 2, but the count still moves.
+        assert_eq!(log.len(), 2);
+        assert_eq!(times(&log, seen), vec![2, 3]);
+        let seen = log.total_recorded();
+        assert!(times(&log, seen).is_empty());
+        log.record(entry(4));
+        assert_eq!(times(&log, seen), vec![4]);
+        // A reader further behind than the capacity gets what is left.
+        assert_eq!(times(&log, 0), vec![3, 4]);
     }
 
     #[test]

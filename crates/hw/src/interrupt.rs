@@ -34,6 +34,22 @@ impl InterruptLine {
         }
     }
 
+    /// Inverse of [`index`](Self::index) for `idx < COUNT`.
+    fn from_index(idx: usize) -> Self {
+        match idx {
+            0 => InterruptLine::ClockTick,
+            1 => InterruptLine::Link,
+            2 => InterruptLine::ConsoleInput,
+            n => InterruptLine::Device((n - 3) as u8),
+        }
+    }
+
+    /// The line's word in a controller bitset and its bit in that word.
+    fn bit(self) -> (usize, u64) {
+        let idx = self.index();
+        (idx / 64, 1 << (idx % 64))
+    }
+
     /// Total number of representable lines.
     const COUNT: usize = 3 + 256;
 }
@@ -70,7 +86,17 @@ pub enum ParavirtOutcome {
     Wrapped,
 }
 
+/// Number of 64-bit words covering [`InterruptLine::COUNT`] lines.
+const WORDS: usize = InterruptLine::COUNT.div_ceil(64);
+
 /// A maskable interrupt controller with per-line pending flags.
+///
+/// Pending and enabled flags are two inline bitsets of five 64-bit
+/// words, one bit per line in priority order, so every operation is
+/// O(1): [`raise`](Self::raise), [`mask`](Self::mask) and
+/// [`unmask`](Self::unmask) touch one bit, and
+/// [`acknowledge`](Self::acknowledge) looks at five words, however many
+/// lines are pending.
 ///
 /// # Examples
 ///
@@ -90,8 +116,10 @@ pub enum ParavirtOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct InterruptController {
-    enabled: Vec<bool>,
-    pending: Vec<bool>,
+    /// Bit `i % 64` of word `i / 64` is set when line `i` is enabled.
+    enabled: [u64; WORDS],
+    /// Bit `i % 64` of word `i / 64` is set when line `i` is pending.
+    pending: [u64; WORDS],
     wrapped_clock_attempts: u64,
     raised_total: u64,
     delivered_total: u64,
@@ -100,9 +128,12 @@ pub struct InterruptController {
 impl InterruptController {
     /// Creates a controller with every line enabled and none pending.
     pub fn new() -> Self {
+        let mut enabled = [u64::MAX; WORDS];
+        // Bits past the last line stay clear, so they can never deliver.
+        enabled[WORDS - 1] = u64::MAX >> (WORDS * 64 - InterruptLine::COUNT);
         Self {
-            enabled: vec![true; InterruptLine::COUNT],
-            pending: vec![false; InterruptLine::COUNT],
+            enabled,
+            pending: [0; WORDS],
             wrapped_clock_attempts: 0,
             raised_total: 0,
             delivered_total: 0,
@@ -113,20 +144,24 @@ impl InterruptController {
     /// an already-pending line, as on real edge-latched controllers).
     pub fn raise(&mut self, line: InterruptLine) {
         self.raised_total += 1;
-        self.pending[line.index()] = true;
+        let (word, bit) = line.bit();
+        self.pending[word] |= bit;
     }
 
     /// Whether `line` is currently pending.
     pub fn is_pending(&self, line: InterruptLine) -> bool {
-        self.pending[line.index()]
+        let (word, bit) = line.bit();
+        self.pending[word] & bit != 0
     }
 
     /// Whether `line` is currently enabled.
     pub fn is_enabled(&self, line: InterruptLine) -> bool {
-        self.enabled[line.index()]
+        let (word, bit) = line.bit();
+        self.enabled[word] & bit != 0
     }
 
-    /// Masks (disables) `line` on behalf of `level`.
+    /// Masks (disables) `line` on behalf of `level`. A masked line that is
+    /// raised stays pending and is delivered once unmasked.
     ///
     /// A [`PrivilegeLevel::Guest`] request against
     /// [`InterruptLine::ClockTick`] is *not* applied: per Sect. 2.5 the
@@ -136,7 +171,8 @@ impl InterruptController {
             self.wrapped_clock_attempts += 1;
             return ParavirtOutcome::Wrapped;
         }
-        self.enabled[line.index()] = false;
+        let (word, bit) = line.bit();
+        self.enabled[word] &= !bit;
         ParavirtOutcome::Applied
     }
 
@@ -148,19 +184,25 @@ impl InterruptController {
             self.wrapped_clock_attempts += 1;
             return ParavirtOutcome::Wrapped;
         }
-        self.enabled[line.index()] = true;
+        let (word, bit) = line.bit();
+        self.enabled[word] |= bit;
         ParavirtOutcome::Applied
     }
 
     /// Acknowledges and returns the highest-priority pending, enabled line
     /// (lowest index first: the clock tick always preempts device lines),
     /// clearing its pending flag; `None` when nothing is deliverable.
+    ///
+    /// O(1): the lowest set bit of `pending & enabled`, found word by word
+    /// with one `trailing_zeros` on the first non-zero word.
     pub fn acknowledge(&mut self) -> Option<InterruptLine> {
-        for idx in 0..InterruptLine::COUNT {
-            if self.pending[idx] && self.enabled[idx] {
-                self.pending[idx] = false;
+        for (word, (pending, enabled)) in self.pending.iter_mut().zip(&self.enabled).enumerate() {
+            let deliverable = *pending & *enabled;
+            if deliverable != 0 {
+                let bit = deliverable.trailing_zeros() as usize;
+                *pending &= !(1 << bit);
                 self.delivered_total += 1;
-                return Some(Self::line_from_index(idx));
+                return Some(InterruptLine::from_index(word * 64 + bit));
             }
         }
         None
@@ -180,15 +222,6 @@ impl InterruptController {
     /// Total interrupts delivered (acknowledged) since construction.
     pub fn delivered_total(&self) -> u64 {
         self.delivered_total
-    }
-
-    fn line_from_index(idx: usize) -> InterruptLine {
-        match idx {
-            0 => InterruptLine::ClockTick,
-            1 => InterruptLine::Link,
-            2 => InterruptLine::ConsoleInput,
-            n => InterruptLine::Device((n - 3) as u8),
-        }
     }
 }
 
@@ -268,5 +301,163 @@ mod tests {
         assert_eq!(intc.acknowledge(), Some(InterruptLine::Link));
         assert_eq!(intc.acknowledge(), None, "edge-latched: one delivery");
         assert_eq!(intc.delivered_total(), 1);
+    }
+
+    /// The linear-scan controller the bitset replaced, kept as the
+    /// reference the differential test holds it to.
+    struct LinearController {
+        enabled: Vec<bool>,
+        pending: Vec<bool>,
+        wrapped_clock_attempts: u64,
+        raised_total: u64,
+        delivered_total: u64,
+    }
+
+    impl LinearController {
+        fn new() -> Self {
+            Self {
+                enabled: vec![true; InterruptLine::COUNT],
+                pending: vec![false; InterruptLine::COUNT],
+                wrapped_clock_attempts: 0,
+                raised_total: 0,
+                delivered_total: 0,
+            }
+        }
+
+        fn raise(&mut self, line: InterruptLine) {
+            self.raised_total += 1;
+            self.pending[line.index()] = true;
+        }
+
+        fn set_enabled(
+            &mut self,
+            line: InterruptLine,
+            level: PrivilegeLevel,
+            enabled: bool,
+        ) -> ParavirtOutcome {
+            if line == InterruptLine::ClockTick && level == PrivilegeLevel::Guest {
+                self.wrapped_clock_attempts += 1;
+                return ParavirtOutcome::Wrapped;
+            }
+            self.enabled[line.index()] = enabled;
+            ParavirtOutcome::Applied
+        }
+
+        fn acknowledge(&mut self) -> Option<InterruptLine> {
+            for idx in 0..InterruptLine::COUNT {
+                if self.pending[idx] && self.enabled[idx] {
+                    self.pending[idx] = false;
+                    self.delivered_total += 1;
+                    return Some(InterruptLine::from_index(idx));
+                }
+            }
+            None
+        }
+    }
+
+    #[test]
+    fn bitset_matches_the_linear_scan_on_random_traffic() {
+        let mut rng = crate::inject::InjectRng::new(0x1A7E_2009);
+        let mut fast = InterruptController::new();
+        let mut reference = LinearController::new();
+        for op in 0..20_000 {
+            // Bias towards the named lines and the word boundaries, so
+            // collisions and priority races actually happen.
+            let idx = match rng.below(4) {
+                0 => rng.below(3) as usize,
+                1 => [63, 64, 127, 128, 191, 192, 255, 256, 257, 258][rng.below(10) as usize],
+                _ => rng.below(InterruptLine::COUNT as u64) as usize,
+            };
+            let line = InterruptLine::from_index(idx);
+            assert_eq!(line.index(), idx);
+            let level = if rng.below(2) == 0 {
+                PrivilegeLevel::Pmk
+            } else {
+                PrivilegeLevel::Guest
+            };
+            match rng.below(8) {
+                0..=2 => {
+                    fast.raise(line);
+                    reference.raise(line);
+                }
+                3 => assert_eq!(
+                    fast.mask(line, level),
+                    reference.set_enabled(line, level, false),
+                    "op {op}: mask {line} as {level:?}"
+                ),
+                4 => assert_eq!(
+                    fast.unmask(line, level),
+                    reference.set_enabled(line, level, true),
+                    "op {op}: unmask {line} as {level:?}"
+                ),
+                _ => assert_eq!(fast.acknowledge(), reference.acknowledge(), "op {op}: acknowledge"),
+            }
+            assert_eq!(fast.is_pending(line), reference.pending[idx], "op {op}: {line} pending");
+            assert_eq!(fast.is_enabled(line), reference.enabled[idx], "op {op}: {line} enabled");
+            assert_eq!(fast.raised_total(), reference.raised_total, "op {op}");
+            assert_eq!(fast.delivered_total(), reference.delivered_total, "op {op}");
+            assert_eq!(
+                fast.wrapped_clock_attempts(),
+                reference.wrapped_clock_attempts,
+                "op {op}"
+            );
+        }
+        // Drain both: the same lines come out in the same order.
+        loop {
+            let line = fast.acknowledge();
+            assert_eq!(line, reference.acknowledge());
+            if line.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn last_device_line_is_the_last_bit_of_the_last_word() {
+        let mut intc = InterruptController::new();
+        assert!(intc.is_enabled(InterruptLine::Device(255)));
+        intc.raise(InterruptLine::Device(255));
+        intc.raise(InterruptLine::Device(252));
+        assert_eq!(intc.acknowledge(), Some(InterruptLine::Device(252)));
+        assert_eq!(intc.acknowledge(), Some(InterruptLine::Device(255)));
+        assert_eq!(intc.acknowledge(), None);
+    }
+
+    #[test]
+    fn masked_pending_line_is_delivered_after_unmask() {
+        let mut intc = InterruptController::new();
+        intc.mask(InterruptLine::Device(64), PrivilegeLevel::Guest);
+        intc.raise(InterruptLine::Device(64));
+        assert_eq!(intc.acknowledge(), None);
+        assert!(intc.is_pending(InterruptLine::Device(64)), "masking keeps it pending");
+        intc.unmask(InterruptLine::Device(64), PrivilegeLevel::Guest);
+        assert_eq!(intc.acknowledge(), Some(InterruptLine::Device(64)));
+        assert_eq!(intc.delivered_total(), 1);
+    }
+
+    #[test]
+    fn raise_is_idempotent_while_pending() {
+        let mut intc = InterruptController::new();
+        for _ in 0..3 {
+            intc.raise(InterruptLine::Device(200));
+        }
+        assert_eq!(intc.raised_total(), 3);
+        assert_eq!(intc.acknowledge(), Some(InterruptLine::Device(200)));
+        assert_eq!(intc.acknowledge(), None);
+        assert_eq!(intc.delivered_total(), 1);
+    }
+
+    #[test]
+    fn guest_masking_the_clock_still_delivers_it() {
+        let mut intc = InterruptController::new();
+        intc.raise(InterruptLine::Device(0));
+        assert_eq!(
+            intc.mask(InterruptLine::ClockTick, PrivilegeLevel::Guest),
+            ParavirtOutcome::Wrapped
+        );
+        intc.raise(InterruptLine::ClockTick);
+        assert_eq!(intc.acknowledge(), Some(InterruptLine::ClockTick));
+        assert_eq!(intc.acknowledge(), Some(InterruptLine::Device(0)));
+        assert_eq!(intc.wrapped_clock_attempts(), 1);
     }
 }

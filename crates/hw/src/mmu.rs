@@ -367,8 +367,9 @@ impl Tlb {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mmu {
-    contexts: HashMap<MmuContextId, AddressSpace>,
-    next_context: u32,
+    /// Address spaces by context id: ids are handed out in order and
+    /// never retired, so context `c` lives at index `c.0`.
+    contexts: Vec<AddressSpace>,
     tlb: Tlb,
     tlb_enabled: bool,
     translations: u64,
@@ -385,8 +386,7 @@ impl Mmu {
     /// Creates an MMU with no contexts and the TLB enabled.
     pub fn new() -> Self {
         Self {
-            contexts: HashMap::new(),
-            next_context: 0,
+            contexts: Vec::new(),
             tlb: Tlb::default(),
             tlb_enabled: true,
             translations: 0,
@@ -442,15 +442,18 @@ impl Mmu {
 
     /// Allocates a fresh, empty context (one per partition).
     pub fn create_context(&mut self) -> MmuContextId {
-        let id = MmuContextId(self.next_context);
-        self.next_context += 1;
-        self.contexts.insert(id, AddressSpace::default());
+        let id = MmuContextId(self.contexts.len() as u32);
+        self.contexts.push(AddressSpace::default());
         id
     }
 
     /// Whether `context` exists.
     pub fn has_context(&self, context: MmuContextId) -> bool {
-        self.contexts.contains_key(&context)
+        self.space(context).is_some()
+    }
+
+    fn space(&self, context: MmuContextId) -> Option<&AddressSpace> {
+        self.contexts.get(context.0 as usize)
     }
 
     /// Number of translations performed.
@@ -490,24 +493,18 @@ impl Mmu {
         if end > 1 << 32 {
             return Err(MapError::OutOfVirtualSpace);
         }
-        // Pre-check the whole range for overlaps so the map is atomic.
-        {
-            let space = self
-                .contexts
-                .get(&context)
-                .ok_or(MapError::InvalidContext { context })?;
-            let mut cur = va;
-            while cur < end {
-                if walk(&space.root, cur).is_some() {
-                    return Err(MapError::Overlap { va: cur });
-                }
-                cur += PAGE_SIZE;
-            }
-        }
         let space = self
             .contexts
-            .get_mut(&context)
-            .expect("checked above"); // lint: allow(panic) -- presence verified by the loop above
+            .get_mut(context.0 as usize)
+            .ok_or(MapError::InvalidContext { context })?;
+        // Pre-check the whole range for overlaps so the map is atomic.
+        let mut cur = va;
+        while cur < end {
+            if walk(&space.root, cur).is_some() {
+                return Err(MapError::Overlap { va: cur });
+            }
+            cur += PAGE_SIZE;
+        }
         let mut cur_va = va;
         let mut cur_pa = pa;
         while cur_va < end {
@@ -570,7 +567,7 @@ impl Mmu {
         }
         let space = self
             .contexts
-            .get_mut(&context)
+            .get_mut(context.0 as usize)
             .ok_or(MapError::InvalidContext { context })?;
         // Flush-on-remap: cached translations of this context may be about
         // to go stale. (Mapping needs no flush — absences are not cached.)
@@ -643,7 +640,7 @@ impl Mmu {
             }
             self.tlb.misses += 1;
         }
-        let space = self.contexts.get(&context).ok_or_else(|| {
+        let space = self.contexts.get(context.0 as usize).ok_or_else(|| {
             self.faults += 1;
             MmuFault::InvalidContext { context }
         })?;
@@ -688,8 +685,7 @@ impl Mmu {
         privilege: Privilege,
     ) -> Result<u64, MmuFault> {
         let space = self
-            .contexts
-            .get(&context)
+            .space(context)
             .ok_or(MmuFault::InvalidContext { context })?;
         let Some((pte, region_base, _region)) = walk(&space.root, va) else {
             return Err(MmuFault::Unmapped { va });

@@ -23,8 +23,6 @@
 //! time window" (Sect. 4.3). The immediate-at-switch alternative is kept
 //! behind [`ActionTiming`] for the ablation test.
 
-use std::collections::HashMap;
-
 use air_hw::{Cpu, CpuContext};
 use air_model::{PartitionId, ScheduleChangeAction};
 
@@ -62,14 +60,22 @@ pub struct DispatchOutcome {
 /// Owns each partition's saved [`CpuContext`] and `lastTick`, performs the
 /// save/restore pair through the machine's [`Cpu`], and hands out pending
 /// schedule-change actions at the configured [`ActionTiming`].
+///
+/// Per-partition state lives in vectors indexed by
+/// [`PartitionId::as_usize`], so a dispatch costs array indexing, not
+/// hashing.
 #[derive(Debug)]
 pub struct PartitionDispatcher {
     active: Option<PartitionId>,
-    contexts: HashMap<PartitionId, CpuContext>,
+    /// Saved contexts; `None` for ids never registered.
+    contexts: Vec<Option<CpuContext>>,
     /// The context the CPU idles in when no partition is scheduled.
     idle_context: CpuContext,
-    last_tick: HashMap<PartitionId, u64>,
-    pending_actions: HashMap<PartitionId, ScheduleChangeAction>,
+    /// `lastTick` per partition (Algorithm 2 line 5), parallel to
+    /// `contexts`.
+    last_tick: Vec<u64>,
+    /// Pending schedule-change actions, by partition id.
+    pending_actions: Vec<Option<ScheduleChangeAction>>,
     timing: ActionTiming,
     context_switches: u64,
 }
@@ -84,10 +90,10 @@ impl PartitionDispatcher {
     pub fn with_action_timing(timing: ActionTiming) -> Self {
         Self {
             active: None,
-            contexts: HashMap::new(),
+            contexts: Vec::new(),
             idle_context: CpuContext::default(),
-            last_tick: HashMap::new(),
-            pending_actions: HashMap::new(),
+            last_tick: Vec::new(),
+            pending_actions: Vec::new(),
             timing,
             context_switches: 0,
         }
@@ -96,8 +102,13 @@ impl PartitionDispatcher {
     /// Registers `partition`'s execution context (spatial-partitioning
     /// setup provides the entry point, stack and MMU context).
     pub fn register_partition(&mut self, partition: PartitionId, context: CpuContext) {
-        self.contexts.insert(partition, context);
-        self.last_tick.insert(partition, 0);
+        let idx = partition.as_usize();
+        if idx >= self.contexts.len() {
+            self.contexts.resize(idx + 1, None);
+            self.last_tick.resize(idx + 1, 0);
+        }
+        self.contexts[idx] = Some(context);
+        self.last_tick[idx] = 0;
     }
 
     /// The currently active partition (`None`: idle).
@@ -112,7 +123,7 @@ impl PartitionDispatcher {
 
     /// Read access to a partition's saved context.
     pub fn context_of(&self, partition: PartitionId) -> Option<&CpuContext> {
-        self.contexts.get(&partition)
+        self.contexts.get(partition.as_usize())?.as_ref()
     }
 
     /// Queues schedule-change actions for the partitions of a newly
@@ -126,14 +137,18 @@ impl PartitionDispatcher {
     {
         for (partition, action) in actions {
             if action != ScheduleChangeAction::None {
-                self.pending_actions.insert(partition, action);
+                let idx = partition.as_usize();
+                if idx >= self.pending_actions.len() {
+                    self.pending_actions.resize(idx + 1, None);
+                }
+                self.pending_actions[idx] = Some(action);
             }
         }
     }
 
     /// Whether an action is still pending for `partition`.
     pub fn has_pending_action(&self, partition: PartitionId) -> bool {
-        self.pending_actions.contains_key(&partition)
+        matches!(self.pending_actions.get(partition.as_usize()), Some(Some(_)))
     }
 
     /// Algorithm 2: dispatches `heir` at global tick `ticks`, switching
@@ -165,55 +180,50 @@ impl PartitionDispatcher {
         // Line 4: save the outgoing context.
         match self.active {
             Some(active) => {
-                let slot = self
-                    .contexts
-                    .get_mut(&active)
+                let slot = self.contexts[active.as_usize()]
+                    .as_mut()
                     .expect("active partition was registered"); // lint: allow(panic) -- register_partition precedes activation; unreachable
                 cpu.save_context(slot);
                 // Line 5: the partition last saw the tick before this one.
-                self.last_tick.insert(active, ticks - 1);
+                self.last_tick[active.as_usize()] = ticks - 1;
             }
             None => cpu.save_context(&mut self.idle_context),
         }
 
-        // Line 6: elapsed ticks for the heir.
+        // Lines 6–8: elapsed ticks for the heir; the heir becomes active
+        // and its context is restored.
         let elapsed_ticks = match heir {
-            Some(h) => {
-                let last = self
-                    .last_tick
-                    .get(&h)
-                    .copied()
-                    .expect("heir partition was registered"); // lint: allow(panic) -- scheduler only elects registered partitions
-                ticks - last
-            }
-            None => 1,
-        };
-
-        // Line 7–8: the heir becomes active; restore its context.
-        self.active = heir;
-        match heir {
             Some(h) => {
                 let ctx = self
                     .contexts
-                    .get(&h)
+                    .get(h.as_usize())
+                    .and_then(Option::as_ref)
                     .expect("heir partition was registered"); // lint: allow(panic) -- scheduler only elects registered partitions
                 cpu.restore_context(ctx);
+                ticks - self.last_tick[h.as_usize()]
             }
-            None => cpu.restore_context(&self.idle_context.clone()),
-        }
+            None => {
+                cpu.restore_context(&self.idle_context);
+                1
+            }
+        };
+        self.active = heir;
         self.context_switches += 1;
 
         // Line 9: pending schedule-change action(s).
         let actions = match self.timing {
             ActionTiming::FirstDispatch => heir
-                .and_then(|h| self.pending_actions.remove(&h).map(|a| (h, a)))
+                .and_then(|h| {
+                    let action = self.pending_actions.get_mut(h.as_usize())?.take()?;
+                    Some((h, action))
+                })
                 .into_iter()
                 .collect(),
-            ActionTiming::AtSwitch => {
-                let mut all: Vec<_> = self.pending_actions.drain().collect();
-                all.sort_by_key(|(p, _)| *p);
-                all
-            }
+            // Index order is partition order.
+            ActionTiming::AtSwitch => (0u32..)
+                .zip(&mut self.pending_actions)
+                .filter_map(|(m, slot)| Some((PartitionId(m), slot.take()?)))
+                .collect(),
         };
 
         DispatchOutcome {
@@ -347,6 +357,61 @@ mod tests {
             ]
         );
         assert!(!d.has_pending_action(p(0)));
+    }
+
+    #[test]
+    fn sparse_out_of_order_registration() {
+        let mut d = PartitionDispatcher::new();
+        let mut cpu = Cpu::new();
+        d.register_partition(p(5), CpuContext::new(0x5000, 0x8000, MmuContextId(0)));
+        d.register_partition(p(1), CpuContext::new(0x1000, 0x8000, MmuContextId(1)));
+        assert!(d.context_of(p(3)).is_none(), "gap ids stay unregistered");
+        assert!(d.context_of(p(9)).is_none());
+        assert_eq!(d.context_of(p(5)).map(|c| c.pc), Some(0x5000));
+        d.dispatch(Some(p(5)), 0, &mut cpu);
+        let out = d.dispatch(Some(p(1)), 30, &mut cpu);
+        assert_eq!(out.elapsed_ticks, 30);
+        assert_eq!(cpu.current_mmu_context(), MmuContextId(1));
+        let out = d.dispatch(Some(p(5)), 50, &mut cpu);
+        assert_eq!(out.elapsed_ticks, 50 - 29);
+        assert_eq!(cpu.active_context().pc, 0x5000);
+    }
+
+    #[test]
+    fn at_switch_actions_come_out_in_partition_order() {
+        let mut d = PartitionDispatcher::with_action_timing(ActionTiming::AtSwitch);
+        let mut cpu = Cpu::new();
+        for m in [6, 2, 4] {
+            d.register_partition(p(m), CpuContext::default());
+        }
+        d.dispatch(Some(p(2)), 0, &mut cpu);
+        d.queue_schedule_change_actions([
+            (p(6), ScheduleChangeAction::Stop),
+            (p(2), ScheduleChangeAction::ColdRestart),
+            (p(4), ScheduleChangeAction::None),
+            (p(4), ScheduleChangeAction::WarmRestart),
+        ]);
+        assert!(d.has_pending_action(p(4)));
+        assert!(!d.has_pending_action(p(3)));
+        assert!(!d.has_pending_action(p(40)), "beyond every registered id");
+        let out = d.dispatch(Some(p(6)), 100, &mut cpu);
+        assert_eq!(
+            out.actions,
+            vec![
+                (p(2), ScheduleChangeAction::ColdRestart),
+                (p(4), ScheduleChangeAction::WarmRestart),
+                (p(6), ScheduleChangeAction::Stop),
+            ]
+        );
+        assert!(d.dispatch(Some(p(4)), 200, &mut cpu).actions.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "registered")]
+    fn unregistered_heir_in_a_gap_is_a_wiring_bug() {
+        let mut d = PartitionDispatcher::new();
+        d.register_partition(p(4), CpuContext::default());
+        d.dispatch(Some(p(2)), 0, &mut Cpu::new());
     }
 
     #[test]

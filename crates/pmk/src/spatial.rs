@@ -11,7 +11,6 @@
 //! partition, and installs page mappings whose SPARC ACC codes realise
 //! each descriptor's intended protection.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use air_hw::mmu::{
@@ -147,7 +146,7 @@ impl From<MapError> for SpatialError {
 }
 
 /// A loaded partition's spatial state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PartitionSpace {
     context: MmuContextId,
     /// `(descriptor, physical_base)` pairs, for reporting.
@@ -183,7 +182,9 @@ struct PartitionSpace {
 #[derive(Debug)]
 pub struct SpatialManager {
     mmu: Mmu,
-    partitions: HashMap<PartitionId, PartitionSpace>,
+    /// Loaded partitions by [`PartitionId::as_usize`]; `None` for ids
+    /// never configured.
+    partitions: Vec<Option<PartitionSpace>>,
     physical_size: u64,
     next_free: u64,
 }
@@ -193,7 +194,7 @@ impl SpatialManager {
     pub fn new(physical_size: u64) -> Self {
         Self {
             mmu: Mmu::new(),
-            partitions: HashMap::new(),
+            partitions: Vec::new(),
             physical_size,
             // Frame 0 is reserved for the PMK itself.
             next_free: PAGE_SIZE,
@@ -217,7 +218,7 @@ impl SpatialManager {
         partition: PartitionId,
         descriptors: &[MemoryDescriptor],
     ) -> Result<MmuContextId, SpatialError> {
-        if self.partitions.contains_key(&partition) {
+        if self.space(partition).is_some() {
             return Err(SpatialError::AlreadyConfigured(partition));
         }
         let context = self.mmu.create_context();
@@ -241,9 +242,17 @@ impl SpatialManager {
             self.next_free += size;
             regions.push((*desc, pa));
         }
-        self.partitions
-            .insert(partition, PartitionSpace { context, regions });
+        let idx = partition.as_usize();
+        if idx >= self.partitions.len() {
+            self.partitions.resize_with(idx + 1, || None);
+        }
+        self.partitions[idx] = Some(PartitionSpace { context, regions });
         Ok(context)
+    }
+
+    /// The loaded state of `partition`, if it was configured.
+    fn space(&self, partition: PartitionId) -> Option<&PartitionSpace> {
+        self.partitions.get(partition.as_usize())?.as_ref()
     }
 
     /// The MMU context of a configured partition.
@@ -252,8 +261,7 @@ impl SpatialManager {
     ///
     /// [`SpatialError::NotConfigured`] when the partition was never loaded.
     pub fn context_of(&self, partition: PartitionId) -> Result<MmuContextId, SpatialError> {
-        self.partitions
-            .get(&partition)
+        self.space(partition)
             .map(|s| s.context)
             .ok_or(SpatialError::NotConfigured(partition))
     }
@@ -272,7 +280,7 @@ impl SpatialManager {
         kind: AccessKind,
         privilege: Privilege,
     ) -> Result<u64, MmuFault> {
-        let context = match self.partitions.get(&partition) {
+        let context = match self.space(partition) {
             Some(s) => s.context,
             // An unconfigured partition has no valid context: fault.
             None => MmuContextId(u32::MAX),
@@ -282,7 +290,7 @@ impl SpatialManager {
 
     /// The `(descriptor, physical_base)` regions loaded for `partition`.
     pub fn regions_of(&self, partition: PartitionId) -> Option<&[(MemoryDescriptor, u64)]> {
-        self.partitions.get(&partition).map(|s| s.regions.as_slice())
+        self.space(partition).map(|s| s.regions.as_slice())
     }
 
     /// Makes `partition`'s MMU context the active one — the PMK calls this
@@ -312,11 +320,7 @@ impl SpatialManager {
     /// [`SpatialError::NotConfigured`] for an unknown partition;
     /// [`SpatialError::Map`] if the MMU rejects the unmap.
     pub fn revoke_page(&mut self, partition: PartitionId, va: u64) -> Result<(), SpatialError> {
-        let context = self
-            .partitions
-            .get(&partition)
-            .map(|s| s.context)
-            .ok_or(SpatialError::NotConfigured(partition))?;
+        let context = self.context_of(partition)?;
         let page = va & !(PAGE_SIZE - 1);
         self.mmu.unmap(context, page, PAGE_SIZE)?;
         Ok(())
@@ -335,8 +339,8 @@ impl SpatialManager {
     pub fn reload_partition(&mut self, partition: PartitionId) -> Result<(), SpatialError> {
         let space = self
             .partitions
-            .get(&partition)
-            .cloned()
+            .get(partition.as_usize())
+            .and_then(Option::as_ref)
             .ok_or(SpatialError::NotConfigured(partition))?;
         for (desc, pa) in &space.regions {
             let size = desc.size.max(PAGE_SIZE).next_multiple_of(PAGE_SIZE);
@@ -483,6 +487,45 @@ mod tests {
             .configure_partition(p(0), &standard_application_layout(0x1000, 0x1000, 0x1000))
             .unwrap_err();
         assert_eq!(err, SpatialError::AlreadyConfigured(p(0)));
+    }
+
+    #[test]
+    fn sparse_out_of_order_configuration() {
+        let layout = standard_application_layout(0x1000, 0x1000, 0x1000);
+        let mut s = SpatialManager::new(4 << 20);
+        assert_eq!(s.configure_partition(p(5), &layout), Ok(MmuContextId(0)));
+        assert_eq!(s.configure_partition(p(1), &layout), Ok(MmuContextId(1)));
+        assert_eq!(s.context_of(p(5)), Ok(MmuContextId(0)));
+        assert_eq!(s.context_of(p(1)), Ok(MmuContextId(1)));
+        assert_eq!(
+            s.configure_partition(p(5), &layout),
+            Err(SpatialError::AlreadyConfigured(p(5)))
+        );
+        assert_eq!(
+            s.configure_partition(p(1), &layout),
+            Err(SpatialError::AlreadyConfigured(p(1)))
+        );
+        for gap in [p(0), p(3), p(6), p(1000)] {
+            assert_eq!(s.context_of(gap), Err(SpatialError::NotConfigured(gap)));
+            assert_eq!(s.activate_partition(gap), Err(SpatialError::NotConfigured(gap)));
+            assert_eq!(s.revoke_page(gap, 0x5000_0000), Err(SpatialError::NotConfigured(gap)));
+            assert_eq!(s.reload_partition(gap), Err(SpatialError::NotConfigured(gap)));
+            assert!(s.regions_of(gap).is_none());
+            assert!(matches!(
+                s.translate(gap, 0x5000_0000, AccessKind::Read, Privilege::User),
+                Err(MmuFault::InvalidContext { .. })
+            ));
+        }
+        // The two spaces stay disjoint and independently reloadable.
+        let pa5 = s.translate(p(5), 0x5000_0000, AccessKind::Read, Privilege::User).unwrap();
+        let pa1 = s.translate(p(1), 0x5000_0000, AccessKind::Read, Privilege::User).unwrap();
+        assert_ne!(pa5, pa1);
+        s.revoke_page(p(1), 0x5000_0000).unwrap();
+        s.reload_partition(p(1)).unwrap();
+        assert_eq!(
+            s.translate(p(1), 0x5000_0000, AccessKind::Read, Privilege::User),
+            Ok(pa1)
+        );
     }
 
     #[test]
