@@ -247,17 +247,12 @@ impl AirSystem {
         match self.spatial.translate(m, va, kind, privilege) {
             Ok(pa) => Ok(pa),
             Err(fault) => {
-                let decision = self.hm.report(
+                let decision = self.report_to_hm(
                     now,
                     ErrorId::MemoryViolation,
                     ErrorSource::Partition(m),
                     fault.to_string(),
                 );
-                self.trace.record(TraceEvent::HmReport {
-                    at: now,
-                    error: ErrorId::MemoryViolation,
-                    partition: Some(m),
-                });
                 self.apply_decision_for(ErrorId::MemoryViolation, decision, now);
                 Err(fault)
             }
@@ -363,17 +358,12 @@ impl AirSystem {
     /// is partition-level and warm-restarts the partition.
     pub fn inject_partition_fault(&mut self, m: PartitionId) {
         let now = Ticks(self.machine.clock.now());
-        let decision = self.hm.report(
+        let decision = self.report_to_hm(
             now,
             ErrorId::MemoryViolation,
             ErrorSource::Partition(m),
             "injected partition-scoped fault (witness replay)",
         );
-        self.trace.record(TraceEvent::HmReport {
-            at: now,
-            error: ErrorId::MemoryViolation,
-            partition: Some(m),
-        });
         self.apply_decision_for(ErrorId::MemoryViolation, decision, now);
     }
 
@@ -383,17 +373,12 @@ impl AirSystem {
     /// the module action is Reset: every partition cold-restarts.
     pub fn inject_module_fault(&mut self) {
         let now = Ticks(self.machine.clock.now());
-        let decision = self.hm.report(
+        let decision = self.report_to_hm(
             now,
             ErrorId::HardwareFault,
             ErrorSource::Module,
             "injected module-scoped fault (witness replay)",
         );
-        self.trace.record(TraceEvent::HmReport {
-            at: now,
-            error: ErrorId::HardwareFault,
-            partition: None,
-        });
         self.apply_decision_for(ErrorId::HardwareFault, decision, now);
     }
 
@@ -405,17 +390,12 @@ impl AirSystem {
     /// effect at the next major-time-frame boundary.
     pub fn force_link_down(&mut self) {
         let now = Ticks(self.machine.clock.now());
-        self.hm.report(
+        self.report_to_hm(
             now,
             ErrorId::LinkDegraded,
             ErrorSource::Module,
             "forced link failover (witness replay)",
         );
-        self.trace.record(TraceEvent::HmReport {
-            at: now,
-            error: ErrorId::LinkDegraded,
-            partition: None,
-        });
         self.enter_degraded_mode(now);
     }
 
@@ -434,17 +414,12 @@ impl AirSystem {
     pub fn inject_deadline_fault(&mut self, m: PartitionId) {
         let now = Ticks(self.machine.clock.now());
         let gpid = GlobalProcessId::new(m, ProcessId(0));
-        let decision = self.hm.report(
+        let decision = self.report_to_hm(
             now,
             ErrorId::DeadlineMissed,
             ErrorSource::Process(gpid),
             "injected deadline miss (witness replay)",
         );
-        self.trace.record(TraceEvent::HmReport {
-            at: now,
-            error: ErrorId::DeadlineMissed,
-            partition: Some(m),
-        });
         self.apply_decision_for(ErrorId::DeadlineMissed, decision, now);
     }
 
@@ -454,17 +429,12 @@ impl AirSystem {
     /// exactly like the real exhaustion branch.
     pub fn inject_arq_exhaustion(&mut self) {
         let now = Ticks(self.machine.clock.now());
-        self.hm.report(
+        self.report_to_hm(
             now,
             ErrorId::LinkDegraded,
             ErrorSource::Module,
             "injected ARQ delivery exhaustion (witness replay)",
         );
-        self.trace.record(TraceEvent::HmReport {
-            at: now,
-            error: ErrorId::LinkDegraded,
-            partition: None,
-        });
         self.arq_exhausted = true;
     }
 
@@ -484,17 +454,12 @@ impl AirSystem {
             return;
         }
         let now = Ticks(self.machine.clock.now());
-        self.hm.report(
+        self.report_to_hm(
             now,
             ErrorId::LinkDegraded,
             ErrorSource::Module,
             format!("forced mesh edge {edge} down (witness replay)"),
         );
-        self.trace.record(TraceEvent::HmReport {
-            at: now,
-            error: ErrorId::LinkDegraded,
-            partition: None,
-        });
         self.mesh_down_mask |= 1 << edge;
     }
 
@@ -521,17 +486,12 @@ impl AirSystem {
             return;
         }
         let now = Ticks(self.machine.clock.now());
-        self.hm.report(
+        self.report_to_hm(
             now,
             ErrorId::LinkDegraded,
             ErrorSource::Module,
             format!("rerouted around mesh edge {edge} (witness replay)"),
         );
-        self.trace.record(TraceEvent::HmReport {
-            at: now,
-            error: ErrorId::LinkDegraded,
-            partition: None,
-        });
         self.mesh_rerouted_mask |= 1 << edge;
     }
 
@@ -591,17 +551,12 @@ impl AirSystem {
                     let errors = self.ipc.receive(&mut self.machine.link, now);
                     self.drain_transport_events(now);
                     for e in errors {
-                        self.hm.report(
+                        self.report_to_hm(
                             now,
                             ErrorId::HardwareFault,
                             ErrorSource::Module,
                             e.to_string(),
                         );
-                        self.trace.record(TraceEvent::HmReport {
-                            at: now,
-                            error: ErrorId::HardwareFault,
-                            partition: None,
-                        });
                     }
                 }
                 InterruptLine::ConsoleInput => self.on_console_input(),
@@ -610,17 +565,12 @@ impl AirSystem {
                     // here is spurious (fault injection, or a real platform
                     // glitch) and goes to health monitoring as a module-
                     // scoped hardware fault.
-                    let decision = self.hm.report(
+                    let decision = self.report_to_hm(
                         now,
                         ErrorId::HardwareFault,
                         ErrorSource::Module,
                         format!("spurious trap on device line {line}"),
                     );
-                    self.trace.record(TraceEvent::HmReport {
-                        at: now,
-                        error: ErrorId::HardwareFault,
-                        partition: None,
-                    });
                     self.apply_decision_for(ErrorId::HardwareFault, decision, now);
                 }
             }
@@ -638,17 +588,12 @@ impl AirSystem {
                 Some(m) => ErrorSource::Partition(m),
                 None => ErrorSource::Module,
             };
-            self.hm.report(
+            self.report_to_hm(
                 now,
                 ErrorId::IllegalRequest,
                 source,
                 "guest attempt to mask the clock-tick source (wrapped)",
             );
-            self.trace.record(TraceEvent::HmReport {
-                at: now,
-                error: ErrorId::IllegalRequest,
-                partition: self.dispatcher.active_partition(),
-            });
         }
 
         // Execute the active partition's heir process for this tick.
@@ -692,13 +637,7 @@ impl AirSystem {
         let frame_errors = self.ipc.service(&mut self.machine);
         self.drain_transport_events(now);
         for e in frame_errors {
-            self.hm
-                .report(now, ErrorId::HardwareFault, ErrorSource::Module, e.to_string());
-            self.trace.record(TraceEvent::HmReport {
-                at: now,
-                error: ErrorId::HardwareFault,
-                partition: None,
-            });
+            self.report_to_hm(now, ErrorId::HardwareFault, ErrorSource::Module, e.to_string());
         }
 
         if let Some(sid) = event.switched_to {
@@ -790,12 +729,7 @@ impl AirSystem {
         // route raised errors through HM under their own error class.
         for (raiser, error, message) in raised {
             let gp = GlobalProcessId::new(m, raiser);
-            let decision = self.hm.report(now, error, ErrorSource::Process(gp), message);
-            self.trace.record(TraceEvent::HmReport {
-                at: now,
-                error,
-                partition: Some(m),
-            });
+            let decision = self.report_to_hm(now, error, ErrorSource::Process(gp), message);
             self.apply_decision_for(error, decision, now);
         }
     }
@@ -823,17 +757,12 @@ impl AirSystem {
                 process: gpid,
                 deadline,
             });
-            let decision = self.hm.report(
+            let decision = self.report_to_hm(
                 now,
                 ErrorId::DeadlineMissed,
                 ErrorSource::Process(gpid),
                 format!("deadline {deadline} missed, detected at {now}"),
             );
-            self.trace.record(TraceEvent::HmReport {
-                at: now,
-                error: ErrorId::DeadlineMissed,
-                partition: Some(m),
-            });
             self.apply_decision_for(ErrorId::DeadlineMissed, decision, now);
         }
     }
@@ -862,17 +791,12 @@ impl AirSystem {
                         .record(TraceEvent::LinkFailover { at: now, to });
                     match to {
                         LinkRole::Secondary => {
-                            self.hm.report(
+                            self.report_to_hm(
                                 now,
                                 ErrorId::LinkDegraded,
                                 ErrorSource::Module,
                                 format!("reliable transport failed over to {to} link"),
                             );
-                            self.trace.record(TraceEvent::HmReport {
-                                at: now,
-                                error: ErrorId::LinkDegraded,
-                                partition: None,
-                            });
                             self.enter_degraded_mode(now);
                         }
                         // Reverting to the primary link is a recovery: the
@@ -885,17 +809,12 @@ impl AirSystem {
                     self.exit_degraded_mode(now);
                 }
                 LinkTransportEvent::DeliveryExhausted { seq } => {
-                    self.hm.report(
+                    self.report_to_hm(
                         now,
                         ErrorId::LinkDegraded,
                         ErrorSource::Module,
                         format!("delivery retries exhausted for frame #{seq}"),
                     );
-                    self.trace.record(TraceEvent::HmReport {
-                        at: now,
-                        error: ErrorId::LinkDegraded,
-                        partition: None,
-                    });
                     self.arq_exhausted = true;
                 }
                 _ => {}
@@ -936,6 +855,27 @@ impl AirSystem {
                 schedule: nominal,
             });
         }
+    }
+
+    /// Reports `error` from `source` to the health monitor and records the
+    /// matching [`TraceEvent::HmReport`], against the source's partition.
+    /// Returns the monitor's decision; callers that enforce it pass it to
+    /// [`apply_decision_for`](Self::apply_decision_for).
+    fn report_to_hm(
+        &mut self,
+        now: Ticks,
+        error: ErrorId,
+        source: ErrorSource,
+        detail: impl Into<String>,
+    ) -> HmDecision {
+        let partition = source.partition();
+        let decision = self.hm.report(now, error, source, detail);
+        self.trace.record(TraceEvent::HmReport {
+            at: now,
+            error,
+            partition,
+        });
+        decision
     }
 
     /// Enforces an HM decision for `error` and records exactly one

@@ -8,7 +8,7 @@
 //! events are authority schedule requests (including racing request pairs),
 //! process deadline faults, HM faults, link failover/recovery, ARQ
 //! exhaustion/resync and per-edge mesh link toggles — and explored
-//! breadth-first up to a configurable event depth by the parallel sharded
+//! breadth-first up to a configurable event depth by the level-synchronous
 //! engine of [`air_model::explore::search`]. Safety invariants are
 //! evaluated in every reachable state, directly on the packed
 //! [`StateKey`]s with mask tests; each violation carries a

@@ -20,7 +20,7 @@
 //! the hop budget the runtime stamps on every packet,
 //! `air_ports::routing::MESH_TTL` — the same constant, not a copy.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use air_ports::routing::MESH_TTL;
 use air_tools::config::span_key;
@@ -144,14 +144,6 @@ pub(crate) fn analyze_mesh(models: &[SystemModel], report: &mut LintReport) {
     // (origin, destination) pair must reach the destination without
     // revisiting a node. Dead ends are already AIR090/AIR093 findings;
     // the walk just stops there. Each distinct cycle is reported once.
-    let next_hop = |node: u16, dst: u16| -> Option<u16> {
-        let &i = owner_of.get(&node)?;
-        models[i]
-            .routes
-            .iter()
-            .find(|r| r.dst.0 == dst)
-            .map(|r| r.via.0)
-    };
     let mut seen_cycles: BTreeSet<(u16, Vec<u16>)> = BTreeSet::new();
     for &origin in &declared {
         for &dst in &declared {
@@ -161,7 +153,7 @@ pub(crate) fn analyze_mesh(models: &[SystemModel], report: &mut LintReport) {
             let mut path = vec![origin];
             let mut cur = origin;
             while cur != dst {
-                let Some(via) = next_hop(cur, dst) else {
+                let Some(via) = next_hop(models, &owner_of, cur, dst) else {
                     break; // dead end — flagged by AIR090/AIR093 above
                 };
                 if let Some(start) = path.iter().position(|&n| n == via) {
@@ -238,6 +230,76 @@ pub(crate) fn analyze_mesh(models: &[SystemModel], report: &mut LintReport) {
     }
 }
 
+/// The declared next hop from `node` toward `dst`: the `via` of the
+/// first route toward `dst` in the document describing `node`. `None`
+/// when no member describes `node` or its table has no such route.
+pub(crate) fn next_hop(
+    models: &[SystemModel],
+    owner_of: &BTreeMap<u16, usize>,
+    node: u16,
+    dst: u16,
+) -> Option<u16> {
+    let &i = owner_of.get(&node)?;
+    models[i]
+        .routes
+        .iter()
+        .find(|r| r.dst.0 == dst)
+        .map(|r| r.via.0)
+}
+
+/// The undirected physical edges around each node.
+pub(crate) type Adjacency = BTreeMap<u16, BTreeSet<u16>>;
+
+/// The undirected edge between `u` and `v`, normalized `(low, high)`.
+fn edge(u: u16, v: u16) -> (u16, u16) {
+    if u < v {
+        (u, v)
+    } else {
+        (v, u)
+    }
+}
+
+/// BFS hop distances from `start` over `adjacency`, skipping the optional
+/// `cut` edge (normalized `(low, high)`).
+fn distances(
+    adjacency: &Adjacency,
+    start: u16,
+    cut: Option<(u16, u16)>,
+) -> BTreeMap<u16, usize> {
+    let mut dist: BTreeMap<u16, usize> = BTreeMap::new();
+    dist.insert(start, 0);
+    let mut frontier = VecDeque::from([start]);
+    while let Some(n) = frontier.pop_front() {
+        let d = dist[&n];
+        let Some(neighbours) = adjacency.get(&n) else { continue };
+        for &next in neighbours {
+            if Some(edge(n, next)) == cut || dist.contains_key(&next) {
+                continue;
+            }
+            dist.insert(next, d + 1);
+            frontier.push_back(next);
+        }
+    }
+    dist
+}
+
+/// The reroutes of a packet walking `path` (its nodes, origin first,
+/// destination last) when one edge of it dies: for each hop `u -> v`,
+/// `(hops spent before it, (u, v), hops spent plus the shortest detour
+/// from u to the destination that avoids the edge)`. Hops with no detour
+/// at all are skipped.
+pub(crate) fn detours<'a>(
+    adjacency: &'a Adjacency,
+    path: &'a [u16],
+) -> impl Iterator<Item = (usize, (u16, u16), usize)> + 'a {
+    let dst = path.last().copied().unwrap_or_default();
+    path.windows(2).enumerate().filter_map(move |(spent, pair)| {
+        let (u, v) = (pair[0], pair[1]);
+        let detour = distances(adjacency, u, Some(edge(u, v))).get(&dst).copied()?;
+        Some((spent, (u, v), spent + detour))
+    })
+}
+
 /// Undirected physical edges recovered from direct-neighbour routes
 /// (`route N<k> via=N<k>`), normalized `(low, high)`, plus the adjacency
 /// view. With `include_undeclared`, edges into nodes no member document
@@ -245,7 +307,7 @@ pub(crate) fn analyze_mesh(models: &[SystemModel], report: &mut LintReport) {
 /// spokes are off the command line under a symmetric assumption; the
 /// self-healing pass drops such edges (it reasons only about described
 /// members).
-pub(crate) type EdgesAndAdjacency = (BTreeSet<(u16, u16)>, BTreeMap<u16, BTreeSet<u16>>);
+pub(crate) type EdgesAndAdjacency = (BTreeSet<(u16, u16)>, Adjacency);
 
 pub(crate) fn direct_adjacency(
     models: &[SystemModel],
@@ -259,12 +321,11 @@ pub(crate) fn direct_adjacency(
                 && r.dst.0 != id
                 && (include_undeclared || owner_of.contains_key(&r.dst.0))
             {
-                let (a, b) = if id < r.dst.0 { (id, r.dst.0) } else { (r.dst.0, id) };
-                edges.insert((a, b));
+                edges.insert(edge(id, r.dst.0));
             }
         }
     }
-    let mut adjacency: BTreeMap<u16, BTreeSet<u16>> = BTreeMap::new();
+    let mut adjacency = Adjacency::new();
     for &(a, b) in &edges {
         adjacency.entry(a).or_default().insert(b);
         adjacency.entry(b).or_default().insert(a);
@@ -298,30 +359,11 @@ fn analyze_self_healing(
     // Undirected physical edges, normalized `(low, high)`.
     let (edges, adjacency) = direct_adjacency(models, owner_of, false);
 
-    // BFS distances from `start`, skipping the optional cut edge.
-    let distances = |start: u16, cut: Option<(u16, u16)>| -> BTreeMap<u16, usize> {
-        let mut dist: BTreeMap<u16, usize> = BTreeMap::new();
-        dist.insert(start, 0);
-        let mut frontier = std::collections::VecDeque::from([start]);
-        while let Some(n) = frontier.pop_front() {
-            let d = dist[&n];
-            let Some(neighbours) = adjacency.get(&n) else { continue };
-            for &next in neighbours {
-                let e = if n < next { (n, next) } else { (next, n) };
-                if Some(e) == cut || dist.contains_key(&next) {
-                    continue;
-                }
-                dist.insert(next, d + 1);
-                frontier.push_back(next);
-            }
-        }
-        dist
-    };
-
     // A mesh that is disconnected before any fault is AIR090 territory;
     // single-edge-loss analysis assumes a connected baseline.
     let all: BTreeSet<u16> = declared.iter().copied().collect();
-    let baseline: BTreeSet<u16> = distances(declared[0], None).keys().copied().collect();
+    let baseline: BTreeSet<u16> =
+        distances(&adjacency, declared[0], None).keys().copied().collect();
     if baseline != all {
         return;
     }
@@ -329,7 +371,8 @@ fn analyze_self_healing(
     // AIR100 — bridges: removing the edge splits the mesh; report the
     // smaller (stranded) side.
     for &(a, b) in &edges {
-        let reached: BTreeSet<u16> = distances(a, Some((a, b))).keys().copied().collect();
+        let reached: BTreeSet<u16> =
+            distances(&adjacency, a, Some((a, b))).keys().copied().collect();
         if reached == all {
             continue;
         }
@@ -393,14 +436,6 @@ fn analyze_self_healing(
     // edge the packet would cross after h hops, the rerouted total is
     // h + the shortest detour avoiding that edge. Report the single
     // worst case when it meets the TTL budget.
-    let next_hop = |node: u16, dst: u16| -> Option<u16> {
-        let &i = owner_of.get(&node)?;
-        models[i]
-            .routes
-            .iter()
-            .find(|r| r.dst.0 == dst)
-            .map(|r| r.via.0)
-    };
     struct WorstDetour {
         total: usize,
         origin: u16,
@@ -414,27 +449,22 @@ fn analyze_self_healing(
             if dst == origin {
                 continue;
             }
-            let mut path_edges = Vec::new();
-            let mut visited: BTreeSet<u16> = [origin].into();
+            let mut path = vec![origin];
             let mut cur = origin;
             while cur != dst {
-                let Some(via) = next_hop(cur, dst) else { break };
+                let Some(via) = next_hop(models, owner_of, cur, dst) else { break };
                 let has_edge = adjacency.get(&cur).is_some_and(|n| n.contains(&via));
-                if !has_edge || !visited.insert(via) {
+                if !has_edge || path.contains(&via) {
                     break; // flagged by the structural pass
                 }
-                path_edges.push((cur, via));
+                path.push(via);
                 cur = via;
             }
             if cur != dst {
                 continue;
             }
-            for (hops_spent, &(u, v)) in path_edges.iter().enumerate() {
-                let cut = if u < v { (u, v) } else { (v, u) };
-                let Some(&detour) = distances(u, Some(cut)).get(&dst) else {
-                    continue; // no detour at all — AIR100's finding
-                };
-                let total = hops_spent + detour;
+            // A hop with no detour at all is AIR100's finding.
+            for (hops_spent, (u, v), total) in detours(&adjacency, &path) {
                 if total >= usize::from(MESH_TTL) && worst.as_ref().is_none_or(|w| total > w.total)
                 {
                     worst = Some(WorstDetour { total, origin, dst, edge: (u, v), hops_spent });

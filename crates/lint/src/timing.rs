@@ -45,7 +45,7 @@
 //! assumption is only as good as the assumption — lint the full member
 //! set to discharge it.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use air_model::process::{Deadline, ProcessAttributes};
 use air_ports::routing::{MESH_HOP_SLACK, MESH_LATENCY, MESH_TTL};
@@ -54,7 +54,7 @@ use air_tools::config::span_key;
 use air_tools::schedulability::{analyze_partition_with_phasing, Phasing};
 
 use crate::diag::{Code, Diagnostic, LintReport};
-use crate::mesh::node_label;
+use crate::mesh::{detours, next_hop, node_label};
 use crate::model::SystemModel;
 
 /// Worst-case reroute/failover penalty one in-flight packet can absorb
@@ -186,42 +186,17 @@ pub(crate) fn analyze(models: &[SystemModel], report: &mut LintReport) -> Vec<Fl
     }
     let (_edges, adjacency) = crate::mesh::direct_adjacency(models, &owner_of, true);
 
-    // BFS hop distance from `start` to `goal` over the adjacency,
-    // optionally with one edge cut.
-    let detour = |start: u16, goal: u16, cut: (u16, u16)| -> Option<u64> {
-        let mut dist: BTreeMap<u16, u64> = BTreeMap::new();
-        dist.insert(start, 0);
-        let mut frontier = VecDeque::from([start]);
-        while let Some(n) = frontier.pop_front() {
-            let d = dist[&n];
-            if n == goal {
-                return Some(d);
-            }
-            let Some(neighbours) = adjacency.get(&n) else { continue };
-            for &next in neighbours {
-                let e = if n < next { (n, next) } else { (next, n) };
-                if e == cut || dist.contains_key(&next) {
-                    continue;
-                }
-                dist.insert(next, d + 1);
-                frontier.push_back(next);
-            }
-        }
-        None
-    };
-
     // Declared-table walk from `from` toward `to`.
     let walk = |from: u16, to: u16| -> Walk {
         let mut path = vec![from];
         let mut cur = from;
         while cur != to {
-            let Some(&i) = owner_of.get(&cur) else {
+            if !owner_of.contains_key(&cur) {
                 return Walk::Opaque { at: cur };
-            };
-            let Some(r) = models[i].routes.iter().find(|r| r.dst.0 == to) else {
+            }
+            let Some(via) = next_hop(models, &owner_of, cur, to) else {
                 return Walk::DeadEnd { at: cur };
             };
-            let via = r.via.0;
             if path.contains(&via) || path.len() > universe.len() {
                 return Walk::Loop { at: cur };
             }
@@ -235,20 +210,14 @@ pub(crate) fn analyze(models: &[SystemModel], report: &mut LintReport) -> Vec<Fl
     // longest spent-plus-detour total after a single edge loss mid-path,
     // capped by the TTL budget (a delivered packet never takes more
     // forwards than its hop budget allows).
+    // A hop with no detour parks the packet, which later re-takes the
+    // baseline — covered by the failover penalty, not by hops.
     let worst_hops = |path: &[u16]| -> u64 {
-        let baseline = (path.len() - 1) as u64;
-        let mut worst = baseline;
-        let goal = *path.last().unwrap_or(&0);
-        for (spent, pair) in path.windows(2).enumerate() {
-            let (u, v) = (pair[0], pair[1]);
-            let cut = if u < v { (u, v) } else { (v, u) };
-            if let Some(d) = detour(u, goal, cut) {
-                worst = worst.max(spent as u64 + d);
-            }
-            // No detour: the packet parks and later re-takes the
-            // baseline — covered by the failover penalty, not by hops.
-        }
-        worst.min(u64::from(MESH_TTL))
+        let baseline = path.len() - 1;
+        let worst = detours(&adjacency, path)
+            .map(|(_, _, total)| total)
+            .fold(baseline, usize::max);
+        (worst as u64).min(u64::from(MESH_TTL))
     };
 
     // Flows, first declaring member wins.

@@ -4,36 +4,25 @@
 //! edges are stored by `u32` index, and a state is decoded back into an
 //! [`AbstractState`] only when asked for ([`SearchGraph::state`]).
 //!
-//! The engine is level-synchronous: each BFS level runs three phases —
+//! The engine is level-synchronous: each BFS level runs two phases —
 //!
 //! 1. **Expand** (parallel): the frontier is split into contiguous slices,
 //!    one per worker (`std::thread::scope`, the calling thread doubles as
-//!    worker 0 — the air-fleet sharding idiom). Each worker applies every
-//!    enabled event to its slice and emits successor candidates, tagged with
-//!    the seen-set shard of the successor key. Workers write into
-//!    per-worker buffers, concatenated in worker order so the candidate
-//!    sequence is identical to a sequential expansion.
-//! 2. **Dedup** (parallel): the seen-set maps each key to its state index
-//!    and is sharded by a fixed key hash ([`KeyHasher`]) into
-//!    [`SEEN_SHARDS`] hash maps; worker `w` owns the shards `s` with
-//!    `s % workers == w`. A single sequential O(candidates) pass buckets
-//!    each candidate's position into its owner's hand-off list (a
-//!    successor equal to its source needs no lookup), then each worker
-//!    classifies only its own bucket as already known, fresh — entered
-//!    provisionally at its batch position — or a duplicate of an earlier
-//!    fresh candidate. Outcomes depend only on the seen-set contents and
-//!    the candidate order, never on the worker layout.
-//!
-//! Levels whose frontier is smaller than [`PARALLEL_FRONTIER_THRESHOLD`]
-//! run both phases sequentially: early BFS levels are tiny even when the
-//! total space is huge, and thread spawn plus hand-off overhead there
-//! used to cost more than the expansion itself (the depth-8 benchmark
-//! *lost* throughput as workers were added).
-//! 3. **Commit** (sequential): fresh states get indices in candidate order
-//!    (bounded by [`SearchConfig::max_states`]; a provisional entry past
-//!    the cap leaves the seen-set), parent pointers for minimal witnesses,
-//!    and edges — so the resulting graph is byte-identical for every
-//!    worker count.
+//!    worker 0 — the air-fleet idiom). Each worker applies every enabled
+//!    event to its slice and emits successor candidates into a buffer of
+//!    its own; the buffers are concatenated in worker order, so the
+//!    candidate sequence is identical to a sequential expansion. Levels
+//!    whose frontier is smaller than [`PARALLEL_FRONTIER_THRESHOLD`]
+//!    expand on the calling thread alone: early BFS levels are tiny even
+//!    when the total space is huge, and spawning threads there costs more
+//!    than the expansion itself.
+//! 2. **Commit** (sequential): one pass over the candidates, in order,
+//!    against a single seen-set mapping each key to its state index. A
+//!    known key gives an edge to that index; a new key gets the next index
+//!    (bounded by [`SearchConfig::max_states`]), a parent pointer for
+//!    minimal witnesses and a frontier slot; a new key past the cap is
+//!    dropped and counted. Indices follow candidate order, so the resulting
+//!    graph is identical for every worker count.
 //!
 //! # Partial-order reduction
 //!
@@ -62,13 +51,9 @@ use super::{AbstractEvent, AbstractState, StateKey, TransitionSystem, Witness};
 /// Default bound on stored states (raise via `airlint --max-states`).
 pub const DEFAULT_MAX_STATES: usize = 262_144;
 
-/// Number of seen-set shards; worker counts that divide it balance
-/// exactly.
-pub const SEEN_SHARDS: usize = 16;
-
-/// Frontiers smaller than this expand and dedup on the calling thread
-/// alone — spawning workers for a handful of states costs more than the
-/// work. The resulting graph is unaffected (worker count never is).
+/// Frontiers smaller than this expand on the calling thread alone —
+/// spawning workers for a handful of states costs more than the work.
+/// The resulting graph is unaffected (worker count never is).
 pub const PARALLEL_FRONTIER_THRESHOLD: usize = 256;
 
 /// Tuning knobs for [`search`].
@@ -157,8 +142,7 @@ impl SearchGraph {
 }
 
 /// The seen-set hash of a key: the murmur3 64-bit finalizer over both
-/// halves. It is fixed, so shard ownership is the same on every run,
-/// host and worker layout.
+/// halves. It is fixed, so it is the same on every run and host.
 fn key_hash(key: StateKey) -> u64 {
     let mut h = (key.0 as u64)
         ^ ((key.0 >> 64) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -169,8 +153,7 @@ fn key_hash(key: StateKey) -> u64 {
     h ^ (h >> 33)
 }
 
-/// [`Hasher`] for [`StateKey`] maps: a fixed 64-bit mix of the key, the
-/// same one that picks the key's seen-set shard.
+/// [`Hasher`] for [`StateKey`] maps: a fixed 64-bit mix of the key.
 #[derive(Default)]
 pub struct KeyHasher(u64);
 
@@ -193,13 +176,6 @@ impl Hasher for KeyHasher {
 /// A map keyed by [`StateKey`], hashed with [`KeyHasher`].
 pub type KeyMap<V> = HashMap<StateKey, V, BuildHasherDefault<KeyHasher>>;
 
-/// The seen-set shard of a key hash. Bits 32–35: hashbrown indexes
-/// buckets with the low bits and tags them with the top seven, so the
-/// shard selector takes neither.
-fn shard_of(hash: u64) -> usize {
-    ((hash >> 32) % SEEN_SHARDS as u64) as usize
-}
-
 /// The independence component of an event, or `None` for global events.
 ///
 /// Events in distinct components commute (each toggles a private state
@@ -214,36 +190,16 @@ fn por_component(event: AbstractEvent) -> Option<u16> {
     }
 }
 
-/// Seen-set value bit marking an entry provisional: the first occurrence
-/// of its key in the batch being classified, at the batch position in the
-/// low bits, not yet committed to a state index.
-const PROVISIONAL: u32 = 1 << 31;
+/// Largest state count the engine stores (see
+/// [`SearchConfig::max_states`]): 2^31 states would need over 100 GiB.
+const MAX_INDEX: usize = i32::MAX as usize;
 
-/// Largest state count (and batch size) the seen-set values encode. A
-/// batch cannot reach it: 2^31 candidates of 48 B would need 96 GiB.
-const MAX_INDEX: usize = PROVISIONAL as usize - 1;
-
-/// [`Candidate::shard`] of a successor equal to its source, whose index
-/// is known without a seen-set lookup.
-const SELF_LOOP: u32 = u32::MAX;
-
-/// A successor produced by the expand phase, waiting for dedup + commit.
+/// A successor produced by the expand phase, waiting for the commit.
 struct Candidate {
     from: u32,
-    shard: u32,
     event: AbstractEvent,
     restarted: u64,
     key: StateKey,
-}
-
-#[derive(Clone, Copy)]
-enum Outcome {
-    /// Already in the seen-set at this state index.
-    Known(u32),
-    /// First occurrence of a new state in this batch.
-    Fresh,
-    /// Duplicate of the fresh candidate at this batch position.
-    Dup(usize),
 }
 
 fn expand_slice(
@@ -273,50 +229,14 @@ fn expand_slice(
                 }
             }
             if let Some(t) = ts.step_key(key, event) {
-                let shard = if t.key == key {
-                    SELF_LOOP
-                } else {
-                    shard_of(key_hash(t.key)) as u32
-                };
                 out.push(Candidate {
                     from: index,
-                    shard,
                     event,
                     restarted: t.restarted,
                     key: t.key,
                 });
             }
         }
-    }
-}
-
-/// Classifies the candidates at `positions` (one worker's hand-off
-/// bucket, in ascending candidate order) against the worker's own shards,
-/// `owned[s / lanes]` holding shard `s`. All occurrences of a state share
-/// its shard, so they land in the same bucket: the first enters the
-/// seen-set provisionally and later ones find it there, so batch-level
-/// first/duplicate resolution needs no cross-worker traffic.
-fn dedup_positions(
-    owned: &mut [&mut KeyMap<u32>],
-    lanes: usize,
-    candidates: &[Candidate],
-    positions: impl Iterator<Item = usize>,
-    mut record: impl FnMut(usize, Outcome),
-) {
-    for position in positions {
-        let candidate = &candidates[position];
-        let map = &mut owned[candidate.shard as usize / lanes];
-        let outcome = match map.entry(candidate.key) {
-            Entry::Occupied(entry) if *entry.get() & PROVISIONAL != 0 => {
-                Outcome::Dup((*entry.get() & !PROVISIONAL) as usize)
-            }
-            Entry::Occupied(entry) => Outcome::Known(*entry.get()),
-            Entry::Vacant(entry) => {
-                entry.insert(PROVISIONAL | position as u32);
-                Outcome::Fresh
-            }
-        };
-        record(position, outcome);
     }
 }
 
@@ -331,9 +251,8 @@ pub fn search(ts: &TransitionSystem, config: &SearchConfig) -> SearchGraph {
         parents: vec![None],
         ..SearchGraph::default()
     };
-    let mut shards: Vec<KeyMap<u32>> =
-        (0..SEEN_SHARDS).map(|_| KeyMap::default()).collect();
-    shards[shard_of(key_hash(initial))].insert(initial, 0);
+    let mut seen: KeyMap<u32> = KeyMap::default();
+    seen.insert(initial, 0);
     let mut frontier: Vec<u32> = vec![0];
 
     for _ in 0..config.depth {
@@ -342,160 +261,52 @@ pub fn search(ts: &TransitionSystem, config: &SearchConfig) -> SearchGraph {
         }
 
         // Phase 1: expand the frontier into successor candidates.
-        let candidates: Vec<Candidate> = {
-            let states = graph.states.as_slice();
-            let parents = graph.parents.as_slice();
-            let lanes = if frontier.len() < PARALLEL_FRONTIER_THRESHOLD {
-                1
-            } else {
-                workers.min(frontier.len())
-            };
-            if lanes <= 1 {
+        let states = graph.states.as_slice();
+        let parents = graph.parents.as_slice();
+        let por = config.por;
+        let candidates: Vec<Candidate> =
+            if workers == 1 || frontier.len() < PARALLEL_FRONTIER_THRESHOLD {
                 let mut out = Vec::new();
-                expand_slice(
-                    ts, states, parents, &frontier, config.por, &mut out,
-                );
+                expand_slice(ts, states, parents, &frontier, por, &mut out);
                 out
             } else {
-                let chunk = frontier.len().div_ceil(lanes);
+                let chunk = frontier.len().div_ceil(workers);
                 let mut slots: Vec<Vec<Candidate>> =
-                    (0..lanes).map(|_| Vec::new()).collect();
+                    frontier.chunks(chunk).map(|_| Vec::new()).collect();
                 thread::scope(|scope| {
                     let (mine, rest) = slots.split_at_mut(1);
-                    for (i, slot) in rest.iter_mut().enumerate() {
-                        let lo = ((i + 1) * chunk).min(frontier.len());
-                        let hi = ((i + 2) * chunk).min(frontier.len());
-                        let slice = &frontier[lo..hi];
-                        let por = config.por;
+                    for (slice, slot) in frontier.chunks(chunk).skip(1).zip(rest)
+                    {
                         scope.spawn(move || {
-                            expand_slice(
-                                ts, states, parents, slice, por, slot,
-                            );
+                            expand_slice(ts, states, parents, slice, por, slot);
                         });
                     }
-                    expand_slice(
-                        ts,
-                        states,
-                        parents,
-                        &frontier[..chunk.min(frontier.len())],
-                        config.por,
-                        &mut mine[0],
-                    );
+                    let slice = &frontier[..chunk];
+                    expand_slice(ts, states, parents, slice, por, &mut mine[0]);
                 });
                 slots.into_iter().flatten().collect()
-            }
-        };
+            };
 
-        // Phase 2: classify candidates against the sharded seen-set. One
-        // sequential O(candidates) pass buckets each position into its
-        // shard owner's hand-off list; each worker then walks only its
-        // own bucket (every worker used to rescan the full candidate
-        // list, costing O(candidates × workers) at every level).
-        let mut outcomes: Vec<Outcome> = candidates
-            .iter()
-            .map(|c| match c.shard {
-                SELF_LOOP => Outcome::Known(c.from),
-                _ => Outcome::Fresh,
-            })
-            .collect();
-        let lanes = if candidates.len() < PARALLEL_FRONTIER_THRESHOLD {
-            1
-        } else {
-            workers
-        };
-        // Shard `s` belongs to worker `s % lanes`, at `s / lanes` in its list.
-        let mut owned: Vec<Vec<&mut KeyMap<u32>>> =
-            (0..lanes).map(|_| Vec::new()).collect();
-        for (s, map) in shards.iter_mut().enumerate() {
-            owned[s % lanes].push(map);
-        }
-        if lanes <= 1 {
-            let positions = (0..candidates.len())
-                .filter(|&p| candidates[p].shard != SELF_LOOP);
-            dedup_positions(&mut owned[0], 1, &candidates, positions, |p, o| {
-                outcomes[p] = o;
-            });
-        } else {
-            let mut buckets: Vec<Vec<usize>> =
-                (0..lanes).map(|_| Vec::new()).collect();
-            for (position, candidate) in candidates.iter().enumerate() {
-                if candidate.shard != SELF_LOOP {
-                    buckets[candidate.shard as usize % lanes].push(position);
-                }
-            }
-            let mut results: Vec<Vec<(usize, Outcome)>> =
-                (0..lanes).map(|_| Vec::new()).collect();
-            thread::scope(|scope| {
-                let candidate_ref = candidates.as_slice();
-                let mut lanes_work =
-                    owned.iter_mut().zip(&buckets).zip(results.iter_mut());
-                let mine = lanes_work.next();
-                for ((maps, bucket), out) in lanes_work {
-                    scope.spawn(move || {
-                        let positions = bucket.iter().copied();
-                        let record = |p, o| out.push((p, o));
-                        dedup_positions(
-                            maps,
-                            lanes,
-                            candidate_ref,
-                            positions,
-                            record,
-                        );
-                    });
-                }
-                if let Some(((maps, bucket), out)) = mine {
-                    let positions = bucket.iter().copied();
-                    let record = |p, o| out.push((p, o));
-                    dedup_positions(
-                        maps,
-                        lanes,
-                        candidate_ref,
-                        positions,
-                        record,
-                    );
-                }
-            });
-            for pairs in results {
-                for (position, outcome) in pairs {
-                    outcomes[position] = outcome;
-                }
-            }
-        }
-
-        // Phase 3: commit fresh states, parents and edges in candidate
-        // order — index assignment is therefore worker-count independent.
+        // Phase 2: commit states, parents and edges in candidate order —
+        // index assignment is therefore worker-count independent.
         let mut next_frontier = Vec::new();
-        // State index assigned to each fresh position (`u32::MAX`: none).
-        let mut assigned: Vec<u32> = vec![u32::MAX; candidates.len()];
         graph.edges.reserve(candidates.len());
-        for (position, candidate) in candidates.into_iter().enumerate() {
-            let to = match outcomes[position] {
-                Outcome::Known(index) => index,
-                Outcome::Fresh if graph.states.len() < max_states => {
+        for candidate in candidates {
+            let to = match seen.entry(candidate.key) {
+                Entry::Occupied(entry) => *entry.get(),
+                Entry::Vacant(entry) if graph.states.len() < max_states => {
                     let index = graph.states.len() as u32;
-                    // Commit the provisional seen-set entry.
-                    shards[candidate.shard as usize]
-                        .insert(candidate.key, index);
+                    entry.insert(index);
                     graph.states.push(candidate.key);
                     graph.parents.push(Some((candidate.from, candidate.event)));
-                    assigned[position] = index;
                     next_frontier.push(index);
                     index
                 }
-                Outcome::Fresh => {
-                    shards[candidate.shard as usize].remove(&candidate.key);
+                Entry::Vacant(_) => {
                     if !graph.cap_hit {
                         graph.cap_hit = true;
                         graph.frontier_at_cap = frontier.len();
                     }
-                    graph.dropped_states += 1;
-                    continue;
-                }
-                Outcome::Dup(first) if assigned[first] != u32::MAX => {
-                    assigned[first]
-                }
-                Outcome::Dup(_) => {
-                    // The first occurrence itself fell past the cap.
                     graph.dropped_states += 1;
                     continue;
                 }
@@ -667,7 +478,7 @@ mod tests {
         );
         // Depth of a state = its witness length; at least one level must
         // cross the sequential-fallback threshold, or this test never
-        // reaches the threaded expand/dedup phases at all.
+        // reaches the threaded expand phase at all.
         let mut level_sizes: HashMap<usize, usize> = HashMap::new();
         for index in 0..base.states.len() {
             *level_sizes
@@ -698,19 +509,31 @@ mod tests {
 
     #[test]
     fn cap_hit_is_reported_with_counts() {
-        let ts = rich_system();
-        let graph = search(
-            &ts,
-            &SearchConfig {
-                depth: 4,
-                max_states: 8,
-                ..SearchConfig::default()
-            },
-        );
-        assert!(graph.cap_hit);
-        assert_eq!(graph.states.len(), 8);
-        assert!(graph.dropped_states > 0);
-        assert!(graph.frontier_at_cap > 0);
+        // `(system, depth, cap, por)` and the exact `(states,
+        // frontier_at_cap, dropped_states, edges)` of the truncated search.
+        // The wide run's cap falls in a level expanded from a frontier above
+        // the parallel threshold; without the reduction, over-cap successors
+        // recur within that level, and every occurrence counts as dropped.
+        let cases = [
+            (rich_system(), 4, 8, true, (8, 7, 52, 55)),
+            (wide_system(), 4, 1000, false, (1000, 430, 3728, 6873)),
+        ];
+        for (ts, depth, max_states, por, expected) in cases {
+            for workers in [1, 2, 8] {
+                let graph = search(
+                    &ts,
+                    &SearchConfig { depth, max_states, workers, por },
+                );
+                assert!(graph.cap_hit, "cap {max_states}, workers={workers}");
+                let counts = (
+                    graph.states.len(),
+                    graph.frontier_at_cap,
+                    graph.dropped_states,
+                    graph.edges.len(),
+                );
+                assert_eq!(counts, expected, "cap {max_states}, workers={workers}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Engine-equivalence property: the parallel sharded BFS and the
-//! partial-order reduction change *how* the state space is walked, never
-//! *what* is found.
+//! Engine-equivalence property: the parallel expansion of each BFS level
+//! and the partial-order reduction change *how* the state space is
+//! walked, never *what* is found.
 //!
 //! For 50 generated configurations ([`air_core::fuzz::generate_config_text`]
 //! — the same corpus the fuzz farm draws from), the exploration is run
@@ -10,6 +10,10 @@
 //! same way: POR on and off must reach the same states and report the same
 //! `(code, subject)` finding set — POR may pick different representative
 //! witnesses of the same length, so witness texts are not compared there.
+//!
+//! Finally, the whole search graph of the two explored examples —
+//! states, parents, edges and the cap counters — is pinned by digest on
+//! 1 and 2 workers, once with the state cap falling mid-level.
 
 use std::collections::BTreeSet;
 
@@ -105,6 +109,94 @@ fn partial_order_reduction_preserves_states_and_findings() {
                 b.witness.events.len(),
                 "seed {seed}: POR changed the minimal witness length for {}",
                 a.code
+            );
+        }
+    }
+}
+
+/// FNV-1a over the `Debug` text of the values written into it: a digest
+/// that depends only on the values, never on the host or the run.
+struct Fnv(u64);
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &byte in s.as_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// `(states, edges, cap_hit, frontier_at_cap, dropped_states, digest)` of
+/// a search graph, the digest covering every state, parent and edge.
+fn graph_summary(
+    graph: &air_model::explore::search::SearchGraph,
+) -> (usize, usize, bool, usize, usize, u64) {
+    use std::fmt::Write;
+    let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+    for key in &graph.states {
+        write!(fnv, "{key:?};").unwrap();
+    }
+    for parent in &graph.parents {
+        write!(fnv, "{parent:?};").unwrap();
+    }
+    for edge in &graph.edges {
+        write!(fnv, "{edge:?};").unwrap();
+    }
+    (
+        graph.states.len(),
+        graph.edges.len(),
+        graph.cap_hit,
+        graph.frontier_at_cap,
+        graph.dropped_states,
+        fnv.0,
+    )
+}
+
+fn example_model(name: &str) -> SystemModel {
+    let path = format!("{}/../../examples/{name}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let doc = air_tools::config::parse(&text)
+        .unwrap_or_else(|e| panic!("{name}: parse failure: {e:?}"));
+    SystemModel::from_config(&doc)
+}
+
+/// The whole search graph — states, parents, edges and the cap counters —
+/// is pinned for the two explored examples, on 1 and 2 workers, and for a
+/// hub run whose state cap falls in the middle of a BFS level.
+#[test]
+fn search_graphs_of_the_examples_are_pinned() {
+    use air_model::explore::search::{search, SearchConfig};
+    // `(example, depth, max_states)` and the pinned `graph_summary`.
+    let runs = [
+        (
+            "constellation_hub.air",
+            6,
+            262_144,
+            (27_130, 109_417, false, 0, 0, 0x1520_e1b5_6e24_e266),
+        ),
+        (
+            "full_system.air",
+            4,
+            262_144,
+            (38, 279, false, 0, 0, 0x965c_d8d6_6ce7_e36a),
+        ),
+        (
+            "constellation_hub.air",
+            8,
+            50_000,
+            (50_000, 419_989, true, 17_703, 125_860, 0x9834_42b2_504e_09fc),
+        ),
+    ];
+    for (example, depth, max_states, pinned) in runs {
+        let ts = air_lint::transition_system_for(&example_model(example))
+            .unwrap_or_else(|| panic!("{example}: no transition system"));
+        for workers in [1, 2] {
+            let config = SearchConfig { depth, max_states, workers, por: true };
+            let summary = graph_summary(&search(&ts, &config));
+            assert_eq!(
+                summary, pinned,
+                "{example} depth {depth} cap {max_states} workers {workers}"
             );
         }
     }

@@ -316,15 +316,41 @@ fn airlint_binary_passes_every_example_invocation() {
     // The cluster and mesh cross-checks.
     invocations.push([vec!["--cluster".into()], cluster.to_vec()].concat());
     invocations.push([vec!["--cluster".into()], mesh].concat());
-    // Bounded mode/HM exploration at depth 3.
-    let explore: Vec<OsString> = vec!["--explore".into(), "--depth".into(), "3".into()];
-    invocations.push([explore.clone(), vec![example("full_system.air")]].concat());
-    invocations.push([explore.clone(), vec![example("constellation_hub.air")]].concat());
-    invocations.push([explore, cluster.to_vec()].concat());
 
     for args in &invocations {
         let (stdout, status) = airlint(args);
         assert_eq!(status, 0, "airlint {args:?}:\n{stdout}");
+    }
+    // Bounded mode/HM exploration at depth 3, then again on two workers
+    // and without the partial-order reduction. Two workers must print the
+    // same bytes; the reduction may pick another witness of the same
+    // length, so only each line's head (the file header, or severity and
+    // code) must match.
+    let explore: Vec<OsString> = vec!["--explore".into(), "--depth".into(), "3".into()];
+    let explored = [
+        vec![example("full_system.air")],
+        vec![example("constellation_hub.air")],
+        cluster.to_vec(),
+    ];
+    let head = |stdout: &str| -> Vec<String> {
+        stdout
+            .lines()
+            .map(|l| l.split(": ").next().unwrap_or(l).to_owned())
+            .collect()
+    };
+    for files in &explored {
+        let args = [explore.clone(), files.clone()].concat();
+        let (baseline, status) = airlint(&args);
+        assert_eq!(status, 0, "airlint {args:?}:\n{baseline}");
+        let workers: Vec<OsString> = vec!["--workers".into(), "2".into()];
+        let args = [explore.clone(), workers, files.clone()].concat();
+        let (stdout, status) = airlint(&args);
+        assert_eq!(status, 0, "airlint {args:?}:\n{stdout}");
+        assert_eq!(stdout, baseline, "airlint {args:?}");
+        let args = [explore.clone(), vec!["--no-por".into()], files.clone()].concat();
+        let (stdout, status) = airlint(&args);
+        assert_eq!(status, 0, "airlint {args:?}:\n{stdout}");
+        assert_eq!(head(&stdout), head(&baseline), "airlint {args:?}");
     }
     // The hub carries the one deadlined flow: it must certify within it.
     let (stdout, _) = airlint(&["--timing".into(), example("constellation_hub.air")]);
