@@ -65,7 +65,7 @@ use air_model::PartitionId;
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::model::SystemModel;
-use crate::temporal::unschedulable_pairs;
+use crate::temporal::analyses;
 
 /// Dedup subject of the AIR098 for a node routing over more than
 /// [`MAX_MESH_EDGES`] mesh edges, distinct from the state-cap AIR098's 0.
@@ -330,12 +330,12 @@ impl<'a> InvariantCtx<'a> {
             .filter(|q| !q.duration.is_zero())
             .fold(0, |mask, q| mask | bit(q.partition));
         let mut unschedulable = vec![0u64; ts.schedules().len()];
-        for (schedule, p) in unschedulable_pairs(model) {
+        for (schedule, result) in analyses(model).iter().filter(|(_, r)| !r.all_schedulable()) {
             if let Some(mask) = ts
-                .schedule_index(schedule)
+                .schedule_index(schedule.id())
                 .and_then(|i| unschedulable.get_mut(i))
             {
-                *mask |= bit(p);
+                *mask |= bit(result.partition);
             }
         }
         Self {

@@ -16,52 +16,42 @@ use std::collections::BTreeSet;
 
 use air_model::process::{Deadline, ProcessAttributes, Recurrence};
 use air_model::verify::{verify_schedule, Violation};
-use air_model::{PartitionId, Schedule, ScheduleId};
+use air_model::{PartitionId, Schedule};
 use air_tools::config::span_key;
-use air_tools::schedulability::{analyze_partition_with_phasing, AnalysisError, Phasing};
+use air_tools::schedulability::{analyze_partition_with_phasing, AnalysisResult, Phasing};
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::model::SystemModel;
 
-/// The `(schedule, partition)` pairs where at least one analysable process
-/// may miss its deadline under the supply bound — the raw verdicts behind
-/// AIR012, reused by the exploration stage to flag deadline starvation
-/// *across* modes (AIR095).
-pub(crate) fn unschedulable_pairs(
-    model: &SystemModel,
-) -> BTreeSet<(ScheduleId, PartitionId)> {
-    let mut pairs = BTreeSet::new();
-    let mut partition_ids: Vec<PartitionId> =
+/// The supply-bound analysis of every `(schedule, partition)` pair: each
+/// partition's analysable deadline-bearing processes under every schedule
+/// that gives it windows, by partition id and then schedule. AIR012
+/// reports from it, the exploration stage flags deadline starvation
+/// *across* modes from it (AIR095), and the timing stage takes each
+/// node's worst response time from it.
+pub(crate) fn analyses(model: &SystemModel) -> Vec<(&Schedule, AnalysisResult)> {
+    let partition_ids: BTreeSet<PartitionId> =
         model.processes.iter().map(|(pid, _)| *pid).collect();
-    partition_ids.sort();
-    partition_ids.dedup();
+    let mut results = Vec::new();
     for pid in partition_ids {
         let task_set: Vec<ProcessAttributes> = model
             .processes
             .iter()
-            .filter(|(p, a)| {
-                *p == pid && a.deadline() != Deadline::Infinite && analysable(a)
-            })
+            .filter(|(p, a)| *p == pid && a.deadline() != Deadline::Infinite && analysable(a))
             .map(|(_, a)| a.clone())
             .collect();
         if task_set.is_empty() {
             continue;
         }
-        for schedule in &model.schedules {
-            let analysis = analyze_partition_with_phasing(
-                schedule,
-                pid,
-                &task_set,
-                Phasing::MtfLocked,
-            );
-            if let Ok(result) = analysis {
-                if result.processes.iter().any(|v| !v.schedulable) {
-                    pairs.insert((schedule.id(), pid));
-                }
-            }
-        }
+        // A schedule without windows for the partition has no result:
+        // the partition takes no part in that mode (or AIR007 fired).
+        results.extend(model.schedules.iter().filter_map(|schedule| {
+            analyze_partition_with_phasing(schedule, pid, &task_set, Phasing::MtfLocked)
+                .ok()
+                .map(|result| (schedule, result))
+        }));
     }
-    pairs
+    results
 }
 
 pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
@@ -180,50 +170,24 @@ fn schedulability(model: &SystemModel, report: &mut LintReport) {
     }
 
     // Deadline-vs-supply per partition and per schedule it appears in.
-    let mut partition_ids: Vec<PartitionId> =
-        model.processes.iter().map(|(pid, _)| *pid).collect();
-    partition_ids.sort();
-    partition_ids.dedup();
-    for pid in partition_ids {
-        let task_set: Vec<ProcessAttributes> = model
-            .processes
-            .iter()
-            .filter(|(p, a)| *p == pid && a.deadline() != Deadline::Infinite && analysable(a))
-            .map(|(_, a)| a.clone())
-            .collect();
-        if task_set.is_empty() {
-            continue;
-        }
-        for schedule in &model.schedules {
-            match analyze_partition_with_phasing(schedule, pid, &task_set, Phasing::MtfLocked) {
-                Ok(result) => {
-                    for verdict in result.processes.iter().filter(|v| !v.schedulable) {
-                        let wcrt = verdict
-                            .wcrt
-                            .map_or("unbounded".to_owned(), |t| format!("{}", t.as_u64()));
-                        report.push(
-                            Diagnostic::new(
-                                Code::ProcessUnschedulable,
-                                format!(
-                                    "process '{}' of {pid} may miss its deadline under \
-                                     {}: worst-case response time {wcrt}",
-                                    verdict.name,
-                                    schedule.id()
-                                ),
-                            )
-                            .with_line(
-                                model.spans.get(&span_key::process(pid, &verdict.name)),
-                            ),
-                        );
-                    }
-                }
-                // No supply under this schedule: the partition simply does
-                // not take part in this mode (or AIR007 already fired).
-                Err(AnalysisError::NoSupply) => {}
-                // Filtered above; stay silent rather than double-report.
-                Err(AnalysisError::MissingWcet { .. } | AnalysisError::Unbounded { .. }) => {}
-                Err(_) => {}
-            }
+    for (schedule, result) in analyses(model) {
+        let pid = result.partition;
+        for verdict in result.processes.iter().filter(|v| !v.schedulable) {
+            let wcrt = verdict
+                .wcrt
+                .map_or("unbounded".to_owned(), |t| format!("{}", t.as_u64()));
+            report.push(
+                Diagnostic::new(
+                    Code::ProcessUnschedulable,
+                    format!(
+                        "process '{}' of {pid} may miss its deadline under \
+                         {}: worst-case response time {wcrt}",
+                        verdict.name,
+                        schedule.id()
+                    ),
+                )
+                .with_line(model.spans.get(&span_key::process(pid, &verdict.name))),
+            );
         }
     }
 }

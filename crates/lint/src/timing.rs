@@ -47,11 +47,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use air_model::process::{Deadline, ProcessAttributes};
+use air_model::Ticks;
 use air_ports::routing::{MESH_HOP_SLACK, MESH_LATENCY, MESH_TTL};
 use air_ports::transport::ArqConfig;
 use air_tools::config::span_key;
-use air_tools::schedulability::{analyze_partition_with_phasing, Phasing};
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::mesh::{detours, next_hop, node_label};
@@ -125,36 +124,12 @@ fn node_term(m: &SystemModel) -> (u64, u64) {
         .map(|s| s.mtf().as_u64())
         .max()
         .unwrap_or(0);
-    let mut wcrt = 0u64;
-    let mut partition_ids: Vec<_> = m.processes.iter().map(|(pid, _)| *pid).collect();
-    partition_ids.sort();
-    partition_ids.dedup();
-    for pid in partition_ids {
-        let task_set: Vec<ProcessAttributes> = m
-            .processes
-            .iter()
-            .filter(|(p, a)| {
-                *p == pid
-                    && a.deadline() != Deadline::Infinite
-                    && crate::temporal::analysable(a)
-            })
-            .map(|(_, a)| a.clone())
-            .collect();
-        if task_set.is_empty() {
-            continue;
-        }
-        for schedule in &m.schedules {
-            if let Ok(result) =
-                analyze_partition_with_phasing(schedule, pid, &task_set, Phasing::MtfLocked)
-            {
-                for verdict in &result.processes {
-                    if let Some(t) = verdict.wcrt {
-                        wcrt = wcrt.max(t.as_u64());
-                    }
-                }
-            }
-        }
-    }
+    let wcrt = crate::temporal::analyses(m)
+        .iter()
+        .flat_map(|(_, result)| &result.processes)
+        .filter_map(|verdict| verdict.wcrt)
+        .max()
+        .map_or(0, Ticks::as_u64);
     (mtf, wcrt)
 }
 
@@ -434,12 +409,12 @@ pub(crate) fn analyze(models: &[SystemModel], report: &mut LintReport) -> Vec<Fl
 
             let fwd_hops = worst_hops(&fwd_path);
             let rev_hops = worst_hops(&rev_path);
-            let fault_free = src_mtf
-                + src_wcrt
-                + dst_mtf
-                + dst_wcrt
-                + (fwd_hops + rev_hops) * per_hop;
-            let certified = fault_free + FAILOVER_PENALTY_BUDGET;
+            let src_term = src_mtf.saturating_add(src_wcrt);
+            let dst_term = dst_mtf.saturating_add(dst_wcrt);
+            let fault_free = src_term
+                .saturating_add(dst_term)
+                .saturating_add((fwd_hops + rev_hops).saturating_mul(per_hop));
+            let certified = fault_free.saturating_add(FAILOVER_PENALTY_BUDGET);
             let critical_path = format!(
                 "src N{} term {} (mtf {src_mtf} + wcrt {src_wcrt}) -> {fwd_hops} \
                  hop{} x {per_hop} -> dst N{} term {} (mtf {dst_mtf} + wcrt \
@@ -447,10 +422,10 @@ pub(crate) fn analyze(models: &[SystemModel], report: &mut LintReport) -> Vec<Fl
                  penalty {FAILOVER_PENALTY_BUDGET} = certified {certified} \
                  (fault-free {fault_free})",
                 flow.src.0,
-                src_mtf + src_wcrt,
+                src_term,
                 if fwd_hops == 1 { "" } else { "s" },
                 flow.dst.0,
-                dst_mtf + dst_wcrt,
+                dst_term,
                 if symmetric { ", assumed symmetric" } else { "" },
                 if rev_hops == 1 { "" } else { "s" },
             );

@@ -296,17 +296,27 @@ impl Schedule {
             "instant {t} outside the MTF {}; reduce modulo the MTF first",
             self.mtf
         );
-        // Windows are sorted by offset; a linear scan with early exit is
-        // fine for the table sizes of real systems (tens of windows).
-        for w in &self.windows {
-            if w.offset > t {
-                break;
-            }
-            if w.contains(t) {
-                return Some(w.partition);
-            }
-        }
-        None
+        // A linear scan with early exit is fine for the table sizes of
+        // real systems (tens of windows).
+        self.effective_windows()
+            .take_while(|&(_, start, _)| start <= t)
+            .find(|&(_, _, end)| t < end)
+            .map(|(partition, ..)| partition)
+    }
+
+    /// The instants each window actually holds the processor, in offset
+    /// order, as `(partition, start, end)` with `start < end ≤ MTF`. This
+    /// is the one home of the overlap rule: an instant belongs to the
+    /// first window (in offset order) that covers it, and window time past
+    /// the MTF is dropped. The intervals are disjoint and ascending.
+    pub fn effective_windows(&self) -> impl Iterator<Item = (PartitionId, Ticks, Ticks)> + '_ {
+        let mut covered = Ticks::ZERO;
+        self.windows.iter().filter_map(move |w| {
+            let start = w.offset.max(covered);
+            let end = Ticks(w.offset.0.saturating_add(w.duration.0)).min(self.mtf);
+            covered = covered.max(end);
+            (start < end).then_some((w.partition, start, end))
+        })
     }
 
     /// The **partition preemption points** of this table: the sorted set of
@@ -344,12 +354,32 @@ impl Schedule {
     /// to the cycle containing their **offset**, as the paper's summation
     /// condition `O_{i,j} ∈ [kη; (k+1)η[` prescribes.
     pub fn assigned_in_cycle(&self, partition: PartitionId, cycle: Ticks, k: u64) -> Ticks {
-        let lo = cycle * k;
-        let hi = cycle * (k + 1);
-        self.windows_for(partition)
-            .filter(|w| lo <= w.offset && w.offset < hi)
-            .map(|w| w.duration)
-            .sum()
+        self.assigned_per_cycle(partition, cycle)
+            .find(|&(j, _)| j == k)
+            .map_or(Ticks::ZERO, |(_, assigned)| assigned)
+    }
+
+    /// Window time granted to `partition` per cycle of length `cycle`, as
+    /// `(k, assigned)` in ascending `k`, for the cycles at least one of its
+    /// windows starts in (every other cycle gets nothing). A window counts
+    /// toward the cycle containing its offset, as in
+    /// [`Self::assigned_in_cycle`]; sums saturate. Nothing for a zero cycle.
+    pub fn assigned_per_cycle(
+        &self,
+        partition: PartitionId,
+        cycle: Ticks,
+    ) -> impl Iterator<Item = (u64, Ticks)> + '_ {
+        let mut windows = self
+            .windows_for(partition)
+            .filter_map(move |w| Some((w.offset.0.checked_div(cycle.0)?, w.duration)))
+            .peekable();
+        std::iter::from_fn(move || {
+            let (k, mut assigned) = windows.next()?;
+            while let Some((_, d)) = windows.next_if(|&(j, _)| j == k) {
+                assigned = Ticks(assigned.0.saturating_add(d.0));
+            }
+            Some((k, assigned))
+        })
     }
 
     /// Processor utilisation of the table: fraction of the MTF covered by
@@ -544,6 +574,57 @@ mod tests {
         // Gap [70, 100): idle.
         assert_eq!(s.partition_active_at(Ticks(70)), None);
         assert_eq!(s.partition_active_at(Ticks(99)), None);
+    }
+
+    #[test]
+    fn effective_windows_resolve_overlaps_first_window_wins() {
+        // Seeded tables with overlapping and past-MTF windows: every instant
+        // lies in exactly the effective interval of the first window (in
+        // offset order) that contains it, and in none when no window does.
+        let mut rng = crate::testkit::TestRng::new(23);
+        for _ in 0..200 {
+            let mtf = rng.range(1, 60);
+            let windows: Vec<TimeWindow> = (0..rng.range(1, 6))
+                .map(|_| {
+                    let p = PartitionId(rng.below(3) as u32);
+                    TimeWindow::new(p, Ticks(rng.below(mtf + 5)), Ticks(rng.below(30)))
+                })
+                .collect();
+            let s = Schedule::new(ScheduleId(0), "overlap", Ticks(mtf), vec![], windows);
+            let effective: Vec<_> = s.effective_windows().collect();
+            assert!(effective.windows(2).all(|w| w[0].2 <= w[1].1), "{effective:?}");
+            for t in (0..mtf).map(Ticks) {
+                let first = s.windows().iter().find(|w| w.contains(t)).map(|w| w.partition);
+                let owners: Vec<_> = effective
+                    .iter()
+                    .filter(|&&(_, start, end)| start <= t && t < end)
+                    .map(|&(p, ..)| p)
+                    .collect();
+                assert_eq!(owners, first.into_iter().collect::<Vec<_>>(), "t={t} in {s:?}");
+                assert_eq!(s.partition_active_at(t), first);
+            }
+        }
+    }
+
+    #[test]
+    fn assigned_per_cycle_groups_windows_by_offset() {
+        let p0 = PartitionId(0);
+        let s = Schedule::new(
+            ScheduleId(0),
+            "cycles",
+            Ticks(200),
+            vec![],
+            vec![
+                TimeWindow::new(p0, Ticks(10), Ticks(5)),
+                TimeWindow::new(p0, Ticks(40), Ticks(20)),
+                TimeWindow::new(PartitionId(1), Ticks(60), Ticks(10)),
+                TimeWindow::new(p0, Ticks(160), Ticks(7)),
+            ],
+        );
+        let per_cycle: Vec<_> = s.assigned_per_cycle(p0, Ticks(50)).collect();
+        assert_eq!(per_cycle, vec![(0, Ticks(25)), (3, Ticks(7))]);
+        assert_eq!(s.assigned_in_cycle(p0, Ticks(50), 1), Ticks::ZERO);
+        assert_eq!(s.assigned_per_cycle(p0, Ticks::ZERO).count(), 0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::fmt;
 use crate::ids::{PartitionId, ScheduleId};
 use crate::partition::Partition;
 use crate::schedule::{Schedule, ScheduleSet};
-use crate::time::{lcm_all, Ticks};
+use crate::time::{gcd, Ticks};
 
 /// One violated verification condition, pinpointing schedule, partition and
 /// the numbers involved so integration tooling can render actionable
@@ -133,19 +133,21 @@ pub enum Violation {
         /// The schedule's MTF.
         mtf: Ticks,
     },
-    /// Eq. (23) violated: within cycle `k`, `partition` receives
-    /// `assigned < required`.
+    /// Eq. (23) violated: within cycle `k`, the first short one,
+    /// `partition` receives `assigned < required`.
     InsufficientDurationInCycle {
         /// Offending schedule.
         schedule: ScheduleId,
         /// The under-served partition.
         partition: PartitionId,
-        /// The cycle index `k ∈ [0, MTF/η)`.
+        /// The first short cycle's index `k ∈ [0, MTF/η)`.
         cycle_index: u64,
-        /// Window time attributed to the cycle.
+        /// Window time attributed to that cycle.
         assigned: Ticks,
         /// Required duration `d`.
         required: Ticks,
+        /// How many cycles of the MTF fall short, this one included.
+        short_cycles: u64,
     },
     /// Robustness: an injected fault never surfaced as a health-monitor
     /// event — detection coverage is broken (Sect. 2.4's claim is that
@@ -314,10 +316,17 @@ impl fmt::Display for Violation {
                 cycle_index,
                 assigned,
                 required,
-            } => write!(
-                f,
-                "{schedule}: {partition} gets {assigned} in cycle {cycle_index}, needs {required} (Eq. 23)"
-            ),
+                short_cycles,
+            } => {
+                write!(
+                    f,
+                    "{schedule}: {partition} gets {assigned} in cycle {cycle_index}, needs {required} (Eq. 23)"
+                )?;
+                if *short_cycles > 1 {
+                    write!(f, "; {short_cycles} cycles fall short")?;
+                }
+                Ok(())
+            }
             Violation::FaultUndetected { at, fault } => {
                 write!(f, "fault injected at {at} never detected: {fault}")
             }
@@ -599,8 +608,16 @@ fn check_mtf_lcm(schedule: &Schedule, report: &mut Report) {
         // Reported per-partition by check_per_cycle_durations.
         return;
     }
-    let l = lcm_all(cycles);
-    if l.is_zero() || !(schedule.mtf() % l).is_zero() {
+    // An lcm past u64 exceeds the MTF: then some cycle does not divide
+    // the MTF, and check_per_cycle_durations reports that cycle.
+    let Some(l) = cycles
+        .iter()
+        .try_fold(1, |l, c| (l / gcd(l, c.as_u64())).checked_mul(c.as_u64()))
+        .map(Ticks)
+    else {
+        return;
+    };
+    if !(schedule.mtf() % l).is_zero() {
         report.push(Violation::MtfNotMultipleOfLcm {
             schedule: sid,
             lcm: l,
@@ -611,7 +628,8 @@ fn check_mtf_lcm(schedule: &Schedule, report: &mut Report) {
 
 /// Eq. (23): for every participating partition and every cycle `k` within
 /// the MTF, the windows whose offset falls in `[kη, (k+1)η)` sum to at
-/// least `d`.
+/// least `d`. A partition with short cycles gets one violation, naming the
+/// first and counting all; the work is per window, not per cycle.
 fn check_per_cycle_durations(schedule: &Schedule, report: &mut Report) {
     let sid = schedule.id();
     for q in schedule.requirements() {
@@ -641,18 +659,38 @@ fn check_per_cycle_durations(schedule: &Schedule, report: &mut Report) {
             });
             continue;
         }
+        // Only the cycles some window starts in get time; a gap before one
+        // of them, or after the last, is a run of short cycles.
         let cycles_in_mtf = schedule.mtf() / q.cycle;
-        for k in 0..cycles_in_mtf {
-            let assigned = schedule.assigned_in_cycle(q.partition, q.cycle, k);
-            if assigned < q.duration {
-                report.push(Violation::InsufficientDurationInCycle {
-                    schedule: sid,
-                    partition: q.partition,
-                    cycle_index: k,
-                    assigned,
-                    required: q.duration,
-                });
+        let mut short_cycles = cycles_in_mtf;
+        let mut first_short = None;
+        let mut next = 0;
+        for (k, got) in schedule
+            .assigned_per_cycle(q.partition, q.cycle)
+            .take_while(|&(k, _)| k < cycles_in_mtf)
+        {
+            if k > next {
+                first_short = first_short.or(Some((next, Ticks::ZERO)));
             }
+            if got < q.duration {
+                first_short = first_short.or(Some((k, got)));
+            } else {
+                short_cycles -= 1;
+            }
+            next = k + 1;
+        }
+        if next < cycles_in_mtf {
+            first_short = first_short.or(Some((next, Ticks::ZERO)));
+        }
+        if let Some((cycle_index, assigned)) = first_short {
+            report.push(Violation::InsufficientDurationInCycle {
+                schedule: sid,
+                partition: q.partition,
+                cycle_index,
+                assigned,
+                required: q.duration,
+                short_cycles,
+            });
         }
     }
 }
@@ -849,6 +887,34 @@ mod tests {
             .collect();
         assert_eq!(bad.len(), 1, "{r}");
         assert!(!verify_schedule_brute_force(&s));
+    }
+
+    #[test]
+    fn per_cycle_duration_reports_each_partition_once() {
+        // Cycles 0 and 2 of four get nothing, cycle 1 too little: one
+        // violation names cycle 0 and counts three.
+        let s = schedule(
+            200,
+            vec![(0, 50, 10)],
+            vec![(0, 50, 5), (0, 160, 10)],
+        );
+        let r = verify_schedule(&s, &[]);
+        let bad: Vec<_> = r
+            .violations()
+            .iter()
+            .filter(|v| matches!(v, Violation::InsufficientDurationInCycle { .. }))
+            .collect();
+        assert_eq!(bad.len(), 1, "{r}");
+        assert!(matches!(
+            bad[0],
+            Violation::InsufficientDurationInCycle {
+                cycle_index: 0,
+                assigned: Ticks(0),
+                short_cycles: 3,
+                ..
+            }
+        ));
+        assert!(bad[0].to_string().ends_with("(Eq. 23); 3 cycles fall short"), "{r}");
     }
 
     #[test]

@@ -604,7 +604,9 @@ pub fn parse(text: &str) -> Result<ConfigDoc, ConfigError> {
             continue;
         }
         let mut tokens = line.split_whitespace();
-        let directive = tokens.next().expect("non-empty line has a first token");
+        let Some(directive) = tokens.next() else {
+            continue;
+        };
         match directive {
             "partition" => {
                 close(&mut doc, &mut open);
@@ -689,13 +691,16 @@ pub fn parse(text: &str) -> Result<ConfigDoc, ConfigError> {
                     }
                     "window" => {
                         let kv = parse_kv(line_no, tokens)?;
-                        let offset = Ticks(parse_u64(line_no, &kv, "offset")?);
-                        doc.spans.set(span_key::window(section.id, pid, offset), line_no);
-                        section.windows.push(TimeWindow::new(
-                            pid,
-                            offset,
-                            Ticks(parse_u64(line_no, &kv, "duration")?),
-                        ));
+                        let offset = parse_u64(line_no, &kv, "offset")?;
+                        let duration = parse_u64(line_no, &kv, "duration")?;
+                        if offset.checked_add(duration).is_none() {
+                            return Err(err(line_no, "window offset + duration overflows"));
+                        }
+                        doc.spans
+                            .set(span_key::window(section.id, pid, Ticks(offset)), line_no);
+                        section
+                            .windows
+                            .push(TimeWindow::new(pid, Ticks(offset), Ticks(duration)));
                     }
                     "action" => {
                         let which = tokens

@@ -9,20 +9,27 @@
 //!
 //! * the partition's **worst-case supply bound function** `sbf(Δ)` — the
 //!   least execution time the scheduling table guarantees the partition in
-//!   *any* interval of length Δ (computed exactly over the MTF, since the
-//!   table is cyclic);
+//!   *any* interval of length Δ. The table is cyclic, so the supply is the
+//!   partition's window intervals within one MTF with prefix sums, and the
+//!   minimum over start phases is exact at the window ends alone (the
+//!   periodic-resource argument of Shin & Lee);
 //! * the classic fixed-priority **demand** of a process and its
 //!   higher-priority interferers, `dem_i(Δ) = C_i + Σ_{j∈hp(i)} ⌈Δ/T_j⌉·C_j`
 //!   (the ARINC 653-mandated preemptive priority policy, Eq. 14).
 //!
 //! The worst-case response time of process `i` is the least Δ with
-//! `sbf(Δ) ≥ dem_i(Δ)`; the process is schedulable iff that Δ exists and
-//! does not exceed `D_i`. This is a *sufficient* test (it assumes
-//! worst-case alignment of releases against the emptiest window pattern),
-//! matching the compositional analyses the paper cites (Easwaran et al.; Mok & Feng) while
-//! honouring the ARINC priority policy they deviate from.
+//! `sbf(Δ) ≥ dem_i(Δ)`, found as the fixed point of `R ← sbf⁻¹(dem_i(R))`;
+//! the process is schedulable iff that Δ exists and does not exceed `D_i`.
+//! Nothing here is per tick: the cost depends on the windows and the
+//! processes, not on the MTF or the tick unit.
+//!
+//! This is a *sufficient* test (it assumes worst-case alignment of
+//! releases against the emptiest window pattern), matching the
+//! compositional analyses the paper cites (Easwaran et al.; Mok & Feng)
+//! while honouring the ARINC priority policy they deviate from.
 
 use air_model::process::ProcessAttributes;
+use air_model::time::gcd;
 use air_model::{PartitionId, Schedule, Ticks};
 
 /// Verdict for one process.
@@ -93,43 +100,116 @@ impl std::fmt::Display for AnalysisError {
 
 impl std::error::Error for AnalysisError {}
 
-/// The cyclic supply pattern of a partition: per-tick availability over
-/// one MTF with prefix sums for O(1) interval queries.
+/// The cyclic supply pattern of a partition: the MTF-relative intervals
+/// where it holds the processor, with prefix sums, so every query costs
+/// O(log windows) whatever the MTF.
 #[derive(Debug, Clone)]
 pub struct SupplyPattern {
     mtf: u64,
     per_mtf: u64,
-    /// Prefix sums over two MTFs.
-    prefix: Vec<u64>,
+    /// Disjoint supply intervals inside `[0, MTF)`, sorted, as `(start,
+    /// end, supply in [0, start))`.
+    intervals: Vec<(u64, u64, u64)>,
 }
 
 impl SupplyPattern {
-    /// Extracts `partition`'s supply pattern from `schedule`.
+    /// Extracts `partition`'s supply pattern from `schedule`: its share
+    /// of [`Schedule::effective_windows`], the instants the dispatcher
+    /// actually gives it.
     pub fn of(schedule: &Schedule, partition: PartitionId) -> Self {
-        let mtf = schedule.mtf().as_u64();
-        let pattern: Vec<u64> = (0..mtf)
-            .map(|t| u64::from(schedule.partition_active_at(Ticks(t)) == Some(partition)))
-            .collect();
-        let per_mtf: u64 = pattern.iter().sum();
-        let doubled: Vec<u64> = pattern.iter().chain(pattern.iter()).copied().collect();
-        let mut prefix = vec![0u64; doubled.len() + 1];
-        for (i, &v) in doubled.iter().enumerate() {
-            prefix[i + 1] = prefix[i] + v;
+        let (mut intervals, mut per_mtf) = (Vec::new(), 0);
+        for (p, start, end) in schedule.effective_windows() {
+            if p == partition {
+                intervals.push((start.as_u64(), end.as_u64(), per_mtf));
+                per_mtf += (end - start).as_u64();
+            }
         }
         Self {
-            mtf,
+            mtf: schedule.mtf().as_u64(),
             per_mtf,
-            prefix,
+            intervals,
         }
+    }
+
+    /// Supply granted in `[0, t)`, `t ≤ MTF`.
+    fn supplied_by(&self, t: u64) -> u64 {
+        let i = self.intervals.partition_point(|&(start, ..)| start < t);
+        i.checked_sub(1).map_or(0, |j| {
+            let (start, end, before) = self.intervals[j];
+            before + (t.min(end) - start)
+        })
     }
 
     /// Supply granted in `[start_phase, start_phase + len)`,
     /// `start_phase < MTF`.
     pub fn supply(&self, start_phase: u64, len: u64) -> u64 {
-        let whole = len / self.mtf;
-        let rem = len % self.mtf;
-        let s = start_phase as usize;
-        whole * self.per_mtf + (self.prefix[s + rem as usize] - self.prefix[s])
+        let Some(whole) = len.checked_div(self.mtf) else {
+            return 0;
+        };
+        let (rem, to_mtf_end) = (len % self.mtf, self.mtf - start_phase);
+        let from = self.supplied_by(start_phase);
+        let part = if rem <= to_mtf_end {
+            self.supplied_by(start_phase + rem) - from
+        } else {
+            self.per_mtf - from + self.supplied_by(rem - to_mtf_end)
+        };
+        whole * self.per_mtf + part
+    }
+
+    /// The least `len` with `supply(start_phase, len) ≥ amount`, or `None`
+    /// when no `len` within `u64` reaches it.
+    fn time_to_supply(&self, start_phase: u64, amount: u64) -> Option<u64> {
+        if amount == 0 {
+            return Some(0);
+        }
+        // The target on the supply axis from the MTF origin: whole MTFs,
+        // then the interval where the rest is reached.
+        let target = u128::from(amount) + u128::from(self.supplied_by(start_phase));
+        let whole = (target - 1).checked_div(u128::from(self.per_mtf))?;
+        let rest = u64::try_from(target - whole * u128::from(self.per_mtf)).ok()?;
+        let j = self
+            .intervals
+            .partition_point(|&(.., before)| before < rest);
+        let (start, _, before) = self.intervals[j.checked_sub(1)?];
+        let end = whole.checked_mul(u128::from(self.mtf))? + u128::from(start + (rest - before));
+        u64::try_from(end - u128::from(start_phase)).ok()
+    }
+
+    /// The start phases the bound minimises over. Under arbitrary phasing
+    /// these are the window ends: a phase inside a window slides right to
+    /// its end, a phase in a gap slides left to the previous end, and
+    /// neither slide gains supply in any interval length.
+    fn phases(&self, phasing: Phasing) -> Vec<u64> {
+        let ends = self.intervals.iter().map(|&(_, end, _)| end % self.mtf);
+        match phasing {
+            Phasing::Arbitrary if !self.intervals.is_empty() => ends.collect(),
+            Phasing::Arbitrary | Phasing::MtfLocked => vec![0],
+        }
+    }
+
+    /// One hyperperiod of the MTF and the interferers' `(T, C)`, when it
+    /// fits `u64` and they demand at least the whole supply in it: then
+    /// demand minus supply never shrinks from one hyperperiod to the
+    /// next, so a response not found within one is never found.
+    fn saturated_within(&self, interferers: &[(u64, u64)]) -> Option<u64> {
+        let l = interferers.iter().try_fold(self.mtf, |l, &(t, _)| {
+            (l / gcd(l, t.max(1))).checked_mul(t.max(1))
+        })?;
+        let demand = interferers.iter().try_fold(0u128, |d, &(t, c)| {
+            d.checked_add(u128::from(l / t.max(1)) * u128::from(c))
+        });
+        let supply = u128::from(l / self.mtf) * u128::from(self.per_mtf);
+        demand.is_none_or(|d| d >= supply).then_some(l)
+    }
+
+    /// The worst-case supply bound function: the least supply in any
+    /// interval of length `delta`, over every start phase.
+    pub fn sbf(&self, delta: u64) -> u64 {
+        self.phases(Phasing::Arbitrary)
+            .into_iter()
+            .map(|phase| self.supply(phase, delta))
+            .min()
+            .unwrap_or(0)
     }
 
     /// The MTF this pattern repeats over.
@@ -141,28 +221,6 @@ impl SupplyPattern {
     pub fn per_mtf(&self) -> u64 {
         self.per_mtf
     }
-}
-
-/// Computes the worst-case supply bound function of `partition` under
-/// `schedule`, exactly, for interval lengths `0..=horizon`:
-/// `sbf[Δ] = min over all start phases of the supply in any Δ-interval`.
-///
-/// The table is cyclic with period MTF, so minimising over start phases
-/// `0..MTF` is exact for every Δ.
-pub fn supply_bound_function(
-    schedule: &Schedule,
-    partition: PartitionId,
-    horizon: u64,
-) -> Vec<u64> {
-    let pattern = SupplyPattern::of(schedule, partition);
-    (0..=horizon)
-        .map(|delta| {
-            (0..pattern.mtf())
-                .map(|phase| pattern.supply(phase, delta))
-                .min()
-                .unwrap_or(0)
-        })
-        .collect()
 }
 
 /// Analyses `processes` of `partition` under `schedule`.
@@ -200,7 +258,7 @@ pub fn analyze_partition(
     partition: PartitionId,
     processes: &[ProcessAttributes],
 ) -> Result<AnalysisResult, AnalysisError> {
-    analyze_with(schedule, partition, processes, Phasing::Arbitrary)
+    analyze_partition_with_phasing(schedule, partition, processes, Phasing::Arbitrary)
 }
 
 /// Release phasing assumption of the analysis.
@@ -226,32 +284,8 @@ pub fn analyze_partition_with_phasing(
     processes: &[ProcessAttributes],
     phasing: Phasing,
 ) -> Result<AnalysisResult, AnalysisError> {
-    analyze_with(schedule, partition, processes, phasing)
-}
-
-fn analyze_with(
-    schedule: &Schedule,
-    partition: PartitionId,
-    processes: &[ProcessAttributes],
-    phasing: Phasing,
-) -> Result<AnalysisResult, AnalysisError> {
-    if schedule.windows_for(partition).next().is_none() {
+    if schedule.mtf().is_zero() || schedule.windows_for(partition).next().is_none() {
         return Err(AnalysisError::NoSupply);
-    }
-    // Validate inputs for every deadline-bearing process.
-    for p in processes {
-        if p.deadline().is_finite() {
-            if p.wcet().is_none() {
-                return Err(AnalysisError::MissingWcet {
-                    name: p.name().to_owned(),
-                });
-            }
-            if p.recurrence().min_interarrival().is_none() {
-                return Err(AnalysisError::Unbounded {
-                    name: p.name().to_owned(),
-                });
-            }
-        }
     }
     // Analysis horizon: the largest deadline plus one MTF of slack (a
     // response beyond its deadline is a failure regardless of exact value).
@@ -261,57 +295,72 @@ fn analyze_with(
         .map(Ticks::as_u64)
         .max()
         .unwrap_or(0);
-    let horizon = max_deadline + schedule.mtf().as_u64();
-    let sbf: Vec<u64> = match phasing {
-        Phasing::Arbitrary => supply_bound_function(schedule, partition, horizon),
-        Phasing::MtfLocked => {
-            let pattern = SupplyPattern::of(schedule, partition);
-            (0..=horizon).map(|delta| pattern.supply(0, delta)).collect()
-        }
+    let horizon = max_deadline.saturating_add(schedule.mtf().as_u64());
+    let pattern = SupplyPattern::of(schedule, partition);
+    let phases = pattern.phases(phasing);
+    // sbf⁻¹: the least Δ whose bound reaches `amount` is the latest of the
+    // phases' own (the bound is their minimum).
+    let sbf_inverse = |amount: u64| {
+        phases.iter().try_fold(0, |latest: u64, &phase| {
+            Some(latest.max(pattern.time_to_supply(phase, amount)?))
+        })
     };
 
     let mut verdicts = Vec::with_capacity(processes.len());
     for p in processes {
+        let name = p.name().to_owned();
         let Some(deadline) = p.deadline().capacity() else {
             verdicts.push(ProcessVerdict {
-                name: p.name().to_owned(),
+                name,
                 wcrt: None,
                 schedulable: true,
             });
             continue;
         };
-        let c = p.wcet().expect("validated above").as_u64();
+        let Some(c) = p.wcet() else {
+            return Err(AnalysisError::MissingWcet { name });
+        };
+        if p.recurrence().min_interarrival().is_none() {
+            return Err(AnalysisError::Unbounded { name });
+        }
         // Higher-priority interferers (strictly more urgent; equal
         // priority is FIFO and, worst case, ahead in the queue — count
         // one activation of each equal-priority peer as blocking).
         let interferers: Vec<(u64, u64)> = processes
             .iter()
-            .filter(|j| {
-                j.name() != p.name()
-                    && j.wcet().is_some()
-                    && j.recurrence().min_interarrival().is_some()
-                    && j.base_priority() <= p.base_priority()
-            })
-            .map(|j| {
-                (
-                    j.recurrence().min_interarrival().expect("filtered").as_u64(),
-                    j.wcet().expect("filtered").as_u64(),
-                )
+            .filter(|j| j.name() != p.name() && j.base_priority() <= p.base_priority())
+            .filter_map(|j| {
+                Some((
+                    j.recurrence().min_interarrival()?.as_u64(),
+                    j.wcet()?.as_u64(),
+                ))
             })
             .collect();
-        let demand = |delta: u64| -> u64 {
-            let mut d = c;
-            for &(t, cj) in &interferers {
-                d += delta.div_ceil(t.max(1)) * cj;
-            }
-            d
+        // `None` once the demand leaves `u64`, where no supply reaches.
+        let demand = |delta: u64| {
+            interferers.iter().try_fold(c.as_u64(), |d, &(t, cj)| {
+                d.checked_add(delta.div_ceil(t.max(1)).checked_mul(cj)?)
+            })
         };
-        let wcrt = (1..=horizon).find(|&delta| sbf[delta as usize] >= demand(delta));
-        let schedulable = wcrt.is_some_and(|r| r <= deadline.as_u64());
+        let horizon = pattern
+            .saturated_within(&interferers)
+            .map_or(horizon, |l| horizon.min(l));
+        // The least Δ ≥ 1 with sbf(Δ) ≥ dem(Δ), as the fixed point of
+        // R ← sbf⁻¹(dem(R)) from R = 1 (the horizon is at least one MTF):
+        // each step stays at or below the answer and moves until the supply
+        // meets the demand.
+        let mut r = 1;
+        let wcrt = loop {
+            match demand(r).and_then(sbf_inverse) {
+                Some(next) if next <= r => break Some(r),
+                Some(next) if next <= horizon => r = next,
+                _ => break None,
+            }
+        };
         verdicts.push(ProcessVerdict {
-            name: p.name().to_owned(),
+            name,
             wcrt: wcrt.map(Ticks),
-            schedulable,
+            schedulable: wcrt.is_some_and(|r| r <= deadline.as_u64()),
         });
     }
     Ok(AnalysisResult {
@@ -326,6 +375,7 @@ mod tests {
     use air_model::process::{Deadline, Priority, Recurrence};
     use air_model::prototype::{fig8_chi1, P1, P2};
     use air_model::schedule::{PartitionRequirement, TimeWindow};
+    use air_model::testkit::TestRng;
     use air_model::ScheduleId;
 
     fn attrs(name: &str, t: u64, d: u64, prio: u8, c: u64) -> ProcessAttributes {
@@ -346,7 +396,8 @@ mod tests {
             vec![PartitionRequirement::new(P1, Ticks(100), Ticks(40))],
             vec![TimeWindow::new(P1, Ticks(0), Ticks(40))],
         );
-        let sbf = supply_bound_function(&s, P1, 200);
+        let pattern = SupplyPattern::of(&s, P1);
+        let sbf: Vec<u64> = (0..=200).map(|delta| pattern.sbf(delta)).collect();
         assert_eq!(sbf[0], 0);
         assert_eq!(sbf[60], 0, "a 60-interval can miss the window entirely");
         assert_eq!(sbf[61], 1, "61 starting at 40 reaches tick 100");
@@ -363,10 +414,10 @@ mod tests {
     fn sbf_of_fig8_p2_split_windows() {
         // P2's χ1 supply: [200,300) and [1000,1100) per 1300. The longest
         // supply-free gap is [300, 1000): 700 ticks.
-        let sbf = supply_bound_function(&fig8_chi1(), P2, 1300);
-        assert_eq!(sbf[1300], 200);
-        assert_eq!(sbf[700], 0);
-        assert_eq!(sbf[701], 1);
+        let pattern = SupplyPattern::of(&fig8_chi1(), P2);
+        assert_eq!(pattern.sbf(1300), 200);
+        assert_eq!(pattern.sbf(700), 0);
+        assert_eq!(pattern.sbf(701), 1);
     }
 
     #[test]
@@ -435,6 +486,60 @@ mod tests {
     }
 
     #[test]
+    fn saturating_interference_ends_the_search_after_one_hyperperiod() {
+        // P1 holds the whole MTF and "hp" takes all of it: "lp" never
+        // runs, and under a u64::MAX deadline only the hyperperiod bound
+        // ends the search.
+        let s = Schedule::new(
+            ScheduleId(0),
+            "full",
+            Ticks(100),
+            vec![],
+            vec![TimeWindow::new(P1, Ticks(0), Ticks(100))],
+        );
+        let processes = vec![
+            attrs("hp", 100, 100, 1, 100),
+            attrs("lp", 100, u64::MAX, 2, 1),
+        ];
+        for phasing in [Phasing::Arbitrary, Phasing::MtfLocked] {
+            let result = analyze_partition_with_phasing(&s, P1, &processes, phasing).unwrap();
+            assert_eq!(result.processes[0].wcrt, Some(Ticks(100)));
+            assert_eq!(result.processes[1].wcrt, None);
+        }
+    }
+
+    #[test]
+    fn u64_extremes_are_answered_without_overflow() {
+        // Two windows cover a u64::MAX MTF but for a 5-tick gap: "big"
+        // needs exactly one MTF of supply, and "small" behind it would
+        // need a response past u64.
+        let max = u64::MAX;
+        let s = Schedule::new(
+            ScheduleId(0),
+            "huge",
+            Ticks(max),
+            vec![],
+            vec![
+                TimeWindow::new(P1, Ticks(0), Ticks(max / 2)),
+                TimeWindow::new(P1, Ticks(max / 2 + 5), Ticks(max - (max / 2 + 5))),
+            ],
+        );
+        let pattern = SupplyPattern::of(&s, P1);
+        assert_eq!(pattern.per_mtf(), max - 5);
+        assert_eq!(pattern.sbf(max), max - 5);
+        assert_eq!(pattern.supply(max / 2, max), max - 5);
+        let processes = vec![
+            attrs("big", max, max, 1, max - 5),
+            attrs("small", max, max, 2, 1),
+        ];
+        for phasing in [Phasing::Arbitrary, Phasing::MtfLocked] {
+            let result = analyze_partition_with_phasing(&s, P1, &processes, phasing).unwrap();
+            assert_eq!(result.processes[0].wcrt, Some(Ticks(max)), "{phasing:?}");
+            assert_eq!(result.processes[1].wcrt, None, "{phasing:?}");
+        }
+    }
+
+    #[test]
     fn deadline_free_processes_are_trivially_schedulable() {
         let processes = vec![ProcessAttributes::new("background")];
         let result = analyze_partition(&fig8_chi1(), P1, &processes).unwrap();
@@ -491,6 +596,182 @@ mod tests {
         for (l, f) in locked.processes.iter().zip(free.processes.iter()) {
             if let (Some(lw), Some(fw)) = (l.wcrt, f.wcrt) {
                 assert!(fw >= lw, "{lw} vs {fw}");
+            }
+        }
+    }
+
+    /// The per-tick analysis the interval representation replaced: one
+    /// availability entry per tick of the MTF, `sbf` as a vector over
+    /// every Δ up to the horizon, and a linear scan for the WCRT.
+    mod per_tick {
+        use super::*;
+
+        /// Per-MTF supply and prefix sums of the per-tick availability
+        /// over two MTFs.
+        fn prefix(schedule: &Schedule, partition: PartitionId) -> (u64, Vec<u64>) {
+            let mtf = schedule.mtf().as_u64();
+            let pattern: Vec<u64> = (0..mtf)
+                .map(|t| u64::from(schedule.partition_active_at(Ticks(t)) == Some(partition)))
+                .collect();
+            let mut prefix = vec![0u64];
+            for v in pattern.iter().chain(&pattern) {
+                prefix.push(prefix[prefix.len() - 1] + v);
+            }
+            (prefix[mtf as usize], prefix)
+        }
+
+        fn supply(mtf: u64, per_mtf: u64, prefix: &[u64], phase: u64, len: u64) -> u64 {
+            let (p, rem) = (phase as usize, (len % mtf) as usize);
+            len / mtf * per_mtf + prefix[p + rem] - prefix[p]
+        }
+
+        pub(super) fn sbf(schedule: &Schedule, partition: PartitionId, horizon: u64) -> Vec<u64> {
+            let mtf = schedule.mtf().as_u64();
+            let (per_mtf, prefix) = prefix(schedule, partition);
+            (0..=horizon)
+                .map(|delta| {
+                    (0..mtf)
+                        .map(|phase| supply(mtf, per_mtf, &prefix, phase, delta))
+                        .min()
+                        .unwrap_or(0)
+                })
+                .collect()
+        }
+
+        pub(super) fn analyze(
+            schedule: &Schedule,
+            partition: PartitionId,
+            processes: &[ProcessAttributes],
+            phasing: Phasing,
+        ) -> Vec<ProcessVerdict> {
+            let mtf = schedule.mtf().as_u64();
+            let max_deadline = processes
+                .iter()
+                .filter_map(|p| p.deadline().capacity())
+                .map(Ticks::as_u64)
+                .max()
+                .unwrap_or(0);
+            let horizon = max_deadline + mtf;
+            let sbf: Vec<u64> = match phasing {
+                Phasing::Arbitrary => sbf(schedule, partition, horizon),
+                Phasing::MtfLocked => {
+                    let (per_mtf, prefix) = prefix(schedule, partition);
+                    (0..=horizon)
+                        .map(|delta| supply(mtf, per_mtf, &prefix, 0, delta))
+                        .collect()
+                }
+            };
+            processes
+                .iter()
+                .map(|p| {
+                    let Some(deadline) = p.deadline().capacity() else {
+                        return ProcessVerdict {
+                            name: p.name().to_owned(),
+                            wcrt: None,
+                            schedulable: true,
+                        };
+                    };
+                    let c = p.wcet().unwrap().as_u64();
+                    let demand = |delta: u64| -> u64 {
+                        processes
+                            .iter()
+                            .filter(|j| {
+                                j.name() != p.name() && j.base_priority() <= p.base_priority()
+                            })
+                            .map(|j| {
+                                let t = j.recurrence().min_interarrival().unwrap().as_u64();
+                                delta.div_ceil(t.max(1)) * j.wcet().unwrap().as_u64()
+                            })
+                            .sum::<u64>()
+                            + c
+                    };
+                    let wcrt = (1..=horizon).find(|&delta| sbf[delta as usize] >= demand(delta));
+                    ProcessVerdict {
+                        name: p.name().to_owned(),
+                        wcrt: wcrt.map(Ticks),
+                        schedulable: wcrt.is_some_and(|r| r <= deadline.as_u64()),
+                    }
+                })
+                .collect()
+        }
+    }
+
+    /// A random table of 1–5 windows (of P1 and P2, sometimes overlapping
+    /// or running past the MTF) and 1–4 P1 processes, every time value
+    /// multiplied by `scale`.
+    fn random_case(rng: &mut TestRng, scale: u64) -> (Schedule, Vec<ProcessAttributes>) {
+        let mtf = rng.range(1, 401);
+        let windows = (0..rng.range(1, 6))
+            .map(|_| {
+                let partition = if rng.chance(2, 3) { P1 } else { P2 };
+                let offset = rng.below(mtf);
+                let overrun = rng.below(2) * mtf / 4;
+                let duration = rng.range(1, mtf - offset + 1 + overrun);
+                TimeWindow::new(partition, Ticks(offset * scale), Ticks(duration * scale))
+            })
+            .collect();
+        let schedule = Schedule::new(ScheduleId(0), "r", Ticks(mtf * scale), vec![], windows);
+        let processes = (0..rng.range(1, 5))
+            .map(|i| {
+                let t = rng.range(1, 2 * mtf + 1);
+                let wcet = if rng.chance(1, 5) {
+                    0
+                } else {
+                    rng.range(1, t.min(mtf) + 1)
+                };
+                ProcessAttributes::new(format!("p{i}"))
+                    .with_recurrence(if rng.chance(1, 2) {
+                        Recurrence::Periodic(Ticks(t * scale))
+                    } else {
+                        Recurrence::Sporadic(Ticks(t * scale))
+                    })
+                    .with_deadline(Deadline::relative(Ticks(rng.range(1, 2 * mtf + 1) * scale)))
+                    .with_base_priority(Priority(rng.range(1, 4) as u8))
+                    .with_wcet(Ticks(wcet * scale))
+            })
+            .collect();
+        (schedule, processes)
+    }
+
+    #[test]
+    fn interval_analysis_matches_the_per_tick_oracle() {
+        const SCALE: u64 = 1_000_003;
+        for seed in 1..=300 {
+            let (schedule, processes) = random_case(&mut TestRng::new(seed), 1);
+            let mtf = schedule.mtf().as_u64();
+            let pattern = SupplyPattern::of(&schedule, P1);
+            let oracle = per_tick::sbf(&schedule, P1, 2 * mtf);
+            for (delta, &expected) in (0u64..).zip(&oracle) {
+                assert_eq!(pattern.sbf(delta), expected, "seed {seed}: sbf({delta})");
+            }
+            let (scaled, scaled_processes) = random_case(&mut TestRng::new(seed), SCALE);
+            for phasing in [Phasing::Arbitrary, Phasing::MtfLocked] {
+                let ours = analyze_partition_with_phasing(&schedule, P1, &processes, phasing);
+                let Ok(ours) = ours else {
+                    assert_eq!(ours, Err(AnalysisError::NoSupply), "seed {seed}");
+                    continue;
+                };
+                let expected = per_tick::analyze(&schedule, P1, &processes, phasing);
+                assert_eq!(ours.processes, expected, "seed {seed} {phasing:?}");
+                // A process without any demand responds at the one-tick
+                // floor on every scale.
+                let idle = |p: &ProcessAttributes| {
+                    processes
+                        .iter()
+                        .filter(|j| j.name() == p.name() || j.base_priority() <= p.base_priority())
+                        .all(|j| j.wcet() == Some(Ticks::ZERO))
+                };
+                let scaled =
+                    analyze_partition_with_phasing(&scaled, P1, &scaled_processes, phasing)
+                        .unwrap();
+                for ((p, v), s) in processes.iter().zip(&expected).zip(&scaled.processes) {
+                    let wcrt = match v.wcrt {
+                        Some(_) if idle(p) => Some(Ticks(1)),
+                        wcrt => wcrt.map(|r| Ticks(r.as_u64() * SCALE)),
+                    };
+                    assert_eq!(s.wcrt, wcrt, "seed {seed} {phasing:?} {}", p.name());
+                    assert_eq!(s.schedulable, v.schedulable, "seed {seed}");
+                }
             }
         }
     }

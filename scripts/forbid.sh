@@ -18,7 +18,10 @@
 # parallel search) sits on that same path via `airlint --explore`, so it
 # is scanned too. The mesh routing tables
 # (`crates/ports/src/routing.rs`) carry every rerouted packet, so that
-# file joins the list.
+# file joins the list. The tools crate (`crates/tools/src`) is scanned
+# because the lint gate calls it: the configuration parser turns every
+# text into the model, and the schedulability analysis runs on every
+# lint.
 #
 #   scripts/forbid.sh            # scan the default directories below
 #   scripts/forbid.sh <dirs...>  # scan specific directories
@@ -27,7 +30,7 @@ cd "$(dirname "$0")/.."
 
 dirs=("$@")
 if [[ ${#dirs[@]} -eq 0 ]]; then
-    dirs=(crates/pmk/src crates/hw/src crates/lint/src crates/model/src/explore crates/ports/src/routing.rs)
+    dirs=(crates/pmk/src crates/hw/src crates/lint/src crates/model/src/explore crates/ports/src/routing.rs crates/tools/src)
 fi
 
 fail=0
