@@ -261,7 +261,7 @@ impl IntraPartition {
         payload: impl Into<Payload>,
         timeout: Timeout,
         now: Ticks,
-        pos: &mut dyn PartitionOs,
+        pos: &mut PartitionOs,
     ) -> ApexResult<Outcome<()>> {
         const SVC: &str = "SEND_BUFFER";
         let payload = payload.into();
@@ -304,7 +304,7 @@ impl IntraPartition {
         name: &str,
         timeout: Timeout,
         now: Ticks,
-        pos: &mut dyn PartitionOs,
+        pos: &mut PartitionOs,
     ) -> ApexResult<Outcome<Payload>> {
         const SVC: &str = "RECEIVE_BUFFER";
         let buf = self
@@ -342,7 +342,7 @@ impl IntraPartition {
         name: &str,
         payload: impl Into<Payload>,
         now: Ticks,
-        pos: &mut dyn PartitionOs,
+        pos: &mut PartitionOs,
     ) -> ApexResult<()> {
         const SVC: &str = "DISPLAY_BLACKBOARD";
         let payload = payload.into();
@@ -389,7 +389,7 @@ impl IntraPartition {
         name: &str,
         timeout: Timeout,
         now: Ticks,
-        pos: &mut dyn PartitionOs,
+        pos: &mut PartitionOs,
     ) -> ApexResult<Outcome<Payload>> {
         const SVC: &str = "READ_BLACKBOARD";
         let bb = self
@@ -422,7 +422,7 @@ impl IntraPartition {
         name: &str,
         timeout: Timeout,
         now: Ticks,
-        pos: &mut dyn PartitionOs,
+        pos: &mut PartitionOs,
     ) -> ApexResult<Outcome<()>> {
         const SVC: &str = "WAIT_SEMAPHORE";
         let sem = self
@@ -453,7 +453,7 @@ impl IntraPartition {
         &mut self,
         name: &str,
         now: Ticks,
-        pos: &mut dyn PartitionOs,
+        pos: &mut PartitionOs,
     ) -> ApexResult<()> {
         const SVC: &str = "SIGNAL_SEMAPHORE";
         let sem = self
@@ -483,7 +483,7 @@ impl IntraPartition {
         &mut self,
         name: &str,
         now: Ticks,
-        pos: &mut dyn PartitionOs,
+        pos: &mut PartitionOs,
     ) -> ApexResult<()> {
         const SVC: &str = "SET_EVENT";
         let ev = self
@@ -525,7 +525,7 @@ impl IntraPartition {
         name: &str,
         timeout: Timeout,
         now: Ticks,
-        pos: &mut dyn PartitionOs,
+        pos: &mut PartitionOs,
     ) -> ApexResult<Outcome<()>> {
         const SVC: &str = "WAIT_EVENT";
         let ev = self
@@ -592,10 +592,11 @@ impl IntraPartition {
 mod tests {
     use super::*;
     use air_model::process::ProcessAttributes;
-    use air_pos::{RtemsLike, WakeCause};
+    use air_model::partition::PosKind;
+    use air_pos::WakeCause;
 
-    fn setup(n: u32) -> (IntraPartition, RtemsLike, Vec<ProcessId>) {
-        let mut pos = RtemsLike::new();
+    fn setup(n: u32) -> (IntraPartition, PartitionOs, Vec<ProcessId>) {
+        let mut pos = PartitionOs::new(PosKind::RealTime);
         let ids: Vec<ProcessId> = (0..n)
             .map(|i| {
                 let p = pos

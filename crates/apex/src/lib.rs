@@ -5,9 +5,10 @@
 //! implementation of APEX … the advanced notion of *Portable APEX*
 //! intended to ensure portability between the different POSs supported by
 //! AIR" (Sect. 2.3). Accordingly, every service here is written against
-//! the [`air_pos::PartitionOs`] trait and the PAL's private deadline
-//! interfaces — the same APEX code serves the RTEMS-like RTOS and the
-//! generic non-real-time kernel.
+//! the one [`air_pos::PartitionOs`] process table and the PAL's private
+//! deadline interfaces — the same APEX code serves the RTEMS-like RTOS
+//! and the generic non-real-time kernel, which differ only in the
+//! [`PosKind`](air_model::partition::PosKind) the table is built with.
 //!
 //! Service groups:
 //!

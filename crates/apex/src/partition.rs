@@ -2,9 +2,9 @@
 //! management services over the POS, the PAL and the health monitor.
 //!
 //! This is the "APEX Core Layer" of Sect. 2.3 — the Portable APEX: every
-//! service is expressed against the [`PartitionOs`] trait and the PAL's
-//! private deadline interfaces (Fig. 6), so the same APEX code serves any
-//! POS wrapped by the PAL.
+//! service is expressed against the one [`PartitionOs`] process table and
+//! the PAL's private deadline interfaces (Fig. 6), so the same APEX code
+//! serves either kind of POS wrapped by the PAL.
 
 use std::collections::HashMap;
 
@@ -101,7 +101,7 @@ pub struct ApexPartition {
     mode: OperatingMode,
     start_condition: StartCondition,
     lock_level: u32,
-    pos: Box<dyn PartitionOs>,
+    pos: PartitionOs,
     pal: Pal,
     intra: IntraPartition,
     error_handler: Option<ErrorHandlerTable>,
@@ -119,11 +119,12 @@ impl std::fmt::Debug for ApexPartition {
 }
 
 impl ApexPartition {
-    /// Creates the APEX instance for `descriptor` over `pos`, in
-    /// `coldStart` mode (the ARINC power-on state), with a PAL whose
-    /// deadlines live in the timing wheel.
-    pub fn new(descriptor: Partition, pos: Box<dyn PartitionOs>) -> Self {
+    /// Creates the APEX instance for `descriptor` over a POS of the
+    /// descriptor's kind, in `coldStart` mode (the ARINC power-on state),
+    /// with a PAL whose deadlines live in the timing wheel.
+    pub fn new(descriptor: Partition) -> Self {
         let pal = Pal::new(descriptor.id());
+        let pos = PartitionOs::new(descriptor.pos_kind());
         Self {
             descriptor,
             mode: OperatingMode::ColdStart,
@@ -152,8 +153,8 @@ impl ApexPartition {
     }
 
     /// The POS instance (scheduling queries, conformance checks).
-    pub fn pos(&self) -> &dyn PartitionOs {
-        self.pos.as_ref()
+    pub fn pos(&self) -> &PartitionOs {
+        &self.pos
     }
 
     /// The intrapartition communication objects.
@@ -163,8 +164,8 @@ impl ApexPartition {
 
     /// Disjoint borrows of the intra objects and the POS, for the blocking
     /// services (which need both at once).
-    pub fn intra_and_pos(&mut self) -> (&mut IntraPartition, &mut dyn PartitionOs) {
-        (&mut self.intra, self.pos.as_mut())
+    pub fn intra_and_pos(&mut self) -> (&mut IntraPartition, &mut PartitionOs) {
+        (&mut self.intra, &mut self.pos)
     }
 
     // -- partition management (GET_PARTITION_STATUS / SET_PARTITION_MODE) --
@@ -475,7 +476,7 @@ impl ApexPartition {
     /// Returns the `(process, missed deadline)` pairs detected.
     pub fn announce_clock_ticks(&mut self, elapsed: u64, now: Ticks) -> Vec<(ProcessId, Ticks)> {
         let mut misses = Vec::new();
-        let pos = self.pos.as_mut();
+        let pos = &mut self.pos;
         let schedules = self.mode.schedules_processes();
         self.pal.announce_clock_ticks(
             elapsed,
@@ -628,13 +629,9 @@ mod tests {
     use super::*;
     use air_model::process::{Deadline, Recurrence};
     use air_model::ProcessState;
-    use air_pos::RtemsLike;
 
     fn apex() -> ApexPartition {
-        ApexPartition::new(
-            Partition::new(PartitionId(0), "AOCS"),
-            Box::new(RtemsLike::new()),
-        )
+        ApexPartition::new(Partition::new(PartitionId(0), "AOCS"))
     }
 
     fn apex_in_normal_with(

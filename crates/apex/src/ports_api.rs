@@ -145,14 +145,10 @@ mod tests {
     use super::*;
     use air_model::partition::{OperatingMode, Partition, StartCondition};
     use air_model::PartitionId;
-    use air_pos::RtemsLike;
     use air_ports::{ChannelConfig, Destination, PortAddr};
 
     fn apex(m: u32) -> ApexPartition {
-        ApexPartition::new(
-            Partition::new(PartitionId(m), format!("P{m}")),
-            Box::new(RtemsLike::new()),
-        )
+        ApexPartition::new(Partition::new(PartitionId(m), format!("P{m}")))
     }
 
     #[test]

@@ -6,14 +6,13 @@ use air_apex::{ApexPartition, ErrorHandlerTable};
 use air_hm::{HealthMonitor, HmTables};
 use air_hw::machine::MachineConfig;
 use air_hw::{CpuContext, Machine};
-use air_model::partition::{OperatingMode, Partition, PosKind, StartCondition};
+use air_model::partition::{OperatingMode, Partition, StartCondition};
 use air_lint::{ExploreConfig, LintReport, SystemModel};
 use air_model::process::ProcessAttributes;
 use air_model::{ScheduleSet, Ticks};
 use air_pmk::spatial::standard_application_layout;
 use air_pmk::{PartitionDispatcher, PartitionScheduler, PmkIpc, SpatialManager};
 use air_ports::{ChannelConfig, PortRegistry, QueuingPortConfig, SamplingPortConfig};
-use air_pos::{GenericNonRt, PartitionOs, RtemsLike};
 use air_vitral::Vitral;
 
 use crate::system::{AirSystem, PartitionRuntime};
@@ -404,11 +403,7 @@ impl SystemBuilder {
                 CpuContext::new(0x4000_0000, 0x6000_0000 + 0x4000, context),
             );
 
-            let pos: Box<dyn PartitionOs> = match config.partition.pos_kind() {
-                PosKind::RealTime => Box::new(RtemsLike::new()),
-                PosKind::GenericNonRealTime => Box::new(GenericNonRt::new()),
-            };
-            let mut apex = ApexPartition::new(config.partition, pos);
+            let mut apex = ApexPartition::new(config.partition);
 
             // ARINC 653 initialisation: create processes and the error
             // handler in coldStart, then transition to normal and start

@@ -1760,9 +1760,7 @@ mod tests {
         // and pin that the budget dominates every scenario class.
         let arq = ArqConfig::default();
         let monitor = HealPolicy::default().monitor;
-        let detection: u64 = (0..monitor.down_threshold)
-            .map(|r| arq.timeout_ticks << u64::from(r).min(u64::from(arq.backoff_cap)))
-            .sum();
+        let detection: u64 = (0..monitor.down_threshold).map(|r| arq.backoff(r)).sum();
         let recovery = monitor.probe_interval * (u64::from(monitor.recovery_threshold) + 2);
         let per_pulse = detection + recovery;
         // Outage spans straight out of `reroute_plan`: EdgeOutage heals

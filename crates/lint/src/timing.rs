@@ -94,12 +94,12 @@ impl FlowBound {
         format!("N{}:{} -> N{}", self.src, self.apid, self.dst)
     }
 
-    /// `deadline - certified`, when both exist (negative = blown).
+    /// `deadline - certified`, when both exist (negative = blown),
+    /// clamped to the `i64` range.
     pub fn slack(&self) -> Option<i64> {
-        match (self.deadline, self.certified) {
-            (Some(d), Some(c)) => Some(d as i64 - c as i64),
-            _ => None,
-        }
+        let (d, c) = (self.deadline?, self.certified?);
+        let slack = i128::from(d) - i128::from(c);
+        Some(slack.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64)
     }
 }
 
@@ -397,7 +397,9 @@ pub(crate) fn analyze(models: &[SystemModel], report: &mut LintReport) -> Vec<Fl
                 .map(ArqConfig::worst_case_delay)
                 .max()
                 .unwrap_or(0);
-            let per_hop = arq_worst + link_latency + MESH_HOP_SLACK;
+            let per_hop = arq_worst
+                .saturating_add(link_latency)
+                .saturating_add(MESH_HOP_SLACK);
 
             // Node terms at the endpoints; an undescribed destination is
             // assumed configuration-symmetric to the source.

@@ -34,12 +34,6 @@ pub struct PmkIpc {
     frames_sent: u64,
     frames_received: u64,
     frames_rejected: u64,
-    /// When set, outgoing frames carry link sequence numbers 1, 2, 3, …
-    /// so the peer can detect silent loss. Off by default: unsequenced
-    /// frames (`link_seq` 0) are wire-compatible with legacy senders.
-    link_sequencing: bool,
-    /// Last sequence number stamped on an outgoing frame.
-    last_seq_sent: u64,
     /// Highest sequence number seen on an incoming sequenced frame.
     last_seq_seen: u64,
     sequence_gaps: u64,
@@ -88,15 +82,6 @@ impl PmkIpc {
     /// Link frames rejected (corruption / unknown channel).
     pub fn frames_rejected(&self) -> u64 {
         self.frames_rejected
-    }
-
-    /// Enables/disables outgoing link-frame sequencing. Incoming gap
-    /// detection is always on for sequenced frames, so this only governs
-    /// what this node transmits. Superseded by
-    /// [`PmkIpc::enable_reliable_transport`], which sequences through the
-    /// ARQ window instead.
-    pub fn set_link_sequencing(&mut self, on: bool) {
-        self.link_sequencing = on;
     }
 
     /// Switches the transport to reliable delivery: go-back-N ARQ with
@@ -168,15 +153,11 @@ impl PmkIpc {
             });
         }
         self.registry.route_into(now, &mut self.frames);
-        for mut frame in self.frames.drain(..) {
+        for frame in self.frames.drain(..) {
             if let Some(arq) = &mut self.arq {
                 arq.offer(frame);
                 self.frames_sent += 1;
                 continue;
-            }
-            if self.link_sequencing {
-                self.last_seq_sent += 1;
-                frame.link_seq = self.last_seq_sent;
             }
             link.send(LinkEndpoint::A, now.as_u64(), frame.encode());
             self.frames_sent += 1;
@@ -482,7 +463,7 @@ mod tests {
     fn sequencing_stamps_outgoing_frames() {
         let mut link = raw_link(0);
         let mut tx = sender();
-        tx.set_link_sequencing(true);
+        tx.enable_reliable_transport(ArqConfig::default());
         for _ in 0..2 {
             tx.registry_mut()
                 .queuing_port_mut(p(0), "tx")

@@ -28,7 +28,8 @@ pub struct ArqConfig {
     pub window: usize,
     /// Base retransmission timeout in ticks (head-of-window timer).
     pub timeout_ticks: u64,
-    /// Backoff doublings cap: round `r` waits `timeout << min(r, cap)`.
+    /// Backoff doublings cap: round `r` waits `timeout << min(r, cap)`
+    /// ([`ArqConfig::backoff`]).
     pub backoff_cap: u32,
     /// Rounds before the endpoint reports delivery exhaustion (it still
     /// keeps retrying at the capped interval).
@@ -51,13 +52,29 @@ impl Default for ArqConfig {
 }
 
 impl ArqConfig {
+    /// The wait before retransmission round `round`:
+    /// `timeout << min(round, cap)`, saturating at `u64::MAX` when the
+    /// shift would lose bits (a shift of 64 or more among them).
+    pub fn backoff(&self, round: u32) -> u64 {
+        let shift = round.min(self.backoff_cap);
+        match self.timeout_ticks {
+            0 => 0,
+            t if shift > t.leading_zeros() => u64::MAX,
+            t => t << shift,
+        }
+    }
+
     /// Upper bound on the delay between offering a frame and the receiver
     /// acknowledging it, assuming the link heals within `max_retries`
-    /// rounds: the sum of every backoff interval.
+    /// rounds: the sum of every backoff interval, saturating.
     pub fn worst_case_delay(&self) -> u64 {
-        (0..=self.max_retries)
-            .map(|r| self.timeout_ticks << r.min(self.backoff_cap))
-            .sum()
+        // Rounds 0..=k double: t + 2t + … + (t << k) = 2·(t << k) − t.
+        let k = self.max_retries.min(self.backoff_cap);
+        let top = self.backoff(k);
+        let doubling = top.saturating_add(top - self.timeout_ticks);
+        // Every later round waits the capped interval `t << k`.
+        let capped = u64::from(self.max_retries - k).saturating_mul(top);
+        doubling.saturating_add(capped)
     }
 }
 
@@ -211,9 +228,7 @@ impl ArqEndpoint {
         // Timeout round first, so retransmissions precede newly admitted
         // frames in sequence order on the wire.
         if let Some(head) = self.unacked.front() {
-            let backoff = self.config.timeout_ticks
-                << head.retries.min(self.config.backoff_cap);
-            if now.saturating_sub(head.last_sent) >= backoff {
+            if now.saturating_sub(head.last_sent) >= self.config.backoff(head.retries) {
                 batch.timeout_round = true;
                 let head_seq = head.seq;
                 let mut head_retries = 0;
@@ -531,6 +546,58 @@ mod tests {
         let c = cfg();
         // rounds 0..=3 with cap 2: 10 + 20 + 40 + 40.
         assert_eq!(c.worst_case_delay(), 110);
+    }
+
+    #[test]
+    fn worst_case_delay_closed_form_matches_the_series() {
+        for timeout_ticks in 0..5 {
+            for backoff_cap in 0..5 {
+                for max_retries in 0..9 {
+                    let c = ArqConfig {
+                        timeout_ticks,
+                        backoff_cap,
+                        max_retries,
+                        ..ArqConfig::default()
+                    };
+                    let series: u64 = (0..=max_retries).map(|r| c.backoff(r)).sum();
+                    assert_eq!(c.worst_case_delay(), series, "{c:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backoff_and_worst_case_saturate_instead_of_wrapping() {
+        let c = ArqConfig {
+            timeout_ticks: 3,
+            backoff_cap: 64,
+            max_retries: 64,
+            ..ArqConfig::default()
+        };
+        assert_eq!(c.backoff(62), 3 << 62);
+        assert_eq!(c.backoff(63), u64::MAX, "the shift would lose a bit");
+        assert_eq!(c.backoff(64), u64::MAX, "a shift of 64 or more");
+        assert_eq!(c.backoff(u32::MAX), u64::MAX);
+        assert_eq!(c.worst_case_delay(), u64::MAX);
+        let many = ArqConfig {
+            max_retries: u32::MAX,
+            ..ArqConfig::default()
+        };
+        assert_eq!(many.worst_case_delay(), 360 + u64::from(u32::MAX - 3) * 192);
+        let long = ArqConfig {
+            timeout_ticks: u64::MAX,
+            ..ArqConfig::default()
+        };
+        assert_eq!(long.backoff(0), u64::MAX);
+        assert_eq!(long.worst_case_delay(), u64::MAX);
+        let idle = ArqConfig {
+            timeout_ticks: 0,
+            backoff_cap: u32::MAX,
+            max_retries: u32::MAX,
+            ..ArqConfig::default()
+        };
+        assert_eq!(idle.backoff(u32::MAX), 0);
+        assert_eq!(idle.worst_case_delay(), 0);
     }
 
     #[test]

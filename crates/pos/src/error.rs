@@ -4,7 +4,7 @@ use std::fmt;
 
 use air_model::ids::ProcessId;
 
-/// Errors returned by [`crate::PartitionOs`] operations; the APEX layer
+/// Errors returned by [`crate::PartitionOs`] services; the APEX layer
 /// maps them onto ARINC 653 return codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]

@@ -1,335 +1,12 @@
-//! The generic non-real-time POS: the embedded-Linux stand-in of Sect. 2.5.
-//!
-//! "The coexistence of real-time and non-real-time POSs is motivated by the
-//! lack of relevant functions in most RTOSs" — a partition may host a
-//! round-robin, best-effort kernel for functions like scripting or
-//! payload data processing. Such a kernel has no deadlines, honours no
-//! priorities, and must not be able to undermine system-wide timeliness:
-//! its clock interactions are paravirtualised (modelled at machine level by
-//! `air_hw::interrupt`-style wrapping; at POS level every real-time
-//! service simply does not exist here).
-
-use std::collections::{HashMap, VecDeque};
-
-use air_model::ids::ProcessId;
-use air_model::partition::PosKind;
-use air_model::process::{Priority, ProcessAttributes, ProcessState, ProcessStatus};
-use air_model::Ticks;
-
-use crate::error::PosError;
-use crate::pcb::{ProcessControlBlock, WaitReason, WakeCause};
-use crate::{PartitionOs, Release};
-
-/// Round-robin scheduling quantum in ticks.
-pub const DEFAULT_QUANTUM: u64 = 10;
-
-/// The generic non-real-time partition operating system.
-///
-/// Scheduling is plain round-robin over started processes with a fixed
-/// quantum; [`select_heir`](PartitionOs::select_heir) rotates the run
-/// queue when the quantum of the running task is exhausted. Real-time
-/// services (`periodic_wait`, `set_priority`) return
-/// [`PosError::UnsupportedService`].
-#[derive(Debug)]
-pub struct GenericNonRt {
-    processes: Vec<ProcessControlBlock>,
-    names: HashMap<String, ProcessId>,
-    run_queue: VecDeque<ProcessId>,
-    quantum: u64,
-    /// Ticks the current head of the queue has held the CPU.
-    slice_used: u64,
-    released: Vec<Release>,
-    last_now: Ticks,
-}
-
-impl GenericNonRt {
-    /// Creates an empty kernel with the default quantum.
-    pub fn new() -> Self {
-        Self::with_quantum(DEFAULT_QUANTUM)
-    }
-
-    /// Creates an empty kernel with an explicit round-robin quantum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is zero.
-    pub fn with_quantum(quantum: u64) -> Self {
-        assert!(quantum > 0, "quantum must be positive");
-        Self {
-            processes: Vec::new(),
-            names: HashMap::new(),
-            run_queue: VecDeque::new(),
-            quantum,
-            slice_used: 0,
-            released: Vec::new(),
-            last_now: Ticks::ZERO,
-        }
-    }
-
-    fn pcb_mut(&mut self, id: ProcessId) -> Result<&mut ProcessControlBlock, PosError> {
-        self.processes
-            .get_mut(id.as_usize())
-            .ok_or(PosError::UnknownProcess(id))
-    }
-
-    fn remove_from_queue(&mut self, id: ProcessId) {
-        self.run_queue.retain(|&p| p != id);
-    }
-}
-
-impl Default for GenericNonRt {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PartitionOs for GenericNonRt {
-    fn kind(&self) -> PosKind {
-        PosKind::GenericNonRealTime
-    }
-
-    fn create_process(&mut self, attrs: ProcessAttributes) -> Result<ProcessId, PosError> {
-        if self.names.contains_key(attrs.name()) {
-            return Err(PosError::DuplicateName);
-        }
-        let id = ProcessId(self.processes.len() as u32);
-        self.names.insert(attrs.name().to_owned(), id);
-        self.processes.push(ProcessControlBlock::new(id, attrs));
-        Ok(id)
-    }
-
-    fn start(&mut self, process: ProcessId, _now: Ticks) -> Result<(), PosError> {
-        let pcb = self.pcb_mut(process)?;
-        if pcb.state != ProcessState::Dormant {
-            return Err(PosError::InvalidState(process));
-        }
-        pcb.state = ProcessState::Ready;
-        self.run_queue.push_back(process);
-        Ok(())
-    }
-
-    fn delayed_start(
-        &mut self,
-        process: ProcessId,
-        delay: Ticks,
-        now: Ticks,
-    ) -> Result<(), PosError> {
-        if delay.is_zero() {
-            return self.start(process, now);
-        }
-        let pcb = self.pcb_mut(process)?;
-        if pcb.state != ProcessState::Dormant {
-            return Err(PosError::InvalidState(process));
-        }
-        pcb.state = ProcessState::Waiting;
-        pcb.wait_reason = Some(WaitReason::DelayedStart {
-            release: now + delay,
-        });
-        Ok(())
-    }
-
-    fn stop(&mut self, process: ProcessId) -> Result<(), PosError> {
-        let pcb = self.pcb_mut(process)?;
-        if pcb.state == ProcessState::Dormant {
-            return Err(PosError::InvalidState(process));
-        }
-        pcb.make_dormant();
-        self.remove_from_queue(process);
-        Ok(())
-    }
-
-    fn suspend(&mut self, process: ProcessId) -> Result<(), PosError> {
-        let pcb = self.pcb_mut(process)?;
-        if !pcb.state.is_schedulable() {
-            return Err(PosError::InvalidState(process));
-        }
-        pcb.state = ProcessState::Waiting;
-        pcb.wait_reason = Some(WaitReason::Suspended);
-        self.remove_from_queue(process);
-        Ok(())
-    }
-
-    fn resume(&mut self, process: ProcessId, _now: Ticks) -> Result<(), PosError> {
-        let pcb = self.pcb_mut(process)?;
-        if pcb.wait_reason != Some(WaitReason::Suspended) {
-            return Err(PosError::InvalidState(process));
-        }
-        pcb.state = ProcessState::Ready;
-        pcb.wait_reason = None;
-        pcb.pending_wake_cause = Some(WakeCause::Unblocked);
-        self.run_queue.push_back(process);
-        Ok(())
-    }
-
-    fn set_priority(&mut self, _process: ProcessId, _priority: Priority) -> Result<(), PosError> {
-        Err(PosError::UnsupportedService("SET_PRIORITY"))
-    }
-
-    fn periodic_wait(&mut self, _process: ProcessId, _now: Ticks) -> Result<Ticks, PosError> {
-        Err(PosError::UnsupportedService("PERIODIC_WAIT"))
-    }
-
-    fn timed_wait(
-        &mut self,
-        process: ProcessId,
-        delay: Ticks,
-        now: Ticks,
-    ) -> Result<(), PosError> {
-        let pcb = self.pcb_mut(process)?;
-        if !pcb.state.is_schedulable() {
-            return Err(PosError::InvalidState(process));
-        }
-        if delay.is_zero() {
-            // Yield: rotate to the back of the queue.
-            pcb.state = ProcessState::Ready;
-            self.remove_from_queue(process);
-            self.run_queue.push_back(process);
-            self.slice_used = 0;
-            return Ok(());
-        }
-        pcb.state = ProcessState::Waiting;
-        pcb.wait_reason = Some(WaitReason::Delay { until: now + delay });
-        self.remove_from_queue(process);
-        Ok(())
-    }
-
-    fn block(
-        &mut self,
-        process: ProcessId,
-        timeout: Option<Ticks>,
-        _now: Ticks,
-    ) -> Result<(), PosError> {
-        let pcb = self.pcb_mut(process)?;
-        if !pcb.state.is_schedulable() {
-            return Err(PosError::InvalidState(process));
-        }
-        pcb.state = ProcessState::Waiting;
-        pcb.wait_reason = Some(WaitReason::Synchronisation { timeout });
-        self.remove_from_queue(process);
-        Ok(())
-    }
-
-    fn unblock(&mut self, process: ProcessId, _now: Ticks) -> Result<(), PosError> {
-        let pcb = self.pcb_mut(process)?;
-        let Some(WaitReason::Synchronisation { .. }) = pcb.wait_reason else {
-            return Err(PosError::InvalidState(process));
-        };
-        pcb.state = ProcessState::Ready;
-        pcb.wait_reason = None;
-        pcb.pending_wake_cause = Some(WakeCause::Unblocked);
-        self.run_queue.push_back(process);
-        Ok(())
-    }
-
-    fn take_wake_cause(&mut self, process: ProcessId) -> Option<WakeCause> {
-        self.pcb_mut(process).ok()?.pending_wake_cause.take()
-    }
-
-    fn set_absolute_deadline(
-        &mut self,
-        process: ProcessId,
-        deadline: Option<Ticks>,
-    ) -> Result<(), PosError> {
-        self.pcb_mut(process)?.absolute_deadline = deadline;
-        Ok(())
-    }
-
-    fn announce_ticks(&mut self, now: Ticks) {
-        // Account the elapsed time against the running slice.
-        let elapsed = now.saturating_sub(self.last_now);
-        self.last_now = now;
-        self.slice_used += elapsed.as_u64();
-
-        for idx in 0..self.processes.len() {
-            let Some(wake_at) = self.processes[idx].wake_at() else {
-                continue;
-            };
-            if wake_at > now {
-                continue;
-            }
-            let pcb = &mut self.processes[idx];
-            let cause = match pcb.wait_reason {
-                Some(WaitReason::DelayedStart { release }) => {
-                    pcb.last_release = Some(release);
-                    self.released.push(Release {
-                        process: pcb.id,
-                        release_point: release,
-                    });
-                    WakeCause::Released
-                }
-                _ => WakeCause::Timeout,
-            };
-            pcb.pending_wake_cause = Some(cause);
-            pcb.state = ProcessState::Ready;
-            pcb.wait_reason = None;
-            let id = pcb.id;
-            self.run_queue.push_back(id);
-        }
-    }
-
-    fn take_releases(&mut self) -> Vec<Release> {
-        std::mem::take(&mut self.released)
-    }
-
-    fn running(&self) -> Option<ProcessId> {
-        let front = *self.run_queue.front()?;
-        (self.processes[front.as_usize()].state == ProcessState::Running).then_some(front)
-    }
-
-    fn select_heir(&mut self, _now: Ticks) -> Option<ProcessId> {
-        if self.run_queue.is_empty() {
-            return None;
-        }
-        if self.slice_used >= self.quantum && self.run_queue.len() > 1 {
-            // Quantum expired: rotate.
-            if let Some(front) = self.run_queue.pop_front() {
-                self.run_queue.push_back(front);
-            }
-            self.slice_used = 0;
-        }
-        let heir = *self.run_queue.front()?;
-        for pcb in &mut self.processes {
-            if pcb.id == heir {
-                pcb.state = ProcessState::Running;
-            } else if pcb.state == ProcessState::Running {
-                pcb.state = ProcessState::Ready;
-            }
-        }
-        Some(heir)
-    }
-
-    fn status(&self, process: ProcessId) -> Option<ProcessStatus> {
-        self.processes.get(process.as_usize()).map(|p| p.status())
-    }
-
-    fn attributes(&self, process: ProcessId) -> Option<&ProcessAttributes> {
-        self.processes.get(process.as_usize()).map(|p| &p.attributes)
-    }
-
-    fn process_by_name(&self, name: &str) -> Option<ProcessId> {
-        self.names.get(name).copied()
-    }
-
-    fn process_count(&self) -> usize {
-        self.processes.len()
-    }
-
-    fn reset(&mut self) {
-        for pcb in &mut self.processes {
-            pcb.make_dormant();
-        }
-        self.run_queue.clear();
-        self.released.clear();
-        self.slice_used = 0;
-    }
-}
+//! Unit tests of the generic kind: round-robin rotation on the quantum
+//! and the real-time services it refuses.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::*;
 
-    fn kernel_with(names: &[&str]) -> (GenericNonRt, Vec<ProcessId>) {
-        let mut pos = GenericNonRt::with_quantum(2);
+    fn generic_with(names: &[&str]) -> (PartitionOs, Vec<ProcessId>) {
+        let mut pos = PartitionOs::new(PosKind::GenericNonRealTime);
         let ids = names
             .iter()
             .map(|n| pos.create_process(ProcessAttributes::new(*n)).unwrap())
@@ -339,22 +16,22 @@ mod tests {
 
     #[test]
     fn round_robin_rotation() {
-        let (mut pos, ids) = kernel_with(&["a", "b"]);
+        let (mut pos, ids) = generic_with(&["a", "b"]);
         pos.start(ids[0], Ticks(0)).unwrap();
         pos.start(ids[1], Ticks(0)).unwrap();
-        // Quantum = 2: a runs at t=0..2, then b.
+        // Quantum = 10: a runs at t=0..10, then b.
         assert_eq!(pos.select_heir(Ticks(0)), Some(ids[0]));
         pos.announce_ticks(Ticks(1));
         assert_eq!(pos.select_heir(Ticks(1)), Some(ids[0]));
-        pos.announce_ticks(Ticks(2));
-        assert_eq!(pos.select_heir(Ticks(2)), Some(ids[1]));
-        pos.announce_ticks(Ticks(4));
-        assert_eq!(pos.select_heir(Ticks(4)), Some(ids[0]));
+        pos.announce_ticks(Ticks(10));
+        assert_eq!(pos.select_heir(Ticks(10)), Some(ids[1]));
+        pos.announce_ticks(Ticks(20));
+        assert_eq!(pos.select_heir(Ticks(20)), Some(ids[0]));
     }
 
     #[test]
     fn rt_services_unsupported() {
-        let (mut pos, ids) = kernel_with(&["a"]);
+        let (mut pos, ids) = generic_with(&["a"]);
         pos.start(ids[0], Ticks(0)).unwrap();
         assert_eq!(
             pos.periodic_wait(ids[0], Ticks(0)),
@@ -369,23 +46,23 @@ mod tests {
 
     #[test]
     fn timed_wait_and_wake() {
-        let (mut pos, ids) = kernel_with(&["a", "b"]);
+        let (mut pos, ids) = generic_with(&["a", "b"]);
         pos.start(ids[0], Ticks(0)).unwrap();
         pos.start(ids[1], Ticks(0)).unwrap();
         pos.timed_wait(ids[0], Ticks(5), Ticks(0)).unwrap();
         assert_eq!(pos.select_heir(Ticks(0)), Some(ids[1]));
-        pos.announce_ticks(Ticks(5));
-        // a re-entered at the back of the queue, but b's quantum (2) has
-        // long expired, so the queue rotates and a takes over.
-        assert_eq!(pos.select_heir(Ticks(5)), Some(ids[0]));
+        pos.announce_ticks(Ticks(10));
+        // a re-entered at the back of the queue, but b's quantum (10) has
+        // expired, so the queue rotates and a takes over.
+        assert_eq!(pos.select_heir(Ticks(10)), Some(ids[0]));
         assert_eq!(pos.take_wake_cause(ids[0]), Some(WakeCause::Timeout));
         pos.stop(ids[0]).unwrap();
-        assert_eq!(pos.select_heir(Ticks(5)), Some(ids[1]));
+        assert_eq!(pos.select_heir(Ticks(10)), Some(ids[1]));
     }
 
     #[test]
     fn suspend_resume_and_block_unblock() {
-        let (mut pos, ids) = kernel_with(&["a"]);
+        let (mut pos, ids) = generic_with(&["a"]);
         pos.start(ids[0], Ticks(0)).unwrap();
         pos.suspend(ids[0]).unwrap();
         assert_eq!(pos.select_heir(Ticks(0)), None);
@@ -401,17 +78,11 @@ mod tests {
 
     #[test]
     fn reset_empties_queue() {
-        let (mut pos, ids) = kernel_with(&["a", "b"]);
+        let (mut pos, ids) = generic_with(&["a", "b"]);
         pos.start(ids[0], Ticks(0)).unwrap();
         pos.start(ids[1], Ticks(0)).unwrap();
         pos.reset();
         assert_eq!(pos.select_heir(Ticks(0)), None);
         assert_eq!(pos.status(ids[0]).unwrap().state, ProcessState::Dormant);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_quantum_rejected() {
-        let _ = GenericNonRt::with_quantum(0);
     }
 }

@@ -47,7 +47,7 @@ pub enum WakeCause {
 
 /// The runtime control block of one process.
 #[derive(Debug, Clone)]
-pub struct ProcessControlBlock {
+pub(crate) struct ProcessControlBlock {
     /// The process identifier within its partition.
     pub id: ProcessId,
     /// Static attributes (Eq. 11, minus status).

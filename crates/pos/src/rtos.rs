@@ -1,400 +1,13 @@
-//! The RTEMS-like real-time POS: preemptive, priority-driven, FIFO within
-//! equal priorities — the ARINC 653-mandated process scheduling policy
-//! (Eq. 14/15), as run by the prototype's four partitions (Sect. 6).
-
-use std::collections::HashMap;
-
-use air_model::ids::ProcessId;
-use air_model::partition::PosKind;
-use air_model::process::{Priority, ProcessAttributes, ProcessState, ProcessStatus};
-use air_model::ready::{select_heir, ReadyCandidate};
-use air_model::Ticks;
-
-use crate::error::PosError;
-use crate::pcb::{ProcessControlBlock, WaitReason, WakeCause};
-use crate::{PartitionOs, Release};
-
-/// Default per-partition process limit (ARINC 653 systems fix this at
-/// configuration time).
-pub const DEFAULT_MAX_PROCESSES: usize = 32;
-
-/// The real-time partition operating system.
-///
-/// # Examples
-///
-/// ```
-/// use air_pos::{PartitionOs, RtemsLike};
-/// use air_model::process::{Priority, ProcessAttributes};
-/// use air_model::Ticks;
-///
-/// let mut pos = RtemsLike::new();
-/// let p = pos.create_process(
-///     ProcessAttributes::new("ctl").with_base_priority(Priority(5)),
-/// )?;
-/// pos.start(p, Ticks(0))?;
-/// assert_eq!(pos.select_heir(Ticks(0)), Some(p));
-/// # Ok::<(), air_pos::PosError>(())
-/// ```
-#[derive(Debug)]
-pub struct RtemsLike {
-    processes: Vec<ProcessControlBlock>,
-    names: HashMap<String, ProcessId>,
-    max_processes: usize,
-    /// Monotonic admission stamp source for FIFO-within-priority.
-    next_stamp: u64,
-    /// Periodic/delayed releases since the last [`take_releases`] call.
-    released: Vec<Release>,
-    /// The currently running process, if any.
-    running: Option<ProcessId>,
-}
-
-impl RtemsLike {
-    /// Creates an empty POS with the default process limit.
-    pub fn new() -> Self {
-        Self::with_max_processes(DEFAULT_MAX_PROCESSES)
-    }
-
-    /// Creates an empty POS with an explicit process limit.
-    pub fn with_max_processes(max_processes: usize) -> Self {
-        Self {
-            processes: Vec::new(),
-            names: HashMap::new(),
-            max_processes,
-            next_stamp: 0,
-            released: Vec::new(),
-            running: None,
-        }
-    }
-
-    fn pcb(&self, id: ProcessId) -> Result<&ProcessControlBlock, PosError> {
-        self.processes
-            .get(id.as_usize())
-            .ok_or(PosError::UnknownProcess(id))
-    }
-
-    fn pcb_mut(&mut self, id: ProcessId) -> Result<&mut ProcessControlBlock, PosError> {
-        self.processes
-            .get_mut(id.as_usize())
-            .ok_or(PosError::UnknownProcess(id))
-    }
-
-    fn stamp(&mut self) -> u64 {
-        let s = self.next_stamp;
-        self.next_stamp += 1;
-        s
-    }
-
-    /// Moves a PCB to ready with a fresh admission stamp.
-    fn make_ready(pcb: &mut ProcessControlBlock, stamp: u64) {
-        pcb.state = ProcessState::Ready;
-        pcb.wait_reason = None;
-        pcb.ready_since = stamp;
-    }
-
-    /// Direct mutable PCB access for the APEX layer (deadline mirroring).
-    ///
-    /// # Errors
-    ///
-    /// [`PosError::UnknownProcess`] if `id` was never created.
-    pub fn pcb_for_apex(&mut self, id: ProcessId) -> Result<&mut ProcessControlBlock, PosError> {
-        self.pcb_mut(id)
-    }
-
-    /// Iterates over all PCBs (diagnostics, model conformance checks).
-    pub fn pcbs(&self) -> impl Iterator<Item = &ProcessControlBlock> {
-        self.processes.iter()
-    }
-}
-
-impl Default for RtemsLike {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PartitionOs for RtemsLike {
-    fn kind(&self) -> PosKind {
-        PosKind::RealTime
-    }
-
-    fn create_process(&mut self, attrs: ProcessAttributes) -> Result<ProcessId, PosError> {
-        if self.processes.len() >= self.max_processes {
-            return Err(PosError::TooManyProcesses {
-                limit: self.max_processes,
-            });
-        }
-        if self.names.contains_key(attrs.name()) {
-            return Err(PosError::DuplicateName);
-        }
-        let id = ProcessId(self.processes.len() as u32);
-        self.names.insert(attrs.name().to_owned(), id);
-        self.processes.push(ProcessControlBlock::new(id, attrs));
-        Ok(id)
-    }
-
-    fn start(&mut self, process: ProcessId, now: Ticks) -> Result<(), PosError> {
-        let stamp = self.stamp();
-        let pcb = self.pcb_mut(process)?;
-        if pcb.state != ProcessState::Dormant {
-            return Err(PosError::InvalidState(process));
-        }
-        pcb.current_priority = pcb.attributes.base_priority();
-        pcb.last_release = Some(now);
-        Self::make_ready(pcb, stamp);
-        Ok(())
-    }
-
-    fn delayed_start(
-        &mut self,
-        process: ProcessId,
-        delay: Ticks,
-        now: Ticks,
-    ) -> Result<(), PosError> {
-        if delay.is_zero() {
-            return self.start(process, now);
-        }
-        let pcb = self.pcb_mut(process)?;
-        if pcb.state != ProcessState::Dormant {
-            return Err(PosError::InvalidState(process));
-        }
-        pcb.current_priority = pcb.attributes.base_priority();
-        pcb.state = ProcessState::Waiting;
-        pcb.wait_reason = Some(WaitReason::DelayedStart {
-            release: now + delay,
-        });
-        Ok(())
-    }
-
-    fn stop(&mut self, process: ProcessId) -> Result<(), PosError> {
-        let pcb = self.pcb_mut(process)?;
-        if pcb.state == ProcessState::Dormant {
-            return Err(PosError::InvalidState(process));
-        }
-        pcb.make_dormant();
-        if self.running == Some(process) {
-            self.running = None;
-        }
-        Ok(())
-    }
-
-    fn suspend(&mut self, process: ProcessId) -> Result<(), PosError> {
-        let pcb = self.pcb_mut(process)?;
-        if !pcb.state.is_schedulable() {
-            return Err(PosError::InvalidState(process));
-        }
-        pcb.state = ProcessState::Waiting;
-        pcb.wait_reason = Some(WaitReason::Suspended);
-        if self.running == Some(process) {
-            self.running = None;
-        }
-        Ok(())
-    }
-
-    fn resume(&mut self, process: ProcessId, _now: Ticks) -> Result<(), PosError> {
-        let stamp = self.stamp();
-        let pcb = self.pcb_mut(process)?;
-        if pcb.wait_reason != Some(WaitReason::Suspended) {
-            return Err(PosError::InvalidState(process));
-        }
-        pcb.pending_wake_cause = Some(WakeCause::Unblocked);
-        Self::make_ready(pcb, stamp);
-        Ok(())
-    }
-
-    fn set_priority(&mut self, process: ProcessId, priority: Priority) -> Result<(), PosError> {
-        let stamp = self.stamp();
-        let pcb = self.pcb_mut(process)?;
-        if pcb.state == ProcessState::Dormant {
-            return Err(PosError::InvalidState(process));
-        }
-        pcb.current_priority = priority;
-        // ARINC: the process moves to the newest position of its new
-        // priority, i.e. it loses its antiquity.
-        if pcb.state.is_schedulable() {
-            pcb.ready_since = stamp;
-        }
-        Ok(())
-    }
-
-    fn periodic_wait(&mut self, process: ProcessId, now: Ticks) -> Result<Ticks, PosError> {
-        let pcb = self.pcb_mut(process)?;
-        if !pcb.state.is_schedulable() {
-            return Err(PosError::InvalidState(process));
-        }
-        let Some(period) = pcb.attributes.recurrence().period() else {
-            return Err(PosError::NotPeriodic(process));
-        };
-        // Next release: one period past the previous release point. If the
-        // process overran past that instant, release points are skipped
-        // forward to the first one after `now` (the deadline monitor has
-        // already caught the overrun).
-        let base = pcb.last_release.unwrap_or(now);
-        let mut release = base + period;
-        while release <= now {
-            release += period;
-        }
-        pcb.state = ProcessState::Waiting;
-        pcb.wait_reason = Some(WaitReason::NextRelease { release });
-        if self.running == Some(process) {
-            self.running = None;
-        }
-        Ok(release)
-    }
-
-    fn timed_wait(
-        &mut self,
-        process: ProcessId,
-        delay: Ticks,
-        now: Ticks,
-    ) -> Result<(), PosError> {
-        let stamp = self.stamp();
-        let pcb = self.pcb_mut(process)?;
-        if !pcb.state.is_schedulable() {
-            return Err(PosError::InvalidState(process));
-        }
-        if delay.is_zero() {
-            // A zero delay is a yield: move to the back of the ready set
-            // at the same priority.
-            Self::make_ready(pcb, stamp);
-        } else {
-            pcb.state = ProcessState::Waiting;
-            pcb.wait_reason = Some(WaitReason::Delay { until: now + delay });
-        }
-        if self.running == Some(process) {
-            self.running = None;
-        }
-        Ok(())
-    }
-
-    fn block(
-        &mut self,
-        process: ProcessId,
-        timeout: Option<Ticks>,
-        _now: Ticks,
-    ) -> Result<(), PosError> {
-        let pcb = self.pcb_mut(process)?;
-        if !pcb.state.is_schedulable() {
-            return Err(PosError::InvalidState(process));
-        }
-        pcb.state = ProcessState::Waiting;
-        pcb.wait_reason = Some(WaitReason::Synchronisation { timeout });
-        if self.running == Some(process) {
-            self.running = None;
-        }
-        Ok(())
-    }
-
-    fn unblock(&mut self, process: ProcessId, _now: Ticks) -> Result<(), PosError> {
-        let stamp = self.stamp();
-        let pcb = self.pcb_mut(process)?;
-        let Some(WaitReason::Synchronisation { .. }) = pcb.wait_reason else {
-            return Err(PosError::InvalidState(process));
-        };
-        pcb.pending_wake_cause = Some(WakeCause::Unblocked);
-        Self::make_ready(pcb, stamp);
-        Ok(())
-    }
-
-    fn take_wake_cause(&mut self, process: ProcessId) -> Option<WakeCause> {
-        self.pcb_mut(process).ok()?.pending_wake_cause.take()
-    }
-
-    fn set_absolute_deadline(
-        &mut self,
-        process: ProcessId,
-        deadline: Option<Ticks>,
-    ) -> Result<(), PosError> {
-        self.pcb_mut(process)?.absolute_deadline = deadline;
-        Ok(())
-    }
-
-    fn announce_ticks(&mut self, now: Ticks) {
-        for idx in 0..self.processes.len() {
-            let Some(wake_at) = self.processes[idx].wake_at() else {
-                continue;
-            };
-            if wake_at > now {
-                continue;
-            }
-            let stamp = self.stamp();
-            let pcb = &mut self.processes[idx];
-            let cause = match pcb.wait_reason {
-                Some(WaitReason::NextRelease { release })
-                | Some(WaitReason::DelayedStart { release }) => {
-                    pcb.last_release = Some(release);
-                    self.released.push(Release {
-                        process: pcb.id,
-                        release_point: release,
-                    });
-                    WakeCause::Released
-                }
-                _ => WakeCause::Timeout,
-            };
-            pcb.pending_wake_cause = Some(cause);
-            Self::make_ready(pcb, stamp);
-        }
-    }
-
-    fn take_releases(&mut self) -> Vec<Release> {
-        std::mem::take(&mut self.released)
-    }
-
-    fn running(&self) -> Option<ProcessId> {
-        self.running
-    }
-
-    fn select_heir(&mut self, _now: Ticks) -> Option<ProcessId> {
-        let heir = select_heir(self.processes.iter().map(|p| ReadyCandidate {
-            id: p.id,
-            current_priority: p.current_priority,
-            state: p.state,
-            ready_since: p.ready_since,
-        }));
-        for pcb in &mut self.processes {
-            if Some(pcb.id) == heir {
-                pcb.state = ProcessState::Running;
-            } else if pcb.state == ProcessState::Running {
-                // Preempted: back to ready, antiquity preserved (it was the
-                // oldest of its priority and remains so).
-                pcb.state = ProcessState::Ready;
-            }
-        }
-        self.running = heir;
-        heir
-    }
-
-    fn status(&self, process: ProcessId) -> Option<ProcessStatus> {
-        self.pcb(process).ok().map(|p| p.status())
-    }
-
-    fn attributes(&self, process: ProcessId) -> Option<&ProcessAttributes> {
-        self.pcb(process).ok().map(|p| &p.attributes)
-    }
-
-    fn process_by_name(&self, name: &str) -> Option<ProcessId> {
-        self.names.get(name).copied()
-    }
-
-    fn process_count(&self) -> usize {
-        self.processes.len()
-    }
-
-    fn reset(&mut self) {
-        for pcb in &mut self.processes {
-            pcb.make_dormant();
-        }
-        self.released.clear();
-        self.running = None;
-    }
-}
+//! Unit tests of the real-time kind: the Eq. 14 ready rule, delays,
+//! suspensions, periodic release points and the process limit.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::*;
     use air_model::process::Recurrence;
 
-    fn pos_with(names: &[(&str, u8)]) -> (RtemsLike, Vec<ProcessId>) {
-        let mut pos = RtemsLike::new();
+    fn pos_with(names: &[(&str, u8)]) -> (PartitionOs, Vec<ProcessId>) {
+        let mut pos = PartitionOs::new(PosKind::RealTime);
         let ids = names
             .iter()
             .map(|(n, prio)| {
@@ -424,7 +37,7 @@ mod tests {
 
     #[test]
     fn duplicate_name_rejected() {
-        let mut pos = RtemsLike::new();
+        let mut pos = PartitionOs::new(PosKind::RealTime);
         pos.create_process(ProcessAttributes::new("x")).unwrap();
         assert_eq!(
             pos.create_process(ProcessAttributes::new("x")),
@@ -436,12 +49,18 @@ mod tests {
 
     #[test]
     fn process_limit_enforced() {
-        let mut pos = RtemsLike::with_max_processes(1);
-        pos.create_process(ProcessAttributes::new("a")).unwrap();
+        let mut pos = PartitionOs::new(PosKind::RealTime);
+        let mut generic = PartitionOs::new(PosKind::GenericNonRealTime);
+        for i in 0..MAX_PROCESSES {
+            pos.create_process(ProcessAttributes::new(format!("p{i}"))).unwrap();
+            generic.create_process(ProcessAttributes::new(format!("p{i}"))).unwrap();
+        }
         assert_eq!(
             pos.create_process(ProcessAttributes::new("b")),
-            Err(PosError::TooManyProcesses { limit: 1 })
+            Err(PosError::TooManyProcesses { limit: MAX_PROCESSES })
         );
+        // The limit is the real-time kind's only.
+        assert!(generic.create_process(ProcessAttributes::new("b")).is_ok());
     }
 
     #[test]
@@ -538,7 +157,7 @@ mod tests {
 
     #[test]
     fn periodic_wait_cycle() {
-        let mut pos = RtemsLike::new();
+        let mut pos = PartitionOs::new(PosKind::RealTime);
         let p = pos
             .create_process(
                 ProcessAttributes::new("per")
@@ -635,7 +254,7 @@ mod tests {
 
     #[test]
     fn unknown_process_errors() {
-        let mut pos = RtemsLike::new();
+        let mut pos = PartitionOs::new(PosKind::RealTime);
         let ghost = ProcessId(9);
         assert_eq!(pos.start(ghost, Ticks(0)), Err(PosError::UnknownProcess(ghost)));
         assert_eq!(pos.status(ghost), None);

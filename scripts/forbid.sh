@@ -22,6 +22,10 @@
 # because the lint gate calls it: the configuration parser turns every
 # text into the model, and the schedulability analysis runs on every
 # lint.
+# The partition OS (`crates/pos/src`) and the ARQ transport
+# (`crates/ports/src/transport.rs`) are scanned because the PMK calls both
+# on every tick: the POS announcement and heir selection, and the ARQ
+# retransmission poll at each partition boundary.
 #
 #   scripts/forbid.sh            # scan the default directories below
 #   scripts/forbid.sh <dirs...>  # scan specific directories
@@ -30,7 +34,7 @@ cd "$(dirname "$0")/.."
 
 dirs=("$@")
 if [[ ${#dirs[@]} -eq 0 ]]; then
-    dirs=(crates/pmk/src crates/hw/src crates/lint/src crates/model/src/explore crates/ports/src/routing.rs crates/tools/src)
+    dirs=(crates/pmk/src crates/hw/src crates/lint/src crates/model/src/explore crates/ports/src/routing.rs crates/ports/src/transport.rs crates/pos/src crates/tools/src)
 fi
 
 fail=0

@@ -6,10 +6,11 @@
 //!   analysis whose cost does not grow with the tick unit finishes the
 //!   k = 10⁹ case, so this also checks the analyses' complexity without a
 //!   timing bound;
-//! - **u64 extremes** — `u64::MAX` in any one time field of any one line
-//!   goes through parse, lint, the timing certificate and a depth-2
-//!   exploration and comes back as a report, never a panic (these tests
-//!   run with overflow checks on);
+//! - **extremes** — the largest value the parser accepts (`u64::MAX`, or
+//!   `u32::MAX` for the u32 ARQ and link fields) in any one time, ARQ or
+//!   link field of any one line goes through parse, lint, the timing
+//!   certificate and a depth-2 exploration and comes back as a report,
+//!   never a panic or a stall (these tests run with overflow checks on);
 //! - **AIR011 once** — a partition with many short cycles is reported
 //!   once per schedule, not once per cycle.
 
@@ -37,10 +38,35 @@ const TIME_FIELDS: [&str; 13] = [
     "revert",
 ];
 
-/// The fields set to `u64::MAX`; ARQ and link fields are out of scope.
-const EXTREME_FIELDS: [&str; 8] = [
-    "mtf", "cycle", "duration", "offset", "period", "sporadic", "deadline", "wcet",
+/// The fields set to their largest accepted value, with that value.
+const EXTREME_FIELDS: [(&str, u64); 17] = [
+    ("mtf", u64::MAX),
+    ("cycle", u64::MAX),
+    ("duration", u64::MAX),
+    ("offset", u64::MAX),
+    ("period", u64::MAX),
+    ("sporadic", u64::MAX),
+    ("deadline", u64::MAX),
+    ("wcet", u64::MAX),
+    ("window", u64::MAX),
+    ("timeout", u64::MAX),
+    ("backoff_cap", u32::MAX as u64),
+    ("max_retries", u32::MAX as u64),
+    ("recovery_threshold", u32::MAX as u64),
+    ("primary_latency", u64::MAX),
+    ("secondary_latency", u64::MAX),
+    ("failover_threshold", u32::MAX as u64),
+    ("revert", u64::MAX),
 ];
+
+/// The hub with the two fields no corpus or example file sets: an ARQ
+/// `recovery_threshold` and a sporadic process.
+fn uncovered_fields() -> (String, String) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/constellation_hub.air");
+    let text = read(&path).replace("max_retries=8", "max_retries=8 recovery_threshold=4")
+        + "process P1 name=tm sporadic=100 wcet=5\n";
+    ("constellation_hub.air + recovery_threshold + sporadic".to_owned(), text)
+}
 
 /// The timing certificate (AIR110–AIR117) adds tick constants that do
 /// not scale with the configuration: `MESH_LATENCY`, `MESH_HOP_SLACK`,
@@ -138,18 +164,21 @@ fn scaling_every_time_field_keeps_every_finding() {
 
 #[test]
 fn u64_max_in_any_time_field_never_panics() {
+    let mut parsed = Vec::new();
     let explore = ExploreConfig {
         depth: 2,
         ..ExploreConfig::default()
     };
     let (mut variants, mut panicked) = (0, Vec::new());
-    for path in configs() {
-        let text = read(&path);
+    let sources = configs()
+        .into_iter()
+        .map(|path| (path.display().to_string(), read(&path)))
+        .chain([uncovered_fields()]);
+    for (name, text) in sources {
         let lines: Vec<&str> = text.lines().collect();
         for (i, line) in lines.iter().enumerate() {
-            for field in EXTREME_FIELDS {
-                let extreme =
-                    rewrite_line(line, |key, _| (key == field).then(|| u64::MAX.to_string()));
+            for (field, max) in EXTREME_FIELDS {
+                let extreme = rewrite_line(line, |key, _| (key == field).then(|| max.to_string()));
                 if extreme == *line {
                     continue;
                 }
@@ -160,6 +189,7 @@ fn u64_max_in_any_time_field_never_panics() {
                 let Ok(models) = parse_members(&[&mutated]).into_models() else {
                     continue;
                 };
+                parsed.push(field);
                 let model = &models[0];
                 let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     lint(model);
@@ -167,17 +197,41 @@ fn u64_max_in_any_time_field_never_panics() {
                     explore_with(model, &explore);
                 }));
                 if run.is_err() {
-                    panicked.push(format!("{} line {} {field}", path.display(), i + 1));
+                    panicked.push(format!("{name} line {} {field}", i + 1));
                 }
             }
         }
     }
     assert!(variants > 300, "only {variants} variants");
+    for (field, _) in EXTREME_FIELDS {
+        assert!(parsed.contains(&field), "no variant of {field} parsed");
+    }
     assert!(
         panicked.is_empty(),
         "u64::MAX panicked in:\n{}",
         panicked.join("\n")
     );
+}
+
+#[test]
+fn saturated_arq_backoff_is_not_certified_clean() {
+    // 64 doublings of the 24-tick timeout overflow u64: the per-hop ARQ
+    // term must saturate and blow the 6000-tick deadline, not wrap to a
+    // small certified bound.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/constellation_hub.air");
+    let text = read(&path).replace(
+        "arq window=8 timeout=24 backoff_cap=3 max_retries=8",
+        "arq window=8 timeout=24 backoff_cap=64 max_retries=64",
+    );
+    let models = parse_members(&[&text]).into_models().expect("the hub parses");
+    let timing = lint_timing(&models);
+    let (report, bounds) = (&timing.report, &timing.bounds);
+    assert!(
+        report.diagnostics().iter().any(|d| d.code == Code::FlowDeadlineExceeded),
+        "{report}"
+    );
+    assert!(bounds.iter().all(|b| b.certified == Some(u64::MAX)), "{bounds:?}");
+    assert!(bounds.iter().all(|b| b.slack().is_some_and(|s| s < 0)), "{bounds:?}");
 }
 
 #[test]
