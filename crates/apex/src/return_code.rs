@@ -75,7 +75,9 @@ pub(crate) fn from_pos(service: &'static str, err: PosError) -> ApexError {
         PosError::InvalidState(_) => ReturnCode::NoAction,
         PosError::NotPeriodic(_) => ReturnCode::InvalidMode,
         PosError::UnsupportedService(_) => ReturnCode::NotAvailable,
-        PosError::TooManyProcesses { .. } | PosError::DuplicateName => ReturnCode::InvalidConfig,
+        PosError::TooManyProcesses { .. } | PosError::DuplicateName | PosError::ZeroPeriod(_) => {
+            ReturnCode::InvalidConfig
+        }
         _ => ReturnCode::InvalidParam,
     };
     ApexError::new(service, code)

@@ -665,6 +665,27 @@ mod tests {
         assert_eq!(system.trace().deadline_miss_count(), 0);
     }
     #[test]
+    fn a_zero_period_process_is_refused() {
+        // `PERIODIC_WAIT` has no next release for it (AIR015).
+        let err = SystemBuilder::new(schedule(vec![(0, 0, 40)]))
+            .with_partition(
+                PartitionConfig::new(Partition::new(PartitionId(0), "a")).with_process(
+                    ProcessConfig::new(
+                        ProcessAttributes::new("stuck")
+                            .with_recurrence(air_model::process::Recurrence::Periodic(Ticks(0))),
+                        BusyLoop::new(),
+                    ),
+                ),
+            )
+            .build()
+            .unwrap_err();
+        let BuildError::Lint(report) = &err else {
+            panic!("expected Lint, got {err}");
+        };
+        assert!(report.has_code(air_lint::Code::ZeroPeriod), "{report}");
+    }
+
+    #[test]
     fn a_system_too_wide_to_explore_is_refused_not_waved_through() {
         // 65 partitions need 65 mode bits, one more than a packed
         // exploration state holds: the gate cannot check the mode/HM

@@ -448,6 +448,18 @@ pub fn planned_mesh_horizon(plan: &MeshPlan) -> u64 {
     }
 }
 
+/// The edge a link fault strikes (its target modulo the `edges` edge
+/// count) and, from direction bit 7, the endpoint an in-flight fault
+/// hunts frames toward.
+fn fault_site(event: &FaultEvent, edges: usize) -> (usize, LinkEndpoint) {
+    let toward = if event.target & (1 << 7) == 0 {
+        LinkEndpoint::A
+    } else {
+        LinkEndpoint::B
+    };
+    ((event.target as usize) % edges, toward)
+}
+
 /// One mesh node: routing, per-neighbour reliable transport, the PUS
 /// services, and its own trace.
 struct MeshNode {
@@ -687,9 +699,12 @@ impl MeshNode {
 }
 
 /// One incrementally-steppable mesh campaign: N nodes in lockstep over a
-/// faulted fabric, advanced one tick at a time. [`RerouteCampaignRunner`]
-/// drives two back to back (the second is the determinism probe); the
-/// fleet executor interleaves many across worker threads.
+/// faulted fabric. [`Scenario::step`] advances one tick;
+/// [`Scenario::run_for`] jumps over the quiet ticks between events and
+/// steps only the event ticks, with the same result.
+/// [`RerouteCampaignRunner`] drives two back to back (the second is the
+/// determinism probe); the fleet executor interleaves many across worker
+/// threads.
 pub struct MeshSim {
     plan: MeshPlan,
     fabric: MeshFabric,
@@ -865,14 +880,7 @@ impl MeshSim {
             if event.at > now {
                 return true;
             }
-            let edge = (event.target as usize) % edges;
-            // Direction bit: which endpoint the in-flight fault hunts
-            // frames toward.
-            let toward = if event.target & (1 << 7) == 0 {
-                LinkEndpoint::A
-            } else {
-                LinkEndpoint::B
-            };
+            let (edge, toward) = fault_site(event, edges);
             let Some(link) = fabric.link_mut(edge) else {
                 return false;
             };
@@ -1314,6 +1322,60 @@ impl MeshSim {
         transitions
     }
 
+    /// The earliest tick ≥ `now` at which [`Scenario::step`] can change
+    /// any state: the minimum over every absolute-time wake source. Every
+    /// tick before it is quiet — a step there would only advance the
+    /// clock — so [`Scenario::run_for`] jumps straight to it. The sources:
+    /// - a future link or partition fault; an armed in-flight link fault
+    ///   (due, not yet realised) only while its edge carries a frame;
+    /// - a frame delivery on the fabric;
+    /// - a dead edge's next probe;
+    /// - the next command origination while the budget is open;
+    /// - each node's verifier stage and ARQ endpoints.
+    ///
+    /// The failover quorum reads only edge liveness, which changes only
+    /// on the event ticks above.
+    fn next_event(&self) -> u64 {
+        let now = self.now;
+        let edges = self.fabric.edge_count();
+        let faults = self.pending.iter().filter_map(|event| {
+            if event.at > now {
+                return Some(event.at);
+            }
+            let in_flight_only = matches!(
+                event.class,
+                FaultClass::LinkDrop | FaultClass::LinkBitFlip | FaultClass::AckLoss
+            );
+            let idle = in_flight_only
+                && edges > 0
+                && self
+                    .fabric
+                    .link(fault_site(event, edges).0)
+                    .is_none_or(|link| link.next_delivery().is_none());
+            (!idle).then_some(now)
+        });
+        let partitions = self.pending_partitions.iter().map(|fault| fault.at);
+        let command = (self.sent < self.expected).then(|| {
+            let k = now.saturating_sub(CMD_START).div_ceil(CMD_PERIOD);
+            CMD_START + k * CMD_PERIOD
+        });
+        let nodes = self.nodes.iter().flat_map(|node| {
+            let arqs = node
+                .arqs
+                .iter()
+                .filter_map(move |(_, arq)| arq.next_due(now));
+            node.verifier.next_due().into_iter().chain(arqs)
+        });
+        faults
+            .chain(partitions)
+            .chain(self.fabric.next_delivery())
+            .chain(self.fabric.next_probe())
+            .chain(command)
+            .chain(nodes)
+            .min()
+            .map_or(u64::MAX, |at| at.max(now))
+    }
+
     /// Live snapshot of the self-healing layer: per-edge health, the
     /// reroute/park/failover counters, and the current command target.
     /// Mirrors the cluster's `LinkHealth` view at mesh scale.
@@ -1348,6 +1410,13 @@ impl MeshSim {
             duplicates_filtered: self.nodes.iter().map(|n| n.duplicates_filtered).sum(),
             active_executor: self.active_executor,
         }
+    }
+
+    /// This execution's outcome so far. Its report is empty and
+    /// `deterministic` is false: only [`RerouteCampaignRunner`] checks
+    /// invariants and re-executes.
+    pub fn into_outcome(self) -> RerouteCampaignOutcome {
+        self.into_artifacts().outcome
     }
 
     fn into_artifacts(self) -> MeshArtifacts {
@@ -1489,6 +1558,23 @@ impl Scenario for MeshSim {
         }
         self.evaluate_quorum(now);
         self.now += 1;
+    }
+
+    /// Next-event time advance: quiet ticks are skipped in one jump to
+    /// the earliest tick at which a step can change state, and
+    /// [`Scenario::step`] runs only on those event ticks, so the trace and
+    /// every counter equal a tick-by-tick run.
+    fn run_for(&mut self, n: u64) {
+        let target = self.now.saturating_add(n).min(self.end);
+        while self.now < target {
+            let next = self.next_event();
+            if next >= target {
+                self.now = target;
+                return;
+            }
+            self.now = next;
+            self.step();
+        }
     }
 
     /// Every node's canonical trace log, headed `== node 0 ==`,
@@ -1827,12 +1913,18 @@ mod tests {
         let plan = mesh_plan(MeshTopology::Line, 3, 9, 1);
         let mut sim = MeshSim::new(&plan);
         let horizon = sim.horizon();
+        sim.run_for(0);
+        assert_eq!(sim.now(), 0);
         sim.run_for(10);
         assert_eq!(sim.now(), 10);
         sim.run_to_horizon();
         assert_eq!(sim.now(), horizon);
         sim.step();
-        assert_eq!(sim.now(), horizon, "step past horizon is a no-op");
+        sim.run_for(5);
+        assert_eq!(sim.now(), horizon, "step and run_for past horizon are no-ops");
+        let mut fresh = MeshSim::new(&plan);
+        fresh.run_for(u64::MAX);
+        assert_eq!(fresh.now(), horizon, "a slice ends at the horizon");
     }
 
     #[test]

@@ -43,7 +43,9 @@ pub trait Scenario: Sized {
         self.now() >= self.horizon()
     }
 
-    /// Advances up to `n` ticks, stopping at the horizon.
+    /// Advances up to `n` ticks, stopping at the horizon. The default
+    /// steps every tick; an implementation may skip ticks on which `step`
+    /// would change nothing, as long as the result is the same.
     fn run_for(&mut self, n: u64) {
         for _ in 0..n {
             if self.is_done() {
@@ -55,8 +57,6 @@ pub trait Scenario: Sized {
 
     /// Runs to the horizon.
     fn run_to_horizon(&mut self) {
-        while !self.is_done() {
-            self.step();
-        }
+        self.run_for(self.horizon().saturating_sub(self.now()));
     }
 }

@@ -158,6 +158,18 @@ impl InterNodeLink {
         queue.front().is_some_and(|f| f.deliver_at <= now)
     }
 
+    /// The earliest tick at which a frame in flight becomes receivable,
+    /// in either direction (`None`: nothing in flight). Every frame takes
+    /// the same latency and is sent at a non-decreasing tick, so each
+    /// queue's front is its earliest delivery.
+    pub fn next_delivery(&self) -> Option<u64> {
+        let front = |queue: &VecDeque<Frame>| queue.front().map(|f| f.deliver_at);
+        match (front(&self.a_to_b), front(&self.b_to_a)) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
     /// Destroys the newest frame still in flight towards `to`, as if it
     /// was lost in transit. Returns whether a frame was there to lose.
     /// Fault injection: the sender's counters already include the frame,
@@ -301,6 +313,19 @@ mod tests {
         assert!(link.has_deliverable(LinkEndpoint::B, 1));
         assert_eq!(link.receive(LinkEndpoint::B, 1), Some(vec![9]));
         assert!(!link.has_deliverable(LinkEndpoint::B, 1));
+    }
+
+    #[test]
+    fn next_delivery_is_the_earliest_front_of_either_direction() {
+        let mut link = InterNodeLink::new(3);
+        assert_eq!(link.next_delivery(), None);
+        link.send(LinkEndpoint::B, 4, vec![1]);
+        link.send(LinkEndpoint::A, 6, vec![2]);
+        assert_eq!(link.next_delivery(), Some(7));
+        assert_eq!(link.receive(LinkEndpoint::A, 7), Some(vec![1]));
+        assert_eq!(link.next_delivery(), Some(9));
+        assert_eq!(link.receive(LinkEndpoint::B, 9), Some(vec![2]));
+        assert_eq!(link.next_delivery(), None);
     }
 
     #[test]

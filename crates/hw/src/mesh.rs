@@ -266,6 +266,18 @@ impl MeshFabric {
             .is_some_and(|m| m.probe_due(&cfg, now))
     }
 
+    /// The earliest tick at which a dead edge's next probe falls due
+    /// (`None`: no monitors, or every edge live). Read-only: the probe is
+    /// still claimed through [`MeshFabric::edge_probe_due`].
+    pub fn next_probe(&self) -> Option<u64> {
+        let interval = self.monitor_config.probe_interval;
+        self.monitors
+            .iter()
+            .filter(|m| !m.live)
+            .map(|m| m.last_probe_at.saturating_add(interval))
+            .min()
+    }
+
     /// Whether edge `index` is currently believed live. Unmonitored
     /// fabrics (and out-of-range indices on them) report live.
     pub fn edge_live(&self, index: usize) -> bool {
@@ -369,6 +381,15 @@ impl MeshFabric {
         self.links.get_mut(idx)?.receive(endpoint, now)
     }
 
+    /// The earliest tick at which any link delivers a frame in flight
+    /// (`None`: the fabric is empty).
+    pub fn next_delivery(&self) -> Option<u64> {
+        self.links
+            .iter()
+            .filter_map(InterNodeLink::next_delivery)
+            .min()
+    }
+
     /// Total frames handed to all links.
     pub fn sent(&self) -> u64 {
         self.links.iter().map(InterNodeLink::sent).sum()
@@ -419,15 +440,20 @@ mod tests {
     #[test]
     fn delivers_point_to_point_with_latency() {
         let mut fabric = MeshFabric::new(3, &[(0, 1), (1, 2)], 2).expect("valid");
+        assert_eq!(fabric.next_delivery(), None);
         assert!(fabric.send(0, 1, 10, b"hop".to_vec()));
         assert!(!fabric.send(0, 2, 10, b"no edge".to_vec()));
+        assert!(fabric.send(2, 1, 11, b"later".to_vec()));
+        assert_eq!(fabric.next_delivery(), Some(12));
+        assert_eq!(fabric.receive_from(1, 2, 13), Some(b"later".to_vec()));
         assert_eq!(fabric.receive_from(1, 0, 11), None);
         assert_eq!(fabric.receive_from(1, 0, 12), Some(b"hop".to_vec()));
         // The reverse direction of the same edge.
         assert!(fabric.send(1, 0, 12, b"back".to_vec()));
         assert_eq!(fabric.receive_from(0, 1, 14), Some(b"back".to_vec()));
-        assert_eq!(fabric.sent(), 2);
-        assert_eq!(fabric.delivered(), 2);
+        assert_eq!(fabric.next_delivery(), None);
+        assert_eq!(fabric.sent(), 3);
+        assert_eq!(fabric.delivered(), 3);
     }
 
     #[test]
@@ -435,6 +461,7 @@ mod tests {
         let mut fabric = MeshFabric::new(3, &[(0, 1), (1, 2)], 1).expect("valid");
         // Unmonitored: everything reads live, evidence is discarded.
         assert!(!fabric.monitored());
+        assert_eq!(fabric.next_probe(), None);
         assert!(fabric.edge_live(0));
         assert_eq!(fabric.record_edge_loss(0, 5), None);
         assert_eq!(fabric.edge_health(0), None);
@@ -457,10 +484,12 @@ mod tests {
         assert_eq!(fabric.live_edge_mask(), 0b10);
 
         // Probes pace at the configured interval from the down tick.
+        assert_eq!(fabric.next_probe(), Some(17));
         assert!(!fabric.edge_probe_due(0, 7));
         assert!(!fabric.edge_probe_due(0, 16));
         assert!(fabric.edge_probe_due(0, 17));
         assert!(!fabric.edge_probe_due(0, 18), "next probe re-armed");
+        assert_eq!(fabric.next_probe(), Some(27));
         assert!(!fabric.edge_probe_due(1, 17), "live edges never probe");
 
         // A lost probe restarts the recovery streak.
@@ -469,6 +498,7 @@ mod tests {
         assert_eq!(fabric.record_edge_delivery(0), None);
         assert_eq!(fabric.record_edge_delivery(0), Some(EdgeHealthEvent::Up));
         assert!(fabric.edge_live(0));
+        assert_eq!(fabric.next_probe(), None, "live edges never probe");
         let health = fabric.edge_health(0).expect("monitored");
         assert_eq!((health.downs, health.ups), (1, 1));
         assert_eq!(health.consecutive_losses, 0);

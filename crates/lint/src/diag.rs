@@ -107,6 +107,8 @@ codes! {
         "`process P0 name=task period=100 deadline=100` with no `wcet=`"),
     OtherModelViolation = ("AIR014", Error, "model verification violation",
         "a campaign-only invariant violation surfaced through the lint report"),
+    ZeroPeriod = ("AIR015", Error, "process has a zero period or minimum inter-arrival time",
+        "`process P0 name=task period=0` has no next release point"),
     // Mode graph: multiple-schedule (mode-based) configuration.
     ActionForUnknownPartition = ("AIR020", Error, "schedule-change action names an undeclared partition",
         "`action P9 warm_restart` with no `partition P9` declaration"),

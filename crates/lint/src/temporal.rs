@@ -1,6 +1,8 @@
-//! Temporal analysis (AIR001–AIR014): scheduling-table structure per
+//! Temporal analysis (AIR001–AIR015): scheduling-table structure per
 //! Eq. (20)–(23), plus deadline-vs-supply schedulability of every
-//! declared process under the supply bound function.
+//! declared process under the supply bound function, and the process
+//! recurrences themselves: a zero period or minimum inter-arrival time
+//! gives a process no next release point (AIR015).
 //!
 //! Table structure reuses the model verifier
 //! ([`air_model::verify::verify_schedule`]); schedulability reuses
@@ -146,6 +148,24 @@ pub(crate) fn analysable(attrs: &ProcessAttributes) -> bool {
 }
 
 fn schedulability(model: &SystemModel, report: &mut LintReport) {
+    for (pid, attrs) in &model.processes {
+        let what = match attrs.recurrence() {
+            Recurrence::Periodic(t) if t.is_zero() => "period",
+            Recurrence::Sporadic(t) if t.is_zero() => "minimum inter-arrival time",
+            _ => continue,
+        };
+        report.push(
+            Diagnostic::new(
+                Code::ZeroPeriod,
+                format!(
+                    "process '{}' of {pid} has a zero {what}; it has no next release point",
+                    attrs.name()
+                ),
+            )
+            .with_line(model.spans.get(&span_key::process(*pid, attrs.name()))),
+        );
+    }
+
     // Inconclusive processes: a finite deadline that no test can bound.
     for (pid, attrs) in &model.processes {
         if attrs.deadline() == Deadline::Infinite || analysable(attrs) {

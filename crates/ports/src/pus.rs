@@ -178,6 +178,22 @@ impl CommandVerifier {
         out
     }
 
+    /// The earliest tick at which [`CommandVerifier::tick`] has a stage
+    /// transition to report: the first pending start or completion
+    /// (`None`: nothing running).
+    pub fn next_due(&self) -> Option<u64> {
+        self.running
+            .values()
+            .map(|cmd| {
+                if cmd.started {
+                    cmd.complete_at
+                } else {
+                    cmd.start_at
+                }
+            })
+            .min()
+    }
+
     /// Commands currently between acceptance and completion.
     pub fn in_flight(&self) -> usize {
         self.running.len()
@@ -307,18 +323,22 @@ mod tests {
     #[test]
     fn verifier_walks_accept_start_complete() {
         let mut v = CommandVerifier::new(3);
+        assert_eq!(v.next_due(), None);
         let acc = v.accept(100, 0, 10).expect("fresh command");
         assert_eq!(acc.stage, AckStage::Acceptance);
         assert_eq!(v.in_flight(), 1);
+        assert_eq!(v.next_due(), Some(11));
         assert!(v.tick(10).is_empty(), "start is due next tick");
         let t11 = v.tick(11);
         assert_eq!(t11.len(), 1);
         assert_eq!(t11[0].stage, AckStage::Start);
+        assert_eq!(v.next_due(), Some(14));
         assert!(v.tick(13).is_empty(), "still executing");
         let t14 = v.tick(14);
         assert_eq!(t14.len(), 1);
         assert_eq!(t14[0].stage, AckStage::Completion);
         assert_eq!(v.in_flight(), 0);
+        assert_eq!(v.next_due(), None);
         assert_eq!(v.accepted(), 1);
         assert_eq!(v.completed(), 1);
     }

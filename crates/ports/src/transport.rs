@@ -364,6 +364,23 @@ impl ArqEndpoint {
         out
     }
 
+    /// The earliest tick ≥ `now` at which polling or draining this
+    /// endpoint can change its state (`None`: idle until something is
+    /// offered or received). `now` itself while an acknowledgement is
+    /// pending, events are not yet drained, or the backlog can enter the
+    /// window; otherwise the head-of-window timeout, saturating.
+    pub fn next_due(&self, now: u64) -> Option<u64> {
+        let admits = !self.backlog.is_empty() && self.unacked.len() < self.config.window;
+        if self.ack_pending || !self.events.is_empty() || admits {
+            return Some(now);
+        }
+        self.unacked.front().map(|head| {
+            head.last_sent
+                .saturating_add(self.config.backoff(head.retries))
+                .max(now)
+        })
+    }
+
     /// Frames in the unacknowledged window.
     pub fn in_flight(&self) -> usize {
         self.unacked.len()
@@ -459,6 +476,35 @@ mod tests {
             tx.take_events()[0],
             ArqEvent::Retransmitted { seq: 1, retries: 1 }
         );
+    }
+
+    #[test]
+    fn next_due_names_the_first_tick_a_poll_can_act() {
+        let mut tx = ArqEndpoint::new(cfg());
+        assert_eq!(tx.next_due(3), None, "idle");
+        for i in 0..3 {
+            tx.offer(data(i));
+        }
+        assert_eq!(tx.next_due(3), Some(3), "the backlog can enter the window");
+        tx.poll_transmit(3);
+        // Window full: the head timer is the only wake source.
+        assert_eq!(tx.next_due(4), Some(13));
+        assert!(tx.poll_transmit(12).frames.is_empty());
+        assert!(tx.poll_transmit(13).timeout_round);
+        assert_eq!(tx.next_due(13), Some(13), "events wait to be drained");
+        tx.take_events();
+        assert_eq!(tx.next_due(14), Some(33), "backoff doubled");
+        // An ack frees a slot for the backlog.
+        tx.on_ack(1);
+        assert_eq!(tx.next_due(14), Some(14));
+        tx.poll_transmit(14);
+        assert_eq!(tx.next_due(15), Some(33), "the new head keeps its timer");
+        // A receiver owes an acknowledgement until it is taken.
+        let mut rx = ArqEndpoint::new(cfg());
+        rx.on_data(&data(0).with_link_seq(1));
+        assert_eq!(rx.next_due(7), Some(7));
+        rx.take_ack(Ticks(7));
+        assert_eq!(rx.next_due(7), None);
     }
 
     #[test]

@@ -159,16 +159,15 @@ impl Frame {
         if bytes[0..2] != MAGIC {
             return Err(FrameError::BadMagic);
         }
-        let channel = u32::from_be_bytes(bytes[2..6].try_into().expect("4 bytes"));
-        let written_at = u64::from_be_bytes(bytes[6..14].try_into().expect("8 bytes"));
-        let link_seq = u64::from_be_bytes(bytes[14..22].try_into().expect("8 bytes"));
-        let len = u32::from_be_bytes(bytes[22..26].try_into().expect("4 bytes")) as usize;
+        let channel = u32::from_be_bytes(field(bytes, 2)?);
+        let written_at = u64::from_be_bytes(field(bytes, 6)?);
+        let link_seq = u64::from_be_bytes(field(bytes, 14)?);
+        let len = u32::from_be_bytes(field(bytes, 22)?) as usize;
         if bytes.len() != HEADER_LEN + len + 2 {
             return Err(FrameError::LengthMismatch);
         }
         let body_end = HEADER_LEN + len;
-        let expected =
-            u16::from_be_bytes(bytes[body_end..body_end + 2].try_into().expect("2 bytes"));
+        let expected = u16::from_be_bytes(field(bytes, body_end)?);
         if checksum(&bytes[..body_end]) != expected {
             return Err(FrameError::BadChecksum);
         }
@@ -179,6 +178,15 @@ impl Frame {
             payload: Payload::copy_from_slice(&bytes[HEADER_LEN..body_end]),
         })
     }
+}
+
+/// The `N` bytes of `bytes` at `at`; [`FrameError::Truncated`] when they
+/// run past the end, so no length slip can panic the decode.
+fn field<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], FrameError> {
+    bytes
+        .get(at..at.saturating_add(N))
+        .and_then(|slice| slice.try_into().ok())
+        .ok_or(FrameError::Truncated)
 }
 
 /// Whether raw link bytes look like an encoded acknowledgement frame,
@@ -276,6 +284,28 @@ mod tests {
                     Frame::decode(&f.encode()).unwrap(),
                     f,
                     "case {case}: seed 0xF8A3"
+                );
+            }
+        }
+
+        #[test]
+        fn any_byte_string_decodes_without_panicking() {
+            // Every cut of a valid frame, and random bytes behind a valid
+            // magic with a random length field: each decode returns.
+            let mut rng = TestRng::new(0xDEC0);
+            let encoded = Frame::new(5, Ticks(3), &b"cut me"[..]).encode();
+            for cut in 0..=encoded.len() {
+                let got = Frame::decode(&encoded[..cut]);
+                assert_eq!(got.is_ok(), cut == encoded.len(), "cut at {cut}");
+            }
+            for case in 0..512 {
+                let mut bytes = random_payload(&mut rng, 64);
+                if bytes.len() >= 2 {
+                    bytes[..2].copy_from_slice(&MAGIC);
+                }
+                assert!(
+                    Frame::decode(&bytes).is_err() || bytes.len() >= HEADER_LEN + 2,
+                    "case {case}: seed 0xDEC0"
                 );
             }
         }

@@ -17,6 +17,9 @@ pub enum PosError {
     InvalidState(ProcessId),
     /// The operation only applies to periodic processes.
     NotPeriodic(ProcessId),
+    /// The periodic process has a zero period: it has no next release
+    /// point.
+    ZeroPeriod(ProcessId),
     /// The POS does not offer this service (generic non-real-time POS
     /// asked for a real-time service, Sect. 2.5).
     UnsupportedService(&'static str),
@@ -37,6 +40,7 @@ impl fmt::Display for PosError {
                 write!(f, "operation invalid in the current state of {p}")
             }
             PosError::NotPeriodic(p) => write!(f, "{p} is not a periodic process"),
+            PosError::ZeroPeriod(p) => write!(f, "{p} has a zero period"),
             PosError::UnsupportedService(name) => {
                 write!(f, "service {name} is not provided by this POS")
             }

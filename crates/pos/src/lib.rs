@@ -61,6 +61,21 @@ pub struct Release {
     pub release_point: Ticks,
 }
 
+/// The first release point after `now`: one period past `base` (the
+/// previous release), or — when the process overran past that instant —
+/// the first later multiple of `period` from `base` (the deadline monitor
+/// has already caught the overrun). Closed form, saturating at
+/// [`Ticks::MAX`]; `period` must be non-zero.
+fn next_release(base: Ticks, period: Ticks, now: Ticks) -> Ticks {
+    let (base, period, now) = (base.as_u64(), period.as_u64(), now.as_u64());
+    let next = base.saturating_add(period);
+    if next > now {
+        return Ticks(next);
+    }
+    let periods = (now - base) / period + 1;
+    Ticks(base.saturating_add(period.saturating_mul(periods)))
+}
+
 /// The partition operating system the AIR stack drives.
 ///
 /// The APEX Core Layer invokes its services (optionally through the PAL,
@@ -315,15 +330,10 @@ impl PartitionOs {
         let Some(period) = pcb.attributes.recurrence().period() else {
             return Err(PosError::NotPeriodic(process));
         };
-        // Next release: one period past the previous release point. If the
-        // process overran past that instant, release points are skipped
-        // forward to the first one after `now` (the deadline monitor has
-        // already caught the overrun).
-        let base = pcb.last_release.unwrap_or(now);
-        let mut release = base + period;
-        while release <= now {
-            release += period;
+        if period.is_zero() {
+            return Err(PosError::ZeroPeriod(process));
         }
+        let release = next_release(pcb.last_release.unwrap_or(now), period, now);
         self.wait(process, WaitReason::NextRelease { release })?;
         Ok(release)
     }

@@ -183,6 +183,66 @@ mod tests {
         assert_eq!(pos.periodic_wait(p, Ticks(450)).unwrap(), Ticks(500));
     }
 
+    fn periodic(pos: &mut PartitionOs, name: &str, period: u64) -> ProcessId {
+        let attrs = ProcessAttributes::new(name)
+            .with_base_priority(Priority(5))
+            .with_recurrence(Recurrence::Periodic(Ticks(period)));
+        pos.create_process(attrs).unwrap()
+    }
+
+    #[test]
+    fn next_release_matches_the_period_skipping_loop() {
+        // The loop `periodic_wait` used to run, one step per period.
+        let skip = |base: u64, period: u64, now: u64| {
+            let mut release = base + period;
+            while release <= now {
+                release += period;
+            }
+            release
+        };
+        for base in 0..12 {
+            for period in 1..9 {
+                for now in base..base + 40 {
+                    assert_eq!(
+                        next_release(Ticks(base), Ticks(period), Ticks(now)),
+                        Ticks(skip(base, period, now)),
+                        "base {base}, period {period}, now {now}"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            next_release(Ticks(u64::MAX - 3), Ticks(10), Ticks(u64::MAX - 1)),
+            Ticks::MAX,
+            "saturates instead of wrapping"
+        );
+    }
+
+    #[test]
+    fn a_long_overrun_returns_the_next_release_at_once() {
+        let mut pos = PartitionOs::new(PosKind::RealTime);
+        let p = periodic(&mut pos, "fast", 1);
+        pos.start(p, Ticks(5)).unwrap();
+        pos.select_heir(Ticks(5));
+        // 2·10⁹ missed periods: the loop took one step per period.
+        let now = 5 + 2_000_000_000;
+        assert_eq!(pos.periodic_wait(p, Ticks(now)), Ok(Ticks(now + 1)));
+    }
+
+    #[test]
+    fn periodic_wait_rejects_a_zero_period() {
+        let mut pos = PartitionOs::new(PosKind::RealTime);
+        let p = periodic(&mut pos, "stuck", 0);
+        pos.start(p, Ticks(0)).unwrap();
+        assert_eq!(pos.select_heir(Ticks(0)), Some(p));
+        assert_eq!(pos.periodic_wait(p, Ticks(3)), Err(PosError::ZeroPeriod(p)));
+        assert_eq!(
+            pos.status(p).unwrap().state,
+            ProcessState::Running,
+            "a rejected wait leaves the process as it was"
+        );
+    }
+
     #[test]
     fn periodic_wait_rejects_aperiodic() {
         let (mut pos, ids) = pos_with(&[("a", 5)]);

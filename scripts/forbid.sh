@@ -25,7 +25,11 @@
 # The partition OS (`crates/pos/src`) and the ARQ transport
 # (`crates/ports/src/transport.rs`) are scanned because the PMK calls both
 # on every tick: the POS announcement and heir selection, and the ARQ
-# retransmission poll at each partition boundary.
+# retransmission poll at each partition boundary. Every frame a mesh node
+# receives is decoded by the wire format (`crates/ports/src/wire.rs`),
+# the space-packet layer (`spacepacket.rs`) and the PUS services
+# (`pus.rs`), so a panic there would let one corrupt frame crash a node:
+# those three files are scanned too.
 #
 #   scripts/forbid.sh            # scan the default directories below
 #   scripts/forbid.sh <dirs...>  # scan specific directories
@@ -34,7 +38,7 @@ cd "$(dirname "$0")/.."
 
 dirs=("$@")
 if [[ ${#dirs[@]} -eq 0 ]]; then
-    dirs=(crates/pmk/src crates/hw/src crates/lint/src crates/model/src/explore crates/ports/src/routing.rs crates/ports/src/transport.rs crates/pos/src crates/tools/src)
+    dirs=(crates/pmk/src crates/hw/src crates/lint/src crates/model/src/explore crates/ports/src/routing.rs crates/ports/src/transport.rs crates/ports/src/wire.rs crates/ports/src/spacepacket.rs crates/ports/src/pus.rs crates/pos/src crates/tools/src)
 fi
 
 fail=0

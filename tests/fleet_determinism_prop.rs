@@ -6,8 +6,8 @@
 //! One driver holds it for every workload kind of the generic
 //! [`ScenarioFleet`]: a small fleet is executed sequentially (the
 //! reference), then with K ∈ {1, 4, 16} workers, then by a local driver
-//! that keeps every machine live and advances them in turn in odd
-//! 37-tick slices. Every per-machine rendered trace log must be
+//! that keeps every machine live and advances them in turn in seeded
+//! slices of 1..=97 ticks. Every per-machine rendered trace log must be
 //! byte-identical to the reference, and the default configuration
 //! (digests only) must reproduce the reference's fleet digest.
 //!
@@ -29,6 +29,7 @@ use air_fleet::{
     run_fleet, run_sequential, trace_digest, Capture, FleetConfig, FleetOutcome, FleetWorkload,
     MachineOutcome, ScenarioFleet,
 };
+use air_model::testkit::TestRng;
 use air_ports::routing::MeshTopology;
 
 const WORKER_COUNTS: [usize; 3] = [1, 4, 16];
@@ -53,21 +54,26 @@ fn assert_logs_identical(label: &str, how: &str, got: &FleetOutcome, reference: 
     }
 }
 
-/// A deliberately odd slice: slice boundaries must not align with MTFs,
-/// fault slots or horizons for the slicing check to mean anything.
-const SLICE_TICKS: u64 = 37;
+/// The longest slice: slice lengths are drawn from 1..=`MAX_SLICE`, so
+/// boundaries fall off MTFs, fault slots and horizons, and a slice can
+/// end inside a quiet span that `run_for` would otherwise jump over.
+const MAX_SLICE: u64 = 97;
+/// The slice-length seed.
+const SLICE_SEED: u64 = 0x51CE;
 
 /// Builds all `machines` machines of `workload`, then advances them in
-/// turn by [`SLICE_TICKS`] per `tick` call until each reaches its
-/// horizon: `tick(a); tick(b)` must leave the state `tick(a + b)` does,
-/// and interleaving live machines must not couple them.
+/// turn by a seeded 1..=[`MAX_SLICE`] ticks per `tick` call until each
+/// reaches its horizon: `tick(a); tick(b)` must leave the state
+/// `tick(a + b)` does, and interleaving live machines must not couple
+/// them.
 fn run_sliced<W: FleetWorkload>(workload: &W, machines: usize) -> FleetOutcome {
+    let mut rng = TestRng::new(SLICE_SEED);
     let mut live: Vec<(W::Instance, u64)> = (0..machines)
         .map(|index| (workload.build(index), workload.horizon(index)))
         .collect();
     while live.iter().any(|(_, remaining)| *remaining > 0) {
         for (instance, remaining) in &mut live {
-            let n = SLICE_TICKS.min(*remaining);
+            let n = rng.range(1, MAX_SLICE + 1).min(*remaining);
             if n > 0 {
                 workload.tick(instance, n);
                 *remaining -= n;
@@ -107,12 +113,8 @@ fn holds_for<W: FleetWorkload>(label: &str, workload: &W, machines: usize) {
         );
     }
     let sliced = run_sliced(workload, machines);
-    assert_logs_identical(
-        label,
-        &format!("{SLICE_TICKS}-tick slices"),
-        &sliced,
-        &reference,
-    );
+    let how = format!("1..={MAX_SLICE}-tick slices");
+    assert_logs_identical(label, &how, &sliced, &reference);
 }
 
 #[test]
