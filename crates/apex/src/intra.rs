@@ -479,12 +479,7 @@ impl IntraPartition {
     /// # Errors
     ///
     /// `INVALID_CONFIG` (unknown event).
-    pub fn set_event(
-        &mut self,
-        name: &str,
-        now: Ticks,
-        pos: &mut PartitionOs,
-    ) -> ApexResult<()> {
+    pub fn set_event(&mut self, name: &str, now: Ticks, pos: &mut PartitionOs) -> ApexResult<()> {
         const SVC: &str = "SET_EVENT";
         let ev = self
             .events
@@ -591,8 +586,8 @@ impl IntraPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use air_model::process::ProcessAttributes;
     use air_model::partition::PosKind;
+    use air_model::process::ProcessAttributes;
     use air_pos::WakeCause;
 
     fn setup(n: u32) -> (IntraPartition, PartitionOs, Vec<ProcessId>) {
@@ -614,7 +609,14 @@ mod tests {
         let (mut intra, mut pos, ids) = setup(2);
         intra.create_buffer("b", 16, 2).unwrap();
         let out = intra
-            .send_buffer(ids[0], "b", &b"m1"[..], Timeout::Immediate, Ticks(0), &mut pos)
+            .send_buffer(
+                ids[0],
+                "b",
+                &b"m1"[..],
+                Timeout::Immediate,
+                Ticks(0),
+                &mut pos,
+            )
             .unwrap();
         assert_eq!(out, Outcome::Done(()));
         assert_eq!(intra.buffer_len("b"), Some(1));
@@ -629,18 +631,39 @@ mod tests {
         let (mut intra, mut pos, ids) = setup(2);
         intra.create_buffer("b", 16, 1).unwrap();
         intra
-            .send_buffer(ids[0], "b", &b"m1"[..], Timeout::Immediate, Ticks(0), &mut pos)
+            .send_buffer(
+                ids[0],
+                "b",
+                &b"m1"[..],
+                Timeout::Immediate,
+                Ticks(0),
+                &mut pos,
+            )
             .unwrap();
         // Full: immediate send fails, waiting send parks.
         assert_eq!(
             intra
-                .send_buffer(ids[0], "b", &b"m2"[..], Timeout::Immediate, Ticks(0), &mut pos)
+                .send_buffer(
+                    ids[0],
+                    "b",
+                    &b"m2"[..],
+                    Timeout::Immediate,
+                    Ticks(0),
+                    &mut pos
+                )
                 .unwrap_err()
                 .code,
             ReturnCode::NotAvailable
         );
         let out = intra
-            .send_buffer(ids[0], "b", &b"m2"[..], Timeout::Infinite, Ticks(0), &mut pos)
+            .send_buffer(
+                ids[0],
+                "b",
+                &b"m2"[..],
+                Timeout::Infinite,
+                Ticks(0),
+                &mut pos,
+            )
             .unwrap();
         assert_eq!(out, Outcome::Blocked);
         assert_eq!(
@@ -667,11 +690,21 @@ mod tests {
         assert_eq!(out, Outcome::Blocked);
         // The send hands the payload straight to the parked receiver.
         intra
-            .send_buffer(ids[0], "b", &b"hot"[..], Timeout::Immediate, Ticks(5), &mut pos)
+            .send_buffer(
+                ids[0],
+                "b",
+                &b"hot"[..],
+                Timeout::Immediate,
+                Ticks(5),
+                &mut pos,
+            )
             .unwrap();
         assert_eq!(intra.buffer_len("b"), Some(0), "handoff bypasses the queue");
         assert_eq!(pos.take_wake_cause(ids[1]), Some(WakeCause::Unblocked));
-        assert_eq!(intra.take_delivery(ids[1]), Some(Payload::from_static(b"hot")));
+        assert_eq!(
+            intra.take_delivery(ids[1]),
+            Some(Payload::from_static(b"hot"))
+        );
         assert_eq!(intra.take_delivery(ids[1]), None, "consumed");
     }
 
@@ -688,7 +721,14 @@ mod tests {
         intra.cancel_waits(ids[0]);
         // …so a later send goes to the queue, not to a ghost.
         intra
-            .send_buffer(ids[0], "b", &b"late"[..], Timeout::Immediate, Ticks(11), &mut pos)
+            .send_buffer(
+                ids[0],
+                "b",
+                &b"late"[..],
+                Timeout::Immediate,
+                Ticks(11),
+                &mut pos,
+            )
             .unwrap();
         assert_eq!(intra.buffer_len("b"), Some(1));
     }
@@ -829,7 +869,14 @@ mod tests {
         let (mut intra, mut pos, ids) = setup(1);
         assert_eq!(
             intra
-                .send_buffer(ids[0], "ghost", &b"x"[..], Timeout::Immediate, Ticks(0), &mut pos)
+                .send_buffer(
+                    ids[0],
+                    "ghost",
+                    &b"x"[..],
+                    Timeout::Immediate,
+                    Ticks(0),
+                    &mut pos
+                )
                 .unwrap_err()
                 .code,
             ReturnCode::InvalidConfig
@@ -849,7 +896,14 @@ mod tests {
         intra.create_buffer("b", 8, 4).unwrap();
         intra.create_event("e").unwrap();
         intra
-            .send_buffer(ids[0], "b", &b"x"[..], Timeout::Immediate, Ticks(0), &mut pos)
+            .send_buffer(
+                ids[0],
+                "b",
+                &b"x"[..],
+                Timeout::Immediate,
+                Ticks(0),
+                &mut pos,
+            )
             .unwrap();
         intra.set_event("e", Ticks(0), &mut pos).unwrap();
         intra

@@ -337,7 +337,9 @@ impl ApexPartition {
     ///
     /// `NO_ACTION` when the process is not schedulable.
     pub fn suspend(&mut self, process: ProcessId) -> ApexResult<()> {
-        self.pos.suspend(process).map_err(|e| from_pos("SUSPEND", e))
+        self.pos
+            .suspend(process)
+            .map_err(|e| from_pos("SUSPEND", e))
     }
 
     /// `RESUME`.
@@ -634,9 +636,7 @@ mod tests {
         ApexPartition::new(Partition::new(PartitionId(0), "AOCS"))
     }
 
-    fn apex_in_normal_with(
-        attrs: Vec<ProcessAttributes>,
-    ) -> (ApexPartition, Vec<ProcessId>) {
+    fn apex_in_normal_with(attrs: Vec<ProcessAttributes>) -> (ApexPartition, Vec<ProcessId>) {
         let mut a = apex();
         let ids = attrs
             .into_iter()
@@ -688,8 +688,9 @@ mod tests {
 
     #[test]
     fn start_arms_deadline_via_pal_and_mirror() {
-        let (mut a, ids) = apex_in_normal_with(vec![ProcessAttributes::new("t")
-            .with_deadline(Deadline::relative(Ticks(100)))]);
+        let (mut a, ids) = apex_in_normal_with(vec![
+            ProcessAttributes::new("t").with_deadline(Deadline::relative(Ticks(100)))
+        ]);
         a.start(ids[0], Ticks(10)).unwrap();
         assert_eq!(a.pal().deadline_of(ids[0]), Some(Ticks(110)));
         let (status, _) = a.process_status(ids[0]).unwrap();
@@ -699,16 +700,16 @@ mod tests {
 
     #[test]
     fn infinite_deadline_is_never_armed() {
-        let (mut a, ids) =
-            apex_in_normal_with(vec![ProcessAttributes::new("nrt")]);
+        let (mut a, ids) = apex_in_normal_with(vec![ProcessAttributes::new("nrt")]);
         a.start(ids[0], Ticks(10)).unwrap();
         assert_eq!(a.pal().armed_deadlines(), 0);
     }
 
     #[test]
     fn stop_disarms() {
-        let (mut a, ids) = apex_in_normal_with(vec![ProcessAttributes::new("t")
-            .with_deadline(Deadline::relative(Ticks(100)))]);
+        let (mut a, ids) = apex_in_normal_with(vec![
+            ProcessAttributes::new("t").with_deadline(Deadline::relative(Ticks(100)))
+        ]);
         a.start(ids[0], Ticks(0)).unwrap();
         a.stop(ids[0]).unwrap();
         assert_eq!(a.pal().armed_deadlines(), 0);
@@ -719,8 +720,9 @@ mod tests {
 
     #[test]
     fn replenish_moves_deadline() {
-        let (mut a, ids) = apex_in_normal_with(vec![ProcessAttributes::new("t")
-            .with_deadline(Deadline::relative(Ticks(100)))]);
+        let (mut a, ids) = apex_in_normal_with(vec![
+            ProcessAttributes::new("t").with_deadline(Deadline::relative(Ticks(100)))
+        ]);
         a.start(ids[0], Ticks(0)).unwrap();
         a.replenish(ids[0], Ticks(500), Ticks(50)).unwrap();
         assert_eq!(a.pal().deadline_of(ids[0]), Some(Ticks(550)));
@@ -753,8 +755,9 @@ mod tests {
 
     #[test]
     fn deadline_miss_detected_on_announce() {
-        let (mut a, ids) = apex_in_normal_with(vec![ProcessAttributes::new("t")
-            .with_deadline(Deadline::relative(Ticks(50)))]);
+        let (mut a, ids) = apex_in_normal_with(vec![
+            ProcessAttributes::new("t").with_deadline(Deadline::relative(Ticks(50)))
+        ]);
         a.start(ids[0], Ticks(0)).unwrap();
         let misses = a.announce_clock_ticks(51, Ticks(51));
         assert_eq!(misses, vec![(ids[0], Ticks(50))]);
@@ -766,8 +769,9 @@ mod tests {
 
     #[test]
     fn deadline_checked_even_when_not_normal() {
-        let (mut a, ids) = apex_in_normal_with(vec![ProcessAttributes::new("t")
-            .with_deadline(Deadline::relative(Ticks(50)))]);
+        let (mut a, ids) = apex_in_normal_with(vec![
+            ProcessAttributes::new("t").with_deadline(Deadline::relative(Ticks(50)))
+        ]);
         a.start(ids[0], Ticks(0)).unwrap();
         // Partition restarts into warm start… but mode change clears
         // deadlines, so instead test idle-by-lock: keep mode normal and
@@ -793,8 +797,14 @@ mod tests {
             .unwrap();
         a.create_error_handler(
             ErrorHandlerTable::new()
-                .with_action(ErrorId::DeadlineMissed, ProcessRecoveryAction::RestartProcess)
-                .with_action(ErrorId::NumericError, ProcessRecoveryAction::RestartPartition),
+                .with_action(
+                    ErrorId::DeadlineMissed,
+                    ProcessRecoveryAction::RestartProcess,
+                )
+                .with_action(
+                    ErrorId::NumericError,
+                    ProcessRecoveryAction::RestartPartition,
+                ),
         )
         .unwrap();
         a.set_partition_mode(OperatingMode::Normal, StartCondition::NormalStart, Ticks(0))
@@ -869,7 +879,10 @@ mod tests {
     #[test]
     fn lock_preemption_nesting() {
         let mut a = apex();
-        assert_eq!(a.unlock_preemption().unwrap_err().code, ReturnCode::NoAction);
+        assert_eq!(
+            a.unlock_preemption().unwrap_err().code,
+            ReturnCode::NoAction
+        );
         assert_eq!(a.lock_preemption(), 1);
         assert_eq!(a.lock_preemption(), 2);
         assert_eq!(a.unlock_preemption().unwrap(), 1);
@@ -893,8 +906,9 @@ mod tests {
 
     #[test]
     fn idle_mode_shuts_everything_down() {
-        let (mut a, ids) = apex_in_normal_with(vec![ProcessAttributes::new("t")
-            .with_deadline(Deadline::relative(Ticks(10)))]);
+        let (mut a, ids) = apex_in_normal_with(vec![
+            ProcessAttributes::new("t").with_deadline(Deadline::relative(Ticks(10)))
+        ]);
         a.start(ids[0], Ticks(0)).unwrap();
         a.set_partition_mode(OperatingMode::Idle, StartCondition::NormalStart, Ticks(5))
             .unwrap();

@@ -8,9 +8,7 @@
 use air_ports::Payload;
 
 use air_model::Ticks;
-use air_ports::{
-    Message, PortRegistry, QueuingPortConfig, SamplingPortConfig, Validity,
-};
+use air_ports::{Message, PortRegistry, QueuingPortConfig, SamplingPortConfig, Validity};
 
 use crate::partition::ApexPartition;
 use crate::return_code::{from_port, ApexError, ApexResult, ReturnCode};
@@ -173,7 +171,9 @@ mod tests {
         src.write_sampling_message(&mut reg, "att", &b"q0"[..], Ticks(10))
             .unwrap();
         reg.route(Ticks(10));
-        let (msg, validity) = dst.read_sampling_message(&mut reg, "att", Ticks(20)).unwrap();
+        let (msg, validity) = dst
+            .read_sampling_message(&mut reg, "att", Ticks(20))
+            .unwrap();
         assert_eq!(&msg.payload[..], b"q0");
         assert!(validity.is_valid());
         // Stale after the refresh period.

@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-use air_pos::PosError;
 use air_ports::PortError;
+use air_pos::PosError;
 
 /// The ARINC 653 `RETURN_CODE` values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

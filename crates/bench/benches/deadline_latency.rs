@@ -8,8 +8,8 @@
 //! is inactive. The Criterion part measures the cost of a whole simulated
 //! MTF of the prototype, i.e. how cheap the always-on monitoring is.
 
-use bench::experiment_header;
 use bench::criterion::Criterion;
+use bench::experiment_header;
 use bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 
@@ -42,15 +42,13 @@ fn first_detection(d: u64) -> u64 {
     fault.activate();
     let mut system = SystemBuilder::new(ScheduleSet::new(vec![schedule]))
         .with_partition(
-            PartitionConfig::new(Partition::new(p0, "victim")).with_process(
-                ProcessConfig::new(
-                    ProcessAttributes::new("overrunner")
-                        .with_recurrence(Recurrence::Periodic(Ticks(100)))
-                        .with_deadline(Deadline::relative(Ticks(d)))
-                        .with_base_priority(Priority(1)),
-                    FaultyPeriodic::new(1, fault),
-                ),
-            ),
+            PartitionConfig::new(Partition::new(p0, "victim")).with_process(ProcessConfig::new(
+                ProcessAttributes::new("overrunner")
+                    .with_recurrence(Recurrence::Periodic(Ticks(100)))
+                    .with_deadline(Deadline::relative(Ticks(d)))
+                    .with_base_priority(Priority(1)),
+                FaultyPeriodic::new(1, fault),
+            )),
         )
         .with_partition(PartitionConfig::new(Partition::new(p1, "bystander")))
         .build()
@@ -69,7 +67,10 @@ fn print_latency_series() {
         "B4 (Sect. 5)",
         "detection latency vs violation offset (partition window = [0,50) of a 100-tick MTF)",
     );
-    println!("{:>10} {:>12} {:>10}  partition state at violation", "deadline", "detected at", "latency");
+    println!(
+        "{:>10} {:>12} {:>10}  partition state at violation",
+        "deadline", "detected at", "latency"
+    );
     for d in (5..100).step_by(5) {
         let at = first_detection(d);
         let state = if d < 49 { "active" } else { "inactive" };

@@ -3,13 +3,13 @@
 //! verification report, then benches the verifier itself (the offline
 //! tool's cost over realistic tables).
 
-use bench::experiment_header;
 use bench::criterion::Criterion;
+use bench::experiment_header;
 use bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 
 use air_model::prototype::fig8_system;
-use air_model::verify::{verify_schedule_set, verify_schedule_brute_force};
+use air_model::verify::{verify_schedule_brute_force, verify_schedule_set};
 use air_tools::{render_timeline, render_window_table, verification_report};
 
 fn print_artifacts() {
@@ -19,7 +19,10 @@ fn print_artifacts() {
         print!("{}", render_window_table(schedule));
         println!("{}", render_timeline(schedule, 50));
     }
-    experiment_header("E2 (Eq. 25)", "verification of the integrator-defined tables");
+    experiment_header(
+        "E2 (Eq. 25)",
+        "verification of the integrator-defined tables",
+    );
     println!("{}", verification_report(&sys.schedules, &sys.partitions));
 }
 

@@ -2,8 +2,8 @@
 //! memory-to-memory delivery vs the remote link path (encode → link →
 //! decode → deliver), for sampling and queuing ports across message sizes.
 
-use bench::experiment_header;
 use bench::criterion::{BenchmarkId, Criterion, Throughput};
+use bench::experiment_header;
 use bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 

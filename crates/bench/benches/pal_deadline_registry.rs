@@ -10,8 +10,8 @@
 //! trade-off measurable: ISR-side ops at every n, APEX-side ops at every
 //! n, and the crossover (if any) in the insert series.
 
-use bench::experiment_header;
 use bench::criterion::{BenchmarkId, Criterion};
+use bench::experiment_header;
 use bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 

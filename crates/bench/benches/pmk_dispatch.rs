@@ -3,8 +3,8 @@
 //! full context switch (save, lastTick bookkeeping, restore, pending
 //! actions).
 
-use bench::experiment_header;
 use bench::criterion::Criterion;
+use bench::experiment_header;
 use bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 

@@ -17,8 +17,8 @@
 //!   announcement, the heir's body), so the gap between the scheduler's
 //!   cost and a whole tick's is measured rather than assumed.
 
-use bench::experiment_header;
 use bench::criterion::{BenchmarkId, Criterion};
+use bench::experiment_header;
 use bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -41,9 +41,7 @@ fn schedule_with_windows(n: u64) -> Schedule {
         "sweep",
         Ticks(mtf),
         (0..partitions)
-            .map(|m| {
-                PartitionRequirement::new(PartitionId(m as u32), Ticks(mtf), Ticks(width))
-            })
+            .map(|m| PartitionRequirement::new(PartitionId(m as u32), Ticks(mtf), Ticks(width)))
             .collect(),
         (0..n)
             .map(|w| {

@@ -9,8 +9,8 @@
 //!
 //! The Criterion part times the full-system step loop under both regimes.
 
-use bench::experiment_header;
 use bench::criterion::Criterion;
+use bench::experiment_header;
 use bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 

@@ -6,8 +6,8 @@ use air_apex::{ApexPartition, ErrorHandlerTable};
 use air_hm::{HealthMonitor, HmTables};
 use air_hw::machine::MachineConfig;
 use air_hw::{CpuContext, Machine};
-use air_model::partition::{OperatingMode, Partition, StartCondition};
 use air_lint::{ExploreConfig, LintReport, SystemModel};
+use air_model::partition::{OperatingMode, Partition, StartCondition};
 use air_model::process::ProcessAttributes;
 use air_model::{ScheduleSet, Ticks};
 use air_pmk::spatial::standard_application_layout;
@@ -254,7 +254,11 @@ impl SystemBuilder {
     /// [`SystemBuilder::lint`] and the build gate analyse.
     fn snapshot(&self) -> SystemModel {
         let mut model = SystemModel {
-            partitions: self.partitions.iter().map(|p| p.partition.clone()).collect(),
+            partitions: self
+                .partitions
+                .iter()
+                .map(|p| p.partition.clone())
+                .collect(),
             schedules: self.schedules.iter().cloned().collect(),
             channels: self.channels.clone(),
             // Programmatic descriptions may legitimately wire gateway
@@ -353,9 +357,8 @@ impl SystemBuilder {
 
         // 2. Machine and PMK components.
         let mut machine_config = self.machine_config;
-        machine_config.console_channels = machine_config
-            .console_channels
-            .max(self.partitions.len());
+        machine_config.console_channels =
+            machine_config.console_channels.max(self.partitions.len());
         let machine = Machine::new(machine_config.clone());
         let scheduler = PartitionScheduler::new(&self.schedules);
         let mut dispatcher = PartitionDispatcher::new();
@@ -532,7 +535,10 @@ mod tests {
         let BuildError::Lint(report) = &err else {
             panic!("expected Lint, got {err}");
         };
-        assert!(report.has_code(air_lint::Code::DuplicatePortName), "{report}");
+        assert!(
+            report.has_code(air_lint::Code::DuplicatePortName),
+            "{report}"
+        );
     }
 
     #[test]
@@ -571,7 +577,10 @@ mod tests {
         let BuildError::Lint(report) = &err else {
             panic!("expected Lint, got {err}");
         };
-        assert!(report.has_code(air_lint::Code::DuplicateProcessName), "{report}");
+        assert!(
+            report.has_code(air_lint::Code::DuplicateProcessName),
+            "{report}"
+        );
     }
 
     #[test]
@@ -632,11 +641,20 @@ mod tests {
             .build()
             .unwrap();
         system.run_for(10);
-        let rec = system.partition(PartitionId(0)).process_id("recovery").unwrap();
-        let (status, _) = system.partition(PartitionId(0)).process_status(rec).unwrap();
+        let rec = system
+            .partition(PartitionId(0))
+            .process_id("recovery")
+            .unwrap();
+        let (status, _) = system
+            .partition(PartitionId(0))
+            .process_status(rec)
+            .unwrap();
         assert_eq!(status.state, air_model::ProcessState::Dormant);
         let auto = system.partition(PartitionId(0)).process_id("auto").unwrap();
-        let (status, _) = system.partition(PartitionId(0)).process_status(auto).unwrap();
+        let (status, _) = system
+            .partition(PartitionId(0))
+            .process_status(auto)
+            .unwrap();
         assert_ne!(status.state, air_model::ProcessState::Dormant);
     }
 
@@ -692,7 +710,8 @@ mod tests {
         // graph, so it refuses the build (AIR087) instead of passing it.
         let windows: Vec<(u32, u64, u64)> = (0..65u32).map(|m| (m, u64::from(m), 1)).collect();
         let partitions = || {
-            (0..65u32).map(|m| PartitionConfig::new(Partition::new(PartitionId(m), format!("p{m}"))))
+            (0..65u32)
+                .map(|m| PartitionConfig::new(Partition::new(PartitionId(m), format!("p{m}"))))
         };
         let mut b = SystemBuilder::new(schedule(windows.clone()));
         for p in partitions() {
@@ -702,7 +721,10 @@ mod tests {
         let BuildError::Lint(report) = &err else {
             panic!("expected Lint, got {err}");
         };
-        assert!(report.has_code(air_lint::Code::ExplorationInfeasible), "{report}");
+        assert!(
+            report.has_code(air_lint::Code::ExplorationInfeasible),
+            "{report}"
+        );
         // Only the exploration stage objects.
         let mut b = SystemBuilder::new(schedule(windows)).with_exploration_depth(0);
         for p in partitions() {

@@ -29,8 +29,8 @@
 
 use air_apex::ErrorHandlerTable;
 use air_hm::{
-    ErrorId, EscalatedProcessAction, HmLogEntry, HmTables, ModuleRecoveryAction,
-    PartitionHmTable, ProcessRecoveryAction, SystemHmTable,
+    ErrorId, EscalatedProcessAction, HmLogEntry, HmTables, ModuleRecoveryAction, PartitionHmTable,
+    ProcessRecoveryAction, SystemHmTable,
 };
 use air_hw::inject::{FaultClass, FaultEvent, FaultPlan};
 use air_hw::link::LinkEndpoint;
@@ -39,8 +39,8 @@ use air_hw::mmu::{AccessKind, Privilege};
 use air_model::schedule::{PartitionRequirement, Schedule, TimeWindow};
 use air_model::testkit;
 use air_model::verify::{Report, Violation};
-use air_model::{Partition, PartitionId, ProcessAttributes, ScheduleId, ScheduleSet, Ticks};
 use air_model::{Deadline, Recurrence};
+use air_model::{Partition, PartitionId, ProcessAttributes, ScheduleId, ScheduleSet, Ticks};
 use air_ports::wire::Frame;
 use air_ports::{ChannelConfig, Destination, PortAddr, QueuingPortConfig};
 
@@ -168,12 +168,18 @@ impl CampaignOutcome {
 
     /// Number of faults detected by health monitoring.
     pub fn detected(&self) -> usize {
-        self.records.iter().filter(|r| r.detected_at.is_some()).count()
+        self.records
+            .iter()
+            .filter(|r| r.detected_at.is_some())
+            .count()
     }
 
     /// Detection latencies (ticks) of the detected faults.
     pub fn latencies(&self) -> Vec<u64> {
-        self.records.iter().filter_map(FaultRecord::latency).collect()
+        self.records
+            .iter()
+            .filter_map(FaultRecord::latency)
+            .collect()
     }
 
     /// Whether every robustness invariant held and the run reproduced.
@@ -395,7 +401,10 @@ impl CampaignSim {
 
     /// Number of faults detected by health monitoring so far.
     pub fn detected(&self) -> usize {
-        self.records.iter().filter(|r| r.detected_at.is_some()).count()
+        self.records
+            .iter()
+            .filter(|r| r.detected_at.is_some())
+            .count()
     }
 
     /// The underlying system (trace, health-monitor log, consoles).
@@ -586,7 +595,9 @@ fn build_campaign_system(config: &MachineConfig, checked: bool) -> (AirSystem, F
         })
         .with_machine_config(config.clone());
     let system = if checked {
-        builder.build().expect("the campaign workload is statically valid")
+        builder
+            .build()
+            .expect("the campaign workload is statically valid")
     } else {
         // The workload is fixed and was validated on a checked build of the
         // same configuration; skipping the gate here only skips re-proving
@@ -627,7 +638,9 @@ fn realise(
             let _ = system.spatial_mut().revoke_page(victim, TAMPER_PAGE);
         }
         FaultClass::SpuriousTrap => {
-            system.machine_mut().inject_spurious_trap((target % 8) as u8);
+            system
+                .machine_mut()
+                .inject_spurious_trap((target % 8) as u8);
         }
         FaultClass::LinkDrop => {
             // Send one extra sequenced echo frame and destroy it in
@@ -786,8 +799,7 @@ fn analyse(
             detail: "dispatch-window occupancy diverges from the clean run".into(),
         });
     }
-    let affected: Vec<PartitionId> =
-        faulted.records.iter().filter_map(|r| r.affected).collect();
+    let affected: Vec<PartitionId> = faulted.records.iter().filter_map(|r| r.affected).collect();
     for m in [P_CTL, P_TX, P_RX] {
         if affected.contains(&m) {
             continue;

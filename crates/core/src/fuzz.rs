@@ -102,9 +102,7 @@ pub fn generate_config_text(seed: u64) -> String {
                 continue;
             }
             let duration = rng.range(slice / 2, slice + 1);
-            text.push_str(&format!(
-                "  require P{p} cycle={mtf} duration={duration}\n"
-            ));
+            text.push_str(&format!("  require P{p} cycle={mtf} duration={duration}\n"));
             text.push_str(&format!(
                 "  window P{p} offset={} duration={duration}\n",
                 p as u64 * slice
@@ -270,9 +268,8 @@ mod tests {
     fn generated_configs_always_parse() {
         for seed in 0..64 {
             let text = generate_config_text(seed);
-            air_tools::config::parse(&text).unwrap_or_else(|e| {
-                panic!("seed {seed} produced unparsable text: {e:?}\n{text}")
-            });
+            air_tools::config::parse(&text)
+                .unwrap_or_else(|e| panic!("seed {seed} produced unparsable text: {e:?}\n{text}"));
         }
     }
 
@@ -286,12 +283,18 @@ mod tests {
     fn a_small_farm_run_finds_no_divergences() {
         let report = run_fuzz(1000, 16, 3);
         assert_eq!(report.cases, 16);
-        let rendered: Vec<String> =
-            report.divergences.iter().map(|d| d.to_string()).collect();
+        let rendered: Vec<String> = report.divergences.iter().map(|d| d.to_string()).collect();
         assert!(rendered.is_empty(), "{}", rendered.join("\n"));
         // The generator shapes must actually exercise the explorer, and
         // every finding's witness must be replayed.
-        assert!(report.findings >= 16, "{} findings across 16 cases", report.findings);
-        assert_eq!(report.replayed, report.findings, "not every witness replayed");
+        assert!(
+            report.findings >= 16,
+            "{} findings across 16 cases",
+            report.findings
+        );
+        assert_eq!(
+            report.replayed, report.findings,
+            "not every witness replayed"
+        );
     }
 }

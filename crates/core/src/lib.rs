@@ -60,13 +60,13 @@ pub mod trace;
 pub mod workload;
 
 pub use builder::{PartitionConfig, ProcessConfig, SystemBuilder, DEFAULT_EXPLORATION_DEPTH};
-pub use replay::{observe_abstract_state, replay_witness, ReplayReport};
 pub use campaign::{
     default_horizon, standard_plan, CampaignOutcome, CampaignRunner, CampaignSim, EscalationTally,
     FaultRecord,
 };
 pub use cluster::{AirCluster, ClusterError, LinkHealth, Node};
 pub use link_campaign::{link_plan, LinkCampaignOutcome, LinkCampaignRunner, LinkSim};
+pub use replay::{observe_abstract_state, replay_witness, ReplayReport};
 pub use scenario::Scenario;
 pub use system::{AirSystem, KeyAction};
 pub use trace::{RecoveryDisposition, Trace, TraceEvent};

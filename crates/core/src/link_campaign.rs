@@ -26,23 +26,23 @@
 use air_hm::{HmTables, ModuleRecoveryAction, SystemHmTable};
 use air_hw::inject::{FaultClass, FaultEvent, FaultPlan};
 use air_hw::link::LinkEndpoint;
-use air_hw::redundant::LinkRole;
 use air_hw::machine::MachineConfig;
+use air_hw::redundant::LinkRole;
 use air_model::process::Priority;
 use air_model::schedule::{PartitionRequirement, Schedule, TimeWindow};
 use air_model::verify::{check_exactly_once, Report, Violation};
-use air_model::{Partition, PartitionId, ProcessAttributes, ScheduleId, ScheduleSet, Ticks};
 use air_model::{Deadline, Recurrence};
+use air_model::{Partition, PartitionId, ProcessAttributes, ScheduleId, ScheduleSet, Ticks};
 use air_ports::wire::bytes_look_like_ack;
-use air_ports::{ArqConfig, ChannelConfig, Destination, PortAddr, QueuingPortConfig,
-                SamplingPortConfig};
+use air_ports::{
+    ArqConfig, ChannelConfig, Destination, PortAddr, QueuingPortConfig, SamplingPortConfig,
+};
 
 use crate::builder::{PartitionConfig, ProcessConfig, SystemBuilder};
 use crate::cluster::{AirCluster, Node};
 use crate::scenario::Scenario;
 use crate::trace::TraceEvent;
-use crate::workload::{FiniteQueuingProducer, QueuingConsumer, SamplingConsumer,
-                      SamplingProducer};
+use crate::workload::{FiniteQueuingProducer, QueuingConsumer, SamplingConsumer, SamplingProducer};
 
 /// Major time frame of both cluster nodes.
 pub const LINK_MTF: u64 = 100;
@@ -401,7 +401,13 @@ fn check_degradation_visibility(plan: &FaultPlan, run: &RunArtifacts, report: &m
         .events_a
         .iter()
         .filter(|e| {
-            matches!(e, TraceEvent::LinkFailover { to: LinkRole::Secondary, .. })
+            matches!(
+                e,
+                TraceEvent::LinkFailover {
+                    to: LinkRole::Secondary,
+                    ..
+                }
+            )
         })
         .count();
     let (entries, exits, _) = degraded_stats(&run.events_a);
@@ -414,9 +420,7 @@ fn check_degradation_visibility(plan: &FaultPlan, run: &RunArtifacts, report: &m
     if entries == 0 || exits < entries {
         report.record(Violation::FaultUndetected {
             at: Ticks::ZERO,
-            fault: format!(
-                "degraded mode not fully traversed ({entries} entries, {exits} exits)"
-            ),
+            fault: format!("degraded mode not fully traversed ({entries} entries, {exits} exits)"),
         });
     }
 }
@@ -429,9 +433,10 @@ fn degraded_stats(events: &[TraceEvent]) -> (u64, u64, Option<u64>) {
     let mut latency = None;
     for event in events {
         match event {
-            TraceEvent::LinkFailover { at, to: LinkRole::Secondary }
-                if first_failover.is_none() =>
-            {
+            TraceEvent::LinkFailover {
+                at,
+                to: LinkRole::Secondary,
+            } if first_failover.is_none() => {
                 first_failover = Some(*at);
             }
             TraceEvent::DegradedModeEntered { .. } => entries += 1,
@@ -455,7 +460,11 @@ fn schedules() -> ScheduleSet {
             id,
             name,
             Ticks(LINK_MTF),
-            vec![PartitionRequirement::new(P0, Ticks(LINK_MTF), Ticks(LINK_MTF))],
+            vec![PartitionRequirement::new(
+                P0,
+                Ticks(LINK_MTF),
+                Ticks(LINK_MTF),
+            )],
             vec![TimeWindow::new(P0, Ticks(0), Ticks(LINK_MTF))],
         )
     };
@@ -513,7 +522,9 @@ fn sender_node(budget: u64, checked: bool) -> crate::system::AirSystem {
             }],
         });
     let mut system = if checked {
-        builder.build().expect("link campaign sender node must build")
+        builder
+            .build()
+            .expect("link campaign sender node must build")
     } else {
         builder
             .build_unchecked()
@@ -561,7 +572,9 @@ fn receiver_node(checked: bool) -> crate::system::AirSystem {
             destinations: vec![Destination::Local(PortAddr::new(P0, "att"))],
         });
     if checked {
-        builder.build().expect("link campaign receiver node must build")
+        builder
+            .build()
+            .expect("link campaign receiver node must build")
     } else {
         builder
             .build_unchecked()

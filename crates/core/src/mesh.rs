@@ -48,8 +48,8 @@ use air_hw::mesh::{EdgeHealth, EdgeHealthEvent, EdgeMonitorConfig, MeshFabric};
 use air_model::verify::{check_exactly_once, Report, Violation};
 use air_model::Ticks;
 use air_ports::pus::{
-    verification_report, AckStage, CommandVerifier, EventReporter, EventSeverity,
-    SERVICE_EVENT, SERVICE_VERIFICATION,
+    verification_report, AckStage, CommandVerifier, EventReporter, EventSeverity, SERVICE_EVENT,
+    SERVICE_VERIFICATION,
 };
 use air_ports::routing::{LiveRouter, MeshTopology, NodeId, RoutingTable, MESH_HOP_SLACK};
 use air_ports::spacepacket::{PacketKind, SpacePacket};
@@ -442,7 +442,8 @@ pub fn planned_mesh_horizon(plan: &MeshPlan) -> u64 {
         // Self-healing plans drain longer: the last heal still needs a
         // probe-recovery streak before parked traffic can re-flow.
         Some(policy) => {
-            base + policy.monitor.probe_interval * (u64::from(policy.monitor.recovery_threshold) + 2)
+            base + policy.monitor.probe_interval
+                * (u64::from(policy.monitor.recovery_threshold) + 2)
                 + HEAL_DRAIN
         }
     }
@@ -777,12 +778,9 @@ impl MeshSim {
                 }
             }
         }
-        let mut fabric = MeshFabric::new(
-            plan.nodes,
-            &plan.topology.edges(plan.nodes),
-            MESH_LATENCY,
-        )
-        .expect("built-in topologies are valid fabrics");
+        let mut fabric =
+            MeshFabric::new(plan.nodes, &plan.topology.edges(plan.nodes), MESH_LATENCY)
+                .expect("built-in topologies are valid fabrics");
         let heal = plan.heal.as_ref().map(|policy| HealRuntime {
             policy: *policy,
             router: LiveRouter::new(plan.nodes, &plan.topology.edges(plan.nodes)),
@@ -982,7 +980,13 @@ impl MeshSim {
     /// undelivered frames back out of the dead edge's ARQ windows (Down)
     /// or re-offers parked packets (Up), and publishes the transition
     /// through HM as trace + event telemetry.
-    fn apply_edge_transition(&mut self, edge: usize, event: EdgeHealthEvent, observer: usize, now: u64) {
+    fn apply_edge_transition(
+        &mut self,
+        edge: usize,
+        event: EdgeHealthEvent,
+        observer: usize,
+        now: u64,
+    ) {
         let Some(&(a, b)) = self.fabric.edges().get(edge) else {
             return;
         };
@@ -1105,21 +1109,25 @@ impl MeshSim {
         let at = Ticks(now);
         if partitioned {
             self.active_executor = spare;
-            self.nodes[self.commander].trace.record(TraceEvent::NodeFailover {
-                at,
-                failed: primary as u16,
-                spare: spare as u16,
-            });
+            self.nodes[self.commander]
+                .trace
+                .record(TraceEvent::NodeFailover {
+                    at,
+                    failed: primary as u16,
+                    spare: spare as u16,
+                });
             if let Some(heal) = self.heal.as_mut() {
                 heal.failed_over = true;
                 heal.failovers += 1;
             }
         } else {
             self.active_executor = self.executor;
-            self.nodes[self.commander].trace.record(TraceEvent::NodeFailback {
-                at,
-                restored: primary as u16,
-            });
+            self.nodes[self.commander]
+                .trace
+                .record(TraceEvent::NodeFailback {
+                    at,
+                    restored: primary as u16,
+                });
             if let Some(heal) = self.heal.as_mut() {
                 heal.failed_over = false;
                 heal.failbacks += 1;
@@ -1921,7 +1929,11 @@ mod tests {
         assert_eq!(sim.now(), horizon);
         sim.step();
         sim.run_for(5);
-        assert_eq!(sim.now(), horizon, "step and run_for past horizon are no-ops");
+        assert_eq!(
+            sim.now(),
+            horizon,
+            "step and run_for past horizon are no-ops"
+        );
         let mut fresh = MeshSim::new(&plan);
         fresh.run_for(u64::MAX);
         assert_eq!(fresh.now(), horizon, "a slice ends at the horizon");
@@ -1975,14 +1987,10 @@ mod tests {
         for scenario in PartitionScenario::ALL {
             let plan = reroute_plan(MeshTopology::Ring, 6, 11, scenario);
             let outcome = RerouteCampaignRunner::new(plan).run();
-            assert!(
-                outcome.is_ok(),
-                "{}: {}",
-                scenario.label(),
-                outcome.report
-            );
+            assert!(outcome.is_ok(), "{}: {}", scenario.label(), outcome.report);
             assert_eq!(
-                outcome.delivered, outcome.expected,
+                outcome.delivered,
+                outcome.expected,
                 "{}: healed scenarios redeliver everything",
                 scenario.label()
             );

@@ -68,10 +68,10 @@ impl PrototypeHarness {
 
         let p1 = PartitionConfig::new(parts[0].clone())
             .with_sampling_port(SamplingPortConfig::source("att-out", 64))
-            .with_error_handler(
-                ErrorHandlerTable::new()
-                    .with_action(ErrorId::DeadlineMissed, ProcessRecoveryAction::RestartProcess),
-            )
+            .with_error_handler(ErrorHandlerTable::new().with_action(
+                ErrorId::DeadlineMissed,
+                ProcessRecoveryAction::RestartProcess,
+            ))
             .with_process(ProcessConfig::new(
                 ProcessAttributes::new("aocs-control")
                     .with_recurrence(Recurrence::Periodic(Ticks(1300)))
@@ -120,11 +120,7 @@ impl PrototypeHarness {
             ));
 
         let p4 = PartitionConfig::new(parts[3].clone())
-            .with_sampling_port(SamplingPortConfig::destination(
-                "att-in",
-                64,
-                Ticks(1300),
-            ))
+            .with_sampling_port(SamplingPortConfig::destination("att-in", 64, Ticks(1300)))
             .with_process(ProcessConfig::new(
                 ProcessAttributes::new("fdir")
                     .with_recurrence(Recurrence::Periodic(Ticks(650)))
@@ -226,7 +222,14 @@ mod tests {
             };
             assert_eq!(
                 *process,
-                GlobalProcessId::new(P1, proto.system.partition(P1).process_id("aocs-faulty").unwrap())
+                GlobalProcessId::new(
+                    P1,
+                    proto
+                        .system
+                        .partition(P1)
+                        .process_id("aocs-faulty")
+                        .unwrap()
+                )
             );
         }
         // Detection happens exactly at P1 dispatch instants (MTF starts).
@@ -261,10 +264,7 @@ mod tests {
         assert_eq!(proto.system.schedule_status().current, CHI_1);
         proto.system.run_until(Ticks(1300));
         assert_eq!(proto.system.schedule_status().current, CHI_2);
-        assert_eq!(
-            proto.system.schedule_status().last_switch,
-            Ticks(1300)
-        );
+        assert_eq!(proto.system.schedule_status().last_switch, Ticks(1300));
         // χ2: P4 is active in [200, 300).
         proto.system.run_until(Ticks(1550));
         assert_eq!(proto.system.active_partition(), Some(P4));
@@ -281,10 +281,7 @@ mod tests {
             let target = if k % 2 == 0 { CHI_2 } else { CHI_1 };
             proto.system.run_for(137 + 97 * k);
             proto.system.request_schedule(target).unwrap();
-            let boundary = proto
-                .system
-                .now()
-                .round_up_to(Ticks(1300));
+            let boundary = proto.system.now().round_up_to(Ticks(1300));
             proto.system.run_until(boundary);
         }
         proto.system.run_for(1300);

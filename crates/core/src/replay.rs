@@ -268,7 +268,11 @@ mod tests {
     #[test]
     fn link_down_and_up_round_trip_through_the_degraded_schedule() {
         let mut system = two_schedule_system();
-        let down = replay_witness(&mut system, &Witness::parse("link_down").expect("parses"), 1);
+        let down = replay_witness(
+            &mut system,
+            &Witness::parse("link_down").expect("parses"),
+            1,
+        );
         assert_eq!(down.final_schedule, CHI1);
         assert!(matches!(
             down.final_state.link,

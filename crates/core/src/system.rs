@@ -3,17 +3,19 @@
 use std::collections::HashMap;
 
 use air_apex::{ApexPartition, ErrorHandlerTable, RecoveryEscalation};
-use air_hm::{ErrorId, ErrorSource, HealthMonitor, HmDecision, ModuleRecoveryAction,
-             PartitionRecoveryAction};
+use air_hm::{
+    ErrorId, ErrorSource, HealthMonitor, HmDecision, ModuleRecoveryAction, PartitionRecoveryAction,
+};
 use air_hw::console::KeyEvent;
 use air_hw::interrupt::InterruptLine;
+use air_hw::redundant::LinkRole;
 use air_hw::Machine;
 use air_model::ids::{GlobalProcessId, ProcessId};
 use air_model::partition::{OperatingMode, StartCondition};
 use air_model::{PartitionId, ScheduleChangeAction, ScheduleId, ScheduleSet, Ticks};
-use air_hw::redundant::LinkRole;
-use air_pmk::{LinkTransportEvent, PartitionDispatcher, PartitionScheduler, PmkIpc,
-              SpatialManager};
+use air_pmk::{
+    LinkTransportEvent, PartitionDispatcher, PartitionScheduler, PmkIpc, SpatialManager,
+};
 use air_vitral::Vitral;
 
 use crate::trace::{RecoveryDisposition, Trace, TraceEvent};
@@ -518,8 +520,8 @@ impl AirSystem {
             to: heir,
         });
         if let Some(m) = heir {
-            let misses = self.partitions[m.as_usize()]
-                .announce_clock_ticks(outcome.elapsed_ticks, Ticks(0));
+            let misses =
+                self.partitions[m.as_usize()].announce_clock_ticks(outcome.elapsed_ticks, Ticks(0));
             self.handle_misses(m, &misses, Ticks(0));
         }
         // The time-0 execution slot belongs to the initial heir: windows
@@ -637,7 +639,12 @@ impl AirSystem {
         let frame_errors = self.ipc.service(&mut self.machine);
         self.drain_transport_events(now);
         for e in frame_errors {
-            self.report_to_hm(now, ErrorId::HardwareFault, ErrorSource::Module, e.to_string());
+            self.report_to_hm(
+                now,
+                ErrorId::HardwareFault,
+                ErrorSource::Module,
+                e.to_string(),
+            );
         }
 
         if let Some(sid) = event.switched_to {
@@ -683,9 +690,7 @@ impl AirSystem {
             match action {
                 ScheduleChangeAction::None => {}
                 ScheduleChangeAction::WarmRestart => self.restart_partition(*partition, true, now),
-                ScheduleChangeAction::ColdRestart => {
-                    self.restart_partition(*partition, false, now)
-                }
+                ScheduleChangeAction::ColdRestart => self.restart_partition(*partition, false, now),
                 ScheduleChangeAction::Stop => self.stop_partition(*partition, now),
             }
         }
@@ -787,8 +792,7 @@ impl AirSystem {
                     });
                 }
                 LinkTransportEvent::Failover { to } => {
-                    self.trace
-                        .record(TraceEvent::LinkFailover { at: now, to });
+                    self.trace.record(TraceEvent::LinkFailover { at: now, to });
                     match to {
                         LinkRole::Secondary => {
                             self.report_to_hm(
@@ -889,13 +893,8 @@ impl AirSystem {
                 occurrences,
             } => {
                 let apex = &mut self.partitions[process.partition.as_usize()];
-                let escalation = apex.handle_process_error(
-                    process.process,
-                    error,
-                    fallback,
-                    occurrences,
-                    now,
-                );
+                let escalation =
+                    apex.handle_process_error(process.process, error, fallback, occurrences, now);
                 let disposition = match escalation {
                     RecoveryEscalation::None => RecoveryDisposition::HandlerContained,
                     RecoveryEscalation::RestartPartition => {
@@ -994,8 +993,10 @@ impl AirSystem {
             StartCondition::HmPartitionRestart,
             now,
         );
-        self.trace
-            .record(TraceEvent::PartitionStop { at: now, partition: m });
+        self.trace.record(TraceEvent::PartitionStop {
+            at: now,
+            partition: m,
+        });
     }
 
     fn sync_vitral(&mut self) {

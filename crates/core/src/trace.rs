@@ -499,9 +499,7 @@ impl Trace {
                 remaining -= take;
                 if col_fill == resolution {
                     let ch = match col_char.expect("set above") {
-                        Some(p) => {
-                            char::from_digit(p.as_u32().min(9), 10).expect("digit")
-                        }
+                        Some(p) => char::from_digit(p.as_u32().min(9), 10).expect("digit"),
                         None => '.',
                     };
                     out.push(ch);
@@ -622,10 +620,7 @@ mod tests {
         assert_eq!(seqs, vec![0, 1, 2]);
         // Sorting by (tick, seq) must be the identity: the sequence number
         // is the tiebreaker that makes same-tick ordering total.
-        let mut keyed: Vec<(u64, u64)> = t
-            .sequenced()
-            .map(|(s, e)| (e.at().as_u64(), s))
-            .collect();
+        let mut keyed: Vec<(u64, u64)> = t.sequenced().map(|(s, e)| (e.at().as_u64(), s)).collect();
         let original = keyed.clone();
         keyed.sort();
         assert_eq!(keyed, original);

@@ -259,9 +259,12 @@ impl ProcessBody for SamplingProducer {
             self.done = 0;
             let payload = format!("seq={} t={}", self.seq, api.now);
             self.seq += 1;
-            let _ = api
-                .apex
-                .write_sampling_message(api.ports, &self.port, payload.into_bytes(), api.now);
+            let _ = api.apex.write_sampling_message(
+                api.ports,
+                &self.port,
+                payload.into_bytes(),
+                api.now,
+            );
             let _ = api.apex.periodic_wait(api.me, api.now);
         }
     }
@@ -289,7 +292,9 @@ impl SamplingConsumer {
 
 impl ProcessBody for SamplingConsumer {
     fn on_tick(&mut self, api: &mut ProcessApi<'_>) {
-        if let Ok((msg, validity)) = api.apex.read_sampling_message(api.ports, &self.port, api.now)
+        if let Ok((msg, validity)) = api
+            .apex
+            .read_sampling_message(api.ports, &self.port, api.now)
         {
             self.reads += 1;
             if validity.is_valid() {
@@ -368,10 +373,12 @@ impl ProcessBody for FiniteQueuingProducer {
     fn on_tick(&mut self, api: &mut ProcessApi<'_>) {
         if self.sent < self.budget {
             let payload = format!("frame-{}", self.seq);
-            match api
-                .apex
-                .send_queuing_message(api.ports, &self.port, payload.into_bytes(), api.now)
-            {
+            match api.apex.send_queuing_message(
+                api.ports,
+                &self.port,
+                payload.into_bytes(),
+                api.now,
+            ) {
                 Ok(()) => {
                     self.seq += 1;
                     self.sent += 1;

@@ -9,11 +9,8 @@
 
 use std::fmt;
 
-
 /// Recovery actions for **process-level** errors (Sect. 5's list).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ProcessRecoveryAction {
     /// "Ignoring the error (logging it, but taking no action)."
     #[default]
@@ -43,9 +40,7 @@ pub enum ProcessRecoveryAction {
 /// The subset of process recovery actions that make sense as an escalation
 /// target of [`ProcessRecoveryAction::LogThenAct`] (everything but another
 /// log-then-act, which would never terminate).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EscalatedProcessAction {
     /// Stop the process and reinitialise it from its entry address.
     RestartProcess,
@@ -89,9 +84,7 @@ impl fmt::Display for ProcessRecoveryAction {
 
 /// Recovery actions for **partition-level** errors, "defined at system
 /// integration time" (Sect. 2.4).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PartitionRecoveryAction {
     /// Log only.
     Ignore,
@@ -119,9 +112,7 @@ impl fmt::Display for PartitionRecoveryAction {
 /// Recovery actions for **module-level** errors: "errors detected at
 /// system level may lead the entire system to be stopped or reinitialized"
 /// (Sect. 2.4).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ModuleRecoveryAction {
     /// Log only.
     Ignore,

@@ -3,7 +3,6 @@
 
 use std::fmt;
 
-
 use air_model::ids::GlobalProcessId;
 use air_model::PartitionId;
 
@@ -13,9 +12,7 @@ use air_model::PartitionId;
 /// error (an error that impacts one or more processes in the partition, or
 /// the entire partition)" (Sect. 5) — [`ErrorId::DeadlineMissed`] is the
 /// one this paper's mechanisms revolve around.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum ErrorId {
     /// A process exceeded its deadline (detected by the PAL deadline
@@ -118,9 +115,7 @@ impl fmt::Display for ErrorSource {
 /// invoke the application error handler; partition-level errors trigger the
 /// integration-time response action; module-level errors may stop or
 /// reinitialise the whole system.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ErrorLevel {
     /// Handled inside the partition by the application error handler.
     Process,
@@ -157,10 +152,7 @@ mod tests {
     #[test]
     fn source_partition_extraction() {
         let gp = GlobalProcessId::new(PartitionId(2), ProcessId(0));
-        assert_eq!(
-            ErrorSource::Process(gp).partition(),
-            Some(PartitionId(2))
-        );
+        assert_eq!(ErrorSource::Process(gp).partition(), Some(PartitionId(2)));
         assert_eq!(
             ErrorSource::Partition(PartitionId(1)).partition(),
             Some(PartitionId(1))

@@ -3,7 +3,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-
 use air_model::Ticks;
 
 use crate::error_id::{ErrorId, ErrorLevel, ErrorSource};
@@ -106,7 +105,8 @@ impl HmLog {
     ) -> std::collections::vec_deque::Iter<'_, HmLogEntry> {
         let unseen = self.total_recorded.saturating_sub(recorded);
         let unseen = usize::try_from(unseen).unwrap_or(usize::MAX);
-        self.entries.range(self.entries.len().saturating_sub(unseen)..)
+        self.entries
+            .range(self.entries.len().saturating_sub(unseen)..)
     }
 
     /// Retained entries matching `error`, oldest first.

@@ -13,9 +13,7 @@ use std::collections::HashMap;
 use air_model::ids::GlobalProcessId;
 use air_model::{PartitionId, Ticks};
 
-use crate::action::{
-    ModuleRecoveryAction, PartitionRecoveryAction, ProcessRecoveryAction,
-};
+use crate::action::{ModuleRecoveryAction, PartitionRecoveryAction, ProcessRecoveryAction};
 use crate::error_id::{ErrorId, ErrorLevel, ErrorSource};
 use crate::log::{HmLog, HmLogEntry};
 use crate::table::HmTables;
@@ -244,7 +242,12 @@ mod tests {
         tables.system =
             SystemHmTable::standard().with_module_action(ModuleRecoveryAction::Shutdown);
         let mut hm = HealthMonitor::new(tables);
-        let d = hm.report(Ticks(1), ErrorId::PowerFail, ErrorSource::Module, "brownout");
+        let d = hm.report(
+            Ticks(1),
+            ErrorId::PowerFail,
+            ErrorSource::Module,
+            "brownout",
+        );
         assert_eq!(
             d,
             HmDecision::ModuleAction {

@@ -9,7 +9,6 @@
 
 use std::collections::BTreeMap;
 
-
 use air_model::PartitionId;
 
 use crate::action::{ModuleRecoveryAction, PartitionRecoveryAction, ProcessRecoveryAction};
@@ -161,11 +160,7 @@ impl HmTables {
 
     /// Installs (or replaces) the table of `partition`.
     #[must_use]
-    pub fn with_partition_table(
-        mut self,
-        partition: PartitionId,
-        table: PartitionHmTable,
-    ) -> Self {
+    pub fn with_partition_table(mut self, partition: PartitionId, table: PartitionHmTable) -> Self {
         self.partition_tables.insert(partition, table);
         self
     }
@@ -195,8 +190,8 @@ mod tests {
 
     #[test]
     fn level_override() {
-        let t = SystemHmTable::standard()
-            .with_level(ErrorId::DeadlineMissed, ErrorLevel::Partition);
+        let t =
+            SystemHmTable::standard().with_level(ErrorId::DeadlineMissed, ErrorLevel::Partition);
         assert_eq!(t.level_of(ErrorId::DeadlineMissed), ErrorLevel::Partition);
     }
 

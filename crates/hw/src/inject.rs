@@ -224,7 +224,8 @@ impl Machine {
     /// Corrupts the newest link frame in flight towards this node.
     /// Returns whether a frame was there to corrupt.
     pub fn inject_link_tamper(&mut self, byte_index: usize, mask: u8) -> bool {
-        self.link.tamper_in_flight(LinkEndpoint::A, byte_index, mask)
+        self.link
+            .tamper_in_flight(LinkEndpoint::A, byte_index, mask)
     }
 
     /// Starts a sustained outage of `duration` ticks on the active link:
@@ -247,7 +248,11 @@ impl InjectRng {
     /// Creates a generator; a zero seed is replaced by a fixed odd value.
     pub fn new(seed: u64) -> Self {
         Self {
-            state: if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed },
+            state: if seed == 0 {
+                0x9E37_79B9_7F4A_7C15
+            } else {
+                seed
+            },
         }
     }
 

@@ -390,10 +390,22 @@ mod tests {
                     reference.set_enabled(line, level, true),
                     "op {op}: unmask {line} as {level:?}"
                 ),
-                _ => assert_eq!(fast.acknowledge(), reference.acknowledge(), "op {op}: acknowledge"),
+                _ => assert_eq!(
+                    fast.acknowledge(),
+                    reference.acknowledge(),
+                    "op {op}: acknowledge"
+                ),
             }
-            assert_eq!(fast.is_pending(line), reference.pending[idx], "op {op}: {line} pending");
-            assert_eq!(fast.is_enabled(line), reference.enabled[idx], "op {op}: {line} enabled");
+            assert_eq!(
+                fast.is_pending(line),
+                reference.pending[idx],
+                "op {op}: {line} pending"
+            );
+            assert_eq!(
+                fast.is_enabled(line),
+                reference.enabled[idx],
+                "op {op}: {line} enabled"
+            );
             assert_eq!(fast.raised_total(), reference.raised_total, "op {op}");
             assert_eq!(fast.delivered_total(), reference.delivered_total, "op {op}");
             assert_eq!(
@@ -429,7 +441,10 @@ mod tests {
         intc.mask(InterruptLine::Device(64), PrivilegeLevel::Guest);
         intc.raise(InterruptLine::Device(64));
         assert_eq!(intc.acknowledge(), None);
-        assert!(intc.is_pending(InterruptLine::Device(64)), "masking keeps it pending");
+        assert!(
+            intc.is_pending(InterruptLine::Device(64)),
+            "masking keeps it pending"
+        );
         intc.unmask(InterruptLine::Device(64), PrivilegeLevel::Guest);
         assert_eq!(intc.acknowledge(), Some(InterruptLine::Device(64)));
         assert_eq!(intc.delivered_total(), 1);

@@ -191,11 +191,7 @@ impl InterNodeLink {
     /// injection target a frame *kind* (e.g. acknowledgements) without the
     /// hardware layer knowing any wire format. Returns whether a matching
     /// frame was there to lose.
-    pub fn drop_in_flight_where(
-        &mut self,
-        to: LinkEndpoint,
-        pred: impl Fn(&[u8]) -> bool,
-    ) -> bool {
+    pub fn drop_in_flight_where(&mut self, to: LinkEndpoint, pred: impl Fn(&[u8]) -> bool) -> bool {
         let queue = match to {
             LinkEndpoint::A => &mut self.b_to_a,
             LinkEndpoint::B => &mut self.a_to_b,

@@ -178,7 +178,10 @@ mod tests {
         m.advance_tick(); // t=2: deliverable → Link raised
         assert_eq!(m.intc.acknowledge(), Some(InterruptLine::ClockTick));
         assert_eq!(m.intc.acknowledge(), Some(InterruptLine::Link));
-        assert_eq!(m.link.receive(LinkEndpoint::A, m.clock.now()), Some(vec![7]));
+        assert_eq!(
+            m.link.receive(LinkEndpoint::A, m.clock.now()),
+            Some(vec![7])
+        );
     }
 
     #[test]

@@ -156,7 +156,11 @@ impl std::fmt::Display for MeshTopologyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MeshTopologyError::EdgeOutOfRange { edge, nodes } => {
-                write!(f, "edge ({}, {}) exceeds the {nodes}-node fabric", edge.0, edge.1)
+                write!(
+                    f,
+                    "edge ({}, {}) exceeds the {nodes}-node fabric",
+                    edge.0, edge.1
+                )
             }
             MeshTopologyError::SelfEdge { node } => {
                 write!(f, "node {node} cannot be linked to itself")
@@ -197,7 +201,10 @@ impl MeshFabric {
                 return Err(MeshTopologyError::SelfEdge { node: a });
             }
             if a >= nodes || b >= nodes {
-                return Err(MeshTopologyError::EdgeOutOfRange { edge: (a, b), nodes });
+                return Err(MeshTopologyError::EdgeOutOfRange {
+                    edge: (a, b),
+                    nodes,
+                });
             }
             let edge = if a < b { (a, b) } else { (b, a) };
             normalised.push(edge);
@@ -509,7 +516,10 @@ mod tests {
         let mut fabric = MeshFabric::new(3, &[(0, 1), (1, 2)], 1).expect("valid");
         fabric.send(1, 2, 5, b"doomed".to_vec());
         let idx = fabric.edge_between(1, 2).expect("edge");
-        assert!(fabric.link_mut(idx).expect("link").drop_in_flight(LinkEndpoint::B));
+        assert!(fabric
+            .link_mut(idx)
+            .expect("link")
+            .drop_in_flight(LinkEndpoint::B));
         assert_eq!(fabric.receive_from(2, 1, 20), None);
         assert_eq!(fabric.dropped(), 1);
     }

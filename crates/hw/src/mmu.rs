@@ -156,14 +156,38 @@ impl PageFlags {
             execute: true,
         };
         match acc {
-            0 => Self { user: AccessPermissions::R, supervisor: AccessPermissions::R },
-            1 => Self { user: AccessPermissions::RW, supervisor: AccessPermissions::RW },
-            2 => Self { user: AccessPermissions::RX, supervisor: AccessPermissions::RX },
-            3 => Self { user: AccessPermissions::RWX, supervisor: AccessPermissions::RWX },
-            4 => Self { user: x, supervisor: x },
-            5 => Self { user: AccessPermissions::R, supervisor: AccessPermissions::RW },
-            6 => Self { user: AccessPermissions::NONE, supervisor: AccessPermissions::RX },
-            7 => Self { user: AccessPermissions::NONE, supervisor: AccessPermissions::RWX },
+            0 => Self {
+                user: AccessPermissions::R,
+                supervisor: AccessPermissions::R,
+            },
+            1 => Self {
+                user: AccessPermissions::RW,
+                supervisor: AccessPermissions::RW,
+            },
+            2 => Self {
+                user: AccessPermissions::RX,
+                supervisor: AccessPermissions::RX,
+            },
+            3 => Self {
+                user: AccessPermissions::RWX,
+                supervisor: AccessPermissions::RWX,
+            },
+            4 => Self {
+                user: x,
+                supervisor: x,
+            },
+            5 => Self {
+                user: AccessPermissions::R,
+                supervisor: AccessPermissions::RW,
+            },
+            6 => Self {
+                user: AccessPermissions::NONE,
+                supervisor: AccessPermissions::RX,
+            },
+            7 => Self {
+                user: AccessPermissions::NONE,
+                supervisor: AccessPermissions::RWX,
+            },
             other => panic!("SPARC ACC code out of range: {other}"), // lint: allow(panic) -- 3-bit field, values 0..=7 are exhaustive; hardware halt
         }
     }
@@ -208,7 +232,11 @@ impl fmt::Display for MmuFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MmuFault::Unmapped { va } => write!(f, "unmapped virtual address {va:#x}"),
-            MmuFault::Protection { va, kind, privilege } => write!(
+            MmuFault::Protection {
+                va,
+                kind,
+                privilege,
+            } => write!(
                 f,
                 "protection violation: {kind} at {va:#x} from {privilege:?} level"
             ),
@@ -510,7 +538,9 @@ impl Mmu {
         while cur_va < end {
             let remaining = end - cur_va;
             let (idx1, idx2, idx3) = split(cur_va);
-            let step = if cur_va.is_multiple_of(L1_REGION) && cur_pa.is_multiple_of(L1_REGION) && remaining >= L1_REGION
+            let step = if cur_va.is_multiple_of(L1_REGION)
+                && cur_pa.is_multiple_of(L1_REGION)
+                && remaining >= L1_REGION
             {
                 space.root.leaves.insert(
                     idx1,
@@ -520,7 +550,10 @@ impl Mmu {
                     },
                 );
                 L1_REGION
-            } else if cur_va.is_multiple_of(L2_REGION) && cur_pa.is_multiple_of(L2_REGION) && remaining >= L2_REGION {
+            } else if cur_va.is_multiple_of(L2_REGION)
+                && cur_pa.is_multiple_of(L2_REGION)
+                && remaining >= L2_REGION
+            {
                 let l2 = space.root.children.entry(idx1).or_default();
                 l2.leaves.insert(
                     idx2,
@@ -736,8 +769,14 @@ mod tests {
     fn single_page_translation() {
         let mut mmu = Mmu::new();
         let ctx = mmu.create_context();
-        mmu.map(ctx, 0x1000, 0x8000, PAGE_SIZE, PageFlags::from_sparc_acc(RW))
-            .unwrap();
+        mmu.map(
+            ctx,
+            0x1000,
+            0x8000,
+            PAGE_SIZE,
+            PageFlags::from_sparc_acc(RW),
+        )
+        .unwrap();
         assert_eq!(
             mmu.translate(ctx, 0x1abc, AccessKind::Read, Privilege::User)
                 .unwrap(),
@@ -779,8 +818,14 @@ mod tests {
         let mut mmu = Mmu::new();
         let ctx = mmu.create_context();
         // ACC 6: user none, supervisor RX — a POS kernel text segment.
-        mmu.map(ctx, 0x10_0000, 0x20_0000, PAGE_SIZE, PageFlags::from_sparc_acc(6))
-            .unwrap();
+        mmu.map(
+            ctx,
+            0x10_0000,
+            0x20_0000,
+            PAGE_SIZE,
+            PageFlags::from_sparc_acc(6),
+        )
+        .unwrap();
         assert!(matches!(
             mmu.translate(ctx, 0x10_0000, AccessKind::Read, Privilege::User),
             Err(MmuFault::Protection { .. })
@@ -878,8 +923,14 @@ mod tests {
     fn overlap_rejected_atomically() {
         let mut mmu = Mmu::new();
         let ctx = mmu.create_context();
-        mmu.map(ctx, 0x4000, 0x8000, PAGE_SIZE, PageFlags::from_sparc_acc(RW))
-            .unwrap();
+        mmu.map(
+            ctx,
+            0x4000,
+            0x8000,
+            PAGE_SIZE,
+            PageFlags::from_sparc_acc(RW),
+        )
+        .unwrap();
         // Second mapping starts one page earlier and would collide on page 2.
         let err = mmu
             .map(
@@ -931,8 +982,14 @@ mod tests {
     fn unmap_removes_translation() {
         let mut mmu = Mmu::new();
         let ctx = mmu.create_context();
-        mmu.map(ctx, 0x5000, 0x6000, 2 * PAGE_SIZE, PageFlags::from_sparc_acc(RW))
-            .unwrap();
+        mmu.map(
+            ctx,
+            0x5000,
+            0x6000,
+            2 * PAGE_SIZE,
+            PageFlags::from_sparc_acc(RW),
+        )
+        .unwrap();
         mmu.unmap(ctx, 0x5000, PAGE_SIZE).unwrap();
         assert!(mmu
             .translate(ctx, 0x5000, AccessKind::Read, Privilege::User)
@@ -960,8 +1017,14 @@ mod tests {
     fn tlb_hits_after_first_walk() {
         let mut mmu = Mmu::new();
         let ctx = mmu.create_context();
-        mmu.map(ctx, 0x1000, 0x8000, PAGE_SIZE, PageFlags::from_sparc_acc(RW))
-            .unwrap();
+        mmu.map(
+            ctx,
+            0x1000,
+            0x8000,
+            PAGE_SIZE,
+            PageFlags::from_sparc_acc(RW),
+        )
+        .unwrap();
         for _ in 0..3 {
             assert_eq!(
                 mmu.translate(ctx, 0x1abc, AccessKind::Read, Privilege::User)
@@ -1002,8 +1065,14 @@ mod tests {
     fn tlb_flushes_on_unmap() {
         let mut mmu = Mmu::new();
         let ctx = mmu.create_context();
-        mmu.map(ctx, 0x5000, 0x6000, PAGE_SIZE, PageFlags::from_sparc_acc(RW))
-            .unwrap();
+        mmu.map(
+            ctx,
+            0x5000,
+            0x6000,
+            PAGE_SIZE,
+            PageFlags::from_sparc_acc(RW),
+        )
+        .unwrap();
         assert!(mmu
             .translate(ctx, 0x5000, AccessKind::Read, Privilege::User)
             .is_ok());
@@ -1063,8 +1132,14 @@ mod tests {
         let mut mmu = Mmu::new();
         mmu.set_tlb_enabled(false);
         let ctx = mmu.create_context();
-        mmu.map(ctx, 0x1000, 0x8000, PAGE_SIZE, PageFlags::from_sparc_acc(RW))
-            .unwrap();
+        mmu.map(
+            ctx,
+            0x1000,
+            0x8000,
+            PAGE_SIZE,
+            PageFlags::from_sparc_acc(RW),
+        )
+        .unwrap();
         for _ in 0..3 {
             assert_eq!(
                 mmu.translate(ctx, 0x1000, AccessKind::Read, Privilege::User),
@@ -1079,8 +1154,14 @@ mod tests {
     fn uncached_translate_matches_cached() {
         let mut mmu = Mmu::new();
         let ctx = mmu.create_context();
-        mmu.map(ctx, 0x1000, 0x8000, 4 * PAGE_SIZE, PageFlags::from_sparc_acc(RW))
-            .unwrap();
+        mmu.map(
+            ctx,
+            0x1000,
+            0x8000,
+            4 * PAGE_SIZE,
+            PageFlags::from_sparc_acc(RW),
+        )
+        .unwrap();
         for va in [0x1000u64, 0x2fff, 0x4000, 0x9000] {
             let cached = mmu.translate(ctx, va, AccessKind::Read, Privilege::User);
             let raw = mmu.translate_uncached(ctx, va, AccessKind::Read, Privilege::User);
@@ -1092,8 +1173,14 @@ mod tests {
     fn stats_count_translations_and_faults() {
         let mut mmu = Mmu::new();
         let ctx = mmu.create_context();
-        mmu.map(ctx, 0x1000, 0x1000, PAGE_SIZE, PageFlags::from_sparc_acc(RW))
-            .unwrap();
+        mmu.map(
+            ctx,
+            0x1000,
+            0x1000,
+            PAGE_SIZE,
+            PageFlags::from_sparc_acc(RW),
+        )
+        .unwrap();
         let _ = mmu.translate(ctx, 0x1000, AccessKind::Read, Privilege::User);
         let _ = mmu.translate(ctx, 0x9000, AccessKind::Read, Privilege::User);
         assert_eq!(mmu.translations(), 2);

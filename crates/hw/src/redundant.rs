@@ -137,9 +137,7 @@ impl RedundantLink {
 
     /// Whether either link has a deliverable frame for `at`.
     pub fn has_deliverable(&self, at: LinkEndpoint, now: u64) -> bool {
-        self.links
-            .iter()
-            .any(|l| l.has_deliverable(at, now))
+        self.links.iter().any(|l| l.has_deliverable(at, now))
     }
 
     /// Records one loss round (a retransmission timeout reported by the
@@ -211,11 +209,7 @@ impl RedundantLink {
 
     /// Destroys the newest matching in-flight frame towards `to`,
     /// preferring the active link. Returns whether a frame matched.
-    pub fn drop_in_flight_where(
-        &mut self,
-        to: LinkEndpoint,
-        pred: impl Fn(&[u8]) -> bool,
-    ) -> bool {
+    pub fn drop_in_flight_where(&mut self, to: LinkEndpoint, pred: impl Fn(&[u8]) -> bool) -> bool {
         let active = self.active.index();
         self.links[active].drop_in_flight_where(to, &pred)
             || self.links[1 - active].drop_in_flight_where(to, &pred)
@@ -314,7 +308,10 @@ mod tests {
         link.record_loss(0);
         link.record_loss(1);
         assert_eq!(link.active(), LinkRole::Secondary);
-        assert!(!link.poll_revert(50), "probation not over (failed over at 1)");
+        assert!(
+            !link.poll_revert(50),
+            "probation not over (failed over at 1)"
+        );
         assert!(link.poll_revert(51));
         assert_eq!(link.active(), LinkRole::Primary);
         assert_eq!(link.reverts(), 1);
@@ -356,11 +353,17 @@ mod tests {
         link.record_loss(0);
         link.record_loss(0); // active: secondary
         link.send(LinkEndpoint::A, 0, vec![1]); // on secondary
-        link.link_mut(LinkRole::Primary).send(LinkEndpoint::A, 0, vec![2]);
+        link.link_mut(LinkRole::Primary)
+            .send(LinkEndpoint::A, 0, vec![2]);
         assert!(link.drop_in_flight(LinkEndpoint::B));
         // The secondary's frame went first.
-        assert!(!link.link(LinkRole::Secondary).has_deliverable(LinkEndpoint::B, 100));
-        assert!(link.drop_in_flight(LinkEndpoint::B), "falls back to primary");
+        assert!(!link
+            .link(LinkRole::Secondary)
+            .has_deliverable(LinkEndpoint::B, 100));
+        assert!(
+            link.drop_in_flight(LinkEndpoint::B),
+            "falls back to primary"
+        );
         assert!(!link.drop_in_flight(LinkEndpoint::B));
     }
 }

@@ -108,10 +108,7 @@ fn tlb_translate_agrees_with_raw_walk() {
                         let &(c, base, size) = &mapped[rng.below_usize(mapped.len())];
                         (c, base + rng.below(size))
                     }
-                    _ => (
-                        rng.below(u64::from(CONTEXTS)) as u32,
-                        rng.below(1 << 32),
-                    ),
+                    _ => (rng.below(u64::from(CONTEXTS)) as u32, rng.below(1 << 32)),
                 };
                 last = Some((c, va));
                 let kind = random_kind(&mut rng);

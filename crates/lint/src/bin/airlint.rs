@@ -50,7 +50,9 @@ fn usage() {
         "usage: airlint [--json] [--timing] [--explore [--depth N] [--max-states M] \
          [--workers W] [--no-por]] <config.air>..."
     );
-    eprintln!("       airlint [--json] [--timing] --cluster <node_a.air> <node_b.air> [more.air ...]");
+    eprintln!(
+        "       airlint [--json] [--timing] --cluster <node_a.air> <node_b.air> [more.air ...]"
+    );
     eprintln!("       airlint --explain AIRnnn");
 }
 
@@ -151,7 +153,10 @@ fn main() -> ExitCode {
     }
     if files.is_empty() || (cluster && files.len() < 2) {
         if cluster {
-            eprintln!("airlint: --cluster takes at least two files, got {}", files.len());
+            eprintln!(
+                "airlint: --cluster takes at least two files, got {}",
+                files.len()
+            );
         }
         usage();
         return ExitCode::from(2);
@@ -219,9 +224,7 @@ fn main() -> ExitCode {
                 println!("(no `flow` directives declared)");
             }
             for b in &bounds {
-                let shown = |v: Option<u64>| {
-                    v.map_or("-".to_owned(), |v| v.to_string())
-                };
+                let shown = |v: Option<u64>| v.map_or("-".to_owned(), |v| v.to_string());
                 println!(
                     "flow {}  certified {}  deadline {}  slack {}",
                     b.label(),

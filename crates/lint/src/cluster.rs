@@ -51,9 +51,8 @@ pub(crate) fn inbound_gateway_ids(model: &SystemModel) -> BTreeSet<u32> {
                 .map(|(pid, cfg)| (pid.as_u32(), cfg.name.as_str())),
         )
         .collect();
-    let is_local = |addr: &PortAddr| {
-        local_ports.contains(&(addr.partition.as_u32(), addr.port.as_str()))
-    };
+    let is_local =
+        |addr: &PortAddr| local_ports.contains(&(addr.partition.as_u32(), addr.port.as_str()));
     model
         .channels
         .iter()

@@ -449,9 +449,7 @@ mod tests {
     #[test]
     fn json_lines_escape_and_carry_spans() {
         let mut report = LintReport::new();
-        report.push(
-            Diagnostic::new(Code::ParseError, "bad \"token\"\non line").with_line(Some(3)),
-        );
+        report.push(Diagnostic::new(Code::ParseError, "bad \"token\"\non line").with_line(Some(3)));
         report.push(Diagnostic::new(Code::NoSchedules, "none declared"));
         report.finish();
         let json = report.to_json_lines();

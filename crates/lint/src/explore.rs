@@ -56,8 +56,8 @@ use std::collections::BTreeSet;
 use air_hm::{ErrorId, ErrorLevel, EscalatedProcessAction, ProcessRecoveryAction};
 use air_model::explore::search::{search, KeyMap, SearchEdge, SearchGraph};
 use air_model::explore::{
-    AbstractEvent, ExploreOptions, StateKey, TransitionSystem,
-    TransitionSystemError, Witness, MAX_MESH_EDGES,
+    AbstractEvent, ExploreOptions, StateKey, TransitionSystem, TransitionSystemError, Witness,
+    MAX_MESH_EDGES,
 };
 use air_model::schedule::ScheduleSet;
 use air_model::verify::{verify_schedule, Report};
@@ -164,8 +164,7 @@ pub fn explore_with(model: &SystemModel, config: &ExploreConfig) -> Exploration 
     check_states(&ctx, &mut memo, &graph, &mut findings);
     check_failover_traps(&ctx, &graph, &mut findings);
     check_restart_loops(&ctx, &graph, &mut findings);
-    let reachable_schedule_violations =
-        check_reachable_schedules(&ctx, &graph, &mut findings);
+    let reachable_schedule_violations = check_reachable_schedules(&ctx, &graph, &mut findings);
     if graph.cap_hit {
         findings.push(Code::ExplorationCapped, 0, || {
             let message = format!(
@@ -203,8 +202,7 @@ fn build_transition_system(
     model: &SystemModel,
 ) -> Option<Result<TransitionSystem, TransitionSystemError>> {
     let schedules = ScheduleSet::try_new(model.schedules.clone()).ok()?;
-    let partitions: Vec<PartitionId> =
-        model.partitions.iter().map(|p| p.id()).collect();
+    let partitions: Vec<PartitionId> = model.partitions.iter().map(|p| p.id()).collect();
     let authorities: Vec<PartitionId> = model
         .partitions
         .iter()
@@ -226,7 +224,12 @@ fn build_transition_system(
         // `explore_with` reports that as AIR098.
         mesh_edges: mesh_edge_count(model).min(usize::from(MAX_MESH_EDGES)) as u8,
     };
-    Some(TransitionSystem::new(schedules, partitions, authorities, options))
+    Some(TransitionSystem::new(
+        schedules,
+        partitions,
+        authorities,
+        options,
+    ))
 }
 
 /// Whether any error id is classified at module level (`Reset` recovery).
@@ -263,8 +266,7 @@ fn partition_faults_possible(model: &SystemModel) -> bool {
 /// `deadline_missed` recovery cannot stop the partition (a stop would
 /// change the abstract tuple, breaking the self-loop soundness).
 fn deadline_fault_partitions(model: &SystemModel) -> Vec<PartitionId> {
-    let mut with_processes: Vec<PartitionId> =
-        model.processes.iter().map(|(p, _)| *p).collect();
+    let mut with_processes: Vec<PartitionId> = model.processes.iter().map(|(p, _)| *p).collect();
     with_processes.sort_unstable();
     with_processes.dedup();
     with_processes.retain(|&p| {
@@ -317,11 +319,7 @@ struct InvariantCtx<'a> {
 }
 
 impl<'a> InvariantCtx<'a> {
-    fn new(
-        model: &SystemModel,
-        ts: &'a TransitionSystem,
-        closure_cap: usize,
-    ) -> Self {
+    fn new(model: &SystemModel, ts: &'a TransitionSystem, closure_cap: usize) -> Self {
         let bit = |p: PartitionId| ts.slot_of(p).map_or(0, |slot| 1u64 << slot);
         let time_requiring = ts
             .schedules()
@@ -361,8 +359,7 @@ impl<'a> InvariantCtx<'a> {
 
     /// Whether any authority is running with a window in `key`.
     fn has_command(&self, key: StateKey) -> bool {
-        self.authorities & self.ts.window_mask(key.schedule()) & !key.modes()
-            != 0
+        self.authorities & self.ts.window_mask(key.schedule()) & !key.modes() != 0
     }
 
     /// AIR095's predicate: the partition at `bit` runs in `key` under a
@@ -415,9 +412,7 @@ impl<'a> InvariantCtx<'a> {
                 let Some(t) = ts.step_key(key, event) else {
                     continue;
                 };
-                if seen.len() < self.closure_cap
-                    && seen.insert(t.key, ()).is_none()
-                {
+                if seen.len() < self.closure_cap && seen.insert(t.key, ()).is_none() {
                     stack.push(t.key);
                 }
             }
@@ -462,12 +457,7 @@ struct Findings {
 impl Findings {
     /// Records the first violation of `(code, subject)`; `describe` builds
     /// its witness and message only then.
-    fn push(
-        &mut self,
-        code: Code,
-        subject: u32,
-        describe: impl FnOnce() -> (Witness, String),
-    ) {
+    fn push(&mut self, code: Code, subject: u32, describe: impl FnOnce() -> (Witness, String)) {
         if self.flagged.insert((code, subject)) {
             let (witness, message) = describe();
             self.counterexamples.push(Counterexample {
@@ -523,9 +513,7 @@ fn check_states(
         for &(p, slot) in &ctx.partitions {
             let bit = 1u64 << slot;
             let running = key.modes() & bit == 0;
-            let starved = running
-                && ctx.time_requiring & bit != 0
-                && windows & bit == 0;
+            let starved = running && ctx.time_requiring & bit != 0 && windows & bit == 0;
             if starved && ctx.recovery(memo, key).service & bit == 0 {
                 findings.push(Code::ModeStarvation, p.as_u32(), || {
                     let (witness, path) = witness();
@@ -538,38 +526,30 @@ fn check_states(
                 });
             }
             if !running && ctx.recovery(memo, key).running & bit == 0 {
-                findings.push(
-                    Code::StoppedPartitionUnrecoverable,
-                    p.as_u32(),
-                    || {
-                        let (witness, path) = witness();
-                        let message = format!(
-                            "partition {p} is stopped and no command path \
+                findings.push(Code::StoppedPartitionUnrecoverable, p.as_u32(), || {
+                    let (witness, path) = witness();
+                    let message = format!(
+                        "partition {p} is stopped and no command path \
                              ever restarts it; reachable via: {path}"
-                        );
-                        (witness, message)
-                    },
-                );
+                    );
+                    (witness, message)
+                });
             }
             // AIR095: this state's schedule cannot satisfy p's process
             // deadlines, while the boot schedule can — so a mode change
             // (not the task set itself) starves the deadlines.
             if ctx.deadline_starved(key, bit) {
-                findings.push(
-                    Code::DeadlineStarvationAcrossModes,
-                    p.as_u32(),
-                    || {
-                        let (witness, path) = witness();
-                        let message = format!(
-                            "processes of {p} are schedulable under boot \
+                findings.push(Code::DeadlineStarvationAcrossModes, p.as_u32(), || {
+                    let (witness, path) = witness();
+                    let message = format!(
+                        "processes of {p} are schedulable under boot \
                              schedule {} but may miss deadlines under \
                              reachable schedule {schedule}; reachable via: \
                              {path}",
-                            ts.schedule_id(0)
-                        );
-                        (witness, message)
-                    },
-                );
+                        ts.schedule_id(0)
+                    );
+                    (witness, message)
+                });
             }
         }
 
@@ -587,24 +567,19 @@ fn check_states(
             });
         }
 
-        if ctx.multiple_schedules && ctx.has_authorities && !ctx.has_command(key)
-        {
+        if ctx.multiple_schedules && ctx.has_authorities && !ctx.has_command(key) {
             if let Some(nominal) = key.saved_schedule() {
-                findings.push(
-                    Code::DegradedScheduleTrap,
-                    schedule.as_u32(),
-                    || {
-                        let (witness, path) = witness();
-                        let message = format!(
-                            "under degraded schedule {schedule} no running \
+                findings.push(Code::DegradedScheduleTrap, schedule.as_u32(), || {
+                    let (witness, path) = witness();
+                    let message = format!(
+                        "under degraded schedule {schedule} no running \
                              authority partition holds a window; recovery to \
                              {} depends solely on the link being restored; \
                              reachable via: {path}",
-                            ts.schedule_id(nominal)
-                        );
-                        (witness, message)
-                    },
-                );
+                        ts.schedule_id(nominal)
+                    );
+                    (witness, message)
+                });
             } else if !ctx.recovery(memo, key).command {
                 findings.push(Code::AuthorityLostAcrossModes, 0, || {
                     let (witness, path) = witness();
@@ -622,11 +597,7 @@ fn check_states(
 
 /// AIR097: a `link_down` edge stops a partition that the matching
 /// `link_up` does not restart — the failover ratchets the partition off.
-fn check_failover_traps(
-    ctx: &InvariantCtx<'_>,
-    graph: &SearchGraph,
-    findings: &mut Findings,
-) {
+fn check_failover_traps(ctx: &InvariantCtx<'_>, graph: &SearchGraph, findings: &mut Findings) {
     let ts = ctx.ts;
     for edge in &graph.edges {
         if edge.event != AbstractEvent::LinkDown {
@@ -636,7 +607,10 @@ fn check_failover_traps(
         let after = graph.states[edge.to as usize];
         // Running before the failover, stopped after it.
         let ratcheted = !before.modes() & after.modes();
-        if ctx.partitions.iter().all(|&(_, slot)| (ratcheted >> slot) & 1 == 0)
+        if ctx
+            .partitions
+            .iter()
+            .all(|&(_, slot)| (ratcheted >> slot) & 1 == 0)
         {
             continue;
         }
@@ -668,19 +642,12 @@ fn check_failover_traps(
 
 /// AIR084: a cycle of commanded schedule switches that restarts the same
 /// partition on every lap.
-fn check_restart_loops(
-    ctx: &InvariantCtx<'_>,
-    graph: &SearchGraph,
-    findings: &mut Findings,
-) {
+fn check_restart_loops(ctx: &InvariantCtx<'_>, graph: &SearchGraph, findings: &mut Findings) {
     // One pass over the edges builds every partition's subgraph of
     // commanded-switch edges that restart it.
-    let mut restarting: Vec<Vec<&SearchEdge>> =
-        vec![Vec::new(); ctx.partitions.len()];
+    let mut restarting: Vec<Vec<&SearchEdge>> = vec![Vec::new(); ctx.partitions.len()];
     for edge in &graph.edges {
-        if edge.restarted == 0
-            || !matches!(edge.event, AbstractEvent::ScheduleRequest { .. })
-        {
+        if edge.restarted == 0 || !matches!(edge.event, AbstractEvent::ScheduleRequest { .. }) {
             continue;
         }
         for (edges, &(_, slot)) in restarting.iter_mut().zip(&ctx.partitions) {
@@ -699,8 +666,7 @@ fn check_restart_loops(
         let entry = cycle[0].from as usize;
         findings.push(Code::RestartLoop, p.as_u32(), || {
             let witness = graph.witness_of(entry);
-            let lap: Vec<String> =
-                cycle.iter().map(|e| e.event.to_string()).collect();
+            let lap: Vec<String> = cycle.iter().map(|e| e.event.to_string()).collect();
             let message = format!(
                 "schedule-switch cycle restarts {p} on every lap: {}; cycle \
                  entered via: {}; repeated switching restarts the partition \
@@ -716,10 +682,7 @@ fn check_restart_loops(
 /// Finds a directed cycle in `edges` (indices into a `node_count`-node
 /// graph), returning its edge sequence, or `None`. Roots are tried in
 /// ascending node order and each node's edges in the given order.
-fn find_cycle<'e>(
-    node_count: usize,
-    edges: &[&'e SearchEdge],
-) -> Option<Vec<&'e SearchEdge>> {
+fn find_cycle<'e>(node_count: usize, edges: &[&'e SearchEdge]) -> Option<Vec<&'e SearchEdge>> {
     // Adjacency as one sorted run of `(from, to, edge)` per node, with the
     // endpoints inline so the walk stays in this array; the sort is
     // stable, so each node keeps its edges in the given order.
@@ -728,7 +691,10 @@ fn find_cycle<'e>(
     sorted.sort_by_key(|&(from, _, _)| from);
     let out_of = |node: u32| {
         let lo = sorted.partition_point(|&(from, _, _)| from < node);
-        (lo, lo + sorted[lo..].partition_point(|&(from, _, _)| from == node))
+        (
+            lo,
+            lo + sorted[lo..].partition_point(|&(from, _, _)| from == node),
+        )
     };
     let mut visited = vec![false; node_count];
     // Every entry is false again once a root's DFS unwinds, so one buffer
@@ -880,7 +846,11 @@ schedule chi1 name=payload-only mtf=100
         assert_eq!(witness.render(), "request(P0->chi1)");
         // The same state also loses schedule authority (P0 was the only
         // authority and chi1 gives it no window).
-        assert!(ex.report.has_code(Code::AuthorityLostAcrossModes), "{}", ex.report);
+        assert!(
+            ex.report.has_code(Code::AuthorityLostAcrossModes),
+            "{}",
+            ex.report
+        );
         // The witness survives a serialisation round trip.
         let reparsed = Witness::parse(&witness.render()).expect("parses");
         assert_eq!(&reparsed, witness);
@@ -890,14 +860,9 @@ schedule chi1 name=payload-only mtf=100
     fn starvation_with_a_way_back_is_clean() {
         // Give P1 authority too: it keeps a window under chi1, so a command
         // path back to chi0 always exists and nothing is starved for good.
-        let text = STARVATION
-            .replace("name=PAYLOAD", "name=PAYLOAD authority=true");
+        let text = STARVATION.replace("name=PAYLOAD", "name=PAYLOAD authority=true");
         let ex = explored(&text, 3);
-        assert!(
-            !ex.report.has_code(Code::ModeStarvation),
-            "{}",
-            ex.report
-        );
+        assert!(!ex.report.has_code(Code::ModeStarvation), "{}", ex.report);
         assert!(!ex.report.has_errors(), "{}", ex.report);
     }
 
@@ -998,7 +963,11 @@ schedule chi1 name=degraded mtf=100
 link primary_latency=3 secondary_latency=6 degraded=chi1
 ";
         let ex = explored(text, 2);
-        assert!(ex.report.has_code(Code::DegradedScheduleTrap), "{}", ex.report);
+        assert!(
+            ex.report.has_code(Code::DegradedScheduleTrap),
+            "{}",
+            ex.report
+        );
         assert!(!ex.report.has_code(Code::ModeStarvation), "{}", ex.report);
         // Commanding into chi1 voluntarily (link still up) also loses
         // authority for good — flagged separately.
@@ -1061,9 +1030,10 @@ schedule chi2 name=c mtf=100
 
     #[test]
     fn full_system_example_is_explorer_clean_and_nondegenerate() {
-        let text = std::fs::read_to_string(
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/full_system.air"),
-        )
+        let text = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/full_system.air"
+        ))
         .expect("example readable");
         let ex = explored(&text, 3);
         assert!(ex.report.is_empty(), "{}", ex.report);
@@ -1190,9 +1160,7 @@ link primary_latency=3 secondary_latency=6 degraded=chi1
             "{}",
             ex.report
         );
-        let witness = ex
-            .witness_for(Code::FailoverScheduleTrap)
-            .expect("witness");
+        let witness = ex.witness_for(Code::FailoverScheduleTrap).expect("witness");
         assert_eq!(witness.render(), "link_down; link_up");
     }
 
@@ -1228,7 +1196,10 @@ link primary_latency=3 secondary_latency=6 degraded=chi1
             let model = model_of(STARVATION);
             let seq = explore_with(
                 &model,
-                &ExploreConfig { depth: 3, ..ExploreConfig::default() },
+                &ExploreConfig {
+                    depth: 3,
+                    ..ExploreConfig::default()
+                },
             );
             let par = explore_with(
                 &model,
@@ -1256,8 +1227,7 @@ link primary_latency=3 secondary_latency=6 degraded=chi1
         };
         // 2000 roots with one acyclic edge each, one root leading into the
         // cycle 5000 -> 5001 -> 5002 -> 5000, and more roots after it.
-        let mut edges: Vec<SearchEdge> =
-            (0..2000).map(|i| edge(i, 10_000 + i)).collect();
+        let mut edges: Vec<SearchEdge> = (0..2000).map(|i| edge(i, 10_000 + i)).collect();
         edges.push(edge(4000, 5000));
         edges.extend([edge(5000, 5001), edge(5001, 5002), edge(5002, 5000)]);
         edges.extend((6000..8000).map(|i| edge(i, 12_000 + i)));
@@ -1266,8 +1236,7 @@ link primary_latency=3 secondary_latency=6 degraded=chi1
         let hops: Vec<(u32, u32)> = cycle.iter().map(|e| (e.from, e.to)).collect();
         assert_eq!(hops, vec![(5000, 5001), (5001, 5002), (5002, 5000)]);
         // Without the closing edge the subgraph is acyclic.
-        let acyclic: Vec<&SearchEdge> =
-            edges.iter().filter(|e| e.from != 5002).collect();
+        let acyclic: Vec<&SearchEdge> = edges.iter().filter(|e| e.from != 5002).collect();
         assert!(find_cycle(20_000, &acyclic).is_none());
     }
 
@@ -1401,7 +1370,11 @@ schedule chi1 name=shed mtf=100
             for (depth, states) in [(1, 3), (2, 6), (4, 6), (6, 6)] {
                 let ex = explore_with(
                     &model_of(UNDECLARED_TARGET),
-                    &ExploreConfig { depth, por, ..ExploreConfig::default() },
+                    &ExploreConfig {
+                        depth,
+                        por,
+                        ..ExploreConfig::default()
+                    },
                 );
                 assert_eq!(ex.states_explored, states, "undeclared d{depth}");
                 assert_eq!(ex.reachable_schedule_violations, 2);
@@ -1413,7 +1386,11 @@ schedule chi1 name=shed mtf=100
             for (depth, states) in [(1, 2), (2, 4), (4, 4), (6, 4)] {
                 let ex = explore_with(
                     &model_of(UNSORTED_ACTIONS),
-                    &ExploreConfig { depth, por, ..ExploreConfig::default() },
+                    &ExploreConfig {
+                        depth,
+                        por,
+                        ..ExploreConfig::default()
+                    },
                 );
                 assert_eq!(ex.states_explored, states, "unsorted d{depth}");
                 assert_eq!(findings_of(&ex), ["AIR083 1 request(P0->chi1)"]);

@@ -286,8 +286,16 @@ channel 50 from=P0:tm-remote-source to=P0:tm
 
     #[test]
     fn matched_cluster_pair_lints_clean() {
-        assert!(!lint_config_text(NODE_A).has_errors(), "{}", lint_config_text(NODE_A));
-        assert!(!lint_config_text(NODE_B).has_errors(), "{}", lint_config_text(NODE_B));
+        assert!(
+            !lint_config_text(NODE_A).has_errors(),
+            "{}",
+            lint_config_text(NODE_A)
+        );
+        assert!(
+            !lint_config_text(NODE_B).has_errors(),
+            "{}",
+            lint_config_text(NODE_B)
+        );
         let pair = cross_check(&[NODE_A, NODE_B]);
         assert!(pair.is_empty(), "{pair}");
     }
@@ -423,7 +431,10 @@ channel 50 from=P0:tm-remote-source to=P0:tm
     #[test]
     fn bridges_and_leaves_are_air100_and_air101() {
         let report = cross_check(&line_mesh());
-        assert!(report.has_code(Code::UnreachableAfterSingleEdgeLoss), "{report}");
+        assert!(
+            report.has_code(Code::UnreachableAfterSingleEdgeLoss),
+            "{report}"
+        );
         assert!(report.has_code(Code::NoFallbackForCutNode), "{report}");
         assert!(!report.has_errors(), "{report}");
     }
@@ -436,7 +447,10 @@ channel 50 from=P0:tm-remote-source to=P0:tm
         let report = cross_check(&texts);
         assert!(!report.has_code(Code::NoFallbackForCutNode), "{report}");
         // The bridges are still bridges.
-        assert!(report.has_code(Code::UnreachableAfterSingleEdgeLoss), "{report}");
+        assert!(
+            report.has_code(Code::UnreachableAfterSingleEdgeLoss),
+            "{report}"
+        );
     }
 
     #[test]
@@ -455,7 +469,10 @@ channel 50 from=P0:tm-remote-source to=P0:tm
         texts[0] = texts[0].replace("route N2 via=N1\n", "");
         let report = cross_check(&texts);
         assert!(report.has_errors(), "{report}");
-        assert!(!report.has_code(Code::UnreachableAfterSingleEdgeLoss), "{report}");
+        assert!(
+            !report.has_code(Code::UnreachableAfterSingleEdgeLoss),
+            "{report}"
+        );
         assert!(!report.has_code(Code::NoFallbackForCutNode), "{report}");
     }
 
@@ -472,7 +489,11 @@ channel 50 from=P0:tm-remote-source to=P0:tm
                         continue;
                     }
                     let d = (dst + n - i) % n;
-                    let via = if d <= n / 2 { (i + 1) % n } else { (i + n - 1) % n };
+                    let via = if d <= n / 2 {
+                        (i + 1) % n
+                    } else {
+                        (i + n - 1) % n
+                    };
                     routes.push_str(&format!("route N{dst} via=N{via}\n"));
                 }
                 mesh_member_with_routes(i, &routes)
@@ -491,7 +512,11 @@ channel 50 from=P0:tm-remote-source to=P0:tm
                         continue;
                     }
                     let d = (dst + n - i) % n;
-                    let via = if d <= n / 2 { (i + 1) % n } else { (i + n - 1) % n };
+                    let via = if d <= n / 2 {
+                        (i + 1) % n
+                    } else {
+                        (i + n - 1) % n
+                    };
                     routes.push_str(&format!("route N{dst} via=N{via}\n"));
                 }
                 mesh_member_with_routes(i, &routes)

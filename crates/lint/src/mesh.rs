@@ -261,17 +261,15 @@ fn edge(u: u16, v: u16) -> (u16, u16) {
 
 /// BFS hop distances from `start` over `adjacency`, skipping the optional
 /// `cut` edge (normalized `(low, high)`).
-fn distances(
-    adjacency: &Adjacency,
-    start: u16,
-    cut: Option<(u16, u16)>,
-) -> BTreeMap<u16, usize> {
+fn distances(adjacency: &Adjacency, start: u16, cut: Option<(u16, u16)>) -> BTreeMap<u16, usize> {
     let mut dist: BTreeMap<u16, usize> = BTreeMap::new();
     dist.insert(start, 0);
     let mut frontier = VecDeque::from([start]);
     while let Some(n) = frontier.pop_front() {
         let d = dist[&n];
-        let Some(neighbours) = adjacency.get(&n) else { continue };
+        let Some(neighbours) = adjacency.get(&n) else {
+            continue;
+        };
         for &next in neighbours {
             if Some(edge(n, next)) == cut || dist.contains_key(&next) {
                 continue;
@@ -293,11 +291,15 @@ pub(crate) fn detours<'a>(
     path: &'a [u16],
 ) -> impl Iterator<Item = (usize, (u16, u16), usize)> + 'a {
     let dst = path.last().copied().unwrap_or_default();
-    path.windows(2).enumerate().filter_map(move |(spent, pair)| {
-        let (u, v) = (pair[0], pair[1]);
-        let detour = distances(adjacency, u, Some(edge(u, v))).get(&dst).copied()?;
-        Some((spent, (u, v), spent + detour))
-    })
+    path.windows(2)
+        .enumerate()
+        .filter_map(move |(spent, pair)| {
+            let (u, v) = (pair[0], pair[1]);
+            let detour = distances(adjacency, u, Some(edge(u, v)))
+                .get(&dst)
+                .copied()?;
+            Some((spent, (u, v), spent + detour))
+        })
 }
 
 /// Undirected physical edges recovered from direct-neighbour routes
@@ -362,8 +364,10 @@ fn analyze_self_healing(
     // A mesh that is disconnected before any fault is AIR090 territory;
     // single-edge-loss analysis assumes a connected baseline.
     let all: BTreeSet<u16> = declared.iter().copied().collect();
-    let baseline: BTreeSet<u16> =
-        distances(&adjacency, declared[0], None).keys().copied().collect();
+    let baseline: BTreeSet<u16> = distances(&adjacency, declared[0], None)
+        .keys()
+        .copied()
+        .collect();
     if baseline != all {
         return;
     }
@@ -371,13 +375,19 @@ fn analyze_self_healing(
     // AIR100 — bridges: removing the edge splits the mesh; report the
     // smaller (stranded) side.
     for &(a, b) in &edges {
-        let reached: BTreeSet<u16> =
-            distances(&adjacency, a, Some((a, b))).keys().copied().collect();
+        let reached: BTreeSet<u16> = distances(&adjacency, a, Some((a, b)))
+            .keys()
+            .copied()
+            .collect();
         if reached == all {
             continue;
         }
         let cut_off: BTreeSet<u16> = all.difference(&reached).copied().collect();
-        let stranded = if cut_off.len() <= reached.len() { &cut_off } else { &reached };
+        let stranded = if cut_off.len() <= reached.len() {
+            &cut_off
+        } else {
+            &reached
+        };
         let rendering: Vec<String> = stranded.iter().map(|n| format!("N{n}")).collect();
         report.push(
             Diagnostic::new(
@@ -397,7 +407,9 @@ fn analyze_self_healing(
     // none because it looks handled.
     for (&id, &i) in owner_of {
         let degree = adjacency.get(&id).map_or(0, BTreeSet::len);
-        let Some(node) = &models[i].mesh_node else { continue };
+        let Some(node) = &models[i].mesh_node else {
+            continue;
+        };
         let line = models[i].spans.get(&span_key::node());
         match node.fallback {
             Some(spare) if !owner_of.contains_key(&spare.0) => {
@@ -452,7 +464,9 @@ fn analyze_self_healing(
             let mut path = vec![origin];
             let mut cur = origin;
             while cur != dst {
-                let Some(via) = next_hop(models, owner_of, cur, dst) else { break };
+                let Some(via) = next_hop(models, owner_of, cur, dst) else {
+                    break;
+                };
                 let has_edge = adjacency.get(&cur).is_some_and(|n| n.contains(&via));
                 if !has_edge || path.contains(&via) {
                     break; // flagged by the structural pass
@@ -467,12 +481,25 @@ fn analyze_self_healing(
             for (hops_spent, (u, v), total) in detours(&adjacency, &path) {
                 if total >= usize::from(MESH_TTL) && worst.as_ref().is_none_or(|w| total > w.total)
                 {
-                    worst = Some(WorstDetour { total, origin, dst, edge: (u, v), hops_spent });
+                    worst = Some(WorstDetour {
+                        total,
+                        origin,
+                        dst,
+                        edge: (u, v),
+                        hops_spent,
+                    });
                 }
             }
         }
     }
-    if let Some(WorstDetour { total, origin, dst, edge: (u, v), hops_spent }) = worst {
+    if let Some(WorstDetour {
+        total,
+        origin,
+        dst,
+        edge: (u, v),
+        hops_spent,
+    }) = worst
+    {
         report.push(
             Diagnostic::new(
                 Code::RerouteTtlExhaustible,

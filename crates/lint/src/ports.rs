@@ -4,10 +4,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use air_model::PartitionId;
 use air_ports::sampling::Direction;
 use air_ports::{ChannelConfig, Destination, PortAddr};
 use air_tools::config::span_key;
-use air_model::PartitionId;
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::model::SystemModel;
@@ -28,18 +28,17 @@ struct PortInfo {
 
 pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
     let mut ports: BTreeMap<(PartitionId, String), PortInfo> = BTreeMap::new();
-    let mut declare =
-        |pid: PartitionId, name: &str, info: PortInfo, report: &mut LintReport| {
-            if ports.insert((pid, name.to_owned()), info).is_some() {
-                report.push(
-                    Diagnostic::new(
-                        Code::DuplicatePortName,
-                        format!("{pid} declares two ports named '{name}'"),
-                    )
-                    .with_line(info.line),
-                );
-            }
-        };
+    let mut declare = |pid: PartitionId, name: &str, info: PortInfo, report: &mut LintReport| {
+        if ports.insert((pid, name.to_owned()), info).is_some() {
+            report.push(
+                Diagnostic::new(
+                    Code::DuplicatePortName,
+                    format!("{pid} declares two ports named '{name}'"),
+                )
+                .with_line(info.line),
+            );
+        }
+    };
 
     for (pid, cfg) in &model.sampling_ports {
         let line = model.spans.get(&span_key::port(*pid, &cfg.name));
@@ -104,7 +103,14 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
     let mut connected: BTreeSet<(PartitionId, String)> = BTreeSet::new();
     let mut channel_ids: BTreeSet<u32> = BTreeSet::new();
     for channel in &model.channels {
-        check_channel(model, &ports, channel, &mut channel_ids, &mut connected, report);
+        check_channel(
+            model,
+            &ports,
+            channel,
+            &mut channel_ids,
+            &mut connected,
+            report,
+        );
     }
 
     // Dangling ports, in declaration order.
@@ -237,10 +243,7 @@ fn check_channel(
             report.push(
                 Diagnostic::new(
                     Code::UnknownDestinationPort,
-                    format!(
-                        "channel {} delivers to nonexistent port {addr}",
-                        channel.id
-                    ),
+                    format!("channel {} delivers to nonexistent port {addr}", channel.id),
                 )
                 .with_line(line),
             );

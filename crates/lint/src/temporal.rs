@@ -73,11 +73,7 @@ fn window_span(model: &SystemModel, schedule: &Schedule, index: usize) -> Option
         .get(&span_key::window(schedule.id(), w.partition, w.offset))
 }
 
-fn require_span(
-    model: &SystemModel,
-    schedule: &Schedule,
-    partition: PartitionId,
-) -> Option<usize> {
+fn require_span(model: &SystemModel, schedule: &Schedule, partition: PartitionId) -> Option<usize> {
     model
         .spans
         .get(&span_key::requirement(schedule.id(), partition))
@@ -90,18 +86,21 @@ fn to_diagnostic(model: &SystemModel, schedule: &Schedule, violation: &Violation
         Violation::ZeroMtf { .. } => {
             Diagnostic::new(Code::ZeroMtf, violation.to_string()).with_line(schedule_span)
         }
-        Violation::ZeroWindowDuration { window_index, .. } => {
-            Diagnostic::new(Code::ZeroWindowDuration, violation.to_string())
-                .with_line(window_span(model, schedule, *window_index))
-        }
-        Violation::WindowsOverlap { first_index, .. } => {
-            Diagnostic::new(Code::WindowsOverlap, violation.to_string())
-                .with_line(window_span(model, schedule, first_index + 1))
-        }
-        Violation::WindowBeyondMtf { window_index, .. } => {
-            Diagnostic::new(Code::WindowBeyondMtf, violation.to_string())
-                .with_line(window_span(model, schedule, *window_index))
-        }
+        Violation::ZeroWindowDuration { window_index, .. } => Diagnostic::new(
+            Code::ZeroWindowDuration,
+            violation.to_string(),
+        )
+        .with_line(window_span(model, schedule, *window_index)),
+        Violation::WindowsOverlap { first_index, .. } => Diagnostic::new(
+            Code::WindowsOverlap,
+            violation.to_string(),
+        )
+        .with_line(window_span(model, schedule, first_index + 1)),
+        Violation::WindowBeyondMtf { window_index, .. } => Diagnostic::new(
+            Code::WindowBeyondMtf,
+            violation.to_string(),
+        )
+        .with_line(window_span(model, schedule, *window_index)),
         Violation::WindowForUnknownPartition { window_index, .. } => {
             Diagnostic::new(Code::WindowForUnknownPartition, violation.to_string())
                 .with_line(window_span(model, schedule, *window_index))

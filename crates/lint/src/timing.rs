@@ -373,8 +373,7 @@ pub(crate) fn analyze(models: &[SystemModel], report: &mut LintReport) -> Vec<Fl
                 .filter_map(|&idx| models[idx].link.as_ref().map(|l| l.primary_latency))
                 .collect();
             if latencies.len() > 1 {
-                let rendered: Vec<String> =
-                    latencies.iter().map(|l| l.to_string()).collect();
+                let rendered: Vec<String> = latencies.iter().map(|l| l.to_string()).collect();
                 report.push(
                     Diagnostic::new(
                         Code::FlowClockGranularityMismatch,

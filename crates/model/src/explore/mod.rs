@@ -301,8 +301,7 @@ impl Witness {
         if self.events.is_empty() {
             return "(initial state)".to_string();
         }
-        let parts: Vec<String> =
-            self.events.iter().map(|e| e.to_string()).collect();
+        let parts: Vec<String> = self.events.iter().map(|e| e.to_string()).collect();
         parts.join("; ")
     }
 
@@ -370,10 +369,7 @@ fn parse_event(raw: &str) -> Result<AbstractEvent, WitnessParseError> {
             to: ScheduleId(to),
         });
     }
-    if let Some(inner) = raw
-        .strip_prefix("fault(")
-        .and_then(|s| s.strip_suffix(')'))
-    {
+    if let Some(inner) = raw.strip_prefix("fault(").and_then(|s| s.strip_suffix(')')) {
         let m = parse_id(inner.trim(), "P").ok_or_else(err)?;
         return Ok(AbstractEvent::PartitionFault {
             partition: PartitionId(m),
@@ -409,10 +405,7 @@ fn parse_event(raw: &str) -> Result<AbstractEvent, WitnessParseError> {
         let edge: u8 = inner.trim().parse().map_err(|_| err())?;
         return Ok(AbstractEvent::MeshReroute { edge });
     }
-    if let Some(inner) = raw
-        .strip_prefix("race(")
-        .and_then(|s| s.strip_suffix(')'))
-    {
+    if let Some(inner) = raw.strip_prefix("race(").and_then(|s| s.strip_suffix(')')) {
         let (by, targets) = inner.split_once("->").ok_or_else(err)?;
         let by = parse_id(by.trim(), "P").ok_or_else(err)?;
         let (first, second) = targets.split_once(',').ok_or_else(err)?;
@@ -581,11 +574,7 @@ impl StateKey {
     }
 
     fn with_mesh(self, down: u16, rerouted: u16) -> Self {
-        Self(
-            (self.0 & !Self::MESH_BITS)
-                | u128::from(down)
-                | (u128::from(rerouted) << 16),
-        )
+        Self((self.0 & !Self::MESH_BITS) | u128::from(down) | (u128::from(rerouted) << 16))
     }
 
     fn with_arq_exhausted(self, exhausted: bool) -> Self {
@@ -598,10 +587,7 @@ impl StateKey {
 
     /// `saved` is the schedule index + 1, or 0 for a nominal link.
     fn with_saved(self, saved: u16) -> Self {
-        Self(
-            (self.0 & !(0xFFFF << Self::SAVED_SHIFT))
-                | (u128::from(saved) << Self::SAVED_SHIFT),
-        )
+        Self((self.0 & !(0xFFFF << Self::SAVED_SHIFT)) | (u128::from(saved) << Self::SAVED_SHIFT))
     }
 
     fn with_schedule(self, index: usize) -> Self {
@@ -737,8 +723,7 @@ impl TransitionSystem {
             .iter()
             .flat_map(|s| {
                 s.change_actions().filter(move |&(p, action)| {
-                    action != ScheduleChangeAction::None
-                        && s.windows_for(p).next().is_some()
+                    action != ScheduleChangeAction::None && s.windows_for(p).next().is_some()
                 })
             })
             .map(|(p, _)| p)
@@ -750,8 +735,7 @@ impl TransitionSystem {
         if bits > MAX_MODE_BITS {
             return Err(TransitionSystemError::ModeDomainTooWide { bits });
         }
-        let mut domain: Vec<PartitionId> =
-            partitions.iter().chain(&undeclared).copied().collect();
+        let mut domain: Vec<PartitionId> = partitions.iter().chain(&undeclared).copied().collect();
         domain.sort_unstable();
         let slots = domain
             .iter()
@@ -823,10 +807,7 @@ impl TransitionSystem {
     }
 
     /// The partitions in slot mask `mask`, in id order.
-    fn partitions_of(
-        &self,
-        mut mask: u64,
-    ) -> impl Iterator<Item = PartitionId> + '_ {
+    fn partitions_of(&self, mut mask: u64) -> impl Iterator<Item = PartitionId> + '_ {
         std::iter::from_fn(move || {
             while mask != 0 {
                 let slot = mask.trailing_zeros() as usize;
@@ -845,9 +826,7 @@ impl TransitionSystem {
         self.slots
             .iter()
             .enumerate()
-            .filter(|&(_, &(_, presence))| {
-                presence.is_some_and(|bit| modes & bit != 0)
-            })
+            .filter(|&(_, &(_, presence))| presence.is_some_and(|bit| modes & bit != 0))
             .fold(0, |mask, (slot, _)| mask | 1 << slot)
     }
 
@@ -926,9 +905,7 @@ impl TransitionSystem {
             .slots
             .iter()
             .enumerate()
-            .filter(|&(_, &(_, presence))| {
-                presence.is_none_or(|bit| word & bit != 0)
-            })
+            .filter(|&(_, &(_, presence))| presence.is_none_or(|bit| word & bit != 0))
             .map(|(slot, &(p, _))| {
                 let mode = if (word >> slot) & 1 == 0 {
                     AbstractMode::Running
@@ -987,11 +964,7 @@ impl TransitionSystem {
 
     /// Applies `event` to `state`, returning the successor (or `None` when
     /// the event is not enabled there).
-    pub fn step(
-        &self,
-        state: &AbstractState,
-        event: AbstractEvent,
-    ) -> Option<Transition> {
+    pub fn step(&self, state: &AbstractState, event: AbstractEvent) -> Option<Transition> {
         let t = self.step_key(self.pack(state)?, event)?;
         Some(Transition {
             state: self.unpack(t.key),
@@ -1018,11 +991,7 @@ impl TransitionSystem {
                 }
                 for (j, &second) in ids.iter().enumerate() {
                     if j != current && j != i {
-                        out.push(AbstractEvent::RaceRequest {
-                            by,
-                            first,
-                            second,
-                        });
+                        out.push(AbstractEvent::RaceRequest { by, first, second });
                     }
                 }
             }
@@ -1072,11 +1041,7 @@ impl TransitionSystem {
 
     /// Applies `event` to `key`, returning the successor (or `None` when
     /// the event is not enabled there). The only transition function.
-    pub fn step_key(
-        &self,
-        key: StateKey,
-        event: AbstractEvent,
-    ) -> Option<KeyTransition> {
+    pub fn step_key(&self, key: StateKey, event: AbstractEvent) -> Option<KeyTransition> {
         let current = key.schedule();
         let unchanged = KeyTransition { key, restarted: 0 };
         let (down, rerouted) = (key.mesh_down(), key.mesh_rerouted());
@@ -1108,7 +1073,10 @@ impl TransitionSystem {
                 }
                 // Standard recovery: warm restart; the key is unchanged.
                 let bit = self.running_bit(key, partition)?;
-                Some(KeyTransition { key, restarted: bit })
+                Some(KeyTransition {
+                    key,
+                    restarted: bit,
+                })
             }
             AbstractEvent::ModuleFault => {
                 if !self.options.module_faults {
@@ -1130,7 +1098,10 @@ impl TransitionSystem {
                 }
                 let saved = key.with_saved(u16::try_from(current + 1).ok()?);
                 Some(if degraded == current {
-                    KeyTransition { key: saved, restarted: 0 }
+                    KeyTransition {
+                        key: saved,
+                        restarted: 0,
+                    }
                 } else {
                     self.switch(saved, degraded)
                 })
@@ -1139,7 +1110,10 @@ impl TransitionSystem {
                 let nominal = key.saved_schedule()?;
                 let up = key.with_saved(0);
                 Some(if nominal == current {
-                    KeyTransition { key: up, restarted: 0 }
+                    KeyTransition {
+                        key: up,
+                        restarted: 0,
+                    }
                 } else {
                     self.switch(up, nominal)
                 })
@@ -1172,8 +1146,7 @@ impl TransitionSystem {
                 })
             }
             AbstractEvent::MeshLinkDown { edge } => {
-                if edge >= self.options.mesh_edges || down & (1 << edge) != 0
-                {
+                if edge >= self.options.mesh_edges || down & (1 << edge) != 0 {
                     return None;
                 }
                 Some(KeyTransition {
@@ -1182,8 +1155,7 @@ impl TransitionSystem {
                 })
             }
             AbstractEvent::MeshLinkUp { edge } => {
-                if edge >= self.options.mesh_edges || down & (1 << edge) == 0
-                {
+                if edge >= self.options.mesh_edges || down & (1 << edge) == 0 {
                     return None;
                 }
                 // Recovery dismantles any detour around the edge.
@@ -1209,19 +1181,14 @@ impl TransitionSystem {
     }
 
     /// The slot bit of `partition` when it is running in `key`.
-    fn running_bit(
-        &self,
-        key: StateKey,
-        partition: PartitionId,
-    ) -> Option<u64> {
+    fn running_bit(&self, key: StateKey, partition: PartitionId) -> Option<u64> {
         let bit = 1u64 << self.slot_of(partition)?;
         (key.modes() & bit == 0).then_some(bit)
     }
 
     /// Whether authority `by` is running with a window in `key`.
     fn may_command(&self, key: StateKey, by: PartitionId) -> bool {
-        let commanders =
-            self.authorities & self.window_mask(key.schedule()) & !key.modes();
+        let commanders = self.authorities & self.window_mask(key.schedule()) & !key.modes();
         self.slot_of(by)
             .is_some_and(|slot| (commanders >> slot) & 1 != 0)
     }
@@ -1269,8 +1236,7 @@ impl TransitionSystem {
             let presence = self.slots.get(slot).and_then(|s| s.1).unwrap_or(0);
             match action {
                 ScheduleChangeAction::None => {}
-                ScheduleChangeAction::WarmRestart
-                | ScheduleChangeAction::ColdRestart => {
+                ScheduleChangeAction::WarmRestart | ScheduleChangeAction::ColdRestart => {
                     table.keep &= !bit;
                     table.set |= presence;
                     table.restart |= bit;
@@ -1323,12 +1289,7 @@ mod tests {
             Ok(s) => s,
             Err(e) => unreachable!("valid set: {e}"),
         };
-        match TransitionSystem::new(
-            schedules,
-            vec![P0, P1],
-            vec![P0],
-            options,
-        ) {
+        match TransitionSystem::new(schedules, vec![P0, P1], vec![P0], options) {
             Ok(ts) => ts,
             Err(e) => unreachable!("valid system: {e}"),
         }
@@ -1599,8 +1560,7 @@ mod tests {
             vec![win(P0, 0, 40), win(P1, 40, 40)],
         );
         let base = two_schedule_system(ExploreOptions::default());
-        let mut schedules: Vec<Schedule> =
-            base.schedules().iter().cloned().collect();
+        let mut schedules: Vec<Schedule> = base.schedules().iter().cloned().collect();
         schedules.push(chi2);
         let ts = TransitionSystem::new(
             ScheduleSet::try_new(schedules).unwrap(),
@@ -1880,7 +1840,9 @@ mod tests {
             TransitionSystemError::ModeDomainTooWide { bits: 65 }
         );
         let err = TransitionSystem::new(
-            two_schedule_system(ExploreOptions::default()).schedules().clone(),
+            two_schedule_system(ExploreOptions::default())
+                .schedules()
+                .clone(),
             vec![P0, P1],
             vec![P0],
             ExploreOptions {
@@ -1905,10 +1867,8 @@ mod tests {
             pick.push(ids.swap_remove(rng.below_usize(ids.len())));
         }
         let (declared_ids, extra) = pick.split_at(declared);
-        let partitions: Vec<PartitionId> =
-            declared_ids.iter().map(|&i| PartitionId(i)).collect();
-        let everyone: Vec<PartitionId> =
-            pick.iter().map(|&i| PartitionId(i)).collect();
+        let partitions: Vec<PartitionId> = declared_ids.iter().map(|&i| PartitionId(i)).collect();
+        let everyone: Vec<PartitionId> = pick.iter().map(|&i| PartitionId(i)).collect();
         let schedules: Vec<Schedule> = (0..rng.range(1, 5))
             .map(|sid| {
                 let windows: Vec<TimeWindow> = everyone
@@ -1966,10 +1926,10 @@ mod tests {
         .unwrap();
         // Undeclared partitions join the domain only through an action.
         for &i in extra {
-            let acted = ts.schedules().iter().any(|s| {
-                s.change_action_for(PartitionId(i))
-                    != ScheduleChangeAction::None
-            });
+            let acted = ts
+                .schedules()
+                .iter()
+                .any(|s| s.change_action_for(PartitionId(i)) != ScheduleChangeAction::None);
             assert!(acted || ts.slot_of(PartitionId(i)).is_none());
         }
         ts

@@ -130,9 +130,7 @@ impl SearchGraph {
     pub fn witness_of(&self, index: usize) -> Witness {
         let mut events = Vec::new();
         let mut cursor = index;
-        while let Some((parent, event)) =
-            self.parents.get(cursor).copied().flatten()
-        {
+        while let Some((parent, event)) = self.parents.get(cursor).copied().flatten() {
             events.push(event);
             cursor = parent as usize;
         }
@@ -144,8 +142,7 @@ impl SearchGraph {
 /// The seen-set hash of a key: the murmur3 64-bit finalizer over both
 /// halves. It is fixed, so it is the same on every run and host.
 fn key_hash(key: StateKey) -> u64 {
-    let mut h = (key.0 as u64)
-        ^ ((key.0 >> 64) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut h = (key.0 as u64) ^ ((key.0 >> 64) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^= h >> 33;
@@ -221,9 +218,7 @@ fn expand_slice(
         events.clear();
         ts.key_events(key, &mut events);
         for &event in &events {
-            if let (Some(ce), Some(cf)) =
-                (parent_component, por_component(event))
-            {
+            if let (Some(ce), Some(cf)) = (parent_component, por_component(event)) {
                 if cf < ce {
                     continue;
                 }
@@ -275,8 +270,7 @@ pub fn search(ts: &TransitionSystem, config: &SearchConfig) -> SearchGraph {
                     frontier.chunks(chunk).map(|_| Vec::new()).collect();
                 thread::scope(|scope| {
                     let (mine, rest) = slots.split_at_mut(1);
-                    for (slice, slot) in frontier.chunks(chunk).skip(1).zip(rest)
-                    {
+                    for (slice, slot) in frontier.chunks(chunk).skip(1).zip(rest) {
                         scope.spawn(move || {
                             expand_slice(ts, states, parents, slice, por, slot);
                         });
@@ -329,8 +323,7 @@ mod tests {
     use super::*;
     use crate::ids::{PartitionId, ScheduleId};
     use crate::schedule::{
-        PartitionRequirement, Schedule, ScheduleChangeAction, ScheduleSet,
-        TimeWindow,
+        PartitionRequirement, Schedule, ScheduleChangeAction, ScheduleSet, TimeWindow,
     };
     use crate::time::Ticks;
 
@@ -349,11 +342,8 @@ mod tests {
                 vec![win(P0, 0, 40), win(P1, 40, 40)],
             )
         };
-        let chi1 = mk(1, "shed")
-            .with_change_action(P1, ScheduleChangeAction::Stop);
-        let schedules =
-            ScheduleSet::try_new(vec![mk(0, "nominal"), chi1, mk(2, "alt")])
-                .unwrap();
+        let chi1 = mk(1, "shed").with_change_action(P1, ScheduleChangeAction::Stop);
+        let schedules = ScheduleSet::try_new(vec![mk(0, "nominal"), chi1, mk(2, "alt")]).unwrap();
         TransitionSystem::new(
             schedules,
             vec![P0, P1],
@@ -409,8 +399,9 @@ mod tests {
                 expected.len(),
                 "por={por} must preserve state coverage"
             );
-            let found: Vec<AbstractState> =
-                (0..graph.states.len()).map(|i| graph.state(&ts, i)).collect();
+            let found: Vec<AbstractState> = (0..graph.states.len())
+                .map(|i| graph.state(&ts, i))
+                .collect();
             for state in &expected {
                 assert!(
                     found.contains(state),
@@ -424,7 +415,13 @@ mod tests {
     #[test]
     fn worker_count_does_not_change_the_graph() {
         let ts = rich_system();
-        let base = search(&ts, &SearchConfig { depth: 4, ..SearchConfig::default() });
+        let base = search(
+            &ts,
+            &SearchConfig {
+                depth: 4,
+                ..SearchConfig::default()
+            },
+        );
         for workers in [2, 4, 8] {
             let other = search(
                 &ts,
@@ -474,7 +471,10 @@ mod tests {
         let ts = wide_system();
         let base = search(
             &ts,
-            &SearchConfig { depth: 4, ..SearchConfig::default() },
+            &SearchConfig {
+                depth: 4,
+                ..SearchConfig::default()
+            },
         );
         // Depth of a state = its witness length; at least one level must
         // cross the sequential-fallback threshold, or this test never
@@ -522,7 +522,12 @@ mod tests {
             for workers in [1, 2, 8] {
                 let graph = search(
                     &ts,
-                    &SearchConfig { depth, max_states, workers, por },
+                    &SearchConfig {
+                        depth,
+                        max_states,
+                        workers,
+                        por,
+                    },
                 );
                 assert!(graph.cap_hit, "cap {max_states}, workers={workers}");
                 let counts = (
@@ -539,7 +544,13 @@ mod tests {
     #[test]
     fn witnesses_are_minimal_event_sequences() {
         let ts = rich_system();
-        let graph = search(&ts, &SearchConfig { depth: 3, ..SearchConfig::default() });
+        let graph = search(
+            &ts,
+            &SearchConfig {
+                depth: 3,
+                ..SearchConfig::default()
+            },
+        );
         // Replaying each witness abstractly must land on its state, and the
         // length must match the BFS level of the state.
         for index in 0..graph.states.len() {
@@ -557,10 +568,19 @@ mod tests {
         let ts = rich_system();
         let full = search(
             &ts,
-            &SearchConfig { depth: 3, por: false, ..SearchConfig::default() },
+            &SearchConfig {
+                depth: 3,
+                por: false,
+                ..SearchConfig::default()
+            },
         );
-        let reduced =
-            search(&ts, &SearchConfig { depth: 3, ..SearchConfig::default() });
+        let reduced = search(
+            &ts,
+            &SearchConfig {
+                depth: 3,
+                ..SearchConfig::default()
+            },
+        );
         assert_eq!(full.states.len(), reduced.states.len());
         assert!(
             reduced.edges.len() < full.edges.len(),

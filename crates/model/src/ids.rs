@@ -9,7 +9,6 @@
 
 use std::fmt;
 
-
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
@@ -95,9 +94,7 @@ id_type!(
 /// let gp = GlobalProcessId::new(PartitionId(0), ProcessId(2));
 /// assert_eq!(gp.to_string(), "P0/tau2");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GlobalProcessId {
     /// The owning partition `P_m`.
     pub partition: PartitionId,

@@ -66,7 +66,5 @@ pub use error::ModelError;
 pub use ids::{PartitionId, PortId, ProcessId, ScheduleId};
 pub use partition::{OperatingMode, Partition, StartCondition};
 pub use process::{Deadline, ProcessAttributes, ProcessState, ProcessStatus, Recurrence};
-pub use schedule::{
-    PartitionRequirement, Schedule, ScheduleChangeAction, ScheduleSet, TimeWindow,
-};
+pub use schedule::{PartitionRequirement, Schedule, ScheduleChangeAction, ScheduleSet, TimeWindow};
 pub use time::Ticks;

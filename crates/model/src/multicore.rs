@@ -12,7 +12,6 @@
 
 use std::fmt;
 
-
 use crate::ids::PartitionId;
 use crate::partition::Partition;
 use crate::schedule::Schedule;
@@ -20,9 +19,7 @@ use crate::time::{lcm, Ticks};
 use crate::verify::{verify_schedule, Report};
 
 /// Identifies a processor core.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CoreId(pub u32);
 
 impl fmt::Display for CoreId {
@@ -135,12 +132,7 @@ impl MulticoreSchedule {
 
     /// The hyperperiod: lcm of the per-core MTFs.
     pub fn hyperperiod(&self) -> Ticks {
-        Ticks(
-            self.cores
-                .iter()
-                .map(|s| s.mtf().as_u64())
-                .fold(1, lcm),
-        )
+        Ticks(self.cores.iter().map(|s| s.mtf().as_u64()).fold(1, lcm))
     }
 
     /// The partition active on `core` at absolute instant `t`.
@@ -204,11 +196,7 @@ mod tests {
     use crate::schedule::{PartitionRequirement, TimeWindow};
     use crate::ScheduleId;
 
-    fn table(
-        id: u32,
-        mtf: u64,
-        entries: &[(u32, u64, u64)],
-    ) -> Schedule {
+    fn table(id: u32, mtf: u64, entries: &[(u32, u64, u64)]) -> Schedule {
         Schedule::new(
             ScheduleId(id),
             format!("core{id}"),
@@ -233,7 +221,10 @@ mod tests {
                 .collect::<Vec<_>>()
                 .into_iter()
                 .fold(Vec::new(), |mut acc, q| {
-                    if !acc.iter().any(|x: &PartitionRequirement| x.partition == q.partition) {
+                    if !acc
+                        .iter()
+                        .any(|x: &PartitionRequirement| x.partition == q.partition)
+                    {
                         acc.push(q);
                     }
                     acc
@@ -314,7 +305,11 @@ mod tests {
             ScheduleId(1),
             "bad",
             Ticks(100),
-            vec![PartitionRequirement::new(PartitionId(1), Ticks(100), Ticks(50))],
+            vec![PartitionRequirement::new(
+                PartitionId(1),
+                Ticks(100),
+                Ticks(50),
+            )],
             vec![TimeWindow::new(PartitionId(1), Ticks(80), Ticks(50))],
         );
         let mc = MulticoreSchedule::new(vec![table(0, 100, &[(0, 0, 50)]), bad]);

@@ -8,7 +8,6 @@
 
 use std::fmt;
 
-
 use crate::ids::PartitionId;
 
 /// The ARINC 653 operating mode `M_m(t)` of a partition (Eq. 3).
@@ -24,9 +23,7 @@ use crate::ids::PartitionId;
 ///   — initialising, process scheduling disabled; they differ only in the
 ///   initial context (a warm start preserves state surviving the restart
 ///   cause, e.g. a power transient).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OperatingMode {
     /// Partition operational; its process scheduler is active.
     Normal,
@@ -80,9 +77,7 @@ impl fmt::Display for OperatingMode {
 }
 
 /// Why a partition entered a start mode; ARINC 653 `START_CONDITION`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StartCondition {
     /// Initial power-on of the module.
     #[default]
@@ -113,9 +108,7 @@ impl fmt::Display for StartCondition {
 /// kernels (RTEMS in the prototype) and generic non-real-time ones (an
 /// embedded Linux variant). Non-real-time partitions carry no process
 /// deadlines and may be given `d_m = 0` requirements.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PosKind {
     /// A real-time POS with a preemptive priority-driven process scheduler
     /// (the ARINC 653-mandated policy, Eq. 14).
@@ -139,9 +132,7 @@ impl fmt::Display for PosKind {
 ///
 /// System partitions may bypass the APEX interface and call POS-kernel
 /// functions directly (Sect. 2, Fig. 1); application partitions may not.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PartitionKind {
     /// A standard application partition restricted to the APEX interface.
     #[default]

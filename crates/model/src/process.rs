@@ -10,14 +10,11 @@
 
 use std::fmt;
 
-
 use crate::time::Ticks;
 
 /// Priority of a process. **Lower numerical values are greater priorities**,
 /// following the paper's convention for Eq. (14).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Priority(pub u8);
 
 impl Priority {
@@ -58,9 +55,7 @@ impl From<u8> for Priority {
 /// assert_eq!(hard.absolute_from(Ticks(100)), Some(Ticks(750)));
 /// assert_eq!(Deadline::NONE.absolute_from(Ticks(100)), None);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Deadline {
     /// A finite relative deadline (the ARINC 653 `TIME_CAPACITY`).
     Relative(Ticks),
@@ -126,9 +121,7 @@ impl fmt::Display for Deadline {
 /// For a periodic process `T` is the period; for sporadic/aperiodic ones it
 /// is "the lower bound for the time between consecutive activations"
 /// (Sect. 3.3).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Recurrence {
     /// Strictly periodic activation with period `T`; consecutive release
     /// points are separated by exactly `T`.
@@ -177,9 +170,7 @@ impl fmt::Display for Recurrence {
 }
 
 /// The process state `St_{m,q}(t)` (Eq. 13).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ProcessState {
     /// Ineligible for resources: not yet started, or stopped.
     #[default]
@@ -331,9 +322,7 @@ impl ProcessAttributes {
 }
 
 /// Time-varying status `S_{m,q}(t) = ⟨D′, p′, St⟩` (Eq. 12).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProcessStatus {
     /// Absolute deadline time `D′_{m,q}(t)`; `None` when no deadline is
     /// armed (dormant process, or `D = ∞`).

@@ -53,7 +53,9 @@ impl ReadyCandidate {
     #[inline]
     pub fn beats(&self, other: &ReadyCandidate) -> bool {
         if self.current_priority != other.current_priority {
-            return self.current_priority.is_more_urgent_than(other.current_priority);
+            return self
+                .current_priority
+                .is_more_urgent_than(other.current_priority);
         }
         if self.ready_since != other.ready_since {
             return self.ready_since < other.ready_since;

@@ -18,7 +18,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-
 use crate::ids::{PartitionId, ScheduleId};
 use crate::time::Ticks;
 
@@ -26,9 +25,7 @@ use crate::time::Ticks;
 ///
 /// The window grants the CPU to `partition` during
 /// `[offset, offset + duration)` relative to the start of each MTF.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimeWindow {
     /// The partition active during this window (`P^ω_{i,j}`).
     pub partition: PartitionId,
@@ -77,9 +74,7 @@ impl fmt::Display for TimeWindow {
 ///
 /// Partitions without strict time requirements (e.g. those running
 /// non-real-time operating systems) have `d = 0` (Sect. 3.1).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PartitionRequirement {
     /// The partition this requirement applies to.
     pub partition: PartitionId,
@@ -113,9 +108,7 @@ impl fmt::Display for PartitionRequirement {
 /// Restart action applied to a partition when the module switches to a
 /// schedule (Sect. 4: `ScheduleChangeAction`), performed the first time the
 /// partition is dispatched after the switch (Sect. 4.3, Algorithm 2 line 9).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ScheduleChangeAction {
     /// No restart occurs; the partition continues where it was.
     #[default]
@@ -242,9 +235,7 @@ impl Schedule {
 
     /// The requirement for `partition`, if it participates in this schedule.
     pub fn requirement_for(&self, partition: PartitionId) -> Option<&PartitionRequirement> {
-        self.requirements
-            .iter()
-            .find(|q| q.partition == partition)
+        self.requirements.iter().find(|q| q.partition == partition)
     }
 
     /// The restart action applied to `partition` on switching to this
@@ -258,9 +249,7 @@ impl Schedule {
 
     /// Iterates over the explicitly-configured schedule-change actions,
     /// for integration-time inspection (static analysis of mode graphs).
-    pub fn change_actions(
-        &self,
-    ) -> impl Iterator<Item = (PartitionId, ScheduleChangeAction)> + '_ {
+    pub fn change_actions(&self) -> impl Iterator<Item = (PartitionId, ScheduleChangeAction)> + '_ {
         self.change_actions.iter().map(|(p, a)| (*p, *a))
     }
 
@@ -270,10 +259,7 @@ impl Schedule {
     }
 
     /// The windows assigned to `partition`, in offset order.
-    pub fn windows_for(
-        &self,
-        partition: PartitionId,
-    ) -> impl Iterator<Item = &TimeWindow> + '_ {
+    pub fn windows_for(&self, partition: PartitionId) -> impl Iterator<Item = &TimeWindow> + '_ {
         self.windows
             .iter()
             .filter(move |w| w.partition == partition)
@@ -510,11 +496,8 @@ impl ScheduleSet {
 
     /// All partitions that participate in at least one schedule.
     pub fn all_partitions(&self) -> Vec<PartitionId> {
-        let mut ids: Vec<PartitionId> = self
-            .schedules
-            .iter()
-            .flat_map(|s| s.partitions())
-            .collect();
+        let mut ids: Vec<PartitionId> =
+            self.schedules.iter().flat_map(|s| s.partitions()).collect();
         ids.sort();
         ids.dedup();
         ids
@@ -592,15 +575,26 @@ mod tests {
                 .collect();
             let s = Schedule::new(ScheduleId(0), "overlap", Ticks(mtf), vec![], windows);
             let effective: Vec<_> = s.effective_windows().collect();
-            assert!(effective.windows(2).all(|w| w[0].2 <= w[1].1), "{effective:?}");
+            assert!(
+                effective.windows(2).all(|w| w[0].2 <= w[1].1),
+                "{effective:?}"
+            );
             for t in (0..mtf).map(Ticks) {
-                let first = s.windows().iter().find(|w| w.contains(t)).map(|w| w.partition);
+                let first = s
+                    .windows()
+                    .iter()
+                    .find(|w| w.contains(t))
+                    .map(|w| w.partition);
                 let owners: Vec<_> = effective
                     .iter()
                     .filter(|&&(_, start, end)| start <= t && t < end)
                     .map(|&(p, ..)| p)
                     .collect();
-                assert_eq!(owners, first.into_iter().collect::<Vec<_>>(), "t={t} in {s:?}");
+                assert_eq!(
+                    owners,
+                    first.into_iter().collect::<Vec<_>>(),
+                    "t={t} in {s:?}"
+                );
                 assert_eq!(s.partition_active_at(t), first);
             }
         }
@@ -705,10 +699,7 @@ mod tests {
         assert_eq!(set.initial().id(), ScheduleId(0));
         assert!(set.get(ScheduleId(1)).is_some());
         assert!(set.get(ScheduleId(7)).is_none());
-        assert_eq!(
-            set.all_partitions(),
-            vec![PartitionId(0), PartitionId(1)]
-        );
+        assert_eq!(set.all_partitions(), vec![PartitionId(0), PartitionId(1)]);
     }
 
     #[test]

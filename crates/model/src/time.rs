@@ -9,7 +9,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Rem, Sub, SubAssign};
 
-
 /// A duration or instant measured in system clock ticks.
 ///
 /// `Ticks` is a transparent newtype over `u64` ([C-NEWTYPE]) so that
@@ -28,9 +27,7 @@ use std::ops::{Add, AddAssign, Mul, Rem, Sub, SubAssign};
 /// ```
 ///
 /// [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ticks(pub u64);
 
 impl Ticks {

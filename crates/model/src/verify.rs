@@ -31,7 +31,6 @@
 
 use std::fmt;
 
-
 use crate::ids::{PartitionId, ScheduleId};
 use crate::partition::Partition;
 use crate::schedule::{Schedule, ScheduleSet};
@@ -746,11 +745,7 @@ mod tests {
         PartitionId(m)
     }
 
-    fn schedule(
-        mtf: u64,
-        reqs: Vec<(u32, u64, u64)>,
-        wins: Vec<(u32, u64, u64)>,
-    ) -> Schedule {
+    fn schedule(mtf: u64, reqs: Vec<(u32, u64, u64)>, wins: Vec<(u32, u64, u64)>) -> Schedule {
         Schedule::new(
             ScheduleId(0),
             "t",
@@ -861,11 +856,7 @@ mod tests {
     #[test]
     fn mtf_may_be_k_times_lcm() {
         // lcm(50) = 50; MTF = 100 = 2×50 is acceptable (k=2 in Eq. 22).
-        let s = schedule(
-            100,
-            vec![(0, 50, 10)],
-            vec![(0, 0, 10), (0, 50, 10)],
-        );
+        let s = schedule(100, vec![(0, 50, 10)], vec![(0, 0, 10), (0, 50, 10)]);
         let r = verify_schedule(&s, &[]);
         assert!(r.is_ok(), "{r}");
     }
@@ -874,16 +865,17 @@ mod tests {
     fn per_cycle_duration_eq23_catches_back_loading() {
         // Partition needs 10 per 50-tick cycle; all 20 ticks in cycle 1.
         // Eq. (8) (the average condition) would pass; Eq. (23) must fail.
-        let s = schedule(
-            100,
-            vec![(0, 50, 10)],
-            vec![(0, 50, 10), (0, 60, 10)],
-        );
+        let s = schedule(100, vec![(0, 50, 10)], vec![(0, 50, 10), (0, 60, 10)]);
         let r = verify_schedule(&s, &[]);
         let bad: Vec<_> = r
             .violations()
             .iter()
-            .filter(|v| matches!(v, Violation::InsufficientDurationInCycle { cycle_index: 0, .. }))
+            .filter(|v| {
+                matches!(
+                    v,
+                    Violation::InsufficientDurationInCycle { cycle_index: 0, .. }
+                )
+            })
             .collect();
         assert_eq!(bad.len(), 1, "{r}");
         assert!(!verify_schedule_brute_force(&s));
@@ -893,11 +885,7 @@ mod tests {
     fn per_cycle_duration_reports_each_partition_once() {
         // Cycles 0 and 2 of four get nothing, cycle 1 too little: one
         // violation names cycle 0 and counts three.
-        let s = schedule(
-            200,
-            vec![(0, 50, 10)],
-            vec![(0, 50, 5), (0, 160, 10)],
-        );
+        let s = schedule(200, vec![(0, 50, 10)], vec![(0, 50, 5), (0, 160, 10)]);
         let r = verify_schedule(&s, &[]);
         let bad: Vec<_> = r
             .violations()
@@ -914,7 +902,12 @@ mod tests {
                 ..
             }
         ));
-        assert!(bad[0].to_string().ends_with("(Eq. 23); 3 cycles fall short"), "{r}");
+        assert!(
+            bad[0]
+                .to_string()
+                .ends_with("(Eq. 23); 3 cycles fall short"),
+            "{r}"
+        );
     }
 
     #[test]
@@ -1001,16 +994,26 @@ mod tests {
 
     fn exactly_once(delivered: &[u64], budget: u64) -> Vec<Violation> {
         let mut report = Report::new();
-        check_exactly_once(delivered.iter().copied(), budget, true, |_| false, &mut report);
+        check_exactly_once(
+            delivered.iter().copied(),
+            budget,
+            true,
+            |_| false,
+            &mut report,
+        );
         report.violations().to_vec()
     }
 
     #[test]
     fn a_late_first_delivery_is_out_of_order_not_a_duplicate() {
         let found = exactly_once(&[0, 2, 1], 3);
-        assert!(found
-            .iter()
-            .any(|v| matches!(v, Violation::OutOfOrderDelivery { expected: 3, got: 1 })));
+        assert!(found.iter().any(|v| matches!(
+            v,
+            Violation::OutOfOrderDelivery {
+                expected: 3,
+                got: 1
+            }
+        )));
         assert!(!found
             .iter()
             .any(|v| matches!(v, Violation::DuplicateDelivery { .. })));
@@ -1029,7 +1032,10 @@ mod tests {
         assert_eq!(
             exactly_once(&[0, 2], 3),
             vec![
-                Violation::OutOfOrderDelivery { expected: 1, got: 2 },
+                Violation::OutOfOrderDelivery {
+                    expected: 1,
+                    got: 2
+                },
                 Violation::MessageLost { seq: 1 },
             ]
         );

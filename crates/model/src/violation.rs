@@ -67,12 +67,7 @@ mod tests {
     use crate::ids::{PartitionId, ProcessId};
     use crate::process::{Priority, ProcessState};
 
-    fn snap(
-        m: u32,
-        q: u32,
-        deadline: Deadline,
-        armed: Option<u64>,
-    ) -> ProcessSnapshot {
+    fn snap(m: u32, q: u32, deadline: Deadline, armed: Option<u64>) -> ProcessSnapshot {
         ProcessSnapshot {
             id: GlobalProcessId::new(PartitionId(m), ProcessId(q)),
             deadline,

@@ -76,7 +76,9 @@ mod tests {
     fn no_violation_costs_one_peek_and_reports_nothing() {
         let mut reg = LinkedListRegistry::new();
         reg.register(pid(0), Ticks(100));
-        let n = check_deadlines(&mut reg, Ticks(100), |_, _| panic!("no violation at d == now"));
+        let n = check_deadlines(&mut reg, Ticks(100), |_, _| {
+            panic!("no violation at d == now")
+        });
         assert_eq!(n, 0);
         assert_eq!(reg.len(), 1);
     }

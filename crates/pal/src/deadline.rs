@@ -255,7 +255,9 @@ impl DeadlineRegistry for LinkedListRegistry {
     }
 
     fn deadline_of(&self, process: ProcessId) -> Option<Ticks> {
-        self.index.get(&process).map(|&idx| self.arena[idx].deadline)
+        self.index
+            .get(&process)
+            .map(|&idx| self.arena[idx].deadline)
     }
 
     fn len(&self) -> usize {
@@ -507,9 +509,7 @@ mod tests {
         /// behaviour.
         #[test]
         fn wheel_and_list_agree() {
-            agree_on_random_traces::<crate::wheel::TimingWheelRegistry, LinkedListRegistry>(
-                0x7EE1,
-            );
+            agree_on_random_traces::<crate::wheel::TimingWheelRegistry, LinkedListRegistry>(0x7EE1);
         }
 
         /// Same, with deadlines spread far enough apart to cross wheel

@@ -144,7 +144,10 @@ fn place_of(base: u64, deadline: u64) -> Option<(usize, usize)> {
     }
     let level = ((63 - diff.leading_zeros()) / DIGIT_BITS) as usize;
     if level < LEVELS {
-        Some((level, ((deadline >> (DIGIT_BITS * level as u32)) & 63) as usize))
+        Some((
+            level,
+            ((deadline >> (DIGIT_BITS * level as u32)) & 63) as usize,
+        ))
     } else {
         None
     }
@@ -390,7 +393,9 @@ impl DeadlineRegistry for TimingWheelRegistry {
     }
 
     fn deadline_of(&self, process: ProcessId) -> Option<Ticks> {
-        self.index.get(&process).map(|&idx| self.arena[idx].deadline)
+        self.index
+            .get(&process)
+            .map(|&idx| self.arena[idx].deadline)
     }
 
     fn len(&self) -> usize {
@@ -420,13 +425,13 @@ mod tests {
         let mut reg = TimingWheelRegistry::new();
         // One entry per level, plus overflow, registered shuffled.
         let deadlines = [
-            (0u32, 3u64),                // level 0
-            (1, 100),                    // level 1
-            (2, 5_000),                  // level 2
-            (3, 300_000),                // level 3
-            (4, WHEEL_SPAN + 7),         // overflow
-            (5, 40),                     // level 1
-            (6, WHEEL_SPAN * 3 + 1),     // deep overflow
+            (0u32, 3u64),            // level 0
+            (1, 100),                // level 1
+            (2, 5_000),              // level 2
+            (3, 300_000),            // level 3
+            (4, WHEEL_SPAN + 7),     // overflow
+            (5, 40),                 // level 1
+            (6, WHEEL_SPAN * 3 + 1), // deep overflow
         ];
         for &(q, d) in deadlines.iter().rev() {
             reg.register(pid(q), Ticks(d));
@@ -502,10 +507,7 @@ mod tests {
         reg.register(pid(5), Ticks(100));
         reg.register(pid(3), Ticks(100));
         reg.register(pid(9), Ticks(100));
-        assert_eq!(
-            drain(&mut reg),
-            vec![(100, 5), (100, 3), (100, 9)]
-        );
+        assert_eq!(drain(&mut reg), vec![(100, 5), (100, 3), (100, 9)]);
     }
 
     #[test]

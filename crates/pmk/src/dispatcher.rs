@@ -148,7 +148,10 @@ impl PartitionDispatcher {
 
     /// Whether an action is still pending for `partition`.
     pub fn has_pending_action(&self, partition: PartitionId) -> bool {
-        matches!(self.pending_actions.get(partition.as_usize()), Some(Some(_)))
+        matches!(
+            self.pending_actions.get(partition.as_usize()),
+            Some(Some(_))
+        )
     }
 
     /// Algorithm 2: dispatches `heir` at global tick `ticks`, switching

@@ -185,11 +185,7 @@ impl PmkIpc {
     /// Drains deliverable frames from `link`, decoding and delivering each
     /// to its local destination ports. Corrupt or unroutable frames are
     /// counted and returned for health-monitoring reporting.
-    pub fn receive(
-        &mut self,
-        link: &mut RedundantLink,
-        now: Ticks,
-    ) -> Vec<IncomingFrameError> {
+    pub fn receive(&mut self, link: &mut RedundantLink, now: Ticks) -> Vec<IncomingFrameError> {
         let mut errors = Vec::new();
         while let Some(bytes) = link.receive(LinkEndpoint::A, now.as_u64()) {
             match Frame::decode(&bytes) {
@@ -506,7 +502,10 @@ mod tests {
         assert_eq!(rx.frames_received(), 2);
         assert_eq!(rx.frames_rejected(), 0);
         assert_eq!(
-            rx.registry_mut().queuing_port_mut(p(2), "rx").unwrap().len(),
+            rx.registry_mut()
+                .queuing_port_mut(p(2), "rx")
+                .unwrap()
+                .len(),
             2
         );
         // The stream resynchronises: 4 follows 3 without complaint.

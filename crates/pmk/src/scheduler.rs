@@ -148,8 +148,7 @@ impl PartitionScheduler {
     /// matching the paper's prototype, where partition `P1` is already
     /// executing when the clock starts.
     pub fn new(set: &ScheduleSet) -> Self {
-        let schedules: Vec<CompiledSchedule> =
-            set.iter().map(CompiledSchedule::compile).collect();
+        let schedules: Vec<CompiledSchedule> = set.iter().map(CompiledSchedule::compile).collect();
         let table_iterator = 1 % schedules[0].table.len();
         Self {
             schedules,

@@ -377,11 +377,36 @@ impl SpatialManager {
 /// and stack at the canonical AIR virtual layout.
 pub fn standard_application_layout(code: u64, data: u64, stack: u64) -> Vec<MemoryDescriptor> {
     vec![
-        MemoryDescriptor::new(ExecLevel::PosKernel, MemorySection::Code, 0x1000_0000, 0x8000),
-        MemoryDescriptor::new(ExecLevel::PosKernel, MemorySection::Data, 0x1010_0000, 0x4000),
-        MemoryDescriptor::new(ExecLevel::Application, MemorySection::Code, 0x4000_0000, code),
-        MemoryDescriptor::new(ExecLevel::Application, MemorySection::Data, 0x5000_0000, data),
-        MemoryDescriptor::new(ExecLevel::Application, MemorySection::Stack, 0x6000_0000, stack),
+        MemoryDescriptor::new(
+            ExecLevel::PosKernel,
+            MemorySection::Code,
+            0x1000_0000,
+            0x8000,
+        ),
+        MemoryDescriptor::new(
+            ExecLevel::PosKernel,
+            MemorySection::Data,
+            0x1010_0000,
+            0x4000,
+        ),
+        MemoryDescriptor::new(
+            ExecLevel::Application,
+            MemorySection::Code,
+            0x4000_0000,
+            code,
+        ),
+        MemoryDescriptor::new(
+            ExecLevel::Application,
+            MemorySection::Data,
+            0x5000_0000,
+            data,
+        ),
+        MemoryDescriptor::new(
+            ExecLevel::Application,
+            MemorySection::Stack,
+            0x6000_0000,
+            stack,
+        ),
     ]
 }
 
@@ -463,7 +488,12 @@ mod tests {
         ));
         // POS kernel code: supervisor-only execute.
         assert!(s
-            .translate(p(0), 0x1000_0000, AccessKind::Execute, Privilege::Supervisor)
+            .translate(
+                p(0),
+                0x1000_0000,
+                AccessKind::Execute,
+                Privilege::Supervisor
+            )
             .is_ok());
     }
 
@@ -507,9 +537,18 @@ mod tests {
         );
         for gap in [p(0), p(3), p(6), p(1000)] {
             assert_eq!(s.context_of(gap), Err(SpatialError::NotConfigured(gap)));
-            assert_eq!(s.activate_partition(gap), Err(SpatialError::NotConfigured(gap)));
-            assert_eq!(s.revoke_page(gap, 0x5000_0000), Err(SpatialError::NotConfigured(gap)));
-            assert_eq!(s.reload_partition(gap), Err(SpatialError::NotConfigured(gap)));
+            assert_eq!(
+                s.activate_partition(gap),
+                Err(SpatialError::NotConfigured(gap))
+            );
+            assert_eq!(
+                s.revoke_page(gap, 0x5000_0000),
+                Err(SpatialError::NotConfigured(gap))
+            );
+            assert_eq!(
+                s.reload_partition(gap),
+                Err(SpatialError::NotConfigured(gap))
+            );
             assert!(s.regions_of(gap).is_none());
             assert!(matches!(
                 s.translate(gap, 0x5000_0000, AccessKind::Read, Privilege::User),
@@ -517,8 +556,12 @@ mod tests {
             ));
         }
         // The two spaces stay disjoint and independently reloadable.
-        let pa5 = s.translate(p(5), 0x5000_0000, AccessKind::Read, Privilege::User).unwrap();
-        let pa1 = s.translate(p(1), 0x5000_0000, AccessKind::Read, Privilege::User).unwrap();
+        let pa5 = s
+            .translate(p(5), 0x5000_0000, AccessKind::Read, Privilege::User)
+            .unwrap();
+        let pa1 = s
+            .translate(p(1), 0x5000_0000, AccessKind::Read, Privilege::User)
+            .unwrap();
         assert_ne!(pa5, pa1);
         s.revoke_page(p(1), 0x5000_0000).unwrap();
         s.reload_partition(p(1)).unwrap();
@@ -549,7 +592,9 @@ mod tests {
     fn revoked_page_faults_until_reload() {
         let mut s = two_partitions();
         let va = 0x5000_0000u64; // application data base
-        assert!(s.translate(p(0), va + 0x10, AccessKind::Read, Privilege::User).is_ok());
+        assert!(s
+            .translate(p(0), va + 0x10, AccessKind::Read, Privilege::User)
+            .is_ok());
         s.revoke_page(p(0), va + 0x10).unwrap();
         assert!(matches!(
             s.translate(p(0), va + 0x10, AccessKind::Read, Privilege::User),
@@ -563,7 +608,9 @@ mod tests {
         let before = s.regions_of(p(0)).unwrap().to_vec();
         s.reload_partition(p(0)).unwrap();
         assert_eq!(s.regions_of(p(0)).unwrap(), &before[..]);
-        assert!(s.translate(p(0), va + 0x10, AccessKind::Read, Privilege::User).is_ok());
+        assert!(s
+            .translate(p(0), va + 0x10, AccessKind::Read, Privilege::User)
+            .is_ok());
     }
 
     #[test]
@@ -585,7 +632,10 @@ mod tests {
         use MemorySection::*;
         assert_eq!(MemoryDescriptor::new(Application, Code, 0, 0).acc_code(), 2);
         assert_eq!(MemoryDescriptor::new(Application, Data, 0, 0).acc_code(), 1);
-        assert_eq!(MemoryDescriptor::new(Application, Stack, 0, 0).acc_code(), 1);
+        assert_eq!(
+            MemoryDescriptor::new(Application, Stack, 0, 0).acc_code(),
+            1
+        );
         assert_eq!(MemoryDescriptor::new(PosKernel, Code, 0, 0).acc_code(), 6);
         assert_eq!(MemoryDescriptor::new(PosKernel, Data, 0, 0).acc_code(), 7);
     }

@@ -546,11 +546,8 @@ mod tests {
         let mut reg = PortRegistry::new();
         reg.create_sampling_port(p(0), SamplingPortConfig::source("out", 32))
             .unwrap();
-        reg.create_sampling_port(
-            p(1),
-            SamplingPortConfig::destination("in", 32, Ticks(100)),
-        )
-        .unwrap();
+        reg.create_sampling_port(p(1), SamplingPortConfig::destination("in", 32, Ticks(100)))
+            .unwrap();
         reg.add_channel(ChannelConfig {
             id: 1,
             source: PortAddr::new(p(0), "out"),
@@ -586,10 +583,7 @@ mod tests {
         reg.route(Ticks(10));
         // Destination consumes nothing (sampling reads don't consume) —
         // but re-routing must not count as a fresh delivery.
-        let before = reg
-            .sampling_port_mut(p(1), "in")
-            .unwrap()
-            .writes();
+        let before = reg.sampling_port_mut(p(1), "in").unwrap().writes();
         reg.route(Ticks(20));
         let after = reg.sampling_port_mut(p(1), "in").unwrap().writes();
         assert_eq!(before, after, "no duplicate propagation");
@@ -613,11 +607,8 @@ mod tests {
         reg.create_sampling_port(p(0), SamplingPortConfig::source("out", 32))
             .unwrap();
         for m in [1u32, 2] {
-            reg.create_sampling_port(
-                p(m),
-                SamplingPortConfig::destination("in", 32, Ticks(100)),
-            )
-            .unwrap();
+            reg.create_sampling_port(p(m), SamplingPortConfig::destination("in", 32, Ticks(100)))
+                .unwrap();
         }
         reg.add_channel(ChannelConfig {
             id: 1,
@@ -634,7 +625,11 @@ mod tests {
             .unwrap();
         reg.route(Ticks(0));
         for m in [1u32, 2] {
-            let (msg, _) = reg.sampling_port_mut(p(m), "in").unwrap().read(Ticks(0)).unwrap();
+            let (msg, _) = reg
+                .sampling_port_mut(p(m), "in")
+                .unwrap()
+                .read(Ticks(0))
+                .unwrap();
             assert_eq!(&msg.payload[..], b"x");
         }
     }
@@ -731,7 +726,11 @@ mod tests {
         let frame = Frame::new(9, Ticks(4), &b"hello"[..]);
         reg.deliver_frame(&frame, Ticks(6)).unwrap();
         assert_eq!(
-            &reg.queuing_port_mut(p(2), "rx").unwrap().receive().unwrap().payload[..],
+            &reg.queuing_port_mut(p(2), "rx")
+                .unwrap()
+                .receive()
+                .unwrap()
+                .payload[..],
             b"hello"
         );
         // Unknown channel id.
@@ -747,11 +746,8 @@ mod tests {
         let mut reg = PortRegistry::new();
         reg.create_sampling_port(p(0), SamplingPortConfig::source("out", 32))
             .unwrap();
-        reg.create_sampling_port(
-            p(1),
-            SamplingPortConfig::destination("in", 32, Ticks(10)),
-        )
-        .unwrap();
+        reg.create_sampling_port(p(1), SamplingPortConfig::destination("in", 32, Ticks(10)))
+            .unwrap();
         reg.create_queuing_port(p(2), QueuingPortConfig::destination("qin", 16, 4))
             .unwrap();
 
@@ -811,11 +807,8 @@ mod tests {
         let mut reg = PortRegistry::new();
         reg.create_sampling_port(p(0), SamplingPortConfig::source("out", 32))
             .unwrap();
-        reg.create_sampling_port(
-            p(0),
-            SamplingPortConfig::destination("in", 32, Ticks(10)),
-        )
-        .unwrap();
+        reg.create_sampling_port(p(0), SamplingPortConfig::destination("in", 32, Ticks(10)))
+            .unwrap();
         let err = reg
             .add_channel(ChannelConfig {
                 id: 1,

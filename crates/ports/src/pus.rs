@@ -376,7 +376,10 @@ mod tests {
         let report = verification_report(t, 4, 0, 8).expect("valid");
         assert_eq!(report.kind, PacketKind::Tm);
         assert_eq!(report.service, SERVICE_VERIFICATION);
-        assert_eq!(AckStage::from_subservice(report.subservice), Some(AckStage::Start));
+        assert_eq!(
+            AckStage::from_subservice(report.subservice),
+            Some(AckStage::Start)
+        );
         assert_eq!((report.src, report.dst), (4, 0));
         let decoded = SpacePacket::decode(&report.encode()).expect("round trip");
         assert_eq!(decoded, report);

@@ -240,7 +240,6 @@ impl MeshTopology {
                 table
                     .add_route(NodeId(j as u16), NodeId(via as u16))
                     .expect("built-in topology tables are duplicate-free"); // lint: allow(panic) -- each (i, j) pair visited once, i != j
-
             }
         }
         tables
@@ -435,7 +434,11 @@ impl LiveRouter {
             return false;
         }
         let bit = 1u64 << (index as u32 & 63);
-        let updated = if live { self.live | bit } else { self.live & !bit };
+        let updated = if live {
+            self.live | bit
+        } else {
+            self.live & !bit
+        };
         if updated == self.live {
             return false;
         }
@@ -474,8 +477,7 @@ impl LiveRouter {
 
     /// Whether `dst` is reachable from `node` over live edges.
     pub fn reachable(&self, node: usize, dst: NodeId) -> bool {
-        node < self.nodes
-            && (NodeId(node as u16) == dst || self.next_hop(node, dst).is_some())
+        node < self.nodes && (NodeId(node as u16) == dst || self.next_hop(node, dst).is_some())
     }
 
     /// Times the next-hop view was rebuilt by a mask change.
@@ -568,7 +570,10 @@ mod tests {
         // clockwise (via 1) must win.
         assert_eq!(tables[0].next_hop(NodeId(2)), Some(NodeId(1)));
         assert_eq!(tables[0].next_hop(NodeId(3)), Some(NodeId(3)));
-        assert_eq!(MeshTopology::Ring.edges(4), vec![(0, 1), (0, 3), (1, 2), (2, 3)]);
+        assert_eq!(
+            MeshTopology::Ring.edges(4),
+            vec![(0, 1), (0, 3), (1, 2), (2, 3)]
+        );
     }
 
     #[test]

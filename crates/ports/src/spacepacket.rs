@@ -97,7 +97,10 @@ impl std::fmt::Display for SpacePacketError {
                 write!(f, "unsupported space packet version {version}")
             }
             SpacePacketError::LengthMismatch { declared, actual } => {
-                write!(f, "space packet declares {declared} payload bytes, found {actual}")
+                write!(
+                    f,
+                    "space packet declares {declared} payload bytes, found {actual}"
+                )
             }
             SpacePacketError::ApidOutOfRange { apid } => {
                 write!(f, "APID {apid} exceeds the 11-bit maximum {APID_MAX}")
@@ -273,7 +276,10 @@ mod tests {
         bytes.pop();
         assert_eq!(
             SpacePacket::decode(&bytes),
-            Err(SpacePacketError::LengthMismatch { declared: 2, actual: 1 })
+            Err(SpacePacketError::LengthMismatch {
+                declared: 2,
+                actual: 1
+            })
         );
     }
 
@@ -311,7 +317,11 @@ mod tests {
         };
         for case in 0..64 {
             let apid = (next() as u16) & 0x7FF & APID_MAX;
-            let kind = if next() & 1 == 0 { PacketKind::Tc } else { PacketKind::Tm };
+            let kind = if next() & 1 == 0 {
+                PacketKind::Tc
+            } else {
+                PacketKind::Tm
+            };
             let payload_len = (next() as usize) % 32;
             let payload: Vec<u8> = (0..payload_len).map(|_| next() as u8).collect();
             let p = SpacePacket::new(

@@ -668,7 +668,10 @@ mod tests {
         let undelivered = tx.reset_undelivered();
         assert_eq!(undelivered.len(), 3);
         assert_eq!(
-            undelivered.iter().map(|f| f.payload.as_slice()[0]).collect::<Vec<_>>(),
+            undelivered
+                .iter()
+                .map(|f| f.payload.as_slice()[0])
+                .collect::<Vec<_>>(),
             vec![1, 2, 3],
             "window head first, then backlog, in sequence order"
         );

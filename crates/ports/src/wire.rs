@@ -269,7 +269,9 @@ mod tests {
         use air_model::testkit::TestRng;
 
         fn random_payload(rng: &mut TestRng, max_len: u64) -> Vec<u8> {
-            (0..rng.below(max_len)).map(|_| rng.below(256) as u8).collect()
+            (0..rng.below(max_len))
+                .map(|_| rng.below(256) as u8)
+                .collect()
         }
 
         #[test]

@@ -64,10 +64,16 @@ fn build_registry() -> PortRegistry {
     let mut reg = PortRegistry::new();
     reg.create_sampling_port(p(0), SamplingPortConfig::source("s.tx", 64))
         .unwrap();
-    reg.create_sampling_port(p(1), SamplingPortConfig::destination("s.rx", 64, Ticks(100)))
-        .unwrap();
-    reg.create_sampling_port(p(2), SamplingPortConfig::destination("s.rx2", 64, Ticks(100)))
-        .unwrap();
+    reg.create_sampling_port(
+        p(1),
+        SamplingPortConfig::destination("s.rx", 64, Ticks(100)),
+    )
+    .unwrap();
+    reg.create_sampling_port(
+        p(2),
+        SamplingPortConfig::destination("s.rx2", 64, Ticks(100)),
+    )
+    .unwrap();
     reg.create_queuing_port(p(0), QueuingPortConfig::source("q.tx", 64, 8))
         .unwrap();
     reg.create_queuing_port(p(1), QueuingPortConfig::destination("q.rx", 64, 8))

@@ -39,8 +39,8 @@ use air_model::ready::{select_heir, ReadyCandidate};
 use air_model::Ticks;
 
 pub use error::PosError;
-pub use pcb::{WaitReason, WakeCause};
 use pcb::ProcessControlBlock;
+pub use pcb::{WaitReason, WakeCause};
 
 /// Per-partition process limit of the real-time kind (ARINC 653 systems fix
 /// this at configuration time). The generic kind has none.
@@ -182,7 +182,11 @@ impl PartitionOs {
         let generic = self.is_generic();
         select_heir(self.processes.iter().map(|p| ReadyCandidate {
             id: p.id,
-            current_priority: if generic { Priority::LOWEST } else { p.current_priority },
+            current_priority: if generic {
+                Priority::LOWEST
+            } else {
+                p.current_priority
+            },
             state: p.state,
             ready_since: p.ready_since,
         }))
@@ -450,7 +454,12 @@ impl PartitionOs {
         let mut heir = self.heir();
         if self.is_generic()
             && self.slice_used >= QUANTUM
-            && self.processes.iter().filter(|p| p.state.is_schedulable()).count() > 1
+            && self
+                .processes
+                .iter()
+                .filter(|p| p.state.is_schedulable())
+                .count()
+                > 1
         {
             if let Some(oldest) = heir {
                 let stamp = self.stamp();

@@ -11,10 +11,8 @@ mod tests {
         let ids = names
             .iter()
             .map(|(n, prio)| {
-                pos.create_process(
-                    ProcessAttributes::new(*n).with_base_priority(Priority(*prio)),
-                )
-                .unwrap()
+                pos.create_process(ProcessAttributes::new(*n).with_base_priority(Priority(*prio)))
+                    .unwrap()
             })
             .collect();
         (pos, ids)
@@ -28,10 +26,7 @@ mod tests {
         pos.start(ids[1], Ticks(0)).unwrap();
         // b has the more urgent priority (3 < 5).
         assert_eq!(pos.select_heir(Ticks(0)), Some(ids[1]));
-        assert_eq!(
-            pos.status(ids[1]).unwrap().state,
-            ProcessState::Running
-        );
+        assert_eq!(pos.status(ids[1]).unwrap().state, ProcessState::Running);
         assert_eq!(pos.status(ids[0]).unwrap().state, ProcessState::Ready);
     }
 
@@ -52,12 +47,17 @@ mod tests {
         let mut pos = PartitionOs::new(PosKind::RealTime);
         let mut generic = PartitionOs::new(PosKind::GenericNonRealTime);
         for i in 0..MAX_PROCESSES {
-            pos.create_process(ProcessAttributes::new(format!("p{i}"))).unwrap();
-            generic.create_process(ProcessAttributes::new(format!("p{i}"))).unwrap();
+            pos.create_process(ProcessAttributes::new(format!("p{i}")))
+                .unwrap();
+            generic
+                .create_process(ProcessAttributes::new(format!("p{i}")))
+                .unwrap();
         }
         assert_eq!(
             pos.create_process(ProcessAttributes::new("b")),
-            Err(PosError::TooManyProcesses { limit: MAX_PROCESSES })
+            Err(PosError::TooManyProcesses {
+                limit: MAX_PROCESSES
+            })
         );
         // The limit is the real-time kind's only.
         assert!(generic.create_process(ProcessAttributes::new("b")).is_ok());
@@ -67,7 +67,10 @@ mod tests {
     fn start_requires_dormant() {
         let (mut pos, ids) = pos_with(&[("a", 5)]);
         pos.start(ids[0], Ticks(0)).unwrap();
-        assert_eq!(pos.start(ids[0], Ticks(0)), Err(PosError::InvalidState(ids[0])));
+        assert_eq!(
+            pos.start(ids[0], Ticks(0)),
+            Err(PosError::InvalidState(ids[0]))
+        );
     }
 
     #[test]
@@ -127,10 +130,16 @@ mod tests {
     fn resume_requires_suspended() {
         let (mut pos, ids) = pos_with(&[("a", 5)]);
         pos.start(ids[0], Ticks(0)).unwrap();
-        assert_eq!(pos.resume(ids[0], Ticks(0)), Err(PosError::InvalidState(ids[0])));
+        assert_eq!(
+            pos.resume(ids[0], Ticks(0)),
+            Err(PosError::InvalidState(ids[0]))
+        );
         pos.timed_wait(ids[0], Ticks(5), Ticks(0)).unwrap();
         // Waiting on a delay is not suspended.
-        assert_eq!(pos.resume(ids[0], Ticks(0)), Err(PosError::InvalidState(ids[0])));
+        assert_eq!(
+            pos.resume(ids[0], Ticks(0)),
+            Err(PosError::InvalidState(ids[0]))
+        );
     }
 
     #[test]
@@ -316,7 +325,10 @@ mod tests {
     fn unknown_process_errors() {
         let mut pos = PartitionOs::new(PosKind::RealTime);
         let ghost = ProcessId(9);
-        assert_eq!(pos.start(ghost, Ticks(0)), Err(PosError::UnknownProcess(ghost)));
+        assert_eq!(
+            pos.start(ghost, Ticks(0)),
+            Err(PosError::UnknownProcess(ghost))
+        );
         assert_eq!(pos.status(ghost), None);
         assert_eq!(pos.attributes(ghost), None);
         assert_eq!(pos.take_wake_cause(ghost), None);

@@ -38,21 +38,30 @@ fn run_case(kind: PosKind, seed: u64, fnv: &mut Fnv) {
     let mut pos = PartitionOs::new(kind);
     let n = rng.range(1, 7) as u32;
     for i in 0..n {
-        let mut attrs =
-            ProcessAttributes::new(format!("p{i}")).with_base_priority(Priority(rng.below(4) as u8));
+        let mut attrs = ProcessAttributes::new(format!("p{i}"))
+            .with_base_priority(Priority(rng.below(4) as u8));
         if rng.chance(1, 2) {
             attrs = attrs.with_recurrence(Recurrence::Periodic(Ticks(rng.range(3, 40))));
         }
         write!(fnv, "{:?};", pos.create_process(attrs)).unwrap();
     }
-    write!(fnv, "{:?};", pos.create_process(ProcessAttributes::new("p0"))).unwrap();
+    write!(
+        fnv,
+        "{:?};",
+        pos.create_process(ProcessAttributes::new("p0"))
+    )
+    .unwrap();
     write!(fnv, "{:?}{};", pos.kind(), pos.process_count()).unwrap();
 
     let mut now = Ticks::ZERO;
     for _ in 0..OPS {
         // One id past the table now and then, to reach the unknown-process paths.
         let p = ProcessId(rng.below(u64::from(n) + 1) as u32);
-        let delay = Ticks(if rng.chance(1, 3) { 0 } else { rng.range(1, 25) });
+        let delay = Ticks(if rng.chance(1, 3) {
+            0
+        } else {
+            rng.range(1, 25)
+        });
         match rng.below(17) {
             0 => write!(fnv, "start{:?};", pos.start(p, now)),
             1 => write!(fnv, "dstart{:?};", pos.delayed_start(p, delay, now)),

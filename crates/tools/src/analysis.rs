@@ -4,7 +4,6 @@ use std::collections::BTreeMap;
 
 use air_model::{PartitionId, Schedule, ScheduleSet, Ticks};
 
-
 /// Per-partition occupancy of one schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionOccupancy {
@@ -92,11 +91,7 @@ mod tests {
         let chi1 = &summaries[0];
         assert_eq!(chi1.mtf, Ticks(1300));
         // P2 (cycle 650, d 100): required 200 per MTF, assigned 200.
-        let p2 = chi1
-            .partitions
-            .iter()
-            .find(|p| p.partition == P2)
-            .unwrap();
+        let p2 = chi1.partitions.iter().find(|p| p.partition == P2).unwrap();
         assert_eq!(p2.required_per_mtf, Ticks(200));
         assert_eq!(p2.assigned_per_mtf, Ticks(200));
         assert_eq!(p2.slack_per_mtf, Ticks(0));
@@ -123,7 +118,11 @@ mod tests {
             ],
         );
         let summary = summarize(&s);
-        let p1_row = summary.partitions.iter().find(|p| p.partition == p1).unwrap();
+        let p1_row = summary
+            .partitions
+            .iter()
+            .find(|p| p.partition == p1)
+            .unwrap();
         assert_eq!(p1_row.required_per_mtf, Ticks(0));
         assert_eq!(p1_row.assigned_per_mtf, Ticks(10));
         assert_eq!(p1_row.slack_per_mtf, Ticks(10));

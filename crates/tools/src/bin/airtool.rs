@@ -48,7 +48,9 @@ fn main() -> ExitCode {
     };
     match command {
         "verify" => {
-            let Some(path) = args.get(1) else { return usage() };
+            let Some(path) = args.get(1) else {
+                return usage();
+            };
             let doc = match load(path) {
                 Ok(d) => d,
                 Err(code) => return code,
@@ -67,7 +69,9 @@ fn main() -> ExitCode {
             }
         }
         "timeline" => {
-            let Some(path) = args.get(1) else { return usage() };
+            let Some(path) = args.get(1) else {
+                return usage();
+            };
             let resolution = args
                 .get(2)
                 .map(|s| s.parse::<u64>().unwrap_or(0))
@@ -87,7 +91,9 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "summary" => {
-            let Some(path) = args.get(1) else { return usage() };
+            let Some(path) = args.get(1) else {
+                return usage();
+            };
             let doc = match load(path) {
                 Ok(d) => d,
                 Err(code) => return code,
@@ -141,7 +147,10 @@ fn main() -> ExitCode {
             match synthesize_schedule(ScheduleId(0), &requirements) {
                 Ok(schedule) => {
                     print!("{}", render_window_table(&schedule));
-                    println!("{}", render_timeline(&schedule, 1.max(schedule.mtf().as_u64() / 64)));
+                    println!(
+                        "{}",
+                        render_timeline(&schedule, 1.max(schedule.mtf().as_u64() / 64))
+                    );
                     ExitCode::SUCCESS
                 }
                 Err(e) => {

@@ -26,8 +26,7 @@ use air_hm::{ErrorId, ErrorLevel, EscalatedProcessAction, ProcessRecoveryAction}
 use air_model::partition::{Partition, PosKind};
 use air_model::process::{Deadline, Priority, ProcessAttributes, Recurrence};
 use air_model::schedule::{
-    PartitionRequirement, Schedule, ScheduleChangeAction, ScheduleSet, ScheduleSetError,
-    TimeWindow,
+    PartitionRequirement, Schedule, ScheduleChangeAction, ScheduleSet, ScheduleSetError, TimeWindow,
 };
 use air_model::{PartitionId, ScheduleId, Ticks};
 use air_ports::routing::NodeId;
@@ -175,7 +174,9 @@ pub fn error_id_token(error: ErrorId) -> &'static str {
 }
 
 fn error_id_from_token(token: &str) -> Option<ErrorId> {
-    ErrorId::ALL.into_iter().find(|e| error_id_token(*e) == token)
+    ErrorId::ALL
+        .into_iter()
+        .find(|e| error_id_token(*e) == token)
 }
 
 /// A physical memory region assigned to a partition (`memory` directive):
@@ -379,9 +380,12 @@ fn parse_kv<'a>(
 }
 
 fn parse_pid(line_no: usize, token: &str) -> Result<PartitionId, ConfigError> {
-    let digits = token
-        .strip_prefix('P')
-        .ok_or_else(|| err(line_no, format!("expected partition id 'P<n>', found '{token}'")))?;
+    let digits = token.strip_prefix('P').ok_or_else(|| {
+        err(
+            line_no,
+            format!("expected partition id 'P<n>', found '{token}'"),
+        )
+    })?;
     digits
         .parse::<u32>()
         .map(PartitionId)
@@ -432,9 +436,9 @@ fn parse_addr(line_no: usize, map: &BTreeMap<&str, &str>, key: &str) -> Result<u
 
 /// Parses `P<n>:<port>` into a [`PortAddr`].
 fn parse_port_addr(line_no: usize, token: &str) -> Result<PortAddr, ConfigError> {
-    let (pid_tok, port) = token.split_once(':').ok_or_else(|| {
-        err(line_no, format!("expected 'P<n>:<port>', found '{token}'"))
-    })?;
+    let (pid_tok, port) = token
+        .split_once(':')
+        .ok_or_else(|| err(line_no, format!("expected 'P<n>:<port>', found '{token}'")))?;
     if port.is_empty() {
         return Err(err(line_no, format!("empty port name in '{token}'")));
     }
@@ -453,8 +457,7 @@ fn parse_destination(line_no: usize, token: &str) -> Result<Destination, ConfigE
 }
 
 fn parse_error_id(line_no: usize, token: &str) -> Result<ErrorId, ConfigError> {
-    error_id_from_token(token)
-        .ok_or_else(|| err(line_no, format!("unknown error id '{token}'")))
+    error_id_from_token(token).ok_or_else(|| err(line_no, format!("unknown error id '{token}'")))
 }
 
 fn parse_direction(line_no: usize, map: &BTreeMap<&str, &str>) -> Result<Direction, ConfigError> {
@@ -468,10 +471,16 @@ fn parse_direction(line_no: usize, map: &BTreeMap<&str, &str>) -> Result<Directi
 
 /// Parses a `handler` action token, e.g. `restart_process` or
 /// `log_then_act=3/restart_partition`.
-fn parse_recovery_action(line_no: usize, token: &str) -> Result<ProcessRecoveryAction, ConfigError> {
+fn parse_recovery_action(
+    line_no: usize,
+    token: &str,
+) -> Result<ProcessRecoveryAction, ConfigError> {
     if let Some(rest) = token.strip_prefix("log_then_act=") {
         let (count, then_tok) = rest.split_once('/').ok_or_else(|| {
-            err(line_no, format!("expected 'log_then_act=<n>/<action>', found '{token}'"))
+            err(
+                line_no,
+                format!("expected 'log_then_act=<n>/<action>', found '{token}'"),
+            )
         })?;
         let threshold = count
             .parse::<u32>()
@@ -646,7 +655,10 @@ pub fn parse(text: &str) -> Result<ConfigDoc, ConfigError> {
                     .next()
                     .ok_or_else(|| err(line_no, "schedule needs an id"))?;
                 let digits = id_tok.strip_prefix("chi").ok_or_else(|| {
-                    err(line_no, format!("expected schedule id 'chi<n>', found '{id_tok}'"))
+                    err(
+                        line_no,
+                        format!("expected schedule id 'chi<n>', found '{id_tok}'"),
+                    )
                 })?;
                 let id = digits
                     .parse::<u32>()
@@ -682,7 +694,8 @@ pub fn parse(text: &str) -> Result<ConfigDoc, ConfigError> {
                 match directive {
                     "require" => {
                         let kv = parse_kv(line_no, tokens)?;
-                        doc.spans.set(span_key::requirement(section.id, pid), line_no);
+                        doc.spans
+                            .set(span_key::requirement(section.id, pid), line_no);
                         section.requirements.push(PartitionRequirement::new(
                             pid,
                             Ticks(parse_u64(line_no, &kv, "cycle")?),
@@ -864,34 +877,35 @@ pub fn parse(text: &str) -> Result<ConfigDoc, ConfigError> {
                 }
                 let kv = parse_kv(line_no, tokens)?;
                 doc.spans.set(span_key::link(), line_no);
-                doc.link = Some(LinkDirective {
-                    primary_latency: parse_u64(line_no, &kv, "primary_latency")?,
-                    secondary_latency: parse_u64_opt(line_no, &kv, "secondary_latency")?,
-                    failover_threshold: parse_u64_opt(line_no, &kv, "failover_threshold")?
-                        .map_or(Ok(4), |t| {
-                            u32::try_from(t).map_err(|_| {
-                                err(line_no, format!("failover_threshold '{t}' out of range"))
-                            })
-                        })?,
-                    revert_ticks: parse_u64_opt(line_no, &kv, "revert")?.unwrap_or(400),
-                    degraded: kv
-                        .get("degraded")
-                        .map(|raw| {
-                            raw.strip_prefix("chi")
-                                .and_then(|d| d.parse().ok())
-                                .map(ScheduleId)
-                                .ok_or_else(|| {
-                                    err(
-                                        line_no,
-                                        format!(
-                                            "expected schedule id 'chi<n>' \
-                                             for 'degraded', found '{raw}'"
-                                        ),
-                                    )
+                doc.link =
+                    Some(LinkDirective {
+                        primary_latency: parse_u64(line_no, &kv, "primary_latency")?,
+                        secondary_latency: parse_u64_opt(line_no, &kv, "secondary_latency")?,
+                        failover_threshold: parse_u64_opt(line_no, &kv, "failover_threshold")?
+                            .map_or(Ok(4), |t| {
+                                u32::try_from(t).map_err(|_| {
+                                    err(line_no, format!("failover_threshold '{t}' out of range"))
                                 })
-                        })
-                        .transpose()?,
-                });
+                            })?,
+                        revert_ticks: parse_u64_opt(line_no, &kv, "revert")?.unwrap_or(400),
+                        degraded: kv
+                            .get("degraded")
+                            .map(|raw| {
+                                raw.strip_prefix("chi")
+                                    .and_then(|d| d.parse().ok())
+                                    .map(ScheduleId)
+                                    .ok_or_else(|| {
+                                        err(
+                                            line_no,
+                                            format!(
+                                                "expected schedule id 'chi<n>' \
+                                             for 'degraded', found '{raw}'"
+                                            ),
+                                        )
+                                    })
+                            })
+                            .transpose()?,
+                    });
             }
             "arq" => {
                 close(&mut doc, &mut open);
@@ -912,10 +926,7 @@ pub fn parse(text: &str) -> Result<ConfigDoc, ConfigError> {
                     timeout_ticks: parse_u64(line_no, &kv, "timeout")?,
                     backoff_cap: small("backoff_cap", defaults.backoff_cap)?,
                     max_retries: small("max_retries", defaults.max_retries)?,
-                    recovery_threshold: small(
-                        "recovery_threshold",
-                        defaults.recovery_threshold,
-                    )?,
+                    recovery_threshold: small("recovery_threshold", defaults.recovery_threshold)?,
                 });
             }
             "node" => {
@@ -960,7 +971,10 @@ pub fn parse(text: &str) -> Result<ConfigDoc, ConfigError> {
                     .ok_or_else(|| err(line_no, "missing 'via='"))?;
                 let via = parse_node_id(line_no, via_tok)?;
                 if doc.routes.iter().any(|r| r.dst == dst) {
-                    return Err(err(line_no, format!("duplicate route for destination {dst}")));
+                    return Err(err(
+                        line_no,
+                        format!("duplicate route for destination {dst}"),
+                    ));
                 }
                 doc.spans.set(span_key::route(dst.0), line_no);
                 doc.routes.push(RouteDirective { dst, via });
@@ -1008,7 +1022,10 @@ pub fn parse(text: &str) -> Result<ConfigDoc, ConfigError> {
                     .next()
                     .ok_or_else(|| err(line_no, "'flow' needs a source 'N<src>:<apid>'"))?;
                 let (src_part, apid_part) = src_tok.split_once(':').ok_or_else(|| {
-                    err(line_no, format!("expected 'N<src>:<apid>', got '{src_tok}'"))
+                    err(
+                        line_no,
+                        format!("expected 'N<src>:<apid>', got '{src_tok}'"),
+                    )
                 })?;
                 let src = parse_node_id(line_no, src_part)?;
                 let apid = apid_part
@@ -1234,11 +1251,7 @@ pub fn emit(doc: &ConfigDoc) -> String {
         out.push_str(&format!(
             "arq window={} timeout={} backoff_cap={} max_retries={} \
              recovery_threshold={}\n",
-            arq.window,
-            arq.timeout_ticks,
-            arq.backoff_cap,
-            arq.max_retries,
-            arq.recovery_threshold
+            arq.window, arq.timeout_ticks, arq.backoff_cap, arq.max_retries, arq.recovery_threshold
         ));
     }
     for c in &doc.channels {
@@ -1378,7 +1391,10 @@ mod tests {
     #[test]
     fn fig8_config_text_content() {
         let text = fig8_config_text();
-        assert!(text.contains("partition P0 name=AOCS authority=true"), "{text}");
+        assert!(
+            text.contains("partition P0 name=AOCS authority=true"),
+            "{text}"
+        );
         assert!(text.contains("schedule chi0 name=chi1 mtf=1300"), "{text}");
         assert!(text.contains("window P3 offset=400 duration=600"), "{text}");
         let _ = (CHI_1, P1, P4);
@@ -1402,11 +1418,7 @@ mod tests {
                 2,
                 "unknown schedule-change action",
             ),
-            (
-                "schedule zeta0 name=s mtf=10",
-                1,
-                "expected schedule id",
-            ),
+            ("schedule zeta0 name=s mtf=10", 1, "expected schedule id"),
             ("partition P0 name=a name=b", 1, "duplicate key"),
         ];
         for (text, line, needle) in cases {
@@ -1468,8 +1480,14 @@ apid 202 name=HM_EVENTS kind=tm
         assert_eq!(
             doc.routes,
             vec![
-                RouteDirective { dst: NodeId(0), via: NodeId(1) },
-                RouteDirective { dst: NodeId(4), via: NodeId(3) },
+                RouteDirective {
+                    dst: NodeId(0),
+                    via: NodeId(1)
+                },
+                RouteDirective {
+                    dst: NodeId(4),
+                    via: NodeId(3)
+                },
             ]
         );
         assert_eq!(doc.apids.len(), 2);
@@ -1562,17 +1580,33 @@ flow N0:101 -> N2
     fn mesh_directive_errors_carry_lines() {
         let cases = [
             ("node X2 name=a", 1, "expected node id"),
-            ("node N2 name=a fallback=N2", 1, "'fallback' cannot name the node itself"),
+            (
+                "node N2 name=a fallback=N2",
+                1,
+                "'fallback' cannot name the node itself",
+            ),
             ("node N2 name=a fallback=Q1", 1, "expected node id"),
-            ("node N0 name=a\nnode N1 name=b", 2, "duplicate 'node' directive"),
+            (
+                "node N0 name=a\nnode N1 name=b",
+                2,
+                "duplicate 'node' directive",
+            ),
             ("node N0", 1, "missing 'name='"),
             ("route N1", 1, "missing 'via='"),
             ("route N1 via=P0", 1, "expected node id"),
-            ("route N1 via=N2\nroute N1 via=N3", 2, "duplicate route for destination N1"),
+            (
+                "route N1 via=N2\nroute N1 via=N3",
+                2,
+                "duplicate route for destination N1",
+            ),
             ("apid 2047 name=a kind=tc", 1, "invalid apid"),
             ("apid 9 name=a kind=xx", 1, "unknown apid kind"),
             ("apid 9 name=a", 1, "missing 'kind='"),
-            ("apid 9 name=a kind=tc\napid 9 name=b kind=tm", 2, "duplicate apid 9"),
+            (
+                "apid 9 name=a kind=tc\napid 9 name=b kind=tm",
+                2,
+                "duplicate apid 9",
+            ),
         ];
         for (text, line, needle) in cases {
             let e = parse(text).unwrap_err();
@@ -1583,8 +1617,8 @@ flow N0:101 -> N2
 
     #[test]
     fn duplicate_partition_ids_are_rejected_with_line() {
-        let e = parse("partition P0 name=a\npartition P1 name=b\npartition P0 name=c\n")
-            .unwrap_err();
+        let e =
+            parse("partition P0 name=a\npartition P1 name=b\npartition P0 name=c\n").unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains("duplicate partition id P0"), "{e}");
     }
@@ -1642,12 +1676,18 @@ handler P1 application_error stop_process
         assert_eq!(doc.queuing_ports.len(), 2);
         assert_eq!(doc.queuing_ports[0].1.max_nb_messages, 8);
         assert_eq!(doc.channels.len(), 2);
-        assert_eq!(doc.channels[0].source, PortAddr::new(PartitionId(0), "att-out"));
+        assert_eq!(
+            doc.channels[0].source,
+            PortAddr::new(PartitionId(0), "att-out")
+        );
         assert_eq!(doc.memory.len(), 2);
         assert_eq!(doc.memory[0].base, 0x4000_0000);
         assert!(doc.memory[1].shared);
         assert!(!doc.memory[1].writable);
-        assert_eq!(doc.hm_levels, vec![(ErrorId::DeadlineMissed, ErrorLevel::Process)]);
+        assert_eq!(
+            doc.hm_levels,
+            vec![(ErrorId::DeadlineMissed, ErrorLevel::Process)]
+        );
         assert_eq!(doc.handlers.len(), 2);
         assert_eq!(
             doc.handlers[0].2,
@@ -1661,8 +1701,16 @@ handler P1 application_error stop_process
         // (spans aside — they refer to the original text's lines).
         let emitted = emit(&doc);
         let reparsed = parse(&emitted).unwrap();
-        assert_eq!(ConfigDoc { spans: Spans::default(), ..reparsed },
-                   ConfigDoc { spans: Spans::default(), ..doc });
+        assert_eq!(
+            ConfigDoc {
+                spans: Spans::default(),
+                ..reparsed
+            },
+            ConfigDoc {
+                spans: Spans::default(),
+                ..doc
+            }
+        );
     }
 
     #[test]
@@ -1688,7 +1736,10 @@ channel 50 from=P0:tm to=remote:P0:tm
         assert_eq!(arq.window, 8);
         assert_eq!(arq.timeout_ticks, 24);
         // Omitted keys take the runtime default.
-        assert_eq!(arq.recovery_threshold, ArqConfig::default().recovery_threshold);
+        assert_eq!(
+            arq.recovery_threshold,
+            ArqConfig::default().recovery_threshold
+        );
         assert_eq!(
             doc.channels[0].destinations,
             vec![Destination::Remote {
@@ -1709,7 +1760,10 @@ channel 50 from=P0:tm to=remote:P0:tm
     #[test]
     fn link_degraded_is_a_named_error_id() {
         let doc = parse("hm link_degraded level=module\n").unwrap();
-        assert_eq!(doc.hm_levels, vec![(ErrorId::LinkDegraded, ErrorLevel::Module)]);
+        assert_eq!(
+            doc.hm_levels,
+            vec![(ErrorId::LinkDegraded, ErrorLevel::Module)]
+        );
         assert_eq!(error_id_token(ErrorId::LinkDegraded), "link_degraded");
     }
 
@@ -1733,7 +1787,11 @@ channel 50 from=P0:tm to=remote:P0:tm
                 2,
                 "duplicate 'arq' directive",
             ),
-            ("channel 0 from=P0:a to=remote:bogus", 1, "expected 'P<n>:<port>'"),
+            (
+                "channel 0 from=P0:a to=remote:bogus",
+                1,
+                "expected 'P<n>:<port>'",
+            ),
         ];
         for (text, line, needle) in cases {
             let e = parse(text).unwrap_err();
@@ -1758,20 +1816,43 @@ channel 50 from=P0:tm to=remote:P0:tm
                 .get(&span_key::window(ScheduleId(0), PartitionId(0), Ticks(0))),
             Some(3)
         );
-        assert_eq!(doc.spans.get(&span_key::port(PartitionId(0), "out")), Some(4));
+        assert_eq!(
+            doc.spans.get(&span_key::port(PartitionId(0), "out")),
+            Some(4)
+        );
     }
 
     #[test]
     fn extended_directive_errors_carry_line_numbers() {
         let cases = [
             ("process P0 name=a period=5 sporadic=5", 1, "exclusive"),
-            ("sampling P0 name=a dir=sideways size=8", 1, "unknown direction"),
-            ("sampling P0 name=a dir=source size=8 refresh=5", 1, "refresh"),
+            (
+                "sampling P0 name=a dir=sideways size=8",
+                1,
+                "unknown direction",
+            ),
+            (
+                "sampling P0 name=a dir=source size=8 refresh=5",
+                1,
+                "refresh",
+            ),
             ("queuing P0 name=a dir=source size=8", 1, "missing 'depth='"),
-            ("memory P0 base=0x1000 size=0x1000 perm=www", 1, "unknown permission"),
-            ("channel 0 from=nonsense to=P1:x", 1, "expected 'P<n>:<port>'"),
+            (
+                "memory P0 base=0x1000 size=0x1000 perm=www",
+                1,
+                "unknown permission",
+            ),
+            (
+                "channel 0 from=nonsense to=P1:x",
+                1,
+                "expected 'P<n>:<port>'",
+            ),
             ("hm deadline_missed level=cosmic", 1, "unknown error level"),
-            ("handler P0 deadline_missed explode", 1, "unknown handler action"),
+            (
+                "handler P0 deadline_missed explode",
+                1,
+                "unknown handler action",
+            ),
             ("handler P0 not_an_error ignore", 1, "unknown error id"),
         ];
         for (text, line, needle) in cases {

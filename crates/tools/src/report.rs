@@ -64,7 +64,11 @@ fn schedule_section(schedule: &Schedule, partitions: &[Partition]) -> String {
                 (q.cycle * (k + 1)).as_u64(),
                 assigned.as_u64(),
                 q.duration.as_u64(),
-                if assigned >= q.duration { "ok" } else { "VIOLATED" }
+                if assigned >= q.duration {
+                    "ok"
+                } else {
+                    "VIOLATED"
+                }
             ));
         }
     }

@@ -91,9 +91,7 @@ impl std::fmt::Display for AnalysisError {
                 f,
                 "process '{name}' has a deadline but no bounded inter-arrival time"
             ),
-            AnalysisError::NoSupply => {
-                f.write_str("the partition has no windows in this schedule")
-            }
+            AnalysisError::NoSupply => f.write_str("the partition has no windows in this schedule"),
         }
     }
 }
@@ -436,13 +434,9 @@ mod tests {
         // MTF-locked phasing (the prototype's actual pattern: releases at
         // MTF boundaries, inside the window): both fit comfortably —
         // control responds in 100, faulty right behind it in 120.
-        let locked = analyze_partition_with_phasing(
-            &fig8_chi1(),
-            P1,
-            &processes,
-            Phasing::MtfLocked,
-        )
-        .unwrap();
+        let locked =
+            analyze_partition_with_phasing(&fig8_chi1(), P1, &processes, Phasing::MtfLocked)
+                .unwrap();
         assert!(locked.all_schedulable(), "{locked:?}");
         assert_eq!(locked.processes[0].wcrt, Some(Ticks(100)));
         assert_eq!(locked.processes[1].wcrt, Some(Ticks(120)));
@@ -473,10 +467,7 @@ mod tests {
     #[test]
     fn interference_ordering_matters() {
         // Low-priority victim under a heavy high-priority interferer.
-        let processes = vec![
-            attrs("hp", 650, 650, 1, 80),
-            attrs("lp", 1300, 300, 9, 50),
-        ];
+        let processes = vec![attrs("hp", 650, 650, 1, 80), attrs("lp", 1300, 300, 9, 50)];
         let result = analyze_partition(&fig8_chi1(), P1, &processes).unwrap();
         let lp = &result.processes[1];
         // lp needs 50 after hp's 80 → 130 of P1 supply; P1's window is
@@ -580,13 +571,9 @@ mod tests {
             attrs("aocs-control", 1300, 1300, 1, 100),
             attrs("aocs-faulty", 1300, 650, 5, 20),
         ];
-        let locked = analyze_partition_with_phasing(
-            &fig8_chi1(),
-            P1,
-            &processes,
-            Phasing::MtfLocked,
-        )
-        .unwrap();
+        let locked =
+            analyze_partition_with_phasing(&fig8_chi1(), P1, &processes, Phasing::MtfLocked)
+                .unwrap();
         assert!(locked.all_schedulable());
         let mut proto = PrototypeHarness::build();
         proto.system.run_for(20 * 1300);

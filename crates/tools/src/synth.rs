@@ -102,7 +102,12 @@ pub fn synthesize_schedule(
             return Err(SynthError::DurationExceedsCycle(q.partition));
         }
     }
-    let mtf = lcm_all(requirements.iter().filter(|q| !q.duration.is_zero()).map(|q| q.cycle));
+    let mtf = lcm_all(
+        requirements
+            .iter()
+            .filter(|q| !q.duration.is_zero())
+            .map(|q| q.cycle),
+    );
     let mtf = if mtf.is_zero() { Ticks(1) } else { mtf };
 
     // Free capacity as disjoint half-open intervals.
@@ -111,8 +116,10 @@ pub fn synthesize_schedule(
 
     // Rate-monotone order: shortest cycle first; ties by partition id for
     // determinism.
-    let mut order: Vec<&PartitionRequirement> =
-        requirements.iter().filter(|q| !q.duration.is_zero()).collect();
+    let mut order: Vec<&PartitionRequirement> = requirements
+        .iter()
+        .filter(|q| !q.duration.is_zero())
+        .collect();
     order.sort_by_key(|q| (q.cycle, q.partition));
 
     for q in order {
@@ -123,10 +130,7 @@ pub fn synthesize_schedule(
             let mut need = q.duration.as_u64();
             while need > 0 {
                 // Earliest free interval overlapping the cycle.
-                let Some(i) = free
-                    .iter()
-                    .position(|&(fs, fe)| fs.max(lo) < fe.min(hi))
-                else {
+                let Some(i) = free.iter().position(|&(fs, fe)| fs.max(lo) < fe.min(hi)) else {
                     break;
                 };
                 let (fs, fe) = free[i];
@@ -189,11 +193,7 @@ mod tests {
 
     #[test]
     fn two_partition_harmonic() {
-        let s = synthesize_schedule(
-            ScheduleId(0),
-            &[req(0, 50, 20), req(1, 100, 40)],
-        )
-        .unwrap();
+        let s = synthesize_schedule(ScheduleId(0), &[req(0, 50, 20), req(1, 100, 40)]).unwrap();
         assert!(verify_schedule(&s, &[]).is_ok());
         // P0 gets 20 in each of [0,50) and [50,100).
         assert_eq!(s.assigned_in_cycle(PartitionId(0), Ticks(50), 0), Ticks(20));
@@ -202,22 +202,15 @@ mod tests {
 
     #[test]
     fn full_utilization_feasible() {
-        let s = synthesize_schedule(
-            ScheduleId(0),
-            &[req(0, 50, 25), req(1, 100, 50)],
-        )
-        .unwrap();
+        let s = synthesize_schedule(ScheduleId(0), &[req(0, 50, 25), req(1, 100, 50)]).unwrap();
         assert!(verify_schedule(&s, &[]).is_ok());
         assert!((s.utilization() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn overdemand_is_infeasible_with_location() {
-        let err = synthesize_schedule(
-            ScheduleId(0),
-            &[req(0, 50, 30), req(1, 100, 50)],
-        )
-        .unwrap_err();
+        let err =
+            synthesize_schedule(ScheduleId(0), &[req(0, 50, 30), req(1, 100, 50)]).unwrap_err();
         // P0 takes 30 of each 50; the 100-cycle partition needs 50 but
         // only 40 remain.
         assert!(matches!(
@@ -247,11 +240,7 @@ mod tests {
 
     #[test]
     fn zero_duration_partitions_are_carried_through() {
-        let s = synthesize_schedule(
-            ScheduleId(0),
-            &[req(0, 100, 40), req(1, 100, 0)],
-        )
-        .unwrap();
+        let s = synthesize_schedule(ScheduleId(0), &[req(0, 100, 40), req(1, 100, 0)]).unwrap();
         assert!(verify_schedule(&s, &[]).is_ok());
         assert!(s.requirement_for(PartitionId(1)).is_some());
         assert_eq!(s.windows_for(PartitionId(1)).count(), 0);

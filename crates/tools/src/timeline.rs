@@ -100,10 +100,16 @@ mod tests {
     fn chi1_timeline_shape() {
         let text = render_timeline(&fig8_chi1(), 100);
         // 13 columns at resolution 100; P0 (paper's P1) holds cols 0-1.
-        let p0_line = text.lines().find(|l| l.trim_start().starts_with("P0")).unwrap();
+        let p0_line = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("P0"))
+            .unwrap();
         assert!(p0_line.contains("|##..........."), "{p0_line}");
         // P3 (paper's P4) holds [400,1000) and [1200,1300).
-        let p3_line = text.lines().find(|l| l.trim_start().starts_with("P3")).unwrap();
+        let p3_line = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("P3"))
+            .unwrap();
         assert!(p3_line.contains("|....######..#"), "{p3_line}");
     }
 

@@ -76,7 +76,9 @@ fn run_scenario(action: ProcessRecoveryAction, label: &str) {
 }
 
 fn main() {
-    println!("recovery action                ... observed over 10 MTFs (deadline 60, period 100)\n");
+    println!(
+        "recovery action                ... observed over 10 MTFs (deadline 60, period 100)\n"
+    );
     run_scenario(ProcessRecoveryAction::Ignore, "ignore (log only)");
     run_scenario(
         ProcessRecoveryAction::LogThenAct {
@@ -87,10 +89,7 @@ fn main() {
     );
     run_scenario(ProcessRecoveryAction::RestartProcess, "restart process");
     run_scenario(ProcessRecoveryAction::StopProcess, "stop process");
-    run_scenario(
-        ProcessRecoveryAction::RestartPartition,
-        "restart partition",
-    );
+    run_scenario(ProcessRecoveryAction::RestartPartition, "restart partition");
     run_scenario(ProcessRecoveryAction::StopPartition, "stop partition");
     println!("\ndeadline_monitor OK");
 }

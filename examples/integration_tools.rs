@@ -31,7 +31,11 @@ schedule chi0 name=ops mtf=200
   window P0 offset=100 duration=40
 ";
     let doc = parse(text)?;
-    println!("== configuration parsed: {} partitions, {} schedule(s) ==\n", doc.partitions.len(), doc.schedules.len());
+    println!(
+        "== configuration parsed: {} partitions, {} schedule(s) ==\n",
+        doc.partitions.len(),
+        doc.schedules.len()
+    );
 
     // 2. Offline verification (Eq. 21-23).
     let set = doc.schedule_set();
@@ -109,7 +113,10 @@ schedule chi0 name=ops mtf=200
         .build()?;
     system.run_for(3 * 200);
     println!("== planned (model timeline) ==");
-    println!("{}", render_timeline(doc.schedules.first().expect("one schedule"), 5));
+    println!(
+        "{}",
+        render_timeline(doc.schedules.first().expect("one schedule"), 5)
+    );
     println!("== actual (execution Gantt, same resolution) ==");
     println!("    |{}", system.trace().render_gantt(5));
     println!(

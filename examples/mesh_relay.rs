@@ -90,7 +90,10 @@ fn main() {
     let horizon = planned_mesh_horizon(&plan);
     let mut sim = MeshSim::new(&plan);
     sim.run_for(480);
-    println!("\nfive-node ring, seeded edge partition (monitors on), tick {}:", sim.now());
+    println!(
+        "\nfive-node ring, seeded edge partition (monitors on), tick {}:",
+        sim.now()
+    );
     render_status("mid-outage", &sim.status());
     sim.run_for(horizon - sim.now());
     println!("\nafter recovery, tick {}:", sim.now());

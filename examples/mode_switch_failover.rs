@@ -61,7 +61,10 @@ impl ProcessBody for FdirWatch {
             match api.apex.read_sampling_message(api.ports, "hb-in", api.now) {
                 Ok((_, validity)) if validity.is_valid() => {}
                 _ if api.now > Ticks(200) => {
-                    api.log(format!("[{}] heartbeat stale -> degraded schedule", api.now));
+                    api.log(format!(
+                        "[{}] heartbeat stale -> degraded schedule",
+                        api.now
+                    ));
                     api.set_module_schedule(DEGRADED)
                         .expect("supervisor holds schedule authority");
                     self.switched = true;
@@ -150,15 +153,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 )),
         )
         .with_partition(
-            PartitionConfig::new(Partition::new(SPARE, "SPARE")).with_process(
-                ProcessConfig::new(
-                    ProcessAttributes::new("spare-work")
-                        .with_recurrence(Recurrence::Periodic(Ticks(400)))
-                        .with_deadline(Deadline::NONE)
-                        .with_base_priority(Priority(1)),
-                    SpareWork,
-                ),
-            ),
+            PartitionConfig::new(Partition::new(SPARE, "SPARE")).with_process(ProcessConfig::new(
+                ProcessAttributes::new("spare-work")
+                    .with_recurrence(Recurrence::Periodic(Ticks(400)))
+                    .with_deadline(Deadline::NONE)
+                    .with_base_priority(Priority(1)),
+                SpareWork,
+            )),
         )
         .with_channel(ChannelConfig {
             id: 1,

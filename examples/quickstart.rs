@@ -78,10 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  deadline misses:            {}",
         system.trace().deadline_miss_count()
     );
-    println!(
-        "  HM log entries:             {}",
-        system.hm().log().len()
-    );
+    println!("  HM log entries:             {}", system.hm().log().len());
     assert_eq!(system.trace().deadline_miss_count(), 0);
     println!("quickstart OK: both partitions met every deadline.");
     Ok(())

@@ -20,9 +20,7 @@ use air_hw::link::LinkEndpoint;
 use air_hw::redundant::RedundantLink;
 use air_model::{PartitionId, Ticks};
 use air_pmk::PmkIpc;
-use air_ports::{
-    ChannelConfig, Destination, PortAddr, PortRegistry, QueuingPortConfig,
-};
+use air_ports::{ChannelConfig, Destination, PortAddr, PortRegistry, QueuingPortConfig};
 
 const NODE_A_OBDH: PartitionId = PartitionId(0);
 const NODE_B_GROUND_IF: PartitionId = PartitionId(0);
@@ -111,7 +109,10 @@ fn main() {
         println!("  {text} (link latency {latency} ticks)");
     }
     assert_eq!(received.len(), 10);
-    assert!(received.iter().all(|(_, l)| *l >= 5), "latency >= link delay");
+    assert!(
+        received.iter().all(|(_, l)| *l >= 5),
+        "latency >= link delay"
+    );
 
     // Phase 2: a degraded link dropping every 3rd frame.
     link.set_drop_every(3);
@@ -150,8 +151,7 @@ fn main() {
 
     // Phase 3: a corrupted frame is rejected, never delivered.
     let mut inbound = RedundantLink::new(0, 0, 0, 1_000_000);
-    let mut bytes =
-        air_ports::wire::Frame::new(CHANNEL, Ticks(2000), &b"tampered"[..]).encode();
+    let mut bytes = air_ports::wire::Frame::new(CHANNEL, Ticks(2000), &b"tampered"[..]).encode();
     bytes[6] ^= 0x40;
     inbound.send(LinkEndpoint::B, 2000, bytes);
     let errors = b.receive(&mut inbound, Ticks(2000));

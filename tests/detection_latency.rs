@@ -34,15 +34,13 @@ fn overrun_system(d: u64) -> air_core::AirSystem {
     fault.activate();
     SystemBuilder::new(ScheduleSet::new(vec![schedule]))
         .with_partition(
-            PartitionConfig::new(Partition::new(P0, "victim")).with_process(
-                ProcessConfig::new(
-                    ProcessAttributes::new("overrunner")
-                        .with_recurrence(Recurrence::Periodic(Ticks(100)))
-                        .with_deadline(Deadline::relative(Ticks(d)))
-                        .with_base_priority(Priority(1)),
-                    FaultyPeriodic::new(1, fault),
-                ),
-            ),
+            PartitionConfig::new(Partition::new(P0, "victim")).with_process(ProcessConfig::new(
+                ProcessAttributes::new("overrunner")
+                    .with_recurrence(Recurrence::Periodic(Ticks(100)))
+                    .with_deadline(Deadline::relative(Ticks(d)))
+                    .with_base_priority(Priority(1)),
+                FaultyPeriodic::new(1, fault),
+            )),
         )
         .with_partition(PartitionConfig::new(Partition::new(P1, "bystander")))
         .build()
@@ -117,8 +115,7 @@ fn latency_series_for_the_b4_bench_shape() {
 fn detection_is_reported_with_the_missed_deadline_value() {
     let mut system = overrun_system(30);
     system.run_for(150);
-    let TraceEvent::DeadlineMiss { deadline, .. } = system.trace().deadline_misses()[0]
-    else {
+    let TraceEvent::DeadlineMiss { deadline, .. } = system.trace().deadline_misses()[0] else {
         unreachable!()
     };
     assert_eq!(deadline.as_u64(), 30);

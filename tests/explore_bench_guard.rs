@@ -18,12 +18,8 @@ use air_lint::{explore_with, ExploreConfig, SystemModel};
 const BENCHED: &[&str] = &["full_system.air", "constellation_hub.air"];
 
 fn model_of(example: &str) -> SystemModel {
-    let path = format!(
-        "{}/../../examples/{example}",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{path}: {e}"));
+    let path = format!("{}/../../examples/{example}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     let doc = air_tools::config::parse(&text)
         .unwrap_or_else(|e| panic!("{example}: parse failure: {e:?}"));
     SystemModel::from_config(&doc)

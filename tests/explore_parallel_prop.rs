@@ -156,8 +156,8 @@ fn graph_summary(
 fn example_model(name: &str) -> SystemModel {
     let path = format!("{}/../../examples/{name}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let doc = air_tools::config::parse(&text)
-        .unwrap_or_else(|e| panic!("{name}: parse failure: {e:?}"));
+    let doc =
+        air_tools::config::parse(&text).unwrap_or_else(|e| panic!("{name}: parse failure: {e:?}"));
     SystemModel::from_config(&doc)
 }
 
@@ -185,14 +185,26 @@ fn search_graphs_of_the_examples_are_pinned() {
             "constellation_hub.air",
             8,
             50_000,
-            (50_000, 419_989, true, 17_703, 125_860, 0x9834_42b2_504e_09fc),
+            (
+                50_000,
+                419_989,
+                true,
+                17_703,
+                125_860,
+                0x9834_42b2_504e_09fc,
+            ),
         ),
     ];
     for (example, depth, max_states, pinned) in runs {
         let ts = air_lint::transition_system_for(&example_model(example))
             .unwrap_or_else(|| panic!("{example}: no transition system"));
         for workers in [1, 2] {
-            let config = SearchConfig { depth, max_states, workers, por: true };
+            let config = SearchConfig {
+                depth,
+                max_states,
+                workers,
+                por: true,
+            };
             let summary = graph_summary(&search(&ts, &config));
             assert_eq!(
                 summary, pinned,

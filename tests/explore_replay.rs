@@ -79,10 +79,7 @@ fn default_build_gate_rejects_through_exploration() {
         panic!("expected Lint rejection, got {err}");
     };
     assert!(report.has_code(Code::ModeStarvation), "{report}");
-    assert!(
-        report.has_code(Code::AuthorityLostAcrossModes),
-        "{report}"
-    );
+    assert!(report.has_code(Code::AuthorityLostAcrossModes), "{report}");
 }
 
 #[test]

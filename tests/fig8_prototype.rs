@@ -66,8 +66,7 @@ fn timelines_are_renderable_and_consistent_with_the_model() {
             for (c, ch) in cells.chars().enumerate() {
                 let t = Ticks((c as u64) * 100);
                 let p: u32 = line.trim_start()[1..2].parse().unwrap();
-                let is_active =
-                    schedule.partition_active_at(t) == Some(air_model::PartitionId(p));
+                let is_active = schedule.partition_active_at(t) == Some(air_model::PartitionId(p));
                 if ch == '#' {
                     // The column may be marked due to activity anywhere in
                     // it; at resolution 100 the Fig. 8 tables align, so the

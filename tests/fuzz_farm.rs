@@ -17,8 +17,7 @@ const FARM_SEED: u64 = 0x5eed_0a1b;
 fn assert_sweep(label: &str, first_seed: u64, cases: usize, depth: usize) {
     let report = run_fuzz(first_seed, cases, depth);
     assert_eq!(report.cases, cases, "{label}");
-    let rendered: Vec<String> =
-        report.divergences.iter().map(|d| d.to_string()).collect();
+    let rendered: Vec<String> = report.divergences.iter().map(|d| d.to_string()).collect();
     assert!(
         rendered.is_empty(),
         "{label}: abstraction diverged from the concrete system:\n{}",

@@ -49,16 +49,14 @@ fn build() -> (air_core::AirSystem, Arc<Mutex<Vec<u64>>>) {
     let executed = Arc::new(Mutex::new(Vec::new()));
     let system = SystemBuilder::new(ScheduleSet::new(vec![schedule]))
         .with_partition(
-            PartitionConfig::new(Partition::new(RT, "CONTROL")).with_process(
-                ProcessConfig::new(
-                    ProcessAttributes::new("hard-loop")
-                        .with_recurrence(Recurrence::Periodic(Ticks(100)))
-                        .with_deadline(Deadline::relative(Ticks(100)))
-                        .with_base_priority(Priority(1))
-                        .with_wcet(Ticks(30)),
-                    PeriodicCompute::new(30),
-                ),
-            ),
+            PartitionConfig::new(Partition::new(RT, "CONTROL")).with_process(ProcessConfig::new(
+                ProcessAttributes::new("hard-loop")
+                    .with_recurrence(Recurrence::Periodic(Ticks(100)))
+                    .with_deadline(Deadline::relative(Ticks(100)))
+                    .with_base_priority(Priority(1))
+                    .with_wcet(Ticks(30)),
+                PeriodicCompute::new(30),
+            )),
         )
         .with_partition(
             PartitionConfig::new(
@@ -109,7 +107,10 @@ fn guest_clock_masking_is_paravirtualised_away() {
         .intc
         .mask(InterruptLine::ClockTick, PrivilegeLevel::Guest);
     assert_eq!(outcome, ParavirtOutcome::Wrapped);
-    assert!(system.machine_mut().intc.is_enabled(InterruptLine::ClockTick));
+    assert!(system
+        .machine_mut()
+        .intc
+        .is_enabled(InterruptLine::ClockTick));
     assert_eq!(system.machine_mut().intc.wrapped_clock_attempts(), 1);
 
     // Time keeps flowing: the scheduler keeps switching partitions and RT

@@ -144,10 +144,7 @@ fn stop_partition_silences_it_permanently() {
         .filter(|e| matches!(e, TraceEvent::PartitionStop { partition, .. } if *partition == P))
         .count();
     assert_eq!(stops, 1);
-    assert_eq!(
-        system.partition(P).mode(),
-        air_model::OperatingMode::Idle
-    );
+    assert_eq!(system.partition(P).mode(), air_model::OperatingMode::Idle);
 }
 
 #[test]
@@ -159,8 +156,7 @@ fn module_level_classification_halts_the_module() {
     tables.system = SystemHmTable::standard()
         .with_level(ErrorId::DeadlineMissed, air_hm::ErrorLevel::Module)
         .with_module_action(ModuleRecoveryAction::Shutdown);
-    let mut system =
-        overruning_system_with_tables(ProcessRecoveryAction::Ignore, tables);
+    let mut system = overruning_system_with_tables(ProcessRecoveryAction::Ignore, tables);
     system.run_for(10 * 100);
     assert!(system.is_halted());
     // The clock stopped advancing at the halt.

@@ -41,10 +41,7 @@ fn occurrences_count_per_source_error_pair_independently() {
         let sources: Vec<ErrorSource> = (0..rng.range(2, 5))
             .flat_map(|m| {
                 (0..3).map(move |q| {
-                    ErrorSource::Process(GlobalProcessId::new(
-                        PartitionId(m as u32),
-                        ProcessId(q),
-                    ))
+                    ErrorSource::Process(GlobalProcessId::new(PartitionId(m as u32), ProcessId(q)))
                 })
             })
             .collect();
@@ -56,7 +53,12 @@ fn occurrences_count_per_source_error_pair_independently() {
             *expected += 1;
             let decision = hm.report(Ticks(step), error, source, "prop");
             // The decision carries this pair's count, not any other pair's.
-            let HmDecision::InvokeErrorHandler { occurrences, process, .. } = decision else {
+            let HmDecision::InvokeErrorHandler {
+                occurrences,
+                process,
+                ..
+            } = decision
+            else {
                 panic!("seed {seed}: process-level error must invoke the handler");
             };
             assert_eq!(
@@ -108,7 +110,12 @@ fn overrunning_log_then_act(threshold: u32, then: EscalatedProcessAction) -> Air
 }
 
 fn process_state(system: &AirSystem) -> ProcessState {
-    system.partition(P).process_status(ProcessId(0)).unwrap().0.state
+    system
+        .partition(P)
+        .process_status(ProcessId(0))
+        .unwrap()
+        .0
+        .state
 }
 
 #[test]
@@ -116,8 +123,7 @@ fn stop_process_fires_at_exactly_the_nth_plus_one_occurrence() {
     for seed in 1..=8u64 {
         let mut rng = TestRng::new(seed);
         let threshold = rng.range(1, 6) as u32;
-        let mut system =
-            overrunning_log_then_act(threshold, EscalatedProcessAction::StopProcess);
+        let mut system = overrunning_log_then_act(threshold, EscalatedProcessAction::StopProcess);
         // Advance frame by frame: while the observed misses are within the
         // threshold the process must still be alive (replenished), and the
         // moment the count passes it the process must be stopped.
@@ -147,7 +153,10 @@ fn stop_process_fires_at_exactly_the_nth_plus_one_occurrence() {
             "seed {seed} threshold {threshold}"
         );
         system.run_for(4 * FRAME);
-        assert_eq!(system.trace().deadline_miss_count(), u64::from(threshold) + 1);
+        assert_eq!(
+            system.trace().deadline_miss_count(),
+            u64::from(threshold) + 1
+        );
     }
 }
 

@@ -306,5 +306,8 @@ fn event_gates_progress_until_set() {
     system.run_for(195);
     assert_eq!(*progressed.lock().unwrap(), 0, "gated until the event");
     system.run_for(305);
-    assert!(*progressed.lock().unwrap() > 200, "released after the event");
+    assert!(
+        *progressed.lock().unwrap() > 200,
+        "released after the event"
+    );
 }

@@ -52,7 +52,11 @@ fn staleness_is_reported_when_the_producer_dies() {
     // period.
     let mut proto = PrototypeHarness::build();
     proto.system.run_for(2 * M);
-    let control = proto.system.partition(P1).process_id("aocs-control").unwrap();
+    let control = proto
+        .system
+        .partition(P1)
+        .process_id("aocs-control")
+        .unwrap();
     proto.system.partition_mut(P1).stop(control).unwrap();
     proto.system.run_for(3 * M);
     let console = proto.system.console_of(P4);
@@ -66,7 +70,11 @@ fn queue_overflow_is_contained_and_counted() {
     // and no deadlines are missed anywhere.
     let mut proto = PrototypeHarness::build();
     proto.system.run_for(M);
-    let downlink = proto.system.partition(P3).process_id("ttc-downlink").unwrap();
+    let downlink = proto
+        .system
+        .partition(P3)
+        .process_id("ttc-downlink")
+        .unwrap();
     proto.system.partition_mut(P3).stop(downlink).unwrap();
     proto.system.run_for(10 * M);
     let dropped = proto.system.ipc_mut().registry().dropped_deliveries();

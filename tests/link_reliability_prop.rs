@@ -68,7 +68,10 @@ fn mixed_fault_plans_keep_the_guarantee() {
             "case {case} (seed {seed}): {}",
             outcome.report
         );
-        assert_eq!(outcome.delivered, outcome.expected, "case {case} (seed {seed})");
+        assert_eq!(
+            outcome.delivered, outcome.expected,
+            "case {case} (seed {seed})"
+        );
         assert!(outcome.degraded_entries > 0, "case {case} (seed {seed})");
         assert!(
             outcome.degraded_exits >= outcome.degraded_entries,

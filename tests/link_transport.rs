@@ -6,8 +6,8 @@ use air_core::link_campaign::{link_plan, LinkCampaignRunner};
 use air_core::trace::TraceEvent;
 use air_core::workload::{QueuingConsumer, QueuingProducer};
 use air_core::{PartitionConfig, ProcessConfig, SystemBuilder};
-use air_hw::link::LinkEndpoint;
 use air_hw::inject::FaultPlan;
+use air_hw::link::LinkEndpoint;
 use air_hw::redundant::LinkRole;
 use air_model::process::{Deadline, Priority, ProcessAttributes, Recurrence};
 use air_model::schedule::{PartitionRequirement, Schedule, TimeWindow};
@@ -129,7 +129,10 @@ fn lost_acks_never_duplicate_delivery() {
             acks_killed += 1;
         }
     }
-    assert!(acks_killed > 0, "acknowledgements were in flight to destroy");
+    assert!(
+        acks_killed > 0,
+        "acknowledgements were in flight to destroy"
+    );
     cluster.run_for(600);
 
     let health_b = cluster.link_health(Node::B);
@@ -188,7 +191,10 @@ fn outage_moves_traffic_to_the_secondary_adapter() {
         .iter()
         .any(|e| matches!(
             e,
-            TraceEvent::LinkFailover { to: LinkRole::Secondary, .. }
+            TraceEvent::LinkFailover {
+                to: LinkRole::Secondary,
+                ..
+            }
         )));
     // After the probation the link reverts to the repaired primary.
     cluster.run_for(1500);

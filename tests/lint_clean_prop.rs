@@ -92,23 +92,24 @@ fn builder_for(synth: &Synth) -> SystemBuilder {
     let mut builder = SystemBuilder::new(ScheduleSet::new(vec![schedule]));
     for q in &synth.requirements {
         let wcet = (q.duration.as_u64() / 2).max(1);
-        let mut config = PartitionConfig::new(Partition::new(
-            q.partition,
-            format!("prop-{}", q.partition),
-        ))
-        .with_process(ProcessConfig::new(
-            ProcessAttributes::new(format!("work-{}", q.partition))
-                .with_recurrence(Recurrence::Periodic(q.cycle))
-                .with_deadline(Deadline::Relative(q.cycle))
-                .with_wcet(Ticks(wcet)),
-            PeriodicCompute::new(wcet),
-        ));
+        let mut config =
+            PartitionConfig::new(Partition::new(q.partition, format!("prop-{}", q.partition)))
+                .with_process(ProcessConfig::new(
+                    ProcessAttributes::new(format!("work-{}", q.partition))
+                        .with_recurrence(Recurrence::Periodic(q.cycle))
+                        .with_deadline(Deadline::Relative(q.cycle))
+                        .with_wcet(Ticks(wcet)),
+                    PeriodicCompute::new(wcet),
+                ));
         if synth.with_channel {
             if q.partition == PartitionId(0) {
                 config = config.with_sampling_port(SamplingPortConfig::source("prop-out", 16));
             } else if q.partition == PartitionId(1) {
-                config = config
-                    .with_sampling_port(SamplingPortConfig::destination("prop-in", 16, Ticks(1_000)));
+                config = config.with_sampling_port(SamplingPortConfig::destination(
+                    "prop-in",
+                    16,
+                    Ticks(1_000),
+                ));
             }
         }
         builder = builder.with_partition(config);

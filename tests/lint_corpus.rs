@@ -89,16 +89,14 @@ fn member_sets() -> Vec<(String, PathBuf, Vec<PathBuf>)> {
 }
 
 fn read(path: &Path) -> String {
-    std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
 fn is_pair_node(path: &Path) -> bool {
-    path.file_stem()
-        .is_some_and(|s| {
-            let s = s.to_string_lossy();
-            s.ends_with("_pair_a") || s.ends_with("_pair_b")
-        })
+    path.file_stem().is_some_and(|s| {
+        let s = s.to_string_lossy();
+        s.ends_with("_pair_a") || s.ends_with("_pair_b")
+    })
 }
 
 /// Whether `path` is one member of a mesh set (`<base>_mesh_<letter>`).
@@ -164,9 +162,8 @@ fn corpus_reports_match_goldens() {
     for case in corpus_cases() {
         let text = std::fs::read_to_string(&case).expect("readable corpus case");
         let golden_path = case.with_extension("expected");
-        let golden = std::fs::read_to_string(&golden_path).unwrap_or_else(|_| {
-            panic!("missing golden file {}", golden_path.display())
-        });
+        let golden = std::fs::read_to_string(&golden_path)
+            .unwrap_or_else(|_| panic!("missing golden file {}", golden_path.display()));
         let actual = report_for(&text).to_json_lines();
         if actual != golden {
             failures.push(format!(
@@ -193,8 +190,10 @@ fn mesh_sets_match_goldens() {
 /// `kind` (`_pair` or `_mesh`; a pair is a two-member set) against its
 /// golden and the naming convention, and demands at least `min_sets`.
 fn check_member_sets(kind: &str, min_sets: usize) {
-    let sets: Vec<_> =
-        member_sets().into_iter().filter(|(base, ..)| base.ends_with(kind)).collect();
+    let sets: Vec<_> = member_sets()
+        .into_iter()
+        .filter(|(base, ..)| base.ends_with(kind))
+        .collect();
     assert!(
         sets.len() >= min_sets,
         "expected at least {min_sets} {kind} member sets, found {}",
@@ -204,7 +203,10 @@ fn check_member_sets(kind: &str, min_sets: usize) {
         if kind == "_pair" {
             assert_eq!(members.len(), 2, "pair {base} needs exactly two nodes");
         } else {
-            assert!(members.len() >= 2, "member set {base} needs at least two members");
+            assert!(
+                members.len() >= 2,
+                "member set {base} needs at least two members"
+            );
         }
         let texts: Vec<String> = members.iter().map(|m| read(m)).collect();
         let mut actual = String::new();
@@ -216,12 +218,19 @@ fn check_member_sets(kind: &str, min_sets: usize) {
             Err(report) => report,
         };
         actual.push_str(&cross.to_json_lines());
-        assert_eq!(actual, read(golden), "member set {base} diverged from its golden");
+        assert_eq!(
+            actual,
+            read(golden),
+            "member set {base} diverged from its golden"
+        );
         // Member sets follow the same naming convention as per-file cases.
         if base.starts_with("clean_") {
             assert!(!cross.has_errors(), "member set {base} should be clean");
         } else if base.starts_with("warn_") {
-            assert!(!cross.has_errors(), "member set {base} should have no errors");
+            assert!(
+                !cross.has_errors(),
+                "member set {base} should have no errors"
+            );
             assert!(!cross.is_empty(), "member set {base} should have findings");
         } else {
             assert!(cross.has_errors(), "member set {base} should report errors");
@@ -237,7 +246,10 @@ fn airlint(args: &[OsString]) -> (String, i32) {
         .output()
         .expect("airlint runs");
     let stdout = String::from_utf8(output.stdout).expect("UTF-8 output");
-    (stdout, output.status.code().expect("airlint exited normally"))
+    (
+        stdout,
+        output.status.code().expect("airlint exited normally"),
+    )
 }
 
 #[test]
@@ -285,7 +297,11 @@ fn airlint_timing_certifies_nothing_when_a_member_fails_to_parse() {
     // would certify if it did.
     let members: Vec<OsString> = ["a", "b"]
         .into_iter()
-        .map(|m| corpus_dir().join(format!("member_parse_error_mesh_{m}.air")).into())
+        .map(|m| {
+            corpus_dir()
+                .join(format!("member_parse_error_mesh_{m}.air"))
+                .into()
+        })
         .collect();
     let (stdout, status) = airlint(&[vec!["--timing".into()], members].concat());
     assert_eq!(status, 1, "{stdout}");
@@ -302,7 +318,10 @@ fn airlint_binary_passes_every_example_invocation() {
         .collect();
     examples.sort();
     let example = |name: &str| OsString::from(dir.join(name));
-    let cluster = [example("cluster_degraded_a.air"), example("cluster_degraded_b.air")];
+    let cluster = [
+        example("cluster_degraded_a.air"),
+        example("cluster_degraded_b.air"),
+    ];
     let mesh: Vec<OsString> = (0..5).map(|n| example(&format!("mesh_n{n}.air"))).collect();
 
     let mut invocations: Vec<Vec<OsString>> = Vec::new();
@@ -405,7 +424,10 @@ fn example_configs_lint_clean() {
             found += 1;
         }
     }
-    assert!(found >= 2, "expected at least 2 .air examples, found {found}");
+    assert!(
+        found >= 2,
+        "expected at least 2 .air examples, found {found}"
+    );
 }
 
 #[test]
@@ -434,10 +456,16 @@ fn every_error_case_has_errors() {
         if name.starts_with("clean_") {
             assert!(!report.has_errors(), "{name} should be clean:\n{report}");
         } else if name.starts_with("warn_") {
-            assert!(!report.has_errors(), "{name} should have no errors:\n{report}");
+            assert!(
+                !report.has_errors(),
+                "{name} should have no errors:\n{report}"
+            );
             assert!(!report.is_empty(), "{name} should have findings");
         } else {
-            assert!(report.has_errors(), "{name} should report errors:\n{report}");
+            assert!(
+                report.has_errors(),
+                "{name} should report errors:\n{report}"
+            );
         }
     }
 }

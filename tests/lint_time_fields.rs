@@ -65,7 +65,10 @@ fn uncovered_fields() -> (String, String) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/constellation_hub.air");
     let text = read(&path).replace("max_retries=8", "max_retries=8 recovery_threshold=4")
         + "process P1 name=tm sporadic=100 wcet=5\n";
-    ("constellation_hub.air + recovery_threshold + sporadic".to_owned(), text)
+    (
+        "constellation_hub.air + recovery_threshold + sporadic".to_owned(),
+        text,
+    )
 }
 
 /// The timing certificate (AIR110–AIR117) adds tick constants that do
@@ -223,15 +226,26 @@ fn saturated_arq_backoff_is_not_certified_clean() {
         "arq window=8 timeout=24 backoff_cap=3 max_retries=8",
         "arq window=8 timeout=24 backoff_cap=64 max_retries=64",
     );
-    let models = parse_members(&[&text]).into_models().expect("the hub parses");
+    let models = parse_members(&[&text])
+        .into_models()
+        .expect("the hub parses");
     let timing = lint_timing(&models);
     let (report, bounds) = (&timing.report, &timing.bounds);
     assert!(
-        report.diagnostics().iter().any(|d| d.code == Code::FlowDeadlineExceeded),
+        report
+            .diagnostics()
+            .iter()
+            .any(|d| d.code == Code::FlowDeadlineExceeded),
         "{report}"
     );
-    assert!(bounds.iter().all(|b| b.certified == Some(u64::MAX)), "{bounds:?}");
-    assert!(bounds.iter().all(|b| b.slack().is_some_and(|s| s < 0)), "{bounds:?}");
+    assert!(
+        bounds.iter().all(|b| b.certified == Some(u64::MAX)),
+        "{bounds:?}"
+    );
+    assert!(
+        bounds.iter().all(|b| b.slack().is_some_and(|s| s < 0)),
+        "{bounds:?}"
+    );
 }
 
 #[test]

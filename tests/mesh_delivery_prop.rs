@@ -14,8 +14,7 @@ use air_core::mesh::{mesh_plan, RerouteCampaignRunner};
 use air_model::testkit::TestRng;
 use air_ports::routing::MeshTopology;
 
-const TOPOLOGIES: [MeshTopology; 3] =
-    [MeshTopology::Line, MeshTopology::Star, MeshTopology::Ring];
+const TOPOLOGIES: [MeshTopology; 3] = [MeshTopology::Line, MeshTopology::Star, MeshTopology::Ring];
 
 #[test]
 fn any_mesh_fault_plan_delivers_exactly_once_in_order_over_50_seeds() {
@@ -47,8 +46,7 @@ fn any_mesh_fault_plan_delivers_exactly_once_in_order_over_50_seeds() {
             outcome.delivered, outcome.expected
         );
         assert_eq!(
-            outcome.acks,
-            [outcome.expected; 3],
+            outcome.acks, [outcome.expected; 3],
             "case {case} ({label}, seed {seed}): incomplete verification \
              round trips (accept/start/complete = {:?})",
             outcome.acks
@@ -98,7 +96,11 @@ fn nine_node_meshes_hold_the_guarantee() {
             outcome.plan.topology.label(),
             outcome.report
         );
-        assert!(outcome.command_hops >= 4, "{}[9]", outcome.plan.topology.label());
+        assert!(
+            outcome.command_hops >= 4,
+            "{}[9]",
+            outcome.plan.topology.label()
+        );
         assert_eq!(outcome.delivered, outcome.expected);
     }
 }

@@ -23,8 +23,7 @@ use air_lint::{lint_members, parse_members, Code};
 use air_model::testkit::TestRng;
 use air_ports::routing::MeshTopology;
 
-const TOPOLOGIES: [MeshTopology; 3] =
-    [MeshTopology::Line, MeshTopology::Star, MeshTopology::Ring];
+const TOPOLOGIES: [MeshTopology; 3] = [MeshTopology::Line, MeshTopology::Star, MeshTopology::Ring];
 
 #[test]
 fn any_partition_scenario_heals_and_redelivers_over_50_seeds() {
@@ -54,10 +53,12 @@ fn any_partition_scenario_heals_and_redelivers_over_50_seeds() {
             "case {case} ({label}/{tag}, seed {seed}): {}/{} commands delivered",
             outcome.delivered, outcome.expected
         );
-        assert_eq!(outcome.delivered_spare, 0, "case {case} ({label}/{tag}, seed {seed})");
         assert_eq!(
-            outcome.acks,
-            [outcome.expected; 3],
+            outcome.delivered_spare, 0,
+            "case {case} ({label}/{tag}, seed {seed})"
+        );
+        assert_eq!(
+            outcome.acks, [outcome.expected; 3],
             "case {case} ({label}/{tag}, seed {seed}): incomplete verification \
              round trips (accept/start/complete = {:?})",
             outcome.acks
@@ -80,7 +81,10 @@ fn seeded_scenarios_exercise_detection_and_rerouting() {
         reroutes += outcome.reroutes;
     }
     assert!(downs > 0, "no seeded outage was ever detected");
-    assert!(reroutes > 0, "no frame was ever pulled back at a reroute boundary");
+    assert!(
+        reroutes > 0,
+        "no frame was ever pulled back at a reroute boundary"
+    );
 }
 
 /// Extracts the `(a, b)` endpoints from an AIR100 message
@@ -91,7 +95,10 @@ fn parse_air100_edge(message: &str) -> (usize, usize) {
         .expect("AIR100 message shape");
     let (a, rest) = rest.split_once("-N").expect("AIR100 message shape");
     let b: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    (a.parse().expect("edge endpoint"), b.parse().expect("edge endpoint"))
+    (
+        a.parse().expect("edge endpoint"),
+        b.parse().expect("edge endpoint"),
+    )
 }
 
 fn mesh_member_text(id: usize, routes: &[(usize, usize)]) -> String {
@@ -166,7 +173,9 @@ fn air100_witness_replays_to_concrete_undelivered_packets() {
         mesh_member_text(1, &[(0, 0), (2, 2)]),
         mesh_member_text(2, &[(0, 0), (1, 1)]),
     ];
-    let triangle = parse_members(&triangle).into_models().expect("members parse");
+    let triangle = parse_members(&triangle)
+        .into_models()
+        .expect("members parse");
     let clean = lint_members(&triangle);
     assert!(
         !clean
@@ -214,8 +223,7 @@ fn verification_round_trips_survive_an_ack_path_outage_mid_handshake() {
     assert!(outcome.edge_downs >= 1, "the cut was never detected");
     assert_eq!(outcome.delivered, outcome.expected);
     assert_eq!(
-        outcome.acks,
-        [outcome.expected; 3],
+        outcome.acks, [outcome.expected; 3],
         "verification stages lost across the cut (accept/start/complete = {:?})",
         outcome.acks
     );
@@ -226,9 +234,6 @@ fn verification_round_trips_survive_an_ack_path_outage_mid_handshake() {
         "MeshEdgeDown",
         "MeshEdgeUp",
     ] {
-        assert!(
-            outcome.trace_log.contains(marker),
-            "trace misses {marker}"
-        );
+        assert!(outcome.trace_log.contains(marker), "trace misses {marker}");
     }
 }

@@ -153,15 +153,10 @@ fn apex_service_checks_schedule_authority() {
     {
         let sys = &mut proto.system;
         // Direct APEX-service calls, as a P2-hosted application would make.
-        let err = air_apex::set_module_schedule(
-            &parts[P2.as_usize()],
-            scheduler_of(sys),
-            CHI_2,
-        )
-        .unwrap_err();
+        let err = air_apex::set_module_schedule(&parts[P2.as_usize()], scheduler_of(sys), CHI_2)
+            .unwrap_err();
         assert_eq!(err.code, air_apex::ReturnCode::InvalidConfig);
-        air_apex::set_module_schedule(&parts[P1.as_usize()], scheduler_of(sys), CHI_2)
-            .unwrap();
+        air_apex::set_module_schedule(&parts[P1.as_usize()], scheduler_of(sys), CHI_2).unwrap();
     }
     proto.system.run_for(M);
     assert_eq!(proto.system.schedule_status().current, CHI_2);
@@ -213,8 +208,9 @@ mod property {
         let mut rng = TestRng::new(0xC4A0);
         for case in 0..16 {
             let n = rng.below_usize(3) + 1;
-            let demands: Vec<(u64, u64)> =
-                (0..n).map(|_| (rng.range(1, 4), rng.range(5, 25))).collect();
+            let demands: Vec<(u64, u64)> = (0..n)
+                .map(|_| (rng.range(1, 4), rng.range(5, 25)))
+                .collect();
             let requests: Vec<(u32, u64)> = (0..rng.below_usize(12))
                 .map(|_| (rng.below(3) as u32, rng.range(1, 200)))
                 .collect();

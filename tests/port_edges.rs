@@ -11,9 +11,7 @@ use air_hm::{ErrorId, ErrorSource};
 use air_model::process::{Deadline, ProcessAttributes, Recurrence};
 use air_model::schedule::{PartitionRequirement, Schedule, TimeWindow};
 use air_model::{Partition, PartitionId, ScheduleId, ScheduleSet, Ticks};
-use air_ports::{
-    ChannelConfig, Destination, PortAddr, QueuingPortConfig, SamplingPortConfig,
-};
+use air_ports::{ChannelConfig, Destination, PortAddr, QueuingPortConfig, SamplingPortConfig};
 
 const FRAME: u64 = 100;
 const P0: PartitionId = PartitionId(0);
@@ -82,7 +80,10 @@ fn queuing_overflow_reports_illegal_request() {
     system.run_for(4 * FRAME);
 
     let activations = bursts.load(Ordering::Relaxed);
-    assert!(activations >= 4, "the burster ran ({activations} activations)");
+    assert!(
+        activations >= 4,
+        "the burster ran ({activations} activations)"
+    );
     let overflows: Vec<_> = system
         .hm()
         .log()
@@ -94,15 +95,23 @@ fn queuing_overflow_reports_illegal_request() {
         "every rejected send reports, every accepted one stays silent"
     );
     for entry in overflows {
-        assert!(
-            entry.detail.contains("queuing overflow on 'tx'"),
-            "{entry}"
+        assert!(entry.detail.contains("queuing overflow on 'tx'"), "{entry}");
+        assert_eq!(
+            entry.source.partition(),
+            Some(P0),
+            "attributed to the sender"
         );
-        assert_eq!(entry.source.partition(), Some(P0), "attributed to the sender");
         assert!(matches!(entry.source, ErrorSource::Process(_)));
     }
     // The correct class, not a generic application error.
-    assert_eq!(system.hm().log().entries_for(ErrorId::ApplicationError).count(), 0);
+    assert_eq!(
+        system
+            .hm()
+            .log()
+            .entries_for(ErrorId::ApplicationError)
+            .count(),
+        0
+    );
 }
 
 #[test]
@@ -184,7 +193,18 @@ fn stale_sampling_read_reports_application_error() {
             entry.detail.contains("stale sampling message on 'cmd-rx'"),
             "{entry}"
         );
-        assert_eq!(entry.source.partition(), Some(P1), "attributed to the reader");
+        assert_eq!(
+            entry.source.partition(),
+            Some(P1),
+            "attributed to the reader"
+        );
     }
-    assert_eq!(system.hm().log().entries_for(ErrorId::IllegalRequest).count(), 0);
+    assert_eq!(
+        system
+            .hm()
+            .log()
+            .entries_for(ErrorId::IllegalRequest)
+            .count(),
+        0
+    );
 }

@@ -59,7 +59,11 @@ fn detection_attributes_and_latency() {
         };
         // Attribution: always the faulty process of P1.
         assert_eq!(process.partition, P1);
-        let faulty = proto.system.partition(P1).process_id("aocs-faulty").unwrap();
+        let faulty = proto
+            .system
+            .partition(P1)
+            .process_id("aocs-faulty")
+            .unwrap();
         assert_eq!(process.process, faulty);
         // Detection is optimal under partition inactivity: it happens at
         // P1's first dispatch after the deadline passed, i.e. the next
@@ -82,10 +86,17 @@ fn hm_log_and_error_handler_cooperate() {
         .log()
         .entries_for(ErrorId::DeadlineMissed)
         .count();
-    assert_eq!(hm_entries as u64, proto.system.trace().deadline_miss_count());
+    assert_eq!(
+        hm_entries as u64,
+        proto.system.trace().deadline_miss_count()
+    );
     // …and the P1 error handler's RestartProcess re-armed the process each
     // time: the faulty process is never left dormant.
-    let faulty = proto.system.partition(P1).process_id("aocs-faulty").unwrap();
+    let faulty = proto
+        .system
+        .partition(P1)
+        .process_id("aocs-faulty")
+        .unwrap();
     let (status, _) = proto.system.partition(P1).process_status(faulty).unwrap();
     assert_ne!(status.state, air_model::ProcessState::Dormant);
 }

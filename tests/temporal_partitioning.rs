@@ -14,8 +14,8 @@ use air_core::workload::{ProcessApi, ProcessBody};
 use air_core::{PartitionConfig, ProcessConfig, SystemBuilder};
 use air_model::process::{Priority, ProcessAttributes};
 use air_model::schedule::PartitionRequirement;
-use air_model::{Partition, PartitionId, Schedule, ScheduleId, ScheduleSet, Ticks};
 use air_model::testkit::TestRng;
+use air_model::{Partition, PartitionId, Schedule, ScheduleId, ScheduleSet, Ticks};
 use air_tools::synthesize_schedule;
 
 /// Records every tick at which it executes; never yields (a greedy process
@@ -32,9 +32,7 @@ impl ProcessBody for TickRecorder {
 
 /// Builds a system over `schedule` where every partition hosts one greedy
 /// tick-recording process; returns the per-partition logs.
-fn build_recording_system(
-    schedule: Schedule,
-) -> (air_core::AirSystem, Vec<Arc<Mutex<Vec<u64>>>>) {
+fn build_recording_system(schedule: Schedule) -> (air_core::AirSystem, Vec<Arc<Mutex<Vec<u64>>>>) {
     let partitions: Vec<PartitionId> = schedule.partitions().collect();
     let mut builder = SystemBuilder::new(ScheduleSet::new(vec![schedule]));
     let mut logs = Vec::new();
@@ -42,11 +40,12 @@ fn build_recording_system(
         let log = Arc::new(Mutex::new(Vec::new()));
         logs.push(Arc::clone(&log));
         builder = builder.with_partition(
-            PartitionConfig::new(Partition::new(m, format!("part{}", m.as_u32())))
-                .with_process(ProcessConfig::new(
+            PartitionConfig::new(Partition::new(m, format!("part{}", m.as_u32()))).with_process(
+                ProcessConfig::new(
                     ProcessAttributes::new("greedy").with_base_priority(Priority(1)),
                     TickRecorder { log },
-                )),
+                ),
+            ),
         );
     }
     (builder.build().expect("synthesised tables are valid"), logs)
@@ -208,14 +207,12 @@ fn two_level_scheduling_inside_a_window() {
                 )),
         )
         .with_partition(
-            PartitionConfig::new(Partition::new(p1, "other")).with_process(
-                ProcessConfig::new(
-                    ProcessAttributes::new("any").with_base_priority(Priority(1)),
-                    TickRecorder {
-                        log: Arc::clone(&other_log),
-                    },
-                ),
-            ),
+            PartitionConfig::new(Partition::new(p1, "other")).with_process(ProcessConfig::new(
+                ProcessAttributes::new("any").with_base_priority(Priority(1)),
+                TickRecorder {
+                    log: Arc::clone(&other_log),
+                },
+            )),
         )
         .build()
         .unwrap();

@@ -27,8 +27,7 @@ use air_lint::{lint_timing, parse_members};
 use air_model::testkit::TestRng;
 use air_ports::routing::MeshTopology;
 
-const TOPOLOGIES: [MeshTopology; 3] =
-    [MeshTopology::Line, MeshTopology::Star, MeshTopology::Ring];
+const TOPOLOGIES: [MeshTopology; 3] = [MeshTopology::Line, MeshTopology::Star, MeshTopology::Ring];
 
 /// The number of nodes every campaign (and member set) uses.
 const NODES: usize = 6;
@@ -88,7 +87,9 @@ fn certify(topology: MeshTopology) -> (u64, u64) {
         .expect("the declared flow has a bound entry");
     (
         bound.certified.expect("routable flow certifies"),
-        bound.fault_free.expect("routable flow has a fault-free term"),
+        bound
+            .fault_free
+            .expect("routable flow has a fault-free term"),
     )
 }
 
@@ -102,7 +103,8 @@ fn observed_latency_never_exceeds_certified_bound_over_50_seeds() {
         let (bound, _) = certified[pick];
         let scenario = PartitionScenario::ALL[rng.below_usize(PartitionScenario::ALL.len())];
         let seed = rng.range(1, 1 << 20);
-        let outcome = RerouteCampaignRunner::new(reroute_plan(topology, NODES, seed, scenario)).run();
+        let outcome =
+            RerouteCampaignRunner::new(reroute_plan(topology, NODES, seed, scenario)).run();
         let label = topology.label();
         let tag = scenario.label();
         assert!(

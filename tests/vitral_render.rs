@@ -20,7 +20,10 @@ fn fig9_windows_all_present() {
         "AIR PMK",
         "Health Monitor",
     ] {
-        assert!(frame.contains(title), "missing window '{title}' in\n{frame}");
+        assert!(
+            frame.contains(title),
+            "missing window '{title}' in\n{frame}"
+        );
     }
 }
 

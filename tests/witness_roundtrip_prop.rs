@@ -53,9 +53,8 @@ fn random_witnesses_round_trip_through_text() {
             .collect();
         let witness = Witness { events };
         let rendered = witness.render();
-        let reparsed = Witness::parse(&rendered).unwrap_or_else(|e| {
-            panic!("seed {seed}: '{rendered}' failed to parse back: {e}")
-        });
+        let reparsed = Witness::parse(&rendered)
+            .unwrap_or_else(|e| panic!("seed {seed}: '{rendered}' failed to parse back: {e}"));
         assert_eq!(
             reparsed, witness,
             "seed {seed}: round trip changed the witness ('{rendered}')"
@@ -107,19 +106,12 @@ fn malformed_inputs_are_rejected_per_arm() {
         "schedule_jump(P0)",
     ];
     for text in malformed {
-        assert!(
-            Witness::parse(text).is_err(),
-            "'{text}' should be rejected"
-        );
+        assert!(Witness::parse(text).is_err(), "'{text}' should be rejected");
     }
 }
 
 #[test]
 fn whitespace_between_events_is_tolerated() {
-    let witness = Witness::parse("link_down;  arq_exhausted ; mesh_down(3)")
-        .expect("parses");
-    assert_eq!(
-        witness.render(),
-        "link_down; arq_exhausted; mesh_down(3)"
-    );
+    let witness = Witness::parse("link_down;  arq_exhausted ; mesh_down(3)").expect("parses");
+    assert_eq!(witness.render(), "link_down; arq_exhausted; mesh_down(3)");
 }
