@@ -121,7 +121,7 @@ impl std::fmt::Debug for ApexPartition {
 impl ApexPartition {
     /// Creates the APEX instance for `descriptor` over a POS of the
     /// descriptor's kind, in `coldStart` mode (the ARINC power-on state),
-    /// with a PAL whose deadlines live in the timing wheel.
+    /// with a PAL whose deadlines live in the sorted deadline list.
     pub fn new(descriptor: Partition) -> Self {
         let pal = Pal::new(descriptor.id());
         let pos = PartitionOs::new(descriptor.pos_kind());

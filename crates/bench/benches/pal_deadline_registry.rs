@@ -17,9 +17,7 @@ use std::hint::black_box;
 
 use air_model::ids::ProcessId;
 use air_model::Ticks;
-use air_pal::{
-    check_deadlines, BTreeRegistry, DeadlineRegistry, LinkedListRegistry, TimingWheelRegistry,
-};
+use air_pal::{check_deadlines, BTreeRegistry, DeadlineRegistry, LinkedListRegistry};
 
 const SIZES: [u32; 5] = [1, 4, 16, 64, 256];
 
@@ -69,17 +67,6 @@ fn bench_isr_side(c: &mut Criterion) {
                 acc
             })
         });
-        group.bench_with_input(BenchmarkId::new("timing_wheel", n), &n, |b, &n| {
-            let mut reg: TimingWheelRegistry = filled(n);
-            b.iter(|| {
-                let mut acc = 0usize;
-                for t in 0..1024u64 {
-                    let reg = black_box(&mut reg);
-                    acc += check_deadlines(reg, black_box(Ticks(t % 50)), |_, _| unreachable!());
-                }
-                acc
-            })
-        });
     }
     group.finish();
 
@@ -99,15 +86,6 @@ fn bench_isr_side(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("btree", n), &n, |b, &n| {
             let mut reg: BTreeRegistry = filled(n);
-            let mut far = 1_000_000u64;
-            b.iter(|| {
-                let (_, pid) = reg.pop_earliest().expect("non-empty");
-                far += 1;
-                reg.register(pid, black_box(Ticks(far)));
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("timing_wheel", n), &n, |b, &n| {
-            let mut reg: TimingWheelRegistry = filled(n);
             let mut far = 1_000_000u64;
             b.iter(|| {
                 let (_, pid) = reg.pop_earliest().expect("non-empty");
@@ -139,13 +117,6 @@ fn bench_apex_side(c: &mut Criterion) {
                 reg.unregister(ProcessId(n));
             })
         });
-        group.bench_with_input(BenchmarkId::new("timing_wheel", n), &n, |b, &n| {
-            let mut reg: TimingWheelRegistry = filled(n);
-            b.iter(|| {
-                reg.register(ProcessId(n), black_box(Ticks(1_000_000)));
-                reg.unregister(ProcessId(n));
-            })
-        });
     }
     group.finish();
 
@@ -164,15 +135,6 @@ fn bench_apex_side(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("btree", n), &n, |b, &n| {
             let mut reg: BTreeRegistry = filled(n);
-            let mut flip = false;
-            b.iter(|| {
-                flip = !flip;
-                let d = if flip { 1_000_000 } else { 1 };
-                reg.register(ProcessId(0), black_box(Ticks(d)));
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("timing_wheel", n), &n, |b, &n| {
-            let mut reg: TimingWheelRegistry = filled(n);
             let mut flip = false;
             b.iter(|| {
                 flip = !flip;

@@ -802,8 +802,11 @@ impl MeshSim {
             .map(|(i, table)| {
                 let neighbors: Vec<usize> =
                     fabric.neighbors(i).iter().map(|&(peer, _)| peer).collect();
-                // Self-healing sims route by the live tables from tick 0
-                // (identical paths while every edge is live).
+                // Self-healing sims route by the live tables from tick 0.
+                // While every edge is live these match the static tables
+                // except at the antipodes of an even ring, where the live
+                // router takes its lower-id neighbour instead of going
+                // clockwise; the hop counts are equal either way.
                 let table = match &heal {
                     Some(runtime) => runtime.router.routing_table(i),
                     None => table,

@@ -673,13 +673,6 @@ impl AirSystem {
                 from: previous,
                 to: event.heir,
             });
-            // The incoming partition's MMU context becomes active; the MMU
-            // flushes its TLB on the change, so no translation cached for
-            // the outgoing partition survives the switch. Partitions
-            // without a spatial configuration have no context to activate.
-            if let Some(m) = event.heir {
-                let _ = self.spatial.activate_partition(m);
-            }
         }
         for (partition, action) in &outcome.actions {
             self.trace.record(TraceEvent::ScheduleChangeActionApplied {

@@ -124,10 +124,18 @@ impl HealthMonitor {
     /// Reports an error: classifies it, logs it, bumps the occurrence
     /// counter, and returns the decision to enforce.
     ///
-    /// An error classified at process level but reported with a partition
-    /// or module source is escalated to partition level — there is no
-    /// process to hand it to (e.g. a deadline miss detected after its
-    /// partition was stopped).
+    /// An error is handled at the level the system table classifies it at,
+    /// unless its source is too coarse for that level: a process-level
+    /// error reported with a partition source is escalated to partition
+    /// level — there is no process to hand it to (e.g. a deadline miss
+    /// detected after its partition was stopped) — and a process- or
+    /// partition-level error reported with a module source is escalated to
+    /// module level, as there is no partition to act on (e.g. a spurious
+    /// trap under a table that classifies hardware faults at partition
+    /// level). The escalation needs no counterpart in the lint explorer:
+    /// a model made by the system builder declares no HM levels, so the
+    /// explorer already assumes module faults are possible, and the HM
+    /// levels of an `.air` file never reach a running system.
     pub fn report(
         &mut self,
         time: Ticks,
@@ -139,7 +147,7 @@ impl HealthMonitor {
         let level = match (classified, &source) {
             (ErrorLevel::Process, ErrorSource::Process(_)) => ErrorLevel::Process,
             (ErrorLevel::Process, ErrorSource::Partition(_)) => ErrorLevel::Partition,
-            (ErrorLevel::Process, ErrorSource::Module) => ErrorLevel::Module,
+            (_, ErrorSource::Module) => ErrorLevel::Module,
             (other, _) => other,
         };
 
@@ -157,11 +165,8 @@ impl HealthMonitor {
             .or_insert(1);
         let count = *count;
 
-        match level {
-            ErrorLevel::Process => {
-                let ErrorSource::Process(process) = source else {
-                    unreachable!("process level implies process source by the match above");
-                };
+        match (level, source) {
+            (ErrorLevel::Process, ErrorSource::Process(process)) => {
                 let table = self.tables.partition_table(process.partition);
                 HmDecision::InvokeErrorHandler {
                     process,
@@ -169,16 +174,17 @@ impl HealthMonitor {
                     occurrences: count,
                 }
             }
-            ErrorLevel::Partition => {
-                let partition = source
-                    .partition()
-                    .expect("partition level requires a partition-scoped source");
+            (ErrorLevel::Module, _) | (_, ErrorSource::Module) => HmDecision::ModuleAction {
+                action: self.tables.system.module_action(),
+            },
+            (
+                _,
+                ErrorSource::Process(GlobalProcessId { partition, .. })
+                | ErrorSource::Partition(partition),
+            ) => {
                 let action = self.tables.partition_table(partition).action_for(error);
                 HmDecision::PartitionAction { partition, action }
             }
-            ErrorLevel::Module => HmDecision::ModuleAction {
-                action: self.tables.system.module_action(),
-            },
         }
     }
 }
@@ -264,6 +270,45 @@ mod tests {
             ErrorId::DeadlineMissed,
             ErrorSource::Partition(PartitionId(1)),
             "miss in stopped partition",
+        );
+        assert!(matches!(
+            d,
+            HmDecision::PartitionAction {
+                partition: PartitionId(1),
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn partition_level_error_with_module_source_escalates_to_module() {
+        // A table may classify hardware faults at partition level, yet a
+        // spurious trap is reported with a module source: there is no
+        // partition to act on, so the module action applies.
+        let mut tables = HmTables::standard();
+        tables.system =
+            SystemHmTable::standard().with_level(ErrorId::HardwareFault, ErrorLevel::Partition);
+        let mut hm = HealthMonitor::new(tables);
+        let d = hm.report(
+            Ticks(3),
+            ErrorId::HardwareFault,
+            ErrorSource::Module,
+            "spurious trap",
+        );
+        assert_eq!(
+            d,
+            HmDecision::ModuleAction {
+                action: ModuleRecoveryAction::Reset
+            }
+        );
+        let entry = hm.log().entries().next().unwrap();
+        assert_eq!(entry.level, ErrorLevel::Module);
+        // A partition-scoped report of the same error keeps its level.
+        let d = hm.report(
+            Ticks(4),
+            ErrorId::HardwareFault,
+            ErrorSource::Partition(PartitionId(1)),
+            "bus error",
         );
         assert!(matches!(
             d,

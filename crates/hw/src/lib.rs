@@ -18,7 +18,8 @@
 //!   and a LEON3-style **three-level page-table MMU**
 //!   with per-context translation and access-permission faults, the
 //!   mechanism the spatial-partitioning descriptors of Fig. 3 are mapped
-//!   onto ([`memory`], [`mmu`]);
+//!   onto; every translation walks the tables, with no TLB in front
+//!   ([`memory`], [`mmu`]);
 //! * a **text console** device — the output target of the VITRAL window
 //!   manager ([`console`]);
 //! * an **inter-node link** carrying interpartition messages between

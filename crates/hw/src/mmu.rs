@@ -18,11 +18,11 @@
 //!   and privilege level, raising [`MmuFault::Protection`] on violation —
 //!   the event AIR health monitoring classifies as a memory protection
 //!   violation;
-//! * a direct-mapped **TLB** in front of the table walk, mirroring the
-//!   untagged translation caches of the era's hardware: it is flushed on
-//!   context switch (partition dispatch) and on unmap, so a hit can never
-//!   leak a translation across partitions. Permissions are re-checked on
-//!   every access and faults are never cached.
+//! * no translation cache: every access takes the three-level walk and
+//!   its permission check, so a partition switch needs no flush and no
+//!   translation can outlive its mapping. In the fault campaigns a
+//!   partition switch separates almost every pair of translations, so a
+//!   cache flushed on each switch would serve no hits.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -314,71 +314,6 @@ struct AddressSpace {
     root: Table,
 }
 
-/// Number of entries in the direct-mapped TLB.
-pub const TLB_ENTRIES: usize = 64;
-
-/// Sentinel VPN marking an invalid TLB entry (a real VPN of a 32-bit
-/// virtual space never exceeds 20 bits).
-const TLB_INVALID_VPN: u64 = u64::MAX;
-
-/// One direct-mapped TLB entry: a 4 KiB translation plus its permissions.
-#[derive(Debug, Clone, Copy)]
-struct TlbEntry {
-    /// Virtual page number (`va >> 12`); [`TLB_INVALID_VPN`] when empty.
-    vpn: u64,
-    /// Physical base address of the page.
-    pa_page: u64,
-    /// Page permissions, re-checked on every hit.
-    flags: PageFlags,
-}
-
-impl TlbEntry {
-    const INVALID: Self = Self {
-        vpn: TLB_INVALID_VPN,
-        pa_page: 0,
-        flags: PageFlags {
-            user: AccessPermissions::NONE,
-            supervisor: AccessPermissions::NONE,
-        },
-    };
-}
-
-/// The direct-mapped translation lookaside buffer.
-///
-/// Untagged, like the translation caches this models: entries belong to
-/// `current` and the whole buffer is flushed whenever a different context
-/// is activated, so partition isolation never rests on TLB state. Large
-/// leaves (16 MiB / 256 KiB) are cached page by page — each referenced
-/// 4 KiB page gets its own entry.
-#[derive(Debug, Clone)]
-struct Tlb {
-    entries: [TlbEntry; TLB_ENTRIES],
-    /// Context the cached entries belong to.
-    current: Option<MmuContextId>,
-    hits: u64,
-    misses: u64,
-    flushes: u64,
-}
-
-impl Default for Tlb {
-    fn default() -> Self {
-        Self {
-            entries: [TlbEntry::INVALID; TLB_ENTRIES],
-            current: None,
-            hits: 0,
-            misses: 0,
-            flushes: 0,
-        }
-    }
-}
-
-impl Tlb {
-    fn flush(&mut self) {
-        self.entries = [TlbEntry::INVALID; TLB_ENTRIES];
-        self.flushes += 1;
-    }
-}
-
 /// The three-level software MMU.
 ///
 /// # Examples
@@ -398,8 +333,6 @@ pub struct Mmu {
     /// Address spaces by context id: ids are handed out in order and
     /// never retired, so context `c` lives at index `c.0`.
     contexts: Vec<AddressSpace>,
-    tlb: Tlb,
-    tlb_enabled: bool,
     translations: u64,
     faults: u64,
 }
@@ -411,60 +344,12 @@ impl Default for Mmu {
 }
 
 impl Mmu {
-    /// Creates an MMU with no contexts and the TLB enabled.
+    /// Creates an MMU with no contexts.
     pub fn new() -> Self {
         Self {
             contexts: Vec::new(),
-            tlb: Tlb::default(),
-            tlb_enabled: true,
             translations: 0,
             faults: 0,
-        }
-    }
-
-    /// Enables or disables the TLB; disabling flushes it. With the TLB off
-    /// every translation takes the three-level walk — the comparison
-    /// baseline for benchmarks and the differential tests.
-    pub fn set_tlb_enabled(&mut self, enabled: bool) {
-        if !enabled {
-            self.tlb.flush();
-            self.tlb.current = None;
-        }
-        self.tlb_enabled = enabled;
-    }
-
-    /// Whether the TLB is enabled.
-    pub fn tlb_enabled(&self) -> bool {
-        self.tlb_enabled
-    }
-
-    /// TLB hits since boot.
-    pub fn tlb_hits(&self) -> u64 {
-        self.tlb.hits
-    }
-
-    /// TLB misses since boot.
-    pub fn tlb_misses(&self) -> u64 {
-        self.tlb.misses
-    }
-
-    /// TLB flushes since boot (context switches, unmaps, disables).
-    pub fn tlb_flushes(&self) -> u64 {
-        self.tlb.flushes
-    }
-
-    /// Activates `context` for subsequent translations, flushing the TLB
-    /// when it differs from the currently-active one — the partition
-    /// dispatcher calls this on every spatial switch, exactly like loading
-    /// the hardware context register.
-    ///
-    /// [`translate`](Self::translate) performs the same flush implicitly
-    /// when handed a different context; an explicit activation just makes
-    /// the switch cost land in the dispatcher where it belongs.
-    pub fn activate_context(&mut self, context: MmuContextId) {
-        if self.tlb.current != Some(context) {
-            self.tlb.flush();
-            self.tlb.current = Some(context);
         }
     }
 
@@ -602,11 +487,6 @@ impl Mmu {
             .contexts
             .get_mut(context.0 as usize)
             .ok_or(MapError::InvalidContext { context })?;
-        // Flush-on-remap: cached translations of this context may be about
-        // to go stale. (Mapping needs no flush — absences are not cached.)
-        if self.tlb.current == Some(context) {
-            self.tlb.flush();
-        }
         let end = va.saturating_add(size);
         let mut cur = va;
         while cur < end {
@@ -632,13 +512,8 @@ impl Mmu {
     }
 
     /// Translates virtual address `va` in `context` for an access of
-    /// `kind` at `privilege`, returning the physical address.
-    ///
-    /// With the TLB enabled, a hit costs one array index and a permission
-    /// check; a miss takes the three-level walk and installs the page.
-    /// Translating against a context other than the active one flushes the
-    /// TLB first (see [`activate_context`](Self::activate_context)) —
-    /// isolation never depends on cached state.
+    /// `kind` at `privilege`, returning the physical address: the
+    /// three-level walk, then the permission check of the leaf it ends at.
     ///
     /// # Errors
     ///
@@ -653,77 +528,16 @@ impl Mmu {
         privilege: Privilege,
     ) -> Result<u64, MmuFault> {
         self.translations += 1;
-        let vpn = va >> 12;
-        if self.tlb_enabled {
-            self.activate_context(context);
-            let entry = &self.tlb.entries[(vpn as usize) % TLB_ENTRIES];
-            if entry.vpn == vpn {
-                self.tlb.hits += 1;
-                // Permissions are re-checked on every hit; protection
-                // faults are decided by the PTE, never by cache state.
-                if !entry.flags.for_privilege(privilege).allows(kind) {
-                    self.faults += 1;
-                    return Err(MmuFault::Protection {
-                        va,
-                        kind,
-                        privilege,
-                    });
-                }
-                return Ok(entry.pa_page + (va & (PAGE_SIZE - 1)));
-            }
-            self.tlb.misses += 1;
-        }
-        let space = self.contexts.get(context.0 as usize).ok_or_else(|| {
+        let Some(space) = self.contexts.get(context.0 as usize) else {
             self.faults += 1;
-            MmuFault::InvalidContext { context }
-        })?;
-        let Some((pte, region_base, _region)) = walk(&space.root, va) else {
+            return Err(MmuFault::InvalidContext { context });
+        };
+        let Some((pte, region_base)) = walk(&space.root, va) else {
             self.faults += 1;
             return Err(MmuFault::Unmapped { va });
         };
-        if self.tlb_enabled {
-            // Cache the 4 KiB page around `va` regardless of leaf size;
-            // faults (including protection) are never cached, but the PTE
-            // of a protection fault is still a valid translation to keep.
-            let page_va = va & !(PAGE_SIZE - 1);
-            self.tlb.entries[(vpn as usize) % TLB_ENTRIES] = TlbEntry {
-                vpn,
-                pa_page: pte.pa_base + (page_va - region_base),
-                flags: pte.flags,
-            };
-        }
         if !pte.flags.for_privilege(privilege).allows(kind) {
             self.faults += 1;
-            return Err(MmuFault::Protection {
-                va,
-                kind,
-                privilege,
-            });
-        }
-        Ok(pte.pa_base + (va - region_base))
-    }
-
-    /// Translates by a pure three-level walk, bypassing (and not touching)
-    /// the TLB or any statistics — the reference the TLB'd
-    /// [`translate`](Self::translate) is differentially tested against.
-    ///
-    /// # Errors
-    ///
-    /// [`MmuFault`] exactly as [`translate`](Self::translate).
-    pub fn translate_uncached(
-        &self,
-        context: MmuContextId,
-        va: u64,
-        kind: AccessKind,
-        privilege: Privilege,
-    ) -> Result<u64, MmuFault> {
-        let space = self
-            .space(context)
-            .ok_or(MmuFault::InvalidContext { context })?;
-        let Some((pte, region_base, _region)) = walk(&space.root, va) else {
-            return Err(MmuFault::Unmapped { va });
-        };
-        if !pte.flags.for_privilege(privilege).allows(kind) {
             return Err(MmuFault::Protection {
                 va,
                 kind,
@@ -743,20 +557,20 @@ fn split(va: u64) -> (u16, u16, u16) {
     (idx1, idx2, idx3)
 }
 
-/// Walks the tables for `va`; returns the leaf PTE, the base VA of the
-/// region it covers, and the region size.
-fn walk(root: &Table, va: u64) -> Option<(Pte, u64, u64)> {
+/// Walks the tables for `va`; returns the leaf PTE and the base VA of the
+/// region it covers.
+fn walk(root: &Table, va: u64) -> Option<(Pte, u64)> {
     let (idx1, idx2, idx3) = split(va);
     if let Some(pte) = root.leaves.get(&idx1) {
-        return Some((*pte, va & !(L1_REGION - 1), L1_REGION));
+        return Some((*pte, va & !(L1_REGION - 1)));
     }
     let l2 = root.children.get(&idx1)?;
     if let Some(pte) = l2.leaves.get(&idx2) {
-        return Some((*pte, va & !(L2_REGION - 1), L2_REGION));
+        return Some((*pte, va & !(L2_REGION - 1)));
     }
     let l3 = l2.children.get(&idx2)?;
     let pte = l3.leaves.get(&idx3)?;
-    Some((*pte, va & !(PAGE_SIZE - 1), PAGE_SIZE))
+    Some((*pte, va & !(PAGE_SIZE - 1)))
 }
 
 #[cfg(test)]
@@ -811,6 +625,20 @@ mod tests {
             mmu.translate(b, 0x1000, AccessKind::Read, Privilege::User),
             Err(MmuFault::Unmapped { va: 0x1000 })
         );
+        // Same VA mapped in both, alternating contexts: every translation
+        // sees its own context's frame.
+        mmu.map(b, 0x1000, 0x9000, PAGE_SIZE, PageFlags::from_sparc_acc(RW))
+            .unwrap();
+        for _ in 0..4 {
+            assert_eq!(
+                mmu.translate(a, 0x1000, AccessKind::Read, Privilege::User),
+                Ok(0x8000)
+            );
+            assert_eq!(
+                mmu.translate(b, 0x1000, AccessKind::Read, Privilege::User),
+                Ok(0x9000)
+            );
+        }
     }
 
     #[test]
@@ -855,6 +683,15 @@ mod tests {
         assert!(mmu
             .translate(ctx, 0x2000, AccessKind::Write, Privilege::Supervisor)
             .is_ok());
+        // A repeated access is checked again: the earlier successes grant
+        // nothing.
+        assert!(mmu
+            .translate(ctx, 0x2000, AccessKind::Read, Privilege::User)
+            .is_ok());
+        assert!(matches!(
+            mmu.translate(ctx, 0x2000, AccessKind::Write, Privilege::User),
+            Err(MmuFault::Protection { .. })
+        ));
     }
 
     #[test]
@@ -990,10 +827,15 @@ mod tests {
             PageFlags::from_sparc_acc(RW),
         )
         .unwrap();
-        mmu.unmap(ctx, 0x5000, PAGE_SIZE).unwrap();
         assert!(mmu
             .translate(ctx, 0x5000, AccessKind::Read, Privilege::User)
-            .is_err());
+            .is_ok());
+        mmu.unmap(ctx, 0x5000, PAGE_SIZE).unwrap();
+        // The very next access faults: nothing outlives the mapping.
+        assert_eq!(
+            mmu.translate(ctx, 0x5000, AccessKind::Read, Privilege::User),
+            Err(MmuFault::Unmapped { va: 0x5000 })
+        );
         assert!(mmu
             .translate(ctx, 0x6000, AccessKind::Read, Privilege::User)
             .is_ok());
@@ -1011,162 +853,6 @@ mod tests {
             mmu.map(ghost, 0, 0, PAGE_SIZE, PageFlags::from_sparc_acc(RW)),
             Err(MapError::InvalidContext { .. })
         ));
-    }
-
-    #[test]
-    fn tlb_hits_after_first_walk() {
-        let mut mmu = Mmu::new();
-        let ctx = mmu.create_context();
-        mmu.map(
-            ctx,
-            0x1000,
-            0x8000,
-            PAGE_SIZE,
-            PageFlags::from_sparc_acc(RW),
-        )
-        .unwrap();
-        for _ in 0..3 {
-            assert_eq!(
-                mmu.translate(ctx, 0x1abc, AccessKind::Read, Privilege::User)
-                    .unwrap(),
-                0x8abc
-            );
-        }
-        assert_eq!(mmu.tlb_misses(), 1);
-        assert_eq!(mmu.tlb_hits(), 2);
-    }
-
-    #[test]
-    fn tlb_flushes_on_context_switch() {
-        let mut mmu = Mmu::new();
-        let a = mmu.create_context();
-        let b = mmu.create_context();
-        mmu.map(a, 0x1000, 0x8000, PAGE_SIZE, PageFlags::from_sparc_acc(RW))
-            .unwrap();
-        mmu.map(b, 0x1000, 0x9000, PAGE_SIZE, PageFlags::from_sparc_acc(RW))
-            .unwrap();
-        // Same VA, alternating contexts: every translation must see its
-        // own context's frame, never a stale entry of the other's.
-        for _ in 0..4 {
-            assert_eq!(
-                mmu.translate(a, 0x1000, AccessKind::Read, Privilege::User),
-                Ok(0x8000)
-            );
-            assert_eq!(
-                mmu.translate(b, 0x1000, AccessKind::Read, Privilege::User),
-                Ok(0x9000)
-            );
-        }
-        assert_eq!(mmu.tlb_hits(), 0, "every switch flushed");
-        assert!(mmu.tlb_flushes() >= 8);
-    }
-
-    #[test]
-    fn tlb_flushes_on_unmap() {
-        let mut mmu = Mmu::new();
-        let ctx = mmu.create_context();
-        mmu.map(
-            ctx,
-            0x5000,
-            0x6000,
-            PAGE_SIZE,
-            PageFlags::from_sparc_acc(RW),
-        )
-        .unwrap();
-        assert!(mmu
-            .translate(ctx, 0x5000, AccessKind::Read, Privilege::User)
-            .is_ok());
-        mmu.unmap(ctx, 0x5000, PAGE_SIZE).unwrap();
-        assert_eq!(
-            mmu.translate(ctx, 0x5000, AccessKind::Read, Privilege::User),
-            Err(MmuFault::Unmapped { va: 0x5000 }),
-            "no stale TLB entry survives an unmap"
-        );
-    }
-
-    #[test]
-    fn tlb_hit_still_checks_permissions() {
-        let mut mmu = Mmu::new();
-        let ctx = mmu.create_context();
-        // ACC 5: user R, supervisor RW.
-        mmu.map(ctx, 0x2000, 0x3000, PAGE_SIZE, PageFlags::from_sparc_acc(5))
-            .unwrap();
-        assert!(mmu
-            .translate(ctx, 0x2000, AccessKind::Read, Privilege::User)
-            .is_ok());
-        // Cached now — the write must still fault.
-        assert!(matches!(
-            mmu.translate(ctx, 0x2000, AccessKind::Write, Privilege::User),
-            Err(MmuFault::Protection { .. })
-        ));
-        assert!(mmu.tlb_hits() >= 1);
-    }
-
-    #[test]
-    fn tlb_caches_large_leaves_page_by_page() {
-        let mut mmu = Mmu::new();
-        let ctx = mmu.create_context();
-        mmu.map(
-            ctx,
-            L1_REGION,
-            2 * L1_REGION,
-            L1_REGION,
-            PageFlags::from_sparc_acc(RW),
-        )
-        .unwrap();
-        // Two pages of the same 16 MiB leaf: distinct TLB entries.
-        for offset in [0u64, PAGE_SIZE] {
-            for _ in 0..2 {
-                assert_eq!(
-                    mmu.translate(ctx, L1_REGION + offset, AccessKind::Read, Privilege::User),
-                    Ok(2 * L1_REGION + offset)
-                );
-            }
-        }
-        assert_eq!(mmu.tlb_misses(), 2);
-        assert_eq!(mmu.tlb_hits(), 2);
-    }
-
-    #[test]
-    fn disabled_tlb_always_walks() {
-        let mut mmu = Mmu::new();
-        mmu.set_tlb_enabled(false);
-        let ctx = mmu.create_context();
-        mmu.map(
-            ctx,
-            0x1000,
-            0x8000,
-            PAGE_SIZE,
-            PageFlags::from_sparc_acc(RW),
-        )
-        .unwrap();
-        for _ in 0..3 {
-            assert_eq!(
-                mmu.translate(ctx, 0x1000, AccessKind::Read, Privilege::User),
-                Ok(0x8000)
-            );
-        }
-        assert_eq!(mmu.tlb_hits(), 0);
-        assert_eq!(mmu.tlb_misses(), 0);
-    }
-
-    #[test]
-    fn uncached_translate_matches_cached() {
-        let mut mmu = Mmu::new();
-        let ctx = mmu.create_context();
-        mmu.map(
-            ctx,
-            0x1000,
-            0x8000,
-            4 * PAGE_SIZE,
-            PageFlags::from_sparc_acc(RW),
-        )
-        .unwrap();
-        for va in [0x1000u64, 0x2fff, 0x4000, 0x9000] {
-            let cached = mmu.translate(ctx, va, AccessKind::Read, Privilege::User);
-            let raw = mmu.translate_uncached(ctx, va, AccessKind::Read, Privilege::User);
-            assert_eq!(cached, raw, "va {va:#x}");
-        }
     }
 
     #[test]

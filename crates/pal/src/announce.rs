@@ -54,11 +54,12 @@ where
         if deadline >= now {
             break; // Algorithm 3 line 3–4
         }
-        let (deadline, pid) = registry
-            .pop_earliest()
-            .expect("peek returned Some, pop must too");
+        // Line 7: the peeked head is the node to remove.
+        let Some((deadline, pid)) = registry.pop_earliest() else {
+            break;
+        };
         on_violation(pid, deadline); // line 6: HM_DEADLINEVIOLATED
-        reported += 1; // line 7 happened via pop (O(1) removal)
+        reported += 1;
     }
     reported
 }

@@ -384,11 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn timing_wheel_semantics() {
-        exercise(crate::wheel::TimingWheelRegistry::new());
-    }
-
-    #[test]
     fn linked_list_iter_is_sorted() {
         let mut reg = LinkedListRegistry::new();
         for (q, d) in [(0, 500), (1, 100), (2, 300), (3, 200), (4, 400)] {
@@ -502,54 +497,6 @@ mod tests {
         #[test]
         fn list_and_btree_agree() {
             agree_on_random_traces::<LinkedListRegistry, BTreeRegistry>(0xD15C);
-        }
-
-        /// The timing wheel is observationally equivalent to the paper's
-        /// sorted list: the wheel changes constants (O(1) insertion), not
-        /// behaviour.
-        #[test]
-        fn wheel_and_list_agree() {
-            agree_on_random_traces::<crate::wheel::TimingWheelRegistry, LinkedListRegistry>(0x7EE1);
-        }
-
-        /// Same, with deadlines spread far enough apart to cross wheel
-        /// levels and spill into the overflow bucket (the short-range
-        /// trace above never leaves level 0–1).
-        #[test]
-        fn wheel_and_list_agree_across_levels() {
-            use crate::wheel::{TimingWheelRegistry, WHEEL_SPAN};
-            let mut rng = TestRng::new(0xCA5C);
-            for case in 0..32 {
-                let mut wheel = TimingWheelRegistry::new();
-                let mut list = LinkedListRegistry::new();
-                for step in 0..200 {
-                    match rng.below(3) {
-                        0 => {
-                            let q = rng.below(16) as u32;
-                            // Bias across all levels and past the span.
-                            let d = rng.below(2 * WHEEL_SPAN);
-                            wheel.register(pid(q), Ticks(d));
-                            list.register(pid(q), Ticks(d));
-                        }
-                        1 => {
-                            let q = rng.below(16) as u32;
-                            assert_eq!(
-                                wheel.unregister(pid(q)),
-                                list.unregister(pid(q)),
-                                "case {case} step {step} (seed 0xCA5C)"
-                            );
-                        }
-                        _ => {
-                            assert_eq!(
-                                wheel.pop_earliest().map(|v| v.0),
-                                list.pop_earliest().map(|v| v.0),
-                                "case {case} step {step} (seed 0xCA5C)"
-                            );
-                        }
-                    }
-                    assert_eq!(wheel.len(), list.len(), "case {case} step {step}");
-                }
-            }
         }
     }
 }

@@ -7,15 +7,12 @@
 //! (Sect. 5):
 //!
 //! * the PAL keeps, per partition, the process-deadline information
-//!   "ordered by deadline", with O(1) retrieval of the earliest, in a
-//!   **hierarchical timing wheel** ([`wheel::TimingWheelRegistry`]) that
-//!   keeps the paper's O(1) ISR-side bounds while making insertion O(1)
-//!   too. The [`deadline::DeadlineRegistry`] trait also has the paper's
-//!   sorted **linked-list** implementation
-//!   ([`deadline::LinkedListRegistry`], the reference the wheel is tested
-//!   against) and the **self-balancing tree** the paper argues against for
-//!   ISR-side work ([`deadline::BTreeRegistry`]); both are subjects of the
-//!   B2 ablation bench;
+//!   "ordered by deadline", with O(1) retrieval of the earliest, in the
+//!   paper's sorted **linked list** ([`deadline::LinkedListRegistry`]).
+//!   The [`deadline::DeadlineRegistry`] trait also has the
+//!   **self-balancing tree** the paper argues against for ISR-side work
+//!   ([`deadline::BTreeRegistry`]); both are subjects of the B2 ablation
+//!   bench;
 //! * APEX primitives register/update/unregister deadlines through the
 //!   private interfaces the PAL provides ([`Pal::register_deadline`],
 //!   [`Pal::unregister_deadline`]) — Sect. 5.2 and Fig. 6;
@@ -29,9 +26,7 @@
 pub mod announce;
 pub mod deadline;
 pub mod pal;
-pub mod wheel;
 
 pub use announce::check_deadlines;
 pub use deadline::{BTreeRegistry, DeadlineRegistry, LinkedListRegistry};
 pub use pal::{Pal, PalStats};
-pub use wheel::TimingWheelRegistry;

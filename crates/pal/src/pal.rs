@@ -5,8 +5,7 @@ use air_model::ids::ProcessId;
 use air_model::{PartitionId, Ticks};
 
 use crate::announce::check_deadlines;
-use crate::deadline::DeadlineRegistry;
-use crate::wheel::TimingWheelRegistry;
+use crate::deadline::{DeadlineRegistry, LinkedListRegistry};
 
 /// Counters exposed by a PAL instance for diagnostics and experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,9 +33,10 @@ pub struct PalStats {
 /// [`announce_clock_ticks`](Pal::announce_clock_ticks) with the ticks that
 /// elapsed since the partition last ran.
 ///
-/// The deadlines live in a [`TimingWheelRegistry`] (Sect. 5.3's design
-/// choice: the paper picks the sorted linked list; the wheel keeps the
-/// list's O(1) ISR-side bounds and makes insertion O(1) too).
+/// The deadlines live in the paper's sorted [`LinkedListRegistry`]
+/// (Sect. 5.3): O(1) earliest-peek and removal in the ISR, O(n) insertion
+/// in the partition's own window, where `n` is the partition's armed
+/// deadlines — one per process.
 ///
 /// # Examples
 ///
@@ -60,7 +60,7 @@ pub struct PalStats {
 /// ```
 pub struct Pal {
     partition: PartitionId,
-    registry: TimingWheelRegistry,
+    registry: LinkedListRegistry,
     stats: PalStats,
 }
 
@@ -79,7 +79,7 @@ impl Pal {
     pub fn new(partition: PartitionId) -> Self {
         Self {
             partition,
-            registry: TimingWheelRegistry::new(),
+            registry: LinkedListRegistry::new(),
             stats: PalStats::default(),
         }
     }

@@ -293,21 +293,6 @@ impl SpatialManager {
         self.space(partition).map(|s| s.regions.as_slice())
     }
 
-    /// Makes `partition`'s MMU context the active one — the PMK calls this
-    /// on every partition switch. The MMU flushes its TLB iff the context
-    /// actually changes, so no translation cached for the outgoing
-    /// partition can ever be served to the incoming one.
-    ///
-    /// # Errors
-    ///
-    /// [`SpatialError::NotConfigured`] when the partition was never loaded
-    /// (such a partition has no context to activate).
-    pub fn activate_partition(&mut self, partition: PartitionId) -> Result<(), SpatialError> {
-        let context = self.context_of(partition)?;
-        self.mmu.activate_context(context);
-        Ok(())
-    }
-
     /// Fault injection: revokes the mapping of the single page containing
     /// `va` in `partition`'s context, as if the page table had been
     /// corrupted. The next access through [`translate`](Self::translate)
@@ -361,15 +346,6 @@ impl SpatialManager {
     /// Translation/fault statistics from the underlying MMU.
     pub fn mmu_stats(&self) -> (u64, u64) {
         (self.mmu.translations(), self.mmu.faults())
-    }
-
-    /// TLB statistics `(hits, misses, flushes)` from the underlying MMU.
-    pub fn tlb_stats(&self) -> (u64, u64, u64) {
-        (
-            self.mmu.tlb_hits(),
-            self.mmu.tlb_misses(),
-            self.mmu.tlb_flushes(),
-        )
     }
 }
 
@@ -537,10 +513,6 @@ mod tests {
         );
         for gap in [p(0), p(3), p(6), p(1000)] {
             assert_eq!(s.context_of(gap), Err(SpatialError::NotConfigured(gap)));
-            assert_eq!(
-                s.activate_partition(gap),
-                Err(SpatialError::NotConfigured(gap))
-            );
             assert_eq!(
                 s.revoke_page(gap, 0x5000_0000),
                 Err(SpatialError::NotConfigured(gap))

@@ -591,26 +591,70 @@ mod tests {
 
     #[test]
     fn live_router_matches_static_tables_when_all_edges_live() {
+        // With every edge live the two routers agree on every entry but
+        // one kind: on an even ring the antipode of each node is as far
+        // clockwise as counter-clockwise. The static tables go clockwise;
+        // the live router takes its lower-id neighbour, which is the
+        // counter-clockwise one for every node but 0 and n - 1. Both walks
+        // take n / 2 hops.
+        fn walk(
+            n: usize,
+            mut at: usize,
+            dst: usize,
+            hop: impl Fn(usize) -> Option<NodeId>,
+        ) -> usize {
+            let mut hops = 0;
+            while at != dst {
+                at = hop(at).expect("complete tables").as_u16() as usize;
+                hops += 1;
+                assert!(hops < n, "{at}->{dst} loops");
+            }
+            hops
+        }
         for topo in [MeshTopology::Line, MeshTopology::Star, MeshTopology::Ring] {
-            for n in 2..=9usize {
+            for n in 2..=16usize {
                 let router = LiveRouter::new(n, &topo.edges(n));
                 let tables = topo.routing_tables(n);
-                for (src, table) in tables.iter().enumerate() {
+                let mut departures = 0;
+                for src in 0..n {
                     for dst in 0..n {
                         if src == dst {
                             continue;
                         }
-                        let fallback = router.next_hop(src, NodeId(dst as u16));
-                        let static_hop = table.next_hop(NodeId(dst as u16));
-                        // Both are live shortest-path hops; distances agree
-                        // even where tie-breaks differ.
-                        assert!(fallback.is_some(), "{}: {src}->{dst}", topo.label());
-                        assert!(static_hop.is_some());
-                        assert!(fallback == static_hop || topo == MeshTopology::Ring);
+                        let to = NodeId(dst as u16);
+                        let antipode = topo == MeshTopology::Ring
+                            && n % 2 == 0
+                            && (dst + n - src) % n == n / 2;
+                        if !antipode {
+                            assert_eq!(
+                                router.next_hop(src, to),
+                                tables[src].next_hop(to),
+                                "{} {n}: {src}->{dst}",
+                                topo.label()
+                            );
+                            continue;
+                        }
+                        if router.next_hop(src, to) != tables[src].next_hop(to) {
+                            departures += 1;
+                        }
+                        let live = walk(n, src, dst, |at| router.next_hop(at, to));
+                        let fixed = walk(n, src, dst, |at| tables[at].next_hop(to));
+                        assert_eq!((live, fixed), (n / 2, n / 2), "ring {n}: {src}->{dst}");
                     }
                 }
+                let expected = if topo == MeshTopology::Ring && n % 2 == 0 {
+                    n - 2
+                } else {
+                    0
+                };
+                assert_eq!(departures, expected, "{} {n}", topo.label());
             }
         }
+        // Ring 6: node 2 reaches its antipode 5 via 1 live, via 3 static.
+        let router = LiveRouter::new(6, &MeshTopology::Ring.edges(6));
+        assert_eq!(router.next_hop(2, NodeId(5)), Some(NodeId(1)));
+        let tables = MeshTopology::Ring.routing_tables(6);
+        assert_eq!(tables[2].next_hop(NodeId(5)), Some(NodeId(3)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 verify plus lint. Run from the repo root.
 #
-#   scripts/ci.sh   # build + test + clippy + rustdoc + airbench tests + forbid.sh
+#   scripts/ci.sh   # fmt + build + test + clippy + rustdoc + airbench tests + forbid.sh
 #
 # Tier-1 (`cargo test`) is the only correctness gate: the fault-injection
 # campaign sweeps, the fuzz-farm smoke and soak rows, and the airlint
@@ -11,6 +11,11 @@
 # not here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== format: cargo fmt --check (workspace and airbench) =="
+cargo fmt --check
+# airbench is its own package, so the workspace check does not reach it.
+cargo fmt --check --manifest-path crates/bench/src/bin/airbench/Cargo.toml
 
 echo "== tier-1: release build =="
 cargo build --release

@@ -30,6 +30,12 @@
 # the space-packet layer (`spacepacket.rs`) and the PUS services
 # (`pus.rs`), so a panic there would let one corrupt frame crash a node:
 # those three files are scanned too.
+# The PAL (`crates/pal/src`) runs the deadline check of every partition
+# dispatch on the sorted deadline list, the health monitor
+# (`crates/hm/src`) classifies every error the other layers report, and
+# the APEX (`crates/apex/src`) is the service layer every process calls
+# into: a panic in any of them would crash the module on the path that is
+# meant to contain a fault, so all three are scanned.
 #
 #   scripts/forbid.sh            # scan the default directories below
 #   scripts/forbid.sh <dirs...>  # scan specific directories
@@ -38,7 +44,7 @@ cd "$(dirname "$0")/.."
 
 dirs=("$@")
 if [[ ${#dirs[@]} -eq 0 ]]; then
-    dirs=(crates/pmk/src crates/hw/src crates/lint/src crates/model/src/explore crates/ports/src/routing.rs crates/ports/src/transport.rs crates/ports/src/wire.rs crates/ports/src/spacepacket.rs crates/ports/src/pus.rs crates/pos/src crates/tools/src)
+    dirs=(crates/pmk/src crates/hw/src crates/lint/src crates/model/src/explore crates/ports/src/routing.rs crates/ports/src/transport.rs crates/ports/src/wire.rs crates/ports/src/spacepacket.rs crates/ports/src/pus.rs crates/pos/src crates/tools/src crates/pal/src crates/hm/src crates/apex/src)
 fi
 
 fail=0

@@ -3,7 +3,7 @@
 
 use air_apex::ErrorHandlerTable;
 use air_core::workload::{FaultSwitch, FaultyPeriodic};
-use air_core::{PartitionConfig, ProcessConfig, SystemBuilder, TraceEvent};
+use air_core::{PartitionConfig, ProcessConfig, RecoveryDisposition, SystemBuilder, TraceEvent};
 use air_hm::{
     ErrorId, EscalatedProcessAction, HmTables, ModuleRecoveryAction, ProcessRecoveryAction,
     SystemHmTable,
@@ -163,4 +163,42 @@ fn module_level_classification_halts_the_module() {
     let frozen = system.now();
     system.run_for(100);
     assert_eq!(system.now(), frozen);
+}
+
+#[test]
+fn module_sourced_fault_under_a_partition_level_table_resets_the_module() {
+    // Hardware faults reclassified at partition level: a spurious trap
+    // still arrives with a module source, has no partition to act on, and
+    // is escalated to the module action (Reset) instead of crashing.
+    let mut tables = HmTables::standard();
+    tables.system =
+        SystemHmTable::standard().with_level(ErrorId::HardwareFault, air_hm::ErrorLevel::Partition);
+    let mut system = overruning_system_with_tables(ProcessRecoveryAction::Ignore, tables);
+    system.run_for(50);
+    system.machine_mut().inject_spurious_trap(3);
+    system.run_for(50);
+    let recoveries: Vec<&TraceEvent> = system
+        .trace()
+        .events()
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                TraceEvent::RecoveryApplied {
+                    error: ErrorId::HardwareFault,
+                    ..
+                }
+            )
+        })
+        .collect();
+    assert_eq!(recoveries.len(), 1, "{recoveries:?}");
+    assert!(matches!(
+        recoveries[0],
+        TraceEvent::RecoveryApplied {
+            partition: None,
+            disposition: RecoveryDisposition::ModuleReset,
+            ..
+        }
+    ));
+    assert!(!system.is_halted());
 }
