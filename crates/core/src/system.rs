@@ -621,6 +621,21 @@ impl AirSystem {
         }
     }
 
+    /// Queues schedule `sid`'s per-partition change actions, to be applied
+    /// at each partition's first dispatch (Sect. 4.3). The scheduler only
+    /// switches to configured schedules; an unknown id queues nothing
+    /// rather than panicking inside the clock ISR.
+    fn queue_schedule_change_actions(&mut self, sid: ScheduleId) {
+        let Some(schedule) = self.schedules.get(sid) else {
+            return;
+        };
+        let actions: Vec<(PartitionId, ScheduleChangeAction)> = schedule
+            .partitions()
+            .map(|p| (p, schedule.change_action_for(p)))
+            .collect();
+        self.dispatcher.queue_schedule_change_actions(actions);
+    }
+
     fn on_clock_tick(&mut self, ticks: u64) {
         let now = Ticks(ticks);
         let Some(event) = self.scheduler.tick(ticks) else {
@@ -650,17 +665,7 @@ impl AirSystem {
         if let Some(sid) = event.switched_to {
             self.trace
                 .record(TraceEvent::ScheduleSwitch { at: now, to: sid });
-            // Queue the new schedule's per-partition change actions, to be
-            // applied at each partition's first dispatch (Sect. 4.3).
-            let schedule = self
-                .schedules
-                .get(sid)
-                .expect("scheduler only switches to configured schedules");
-            let actions: Vec<(PartitionId, ScheduleChangeAction)> = schedule
-                .partitions()
-                .map(|p| (p, schedule.change_action_for(p)))
-                .collect();
-            self.dispatcher.queue_schedule_change_actions(actions);
+            self.queue_schedule_change_actions(sid);
         }
 
         let previous = self.dispatcher.active_partition();

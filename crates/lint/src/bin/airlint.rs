@@ -17,8 +17,8 @@
 //! violations (AIR081–AIR086, AIR095–AIR098), each carrying a replayable
 //! counterexample witness. `--max-states` bounds the stored state count
 //! (hitting the cap is surfaced as the AIR098 warning), `--workers`
-//! expands each BFS level on that many threads (states are still
-//! committed on one, so the output never changes), and `--no-por`
+//! expands each slice of up to 1,024 frontier states on that many threads
+//! (states are still committed on one, so the output never changes), and `--no-por`
 //! disables the partial-order reduction (useful to cross-check that the
 //! reduction changed nothing).
 //!

@@ -4,25 +4,31 @@
 //! edges are stored by `u32` index, and a state is decoded back into an
 //! [`AbstractState`] only when asked for ([`SearchGraph::state`]).
 //!
-//! The engine is level-synchronous: each BFS level runs two phases —
+//! The engine is level-synchronous, and it walks each BFS level in
+//! slices of at most `SLICE` frontier states. Each slice runs two
+//! phases, and the next slice expands only once this one is committed:
 //!
-//! 1. **Expand** (parallel): the frontier is split into contiguous slices,
+//! 1. **Expand** (parallel): the slice is split into contiguous chunks,
 //!    one per worker (`std::thread::scope`, the calling thread doubles as
 //!    worker 0 — the air-fleet idiom). Each worker applies every enabled
-//!    event to its slice and emits successor candidates into a buffer of
-//!    its own; the buffers are concatenated in worker order, so the
-//!    candidate sequence is identical to a sequential expansion. Levels
-//!    whose frontier is smaller than [`PARALLEL_FRONTIER_THRESHOLD`]
-//!    expand on the calling thread alone: early BFS levels are tiny even
-//!    when the total space is huge, and spawning threads there costs more
-//!    than the expansion itself.
-//! 2. **Commit** (sequential): one pass over the candidates, in order,
-//!    against a single seen-set mapping each key to its state index. A
-//!    known key gives an edge to that index; a new key gets the next index
-//!    (bounded by [`SearchConfig::max_states`]), a parent pointer for
-//!    minimal witnesses and a frontier slot; a new key past the cap is
-//!    dropped and counted. Indices follow candidate order, so the resulting
-//!    graph is identical for every worker count.
+//!    event to its chunk and emits successor candidates into a buffer of
+//!    its own; the buffers are read in worker order, so the candidate
+//!    sequence is identical to a sequential expansion. Slices smaller
+//!    than [`PARALLEL_FRONTIER_THRESHOLD`] expand on the calling thread
+//!    alone: early BFS levels are tiny even when the total space is huge,
+//!    and spawning threads there costs more than the expansion itself.
+//!    The buffers live for the whole search and are cleared, not rebuilt,
+//!    before each slice, so no candidate list grows with the level and a
+//!    deep level maps no fresh memory for one.
+//! 2. **Commit** (sequential): one pass over the slice's candidates, in
+//!    order, against a single seen-set mapping each key to its state
+//!    index. A known key gives an edge to that index; a new key gets the
+//!    next index (bounded by [`SearchConfig::max_states`]), a parent
+//!    pointer for minimal witnesses and a slot in the next frontier; a new
+//!    key past the cap is dropped and counted. Expansion reads only the
+//!    previous levels, so slicing keeps the level's candidate order:
+//!    indices follow it, and the resulting graph is identical for every
+//!    worker count.
 //!
 //! # Partial-order reduction
 //!
@@ -51,7 +57,7 @@ use super::{AbstractEvent, AbstractState, StateKey, TransitionSystem, Witness};
 /// Default bound on stored states (raise via `airlint --max-states`).
 pub const DEFAULT_MAX_STATES: usize = 262_144;
 
-/// Frontiers smaller than this expand on the calling thread alone —
+/// Frontier slices smaller than this expand on the calling thread alone —
 /// spawning workers for a handful of states costs more than the work.
 /// The resulting graph is unaffected (worker count never is).
 pub const PARALLEL_FRONTIER_THRESHOLD: usize = 256;
@@ -235,10 +241,47 @@ fn expand_slice(
     }
 }
 
+/// Frontier states expanded and committed together. On the hub at
+/// depth 8 a slice yields about 10k candidates (0.5 MB), where a whole
+/// level yields up to 424,722 (20 MB).
+const SLICE: usize = 1024;
+
+/// Expands `slice` into `buffers`, one buffer per worker, read in order.
+/// Only the first buffer is used when there is one worker or the slice is
+/// under [`PARALLEL_FRONTIER_THRESHOLD`].
+fn expand(
+    ts: &TransitionSystem,
+    graph: &SearchGraph,
+    slice: &[u32],
+    por: bool,
+    buffers: &mut [Vec<Candidate>],
+) {
+    for buffer in buffers.iter_mut() {
+        buffer.clear();
+    }
+    let (states, parents) = (graph.states.as_slice(), graph.parents.as_slice());
+    if buffers.len() == 1 || slice.len() < PARALLEL_FRONTIER_THRESHOLD {
+        if let Some(out) = buffers.first_mut() {
+            expand_slice(ts, states, parents, slice, por, out);
+        }
+        return;
+    }
+    let chunk = slice.len().div_ceil(buffers.len());
+    let mut chunks = slice.chunks(chunk).zip(buffers.iter_mut());
+    let mine = chunks.next();
+    thread::scope(|scope| {
+        for (part, out) in chunks {
+            scope.spawn(move || expand_slice(ts, states, parents, part, por, out));
+        }
+        if let Some((part, out)) = mine {
+            expand_slice(ts, states, parents, part, por, out);
+        }
+    });
+}
+
 /// Runs the bounded BFS. The resulting graph is identical for every
 /// `workers` value.
 pub fn search(ts: &TransitionSystem, config: &SearchConfig) -> SearchGraph {
-    let workers = config.workers.max(1);
     let max_states = config.max_states.clamp(1, MAX_INDEX);
     let initial = ts.initial_key();
     let mut graph = SearchGraph {
@@ -249,70 +292,50 @@ pub fn search(ts: &TransitionSystem, config: &SearchConfig) -> SearchGraph {
     let mut seen: KeyMap<u32> = KeyMap::default();
     seen.insert(initial, 0);
     let mut frontier: Vec<u32> = vec![0];
+    let mut next_frontier: Vec<u32> = Vec::new();
+    let workers = config.workers.max(1);
+    let mut buffers: Vec<Vec<Candidate>> = (0..workers).map(|_| Vec::new()).collect();
 
     for _ in 0..config.depth {
         if frontier.is_empty() {
             break;
         }
+        for slice in frontier.chunks(SLICE) {
+            expand(ts, &graph, slice, config.por, &mut buffers);
 
-        // Phase 1: expand the frontier into successor candidates.
-        let states = graph.states.as_slice();
-        let parents = graph.parents.as_slice();
-        let por = config.por;
-        let candidates: Vec<Candidate> =
-            if workers == 1 || frontier.len() < PARALLEL_FRONTIER_THRESHOLD {
-                let mut out = Vec::new();
-                expand_slice(ts, states, parents, &frontier, por, &mut out);
-                out
-            } else {
-                let chunk = frontier.len().div_ceil(workers);
-                let mut slots: Vec<Vec<Candidate>> =
-                    frontier.chunks(chunk).map(|_| Vec::new()).collect();
-                thread::scope(|scope| {
-                    let (mine, rest) = slots.split_at_mut(1);
-                    for (slice, slot) in frontier.chunks(chunk).skip(1).zip(rest) {
-                        scope.spawn(move || {
-                            expand_slice(ts, states, parents, slice, por, slot);
-                        });
+            // Commit states, parents and edges in candidate order — index
+            // assignment is therefore worker-count independent.
+            graph.edges.reserve(buffers.iter().map(Vec::len).sum());
+            for candidate in buffers.iter().flatten() {
+                let to = match seen.entry(candidate.key) {
+                    Entry::Occupied(entry) => *entry.get(),
+                    Entry::Vacant(entry) if graph.states.len() < max_states => {
+                        let index = graph.states.len() as u32;
+                        entry.insert(index);
+                        graph.states.push(candidate.key);
+                        graph.parents.push(Some((candidate.from, candidate.event)));
+                        next_frontier.push(index);
+                        index
                     }
-                    let slice = &frontier[..chunk];
-                    expand_slice(ts, states, parents, slice, por, &mut mine[0]);
+                    Entry::Vacant(_) => {
+                        if !graph.cap_hit {
+                            graph.cap_hit = true;
+                            graph.frontier_at_cap = frontier.len();
+                        }
+                        graph.dropped_states += 1;
+                        continue;
+                    }
+                };
+                graph.edges.push(SearchEdge {
+                    from: candidate.from,
+                    event: candidate.event,
+                    restarted: candidate.restarted,
+                    to,
                 });
-                slots.into_iter().flatten().collect()
-            };
-
-        // Phase 2: commit states, parents and edges in candidate order —
-        // index assignment is therefore worker-count independent.
-        let mut next_frontier = Vec::new();
-        graph.edges.reserve(candidates.len());
-        for candidate in candidates {
-            let to = match seen.entry(candidate.key) {
-                Entry::Occupied(entry) => *entry.get(),
-                Entry::Vacant(entry) if graph.states.len() < max_states => {
-                    let index = graph.states.len() as u32;
-                    entry.insert(index);
-                    graph.states.push(candidate.key);
-                    graph.parents.push(Some((candidate.from, candidate.event)));
-                    next_frontier.push(index);
-                    index
-                }
-                Entry::Vacant(_) => {
-                    if !graph.cap_hit {
-                        graph.cap_hit = true;
-                        graph.frontier_at_cap = frontier.len();
-                    }
-                    graph.dropped_states += 1;
-                    continue;
-                }
-            };
-            graph.edges.push(SearchEdge {
-                from: candidate.from,
-                event: candidate.event,
-                restarted: candidate.restarted,
-                to,
-            });
+            }
         }
-        frontier = next_frontier;
+        std::mem::swap(&mut frontier, &mut next_frontier);
+        next_frontier.clear();
     }
     graph
 }
@@ -469,34 +492,45 @@ mod tests {
     #[test]
     fn parallel_path_above_the_frontier_threshold_matches_sequential() {
         let ts = wide_system();
+        let depth = 5;
         let base = search(
             &ts,
             &SearchConfig {
-                depth: 4,
+                depth,
                 ..SearchConfig::default()
             },
         );
-        // Depth of a state = its witness length; at least one level must
-        // cross the sequential-fallback threshold, or this test never
-        // reaches the threaded expand phase at all.
+        // Depth of a state = its witness length. The frontiers expanded are
+        // the levels below `depth`: at least one must cross the
+        // sequential-fallback threshold, or this test never reaches the
+        // threaded expand phase, and one must span two slices, or it never
+        // commits a slice before the next one of the same level expands.
         let mut level_sizes: HashMap<usize, usize> = HashMap::new();
         for index in 0..base.states.len() {
             *level_sizes
                 .entry(base.witness_of(index).events.len())
                 .or_insert(0) += 1;
         }
-        assert!(
+        let expanded = || {
             level_sizes
-                .values()
-                .any(|&n| n >= PARALLEL_FRONTIER_THRESHOLD),
+                .iter()
+                .filter(|&(&level, _)| level < depth)
+                .map(|(_, &n)| n)
+        };
+        assert!(
+            expanded().any(|n| n >= PARALLEL_FRONTIER_THRESHOLD),
             "levels {level_sizes:?} stay under the threshold — widen the \
              system"
+        );
+        assert!(
+            expanded().any(|n| n > SLICE),
+            "levels {level_sizes:?} fit in one slice — widen the system"
         );
         for workers in [2, 8] {
             let other = search(
                 &ts,
                 &SearchConfig {
-                    depth: 4,
+                    depth,
                     workers,
                     ..SearchConfig::default()
                 },

@@ -36,6 +36,9 @@
 # the APEX (`crates/apex/src`) is the service layer every process calls
 # into: a panic in any of them would crash the module on the path that is
 # meant to contain a fault, so all three are scanned.
+# `AirSystem` (`crates/core/src/system.rs`) is scanned because AIR's clock
+# interrupt handler runs `AirSystem::step` on every tick: a panic there
+# is a panic in the ISR itself.
 #
 #   scripts/forbid.sh            # scan the default directories below
 #   scripts/forbid.sh <dirs...>  # scan specific directories
@@ -44,7 +47,7 @@ cd "$(dirname "$0")/.."
 
 dirs=("$@")
 if [[ ${#dirs[@]} -eq 0 ]]; then
-    dirs=(crates/pmk/src crates/hw/src crates/lint/src crates/model/src/explore crates/ports/src/routing.rs crates/ports/src/transport.rs crates/ports/src/wire.rs crates/ports/src/spacepacket.rs crates/ports/src/pus.rs crates/pos/src crates/tools/src crates/pal/src crates/hm/src crates/apex/src)
+    dirs=(crates/pmk/src crates/hw/src crates/lint/src crates/model/src/explore crates/ports/src/routing.rs crates/ports/src/transport.rs crates/ports/src/wire.rs crates/ports/src/spacepacket.rs crates/ports/src/pus.rs crates/pos/src crates/tools/src crates/pal/src crates/hm/src crates/apex/src crates/core/src/system.rs)
 fi
 
 fail=0

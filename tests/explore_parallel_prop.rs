@@ -1,5 +1,5 @@
-//! Engine-equivalence property: the parallel expansion of each BFS level
-//! and the partial-order reduction change *how* the state space is
+//! Engine-equivalence property: the parallel expansion of each frontier
+//! slice and the partial-order reduction change *how* the state space is
 //! walked, never *what* is found.
 //!
 //! For 50 generated configurations ([`air_core::fuzz::generate_config_text`]

@@ -11,6 +11,11 @@
 //!   link field of any one line goes through parse, lint, the timing
 //!   certificate and a depth-2 exploration and comes back as a report,
 //!   never a panic or a stall (these tests run with overflow checks on);
+//! - **id extremes** — the largest node id (`N65535`) or APID
+//!   ([`APID_MAX`]) the parser accepts in any one id of a `node`,
+//!   `route`, `apid` or `flow` line goes through parse, `lint`,
+//!   `lint_members`, `lint_timing` and a depth-2 exploration and comes
+//!   back as a report; one past it is an AIR000 on that line;
 //! - **AIR011 once** — a partition with many short cycles is reported
 //!   once per schedule, not once per cycle.
 
@@ -18,7 +23,8 @@ use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 
 use air_lint::{explore_with, lint, lint_config_text, lint_timing, Code, ExploreConfig, Severity};
-use air_lint::{parse_members, LintReport};
+use air_lint::{lint_members, parse_members, LintReport, SystemModel};
+use air_ports::spacepacket::APID_MAX;
 
 /// The time fields of the grammar: `key=<ticks>`, the flow `deadline=`
 /// included.
@@ -214,6 +220,178 @@ fn u64_max_in_any_time_field_never_panics() {
         "u64::MAX panicked in:\n{}",
         panicked.join("\n")
     );
+}
+
+/// The kinds of id the mesh grammar carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Id {
+    /// `N<id>`: a `node`, a `route` destination or `via=`, a `fallback=`
+    /// and both ends of a `flow`.
+    Node,
+    /// An `apid` line's id and a flow source's `N<src>:<apid>`.
+    Apid,
+}
+
+/// The largest id of each kind the parser accepts: node ids are `u16`,
+/// and APID 2047 is the CCSDS idle packet's, so the last one is 2046.
+fn id_max(kind: Id) -> u32 {
+    match kind {
+        Id::Node => u32::from(u16::MAX),
+        Id::Apid => u32::from(APID_MAX),
+    }
+}
+
+/// `line` once for every id it carries, that id set to `value(kind)`,
+/// with the kind; lines other than `node`, `route`, `apid` and `flow` carry
+/// none, and comments are left alone.
+fn id_variants(line: &str, value: impl Fn(Id) -> u32) -> Vec<(Id, String)> {
+    let (code, comment) = line.split_at(line.find('#').unwrap_or(line.len()));
+    let tokens: Vec<&str> = code.split(' ').collect();
+    let directive = tokens.iter().find(|t| !t.is_empty()).copied();
+    if !matches!(directive, Some("node" | "route" | "apid" | "flow")) {
+        return Vec::new();
+    }
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    let node = |s: &str| s.strip_prefix('N').is_some_and(digits);
+    let (n, a) = (value(Id::Node), value(Id::Apid));
+    let mut out = Vec::new();
+    for (i, token) in tokens.iter().enumerate() {
+        let (key, id) = match token.split_once('=') {
+            Some((key, id)) => (format!("{key}="), id),
+            None => (String::new(), *token),
+        };
+        let rewritten = if node(id) {
+            vec![(Id::Node, format!("{key}N{n}"))]
+        } else if let Some((src, apid)) = id.split_once(':').filter(|(s, a)| node(s) && digits(a)) {
+            vec![
+                (Id::Node, format!("N{n}:{apid}")),
+                (Id::Apid, format!("{src}:{a}")),
+            ]
+        } else if directive == Some("apid") && digits(id) {
+            vec![(Id::Apid, a.to_string())]
+        } else {
+            Vec::new()
+        };
+        for (kind, token) in rewritten {
+            let mut line = tokens.clone();
+            line[i] = &token;
+            out.push((kind, line.join(" ") + comment));
+        }
+    }
+    out
+}
+
+/// `lint`, `lint_members`, `lint_timing` and a depth-2 exploration of
+/// every member: the whole pipeline past the parser.
+fn run_pipeline(models: &[SystemModel]) {
+    let explore = ExploreConfig {
+        depth: 2,
+        ..ExploreConfig::default()
+    };
+    for model in models {
+        lint(model);
+        explore_with(model, &explore);
+    }
+    lint_members(models);
+    lint_timing(models);
+}
+
+#[test]
+fn largest_node_id_and_apid_never_panic() {
+    let (mut variants, mut parsed, mut panicked) = (0, Vec::new(), Vec::new());
+    for path in configs() {
+        let text = read(&path);
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            for (kind, extreme) in id_variants(line, id_max) {
+                variants += 1;
+                let mut mutated = lines.clone();
+                mutated[i] = &extreme;
+                let mutated = mutated.join("\n");
+                let Ok(models) = parse_members(&[&mutated]).into_models() else {
+                    continue;
+                };
+                parsed.push(kind);
+                let run = std::panic::catch_unwind(AssertUnwindSafe(|| run_pipeline(&models)));
+                if run.is_err() {
+                    panicked.push(format!("{} line {}: {extreme}", path.display(), i + 1));
+                }
+            }
+        }
+    }
+    assert!(variants > 300, "only {variants} variants");
+    for kind in [Id::Node, Id::Apid] {
+        assert!(parsed.contains(&kind), "no {kind:?} variant parsed");
+    }
+    assert!(
+        panicked.is_empty(),
+        "the largest id panicked in:\n{}",
+        panicked.join("\n")
+    );
+}
+
+#[test]
+fn largest_node_id_across_a_member_set_never_panics() {
+    // The five-node line mesh with its executor N4 renamed N65535 in
+    // every member, and a flow from the ground node to it: routes, the
+    // flow and the node itself agree, so the cross-member checks and the
+    // flow certificate see the extreme id.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let rename = |token: &str| match token.split_once('=') {
+        Some((key, "N4")) => format!("{key}=N65535"),
+        _ if token == "N4" => "N65535".to_owned(),
+        _ => token.to_owned(),
+    };
+    let mut texts: Vec<String> = (0..5)
+        .map(|k| {
+            read(&root.join(format!("mesh_n{k}.air")))
+                .lines()
+                .map(|line| line.split(' ').map(rename).collect::<Vec<_>>().join(" ") + "\n")
+                .collect()
+        })
+        .collect();
+    texts[0] += "flow N0:100 -> N65535 deadline=6000\n";
+    let models = parse_members(&texts)
+        .into_models()
+        .unwrap_or_else(|report| panic!("the renamed mesh parses:\n{report}"));
+    run_pipeline(&models);
+    let bounds = lint_timing(&models).bounds;
+    assert_eq!(bounds.len(), 1, "{bounds:?}");
+    assert_eq!(bounds[0].dst, u16::MAX);
+    assert!(bounds[0].certified.is_some(), "{bounds:?}");
+}
+
+#[test]
+fn one_past_the_largest_id_is_a_parse_error_on_its_line() {
+    let mut variants = 0;
+    for path in configs() {
+        let text = read(&path);
+        if parse_members(&[&text]).into_models().is_err() {
+            continue;
+        }
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            for (kind, past) in id_variants(line, |kind| id_max(kind) + 1) {
+                variants += 1;
+                let mut mutated = lines.clone();
+                mutated[i] = &past;
+                let report = lint_config_text(&mutated.join("\n"));
+                let found: Vec<_> = report
+                    .diagnostics()
+                    .iter()
+                    .map(|d| (d.code, d.line))
+                    .collect();
+                assert_eq!(
+                    found,
+                    [(Code::ParseError, Some(i + 1))],
+                    "{} line {} {kind:?}: {past}",
+                    path.display(),
+                    i + 1
+                );
+            }
+        }
+    }
+    assert!(variants > 300, "only {variants} variants");
 }
 
 #[test]
