@@ -43,6 +43,11 @@
 //!   depth, so any "no finding" verdict is incomplete, or the node routes
 //!   over more than 16 mesh edges and only 16 were toggled.
 //!
+//! AIR084 and AIR097 are the two checks that read edges, and the search
+//! graph stores none: each steps only its own events again from every
+//! expanded state and looks the successors up in the graph's index
+//! ([`restarting_request_edges`], [`link_down_edges`]).
+//!
 //! A *recovery path* is a sequence of controllable or design-transient
 //! events: authority schedule requests plus link recovery (`link_up`) and
 //! ARQ resync (`arq_recovered`). Faults are adversarial — a path that needs
@@ -56,8 +61,8 @@ use std::collections::BTreeSet;
 use air_hm::{ErrorId, ErrorLevel, EscalatedProcessAction, ProcessRecoveryAction};
 use air_model::explore::search::{search, KeyMap, SearchEdge, SearchGraph};
 use air_model::explore::{
-    AbstractEvent, ExploreOptions, StateKey, TransitionSystem, TransitionSystemError, Witness,
-    MAX_MESH_EDGES,
+    AbstractEvent, ExploreOptions, KeyTransition, StateKey, TransitionSystem,
+    TransitionSystemError, Witness, MAX_MESH_EDGES,
 };
 use air_model::schedule::ScheduleSet;
 use air_model::verify::{verify_schedule, Report};
@@ -599,10 +604,7 @@ fn check_states(
 /// `link_up` does not restart — the failover ratchets the partition off.
 fn check_failover_traps(ctx: &InvariantCtx<'_>, graph: &SearchGraph, findings: &mut Findings) {
     let ts = ctx.ts;
-    for edge in &graph.edges {
-        if edge.event != AbstractEvent::LinkDown {
-            continue;
-        }
+    for edge in link_down_edges(ts, graph) {
         let before = graph.states[edge.from as usize];
         let after = graph.states[edge.to as usize];
         // Running before the failover, stopped after it.
@@ -643,13 +645,10 @@ fn check_failover_traps(ctx: &InvariantCtx<'_>, graph: &SearchGraph, findings: &
 /// AIR084: a cycle of commanded schedule switches that restarts the same
 /// partition on every lap.
 fn check_restart_loops(ctx: &InvariantCtx<'_>, graph: &SearchGraph, findings: &mut Findings) {
-    // One pass over the edges builds every partition's subgraph of
-    // commanded-switch edges that restart it.
-    let mut restarting: Vec<Vec<&SearchEdge>> = vec![Vec::new(); ctx.partitions.len()];
-    for edge in &graph.edges {
-        if edge.restarted == 0 || !matches!(edge.event, AbstractEvent::ScheduleRequest { .. }) {
-            continue;
-        }
+    // One pass over the restarting edges builds every partition's
+    // subgraph of commanded-switch edges that restart it.
+    let mut restarting: Vec<Vec<SearchEdge>> = vec![Vec::new(); ctx.partitions.len()];
+    for edge in restarting_request_edges(ctx.ts, graph) {
         for (edges, &(_, slot)) in restarting.iter_mut().zip(&ctx.partitions) {
             if edge.restarts(slot) {
                 edges.push(edge);
@@ -679,15 +678,79 @@ fn check_restart_loops(ctx: &InvariantCtx<'_>, graph: &SearchGraph, findings: &m
     }
 }
 
+/// The `link_down` edges of `graph`, searched over `ts`, in edge order:
+/// the edges AIR097 reads.
+///
+/// The graph stores no edges, so every expanded state steps `link_down`
+/// again. Like every global event, `link_down` is never pruned by the
+/// partial-order reduction, so this is exactly the `link_down` part of
+/// [`SearchGraph::edges`] at a fraction of its cost.
+pub fn link_down_edges(ts: &TransitionSystem, graph: &SearchGraph) -> Vec<SearchEdge> {
+    stored_edges(
+        graph,
+        ts,
+        |_, events| events.push(AbstractEvent::LinkDown),
+        |_| true,
+    )
+}
+
+/// The schedule-request edges of `graph`, searched over `ts`, that restart
+/// at least one partition, in edge order: the edges AIR084 reads.
+///
+/// The graph stores no edges, so every expanded state steps its schedule
+/// requests again, in [`TransitionSystem::key_events`] order. Requests are
+/// global events, never pruned by the partial-order reduction, so this is
+/// exactly the restarting-request part of [`SearchGraph::edges`].
+pub fn restarting_request_edges(ts: &TransitionSystem, graph: &SearchGraph) -> Vec<SearchEdge> {
+    stored_edges(
+        graph,
+        ts,
+        |key, events| ts.schedule_requests(key, events),
+        |t| t.restarted != 0,
+    )
+}
+
+/// The edges of `graph` out of its expanded states for the events
+/// `events` lists in each state, in edge order, keeping those whose
+/// transition `keep` accepts. A successor that the graph's index does not
+/// know was dropped at the state cap, so its transition is no edge.
+fn stored_edges(
+    graph: &SearchGraph,
+    ts: &TransitionSystem,
+    mut events: impl FnMut(StateKey, &mut Vec<AbstractEvent>),
+    keep: impl Fn(&KeyTransition) -> bool,
+) -> Vec<SearchEdge> {
+    let mut edges = Vec::new();
+    let mut enabled = Vec::new();
+    for (from, &key) in graph.states.iter().take(graph.expanded).enumerate() {
+        enabled.clear();
+        events(key, &mut enabled);
+        for &event in &enabled {
+            let Some(t) = ts.step_key(key, event).filter(&keep) else {
+                continue;
+            };
+            if let Some(to) = graph.index_of(t.key) {
+                edges.push(SearchEdge {
+                    from: from as u32,
+                    event,
+                    restarted: t.restarted,
+                    to,
+                });
+            }
+        }
+    }
+    edges
+}
+
 /// Finds a directed cycle in `edges` (indices into a `node_count`-node
 /// graph), returning its edge sequence, or `None`. Roots are tried in
 /// ascending node order and each node's edges in the given order.
-fn find_cycle<'e>(node_count: usize, edges: &[&'e SearchEdge]) -> Option<Vec<&'e SearchEdge>> {
+fn find_cycle(node_count: usize, edges: &[SearchEdge]) -> Option<Vec<&SearchEdge>> {
     // Adjacency as one sorted run of `(from, to, edge)` per node, with the
     // endpoints inline so the walk stays in this array; the sort is
     // stable, so each node keeps its edges in the given order.
     let mut sorted: Vec<(u32, u32, &SearchEdge)> =
-        edges.iter().map(|&e| (e.from, e.to, e)).collect();
+        edges.iter().map(|e| (e.from, e.to, e)).collect();
     sorted.sort_by_key(|&(from, _, _)| from);
     let out_of = |node: u32| {
         let lo = sorted.partition_point(|&(from, _, _)| from < node);
@@ -1231,12 +1294,11 @@ link primary_latency=3 secondary_latency=6 degraded=chi1
         edges.push(edge(4000, 5000));
         edges.extend([edge(5000, 5001), edge(5001, 5002), edge(5002, 5000)]);
         edges.extend((6000..8000).map(|i| edge(i, 12_000 + i)));
-        let refs: Vec<&SearchEdge> = edges.iter().collect();
-        let cycle = find_cycle(20_000, &refs).expect("the cycle is found");
+        let cycle = find_cycle(20_000, &edges).expect("the cycle is found");
         let hops: Vec<(u32, u32)> = cycle.iter().map(|e| (e.from, e.to)).collect();
         assert_eq!(hops, vec![(5000, 5001), (5001, 5002), (5002, 5000)]);
         // Without the closing edge the subgraph is acyclic.
-        let acyclic: Vec<&SearchEdge> = edges.iter().filter(|e| e.from != 5002).collect();
+        let acyclic: Vec<SearchEdge> = edges.into_iter().filter(|e| e.from != 5002).collect();
         assert!(find_cycle(20_000, &acyclic).is_none());
     }
 

@@ -978,13 +978,8 @@ impl TransitionSystem {
         let current = key.schedule();
         let stopped = key.modes();
         let ids = &self.schedule_ids;
-        let commanders = self.authorities & self.window_mask(current) & !stopped;
-        for by in self.partitions_of(commanders) {
-            for (i, &to) in ids.iter().enumerate() {
-                if i != current {
-                    out.push(AbstractEvent::ScheduleRequest { by, to });
-                }
-            }
+        for by in self.partitions_of(self.commanders(key)) {
+            self.requests_by(by, current, out);
             for (i, &first) in ids.iter().enumerate() {
                 if i == current {
                     continue;
@@ -1035,6 +1030,30 @@ impl TransitionSystem {
                 if rerouted & (1 << edge) == 0 {
                     out.push(AbstractEvent::MeshReroute { edge });
                 }
+            }
+        }
+    }
+
+    /// Appends the [`ScheduleRequest`](AbstractEvent::ScheduleRequest)
+    /// events enabled in `key` to `out`, and no other event: the requests
+    /// of [`key_events`](Self::key_events), in its order.
+    pub fn schedule_requests(&self, key: StateKey, out: &mut Vec<AbstractEvent>) {
+        for by in self.partitions_of(self.commanders(key)) {
+            self.requests_by(by, key.schedule(), out);
+        }
+    }
+
+    /// Slot bits of the authorities running with a window in `key`.
+    fn commanders(&self, key: StateKey) -> u64 {
+        self.authorities & self.window_mask(key.schedule()) & !key.modes()
+    }
+
+    /// Appends `by`'s requests for every schedule but the `current` one,
+    /// in set order.
+    fn requests_by(&self, by: PartitionId, current: usize, out: &mut Vec<AbstractEvent>) {
+        for (i, &to) in self.schedule_ids.iter().enumerate() {
+            if i != current {
+                out.push(AbstractEvent::ScheduleRequest { by, to });
             }
         }
     }
@@ -1188,7 +1207,7 @@ impl TransitionSystem {
 
     /// Whether authority `by` is running with a window in `key`.
     fn may_command(&self, key: StateKey, by: PartitionId) -> bool {
-        let commanders = self.authorities & self.window_mask(key.schedule()) & !key.modes();
+        let commanders = self.commanders(key);
         self.slot_of(by)
             .is_some_and(|slot| (commanders >> slot) & 1 != 0)
     }
@@ -1933,6 +1952,31 @@ mod tests {
             assert!(acted || ts.slot_of(PartitionId(i)).is_none());
         }
         ts
+    }
+
+    #[test]
+    fn schedule_requests_are_the_request_events_of_key_events() {
+        for seed in 0..60 {
+            let mut rng = crate::testkit::TestRng::new(seed);
+            let ts = random_system(&mut rng);
+            let graph = search::search(
+                &ts,
+                &search::SearchConfig {
+                    depth: 3,
+                    max_states: 2048,
+                    ..search::SearchConfig::default()
+                },
+            );
+            let (mut all, mut requests) = (Vec::new(), Vec::new());
+            for &key in &graph.states {
+                all.clear();
+                requests.clear();
+                ts.key_events(key, &mut all);
+                all.retain(|e| matches!(e, AbstractEvent::ScheduleRequest { .. }));
+                ts.schedule_requests(key, &mut requests);
+                assert_eq!(requests, all, "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! Parallel bounded breadth-first search over a [`TransitionSystem`].
 //!
-//! The engine works on packed [`StateKey`]s only: states, parents and
-//! edges are stored by `u32` index, and a state is decoded back into an
-//! [`AbstractState`] only when asked for ([`SearchGraph::state`]).
+//! The engine works on packed [`StateKey`]s only: states and parents are
+//! stored by `u32` index, and a state is decoded back into an
+//! [`AbstractState`] only when asked for ([`SearchGraph::state`]). The
+//! graph stores no edges. [`SearchGraph::edges`] derives the edge
+//! sequence on demand by expanding the stored states again, and a
+//! consumer that reads the edges of a few events only steps those events
+//! itself and looks each successor up with [`SearchGraph::index_of`].
 //!
-//! The engine is level-synchronous, and it walks each BFS level in
-//! slices of at most `SLICE` frontier states. Each slice runs two
+//! The engine is level-synchronous. A level's frontier is a contiguous
+//! index range, the states the previous level discovered, and the engine
+//! walks it in slices of at most `SLICE` states. Each slice runs two
 //! phases, and the next slice expands only once this one is committed:
 //!
 //! 1. **Expand** (parallel): the slice is split into contiguous chunks,
@@ -18,17 +23,23 @@
 //!    alone: early BFS levels are tiny even when the total space is huge,
 //!    and spawning threads there costs more than the expansion itself.
 //!    The buffers live for the whole search and are cleared, not rebuilt,
-//!    before each slice, so no candidate list grows with the level and a
-//!    deep level maps no fresh memory for one.
+//!    before each slice, so no candidate list grows with the level.
 //! 2. **Commit** (sequential): one pass over the slice's candidates, in
-//!    order, against a single seen-set mapping each key to its state
-//!    index. A known key gives an edge to that index; a new key gets the
-//!    next index (bounded by [`SearchConfig::max_states`]), a parent
-//!    pointer for minimal witnesses and a slot in the next frontier; a new
-//!    key past the cap is dropped and counted. Expansion reads only the
-//!    previous levels, so slicing keeps the level's candidate order:
-//!    indices follow it, and the resulting graph is identical for every
-//!    worker count.
+//!    order, against the graph's state index, an open-addressing table of
+//!    `u32` state indices that reads its keys from the stored states. A
+//!    known key is an edge and stores nothing; a new key gets the next
+//!    index (bounded by [`SearchConfig::max_states`]) and a parent pointer
+//!    for minimal witnesses, and joins the next frontier by being next in
+//!    index order; a new key past the cap is dropped and counted.
+//!    Expansion reads only the previous levels, so slicing keeps the
+//!    level's candidate order: indices follow it, and the resulting graph
+//!    is identical for every worker count.
+//!
+//! A candidate is an edge exactly when its successor is stored: a new
+//! successor is stored unless the cap was reached, and once it is reached
+//! no state is stored again. The edges are therefore the candidates of the
+//! expanded states whose key the index knows, in candidate order, which
+//! is how [`SearchGraph::edges`] derives them.
 //!
 //! # Partial-order reduction
 //!
@@ -47,12 +58,13 @@
 //! discovered at its true BFS depth and witnesses stay minimal
 //! (`tests/explore_parallel_prop.rs` cross-checks this on random systems).
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::thread;
 
-use super::{AbstractEvent, AbstractState, StateKey, TransitionSystem, Witness};
+use super::{AbstractEvent, AbstractState, KeyTransition, StateKey, TransitionSystem, Witness};
 
 /// Default bound on stored states (raise via `airlint --max-states`).
 pub const DEFAULT_MAX_STATES: usize = 262_144;
@@ -115,14 +127,20 @@ pub struct SearchGraph {
     pub states: Vec<StateKey>,
     /// BFS tree-parent of each state (`None` for the initial state).
     pub parents: Vec<Option<(u32, AbstractEvent)>>,
-    /// Every explored edge, including edges to already-known states.
-    pub edges: Vec<SearchEdge>,
+    /// How many states were expanded: every level but the last, which is
+    /// `states[expanded..]`. A BFS-order prefix, so the states at indices
+    /// below it are exactly those whose outgoing edges were explored.
+    pub expanded: usize,
+    /// Whether the partial-order reduction pruned the expansion.
+    pub por: bool,
     /// Whether the state cap truncated the search.
     pub cap_hit: bool,
     /// Size of the BFS frontier when the cap was first hit.
     pub frontier_at_cap: usize,
     /// Successor occurrences dropped because the cap was reached.
     pub dropped_states: usize,
+    /// Key → index lookup over `states`.
+    index: StateIndex,
 }
 
 impl SearchGraph {
@@ -130,6 +148,33 @@ impl SearchGraph {
     /// over.
     pub fn state(&self, ts: &TransitionSystem, index: usize) -> AbstractState {
         ts.unpack(self.states[index])
+    }
+
+    /// The index of the stored state `key`, or `None` when the search did
+    /// not store it.
+    pub fn index_of(&self, key: StateKey) -> Option<u32> {
+        self.index.find(&self.states, key).ok()
+    }
+
+    /// Every explored edge, including edges to already-known states, in
+    /// the order the search committed them. Derived by expanding the
+    /// expanded states again with the search's own expansion, so it costs
+    /// a search's expansion without its commit; `ts` is the system the
+    /// graph was searched over.
+    pub fn edges(&self, ts: &TransitionSystem) -> Vec<SearchEdge> {
+        let expanded = self.expanded.min(self.states.len()).min(self.parents.len()) as u32;
+        let mut edges = Vec::new();
+        expand_slice(ts, self, 0..expanded, self.por, |from, event, t| {
+            if let Some(to) = self.index_of(t.key) {
+                edges.push(SearchEdge {
+                    from,
+                    event,
+                    restarted: t.restarted,
+                    to,
+                });
+            }
+        });
+        edges
     }
 
     /// The minimal event sequence from the initial state to state `index`.
@@ -179,6 +224,77 @@ impl Hasher for KeyHasher {
 /// A map keyed by [`StateKey`], hashed with [`KeyHasher`].
 pub type KeyMap<V> = HashMap<StateKey, V, BuildHasherDefault<KeyHasher>>;
 
+/// The key → index lookup of a [`SearchGraph`]: open addressing with
+/// linear probing over a power-of-two table of state indices. It holds no
+/// keys: a probe compares against the graph's `states`. The table starts
+/// at [`StateIndex::MIN_SLOTS`] slots and doubles to stay at most half
+/// full, so a probe always ends at a free slot. An empty table (the
+/// default graph's) answers every lookup with a miss.
+#[derive(Clone, Default)]
+struct StateIndex {
+    slots: Vec<u32>,
+}
+
+impl StateIndex {
+    /// A free slot. State indices are 31-bit, so no index is this.
+    const FREE: u32 = u32::MAX;
+    /// The first table's size, enough for an 8-state search.
+    const MIN_SLOTS: usize = 16;
+
+    /// `Ok(index)` when `states[index]` is `key`; otherwise `Err(slot)`,
+    /// the free slot `key` would take, or the table size when there is
+    /// none.
+    fn find(&self, states: &[StateKey], key: StateKey) -> Result<u32, usize> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut slot = key_hash(key) as usize & mask;
+        for _ in 0..self.slots.len() {
+            let index = self.slots[slot];
+            if index == Self::FREE {
+                return Err(slot);
+            }
+            if states.get(index as usize) == Some(&key) {
+                return Ok(index);
+            }
+            slot = (slot + 1) & mask;
+        }
+        Err(self.slots.len())
+    }
+
+    /// Records the last of `states`, whose key [`find`](Self::find) has
+    /// just missed at `slot`, and doubles the table when that leaves it
+    /// over half full.
+    fn push(&mut self, slot: usize, states: &[StateKey]) {
+        let index = states.len().saturating_sub(1) as u32;
+        let placed = self.slots.get_mut(slot).map(|free| *free = index);
+        if placed.is_none() || states.len() * 2 > self.slots.len() {
+            self.rebuild(states);
+        }
+    }
+
+    /// Re-inserts every state into a table sized for twice their number.
+    fn rebuild(&mut self, states: &[StateKey]) {
+        let size = (states.len() * 2).next_power_of_two().max(Self::MIN_SLOTS);
+        self.slots.clear();
+        self.slots.resize(size, Self::FREE);
+        let mask = size - 1;
+        for (index, &key) in states.iter().enumerate() {
+            let mut slot = key_hash(key) as usize & mask;
+            while self.slots[slot] != Self::FREE {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = index as u32;
+        }
+    }
+}
+
+impl fmt::Debug for StateIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StateIndex")
+            .field("slots", &self.slots.len())
+            .finish()
+    }
+}
+
 /// The independence component of an event, or `None` for global events.
 ///
 /// Events in distinct components commute (each toggles a private state
@@ -201,23 +317,25 @@ const MAX_INDEX: usize = i32::MAX as usize;
 struct Candidate {
     from: u32,
     event: AbstractEvent,
-    restarted: u64,
     key: StateKey,
 }
 
+/// Applies every enabled event the reduction keeps to the states at
+/// `range` of `graph`, in index order, handing each successor to `emit`
+/// with its source index and event. The only expansion: the search commits
+/// what it emits, and [`SearchGraph::edges`] derives the edges from it.
 fn expand_slice(
     ts: &TransitionSystem,
-    states: &[StateKey],
-    parents: &[Option<(u32, AbstractEvent)>],
-    frontier: &[u32],
+    graph: &SearchGraph,
+    range: Range<u32>,
     por: bool,
-    out: &mut Vec<Candidate>,
+    mut emit: impl FnMut(u32, AbstractEvent, KeyTransition),
 ) {
     let mut events = Vec::new();
-    for &index in frontier {
-        let key = states[index as usize];
+    for index in range {
+        let key = graph.states[index as usize];
         let parent_component = if por {
-            parents[index as usize].and_then(|(_, event)| por_component(event))
+            graph.parents[index as usize].and_then(|(_, event)| por_component(event))
         } else {
             None
         };
@@ -230,12 +348,7 @@ fn expand_slice(
                 }
             }
             if let Some(t) = ts.step_key(key, event) {
-                out.push(Candidate {
-                    from: index,
-                    event,
-                    restarted: t.restarted,
-                    key: t.key,
-                });
+                emit(index, event, t);
             }
         }
     }
@@ -246,35 +359,48 @@ fn expand_slice(
 /// level yields up to 424,722 (20 MB).
 const SLICE: usize = 1024;
 
-/// Expands `slice` into `buffers`, one buffer per worker, read in order.
-/// Only the first buffer is used when there is one worker or the slice is
-/// under [`PARALLEL_FRONTIER_THRESHOLD`].
+/// Expands the states at `slice` into `buffers`, one buffer per worker,
+/// read in order. Only the first buffer is used when there is one worker
+/// or the slice is under [`PARALLEL_FRONTIER_THRESHOLD`].
 fn expand(
     ts: &TransitionSystem,
     graph: &SearchGraph,
-    slice: &[u32],
+    slice: Range<u32>,
     por: bool,
     buffers: &mut [Vec<Candidate>],
 ) {
     for buffer in buffers.iter_mut() {
         buffer.clear();
     }
-    let (states, parents) = (graph.states.as_slice(), graph.parents.as_slice());
+    let candidates = |range: Range<u32>, out: &mut Vec<Candidate>| {
+        expand_slice(ts, graph, range, por, |from, event, t| {
+            out.push(Candidate {
+                from,
+                event,
+                key: t.key,
+            });
+        });
+    };
     if buffers.len() == 1 || slice.len() < PARALLEL_FRONTIER_THRESHOLD {
         if let Some(out) = buffers.first_mut() {
-            expand_slice(ts, states, parents, slice, por, out);
+            candidates(slice, out);
         }
         return;
     }
-    let chunk = slice.len().div_ceil(buffers.len());
-    let mut chunks = slice.chunks(chunk).zip(buffers.iter_mut());
+    let (base, len) = (slice.start as usize, slice.len());
+    let chunk = len.div_ceil(buffers.len());
+    let mut chunks = buffers.iter_mut().enumerate().map(|(worker, out)| {
+        let lo = worker.saturating_mul(chunk).min(len);
+        let hi = lo.saturating_add(chunk).min(len);
+        ((base + lo) as u32..(base + hi) as u32, out)
+    });
     let mine = chunks.next();
     thread::scope(|scope| {
-        for (part, out) in chunks {
-            scope.spawn(move || expand_slice(ts, states, parents, part, por, out));
+        for (part, out) in chunks.filter(|(part, _)| !part.is_empty()) {
+            scope.spawn(move || candidates(part, out));
         }
         if let Some((part, out)) = mine {
-            expand_slice(ts, states, parents, part, por, out);
+            candidates(part, out);
         }
     });
 }
@@ -283,60 +409,50 @@ fn expand(
 /// `workers` value.
 pub fn search(ts: &TransitionSystem, config: &SearchConfig) -> SearchGraph {
     let max_states = config.max_states.clamp(1, MAX_INDEX);
-    let initial = ts.initial_key();
     let mut graph = SearchGraph {
-        states: vec![initial],
+        states: vec![ts.initial_key()],
         parents: vec![None],
+        por: config.por,
         ..SearchGraph::default()
     };
-    let mut seen: KeyMap<u32> = KeyMap::default();
-    seen.insert(initial, 0);
-    let mut frontier: Vec<u32> = vec![0];
-    let mut next_frontier: Vec<u32> = Vec::new();
+    graph.index.rebuild(&graph.states);
     let workers = config.workers.max(1);
     let mut buffers: Vec<Vec<Candidate>> = (0..workers).map(|_| Vec::new()).collect();
+    // The frontier: the states the previous level discovered.
+    let mut frontier = 0..1u32;
 
     for _ in 0..config.depth {
         if frontier.is_empty() {
             break;
         }
-        for slice in frontier.chunks(SLICE) {
+        let mut start = frontier.start;
+        while start < frontier.end {
+            let slice = start..start.saturating_add(SLICE as u32).min(frontier.end);
+            start = slice.end;
             expand(ts, &graph, slice, config.por, &mut buffers);
 
-            // Commit states, parents and edges in candidate order — index
-            // assignment is therefore worker-count independent.
-            graph.edges.reserve(buffers.iter().map(Vec::len).sum());
+            // Commit in candidate order, so index assignment is
+            // worker-count independent.
             for candidate in buffers.iter().flatten() {
-                let to = match seen.entry(candidate.key) {
-                    Entry::Occupied(entry) => *entry.get(),
-                    Entry::Vacant(entry) if graph.states.len() < max_states => {
-                        let index = graph.states.len() as u32;
-                        entry.insert(index);
-                        graph.states.push(candidate.key);
-                        graph.parents.push(Some((candidate.from, candidate.event)));
-                        next_frontier.push(index);
-                        index
-                    }
-                    Entry::Vacant(_) => {
-                        if !graph.cap_hit {
-                            graph.cap_hit = true;
-                            graph.frontier_at_cap = frontier.len();
-                        }
-                        graph.dropped_states += 1;
-                        continue;
-                    }
+                let Err(slot) = graph.index.find(&graph.states, candidate.key) else {
+                    continue;
                 };
-                graph.edges.push(SearchEdge {
-                    from: candidate.from,
-                    event: candidate.event,
-                    restarted: candidate.restarted,
-                    to,
-                });
+                if graph.states.len() < max_states {
+                    graph.states.push(candidate.key);
+                    graph.parents.push(Some((candidate.from, candidate.event)));
+                    graph.index.push(slot, &graph.states);
+                } else {
+                    if !graph.cap_hit {
+                        graph.cap_hit = true;
+                        graph.frontier_at_cap = frontier.len();
+                    }
+                    graph.dropped_states += 1;
+                }
             }
         }
-        std::mem::swap(&mut frontier, &mut next_frontier);
-        next_frontier.clear();
+        frontier = frontier.end..graph.states.len() as u32;
     }
+    graph.expanded = frontier.start as usize;
     graph
 }
 
@@ -456,7 +572,7 @@ mod tests {
             );
             assert_eq!(base.states, other.states, "workers={workers}");
             assert_eq!(base.parents, other.parents, "workers={workers}");
-            assert_eq!(base.edges, other.edges, "workers={workers}");
+            assert_eq!(base.edges(&ts), other.edges(&ts), "workers={workers}");
         }
     }
 
@@ -537,7 +653,7 @@ mod tests {
             );
             assert_eq!(base.states, other.states, "workers={workers}");
             assert_eq!(base.parents, other.parents, "workers={workers}");
-            assert_eq!(base.edges, other.edges, "workers={workers}");
+            assert_eq!(base.edges(&ts), other.edges(&ts), "workers={workers}");
         }
     }
 
@@ -568,7 +684,7 @@ mod tests {
                     graph.states.len(),
                     graph.frontier_at_cap,
                     graph.dropped_states,
-                    graph.edges.len(),
+                    graph.edges(&ts).len(),
                 );
                 assert_eq!(counts, expected, "cap {max_states}, workers={workers}");
             }
@@ -616,11 +732,10 @@ mod tests {
             },
         );
         assert_eq!(full.states.len(), reduced.states.len());
+        let (reduced_edges, full_edges) = (reduced.edges(&ts).len(), full.edges(&ts).len());
         assert!(
-            reduced.edges.len() < full.edges.len(),
-            "POR must drop some commuting edges ({} vs {})",
-            reduced.edges.len(),
-            full.edges.len()
+            reduced_edges < full_edges,
+            "POR must drop some commuting edges ({reduced_edges} vs {full_edges})"
         );
         // The initial state's arq must still be nominal in both.
         assert_eq!(full.state(&ts, 0).arq, ArqHealth::Nominal);

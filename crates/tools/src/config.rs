@@ -362,21 +362,66 @@ fn err(line: usize, message: impl Into<String>) -> ConfigError {
     }
 }
 
-/// Parses `key=value` pairs from the remaining tokens.
+/// Pairs a line holds inline; a longer line keeps the rest on the heap.
+const INLINE_PAIRS: usize = 16;
+
+/// A line's `key=value` pairs, in line order, each key set once. The first
+/// [`INLINE_PAIRS`] are held inline, so a common line allocates nothing,
+/// and a lookup scans them: a line holds a handful of pairs.
+struct Fields<'a> {
+    inline: [(&'a str, &'a str); INLINE_PAIRS],
+    len: usize,
+    spilled: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Fields<'a> {
+    /// The value of `key`, if the line sets it.
+    fn get(&self, key: &str) -> Option<&'a str> {
+        self.inline[..self.len]
+            .iter()
+            .chain(&self.spilled)
+            .find(|&&(k, _)| k == key)
+            .map(|&(_, value)| value)
+    }
+}
+
+/// Parses `key=value` pairs from the remaining tokens, reporting the first
+/// token, in line order, that is no pair or repeats a key.
 fn parse_kv<'a>(
     line_no: usize,
     tokens: impl Iterator<Item = &'a str>,
-) -> Result<BTreeMap<&'a str, &'a str>, ConfigError> {
-    let mut map = BTreeMap::new();
-    for tok in tokens {
-        let Some((k, v)) = tok.split_once('=') else {
-            return Err(err(line_no, format!("expected key=value, found '{tok}'")));
+) -> Result<Fields<'a>, ConfigError> {
+    let mut fields = Fields {
+        inline: [("", ""); INLINE_PAIRS],
+        len: 0,
+        spilled: Vec::new(),
+    };
+    // The keys of a line past its inline pairs, so that no line's
+    // duplicate check grows quadratically.
+    let mut keys: BTreeSet<&str> = BTreeSet::new();
+    for token in tokens {
+        let Some((key, value)) = token.split_once('=') else {
+            return Err(err(line_no, format!("expected key=value, found '{token}'")));
         };
-        if map.insert(k, v).is_some() {
-            return Err(err(line_no, format!("duplicate key '{k}'")));
+        let duplicate = if fields.len < INLINE_PAIRS {
+            fields.inline[..fields.len].iter().any(|&(k, _)| k == key)
+        } else {
+            if keys.is_empty() {
+                keys.extend(fields.inline.iter().map(|&(k, _)| k));
+            }
+            !keys.insert(key)
+        };
+        if duplicate {
+            return Err(err(line_no, format!("duplicate key '{key}'")));
+        }
+        if fields.len < INLINE_PAIRS {
+            fields.inline[fields.len] = (key, value);
+            fields.len += 1;
+        } else {
+            fields.spilled.push((key, value));
         }
     }
-    Ok(map)
+    Ok(fields)
 }
 
 fn parse_pid(line_no: usize, token: &str) -> Result<PartitionId, ConfigError> {
@@ -402,7 +447,7 @@ fn parse_node_id(line_no: usize, token: &str) -> Result<NodeId, ConfigError> {
         .map_err(|_| err(line_no, format!("invalid node number '{digits}'")))
 }
 
-fn parse_u64(line_no: usize, map: &BTreeMap<&str, &str>, key: &str) -> Result<u64, ConfigError> {
+fn parse_u64(line_no: usize, map: &Fields<'_>, key: &str) -> Result<u64, ConfigError> {
     let raw = map
         .get(key)
         .ok_or_else(|| err(line_no, format!("missing '{key}='")))?;
@@ -411,11 +456,7 @@ fn parse_u64(line_no: usize, map: &BTreeMap<&str, &str>, key: &str) -> Result<u6
 }
 
 /// Parses an optional decimal number, returning `None` when absent.
-fn parse_u64_opt(
-    line_no: usize,
-    map: &BTreeMap<&str, &str>,
-    key: &str,
-) -> Result<Option<u64>, ConfigError> {
+fn parse_u64_opt(line_no: usize, map: &Fields<'_>, key: &str) -> Result<Option<u64>, ConfigError> {
     match map.get(key) {
         None => Ok(None),
         Some(_) => parse_u64(line_no, map, key).map(Some),
@@ -423,7 +464,7 @@ fn parse_u64_opt(
 }
 
 /// Parses a number that may be written in hex (`0x…`) or decimal.
-fn parse_addr(line_no: usize, map: &BTreeMap<&str, &str>, key: &str) -> Result<u64, ConfigError> {
+fn parse_addr(line_no: usize, map: &Fields<'_>, key: &str) -> Result<u64, ConfigError> {
     let raw = map
         .get(key)
         .ok_or_else(|| err(line_no, format!("missing '{key}='")))?;
@@ -460,8 +501,8 @@ fn parse_error_id(line_no: usize, token: &str) -> Result<ErrorId, ConfigError> {
     error_id_from_token(token).ok_or_else(|| err(line_no, format!("unknown error id '{token}'")))
 }
 
-fn parse_direction(line_no: usize, map: &BTreeMap<&str, &str>) -> Result<Direction, ConfigError> {
-    match map.get("dir").copied() {
+fn parse_direction(line_no: usize, map: &Fields<'_>) -> Result<Direction, ConfigError> {
+    match map.get("dir") {
         Some("source") => Ok(Direction::Source),
         Some("destination") => Ok(Direction::Destination),
         Some(other) => Err(err(line_no, format!("unknown direction '{other}'"))),
@@ -631,8 +672,8 @@ pub fn parse(text: &str) -> Result<ConfigDoc, ConfigError> {
                 let name = kv
                     .get("name")
                     .ok_or_else(|| err(line_no, "missing 'name='"))?;
-                let mut partition = Partition::new(id, *name);
-                match kv.get("pos").copied() {
+                let mut partition = Partition::new(id, name);
+                match kv.get("pos") {
                     None | Some("real_time") => {}
                     Some("generic") => {
                         partition = partition.with_pos_kind(PosKind::GenericNonRealTime);
@@ -641,10 +682,10 @@ pub fn parse(text: &str) -> Result<ConfigDoc, ConfigError> {
                         return Err(err(line_no, format!("unknown pos kind '{other}'")));
                     }
                 }
-                if kv.get("system") == Some(&"true") {
+                if kv.get("system") == Some("true") {
                     partition = partition.system();
                 }
-                if kv.get("authority") == Some(&"true") {
+                if kv.get("authority") == Some("true") {
                     partition = partition.with_schedule_authority();
                 }
                 doc.partitions.push(partition);
@@ -824,7 +865,7 @@ pub fn parse(text: &str) -> Result<ConfigDoc, ConfigError> {
                 let kv = parse_kv(line_no, tokens)?;
                 let base = parse_addr(line_no, &kv, "base")?;
                 let size = parse_addr(line_no, &kv, "size")?;
-                let (writable, executable) = match kv.get("perm").copied() {
+                let (writable, executable) = match kv.get("perm") {
                     Some("ro") => (false, false),
                     Some("rw") => (true, false),
                     Some("rx") => (false, true),
@@ -834,7 +875,7 @@ pub fn parse(text: &str) -> Result<ConfigDoc, ConfigError> {
                     }
                     None => return Err(err(line_no, "missing 'perm='")),
                 };
-                let shared = kv.get("shared") == Some(&"true");
+                let shared = kv.get("shared") == Some("true");
                 doc.spans.set(span_key::memory(pid, base), line_no);
                 doc.memory.push(MemoryRegion {
                     partition: pid,
@@ -1001,7 +1042,7 @@ pub fn parse(text: &str) -> Result<ConfigDoc, ConfigError> {
                 let name = kv
                     .get("name")
                     .ok_or_else(|| err(line_no, "missing 'name='"))?;
-                let kind = match kv.get("kind").copied() {
+                let kind = match kv.get("kind") {
                     Some("tc") => PacketKind::Tc,
                     Some("tm") => PacketKind::Tm,
                     Some(other) => {
@@ -1073,7 +1114,7 @@ pub fn parse(text: &str) -> Result<ConfigDoc, ConfigError> {
                     .ok_or_else(|| err(line_no, "'hm' needs an error id"))?;
                 let error = parse_error_id(line_no, err_tok)?;
                 let kv = parse_kv(line_no, tokens)?;
-                let level = match kv.get("level").copied() {
+                let level = match kv.get("level") {
                     Some("process") => ErrorLevel::Process,
                     Some("partition") => ErrorLevel::Partition,
                     Some("module") => ErrorLevel::Module,
@@ -1426,6 +1467,41 @@ mod tests {
             assert_eq!(e.line, line, "{text}");
             assert!(e.message.contains(needle), "{text}: {e}");
         }
+    }
+
+    #[test]
+    fn key_value_errors_name_the_first_bad_token() {
+        // Padding of distinct pairs puts the second half of each case past
+        // the inline pairs.
+        let pad: String = (0..20).map(|i| format!(" k{i}=1")).collect();
+        let cases = [
+            (
+                "partition P0 name=a b name=c".to_owned(),
+                "expected key=value, found 'b'",
+            ),
+            (
+                "partition P0 name=a name=c b".to_owned(),
+                "duplicate key 'name'",
+            ),
+            (
+                format!("partition P0 name=a{pad} k3=2 b"),
+                "duplicate key 'k3'",
+            ),
+            (
+                format!("partition P0 name=a{pad} b k3=2"),
+                "expected key=value, found 'b'",
+            ),
+            (
+                format!("partition P0{pad} name=a name=b"),
+                "duplicate key 'name'",
+            ),
+        ];
+        for (text, message) in cases {
+            let e = parse(&text).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (1, message), "{text}");
+        }
+        let doc = parse(&format!("partition P0{pad} name=last")).unwrap();
+        assert_eq!(doc.partitions[0].name(), "last");
     }
 
     #[test]

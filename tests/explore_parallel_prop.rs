@@ -11,14 +11,21 @@
 //! `(code, subject)` finding set — POR may pick different representative
 //! witnesses of the same length, so witness texts are not compared there.
 //!
-//! Finally, the whole search graph of the two explored examples —
-//! states, parents, edges and the cap counters — is pinned by digest on
-//! 1 and 2 workers, once with the state cap falling mid-level.
+//! The whole search graph of the two explored examples — states,
+//! parents, the derived edges and the cap counters — is pinned by digest
+//! on 1 and 2 workers, once with the state cap falling mid-level.
+//!
+//! Finally, the graph stores no edges, so the edges AIR097 and AIR084 read
+//! are re-derived by stepping only their events; over the same 50
+//! configurations those subsets must equal, in order, the matching
+//! filters of the whole derived edge sequence.
 
 use std::collections::BTreeSet;
 
 use air_core::fuzz::generate_config_text;
 use air_lint::{explore_with, ExploreConfig, SystemModel};
+use air_model::explore::search::{search, SearchConfig, SearchGraph};
+use air_model::explore::TransitionSystem;
 
 const SEEDS: u64 = 50;
 const DEPTH: usize = 3;
@@ -128,9 +135,11 @@ impl std::fmt::Write for Fnv {
 }
 
 /// `(states, edges, cap_hit, frontier_at_cap, dropped_states, digest)` of
-/// a search graph, the digest covering every state, parent and edge.
+/// a search graph over `ts`, the digest covering every state, parent and
+/// edge.
 fn graph_summary(
-    graph: &air_model::explore::search::SearchGraph,
+    ts: &TransitionSystem,
+    graph: &SearchGraph,
 ) -> (usize, usize, bool, usize, usize, u64) {
     use std::fmt::Write;
     let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
@@ -140,12 +149,13 @@ fn graph_summary(
     for parent in &graph.parents {
         write!(fnv, "{parent:?};").unwrap();
     }
-    for edge in &graph.edges {
+    let edges = graph.edges(ts);
+    for edge in &edges {
         write!(fnv, "{edge:?};").unwrap();
     }
     (
         graph.states.len(),
-        graph.edges.len(),
+        edges.len(),
         graph.cap_hit,
         graph.frontier_at_cap,
         graph.dropped_states,
@@ -166,7 +176,6 @@ fn example_model(name: &str) -> SystemModel {
 /// hub run whose state cap falls in the middle of a BFS level.
 #[test]
 fn search_graphs_of_the_examples_are_pinned() {
-    use air_model::explore::search::{search, SearchConfig};
     // `(example, depth, max_states)` and the pinned `graph_summary`.
     let runs = [
         (
@@ -205,11 +214,93 @@ fn search_graphs_of_the_examples_are_pinned() {
                 workers,
                 por: true,
             };
-            let summary = graph_summary(&search(&ts, &config));
+            let summary = graph_summary(&ts, &search(&ts, &config));
             assert_eq!(
                 summary, pinned,
                 "{example} depth {depth} cap {max_states} workers {workers}"
             );
         }
     }
+}
+
+/// The `link_down` and restarting-request edges that AIR097 and AIR084
+/// derive by stepping only their events are, in order, the matching
+/// filters of the whole derived edge sequence: with the reduction on, with
+/// it off, and with the state cap falling in the middle of a level.
+#[test]
+fn lint_edge_subsets_are_filters_of_the_whole_edge_sequence() {
+    use air_lint::explore::{link_down_edges, restarting_request_edges};
+    use air_model::explore::AbstractEvent;
+    let (mut link_downs, mut restarts, mut capped) = (0, 0, 0);
+    for seed in 0..SEEDS {
+        let Some(ts) = air_lint::transition_system_for(&model_of(seed)) else {
+            continue;
+        };
+        let config = |por, max_states| SearchConfig {
+            depth: DEPTH + 1,
+            max_states,
+            por,
+            ..SearchConfig::default()
+        };
+        let full = search(&ts, &config(true, 262_144));
+        // A cap halfway into the deepest level of two or more states.
+        let mut sizes = [0usize; DEPTH + 2];
+        for index in 0..full.states.len() {
+            sizes[full.witness_of(index).events.len()] += 1;
+        }
+        let mid_level = (1..sizes.len())
+            .rev()
+            .find(|&level| sizes[level] >= 2)
+            .map(|level| sizes[..level].iter().sum::<usize>() + sizes[level] / 2);
+        let mut graphs = vec![full, search(&ts, &config(false, 262_144))];
+        if let Some(cap) = mid_level {
+            let graph = search(&ts, &config(true, cap));
+            assert!(graph.cap_hit, "seed {seed}: cap {cap} not hit");
+            capped += 1;
+            graphs.push(graph);
+        }
+        for graph in &graphs {
+            let edges = graph.edges(&ts);
+            let expected: Vec<_> = edges
+                .iter()
+                .filter(|e| e.event == AbstractEvent::LinkDown)
+                .copied()
+                .collect();
+            assert_eq!(link_down_edges(&ts, graph), expected, "seed {seed}");
+            link_downs += expected.len();
+            let expected: Vec<_> = edges
+                .iter()
+                .filter(|e| {
+                    e.restarted != 0 && matches!(e.event, AbstractEvent::ScheduleRequest { .. })
+                })
+                .copied()
+                .collect();
+            assert_eq!(
+                restarting_request_edges(&ts, graph),
+                expected,
+                "seed {seed}"
+            );
+            restarts += expected.len();
+        }
+    }
+    assert!(
+        link_downs > 0 && restarts > 0 && capped > SEEDS / 2,
+        "vacuous: {link_downs} link_down edges, {restarts} restarting \
+         requests, {capped} capped runs"
+    );
+}
+
+/// The default graph stores nothing: every lookup misses, and it derives
+/// no edge.
+#[test]
+fn the_default_graph_answers_every_lookup_with_none() {
+    let ts = air_lint::transition_system_for(&example_model("full_system.air"))
+        .expect("full_system.air has a transition system");
+    let graph = search(&ts, &SearchConfig::default());
+    let empty = SearchGraph::default();
+    assert!(graph.states.len() > 1);
+    for &key in &graph.states {
+        assert_eq!(empty.index_of(key), None);
+    }
+    assert!(empty.edges(&ts).is_empty());
 }
