@@ -23,8 +23,16 @@
 //!   translation can outlive its mapping. In the fault campaigns a
 //!   partition switch separates almost every pair of translations, so a
 //!   cache flushed on each switch would serve no hits.
+//!
+//! The tables are fixed arrays indexed by address bits, as on the LEON3:
+//! each context owns a 256-entry root, and the 64-entry level-2 and
+//! level-3 tables of all contexts live in one arena per [`Mmu`], linked by
+//! `u32` index. An entry is invalid, a leaf, or a table link, so the walk
+//! is at most three array loads and hashes nothing. Addresses at or above
+//! 2^32 are outside the space: they translate to
+//! [`MmuFault::Unmapped`], and `map`/`unmap` reject ranges reaching past
+//! it with [`MapError::OutOfVirtualSpace`].
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// Page size at level 3 (4 KiB) and required mapping granularity.
@@ -299,20 +307,29 @@ struct Pte {
     flags: PageFlags,
 }
 
-/// One table level: sparse children and leaves.
-#[derive(Debug, Clone, Default)]
-struct Table {
-    /// Leaf entries at this level, by index.
-    leaves: HashMap<u16, Pte>,
-    /// Next-level tables, by index.
-    children: HashMap<u16, Table>,
+/// One slot of a page table, as in the SPARC V8 reference MMU: invalid,
+/// a leaf (PTE) or a link to the next-level table (PTD).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Entry {
+    /// Nothing is mapped under this slot.
+    Invalid,
+    /// A leaf covering the slot's whole region.
+    Leaf(Pte),
+    /// The index of a level-2 or level-3 table in [`Mmu::tables`].
+    Table(u32),
 }
 
-/// Per-context address space: the root (level-1) table.
-#[derive(Debug, Clone, Default)]
-struct AddressSpace {
-    root: Table,
-}
+/// Entries of a level-1 (root) table: one per 16 MiB region.
+const ROOT_ENTRIES: usize = 256;
+/// Entries of a level-2 or level-3 table.
+const TABLE_ENTRIES: usize = 64;
+/// The top of the 32-bit virtual space.
+const VA_SPACE: u64 = ROOT_ENTRIES as u64 * L1_REGION;
+
+/// A level-1 table: one per context.
+type RootTable = [Entry; ROOT_ENTRIES];
+/// A level-2 or level-3 table.
+type Table = [Entry; TABLE_ENTRIES];
 
 /// The three-level software MMU.
 ///
@@ -330,9 +347,14 @@ struct AddressSpace {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mmu {
-    /// Address spaces by context id: ids are handed out in order and
-    /// never retired, so context `c` lives at index `c.0`.
-    contexts: Vec<AddressSpace>,
+    /// Root tables by context id: ids are handed out in order and never
+    /// retired, so context `c` lives at index `c.0`.
+    roots: Vec<RootTable>,
+    /// The level-2 and level-3 tables of every context, linked from the
+    /// roots and from each other by [`Entry::Table`] index.
+    tables: Vec<Table>,
+    /// Indices of cleared tables in `tables`, reused before it grows.
+    free: Vec<u32>,
     translations: u64,
     faults: u64,
 }
@@ -347,7 +369,9 @@ impl Mmu {
     /// Creates an MMU with no contexts.
     pub fn new() -> Self {
         Self {
-            contexts: Vec::new(),
+            roots: Vec::new(),
+            tables: Vec::new(),
+            free: Vec::new(),
             translations: 0,
             faults: 0,
         }
@@ -355,18 +379,14 @@ impl Mmu {
 
     /// Allocates a fresh, empty context (one per partition).
     pub fn create_context(&mut self) -> MmuContextId {
-        let id = MmuContextId(self.contexts.len() as u32);
-        self.contexts.push(AddressSpace::default());
+        let id = MmuContextId(self.roots.len() as u32);
+        self.roots.push([Entry::Invalid; ROOT_ENTRIES]);
         id
     }
 
     /// Whether `context` exists.
     pub fn has_context(&self, context: MmuContextId) -> bool {
-        self.space(context).is_some()
-    }
-
-    fn space(&self, context: MmuContextId) -> Option<&AddressSpace> {
-        self.contexts.get(context.0 as usize)
+        (context.0 as usize) < self.roots.len()
     }
 
     /// Number of translations performed.
@@ -402,18 +422,15 @@ impl Mmu {
                 return Err(MapError::Misaligned { value });
             }
         }
-        let end = va.checked_add(size).ok_or(MapError::OutOfVirtualSpace)?;
-        if end > 1 << 32 {
-            return Err(MapError::OutOfVirtualSpace);
+        let end = range_end(va, size)?;
+        let c = context.0 as usize;
+        if c >= self.roots.len() {
+            return Err(MapError::InvalidContext { context });
         }
-        let space = self
-            .contexts
-            .get_mut(context.0 as usize)
-            .ok_or(MapError::InvalidContext { context })?;
         // Pre-check the whole range for overlaps so the map is atomic.
         let mut cur = va;
         while cur < end {
-            if walk(&space.root, cur).is_some() {
+            if walk(&self.roots[c], &self.tables, cur).is_some() {
                 return Err(MapError::Overlap { va: cur });
             }
             cur += PAGE_SIZE;
@@ -423,42 +440,34 @@ impl Mmu {
         while cur_va < end {
             let remaining = end - cur_va;
             let (idx1, idx2, idx3) = split(cur_va);
+            let leaf = Entry::Leaf(Pte {
+                pa_base: cur_pa,
+                flags,
+            });
             let step = if cur_va.is_multiple_of(L1_REGION)
                 && cur_pa.is_multiple_of(L1_REGION)
                 && remaining >= L1_REGION
             {
-                space.root.leaves.insert(
-                    idx1,
-                    Pte {
-                        pa_base: cur_pa,
-                        flags,
-                    },
-                );
+                let old = std::mem::replace(&mut self.roots[c][idx1], leaf);
+                self.release(old);
                 L1_REGION
-            } else if cur_va.is_multiple_of(L2_REGION)
-                && cur_pa.is_multiple_of(L2_REGION)
-                && remaining >= L2_REGION
-            {
-                let l2 = space.root.children.entry(idx1).or_default();
-                l2.leaves.insert(
-                    idx2,
-                    Pte {
-                        pa_base: cur_pa,
-                        flags,
-                    },
-                );
-                L2_REGION
             } else {
-                let l2 = space.root.children.entry(idx1).or_default();
-                let l3 = l2.children.entry(idx2).or_default();
-                l3.leaves.insert(
-                    idx3,
-                    Pte {
-                        pa_base: cur_pa,
-                        flags,
-                    },
-                );
-                PAGE_SIZE
+                let l2 = self.table_of(self.roots[c][idx1]);
+                self.roots[c][idx1] = Entry::Table(l2);
+                let l2 = l2 as usize;
+                if cur_va.is_multiple_of(L2_REGION)
+                    && cur_pa.is_multiple_of(L2_REGION)
+                    && remaining >= L2_REGION
+                {
+                    let old = std::mem::replace(&mut self.tables[l2][idx2], leaf);
+                    self.release(old);
+                    L2_REGION
+                } else {
+                    let l3 = self.table_of(self.tables[l2][idx2]);
+                    self.tables[l2][idx2] = Entry::Table(l3);
+                    self.tables[l3 as usize][idx3] = leaf;
+                    PAGE_SIZE
+                }
             };
             cur_va += step;
             cur_pa += step;
@@ -466,47 +475,86 @@ impl Mmu {
         Ok(())
     }
 
+    /// The table `entry` links to; a fresh empty one when it links none.
+    /// The caller stores the link.
+    fn table_of(&mut self, entry: Entry) -> u32 {
+        if let Entry::Table(t) = entry {
+            return t;
+        }
+        if let Some(t) = self.free.pop() {
+            return t;
+        }
+        self.tables.push([Entry::Invalid; TABLE_ENTRIES]);
+        (self.tables.len() - 1) as u32
+    }
+
+    /// Returns the table `old` linked to, and every table below it, to the
+    /// free list, cleared. `old` was overwritten by a large leaf; the
+    /// overlap pre-check guarantees nothing under it was mapped.
+    fn release(&mut self, old: Entry) {
+        if let Entry::Table(t) = old {
+            let table = std::mem::replace(
+                &mut self.tables[t as usize],
+                [Entry::Invalid; TABLE_ENTRIES],
+            );
+            for entry in table {
+                self.release(entry);
+            }
+            self.free.push(t);
+        }
+    }
+
     /// Removes every mapping of `[va, va+size)` in `context`.
     ///
     /// Pages in the range that are not mapped are skipped. Large leaf
     /// entries are removed when the range covers their start — partial
     /// unmapping of a 16 MiB/256 KiB leaf is not supported (the descriptor
-    /// loader always unmaps what it mapped).
+    /// loader always unmaps what it mapped). Emptied tables stay linked, so
+    /// a reload maps into the tables it unmapped from.
     ///
     /// # Errors
     ///
-    /// [`MapError::InvalidContext`] when `context` does not exist;
-    /// [`MapError::Misaligned`] for unaligned bounds.
+    /// [`MapError::Misaligned`] for unaligned bounds;
+    /// [`MapError::OutOfVirtualSpace`] when the range ends past the 32-bit
+    /// virtual space; [`MapError::InvalidContext`] when `context` does not
+    /// exist.
     pub fn unmap(&mut self, context: MmuContextId, va: u64, size: u64) -> Result<(), MapError> {
         for value in [va, size] {
             if value % PAGE_SIZE != 0 {
                 return Err(MapError::Misaligned { value });
             }
         }
-        let space = self
-            .contexts
+        let end = range_end(va, size)?;
+        let root = self
+            .roots
             .get_mut(context.0 as usize)
             .ok_or(MapError::InvalidContext { context })?;
-        let end = va.saturating_add(size);
+        let tables = &mut self.tables;
         let mut cur = va;
         while cur < end {
             let (idx1, idx2, idx3) = split(cur);
-            if space.root.leaves.contains_key(&idx1) && cur.is_multiple_of(L1_REGION) {
-                space.root.leaves.remove(&idx1);
-                cur += L1_REGION;
-                continue;
-            }
-            if let Some(l2) = space.root.children.get_mut(&idx1) {
-                if l2.leaves.contains_key(&idx2) && cur.is_multiple_of(L2_REGION) {
-                    l2.leaves.remove(&idx2);
-                    cur += L2_REGION;
-                    continue;
+            cur = match root[idx1] {
+                Entry::Leaf(_) if cur.is_multiple_of(L1_REGION) => {
+                    root[idx1] = Entry::Invalid;
+                    cur + L1_REGION
                 }
-                if let Some(l3) = l2.children.get_mut(&idx2) {
-                    l3.leaves.remove(&idx3);
-                }
-            }
-            cur += PAGE_SIZE;
+                Entry::Table(l2) => match tables[l2 as usize][idx2] {
+                    Entry::Leaf(_) if cur.is_multiple_of(L2_REGION) => {
+                        tables[l2 as usize][idx2] = Entry::Invalid;
+                        cur + L2_REGION
+                    }
+                    Entry::Table(l3) => {
+                        tables[l3 as usize][idx3] = Entry::Invalid;
+                        cur + PAGE_SIZE
+                    }
+                    // Unmapped, or inside a 256 KiB leaf the range does
+                    // not start at.
+                    _ => cur + PAGE_SIZE,
+                },
+                // Unmapped, or inside a 16 MiB leaf the range does not
+                // start at.
+                _ => cur + PAGE_SIZE,
+            };
         }
         Ok(())
     }
@@ -517,9 +565,9 @@ impl Mmu {
     ///
     /// # Errors
     ///
-    /// [`MmuFault`] when the context is invalid, the address unmapped, or
-    /// the page's permissions forbid the access — the PMK routes the fault
-    /// to health monitoring.
+    /// [`MmuFault`] when the context is invalid, the address unmapped (any
+    /// address at or above 2^32 is), or the page's permissions forbid the
+    /// access — the PMK routes the fault to health monitoring.
     pub fn translate(
         &mut self,
         context: MmuContextId,
@@ -528,11 +576,11 @@ impl Mmu {
         privilege: Privilege,
     ) -> Result<u64, MmuFault> {
         self.translations += 1;
-        let Some(space) = self.contexts.get(context.0 as usize) else {
+        let Some(root) = self.roots.get(context.0 as usize) else {
             self.faults += 1;
             return Err(MmuFault::InvalidContext { context });
         };
-        let Some((pte, region_base)) = walk(&space.root, va) else {
+        let Some((pte, region_base)) = walk(root, &self.tables, va) else {
             self.faults += 1;
             return Err(MmuFault::Unmapped { va });
         };
@@ -548,29 +596,44 @@ impl Mmu {
     }
 }
 
+/// The end of `[va, va+size)`, which must not pass the 32-bit space.
+fn range_end(va: u64, size: u64) -> Result<u64, MapError> {
+    va.checked_add(size)
+        .filter(|&end| end <= VA_SPACE)
+        .ok_or(MapError::OutOfVirtualSpace)
+}
+
 /// Splits a 32-bit virtual address into the three table indices
-/// (8 / 6 / 6 bits; the low 12 bits are the page offset).
-fn split(va: u64) -> (u16, u16, u16) {
-    let idx1 = ((va >> 24) & 0xff) as u16;
-    let idx2 = ((va >> 18) & 0x3f) as u16;
-    let idx3 = ((va >> 12) & 0x3f) as u16;
+/// (8 / 6 / 6 bits; the low 12 bits are the page offset). Callers keep
+/// `va` below [`VA_SPACE`]: the higher bits are dropped.
+fn split(va: u64) -> (usize, usize, usize) {
+    let idx1 = ((va >> 24) & 0xff) as usize;
+    let idx2 = ((va >> 18) & 0x3f) as usize;
+    let idx3 = ((va >> 12) & 0x3f) as usize;
     (idx1, idx2, idx3)
 }
 
 /// Walks the tables for `va`; returns the leaf PTE and the base VA of the
-/// region it covers.
-fn walk(root: &Table, va: u64) -> Option<(Pte, u64)> {
+/// region it covers. Three array loads at most.
+fn walk(root: &RootTable, tables: &[Table], va: u64) -> Option<(Pte, u64)> {
+    if va >= VA_SPACE {
+        return None;
+    }
     let (idx1, idx2, idx3) = split(va);
-    if let Some(pte) = root.leaves.get(&idx1) {
-        return Some((*pte, va & !(L1_REGION - 1)));
+    let l2 = match root[idx1] {
+        Entry::Leaf(pte) => return Some((pte, va & !(L1_REGION - 1))),
+        Entry::Table(l2) => l2,
+        Entry::Invalid => return None,
+    };
+    let l3 = match tables[l2 as usize][idx2] {
+        Entry::Leaf(pte) => return Some((pte, va & !(L2_REGION - 1))),
+        Entry::Table(l3) => l3,
+        Entry::Invalid => return None,
+    };
+    match tables[l3 as usize][idx3] {
+        Entry::Leaf(pte) => Some((pte, va & !(PAGE_SIZE - 1))),
+        _ => None,
     }
-    let l2 = root.children.get(&idx1)?;
-    if let Some(pte) = l2.leaves.get(&idx2) {
-        return Some((*pte, va & !(L2_REGION - 1)));
-    }
-    let l3 = l2.children.get(&idx2)?;
-    let pte = l3.leaves.get(&idx3)?;
-    Some((*pte, va & !(PAGE_SIZE - 1)))
 }
 
 #[cfg(test)]
@@ -871,5 +934,158 @@ mod tests {
         let _ = mmu.translate(ctx, 0x9000, AccessKind::Read, Privilege::User);
         assert_eq!(mmu.translations(), 2);
         assert_eq!(mmu.faults(), 1);
+    }
+
+    #[test]
+    fn addresses_above_the_virtual_space_do_not_alias_low_pages() {
+        let mut mmu = Mmu::new();
+        let ctx = mmu.create_context();
+        mmu.map(
+            ctx,
+            0x1000,
+            0x8000,
+            PAGE_SIZE,
+            PageFlags::from_sparc_acc(RW),
+        )
+        .unwrap();
+        // 0x1_0000_1010 shares its low 32 bits with the mapped page.
+        assert_eq!(
+            mmu.translate(ctx, 0x1_0000_1010, AccessKind::Write, Privilege::User),
+            Err(MmuFault::Unmapped { va: 0x1_0000_1010 })
+        );
+        assert_eq!(
+            mmu.translate(ctx, u64::MAX, AccessKind::Read, Privilege::Supervisor),
+            Err(MmuFault::Unmapped { va: u64::MAX })
+        );
+        // A range running past 2^32 is refused whole: it used to wrap
+        // around and remove the mapping at 0x1000.
+        assert_eq!(
+            mmu.unmap(ctx, 0xFFFF_F000, 0x3000),
+            Err(MapError::OutOfVirtualSpace)
+        );
+        assert_eq!(
+            mmu.unmap(ctx, 1 << 32, PAGE_SIZE),
+            Err(MapError::OutOfVirtualSpace)
+        );
+        assert_eq!(
+            mmu.unmap(ctx, u64::MAX - (PAGE_SIZE - 1), 2 * PAGE_SIZE),
+            Err(MapError::OutOfVirtualSpace)
+        );
+        assert_eq!(
+            mmu.translate(ctx, 0x1010, AccessKind::Write, Privilege::User),
+            Ok(0x8010)
+        );
+        // The last page below the top is still reachable.
+        let top_page = (1 << 32) - PAGE_SIZE;
+        mmu.map(
+            ctx,
+            top_page,
+            0x9000,
+            PAGE_SIZE,
+            PageFlags::from_sparc_acc(RW),
+        )
+        .unwrap();
+        assert_eq!(
+            mmu.translate(ctx, top_page + 0xfff, AccessKind::Read, Privilege::User),
+            Ok(0x9fff)
+        );
+        mmu.unmap(ctx, top_page, PAGE_SIZE).unwrap();
+        assert!(mmu
+            .translate(ctx, top_page, AccessKind::Read, Privilege::User)
+            .is_err());
+    }
+
+    /// The arena's length and how many of its tables are free.
+    fn table_census(mmu: &Mmu) -> (usize, usize) {
+        (mmu.tables.len(), mmu.free.len())
+    }
+
+    #[test]
+    fn reload_cycles_keep_the_table_count_constant() {
+        // The partition-restart sequence: revoke a page, then unmap and
+        // remap every descriptor region (the standard application layout
+        // of two partitions, plus one region mapped with a 256 KiB leaf).
+        let regions: [(u64, u64); 6] = [
+            (0x1000_0000, 0x8000),
+            (0x1010_0000, 0x4000),
+            (0x4000_0000, 0x4000),
+            (0x5000_0000, 0x4000),
+            (0x6000_0000, 0x2000),
+            (0x7000_0000, L2_REGION),
+        ];
+        let mut mmu = Mmu::new();
+        let contexts = [mmu.create_context(), mmu.create_context()];
+        let load = |mmu: &mut Mmu, ctx: MmuContextId| {
+            for (i, &(va, size)) in regions.iter().enumerate() {
+                let pa = (1 + i as u64) * L1_REGION + u64::from(ctx.0) * L2_REGION;
+                mmu.map(ctx, va, pa, size, PageFlags::from_sparc_acc(RW))
+                    .unwrap();
+            }
+        };
+        for ctx in contexts {
+            load(&mut mmu, ctx);
+        }
+        let census = table_census(&mmu);
+        assert_eq!(
+            census,
+            (2 * 10, 0),
+            "5 level-2 + 5 level-3 tables per context"
+        );
+        for cycle in 0..10_000u64 {
+            let ctx = contexts[(cycle % 2) as usize];
+            let (va, size) = regions[(cycle % 6) as usize];
+            mmu.unmap(
+                ctx,
+                va + (cycle % (size / PAGE_SIZE)) * PAGE_SIZE,
+                PAGE_SIZE,
+            )
+            .unwrap();
+            for &(va, size) in &regions {
+                mmu.unmap(ctx, va, size).unwrap();
+            }
+            load(&mut mmu, ctx);
+            assert_eq!(table_census(&mmu), census, "cycle {cycle}");
+        }
+        for ctx in contexts {
+            for &(va, size) in &regions {
+                assert!(mmu
+                    .translate(ctx, va + size - 1, AccessKind::Read, Privilege::User)
+                    .is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn a_large_leaf_over_emptied_tables_frees_them_for_reuse() {
+        let mut mmu = Mmu::new();
+        let ctx = mmu.create_context();
+        let flags = PageFlags::from_sparc_acc(RW);
+        // Page-granular: one level-2 and one level-3 table.
+        mmu.map(ctx, L1_REGION, PAGE_SIZE, 2 * PAGE_SIZE, flags)
+            .unwrap();
+        assert_eq!(table_census(&mmu), (2, 0));
+        mmu.unmap(ctx, L1_REGION, 2 * PAGE_SIZE).unwrap();
+        // The emptied region remaps as one 16 MiB leaf: both tables go to
+        // the free list, and the next page mapping takes them back.
+        mmu.map(ctx, L1_REGION, 0, L1_REGION, flags).unwrap();
+        assert_eq!(table_census(&mmu), (2, 2));
+        assert_eq!(
+            mmu.translate(ctx, L1_REGION + 0x1234, AccessKind::Read, Privilege::User),
+            Ok(0x1234)
+        );
+        mmu.map(ctx, 3 * L1_REGION, 0, PAGE_SIZE, flags).unwrap();
+        assert_eq!(table_census(&mmu), (2, 0));
+        assert_eq!(
+            mmu.translate(ctx, 3 * L1_REGION, AccessKind::Read, Privilege::User),
+            Ok(0)
+        );
+        assert!(mmu
+            .translate(
+                ctx,
+                3 * L1_REGION + PAGE_SIZE,
+                AccessKind::Read,
+                Privilege::User
+            )
+            .is_err());
     }
 }

@@ -19,8 +19,10 @@
 //! `String`, no hash map, and performs **zero heap allocations** for local-only
 //! delivery — payloads move as reference-counted [`Payload`] handoffs and
 //! frames go into a caller-provided scratch buffer.
-
-use std::collections::HashMap;
+//!
+//! Names and channel ids resolve by binary search over sorted tables, so
+//! the APEX-side lookups and the delivery of each incoming frame hash
+//! nothing either.
 
 use air_model::{PartitionId, Ticks};
 
@@ -146,15 +148,16 @@ struct CompiledChannel {
 pub struct PortRegistry {
     /// Port storage, indexed by [`PortKey`].
     ports: Vec<PortInstance>,
-    /// Name resolution: partition → port name → key. Only used on the
-    /// integration/APEX side, never by the router.
-    names: HashMap<PartitionId, HashMap<String, PortKey>>,
+    /// Name resolution: `(partition, port name, key)` sorted by partition
+    /// then name. Only used on the integration/APEX side, never by the
+    /// router.
+    names: Vec<(PartitionId, String, PortKey)>,
     /// Integration-time channel descriptions, kept for inspection.
     channels: Vec<ChannelConfig>,
     /// The routing table the per-tick walk uses, parallel to `channels`.
     compiled: Vec<CompiledChannel>,
-    /// Channel id → index into `channels`/`compiled`.
-    channel_index: HashMap<u32, usize>,
+    /// `(channel id, index into channels/compiled)`, sorted by id.
+    channel_index: Vec<(u32, usize)>,
     /// Local deliveries dropped because a destination queue was full.
     dropped_deliveries: u64,
 }
@@ -171,14 +174,13 @@ impl PortRegistry {
         name: &str,
         instance: PortInstance,
     ) -> Result<PortKey, PortError> {
-        let by_name = self.names.entry(partition).or_default();
-        if by_name.contains_key(name) {
+        let Err(slot) = self.name_slot(partition, name) else {
             return Err(PortError::DuplicatePort {
                 name: name.to_owned(),
             });
-        }
+        };
         let key = self.ports.len() as PortKey;
-        by_name.insert(name.to_owned(), key);
+        self.names.insert(slot, (partition, name.to_owned(), key));
         self.ports.push(instance);
         Ok(key)
     }
@@ -223,9 +225,21 @@ impl PortRegistry {
         Ok(())
     }
 
+    /// Where `(partition, name)` is, or would be inserted, in `names`.
+    fn name_slot(&self, partition: PartitionId, name: &str) -> Result<usize, usize> {
+        self.names
+            .binary_search_by(|(p, n, _)| (*p, n.as_str()).cmp(&(partition, name)))
+    }
+
     /// The interned key of `partition`'s port `name`, if it exists.
     pub fn port_key(&self, partition: PartitionId, name: &str) -> Option<PortKey> {
-        self.names.get(&partition)?.get(name).copied()
+        let slot = self.name_slot(partition, name).ok()?;
+        Some(self.names[slot].2)
+    }
+
+    /// Where channel `id` is, or would be inserted, in `channel_index`.
+    fn channel_slot(&self, id: u32) -> Result<usize, usize> {
+        self.channel_index.binary_search_by_key(&id, |&(id, _)| id)
     }
 
     fn key_of(&self, addr: &PortAddr) -> Option<PortKey> {
@@ -283,16 +297,12 @@ impl PortRegistry {
         self.port_key(partition, name).is_some()
     }
 
-    fn is_sampling(&self, addr: &PortAddr) -> Option<bool> {
-        self.key_of(addr)
-            .map(|k| matches!(self.ports[k as usize], PortInstance::Sampling(_)))
-    }
-
-    fn direction_of(&self, addr: &PortAddr) -> Option<Direction> {
-        self.key_of(addr).map(|k| match &self.ports[k as usize] {
-            PortInstance::Sampling(s) => s.config().direction,
-            PortInstance::Queuing(q) => q.config().direction,
-        })
+    /// Whether port `key` is a sampling port, and its direction.
+    fn kind_of(&self, key: PortKey) -> (bool, Direction) {
+        match &self.ports[key as usize] {
+            PortInstance::Sampling(s) => (true, s.config().direction),
+            PortInstance::Queuing(q) => (false, q.config().direction),
+        }
     }
 
     /// Registers a channel after validating its wiring: the source must be
@@ -308,9 +318,9 @@ impl PortRegistry {
     /// [`PortError::BadChannel`] describing the exact wiring mistake.
     pub fn add_channel(&mut self, config: ChannelConfig) -> Result<(), PortError> {
         let bad = |reason: String| PortError::BadChannel { reason };
-        if self.channel_index.contains_key(&config.id) {
+        let Err(slot) = self.channel_slot(config.id) else {
             return Err(bad(format!("duplicate channel id {}", config.id)));
-        }
+        };
         if config.destinations.is_empty() {
             return Err(bad("channel has no destinations".to_owned()));
         }
@@ -319,9 +329,11 @@ impl PortRegistry {
         // channel table is global integration data) and this node only
         // hosts destination(s); incoming link frames with this channel id
         // are delivered here.
-        let src_sampling = self.is_sampling(&config.source);
-        match src_sampling {
-            Some(_) if self.direction_of(&config.source) != Some(Direction::Source) => {
+        let source = self.key_of(&config.source);
+        let src_kind = source.map(|key| self.kind_of(key));
+        let src_sampling = src_kind.map(|(sampling, _)| sampling);
+        match src_kind {
+            Some((_, direction)) if direction != Direction::Source => {
                 return Err(bad(format!(
                     "source port {} is not a source-direction port",
                     config.source
@@ -349,18 +361,16 @@ impl PortRegistry {
                 remote_count += 1;
                 continue; // remote addresses resolve on the peer node
             };
-            match (self.is_sampling(addr), src_sampling) {
-                (None, _) => {
-                    return Err(bad(format!("destination port {addr} does not exist")));
-                }
-                (Some(kind), Some(src_kind)) if kind != src_kind => {
-                    return Err(bad(format!(
-                        "destination port {addr} kind differs from the source's"
-                    )));
-                }
-                _ => {}
+            let Some(key) = self.key_of(addr) else {
+                return Err(bad(format!("destination port {addr} does not exist")));
+            };
+            let (sampling, direction) = self.kind_of(key);
+            if src_sampling.is_some_and(|src| src != sampling) {
+                return Err(bad(format!(
+                    "destination port {addr} kind differs from the source's"
+                )));
             }
-            if self.direction_of(addr) != Some(Direction::Destination) {
+            if direction != Direction::Destination {
                 return Err(bad(format!(
                     "destination port {addr} is not a destination-direction port"
                 )));
@@ -371,17 +381,18 @@ impl PortRegistry {
                     config.id, addr.partition
                 )));
             }
-            local_dests.push(self.key_of(addr).expect("existence checked above"));
+            local_dests.push(key);
         }
         self.compiled.push(CompiledChannel {
             id: config.id,
-            source: self.key_of(&config.source),
+            source,
             sampling: src_sampling.unwrap_or(true),
             local_dests,
             remote_count,
             last_routed: None,
         });
-        self.channel_index.insert(config.id, self.channels.len());
+        self.channel_index
+            .insert(slot, (config.id, self.channels.len()));
         self.channels.push(config);
         Ok(())
     }
@@ -473,11 +484,12 @@ impl PortRegistry {
     ///
     /// [`PortError::BadChannel`] when the channel id is unknown here.
     pub fn deliver_frame(&mut self, frame: &Frame, now: Ticks) -> Result<(), PortError> {
-        let Some(&ci) = self.channel_index.get(&frame.channel) else {
+        let Ok(slot) = self.channel_slot(frame.channel) else {
             return Err(PortError::BadChannel {
                 reason: format!("unknown channel {} in link frame", frame.channel),
             });
         };
+        let ci = self.channel_index[slot].1;
         let _ = now;
         let Self {
             ports,

@@ -77,14 +77,28 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// Bytes summed between two reductions of the checksum sums mod 255.
+/// Entering a block both sums are below 255, so after `n` bytes `b` is
+/// below 255·(n + 1)·(n + 2)/2: about 2^31 for this block, far inside
+/// `u64`.
+const CHECKSUM_BLOCK: usize = 4096;
+
 /// Fletcher-16 checksum over the header (sans checksum) and payload.
+///
+/// Both sums are kept in `u64` and reduced mod 255 once per
+/// [`CHECKSUM_BLOCK`] bytes instead of after every byte: congruent sums
+/// reduce to the same residues, so the result is the per-byte one.
 fn checksum(bytes: &[u8]) -> u16 {
-    let (mut a, mut b) = (0u16, 0u16);
-    for &x in bytes {
-        a = (a + u16::from(x)) % 255;
-        b = (b + a) % 255;
+    let (mut a, mut b) = (0u64, 0u64);
+    for block in bytes.chunks(CHECKSUM_BLOCK) {
+        for &x in block {
+            a += u64::from(x);
+            b += a;
+        }
+        a %= 255;
+        b %= 255;
     }
-    (b << 8) | a
+    ((b as u16) << 8) | a as u16
 }
 
 impl Frame {
@@ -309,6 +323,45 @@ mod tests {
                     Frame::decode(&bytes).is_err() || bytes.len() >= HEADER_LEN + 2,
                     "case {case}: seed 0xDEC0"
                 );
+            }
+        }
+
+        /// Fletcher-16 as specified: both sums reduced after every byte.
+        fn checksum_per_byte(bytes: &[u8]) -> u16 {
+            let (mut a, mut b) = (0u16, 0u16);
+            for &x in bytes {
+                a = (a + u16::from(x)) % 255;
+                b = (b + a) % 255;
+            }
+            (b << 8) | a
+        }
+
+        #[test]
+        fn block_reduced_checksum_equals_the_per_byte_one() {
+            let mut rng = TestRng::new(0xF1E7);
+            for case in 0..48 {
+                let len = if case == 0 { 0 } else { rng.below(20_001) };
+                let bytes: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+                assert_eq!(
+                    checksum(&bytes),
+                    checksum_per_byte(&bytes),
+                    "case {case}: seed 0xF1E7, {len} bytes"
+                );
+            }
+            // All-0xFF strings make both sums grow fastest: at, just under
+            // and just over one and two blocks.
+            let block = CHECKSUM_BLOCK;
+            for len in [
+                1,
+                block - 1,
+                block,
+                block + 1,
+                2 * block - 1,
+                2 * block,
+                2 * block + 1,
+            ] {
+                let bytes = vec![0xFF; len];
+                assert_eq!(checksum(&bytes), checksum_per_byte(&bytes), "{len} x 0xFF");
             }
         }
 

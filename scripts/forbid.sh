@@ -29,7 +29,10 @@
 # receives is decoded by the wire format (`crates/ports/src/wire.rs`),
 # the space-packet layer (`spacepacket.rs`) and the PUS services
 # (`pus.rs`), so a panic there would let one corrupt frame crash a node:
-# those three files are scanned too.
+# those three files are scanned too. The rest of the ports crate joins
+# them, so the whole of `crates/ports/src` is scanned: `PortRegistry`
+# (`channel.rs`) routes every channel and delivers every incoming frame
+# on each tick, through the sampling and queuing ports.
 # The PAL (`crates/pal/src`) runs the deadline check of every partition
 # dispatch on the sorted deadline list, the health monitor
 # (`crates/hm/src`) classifies every error the other layers report, and
@@ -47,7 +50,7 @@ cd "$(dirname "$0")/.."
 
 dirs=("$@")
 if [[ ${#dirs[@]} -eq 0 ]]; then
-    dirs=(crates/pmk/src crates/hw/src crates/lint/src crates/model/src/explore crates/ports/src/routing.rs crates/ports/src/transport.rs crates/ports/src/wire.rs crates/ports/src/spacepacket.rs crates/ports/src/pus.rs crates/pos/src crates/tools/src crates/pal/src crates/hm/src crates/apex/src crates/core/src/system.rs)
+    dirs=(crates/pmk/src crates/hw/src crates/lint/src crates/model/src/explore crates/ports/src crates/pos/src crates/tools/src crates/pal/src crates/hm/src crates/apex/src crates/core/src/system.rs)
 fi
 
 fail=0

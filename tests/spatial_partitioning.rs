@@ -6,8 +6,9 @@ use air_core::prototype::ids::{P1, P2};
 use air_core::prototype::PrototypeHarness;
 use air_core::TraceEvent;
 use air_hm::ErrorId;
-use air_hw::mmu::{AccessKind, MmuFault, Privilege};
+use air_hw::mmu::{AccessKind, MapError, MmuFault, Privilege};
 use air_model::testkit::TestRng;
+use air_pmk::spatial::SpatialError;
 
 #[test]
 fn partitions_translate_same_va_to_disjoint_frames() {
@@ -117,6 +118,36 @@ fn legal_accesses_do_not_disturb_anything() {
         .unwrap();
     assert!(pa > 0);
     assert_eq!(proto.system.hm().log().len(), 0);
+}
+
+#[test]
+fn addresses_above_the_virtual_space_are_violations_not_aliases() {
+    // 0x1_5000_0010 shares its low 32 bits with P1's data at 0x5000_0010,
+    // which P1 may read: the access must fault, not reach that frame.
+    let mut proto = PrototypeHarness::build();
+    let err = proto
+        .system
+        .access_memory(P1, 0x1_5000_0010, AccessKind::Read, Privilege::User)
+        .unwrap_err();
+    assert_eq!(err, MmuFault::Unmapped { va: 0x1_5000_0010 });
+    assert_eq!(
+        proto
+            .system
+            .hm()
+            .log()
+            .entries_for(ErrorId::MemoryViolation)
+            .count(),
+        1
+    );
+    // Revoking such a page is refused, and leaves the aliased page mapped.
+    let spatial = proto.system.spatial_mut();
+    assert_eq!(
+        spatial.revoke_page(P1, 0x1_5000_0000),
+        Err(SpatialError::Map(MapError::OutOfVirtualSpace))
+    );
+    assert!(spatial
+        .translate(P1, 0x5000_0010, AccessKind::Read, Privilege::User)
+        .is_ok());
 }
 
 /// No partition can ever reach a physical frame belonging to another
