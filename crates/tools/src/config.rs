@@ -6,7 +6,9 @@
 //! documents, not code. This module provides a small, line-based
 //! configuration format with a strict parser (precise line-numbered
 //! errors), an emitter, and conversion into the model types, so whole
-//! systems round-trip through text:
+//! systems round-trip through text. The parser and the emitter read the
+//! grammar from one table, [`DIRECTIVES`], with a row per directive:
+//! the keyword, the positional tokens and the `key=value` fields.
 //!
 //! ```text
 //! # the Fig. 8 prototype (excerpt)
@@ -20,7 +22,7 @@
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use air_hm::{ErrorId, ErrorLevel, EscalatedProcessAction, ProcessRecoveryAction};
 use air_model::partition::{Partition, PosKind};
@@ -34,6 +36,7 @@ use air_ports::sampling::Direction;
 use air_ports::spacepacket::{PacketKind, APID_MAX};
 use air_ports::transport::ArqConfig;
 use air_ports::{ChannelConfig, Destination, PortAddr, QueuingPortConfig, SamplingPortConfig};
+use Presence::{Optional, Required};
 
 /// Source spans: a map from stable entity keys (see [`span_key`]) to the
 /// 1-based line number where the entity was declared. Threaded from the
@@ -171,12 +174,6 @@ pub fn error_id_token(error: ErrorId) -> &'static str {
         // it can appear in configuration files.
         _ => "unknown_error",
     }
-}
-
-fn error_id_from_token(token: &str) -> Option<ErrorId> {
-    ErrorId::ALL
-        .into_iter()
-        .find(|e| error_id_token(*e) == token)
 }
 
 /// A physical memory region assigned to a partition (`memory` directive):
@@ -362,246 +359,835 @@ fn err(line: usize, message: impl Into<String>) -> ConfigError {
     }
 }
 
-/// Pairs a line holds inline; a longer line keeps the rest on the heap.
-const INLINE_PAIRS: usize = 16;
+/// The grammar of the configuration format: one row per directive.
+///
+/// A document holds one directive per line; `#` starts a comment and
+/// indentation is free. A line is a row's keyword, its positional tokens
+/// ([`Directive::args`]) and then `key=value` fields
+/// ([`Directive::fields`]) in any order, each key at most once. A
+/// `schedule` line opens a section that holds the `require`, `window` and
+/// `action` lines after it ([`Directive::in_schedule`]); any other line
+/// closes it. [`Kind`] says what each token means, [`Presence`] which
+/// fields a line may leave out. At most one `link`, `arq` and `node` line
+/// is allowed, and partition ids, schedule ids, APIDs, route destinations
+/// and flows are unique.
+pub static DIRECTIVES: [&Directive; 18] = [
+    &PARTITION, &SCHEDULE, &REQUIRE, &WINDOW, &ACTION, &SAMPLING, &QUEUING, &PROCESS, &MEMORY,
+    &CHANNEL, &LINK, &ARQ, &NODE, &ROUTE, &APID, &FLOW, &HM, &HANDLER,
+];
 
-/// A line's `key=value` pairs, in line order, each key set once. The first
-/// [`INLINE_PAIRS`] are held inline, so a common line allocates nothing,
-/// and a lookup scans them: a line holds a handful of pairs.
-struct Fields<'a> {
-    inline: [(&'a str, &'a str); INLINE_PAIRS],
-    len: usize,
-    spilled: Vec<(&'a str, &'a str)>,
+#[rustfmt::skip]
+static PARTITION: Directive = Directive { keyword: "partition", args: &[Kind::Partition], fields: &[
+    field("name", Kind::Name, Required),
+    field("pos", Kind::Tokens("pos kind", &["real_time", "generic"]), Presence::Default(0)),
+    field("system", FLAG, Presence::Default(0)),
+    field("authority", FLAG, Presence::Default(0)),
+], in_schedule: false, build: partition };
+#[rustfmt::skip]
+static SCHEDULE: Directive = Directive { keyword: "schedule", args: &[Kind::Schedule], fields: &[
+    field("name", Kind::Name, Required),
+    field("mtf", Kind::Ticks, Required),
+], in_schedule: false, build: schedule };
+#[rustfmt::skip]
+static REQUIRE: Directive = Directive { keyword: "require", args: &[Kind::Partition], fields: &[
+    field("cycle", Kind::Ticks, Required),
+    field("duration", Kind::Ticks, Required),
+], in_schedule: true, build: require };
+#[rustfmt::skip]
+static WINDOW: Directive = Directive { keyword: "window", args: &[Kind::Partition], fields: &[
+    field("offset", Kind::Ticks, Required),
+    field("duration", Kind::Ticks, Required),
+], in_schedule: true, build: window };
+#[rustfmt::skip]
+static ACTION: Directive = Directive { keyword: "action", args: &[
+    Kind::Partition,
+    Kind::Tokens("schedule-change action", &["none", "warm_restart", "cold_restart", "stop"]),
+], fields: &[], in_schedule: true, build: action };
+const FLAG: Kind = Kind::Tokens("flag", &["false", "true"]);
+const DIRECTIONS: Kind = Kind::Tokens("direction", &["source", "destination"]);
+#[rustfmt::skip]
+static SAMPLING: Directive = Directive { keyword: "sampling", args: &[Kind::Partition], fields: &[
+    field("name", Kind::Name, Required),
+    field("dir", DIRECTIONS, Required),
+    field("size", Kind::Size, Required),
+    field("refresh", Kind::Ticks, Presence::Default(Ticks::MAX.as_u64())),
+], in_schedule: false, build: sampling };
+#[rustfmt::skip]
+static QUEUING: Directive = Directive { keyword: "queuing", args: &[Kind::Partition], fields: &[
+    field("name", Kind::Name, Required),
+    field("dir", DIRECTIONS, Required),
+    field("size", Kind::Size, Required),
+    field("depth", Kind::Size, Required),
+], in_schedule: false, build: queuing };
+#[rustfmt::skip]
+static PROCESS: Directive = Directive { keyword: "process", args: &[Kind::Partition], fields: &[
+    field("name", Kind::Name, Required),
+    field("period", Kind::Ticks, Optional),
+    field("sporadic", Kind::Ticks, Optional),
+    field("deadline", Kind::Ticks, Optional),
+    field("wcet", Kind::Ticks, Optional),
+    field("priority", Kind::U8, Presence::Default(Priority::LOWEST.0 as u64)),
+], in_schedule: false, build: process };
+#[rustfmt::skip]
+static MEMORY: Directive = Directive { keyword: "memory", args: &[Kind::Partition], fields: &[
+    field("base", Kind::Addr, Required),
+    field("size", Kind::Addr, Required),
+    // A permission's index is its bits: 1 writes, 2 executes.
+    field("perm", Kind::Tokens("permission", &["ro", "rw", "rx", "rwx"]), Required),
+    field("shared", FLAG, Presence::Default(0)),
+], in_schedule: false, build: memory };
+#[rustfmt::skip]
+static CHANNEL: Directive = Directive { keyword: "channel", args: &[Kind::U32], fields: &[
+    field("from", Kind::Port, Required),
+    field("to", Kind::Destinations, Required),
+], in_schedule: false, build: channel };
+// The `link` defaults are the hardware layer's, the `arq` ones those of
+// `ArqConfig::default()`.
+#[rustfmt::skip]
+static LINK: Directive = Directive { keyword: "link", args: &[], fields: &[
+    field("primary_latency", Kind::Ticks, Required),
+    field("secondary_latency", Kind::Ticks, Optional),
+    field("failover_threshold", Kind::U32, Presence::Default(4)),
+    field("revert", Kind::Ticks, Presence::Default(400)),
+    field("degraded", Kind::Schedule, Optional),
+], in_schedule: false, build: link };
+#[rustfmt::skip]
+static ARQ: Directive = Directive { keyword: "arq", args: &[], fields: &[
+    field("window", Kind::Size, Required),
+    field("timeout", Kind::Ticks, Required),
+    field("backoff_cap", Kind::U32, Presence::Default(3)),
+    field("max_retries", Kind::U32, Presence::Default(8)),
+    field("recovery_threshold", Kind::U32, Presence::Default(4)),
+], in_schedule: false, build: arq };
+#[rustfmt::skip]
+static NODE: Directive = Directive { keyword: "node", args: &[Kind::Node], fields: &[
+    field("name", Kind::Name, Required),
+    field("fallback", Kind::Node, Optional),
+], in_schedule: false, build: node };
+#[rustfmt::skip]
+static ROUTE: Directive = Directive { keyword: "route", args: &[Kind::Node], fields: &[
+    field("via", Kind::Node, Required),
+], in_schedule: false, build: route };
+#[rustfmt::skip]
+static APID: Directive = Directive { keyword: "apid", args: &[Kind::Apid], fields: &[
+    field("name", Kind::Name, Required),
+    field("kind", Kind::Tokens("apid kind", &["tc", "tm"]), Required),
+], in_schedule: false, build: apid };
+#[rustfmt::skip]
+static FLOW: Directive = Directive { keyword: "flow", args: &[
+    Kind::Source, Kind::Arrow, Kind::Node,
+], fields: &[
+    field("deadline", Kind::Ticks, Optional),
+], in_schedule: false, build: flow };
+#[rustfmt::skip]
+static HM: Directive = Directive { keyword: "hm", args: &[Kind::Error], fields: &[
+    field("level", Kind::Tokens("error level", &["process", "partition", "module"]), Required),
+], in_schedule: false, build: hm };
+#[rustfmt::skip]
+static HANDLER: Directive = Directive { keyword: "handler", args: &[
+    Kind::Partition, Kind::Error, Kind::Recovery,
+], fields: &[], in_schedule: false, build: handler };
+
+/// One directive of the grammar: a row of [`DIRECTIVES`].
+#[derive(Debug)]
+pub struct Directive {
+    /// The keyword a line starts with.
+    pub keyword: &'static str,
+    /// The positional tokens after the keyword, in order.
+    pub args: &'static [Kind],
+    /// The `key=value` fields a line may set, in the order [`emit`]
+    /// writes them.
+    pub fields: &'static [Field],
+    /// Whether the line belongs to the open `schedule` section.
+    pub in_schedule: bool,
+    build: Build,
 }
 
-impl<'a> Fields<'a> {
-    /// The value of `key`, if the line sets it.
-    fn get(&self, key: &str) -> Option<&'a str> {
-        self.inline[..self.len]
-            .iter()
-            .chain(&self.spilled)
-            .find(|&&(k, _)| k == key)
-            .map(|&(_, value)| value)
+/// A `key=value` field of a [`Directive`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Field {
+    /// The key before the `=`.
+    pub key: &'static str,
+    /// What the value after the `=` is.
+    pub kind: Kind,
+    /// Whether a line may leave the field out, and what it then means.
+    pub presence: Presence,
+}
+
+/// Whether a line may leave a field out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Presence {
+    /// Every line sets the field.
+    Required,
+    /// A line may leave the field out; it then has no value.
+    Optional,
+    /// A line may leave the field out; it then takes this value: a
+    /// number, 0 or 1 for a flag, or the index of a token in its list.
+    Default(u64),
+}
+
+/// The kind of a positional token or a field value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A duration or instant in ticks: a decimal `u64`.
+    Ticks,
+    /// A decimal `u32`.
+    U32,
+    /// A decimal `u8`.
+    U8,
+    /// A decimal byte, message or frame count.
+    Size,
+    /// An address or byte count, in hex (`0x…`) or decimal.
+    Addr,
+    /// A name, as written.
+    Name,
+    /// One token of a fixed list, with the noun its errors use.
+    Tokens(&'static str, &'static [&'static str]),
+    /// A partition id `P<n>`.
+    Partition,
+    /// A schedule id `chi<n>`.
+    Schedule,
+    /// A mesh node id `N<n>`.
+    Node,
+    /// An 11-bit application process identifier, at most [`APID_MAX`].
+    Apid,
+    /// A port address `P<n>:<port>`.
+    Port,
+    /// Comma-separated `P<n>:<port>` (local) or `remote:P<n>:<port>` ports.
+    Destinations,
+    /// An error id, spelled as [`error_id_token`] prints it.
+    Error,
+    /// A handler action, e.g. `stop_process` or `log_then_act=3/stop_process`.
+    Recovery,
+    /// A flow source `N<src>:<apid>`: a node id and an APID.
+    Source,
+    /// The literal `->`.
+    Arrow,
+}
+
+/// The slots of a line: the most positional values (a `handler`'s, or a
+/// `flow`'s node, APID and node) and fields (a `process`'s) of any row.
+const MAX_ARGS: usize = 3;
+const MAX_FIELDS: usize = 6;
+
+/// Adds a read line to the document and returns its span key, or says
+/// why the line does not fit the document.
+type Build = fn(&mut Builder, Args<'_>, Fields<'_>) -> Built;
+type Built = Result<String, String>;
+
+/// A line's positional values and fields, in row order, each typed and
+/// defaulted by the row.
+type Args<'a> = [Value<'a>; MAX_ARGS];
+type Fields<'a> = [Value<'a>; MAX_FIELDS];
+
+/// A value as its [`Kind`] reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Value<'a> {
+    /// No value: an optional field left out, or an unused slot.
+    Absent,
+    /// A number or id, 0 or 1 for a flag, or the index of a token.
+    Num(u64),
+    /// A name, port address or destination list, as written.
+    Text(&'a str),
+    Error(ErrorId),
+    Recovery(ProcessRecoveryAction),
+}
+
+/// A row's field.
+const fn field(key: &'static str, kind: Kind, presence: Presence) -> Field {
+    Field {
+        key,
+        kind,
+        presence,
     }
 }
 
-/// Parses `key=value` pairs from the remaining tokens, reporting the first
-/// token, in line order, that is no pair or repeats a key.
-fn parse_kv<'a>(
-    line_no: usize,
-    tokens: impl Iterator<Item = &'a str>,
-) -> Result<Fields<'a>, ConfigError> {
-    let mut fields = Fields {
-        inline: [("", ""); INLINE_PAIRS],
-        len: 0,
-        spilled: Vec::new(),
-    };
-    // The keys of a line past its inline pairs, so that no line's
-    // duplicate check grows quadratically.
-    let mut keys: BTreeSet<&str> = BTreeSet::new();
-    for token in tokens {
-        let Some((key, value)) = token.split_once('=') else {
-            return Err(err(line_no, format!("expected key=value, found '{token}'")));
-        };
-        let duplicate = if fields.len < INLINE_PAIRS {
-            fields.inline[..fields.len].iter().any(|&(k, _)| k == key)
-        } else {
-            if keys.is_empty() {
-                keys.extend(fields.inline.iter().map(|&(k, _)| k));
+impl Directive {
+    /// Reads the tokens after the keyword: the positional tokens, then the
+    /// pairs in line order, then the row's fields in row order.
+    // Inlined, the slots are built in place; returned from a call they
+    // were copied, which cost about 5% of a parse.
+    #[inline(always)]
+    fn read<'a>(
+        &self,
+        mut tokens: impl Iterator<Item = &'a str>,
+    ) -> Result<(Args<'a>, Fields<'a>), String> {
+        let (keyword, absent) = (self.keyword, Value::Absent);
+        let (mut args, mut fields) = ([absent; MAX_ARGS], [absent; MAX_FIELDS]);
+        let mut slots = args.iter_mut();
+        for &kind in self.args {
+            let token = tokens
+                .next()
+                .ok_or_else(|| format!("'{keyword}' needs '{kind}'"))?;
+            let values = match (kind, token.split_once(':')) {
+                (Kind::Source, Some((node, apid))) => [
+                    Kind::Node.read(keyword, node)?,
+                    Kind::Apid.read("apid", apid)?,
+                ],
+                _ => [kind.read(keyword, token)?, absent],
+            };
+            for (value, slot) in values.into_iter().filter(|v| *v != absent).zip(&mut slots) {
+                *slot = value;
             }
-            !keys.insert(key)
-        };
-        if duplicate {
-            return Err(err(line_no, format!("duplicate key '{key}'")));
         }
-        if fields.len < INLINE_PAIRS {
-            fields.inline[fields.len] = (key, value);
-            fields.len += 1;
-        } else {
-            fields.spilled.push((key, value));
+        let mut raw: [Option<&str>; MAX_FIELDS] = [None; MAX_FIELDS];
+        for token in tokens {
+            let (key, value) = token
+                .split_once('=')
+                .ok_or_else(|| format!("expected key=value, found '{token}'"))?;
+            let (_, slot) = self
+                .fields
+                .iter()
+                .zip(&mut raw)
+                .find(|(field, _)| field.key == key)
+                .ok_or_else(|| format!("unknown key '{key}' for '{keyword}'"))?;
+            if slot.replace(value).is_some() {
+                return Err(format!("duplicate key '{key}'"));
+            }
+        }
+        for ((field, raw), slot) in self.fields.iter().zip(raw).zip(&mut fields) {
+            *slot = match (raw, field.presence) {
+                (Some(raw), _) => field.kind.read(field.key, raw)?,
+                (None, Presence::Required) => return Err(format!("missing '{}='", field.key)),
+                (None, Presence::Optional) => absent,
+                (None, Presence::Default(value)) => Value::Num(value),
+            };
+        }
+        Ok((args, fields))
+    }
+
+    /// Writes one line: the positional values, then every field that
+    /// holds a value other than its default, in row order.
+    fn put(&self, out: &mut String, args: &[Value<'_>], fields: &[Value<'_>]) {
+        out.push_str(if self.in_schedule { "  " } else { "" });
+        out.push_str(self.keyword);
+        let mut args = args.iter().copied();
+        let mut next = || args.next().unwrap_or(Value::Absent);
+        for &kind in self.args {
+            out.push(' ');
+            match kind {
+                Kind::Source => {
+                    Kind::Node.write(out, next());
+                    out.push(':');
+                    Kind::Apid.write(out, next());
+                }
+                Kind::Arrow => out.push_str("->"),
+                _ => kind.write(out, next()),
+            }
+        }
+        for (field, &value) in self.fields.iter().zip(fields) {
+            let default = matches!(field.presence, Presence::Default(d) if value == Value::Num(d));
+            if value != Value::Absent && !default {
+                let _ = write!(out, " {}=", field.key);
+                field.kind.write(out, value);
+            }
+        }
+        out.push('\n');
+    }
+}
+
+impl Kind {
+    /// The largest value a numeric kind accepts.
+    pub fn max(self) -> Option<u64> {
+        match self {
+            Kind::Ticks | Kind::Addr => Some(u64::MAX),
+            Kind::Size => u64::try_from(usize::MAX).ok(),
+            Kind::U32 => Some(u32::MAX.into()),
+            Kind::U8 => Some(u8::MAX.into()),
+            Kind::Apid => Some(APID_MAX.into()),
+            _ => None,
         }
     }
-    Ok(fields)
+
+    /// Reads `raw`: the value of the field `key`, or a positional token of
+    /// the directive `key`.
+    fn read<'a>(self, key: &str, raw: &'a str) -> Result<Value<'a>, String> {
+        let invalid = || format!("invalid number '{raw}' for '{key}'");
+        let number = match self {
+            Kind::Name => return Ok(Value::Text(raw)),
+            Kind::Port => return port_addr(raw).map(|_| Value::Text(raw)),
+            Kind::Destinations => {
+                for token in raw.split(',').filter(|d| !d.is_empty()) {
+                    port_addr(token.strip_prefix("remote:").unwrap_or(token))?;
+                }
+                return Ok(Value::Text(raw));
+            }
+            Kind::Error => {
+                let error = ErrorId::ALL.into_iter().find(|e| error_id_token(*e) == raw);
+                return error
+                    .map(Value::Error)
+                    .ok_or_else(|| format!("unknown error id '{raw}'"));
+            }
+            Kind::Recovery => return recovery_action(raw).map(Value::Recovery),
+            Kind::Arrow if raw == "->" => return Ok(Value::Absent),
+            Kind::Arrow | Kind::Source => return Err(format!("expected '{self}', found '{raw}'")),
+            Kind::Tokens(noun, tokens) => tokens
+                .iter()
+                .position(|t| *t == raw)
+                .ok_or_else(|| format!("unknown {noun} '{raw}'"))?
+                as u64,
+            Kind::Partition => prefixed::<u32>(raw, "P", "partition")?.into(),
+            Kind::Schedule => prefixed::<u32>(raw, "chi", "schedule")?.into(),
+            Kind::Node => prefixed::<u16>(raw, "N", "node")?.into(),
+            Kind::Addr if raw.starts_with("0x") => {
+                u64::from_str_radix(&raw[2..], 16).map_err(|_| invalid())?
+            }
+            Kind::Ticks | Kind::U32 | Kind::U8 | Kind::Size | Kind::Addr | Kind::Apid => {
+                raw.parse().map_err(|_| invalid())?
+            }
+        };
+        match self.max() {
+            Some(max) if number > max => Err(format!("{key} '{number}' out of range (max {max})")),
+            _ => Ok(Value::Num(number)),
+        }
+    }
+
+    /// Writes `value` as [`Kind::read`] reads it back.
+    fn write(self, out: &mut String, value: Value<'_>) {
+        let _ = match (self, value) {
+            (Kind::Addr, Value::Num(n)) => write!(out, "{n:#x}"),
+            (Kind::Tokens(_, tokens), Value::Num(n)) => {
+                write!(out, "{}", tokens.get(n as usize).unwrap_or(&""))
+            }
+            (Kind::Partition, Value::Num(n)) => write!(out, "P{n}"),
+            (Kind::Schedule, Value::Num(n)) => write!(out, "chi{n}"),
+            (Kind::Node, Value::Num(n)) => write!(out, "N{n}"),
+            (_, Value::Num(n)) => write!(out, "{n}"),
+            (_, Value::Text(text)) => write!(out, "{text}"),
+            (_, Value::Error(error)) => write!(out, "{}", error_id_token(error)),
+            (_, Value::Recovery(action)) => write!(out, "{}", recovery_action_token(action)),
+            (_, Value::Absent) => Ok(()),
+        };
+    }
 }
 
-fn parse_pid(line_no: usize, token: &str) -> Result<PartitionId, ConfigError> {
-    let digits = token.strip_prefix('P').ok_or_else(|| {
-        err(
-            line_no,
-            format!("expected partition id 'P<n>', found '{token}'"),
-        )
-    })?;
-    digits
-        .parse::<u32>()
-        .map(PartitionId)
-        .map_err(|_| err(line_no, format!("invalid partition number '{digits}'")))
+impl fmt::Display for Kind {
+    /// The kind as an error message spells it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Kind::Ticks => "<ticks>",
+            Kind::U32 => "<u32>",
+            Kind::U8 => "<u8>",
+            Kind::Size => "<size>",
+            Kind::Addr => "<addr>",
+            Kind::Name => "<name>",
+            Kind::Tokens(_, tokens) => return f.write_str(&tokens.join("|")),
+            Kind::Partition => "P<n>",
+            Kind::Schedule => "chi<n>",
+            Kind::Node => "N<n>",
+            Kind::Apid => "<apid>",
+            Kind::Port => "P<n>:<port>",
+            Kind::Destinations => "[remote:]P<n>:<port>[,…]",
+            Kind::Error => "<error_id>",
+            Kind::Recovery => "<recovery>",
+            Kind::Source => "N<n>:<apid>",
+            Kind::Arrow => "->",
+        })
+    }
 }
 
-fn parse_node_id(line_no: usize, token: &str) -> Result<NodeId, ConfigError> {
+// The accessors of a read value: its row has typed it, so the variant
+// each asks for is the one present.
+impl<'a> Value<'a> {
+    fn num(self) -> u64 {
+        self.opt().unwrap_or(0)
+    }
+
+    fn opt(self) -> Option<u64> {
+        match self {
+            Value::Num(n) => Some(n),
+            _ => None,
+        }
+    }
+
+    fn text(self) -> &'a str {
+        match self {
+            Value::Text(text) => text,
+            _ => "",
+        }
+    }
+
+    fn partition(self) -> PartitionId {
+        PartitionId(self.num() as u32)
+    }
+
+    fn node(self) -> NodeId {
+        NodeId(self.num() as u16)
+    }
+}
+
+/// `<prefix><n>`: the `n` of a partition, schedule or node id.
+fn prefixed<T: std::str::FromStr>(token: &str, prefix: &str, what: &str) -> Result<T, String> {
     let digits = token
-        .strip_prefix('N')
-        .ok_or_else(|| err(line_no, format!("expected node id 'N<n>', found '{token}'")))?;
+        .strip_prefix(prefix)
+        .ok_or_else(|| format!("expected {what} id '{prefix}<n>', found '{token}'"))?;
     digits
-        .parse::<u16>()
-        .map(NodeId)
-        .map_err(|_| err(line_no, format!("invalid node number '{digits}'")))
+        .parse()
+        .map_err(|_| format!("invalid {what} number '{digits}'"))
 }
 
-fn parse_u64(line_no: usize, map: &Fields<'_>, key: &str) -> Result<u64, ConfigError> {
-    let raw = map
-        .get(key)
-        .ok_or_else(|| err(line_no, format!("missing '{key}='")))?;
-    raw.parse::<u64>()
-        .map_err(|_| err(line_no, format!("invalid number '{raw}' for '{key}'")))
-}
-
-/// Parses an optional decimal number, returning `None` when absent.
-fn parse_u64_opt(line_no: usize, map: &Fields<'_>, key: &str) -> Result<Option<u64>, ConfigError> {
-    match map.get(key) {
-        None => Ok(None),
-        Some(_) => parse_u64(line_no, map, key).map(Some),
-    }
-}
-
-/// Parses a number that may be written in hex (`0x…`) or decimal.
-fn parse_addr(line_no: usize, map: &Fields<'_>, key: &str) -> Result<u64, ConfigError> {
-    let raw = map
-        .get(key)
-        .ok_or_else(|| err(line_no, format!("missing '{key}='")))?;
-    let parsed = match raw.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => raw.parse::<u64>(),
-    };
-    parsed.map_err(|_| err(line_no, format!("invalid number '{raw}' for '{key}'")))
-}
-
-/// Parses `P<n>:<port>` into a [`PortAddr`].
-fn parse_port_addr(line_no: usize, token: &str) -> Result<PortAddr, ConfigError> {
-    let (pid_tok, port) = token
+/// `P<n>:<port>`: the partition and the port name.
+fn port_addr(token: &str) -> Result<(PartitionId, &str), String> {
+    let (pid, port) = token
         .split_once(':')
-        .ok_or_else(|| err(line_no, format!("expected 'P<n>:<port>', found '{token}'")))?;
+        .ok_or_else(|| format!("expected 'P<n>:<port>', found '{token}'"))?;
     if port.is_empty() {
-        return Err(err(line_no, format!("empty port name in '{token}'")));
+        return Err(format!("empty port name in '{token}'"));
     }
-    Ok(PortAddr::new(parse_pid(line_no, pid_tok)?, port))
+    Ok((PartitionId(prefixed(pid, "P", "partition")?), port))
 }
 
-/// Parses one channel destination: `P<n>:<port>` (local) or
-/// `remote:P<n>:<port>` (carried over the inter-node link).
-fn parse_destination(line_no: usize, token: &str) -> Result<Destination, ConfigError> {
-    match token.strip_prefix("remote:") {
-        Some(rest) => Ok(Destination::Remote {
-            addr: parse_port_addr(line_no, rest)?,
-        }),
-        None => Ok(Destination::Local(parse_port_addr(line_no, token)?)),
-    }
+/// One channel destination: `P<n>:<port>` or `remote:P<n>:<port>`.
+fn destination(token: &str) -> Result<Destination, String> {
+    let remote = token.strip_prefix("remote:");
+    let (pid, port) = port_addr(remote.unwrap_or(token))?;
+    let addr = PortAddr::new(pid, port);
+    Ok(match remote {
+        Some(_) => Destination::Remote { addr },
+        None => Destination::Local(addr),
+    })
 }
 
-fn parse_error_id(line_no: usize, token: &str) -> Result<ErrorId, ConfigError> {
-    error_id_from_token(token).ok_or_else(|| err(line_no, format!("unknown error id '{token}'")))
-}
+/// The handler actions other than `log_then_act`, with their tokens.
+const RECOVERIES: [(&str, ProcessRecoveryAction); 6] = {
+    use ProcessRecoveryAction as R;
+    [
+        ("ignore", R::Ignore),
+        ("restart_process", R::RestartProcess),
+        ("start_other_process", R::StartOtherProcess),
+        ("stop_process", R::StopProcess),
+        ("restart_partition", R::RestartPartition),
+        ("stop_partition", R::StopPartition),
+    ]
+};
 
-fn parse_direction(line_no: usize, map: &Fields<'_>) -> Result<Direction, ConfigError> {
-    match map.get("dir") {
-        Some("source") => Ok(Direction::Source),
-        Some("destination") => Ok(Direction::Destination),
-        Some(other) => Err(err(line_no, format!("unknown direction '{other}'"))),
-        None => Err(err(line_no, "missing 'dir='")),
-    }
-}
+/// The actions `log_then_act=<n>/<action>` may escalate to.
+const ESCALATIONS: [EscalatedProcessAction; 5] = {
+    use EscalatedProcessAction as E;
+    [
+        E::RestartProcess,
+        E::StartOtherProcess,
+        E::StopProcess,
+        E::RestartPartition,
+        E::StopPartition,
+    ]
+};
 
-/// Parses a `handler` action token, e.g. `restart_process` or
+/// A `handler` action token, e.g. `restart_process` or
 /// `log_then_act=3/restart_partition`.
-fn parse_recovery_action(
-    line_no: usize,
-    token: &str,
-) -> Result<ProcessRecoveryAction, ConfigError> {
-    if let Some(rest) = token.strip_prefix("log_then_act=") {
-        let (count, then_tok) = rest.split_once('/').ok_or_else(|| {
-            err(
-                line_no,
-                format!("expected 'log_then_act=<n>/<action>', found '{token}'"),
-            )
-        })?;
-        let threshold = count
-            .parse::<u32>()
-            .map_err(|_| err(line_no, format!("invalid log count '{count}'")))?;
-        let then = match then_tok {
-            "restart_process" => EscalatedProcessAction::RestartProcess,
-            "start_other_process" => EscalatedProcessAction::StartOtherProcess,
-            "stop_process" => EscalatedProcessAction::StopProcess,
-            "restart_partition" => EscalatedProcessAction::RestartPartition,
-            "stop_partition" => EscalatedProcessAction::StopPartition,
-            other => {
-                return Err(err(line_no, format!("unknown escalation '{other}'")));
-            }
-        };
-        return Ok(ProcessRecoveryAction::LogThenAct { threshold, then });
-    }
-    match token {
-        "ignore" => Ok(ProcessRecoveryAction::Ignore),
-        "restart_process" => Ok(ProcessRecoveryAction::RestartProcess),
-        "start_other_process" => Ok(ProcessRecoveryAction::StartOtherProcess),
-        "stop_process" => Ok(ProcessRecoveryAction::StopProcess),
-        "restart_partition" => Ok(ProcessRecoveryAction::RestartPartition),
-        "stop_partition" => Ok(ProcessRecoveryAction::StopPartition),
-        other => Err(err(line_no, format!("unknown handler action '{other}'"))),
+fn recovery_action(token: &str) -> Result<ProcessRecoveryAction, String> {
+    let named = |t: &str| RECOVERIES.iter().find(|row| row.0 == t).map(|row| row.1);
+    let Some(rest) = token.strip_prefix("log_then_act=") else {
+        return named(token).ok_or_else(|| format!("unknown handler action '{token}'"));
+    };
+    let (count, escalation) = rest
+        .split_once('/')
+        .ok_or_else(|| format!("expected 'log_then_act=<n>/<action>', found '{token}'"))?;
+    let threshold = count
+        .parse::<u32>()
+        .map_err(|_| format!("invalid log count '{count}'"))?;
+    let action = named(escalation);
+    let then = ESCALATIONS
+        .into_iter()
+        .find(|e| Some((*e).into()) == action);
+    let then = then.ok_or_else(|| format!("unknown escalation '{escalation}'"))?;
+    Ok(ProcessRecoveryAction::LogThenAct { threshold, then })
+}
+
+fn recovery_action_token(action: ProcessRecoveryAction) -> String {
+    let token = |a| {
+        RECOVERIES
+            .iter()
+            .find(|row| row.1 == a)
+            .map_or("", |row| row.0)
+    };
+    match action {
+        ProcessRecoveryAction::LogThenAct { threshold, then } => {
+            format!("log_then_act={threshold}/{}", token(then.into()))
+        }
+        _ => token(action).to_owned(),
     }
 }
 
-/// Parses a configuration document.
+/// The parser's state: the document so far and its open schedule
+/// section.
+#[derive(Default)]
+struct Builder {
+    doc: ConfigDoc,
+    open: Option<OpenSchedule>,
+    partitions: BTreeSet<u32>,
+    schedules: BTreeSet<u32>,
+}
+
+/// A schedule section being read.
+struct OpenSchedule {
+    id: ScheduleId,
+    name: String,
+    mtf: Ticks,
+    requirements: Vec<PartitionRequirement>,
+    windows: Vec<TimeWindow>,
+    actions: Vec<(PartitionId, ScheduleChangeAction)>,
+}
+
+impl Builder {
+    /// Adds the open schedule section, if any, to the document.
+    fn close(&mut self) {
+        if let Some(s) = self.open.take() {
+            let mut schedule = Schedule::new(s.id, s.name, s.mtf, s.requirements, s.windows);
+            for (p, a) in s.actions {
+                schedule = schedule.with_change_action(p, a);
+            }
+            self.doc.schedules.push(schedule);
+        }
+    }
+}
+
+fn partition(b: &mut Builder, [id, ..]: Args, [name, pos, system, authority, ..]: Fields) -> Built {
+    let id = id.partition();
+    if !b.partitions.insert(id.as_u32()) {
+        return Err(format!("duplicate partition id {id}"));
+    }
+    let mut partition = Partition::new(id, name.text());
+    if pos.num() == 1 {
+        partition = partition.with_pos_kind(PosKind::GenericNonRealTime);
+    }
+    if system.num() == 1 {
+        partition = partition.system();
+    }
+    if authority.num() == 1 {
+        partition = partition.with_schedule_authority();
+    }
+    b.doc.partitions.push(partition);
+    Ok(span_key::partition(id))
+}
+
+fn schedule(b: &mut Builder, [id, ..]: Args, [name, mtf, ..]: Fields) -> Built {
+    let id = ScheduleId(id.num() as u32);
+    if !b.schedules.insert(id.as_u32()) {
+        return Err(format!("duplicate schedule id {id}"));
+    }
+    b.open = Some(OpenSchedule {
+        id,
+        name: name.text().to_owned(),
+        mtf: Ticks(mtf.num()),
+        requirements: Vec::new(),
+        windows: Vec::new(),
+        actions: Vec::new(),
+    });
+    Ok(span_key::schedule(id))
+}
+
+fn require(b: &mut Builder, [pid, ..]: Args, [cycle, duration, ..]: Fields) -> Built {
+    let s = b.open.as_mut().ok_or("outside a schedule")?;
+    let pid = pid.partition();
+    let (cycle, duration) = (Ticks(cycle.num()), Ticks(duration.num()));
+    s.requirements
+        .push(PartitionRequirement::new(pid, cycle, duration));
+    Ok(span_key::requirement(s.id, pid))
+}
+
+fn window(b: &mut Builder, [pid, ..]: Args, [offset, duration, ..]: Fields) -> Built {
+    let s = b.open.as_mut().ok_or("outside a schedule")?;
+    let pid = pid.partition();
+    let (offset, duration) = (offset.num(), duration.num());
+    if offset.checked_add(duration).is_none() {
+        return Err("window offset + duration overflows".into());
+    }
+    s.windows
+        .push(TimeWindow::new(pid, Ticks(offset), Ticks(duration)));
+    Ok(span_key::window(s.id, pid, Ticks(offset)))
+}
+
+fn action(b: &mut Builder, [pid, action, ..]: Args, _: Fields) -> Built {
+    let s = b.open.as_mut().ok_or("outside a schedule")?;
+    let pid = pid.partition();
+    let action = match action.num() {
+        0 => ScheduleChangeAction::None,
+        1 => ScheduleChangeAction::WarmRestart,
+        2 => ScheduleChangeAction::ColdRestart,
+        _ => ScheduleChangeAction::Stop,
+    };
+    s.actions.push((pid, action));
+    Ok(span_key::action(s.id, pid))
+}
+
+fn sampling(b: &mut Builder, [pid, ..]: Args, [name, dir, size, refresh, ..]: Fields) -> Built {
+    let (name, size, refresh) = (name.text(), size.num() as usize, Ticks(refresh.num()));
+    let config = match dir.num() {
+        0 if refresh != Ticks::MAX => {
+            return Err("'refresh=' only applies to dir=destination".into())
+        }
+        0 => SamplingPortConfig::source(name, size),
+        _ => SamplingPortConfig::destination(name, size, refresh),
+    };
+    b.doc.sampling_ports.push((pid.partition(), config));
+    Ok(span_key::port(pid.partition(), name))
+}
+
+fn queuing(b: &mut Builder, [pid, ..]: Args, [name, dir, size, depth, ..]: Fields) -> Built {
+    let (name, size, depth) = (name.text(), size.num() as usize, depth.num() as usize);
+    let config = match dir.num() {
+        0 => QueuingPortConfig::source(name, size, depth),
+        _ => QueuingPortConfig::destination(name, size, depth),
+    };
+    b.doc.queuing_ports.push((pid.partition(), config));
+    Ok(span_key::port(pid.partition(), name))
+}
+
+fn process(b: &mut Builder, [pid, ..]: Args, fields: Fields) -> Built {
+    let [name, period, sporadic, deadline, wcet, priority] = fields;
+    let recurrence = match (period.opt(), sporadic.opt()) {
+        (Some(_), Some(_)) => return Err("'period=' and 'sporadic=' are exclusive".into()),
+        (Some(t), None) => Recurrence::Periodic(Ticks(t)),
+        (None, Some(t)) => Recurrence::Sporadic(Ticks(t)),
+        (None, None) => Recurrence::Aperiodic,
+    };
+    let mut attrs = ProcessAttributes::new(name.text())
+        .with_recurrence(recurrence)
+        .with_base_priority(Priority(priority.num() as u8));
+    if let Some(d) = deadline.opt() {
+        attrs = attrs.with_deadline(Deadline::Relative(Ticks(d)));
+    }
+    if let Some(c) = wcet.opt() {
+        attrs = attrs.with_wcet(Ticks(c));
+    }
+    b.doc.processes.push((pid.partition(), attrs));
+    Ok(span_key::process(pid.partition(), name.text()))
+}
+
+fn memory(b: &mut Builder, [pid, ..]: Args, [base, size, perm, shared, ..]: Fields) -> Built {
+    let (partition, base, perm) = (pid.partition(), base.num(), perm.num());
+    b.doc.memory.push(MemoryRegion {
+        partition,
+        base,
+        size: size.num(),
+        writable: perm & 1 != 0,
+        executable: perm & 2 != 0,
+        shared: shared.num() == 1,
+    });
+    Ok(span_key::memory(partition, base))
+}
+
+fn channel(b: &mut Builder, [id, ..]: Args, [from, to, ..]: Fields) -> Built {
+    let (id, (pid, port)) = (id.num() as u32, port_addr(from.text())?);
+    let destinations = to.text().split(',').filter(|d| !d.is_empty());
+    b.doc.channels.push(ChannelConfig {
+        id,
+        source: PortAddr::new(pid, port),
+        destinations: destinations.map(destination).collect::<Result<_, _>>()?,
+    });
+    Ok(span_key::channel(id))
+}
+
+fn link(b: &mut Builder, _: Args, fields: Fields) -> Built {
+    if b.doc.link.is_some() {
+        return Err("duplicate 'link' directive".into());
+    }
+    let [primary, secondary, threshold, revert, degraded, ..] = fields;
+    b.doc.link = Some(LinkDirective {
+        primary_latency: primary.num(),
+        secondary_latency: secondary.opt(),
+        failover_threshold: threshold.num() as u32,
+        revert_ticks: revert.num(),
+        degraded: degraded.opt().map(|n| ScheduleId(n as u32)),
+    });
+    Ok(span_key::link())
+}
+
+fn arq(b: &mut Builder, _: Args, fields: Fields) -> Built {
+    if b.doc.arq.is_some() {
+        return Err("duplicate 'arq' directive".into());
+    }
+    let [window, timeout, backoff_cap, max_retries, recovery_threshold, ..] = fields;
+    b.doc.arq = Some(ArqConfig {
+        window: window.num() as usize,
+        timeout_ticks: timeout.num(),
+        backoff_cap: backoff_cap.num() as u32,
+        max_retries: max_retries.num() as u32,
+        recovery_threshold: recovery_threshold.num() as u32,
+    });
+    Ok(span_key::arq())
+}
+
+fn node(b: &mut Builder, [id, ..]: Args, [name, fallback, ..]: Fields) -> Built {
+    if b.doc.mesh_node.is_some() {
+        return Err("duplicate 'node' directive".into());
+    }
+    let (id, fallback) = (id.node(), fallback.opt().map(|_| fallback.node()));
+    if fallback == Some(id) {
+        return Err("'fallback' cannot name the node itself".into());
+    }
+    let name = name.text().to_owned();
+    b.doc.mesh_node = Some(MeshNodeDirective { id, name, fallback });
+    Ok(span_key::node())
+}
+
+fn route(b: &mut Builder, [dst, ..]: Args, [via, ..]: Fields) -> Built {
+    let (dst, via) = (dst.node(), via.node());
+    if b.doc.routes.iter().any(|r| r.dst == dst) {
+        return Err(format!("duplicate route for destination {dst}"));
+    }
+    b.doc.routes.push(RouteDirective { dst, via });
+    Ok(span_key::route(dst.0))
+}
+
+fn apid(b: &mut Builder, [apid, ..]: Args, [name, kind, ..]: Fields) -> Built {
+    let (apid, name) = (apid.num() as u16, name.text().to_owned());
+    if b.doc.apids.iter().any(|a| a.apid == apid) {
+        return Err(format!("duplicate apid {apid}"));
+    }
+    let kind = match kind.num() {
+        0 => PacketKind::Tc,
+        _ => PacketKind::Tm,
+    };
+    b.doc.apids.push(ApidDirective { apid, name, kind });
+    Ok(span_key::apid(apid))
+}
+
+fn flow(b: &mut Builder, [src, apid, dst]: Args, [deadline, ..]: Fields) -> Built {
+    let (src, apid, dst, deadline) = (src.node(), apid.num() as u16, dst.node(), deadline.opt());
+    let key = (src, apid, dst);
+    if b.doc.flows.iter().any(|f| (f.src, f.apid, f.dst) == key) {
+        return Err(format!("duplicate flow {src}:{apid} -> {dst}"));
+    }
+    b.doc.flows.push(FlowDirective {
+        src,
+        apid,
+        dst,
+        deadline,
+    });
+    Ok(span_key::flow(src.0, apid, dst.0))
+}
+
+// The row types `hm` and `handler` tokens, so the patterns below always
+// match.
+fn hm(b: &mut Builder, [error, ..]: Args, [level, ..]: Fields) -> Built {
+    let Value::Error(error) = error else {
+        return Err("expected an error id".into());
+    };
+    let level = match level.num() {
+        0 => ErrorLevel::Process,
+        1 => ErrorLevel::Partition,
+        _ => ErrorLevel::Module,
+    };
+    b.doc.hm_levels.push((error, level));
+    Ok(span_key::hm(error))
+}
+
+fn handler(b: &mut Builder, args: Args, _: Fields) -> Built {
+    let [pid, Value::Error(error), Value::Recovery(action)] = args else {
+        return Err("expected an error id and an action".into());
+    };
+    b.doc.handlers.push((pid.partition(), error, action));
+    Ok(span_key::handler(pid.partition(), error))
+}
+
+/// Parses a configuration document written in the grammar of
+/// [`DIRECTIVES`].
 ///
-/// Grammar (one directive per line; `#` starts a comment; indentation is
-/// free):
-///
-/// * `partition P<n> name=<str> [pos=real_time|generic] [system=true]
-///   [authority=true]`
-/// * `schedule chi<n> name=<str> mtf=<ticks>` opening a schedule section,
-///   whose body consists of
-///   * `require P<n> cycle=<ticks> duration=<ticks>`
-///   * `window P<n> offset=<ticks> duration=<ticks>`
-///   * `action P<n> none|warm_restart|cold_restart|stop`
-/// * `sampling P<n> name=<str> dir=source|destination size=<bytes>
-///   [refresh=<ticks>]` (refresh applies to destinations)
-/// * `queuing P<n> name=<str> dir=source|destination size=<bytes>
-///   depth=<messages>`
-/// * `process P<n> name=<str> [period=<ticks>|sporadic=<ticks>]
-///   [deadline=<ticks>] [wcet=<ticks>] [priority=<0-255>]`
-/// * `memory P<n> base=<addr> size=<bytes> perm=ro|rw|rx|rwx
-///   [shared=true]` (numbers may be hex `0x…`)
-/// * `channel <id> from=P<n>:<port> to=<dest>[,<dest>…]` where `<dest>`
-///   is `P<n>:<port>` (local) or `remote:P<n>:<port>` (gateway to the
-///   counterpart node of a cluster)
-/// * `link primary_latency=<ticks> [secondary_latency=<ticks>]
-///   [failover_threshold=<rounds>] [revert=<ticks>] [degraded=chi<n>]`
-///   (at most one; `degraded` names the schedule entered on failover)
-/// * `arq window=<frames> timeout=<ticks> [backoff_cap=<n>]
-///   [max_retries=<n>] [recovery_threshold=<n>]` (at most one)
-/// * `node N<n> name=<str> [fallback=N<k>]` (at most one; declares this
-///   document's mesh identity within an N-node routed mesh, and
-///   optionally the hot-spare node promoted when a partition cuts this
-///   node off)
-/// * `route N<dst> via=N<next>` (static routing entry: packets for
-///   `N<dst>` leave through neighbour `N<next>`; one entry per
-///   destination)
-/// * `apid <id> name=<str> kind=tc|tm` (this node originates packets
-///   under APID `<id>`, which must fit the 11-bit space-packet field)
-/// * `flow N<src>:<apid> -> N<dst> [deadline=<ticks>]` (end-to-end flow:
-///   telecommands under `<apid>` injected at `N<src>` must complete
-///   their round trip through `N<dst>` within `deadline` ticks; the
-///   timing lint certifies a worst-case bound per flow)
-/// * `hm <error_id> level=process|partition|module`
-/// * `handler P<n> <error_id> ignore|restart_process|start_other_process|
-///   stop_process|restart_partition|stop_partition|
-///   log_then_act=<n>/<escalation>`
-///
-/// where `<error_id>` is one of `deadline_missed`, `application_error`,
-/// `numeric_error`, `illegal_request`, `stack_overflow`,
-/// `memory_violation`, `hardware_fault`, `power_fail`, `config_error`,
-/// `link_degraded`.
-///
-/// Duplicate partition or schedule identifiers are rejected with the line
-/// number of the second declaration.
+/// Each line is read against its directive's row, which types,
+/// range-checks and defaults every token; the row's builder then checks
+/// what spans lines, such as duplicate ids.
 ///
 /// # Errors
 ///
@@ -623,749 +1209,148 @@ fn parse_recovery_action(
 /// # Ok::<(), air_tools::config::ConfigError>(())
 /// ```
 pub fn parse(text: &str) -> Result<ConfigDoc, ConfigError> {
-    let mut doc = ConfigDoc::default();
-    // Accumulator for the schedule section currently open.
-    struct OpenSchedule {
-        id: ScheduleId,
-        name: String,
-        mtf: Ticks,
-        requirements: Vec<PartitionRequirement>,
-        windows: Vec<TimeWindow>,
-        actions: Vec<(PartitionId, ScheduleChangeAction)>,
-    }
-    let mut open: Option<OpenSchedule> = None;
-    let mut seen_partitions: BTreeSet<u32> = BTreeSet::new();
-    let mut seen_schedules: BTreeSet<u32> = BTreeSet::new();
-
-    let close = |doc: &mut ConfigDoc, open: &mut Option<OpenSchedule>| {
-        if let Some(s) = open.take() {
-            let mut schedule = Schedule::new(s.id, s.name, s.mtf, s.requirements, s.windows);
-            for (p, a) in s.actions {
-                schedule = schedule.with_change_action(p, a);
-            }
-            doc.schedules.push(schedule);
-        }
-    };
-
+    let mut b = Builder::default();
+    // Lines come in runs of one directive, so the last row is tried first.
+    let mut row = DIRECTIVES[0];
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut tokens = line.split_whitespace();
-        let Some(directive) = tokens.next() else {
+        let mut tokens = raw.split('#').next().unwrap_or("").split_whitespace();
+        let Some(keyword) = tokens.next() else {
             continue;
         };
-        match directive {
-            "partition" => {
-                close(&mut doc, &mut open);
-                let id_tok = tokens
-                    .next()
-                    .ok_or_else(|| err(line_no, "partition needs an id"))?;
-                let id = parse_pid(line_no, id_tok)?;
-                if !seen_partitions.insert(id.as_u32()) {
-                    return Err(err(line_no, format!("duplicate partition id {id}")));
-                }
-                doc.spans.set(span_key::partition(id), line_no);
-                let kv = parse_kv(line_no, tokens)?;
-                let name = kv
-                    .get("name")
-                    .ok_or_else(|| err(line_no, "missing 'name='"))?;
-                let mut partition = Partition::new(id, name);
-                match kv.get("pos") {
-                    None | Some("real_time") => {}
-                    Some("generic") => {
-                        partition = partition.with_pos_kind(PosKind::GenericNonRealTime);
-                    }
-                    Some(other) => {
-                        return Err(err(line_no, format!("unknown pos kind '{other}'")));
-                    }
-                }
-                if kv.get("system") == Some("true") {
-                    partition = partition.system();
-                }
-                if kv.get("authority") == Some("true") {
-                    partition = partition.with_schedule_authority();
-                }
-                doc.partitions.push(partition);
-            }
-            "schedule" => {
-                close(&mut doc, &mut open);
-                let id_tok = tokens
-                    .next()
-                    .ok_or_else(|| err(line_no, "schedule needs an id"))?;
-                let digits = id_tok.strip_prefix("chi").ok_or_else(|| {
-                    err(
-                        line_no,
-                        format!("expected schedule id 'chi<n>', found '{id_tok}'"),
-                    )
-                })?;
-                let id = digits
-                    .parse::<u32>()
-                    .map(ScheduleId)
-                    .map_err(|_| err(line_no, format!("invalid schedule number '{digits}'")))?;
-                if !seen_schedules.insert(id.as_u32()) {
-                    return Err(err(line_no, format!("duplicate schedule id {id}")));
-                }
-                doc.spans.set(span_key::schedule(id), line_no);
-                let kv = parse_kv(line_no, tokens)?;
-                let name = kv
-                    .get("name")
-                    .ok_or_else(|| err(line_no, "missing 'name='"))?
-                    .to_string();
-                let mtf = Ticks(parse_u64(line_no, &kv, "mtf")?);
-                open = Some(OpenSchedule {
-                    id,
-                    name,
-                    mtf,
-                    requirements: Vec::new(),
-                    windows: Vec::new(),
-                    actions: Vec::new(),
-                });
-            }
-            "require" | "window" | "action" => {
-                let section = open
-                    .as_mut()
-                    .ok_or_else(|| err(line_no, format!("'{directive}' outside a schedule")))?;
-                let pid_tok = tokens
-                    .next()
-                    .ok_or_else(|| err(line_no, format!("'{directive}' needs a partition id")))?;
-                let pid = parse_pid(line_no, pid_tok)?;
-                match directive {
-                    "require" => {
-                        let kv = parse_kv(line_no, tokens)?;
-                        doc.spans
-                            .set(span_key::requirement(section.id, pid), line_no);
-                        section.requirements.push(PartitionRequirement::new(
-                            pid,
-                            Ticks(parse_u64(line_no, &kv, "cycle")?),
-                            Ticks(parse_u64(line_no, &kv, "duration")?),
-                        ));
-                    }
-                    "window" => {
-                        let kv = parse_kv(line_no, tokens)?;
-                        let offset = parse_u64(line_no, &kv, "offset")?;
-                        let duration = parse_u64(line_no, &kv, "duration")?;
-                        if offset.checked_add(duration).is_none() {
-                            return Err(err(line_no, "window offset + duration overflows"));
-                        }
-                        doc.spans
-                            .set(span_key::window(section.id, pid, Ticks(offset)), line_no);
-                        section
-                            .windows
-                            .push(TimeWindow::new(pid, Ticks(offset), Ticks(duration)));
-                    }
-                    "action" => {
-                        let which = tokens
-                            .next()
-                            .ok_or_else(|| err(line_no, "'action' needs an action name"))?;
-                        let action = match which {
-                            "none" => ScheduleChangeAction::None,
-                            "warm_restart" => ScheduleChangeAction::WarmRestart,
-                            "cold_restart" => ScheduleChangeAction::ColdRestart,
-                            "stop" => ScheduleChangeAction::Stop,
-                            other => {
-                                return Err(err(
-                                    line_no,
-                                    format!("unknown schedule-change action '{other}'"),
-                                ));
-                            }
-                        };
-                        doc.spans.set(span_key::action(section.id, pid), line_no);
-                        section.actions.push((pid, action));
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            "sampling" | "queuing" => {
-                close(&mut doc, &mut open);
-                let pid_tok = tokens
-                    .next()
-                    .ok_or_else(|| err(line_no, format!("'{directive}' needs a partition id")))?;
-                let pid = parse_pid(line_no, pid_tok)?;
-                let kv = parse_kv(line_no, tokens)?;
-                let name = kv
-                    .get("name")
-                    .ok_or_else(|| err(line_no, "missing 'name='"))?
-                    .to_string();
-                let dir = parse_direction(line_no, &kv)?;
-                let size = parse_u64(line_no, &kv, "size")? as usize;
-                doc.spans.set(span_key::port(pid, &name), line_no);
-                if directive == "sampling" {
-                    let refresh = parse_u64_opt(line_no, &kv, "refresh")?;
-                    if refresh.is_some() && dir == Direction::Source {
-                        return Err(err(line_no, "'refresh=' only applies to dir=destination"));
-                    }
-                    let config = SamplingPortConfig {
-                        name,
-                        max_message_size: size,
-                        refresh_period: refresh.map_or(Ticks::MAX, Ticks),
-                        direction: dir,
-                    };
-                    doc.sampling_ports.push((pid, config));
-                } else {
-                    let depth = parse_u64(line_no, &kv, "depth")? as usize;
-                    let config = QueuingPortConfig {
-                        name,
-                        max_message_size: size,
-                        max_nb_messages: depth,
-                        direction: dir,
-                    };
-                    doc.queuing_ports.push((pid, config));
-                }
-            }
-            "process" => {
-                close(&mut doc, &mut open);
-                let pid_tok = tokens
-                    .next()
-                    .ok_or_else(|| err(line_no, "'process' needs a partition id"))?;
-                let pid = parse_pid(line_no, pid_tok)?;
-                let kv = parse_kv(line_no, tokens)?;
-                let name = kv
-                    .get("name")
-                    .ok_or_else(|| err(line_no, "missing 'name='"))?
-                    .to_string();
-                doc.spans.set(span_key::process(pid, &name), line_no);
-                let mut attrs = ProcessAttributes::new(name);
-                match (
-                    parse_u64_opt(line_no, &kv, "period")?,
-                    parse_u64_opt(line_no, &kv, "sporadic")?,
-                ) {
-                    (Some(_), Some(_)) => {
-                        return Err(err(line_no, "'period=' and 'sporadic=' are exclusive"));
-                    }
-                    (Some(t), None) => {
-                        attrs = attrs.with_recurrence(Recurrence::Periodic(Ticks(t)));
-                    }
-                    (None, Some(t)) => {
-                        attrs = attrs.with_recurrence(Recurrence::Sporadic(Ticks(t)));
-                    }
-                    (None, None) => {}
-                }
-                if let Some(d) = parse_u64_opt(line_no, &kv, "deadline")? {
-                    attrs = attrs.with_deadline(Deadline::Relative(Ticks(d)));
-                }
-                if let Some(c) = parse_u64_opt(line_no, &kv, "wcet")? {
-                    attrs = attrs.with_wcet(Ticks(c));
-                }
-                if let Some(p) = parse_u64_opt(line_no, &kv, "priority")? {
-                    let p = u8::try_from(p)
-                        .map_err(|_| err(line_no, format!("priority '{p}' out of range")))?;
-                    attrs = attrs.with_base_priority(Priority(p));
-                }
-                doc.processes.push((pid, attrs));
-            }
-            "memory" => {
-                close(&mut doc, &mut open);
-                let pid_tok = tokens
-                    .next()
-                    .ok_or_else(|| err(line_no, "'memory' needs a partition id"))?;
-                let pid = parse_pid(line_no, pid_tok)?;
-                let kv = parse_kv(line_no, tokens)?;
-                let base = parse_addr(line_no, &kv, "base")?;
-                let size = parse_addr(line_no, &kv, "size")?;
-                let (writable, executable) = match kv.get("perm") {
-                    Some("ro") => (false, false),
-                    Some("rw") => (true, false),
-                    Some("rx") => (false, true),
-                    Some("rwx") => (true, true),
-                    Some(other) => {
-                        return Err(err(line_no, format!("unknown permission '{other}'")));
-                    }
-                    None => return Err(err(line_no, "missing 'perm='")),
-                };
-                let shared = kv.get("shared") == Some("true");
-                doc.spans.set(span_key::memory(pid, base), line_no);
-                doc.memory.push(MemoryRegion {
-                    partition: pid,
-                    base,
-                    size,
-                    writable,
-                    executable,
-                    shared,
-                });
-            }
-            "channel" => {
-                close(&mut doc, &mut open);
-                let id_tok = tokens
-                    .next()
-                    .ok_or_else(|| err(line_no, "'channel' needs an id"))?;
-                let id = id_tok
-                    .parse::<u32>()
-                    .map_err(|_| err(line_no, format!("invalid channel id '{id_tok}'")))?;
-                let kv = parse_kv(line_no, tokens)?;
-                let from = kv
-                    .get("from")
-                    .ok_or_else(|| err(line_no, "missing 'from='"))?;
-                let source = parse_port_addr(line_no, from)?;
-                let to = kv.get("to").ok_or_else(|| err(line_no, "missing 'to='"))?;
-                let mut destinations = Vec::new();
-                for part in to.split(',').filter(|p| !p.is_empty()) {
-                    destinations.push(parse_destination(line_no, part)?);
-                }
-                doc.spans.set(span_key::channel(id), line_no);
-                doc.channels.push(ChannelConfig {
-                    id,
-                    source,
-                    destinations,
-                });
-            }
-            "link" => {
-                close(&mut doc, &mut open);
-                if doc.link.is_some() {
-                    return Err(err(line_no, "duplicate 'link' directive"));
-                }
-                let kv = parse_kv(line_no, tokens)?;
-                doc.spans.set(span_key::link(), line_no);
-                doc.link =
-                    Some(LinkDirective {
-                        primary_latency: parse_u64(line_no, &kv, "primary_latency")?,
-                        secondary_latency: parse_u64_opt(line_no, &kv, "secondary_latency")?,
-                        failover_threshold: parse_u64_opt(line_no, &kv, "failover_threshold")?
-                            .map_or(Ok(4), |t| {
-                                u32::try_from(t).map_err(|_| {
-                                    err(line_no, format!("failover_threshold '{t}' out of range"))
-                                })
-                            })?,
-                        revert_ticks: parse_u64_opt(line_no, &kv, "revert")?.unwrap_or(400),
-                        degraded: kv
-                            .get("degraded")
-                            .map(|raw| {
-                                raw.strip_prefix("chi")
-                                    .and_then(|d| d.parse().ok())
-                                    .map(ScheduleId)
-                                    .ok_or_else(|| {
-                                        err(
-                                            line_no,
-                                            format!(
-                                                "expected schedule id 'chi<n>' \
-                                             for 'degraded', found '{raw}'"
-                                            ),
-                                        )
-                                    })
-                            })
-                            .transpose()?,
-                    });
-            }
-            "arq" => {
-                close(&mut doc, &mut open);
-                if doc.arq.is_some() {
-                    return Err(err(line_no, "duplicate 'arq' directive"));
-                }
-                let kv = parse_kv(line_no, tokens)?;
-                doc.spans.set(span_key::arq(), line_no);
-                let defaults = ArqConfig::default();
-                let small = |key: &str, fallback: u32| -> Result<u32, ConfigError> {
-                    parse_u64_opt(line_no, &kv, key)?.map_or(Ok(fallback), |t| {
-                        u32::try_from(t)
-                            .map_err(|_| err(line_no, format!("{key} '{t}' out of range")))
-                    })
-                };
-                doc.arq = Some(ArqConfig {
-                    window: parse_u64(line_no, &kv, "window")? as usize,
-                    timeout_ticks: parse_u64(line_no, &kv, "timeout")?,
-                    backoff_cap: small("backoff_cap", defaults.backoff_cap)?,
-                    max_retries: small("max_retries", defaults.max_retries)?,
-                    recovery_threshold: small("recovery_threshold", defaults.recovery_threshold)?,
-                });
-            }
-            "node" => {
-                close(&mut doc, &mut open);
-                if doc.mesh_node.is_some() {
-                    return Err(err(line_no, "duplicate 'node' directive"));
-                }
-                let id_tok = tokens
-                    .next()
-                    .ok_or_else(|| err(line_no, "'node' needs an id"))?;
-                let id = parse_node_id(line_no, id_tok)?;
-                let kv = parse_kv(line_no, tokens)?;
-                let name = kv
-                    .get("name")
-                    .ok_or_else(|| err(line_no, "missing 'name='"))?;
-                let fallback = match kv.get("fallback") {
-                    Some(tok) => {
-                        let spare = parse_node_id(line_no, tok)?;
-                        if spare == id {
-                            return Err(err(line_no, "'fallback' cannot name the node itself"));
-                        }
-                        Some(spare)
-                    }
-                    None => None,
-                };
-                doc.spans.set(span_key::node(), line_no);
-                doc.mesh_node = Some(MeshNodeDirective {
-                    id,
-                    name: (*name).to_string(),
-                    fallback,
-                });
-            }
-            "route" => {
-                close(&mut doc, &mut open);
-                let dst_tok = tokens
-                    .next()
-                    .ok_or_else(|| err(line_no, "'route' needs a destination node"))?;
-                let dst = parse_node_id(line_no, dst_tok)?;
-                let kv = parse_kv(line_no, tokens)?;
-                let via_tok = kv
-                    .get("via")
-                    .ok_or_else(|| err(line_no, "missing 'via='"))?;
-                let via = parse_node_id(line_no, via_tok)?;
-                if doc.routes.iter().any(|r| r.dst == dst) {
-                    return Err(err(
-                        line_no,
-                        format!("duplicate route for destination {dst}"),
-                    ));
-                }
-                doc.spans.set(span_key::route(dst.0), line_no);
-                doc.routes.push(RouteDirective { dst, via });
-            }
-            "apid" => {
-                close(&mut doc, &mut open);
-                let id_tok = tokens
-                    .next()
-                    .ok_or_else(|| err(line_no, "'apid' needs an id"))?;
-                let apid = id_tok
-                    .parse::<u16>()
-                    .ok()
-                    .filter(|a| *a <= APID_MAX)
-                    .ok_or_else(|| {
-                        err(
-                            line_no,
-                            format!("invalid apid '{id_tok}' (11-bit field, max {APID_MAX})"),
-                        )
-                    })?;
-                if doc.apids.iter().any(|a| a.apid == apid) {
-                    return Err(err(line_no, format!("duplicate apid {apid}")));
-                }
-                let kv = parse_kv(line_no, tokens)?;
-                let name = kv
-                    .get("name")
-                    .ok_or_else(|| err(line_no, "missing 'name='"))?;
-                let kind = match kv.get("kind") {
-                    Some("tc") => PacketKind::Tc,
-                    Some("tm") => PacketKind::Tm,
-                    Some(other) => {
-                        return Err(err(line_no, format!("unknown apid kind '{other}'")));
-                    }
-                    None => return Err(err(line_no, "missing 'kind='")),
-                };
-                doc.spans.set(span_key::apid(apid), line_no);
-                doc.apids.push(ApidDirective {
-                    apid,
-                    name: (*name).to_string(),
-                    kind,
-                });
-            }
-            "flow" => {
-                close(&mut doc, &mut open);
-                let src_tok = tokens
-                    .next()
-                    .ok_or_else(|| err(line_no, "'flow' needs a source 'N<src>:<apid>'"))?;
-                let (src_part, apid_part) = src_tok.split_once(':').ok_or_else(|| {
-                    err(
-                        line_no,
-                        format!("expected 'N<src>:<apid>', got '{src_tok}'"),
-                    )
-                })?;
-                let src = parse_node_id(line_no, src_part)?;
-                let apid = apid_part
-                    .parse::<u16>()
-                    .ok()
-                    .filter(|a| *a <= APID_MAX)
-                    .ok_or_else(|| {
-                        err(
-                            line_no,
-                            format!("invalid apid '{apid_part}' (11-bit field, max {APID_MAX})"),
-                        )
-                    })?;
-                match tokens.next() {
-                    Some("->") => {}
-                    _ => return Err(err(line_no, "'flow' needs '->' before the destination")),
-                }
-                let dst_tok = tokens
-                    .next()
-                    .ok_or_else(|| err(line_no, "'flow' needs a destination node"))?;
-                let dst = parse_node_id(line_no, dst_tok)?;
-                let kv = parse_kv(line_no, tokens)?;
-                let deadline = parse_u64_opt(line_no, &kv, "deadline")?;
-                if doc
-                    .flows
-                    .iter()
-                    .any(|f| f.src == src && f.apid == apid && f.dst == dst)
-                {
-                    return Err(err(
-                        line_no,
-                        format!("duplicate flow {src}:{apid} -> {dst}"),
-                    ));
-                }
-                doc.spans.set(span_key::flow(src.0, apid, dst.0), line_no);
-                doc.flows.push(FlowDirective {
-                    src,
-                    apid,
-                    dst,
-                    deadline,
-                });
-            }
-            "hm" => {
-                close(&mut doc, &mut open);
-                let err_tok = tokens
-                    .next()
-                    .ok_or_else(|| err(line_no, "'hm' needs an error id"))?;
-                let error = parse_error_id(line_no, err_tok)?;
-                let kv = parse_kv(line_no, tokens)?;
-                let level = match kv.get("level") {
-                    Some("process") => ErrorLevel::Process,
-                    Some("partition") => ErrorLevel::Partition,
-                    Some("module") => ErrorLevel::Module,
-                    Some(other) => {
-                        return Err(err(line_no, format!("unknown error level '{other}'")));
-                    }
-                    None => return Err(err(line_no, "missing 'level='")),
-                };
-                doc.spans.set(span_key::hm(error), line_no);
-                doc.hm_levels.push((error, level));
-            }
-            "handler" => {
-                close(&mut doc, &mut open);
-                let pid_tok = tokens
-                    .next()
-                    .ok_or_else(|| err(line_no, "'handler' needs a partition id"))?;
-                let pid = parse_pid(line_no, pid_tok)?;
-                let err_tok = tokens
-                    .next()
-                    .ok_or_else(|| err(line_no, "'handler' needs an error id"))?;
-                let error = parse_error_id(line_no, err_tok)?;
-                let action_tok = tokens
-                    .next()
-                    .ok_or_else(|| err(line_no, "'handler' needs an action"))?;
-                let action = parse_recovery_action(line_no, action_tok)?;
-                doc.spans.set(span_key::handler(pid, error), line_no);
-                doc.handlers.push((pid, error, action));
-            }
-            other => {
-                return Err(err(line_no, format!("unknown directive '{other}'")));
-            }
+        if row.keyword != keyword {
+            row = DIRECTIVES
+                .iter()
+                .find(|row| row.keyword == keyword)
+                .ok_or_else(|| err(line_no, format!("unknown directive '{keyword}'")))?;
         }
+        let (args, fields) = row.read(tokens).map_err(|m| err(line_no, m))?;
+        if !row.in_schedule {
+            b.close();
+        } else if b.open.is_none() {
+            return Err(err(line_no, format!("'{keyword}' outside a schedule")));
+        }
+        let span = (row.build)(&mut b, args, fields).map_err(|m| err(line_no, m))?;
+        b.doc.spans.set(span, line_no);
     }
-    close(&mut doc, &mut open);
-    Ok(doc)
+    b.close();
+    Ok(b.doc)
 }
 
 /// Emits a document in the format [`parse`] reads (round-trip stable).
 pub fn emit(doc: &ConfigDoc) -> String {
+    use Value::{Absent, Num, Text};
+    let id = |pid: PartitionId| [Num(pid.as_u32().into())];
+    let node = |node: NodeId| Num(node.0.into());
+    let ticks = |t: Ticks| Num(t.as_u64());
+    let flag = |set: bool| Num(set.into());
+    let opt = |value: Option<u64>| value.map_or(Absent, Num);
     let mut out = String::from("# AIR system configuration\n");
+    let o = &mut out;
     for p in &doc.partitions {
-        out.push_str(&format!("partition {} name={}", p.id(), p.name()));
-        if p.pos_kind() == PosKind::GenericNonRealTime {
-            out.push_str(" pos=generic");
-        }
-        if p.is_system() {
-            out.push_str(" system=true");
-        }
-        if p.may_set_module_schedule() {
-            out.push_str(" authority=true");
-        }
-        out.push('\n');
+        let pos = flag(p.pos_kind() == PosKind::GenericNonRealTime);
+        let (system, authority) = (flag(p.is_system()), flag(p.may_set_module_schedule()));
+        PARTITION.put(o, &id(p.id()), &[Text(p.name()), pos, system, authority]);
     }
-    for (pid, cfg) in &doc.sampling_ports {
-        out.push_str(&format!(
-            "sampling {pid} name={} dir={} size={}",
-            cfg.name,
-            direction_token(cfg.direction),
-            cfg.max_message_size
-        ));
-        if cfg.direction == Direction::Destination && cfg.refresh_period != Ticks::MAX {
-            out.push_str(&format!(" refresh={}", cfg.refresh_period.as_u64()));
-        }
-        out.push('\n');
+    for (p, c) in &doc.sampling_ports {
+        let (name, size) = (Text(&c.name), Num(c.max_message_size as u64));
+        let dir = c.direction == Direction::Destination;
+        let refresh = if dir { ticks(c.refresh_period) } else { Absent };
+        SAMPLING.put(o, &id(*p), &[name, flag(dir), size, refresh]);
     }
-    for (pid, cfg) in &doc.queuing_ports {
-        out.push_str(&format!(
-            "queuing {pid} name={} dir={} size={} depth={}\n",
-            cfg.name,
-            direction_token(cfg.direction),
-            cfg.max_message_size,
-            cfg.max_nb_messages
-        ));
+    for (p, c) in &doc.queuing_ports {
+        let (name, dir) = (Text(&c.name), flag(c.direction == Direction::Destination));
+        let size = [c.max_message_size, c.max_nb_messages].map(|n| Num(n as u64));
+        QUEUING.put(o, &id(*p), &[name, dir, size[0], size[1]]);
     }
-    for (pid, attrs) in &doc.processes {
-        out.push_str(&format!("process {pid} name={}", attrs.name()));
-        match attrs.recurrence() {
-            Recurrence::Periodic(t) => out.push_str(&format!(" period={}", t.as_u64())),
-            Recurrence::Sporadic(t) => out.push_str(&format!(" sporadic={}", t.as_u64())),
-            Recurrence::Aperiodic => {}
-        }
-        if let Deadline::Relative(d) = attrs.deadline() {
-            out.push_str(&format!(" deadline={}", d.as_u64()));
-        }
-        if let Some(c) = attrs.wcet() {
-            out.push_str(&format!(" wcet={}", c.as_u64()));
-        }
-        if attrs.base_priority() != Priority::LOWEST {
-            out.push_str(&format!(" priority={}", attrs.base_priority().0));
-        }
-        out.push('\n');
+    for (p, a) in &doc.processes {
+        let (period, sporadic) = match a.recurrence() {
+            Recurrence::Periodic(t) => (ticks(t), Absent),
+            Recurrence::Sporadic(t) => (Absent, ticks(t)),
+            Recurrence::Aperiodic => (Absent, Absent),
+        };
+        let deadline = match a.deadline() {
+            Deadline::Relative(d) => ticks(d),
+            Deadline::Infinite => Absent,
+        };
+        let wcet = a.wcet().map_or(Absent, ticks);
+        let priority = Num(a.base_priority().0.into());
+        let fields = [Text(a.name()), period, sporadic, deadline, wcet, priority];
+        PROCESS.put(o, &id(*p), &fields);
     }
     for r in &doc.memory {
-        let perm = match (r.writable, r.executable) {
-            (false, false) => "ro",
-            (true, false) => "rw",
-            (false, true) => "rx",
-            (true, true) => "rwx",
-        };
-        out.push_str(&format!(
-            "memory {} base={:#x} size={:#x} perm={perm}",
-            r.partition, r.base, r.size
-        ));
-        if r.shared {
-            out.push_str(" shared=true");
-        }
-        out.push('\n');
+        let perm = Num(u64::from(r.writable) | u64::from(r.executable) << 1);
+        let fields = [Num(r.base), Num(r.size), perm, flag(r.shared)];
+        MEMORY.put(o, &id(r.partition), &fields);
     }
-    for (pid, error, action) in &doc.handlers {
-        out.push_str(&format!(
-            "handler {pid} {} {}\n",
-            error_id_token(*error),
-            recovery_action_token(*action)
-        ));
+    for &(p, error, action) in &doc.handlers {
+        let args = [id(p)[0], Value::Error(error), Value::Recovery(action)];
+        HANDLER.put(o, &args, &[]);
     }
-    for (error, level) in &doc.hm_levels {
+    for &(error, level) in &doc.hm_levels {
         let level = match level {
-            ErrorLevel::Process => "process",
-            ErrorLevel::Partition => "partition",
-            ErrorLevel::Module => "module",
+            ErrorLevel::Process => 0,
+            ErrorLevel::Partition => 1,
+            ErrorLevel::Module => 2,
         };
-        out.push_str(&format!("hm {} level={level}\n", error_id_token(*error)));
+        HM.put(o, &[Value::Error(error)], &[Num(level)]);
     }
     for s in &doc.schedules {
-        out.push_str(&format!(
-            "schedule {} name={} mtf={}\n",
-            s.id(),
-            s.name(),
-            s.mtf().as_u64()
-        ));
+        let chi = Num(s.id().as_u32().into());
+        SCHEDULE.put(o, &[chi], &[Text(s.name()), ticks(s.mtf())]);
         for q in s.requirements() {
-            out.push_str(&format!(
-                "  require {} cycle={} duration={}\n",
-                q.partition,
-                q.cycle.as_u64(),
-                q.duration.as_u64()
-            ));
+            let fields = [ticks(q.cycle), ticks(q.duration)];
+            REQUIRE.put(o, &id(q.partition), &fields);
         }
         for w in s.windows() {
-            out.push_str(&format!(
-                "  window {} offset={} duration={}\n",
-                w.partition,
-                w.offset.as_u64(),
-                w.duration.as_u64()
-            ));
+            let fields = [ticks(w.offset), ticks(w.duration)];
+            WINDOW.put(o, &id(w.partition), &fields);
         }
-        for q in s.requirements() {
-            let action = s.change_action_for(q.partition);
-            if action != ScheduleChangeAction::None {
-                let name = match action {
-                    ScheduleChangeAction::None => unreachable!(),
-                    ScheduleChangeAction::WarmRestart => "warm_restart",
-                    ScheduleChangeAction::ColdRestart => "cold_restart",
-                    ScheduleChangeAction::Stop => "stop",
-                };
-                out.push_str(&format!("  action {} {name}\n", q.partition));
-            }
+        for (p, action) in s.change_actions() {
+            let action = match action {
+                ScheduleChangeAction::None => 0,
+                ScheduleChangeAction::WarmRestart => 1,
+                ScheduleChangeAction::ColdRestart => 2,
+                ScheduleChangeAction::Stop => 3,
+            };
+            ACTION.put(o, &[id(p)[0], Num(action)], &[]);
         }
     }
-    if let Some(link) = &doc.link {
-        out.push_str(&format!("link primary_latency={}", link.primary_latency));
-        if let Some(s) = link.secondary_latency {
-            out.push_str(&format!(" secondary_latency={s}"));
-        }
-        out.push_str(&format!(
-            " failover_threshold={} revert={}",
-            link.failover_threshold, link.revert_ticks
-        ));
-        if let Some(degraded) = link.degraded {
-            out.push_str(&format!(" degraded={degraded}"));
-        }
-        out.push('\n');
+    if let Some(l) = &doc.link {
+        let (primary, secondary) = (Num(l.primary_latency), opt(l.secondary_latency));
+        let (threshold, revert) = (Num(l.failover_threshold.into()), Num(l.revert_ticks));
+        let degraded = opt(l.degraded.map(|s| s.as_u32().into()));
+        LINK.put(o, &[], &[primary, secondary, threshold, revert, degraded]);
     }
-    if let Some(arq) = &doc.arq {
-        out.push_str(&format!(
-            "arq window={} timeout={} backoff_cap={} max_retries={} \
-             recovery_threshold={}\n",
-            arq.window, arq.timeout_ticks, arq.backoff_cap, arq.max_retries, arq.recovery_threshold
-        ));
+    if let Some(a) = &doc.arq {
+        let counts = [a.backoff_cap, a.max_retries, a.recovery_threshold].map(|n| Num(n.into()));
+        let (window, timeout) = (Num(a.window as u64), Num(a.timeout_ticks));
+        ARQ.put(o, &[], &[window, timeout, counts[0], counts[1], counts[2]]);
     }
     for c in &doc.channels {
-        let dests: Vec<String> = c
-            .destinations
-            .iter()
-            .map(|d| match d {
-                Destination::Local(addr) => addr.to_string(),
-                Destination::Remote { addr } => format!("remote:{addr}"),
-            })
-            .collect();
-        out.push_str(&format!(
-            "channel {} from={} to={}\n",
-            c.id,
-            c.source,
-            dests.join(",")
-        ));
+        let to = c.destinations.iter().map(|d| match d {
+            Destination::Local(addr) => addr.to_string(),
+            Destination::Remote { addr } => format!("remote:{addr}"),
+        });
+        let (from, to) = (c.source.to_string(), to.collect::<Vec<_>>().join(","));
+        CHANNEL.put(o, &[Num(c.id.into())], &[Text(&from), Text(&to)]);
     }
-    if let Some(node) = &doc.mesh_node {
-        match node.fallback {
-            Some(spare) => out.push_str(&format!(
-                "node {} name={} fallback={spare}\n",
-                node.id, node.name
-            )),
-            None => out.push_str(&format!("node {} name={}\n", node.id, node.name)),
-        }
+    if let Some(n) = &doc.mesh_node {
+        let fields = [Text(&n.name), n.fallback.map_or(Absent, node)];
+        NODE.put(o, &[node(n.id)], &fields);
     }
     for r in &doc.routes {
-        out.push_str(&format!("route {} via={}\n", r.dst, r.via));
+        ROUTE.put(o, &[node(r.dst)], &[node(r.via)]);
     }
     for a in &doc.apids {
-        let kind = match a.kind {
-            PacketKind::Tc => "tc",
-            PacketKind::Tm => "tm",
-        };
-        out.push_str(&format!("apid {} name={} kind={kind}\n", a.apid, a.name));
+        let kind = flag(a.kind == PacketKind::Tm);
+        APID.put(o, &[Num(a.apid.into())], &[Text(&a.name), kind]);
     }
     for f in &doc.flows {
-        out.push_str(&format!("flow {}:{} -> {}", f.src, f.apid, f.dst));
-        if let Some(d) = f.deadline {
-            out.push_str(&format!(" deadline={d}"));
-        }
-        out.push('\n');
+        let args = [node(f.src), Num(f.apid.into()), node(f.dst)];
+        FLOW.put(o, &args, &[opt(f.deadline)]);
     }
     out
-}
-
-fn direction_token(direction: Direction) -> &'static str {
-    match direction {
-        Direction::Source => "source",
-        Direction::Destination => "destination",
-    }
-}
-
-fn recovery_action_token(action: ProcessRecoveryAction) -> String {
-    match action {
-        ProcessRecoveryAction::Ignore => "ignore".into(),
-        ProcessRecoveryAction::LogThenAct { threshold, then } => {
-            let then = match then {
-                EscalatedProcessAction::RestartProcess => "restart_process",
-                EscalatedProcessAction::StartOtherProcess => "start_other_process",
-                EscalatedProcessAction::StopProcess => "stop_process",
-                EscalatedProcessAction::RestartPartition => "restart_partition",
-                EscalatedProcessAction::StopPartition => "stop_partition",
-            };
-            format!("log_then_act={threshold}/{then}")
-        }
-        ProcessRecoveryAction::RestartProcess => "restart_process".into(),
-        ProcessRecoveryAction::StartOtherProcess => "start_other_process".into(),
-        ProcessRecoveryAction::StopProcess => "stop_process".into(),
-        ProcessRecoveryAction::RestartPartition => "restart_partition".into(),
-        ProcessRecoveryAction::StopPartition => "stop_partition".into(),
-    }
 }
 
 /// The Fig. 8 prototype as a configuration document (the text an
@@ -1471,37 +1456,115 @@ mod tests {
 
     #[test]
     fn key_value_errors_name_the_first_bad_token() {
-        // Padding of distinct pairs puts the second half of each case past
-        // the inline pairs.
-        let pad: String = (0..20).map(|i| format!(" k{i}=1")).collect();
+        // Structure first, in line order: a token that is no pair, a
+        // repeated key or a key the row lacks; then, in row order, a field
+        // that is missing or ill-typed.
         let cases = [
             (
-                "partition P0 name=a b name=c".to_owned(),
+                "partition P0 name=a b name=c",
                 "expected key=value, found 'b'",
             ),
+            ("partition P0 name=a name=c b", "duplicate key 'name'"),
             (
-                "partition P0 name=a name=c b".to_owned(),
+                "partition P0 colour=x name=a name=b",
+                "unknown key 'colour' for 'partition'",
+            ),
+            (
+                "partition P0 name=a name=b colour=x",
                 "duplicate key 'name'",
             ),
             (
-                format!("partition P0 name=a{pad} k3=2 b"),
-                "duplicate key 'k3'",
+                "partition P0 pos=weird colour=x",
+                "unknown key 'colour' for 'partition'",
+            ),
+            ("partition P0 pos=weird", "missing 'name='"),
+            ("schedule chi0 mtf=x", "missing 'name='"),
+            ("schedule chi0 mtf=x name=a", "invalid number 'x' for 'mtf'"),
+            ("partition P0 system=yes name=a", "unknown flag 'yes'"),
+            (
+                "process P0 name=a priority=256",
+                "priority '256' out of range (max 255)",
             ),
             (
-                format!("partition P0 name=a{pad} b k3=2"),
-                "expected key=value, found 'b'",
+                "process P0 name=fast perod=50 deadline=10 wcet=5 priority=1 colour=blue",
+                "unknown key 'perod' for 'process'",
             ),
             (
-                format!("partition P0{pad} name=a name=b"),
-                "duplicate key 'name'",
+                "handler P0 deadline_missed ignore extra",
+                "expected key=value, found 'extra'",
+            ),
+            ("action P0 stop", "'action' outside a schedule"),
+            (
+                "channel x from=P0:a to=P1:b",
+                "invalid number 'x' for 'channel'",
             ),
         ];
         for (text, message) in cases {
-            let e = parse(&text).unwrap_err();
+            let e = parse(text).unwrap_err();
             assert_eq!((e.line, e.message.as_str()), (1, message), "{text}");
         }
-        let doc = parse(&format!("partition P0{pad} name=last")).unwrap();
-        assert_eq!(doc.partitions[0].name(), "last");
+    }
+
+    #[test]
+    fn every_row_fits_the_line_slots() {
+        for row in DIRECTIVES {
+            let width = |kind: &Kind| match kind {
+                Kind::Source => 2,
+                Kind::Arrow => 0,
+                _ => 1,
+            };
+            assert!(
+                row.args.iter().map(width).sum::<usize>() <= MAX_ARGS,
+                "{row:?}"
+            );
+            assert!(row.fields.len() <= MAX_FIELDS, "{row:?}");
+            let keys: BTreeSet<_> = row.fields.iter().map(|f| f.key).collect();
+            assert_eq!(keys.len(), row.fields.len(), "{row:?}");
+        }
+        let keywords: BTreeSet<_> = DIRECTIVES.iter().map(|row| row.keyword).collect();
+        assert_eq!(keywords.len(), DIRECTIVES.len());
+    }
+
+    #[test]
+    fn defaults_come_from_the_rows_and_match_the_runtime() {
+        let doc = parse(
+            "partition P0 name=a system=false\n\
+             process P0 name=p\n\
+             sampling P0 name=s dir=destination size=8\n\
+             link primary_latency=1\n\
+             arq window=8 timeout=24\n",
+        )
+        .unwrap();
+        assert!(!doc.partitions[0].is_system());
+        assert_eq!(doc.partitions[0].pos_kind(), PosKind::RealTime);
+        assert_eq!(doc.processes[0].1, ProcessAttributes::new("p"));
+        assert_eq!(doc.sampling_ports[0].1.refresh_period, Ticks::MAX);
+        let link = doc.link.unwrap();
+        assert_eq!((link.failover_threshold, link.revert_ticks), (4, 400));
+        assert_eq!(doc.arq, Some(ArqConfig::default()));
+        // Defaults are left out of the emitted text.
+        let emitted = emit(&doc);
+        assert!(emitted.contains("\nlink primary_latency=1\n"), "{emitted}");
+        assert!(emitted.contains("\narq window=8 timeout=24\n"), "{emitted}");
+    }
+
+    #[test]
+    fn every_stored_schedule_change_action_is_emitted() {
+        let text = "\
+partition P0 name=A
+schedule chi0 name=ops mtf=100
+  require P0 cycle=100 duration=50
+  window P0 offset=0 duration=50
+  action P0 none
+  action P7 warm_restart
+";
+        let doc = parse(text).unwrap();
+        let emitted = emit(&doc);
+        assert!(emitted.contains("  action P0 none\n"), "{emitted}");
+        assert!(emitted.contains("  action P7 warm_restart\n"), "{emitted}");
+        let reparsed = parse(&emitted).unwrap();
+        assert_eq!(reparsed.schedules, doc.schedules);
+        assert_eq!(emit(&reparsed), emitted);
     }
 
     #[test]
@@ -1621,12 +1684,16 @@ flow N0:101 -> N2
     #[test]
     fn flow_directive_errors_carry_lines() {
         let cases = [
-            ("flow", 1, "'flow' needs a source"),
-            ("flow N0 -> N1", 1, "expected 'N<src>:<apid>'"),
+            ("flow", 1, "'flow' needs 'N<n>:<apid>'"),
+            ("flow N0 -> N1", 1, "expected 'N<n>:<apid>', found 'N0'"),
             ("flow X0:100 -> N1", 1, "expected node id"),
-            ("flow N0:9999 -> N1", 1, "invalid apid"),
-            ("flow N0:100 N1", 1, "needs '->'"),
-            ("flow N0:100 ->", 1, "'flow' needs a destination node"),
+            (
+                "flow N0:9999 -> N1",
+                1,
+                "apid '9999' out of range (max 2046)",
+            ),
+            ("flow N0:100 N1", 1, "expected '->', found 'N1'"),
+            ("flow N0:100 ->", 1, "'flow' needs 'N<n>'"),
             ("flow N0:100 -> P1", 1, "expected node id"),
             (
                 "flow N0:100 -> N1\nflow N0:100 -> N1 deadline=9",
@@ -1675,7 +1742,11 @@ flow N0:101 -> N2
                 2,
                 "duplicate route for destination N1",
             ),
-            ("apid 2047 name=a kind=tc", 1, "invalid apid"),
+            (
+                "apid 2047 name=a kind=tc",
+                1,
+                "apid '2047' out of range (max 2046)",
+            ),
             ("apid 9 name=a kind=xx", 1, "unknown apid kind"),
             ("apid 9 name=a", 1, "missing 'kind='"),
             (
@@ -1856,7 +1927,7 @@ channel 50 from=P0:tm to=remote:P0:tm
             (
                 "link primary_latency=1 degraded=nope",
                 1,
-                "expected schedule id 'chi<n>' for 'degraded'",
+                "expected schedule id 'chi<n>', found 'nope'",
             ),
             (
                 "arq window=8 timeout=24\narq window=4 timeout=12",

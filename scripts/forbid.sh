@@ -4,10 +4,11 @@
 # The PMK and the hardware model are the layers the paper trusts to
 # contain everyone else's faults; a panic there takes the whole module
 # down with no health-monitor mediation. This gate scans their non-test
-# sources for `unwrap()`, `expect(` and `panic!` and fails on any hit
-# that is not explicitly allowlisted with a trailing
-# `// lint: allow(panic)` comment (reserved for cases proven unreachable
-# or equivalent to a hardware halt).
+# sources for `unwrap()`, `expect(`, `panic!`, `unreachable!`,
+# `unimplemented!` and `todo!` and fails on any hit that is not
+# explicitly allowlisted with a trailing `// lint: allow(panic)` comment
+# (reserved for cases proven unreachable or equivalent to a hardware
+# halt).
 #
 # The lint crate is held to the same bar: `SystemBuilder::build()` runs
 # it on every construction, so a panic in an analysis pass would turn a
@@ -61,7 +62,7 @@ for dir in "${dirs[@]}"; do
             intest { next }  # nothing after the test module marker counts
             /^[[:space:]]*\/\// { next }               # comment lines
             /lint: allow\(panic\)/ { next }            # explicit allowlist
-            /\.unwrap\(\)|\.expect\(|panic!/ {
+            /\.unwrap\(\)|\.expect\(|panic!|unreachable!|unimplemented!|todo!/ {
                 printf "%s:%d: %s\n", FILENAME, FNR, $0
             }
         ' "$file")

@@ -6,11 +6,13 @@
 //!   analysis whose cost does not grow with the tick unit finishes the
 //!   k = 10⁹ case, so this also checks the analyses' complexity without a
 //!   timing bound;
-//! - **extremes** — the largest value the parser accepts (`u64::MAX`, or
-//!   `u32::MAX` for the u32 ARQ and link fields) in any one time, ARQ or
-//!   link field of any one line goes through parse, lint, the timing
-//!   certificate and a depth-2 exploration and comes back as a report,
-//!   never a panic or a stall (these tests run with overflow checks on);
+//! - **extremes** — the largest value the parser accepts ([`Kind::max`])
+//!   in any one numeric field of any one line goes through parse, lint,
+//!   the timing certificate and a depth-2 exploration and comes back as a
+//!   report, never a panic or a stall (these tests run with overflow
+//!   checks on);
+//! - **coverage** — every field of the grammar is set by some corpus or
+//!   example file, so the sweeps above reach it;
 //! - **id extremes** — the largest node id (`N65535`) or APID
 //!   ([`APID_MAX`]) the parser accepts in any one id of a `node`,
 //!   `route`, `apid` or `flow` line goes through parse, `lint`,
@@ -25,57 +27,7 @@ use std::path::{Path, PathBuf};
 use air_lint::{explore_with, lint, lint_config_text, lint_timing, Code, ExploreConfig, Severity};
 use air_lint::{lint_members, parse_members, LintReport, SystemModel};
 use air_ports::spacepacket::APID_MAX;
-
-/// The time fields of the grammar: `key=<ticks>`, the flow `deadline=`
-/// included.
-const TIME_FIELDS: [&str; 13] = [
-    "mtf",
-    "cycle",
-    "duration",
-    "offset",
-    "period",
-    "sporadic",
-    "deadline",
-    "wcet",
-    "refresh",
-    "timeout",
-    "primary_latency",
-    "secondary_latency",
-    "revert",
-];
-
-/// The fields set to their largest accepted value, with that value.
-const EXTREME_FIELDS: [(&str, u64); 17] = [
-    ("mtf", u64::MAX),
-    ("cycle", u64::MAX),
-    ("duration", u64::MAX),
-    ("offset", u64::MAX),
-    ("period", u64::MAX),
-    ("sporadic", u64::MAX),
-    ("deadline", u64::MAX),
-    ("wcet", u64::MAX),
-    ("window", u64::MAX),
-    ("timeout", u64::MAX),
-    ("backoff_cap", u32::MAX as u64),
-    ("max_retries", u32::MAX as u64),
-    ("recovery_threshold", u32::MAX as u64),
-    ("primary_latency", u64::MAX),
-    ("secondary_latency", u64::MAX),
-    ("failover_threshold", u32::MAX as u64),
-    ("revert", u64::MAX),
-];
-
-/// The hub with the two fields no corpus or example file sets: an ARQ
-/// `recovery_threshold` and a sporadic process.
-fn uncovered_fields() -> (String, String) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/constellation_hub.air");
-    let text = read(&path).replace("max_retries=8", "max_retries=8 recovery_threshold=4")
-        + "process P1 name=tm sporadic=100 wcet=5\n";
-    (
-        "constellation_hub.air + recovery_threshold + sporadic".to_owned(),
-        text,
-    )
-}
+use air_tools::config::{Directive, Field, Kind, DIRECTIVES};
 
 /// The timing certificate (AIR110–AIR117) adds tick constants that do
 /// not scale with the configuration: `MESH_LATENCY`, `MESH_HOP_SLACK`,
@@ -112,17 +64,34 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// Rewrites the value of every `key=<digits>` token on `line` whose key
-/// `pick` accepts; comments are left alone.
-fn rewrite_line(line: &str, pick: impl Fn(&str, &str) -> Option<String>) -> String {
+/// The grammar row of `line`'s directive, if it has one.
+fn row(line: &str) -> Option<&'static Directive> {
+    let keyword = line.split('#').next()?.split_whitespace().next()?;
+    DIRECTIVES.into_iter().find(|row| row.keyword == keyword)
+}
+
+/// Whether `value` is a decimal or `0x` hex number.
+fn is_number(value: &str) -> bool {
+    let (digits, radix) = value
+        .strip_prefix("0x")
+        .map_or((value, 10), |hex| (hex, 16));
+    !digits.is_empty() && digits.chars().all(|c| c.is_digit(radix))
+}
+
+/// Rewrites the value of every `key=<number>` token on `line` whose field
+/// in the line's row `pick` accepts; comments are left alone.
+fn rewrite_line(line: &str, pick: impl Fn(&Field, &str) -> Option<String>) -> String {
+    let Some(row) = row(line) else {
+        return line.to_owned();
+    };
     let (code, comment) = line.split_at(line.find('#').unwrap_or(line.len()));
     let code: Vec<String> = code
         .split(' ')
         .map(|token| match token.split_once('=') {
-            Some((key, value))
-                if value.bytes().all(|b| b.is_ascii_digit()) && !value.is_empty() =>
-            {
-                pick(key, value).map_or_else(|| token.to_owned(), |v| format!("{key}={v}"))
+            Some((key, value)) if is_number(value) => {
+                let field = row.fields.iter().find(|f| f.key == key);
+                let picked = field.and_then(|field| pick(field, value));
+                picked.map_or_else(|| token.to_owned(), |v| format!("{key}={v}"))
             }
             _ => token.to_owned(),
         })
@@ -132,8 +101,8 @@ fn rewrite_line(line: &str, pick: impl Fn(&str, &str) -> Option<String>) -> Stri
 
 /// `text` with every time field multiplied by `k`.
 fn scaled(text: &str, k: u64) -> String {
-    let scale = |key: &str, value: &str| {
-        TIME_FIELDS.contains(&key).then(|| {
+    let scale = |field: &Field, value: &str| {
+        (field.kind == Kind::Ticks).then(|| {
             let v: u64 = value.parse().expect("digits");
             (v.checked_mul(k).expect("scaled value fits u64")).to_string()
         })
@@ -172,22 +141,26 @@ fn scaling_every_time_field_keeps_every_finding() {
 }
 
 #[test]
-fn u64_max_in_any_time_field_never_panics() {
+fn the_largest_value_of_any_numeric_field_never_panics() {
     let mut parsed = Vec::new();
     let explore = ExploreConfig {
         depth: 2,
         ..ExploreConfig::default()
     };
     let (mut variants, mut panicked) = (0, Vec::new());
-    let sources = configs()
-        .into_iter()
-        .map(|path| (path.display().to_string(), read(&path)))
-        .chain([uncovered_fields()]);
-    for (name, text) in sources {
+    for path in configs() {
+        let text = read(&path);
         let lines: Vec<&str> = text.lines().collect();
         for (i, line) in lines.iter().enumerate() {
-            for (field, max) in EXTREME_FIELDS {
-                let extreme = rewrite_line(line, |key, _| (key == field).then(|| max.to_string()));
+            let Some(directive) = row(line) else {
+                continue;
+            };
+            for field in directive.fields {
+                let Some(max) = field.kind.max() else {
+                    continue;
+                };
+                let pick = |f: &Field, _: &str| (f.key == field.key).then(|| max.to_string());
+                let extreme = rewrite_line(line, pick);
                 if extreme == *line {
                     continue;
                 }
@@ -198,7 +171,7 @@ fn u64_max_in_any_time_field_never_panics() {
                 let Ok(models) = parse_members(&[&mutated]).into_models() else {
                     continue;
                 };
-                parsed.push(field);
+                parsed.push((directive.keyword, field.key));
                 let model = &models[0];
                 let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     lint(model);
@@ -206,20 +179,48 @@ fn u64_max_in_any_time_field_never_panics() {
                     explore_with(model, &explore);
                 }));
                 if run.is_err() {
-                    panicked.push(format!("{name} line {} {field}", i + 1));
+                    panicked.push(format!("{} line {} {}", path.display(), i + 1, field.key));
                 }
             }
         }
     }
     assert!(variants > 300, "only {variants} variants");
-    for (field, _) in EXTREME_FIELDS {
-        assert!(parsed.contains(&field), "no variant of {field} parsed");
+    for directive in DIRECTIVES {
+        for field in directive.fields.iter().filter(|f| f.kind.max().is_some()) {
+            let parses = parsed.contains(&(directive.keyword, field.key));
+            assert!(
+                parses,
+                "no variant of {} {}= parsed",
+                directive.keyword, field.key
+            );
+        }
     }
     assert!(
         panicked.is_empty(),
-        "u64::MAX panicked in:\n{}",
+        "the largest value panicked in:\n{}",
         panicked.join("\n")
     );
+}
+
+#[test]
+fn every_field_of_the_grammar_is_set_by_some_config() {
+    let texts: Vec<String> = configs().iter().map(|path| read(path)).collect();
+    let lines: Vec<&str> = texts.iter().flat_map(|text| text.lines()).collect();
+    let mut unset = Vec::new();
+    for directive in DIRECTIVES {
+        for field in directive.fields {
+            let sets = |line: &&str| {
+                let code = line.split('#').next().unwrap_or("");
+                let prefix = format!("{}=", field.key);
+                row(line).is_some_and(|r| r.keyword == directive.keyword)
+                    && code.split_whitespace().any(|t| t.starts_with(&prefix))
+            };
+            if !lines.iter().any(sets) {
+                unset.push(format!("{} {}=", directive.keyword, field.key));
+            }
+        }
+    }
+    assert!(unset.is_empty(), "no corpus or example file sets {unset:?}");
 }
 
 /// The kinds of id the mesh grammar carries.
