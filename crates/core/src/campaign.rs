@@ -47,6 +47,7 @@ use air_ports::{ChannelConfig, Destination, PortAddr, QueuingPortConfig};
 use crate::builder::{PartitionConfig, ProcessConfig, SystemBuilder};
 use crate::scenario::Scenario;
 use crate::system::AirSystem;
+use crate::text::StackText;
 use crate::trace::{RecoveryDisposition, TraceEvent};
 use crate::workload::{FaultSwitch, FaultyPeriodic, QueuingConsumer, QueuingProducer};
 
@@ -609,12 +610,13 @@ fn build_campaign_system(config: &MachineConfig, checked: bool) -> (AirSystem, F
     (system, overrun)
 }
 
-/// Sends one sequenced echo frame from the remote peer towards P2.
+/// Sends one sequenced echo frame, payload `echo-<seq>`, from the remote
+/// peer towards P2. The payload is spelled on the stack and encoded
+/// straight into the frame, so the link bytes are its one allocation.
 fn send_echo(system: &mut AirSystem, seq: u64, now: u64) {
-    let payload = format!("echo-{seq}");
-    let bytes = Frame::new(ECHO_CHANNEL, Ticks(now), payload.into_bytes())
-        .with_link_seq(seq)
-        .encode();
+    let mut payload = StackText::<25>::new();
+    payload.push(b"echo-").push_u64(seq);
+    let bytes = Frame::encode_parts(ECHO_CHANNEL, Ticks(now), seq, payload.as_bytes());
     system.machine_mut().link.send(LinkEndpoint::B, now, bytes);
 }
 

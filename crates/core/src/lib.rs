@@ -56,6 +56,7 @@ pub mod prototype;
 pub mod replay;
 pub mod scenario;
 pub mod system;
+mod text;
 pub mod trace;
 pub mod workload;
 

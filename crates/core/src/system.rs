@@ -18,7 +18,7 @@ use air_pmk::{
 };
 use air_vitral::Vitral;
 
-use crate::trace::{RecoveryDisposition, Trace, TraceEvent};
+use crate::trace::{encode_event, RecoveryDisposition, Trace, TraceEvent};
 use crate::workload::{FaultSwitch, ProcessApi, ProcessBody};
 
 /// Per-partition boot/restart recipe retained by the system: which
@@ -1010,8 +1010,10 @@ impl AirSystem {
         // Mirror trace events not yet shown into the AIR / HM windows.
         // Campaign bookkeeping events (injection markers, recovery
         // dispositions) are observability metadata, not VITRAL content.
+        let mut line = String::new();
         for event in &self.trace.events()[self.vitral_synced..] {
-            let line = format!("{event:?}");
+            line.clear();
+            encode_event(&mut line, event);
             match event {
                 TraceEvent::FaultInjected { .. } | TraceEvent::RecoveryApplied { .. } => {}
                 TraceEvent::DeadlineMiss { .. } | TraceEvent::HmReport { .. } => {

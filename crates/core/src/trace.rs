@@ -1,11 +1,30 @@
 //! Event trace of a simulation run: the observability layer every
 //! experiment in EXPERIMENTS.md reads its numbers from.
+//!
+//! # The log encoding
+//!
+//! [`Trace::render_log`] writes one line per retained event,
+//! `{seq:06} t={at} Name { field: value, … }`, and the fleet digests
+//! those bytes. [`encode_line`] and [`encode_event`] are the
+//! specification of that text: one `match` arm per [`TraceEvent`]
+//! variant, integers through one digit writer, unit enums as their
+//! variant names, ids as `PartitionId(n)`, options as `None`/`Some(…)`,
+//! and no `core::fmt` on the way.
+//! The bytes equal what derived `Debug` printed when the log was first
+//! pinned, but derived `Debug` is not the specification and is kept for
+//! test assertions only: a change to a field's `Debug` cannot move the
+//! log, and a change to the log is a change to this encoder.
+
+use std::fmt::Write as _;
 
 use air_hm::ErrorId;
 use air_hw::inject::FaultClass;
 use air_hw::redundant::LinkRole;
-use air_model::ids::GlobalProcessId;
+use air_model::ids::{GlobalProcessId, ProcessId};
 use air_model::{PartitionId, ScheduleChangeAction, ScheduleId, Ticks};
+use air_ports::pus::AckStage;
+
+use crate::text::Decimal;
 
 /// How an HM decision was discharged — the terminal edge of every
 /// report → classify → act chain, recorded so fault-injection campaigns
@@ -212,7 +231,7 @@ pub enum TraceEvent {
         /// Source sequence count of the acknowledged command.
         seq: u16,
         /// The verification stage the report confirms.
-        stage: air_ports::pus::AckStage,
+        stage: AckStage,
     },
     /// A mesh node published an event report (PUS service 5) toward the
     /// ground node.
@@ -341,6 +360,245 @@ impl TraceEvent {
     }
 }
 
+/// Appends the log line of the event with sequence number `seq`:
+/// `{seq:06} t={at} ` (the sequence number zero-padded to six digits,
+/// wider past 999,999), then [`encode_event`], then a newline. This is
+/// the line [`Trace::render_log_into`] writes for each retained event.
+pub fn encode_line(out: &mut String, seq: u64, event: &TraceEvent) {
+    let seq = Decimal::new(seq);
+    for _ in seq.as_bytes().len()..6 {
+        out.push('0');
+    }
+    out.push_str(seq.as_str());
+    out.push_str(" t=");
+    out.push_str(Decimal::new(event.at().as_u64()).as_str());
+    out.push(' ');
+    encode_event(out, event);
+    out.push('\n');
+}
+
+/// Appends the text of `event`, `Name { field: value, … }` with the fields
+/// in declaration order: the body of a log line, and the line VITRAL's AIR
+/// and HM windows show. Names and keys are the variants' and fields' own,
+/// so renaming one moves the log; `tests/trace_encoding.rs` pins a line
+/// of every variant.
+pub fn encode_event(out: &mut String, event: &TraceEvent) {
+    // One row per variant: its name and fields, spelled as the log
+    // spells them. The rows expand to one exhaustive `match`.
+    macro_rules! rows {
+        ($($name:ident { $($field:ident),+ }),+ $(,)?) => {
+            match event {
+                $(TraceEvent::$name { $($field),+ } => record(
+                    out,
+                    stringify!($name),
+                    &[$((stringify!($field), $field)),+],
+                ),)+
+            }
+        };
+    }
+    rows! {
+        PartitionSwitch { at, from, to },
+        ScheduleSwitch { at, to },
+        ScheduleChangeActionApplied { at, partition, action },
+        DeadlineMiss { at, process, deadline },
+        HmReport { at, error, partition },
+        PartitionRestart { at, partition, warm },
+        PartitionStop { at, partition },
+        FaultInjected { at, class, partition },
+        RecoveryApplied { at, error, partition, disposition },
+        FrameRetransmitted { at, seq, retries },
+        LinkFailover { at, to },
+        DegradedModeEntered { at, schedule },
+        DegradedModeExited { at, schedule },
+        PacketForwarded { at, apid, dst, via, ttl },
+        PacketDropped { at, apid, dst, reason },
+        CommandAccepted { at, apid, seq },
+        CommandStarted { at, apid, seq },
+        CommandCompleted { at, apid, seq },
+        CommandAckReceived { at, apid, seq, stage },
+        TelemetryPublished { at, apid, seq },
+        TelemetryReceived { at, apid, seq, src },
+        MeshEdgeDown { at, a, b },
+        MeshEdgeUp { at, a, b },
+        PacketRerouted { at, apid, dst, via },
+        PacketParked { at, apid, dst },
+        NodeFailover { at, failed, spare },
+        NodeFailback { at, restored },
+    }
+}
+
+/// Appends `Name { a: …, b: … }`.
+fn record(out: &mut String, name: &str, fields: &[(&str, &dyn Field)]) {
+    out.push_str(name);
+    out.push_str(" { ");
+    for (i, (field, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(field);
+        out.push_str(": ");
+        value.encode(out);
+    }
+    out.push_str(" }");
+}
+
+/// Appends `Name(n)`.
+fn wrapped(out: &mut String, name: &str, n: u64) {
+    out.push_str(name);
+    out.push('(');
+    out.push_str(Decimal::new(n).as_str());
+    out.push(')');
+}
+
+/// A field value of an encoded event.
+trait Field {
+    fn encode(&self, out: &mut String);
+}
+
+macro_rules! unsigned_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn encode(&self, out: &mut String) {
+                out.push_str(Decimal::new(u64::from(*self)).as_str());
+            }
+        }
+    )*};
+}
+
+unsigned_field!(u8, u16, u32, u64);
+
+impl Field for bool {
+    fn encode(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn encode(&self, out: &mut String) {
+        match self {
+            Some(value) => {
+                out.push_str("Some(");
+                value.encode(out);
+                out.push(')');
+            }
+            None => out.push_str("None"),
+        }
+    }
+}
+
+impl Field for Ticks {
+    fn encode(&self, out: &mut String) {
+        wrapped(out, "Ticks", self.as_u64());
+    }
+}
+
+impl Field for PartitionId {
+    fn encode(&self, out: &mut String) {
+        wrapped(out, "PartitionId", self.as_u32().into());
+    }
+}
+
+impl Field for ProcessId {
+    fn encode(&self, out: &mut String) {
+        wrapped(out, "ProcessId", self.as_u32().into());
+    }
+}
+
+impl Field for ScheduleId {
+    fn encode(&self, out: &mut String) {
+        wrapped(out, "ScheduleId", self.as_u32().into());
+    }
+}
+
+impl Field for GlobalProcessId {
+    fn encode(&self, out: &mut String) {
+        record(
+            out,
+            "GlobalProcessId",
+            &[("partition", &self.partition), ("process", &self.process)],
+        );
+    }
+}
+
+/// Unit enums, encoded as their variant names. A list ending in `..` is
+/// a foreign `#[non_exhaustive]` enum: a variant added upstream is
+/// spelled by its `Debug` until it is named here.
+macro_rules! names {
+    ($t:ident { $($v:ident),+ }) => {
+        impl Field for $t {
+            fn encode(&self, out: &mut String) {
+                out.push_str(match self {
+                    $($t::$v => stringify!($v),)+
+                });
+            }
+        }
+    };
+    ($t:ident { $($v:ident),+, .. }) => {
+        impl Field for $t {
+            fn encode(&self, out: &mut String) {
+                let name = match self {
+                    $($t::$v => stringify!($v),)+
+                    other => {
+                        let _ = write!(out, "{other:?}");
+                        return;
+                    }
+                };
+                out.push_str(name);
+            }
+        }
+    };
+}
+
+names!(RecoveryDisposition {
+    HandlerContained,
+    Logged,
+    PartitionWarmRestart,
+    PartitionColdRestart,
+    PartitionStopped,
+    ModuleReset,
+    ModuleShutdown
+});
+names!(PacketDropReason {
+    TtlExpired,
+    NoRoute
+});
+names!(ScheduleChangeAction {
+    None,
+    WarmRestart,
+    ColdRestart,
+    Stop
+});
+names!(LinkRole { Primary, Secondary });
+names!(AckStage {
+    Acceptance,
+    Start,
+    Completion
+});
+names!(ErrorId {
+    DeadlineMissed,
+    ApplicationError,
+    NumericError,
+    IllegalRequest,
+    StackOverflow,
+    MemoryViolation,
+    HardwareFault,
+    PowerFail,
+    ConfigError,
+    LinkDegraded,
+    ..
+});
+names!(FaultClass {
+    MmuTamper,
+    SpuriousTrap,
+    LinkDrop,
+    LinkBitFlip,
+    ClockInterference,
+    ProcessOverrun,
+    LinkOutage,
+    AckLoss,
+    ..
+});
+
 /// The recorded event stream plus aggregate counters.
 #[derive(Debug, Default)]
 pub struct Trace {
@@ -423,9 +681,8 @@ impl Trace {
     /// `String` per run. Byte-for-byte identical to
     /// [`render_log`](Trace::render_log).
     pub fn render_log_into(&self, out: &mut String) {
-        use std::fmt::Write;
         for (seq, event) in self.sequenced() {
-            let _ = writeln!(out, "{seq:06} t={} {event:?}", event.at().as_u64());
+            encode_line(out, seq, event);
         }
     }
 
@@ -498,13 +755,11 @@ impl Trace {
                 col_fill += take;
                 remaining -= take;
                 if col_fill == resolution {
-                    let ch = match col_char.expect("set above") {
-                        Some(p) => char::from_digit(p.as_u32().min(9), 10).expect("digit"),
+                    out.push(match col_char.take().flatten() {
+                        Some(p) => char::from(b'0' + p.as_u32().min(9) as u8),
                         None => '.',
-                    };
-                    out.push(ch);
+                    });
                     col_fill = 0;
-                    col_char = None;
                 }
             }
         }

@@ -17,7 +17,9 @@ use air_hm::ErrorId;
 use air_model::ids::ProcessId;
 use air_model::{ScheduleId, Ticks};
 use air_pmk::PartitionScheduler;
-use air_ports::{Message, PortRegistry};
+use air_ports::{Message, Payload, PortRegistry, Validity};
+
+use crate::text::StackText;
 
 /// A shared on/off switch for fault injection (the prototype's "activating
 /// the faulty process on P1" keyboard command, Sect. 6).
@@ -257,12 +259,19 @@ impl ProcessBody for SamplingProducer {
         self.done += 1;
         if self.done >= self.compute_ticks {
             self.done = 0;
-            let payload = format!("seq={} t={}", self.seq, api.now);
+            // `seq=<seq> t=<now>t`, the tick in its `Display` spelling.
+            let mut payload = StackText::<48>::new();
+            payload
+                .push(b"seq=")
+                .push_u64(self.seq)
+                .push(b" t=")
+                .push_u64(api.now.as_u64())
+                .push(b"t");
             self.seq += 1;
             let _ = api.apex.write_sampling_message(
                 api.ports,
                 &self.port,
-                payload.into_bytes(),
+                Payload::copy_from_slice(payload.as_bytes()),
                 api.now,
             );
             let _ = api.apex.periodic_wait(api.me, api.now);
@@ -300,11 +309,24 @@ impl ProcessBody for SamplingConsumer {
             if validity.is_valid() {
                 self.valid_reads += 1;
             }
-            let text = String::from_utf8_lossy(&msg.payload).into_owned();
-            api.log(format!("read {text} ({validity:?})"));
+            let console = &mut *api.console;
+            console.push_str("read ");
+            console.push_str(&String::from_utf8_lossy(&msg.payload));
+            console.push_str(match validity {
+                Validity::Valid => " (Valid)\n",
+                Validity::Invalid => " (Invalid)\n",
+            });
         }
         let _ = api.apex.periodic_wait(api.me, api.now);
     }
+}
+
+/// The queuing producers' message body, `frame-<seq>`, copied once from
+/// the stack into its payload.
+fn frame_payload(seq: u64) -> Payload {
+    let mut text = StackText::<26>::new();
+    text.push(b"frame-").push_u64(seq);
+    Payload::copy_from_slice(text.as_bytes())
 }
 
 /// A periodic producer pushing one queuing message per activation.
@@ -330,11 +352,11 @@ impl QueuingProducer {
 
 impl ProcessBody for QueuingProducer {
     fn on_tick(&mut self, api: &mut ProcessApi<'_>) {
-        let payload = format!("frame-{}", self.seq);
+        let payload = frame_payload(self.seq);
         self.seq += 1;
         match api
             .apex
-            .send_queuing_message(api.ports, &self.port, payload.into_bytes(), api.now)
+            .send_queuing_message(api.ports, &self.port, payload, api.now)
         {
             Ok(()) => self.sent += 1,
             Err(_) => self.rejected += 1,
@@ -372,13 +394,11 @@ impl FiniteQueuingProducer {
 impl ProcessBody for FiniteQueuingProducer {
     fn on_tick(&mut self, api: &mut ProcessApi<'_>) {
         if self.sent < self.budget {
-            let payload = format!("frame-{}", self.seq);
-            match api.apex.send_queuing_message(
-                api.ports,
-                &self.port,
-                payload.into_bytes(),
-                api.now,
-            ) {
+            let payload = frame_payload(self.seq);
+            match api
+                .apex
+                .send_queuing_message(api.ports, &self.port, payload, api.now)
+            {
                 Ok(()) => {
                     self.seq += 1;
                     self.sent += 1;
@@ -411,8 +431,10 @@ impl ProcessBody for QueuingConsumer {
     fn on_tick(&mut self, api: &mut ProcessApi<'_>) {
         while let Ok(msg) = api.apex.receive_queuing_message(api.ports, &self.port) {
             self.received += 1;
-            let text = String::from_utf8_lossy(&msg.payload).into_owned();
-            api.log(format!("rx {text}"));
+            let console = &mut *api.console;
+            console.push_str("rx ");
+            console.push_str(&String::from_utf8_lossy(&msg.payload));
+            console.push('\n');
         }
         let _ = api.apex.periodic_wait(api.me, api.now);
     }

@@ -148,13 +148,21 @@ impl Frame {
 
     /// Encodes the frame into link bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len() + 2);
+        Self::encode_parts(self.channel, self.written_at, self.link_seq, &self.payload)
+    }
+
+    /// Encodes a frame from its parts, reading the payload straight from
+    /// `payload`: the same bytes as building the [`Frame`] and calling
+    /// [`encode`](Frame::encode), without first copying the payload into
+    /// a [`Payload`]. The link bytes are the one allocation.
+    pub fn encode_parts(channel: u32, written_at: Ticks, link_seq: u64, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 2);
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&self.channel.to_be_bytes());
-        out.extend_from_slice(&self.written_at.as_u64().to_be_bytes());
-        out.extend_from_slice(&self.link_seq.to_be_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.payload);
+        out.extend_from_slice(&channel.to_be_bytes());
+        out.extend_from_slice(&written_at.as_u64().to_be_bytes());
+        out.extend_from_slice(&link_seq.to_be_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        out.extend_from_slice(payload);
         let ck = checksum(&out);
         out.extend_from_slice(&ck.to_be_bytes());
         out

@@ -42,7 +42,12 @@
 # meant to contain a fault, so all three are scanned.
 # `AirSystem` (`crates/core/src/system.rs`) is scanned because AIR's clock
 # interrupt handler runs `AirSystem::step` on every tick: a panic there
-# is a panic in the ISR itself.
+# is a panic in the ISR itself. The same holds for what that step calls
+# inside the crate: the trace recorder (`crates/core/src/trace.rs`:
+# `Trace::record` and `record_occupancy` run in the ISR, and its log
+# encoder renders every fleet machine), the process bodies
+# (`crates/core/src/workload.rs`, run inside `run_active_process`) and the
+# digit writer both of them spell numbers with (`crates/core/src/text.rs`).
 #
 #   scripts/forbid.sh            # scan the default directories below
 #   scripts/forbid.sh <dirs...>  # scan specific directories
@@ -51,7 +56,7 @@ cd "$(dirname "$0")/.."
 
 dirs=("$@")
 if [[ ${#dirs[@]} -eq 0 ]]; then
-    dirs=(crates/pmk/src crates/hw/src crates/lint/src crates/model/src/explore crates/ports/src crates/pos/src crates/tools/src crates/pal/src crates/hm/src crates/apex/src crates/core/src/system.rs)
+    dirs=(crates/pmk/src crates/hw/src crates/lint/src crates/model/src/explore crates/ports/src crates/pos/src crates/tools/src crates/pal/src crates/hm/src crates/apex/src crates/core/src/system.rs crates/core/src/trace.rs crates/core/src/workload.rs crates/core/src/text.rs)
 fi
 
 fail=0

@@ -14,8 +14,10 @@
 //! - **coverage** — every field of the grammar is set by some corpus or
 //!   example file, so the sweeps above reach it;
 //! - **id extremes** — the largest node id (`N65535`) or APID
-//!   ([`APID_MAX`]) the parser accepts in any one id of a `node`,
-//!   `route`, `apid` or `flow` line goes through parse, `lint`,
+//!   ([`APID_MAX`]) the parser accepts in any one id that a grammar row
+//!   types as [`Kind::Node`], [`Kind::Apid`] or [`Kind::Source`] (today
+//!   those of `node`, `route`, `apid` and `flow` lines) goes through
+//!   parse, `lint`,
 //!   `lint_members`, `lint_timing` and a depth-2 exploration and comes
 //!   back as a report; one past it is an AIR000 on that line;
 //! - **AIR011 once** — a partition with many short cycles is reported
@@ -243,35 +245,46 @@ fn id_max(kind: Id) -> u32 {
 }
 
 /// `line` once for every id it carries, that id set to `value(kind)`,
-/// with the kind; lines other than `node`, `route`, `apid` and `flow` carry
-/// none, and comments are left alone.
+/// with the kind; comments are left alone. The line's row says which
+/// tokens are ids: its [`Kind::Node`] and [`Kind::Apid`] positionals and
+/// fields, and a [`Kind::Source`] positional's node and APID. A token that
+/// does not spell an id of its kind is left as it is.
 fn id_variants(line: &str, value: impl Fn(Id) -> u32) -> Vec<(Id, String)> {
+    let Some(row) = row(line) else {
+        return Vec::new();
+    };
     let (code, comment) = line.split_at(line.find('#').unwrap_or(line.len()));
     let tokens: Vec<&str> = code.split(' ').collect();
-    let directive = tokens.iter().find(|t| !t.is_empty()).copied();
-    if !matches!(directive, Some("node" | "route" | "apid" | "flow")) {
-        return Vec::new();
-    }
     let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
     let node = |s: &str| s.strip_prefix('N').is_some_and(digits);
     let (n, a) = (value(Id::Node), value(Id::Apid));
+    let mut positionals = row.args.iter();
     let mut out = Vec::new();
-    for (i, token) in tokens.iter().enumerate() {
-        let (key, id) = match token.split_once('=') {
-            Some((key, id)) => (format!("{key}="), id),
-            None => (String::new(), *token),
+    // The first non-empty token is the keyword.
+    for (i, token) in tokens
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| !t.is_empty())
+        .skip(1)
+    {
+        let (key, id, kind) = match token.split_once('=') {
+            Some((key, id)) => {
+                let field = row.fields.iter().find(|f| f.key == key);
+                (format!("{key}="), id, field.map(|f| f.kind))
+            }
+            None => (String::new(), *token, positionals.next().copied()),
         };
-        let rewritten = if node(id) {
-            vec![(Id::Node, format!("{key}N{n}"))]
-        } else if let Some((src, apid)) = id.split_once(':').filter(|(s, a)| node(s) && digits(a)) {
-            vec![
-                (Id::Node, format!("N{n}:{apid}")),
-                (Id::Apid, format!("{src}:{a}")),
-            ]
-        } else if directive == Some("apid") && digits(id) {
-            vec![(Id::Apid, a.to_string())]
-        } else {
-            Vec::new()
+        let rewritten = match kind {
+            Some(Kind::Node) if node(id) => vec![(Id::Node, format!("{key}N{n}"))],
+            Some(Kind::Apid) if digits(id) => vec![(Id::Apid, format!("{key}{a}"))],
+            Some(Kind::Source) => match id.split_once(':') {
+                Some((src, apid)) if node(src) && digits(apid) => vec![
+                    (Id::Node, format!("N{n}:{apid}")),
+                    (Id::Apid, format!("{src}:{a}")),
+                ],
+                _ => Vec::new(),
+            },
+            _ => Vec::new(),
         };
         for (kind, token) in rewritten {
             let mut line = tokens.clone();
