@@ -14,7 +14,7 @@ use air_model::partition::{OperatingMode, Partition, StartCondition};
 use air_model::process::{Priority, ProcessAttributes, ProcessStatus};
 use air_model::{PartitionId, Ticks};
 use air_pal::Pal;
-use air_pos::{PartitionOs, Release, WakeCause};
+use air_pos::{PartitionOs, WakeCause};
 
 use crate::intra::IntraPartition;
 use crate::return_code::{from_pos, ApexError, ApexResult, ReturnCode};
@@ -257,7 +257,8 @@ impl ApexPartition {
             .ok_or(ApexError::new("GET_PROCESS_ID", ReturnCode::InvalidConfig))
     }
 
-    /// `GET_PROCESS_STATUS` (Eq. 12 plus the static attributes).
+    /// `GET_PROCESS_STATUS` (Eq. 12 plus the static attributes). The
+    /// state and priority come from the POS, `D′` from the PAL.
     ///
     /// # Errors
     ///
@@ -267,10 +268,11 @@ impl ApexPartition {
         process: ProcessId,
     ) -> ApexResult<(ProcessStatus, ProcessAttributes)> {
         const SVC: &str = "GET_PROCESS_STATUS";
-        let status = self
+        let mut status = self
             .pos
             .status(process)
             .ok_or(ApexError::new(SVC, ReturnCode::InvalidParam))?;
+        status.absolute_deadline = self.pal.deadline_of(process);
         let attrs = self
             .pos
             .attributes(process)
@@ -293,8 +295,8 @@ impl ApexPartition {
     }
 
     /// `DELAYED_START`: like `START`, delayed by `delay`; the deadline is
-    /// armed from the release point (ARINC: time capacity counts from the
-    /// start of execution eligibility).
+    /// armed now, at `release point + time capacity` (ARINC: time capacity
+    /// counts from the start of execution eligibility).
     ///
     /// # Errors
     ///
@@ -306,13 +308,11 @@ impl ApexPartition {
         now: Ticks,
     ) -> ApexResult<()> {
         const SVC: &str = "DELAYED_START";
-        self.pos
+        let release = self
+            .pos
             .delayed_start(process, delay, now)
             .map_err(|e| from_pos(SVC, e))?;
-        if delay.is_zero() {
-            self.arm_deadline(process, now);
-        }
-        // Non-zero delays arm on release via process_releases().
+        self.arm_deadline(process, release);
         Ok(())
     }
 
@@ -326,7 +326,6 @@ impl ApexPartition {
         const SVC: &str = "STOP";
         self.pos.stop(process).map_err(|e| from_pos(SVC, e))?;
         self.pal.unregister_deadline(process);
-        let _ = self.pos.set_absolute_deadline(process, None);
         self.intra.cancel_waits(process);
         Ok(())
     }
@@ -411,11 +410,7 @@ impl ApexPartition {
         if status.state == air_model::ProcessState::Dormant {
             return Err(ApexError::new(SVC, ReturnCode::NoAction));
         }
-        let deadline = now + budget;
-        self.pal.register_deadline(process, deadline);
-        self.pos
-            .set_absolute_deadline(process, Some(deadline))
-            .map_err(|e| from_pos(SVC, e))?;
+        self.pal.register_deadline(process, now + budget);
         Ok(())
     }
 
@@ -442,7 +437,9 @@ impl ApexPartition {
     // -- deadline plumbing (Fig. 6) ----------------------------------------
 
     /// Arms `process`'s deadline at `from + time capacity` (no-op for
-    /// `D = ∞` processes, per Eq. 24's guard).
+    /// `D = ∞` processes, per Eq. 24's guard). The PAL registry is the
+    /// only record of `D′`; `START`, `DELAYED_START` and `PERIODIC_WAIT`
+    /// each arm it once, at the call.
     fn arm_deadline(&mut self, process: ProcessId, from: Ticks) {
         let Some(attrs) = self.pos.attributes(process) else {
             return;
@@ -450,20 +447,7 @@ impl ApexPartition {
         let Some(capacity) = attrs.deadline().capacity() else {
             return;
         };
-        let deadline = from + capacity;
-        self.pal.register_deadline(process, deadline);
-        let _ = self.pos.set_absolute_deadline(process, Some(deadline));
-    }
-
-    /// Processes the periodic/delayed releases that occurred since the
-    /// last call: each released activation gets its deadline armed at
-    /// `release point + time capacity`. Returns the releases.
-    pub fn process_releases(&mut self) -> Vec<Release> {
-        let releases = self.pos.take_releases();
-        for r in &releases {
-            self.arm_deadline(r.process, r.release_point);
-        }
-        releases
+        self.pal.register_deadline(process, from + capacity);
     }
 
     /// The surrogate clock-tick announcement (Fig. 7 / Algorithm 3),
@@ -483,24 +467,13 @@ impl ApexPartition {
         self.pal.announce_clock_ticks(
             elapsed,
             now,
-            |e| {
+            |_| {
                 if schedules {
                     pos.announce_ticks(now);
-                    let _ = e;
                 }
             },
             |pid, deadline| misses.push((pid, deadline)),
         );
-        // Deadline mirrors of violated processes are cleared: the armed
-        // deadline was consumed by the detector.
-        for (pid, _) in &misses {
-            let _ = self.pos.set_absolute_deadline(*pid, None);
-        }
-        // Processes that woke by timeout have stale intra wait entries.
-        let released = self.mode.schedules_processes();
-        if released {
-            self.process_releases();
-        }
         misses
     }
 
@@ -742,7 +715,7 @@ mod tests {
         a.start(ids[0], Ticks(0)).unwrap();
         assert_eq!(a.pal().deadline_of(ids[0]), Some(Ticks(80)));
         a.select_heir(Ticks(0));
-        // Completes at t=30; next release 100, deadline armed at wake.
+        // Completes at t=30; next release 100, deadline armed by the call.
         let release = a.periodic_wait(ids[0], Ticks(30)).unwrap();
         assert_eq!(release, Ticks(100));
         // The next activation's deadline replaces the current one.
@@ -754,6 +727,34 @@ mod tests {
     }
 
     #[test]
+    fn delayed_start_arms_at_the_call_and_stop_disarms() {
+        let (mut a, ids) = apex_in_normal_with(vec![
+            ProcessAttributes::new("t").with_deadline(Deadline::relative(Ticks(50)))
+        ]);
+        a.delayed_start(ids[0], Ticks(20), Ticks(10)).unwrap();
+        // Release at 30, so D′ = 30 + 50, visible before the release.
+        assert_eq!(a.pal().deadline_of(ids[0]), Some(Ticks(80)));
+        let (status, _) = a.process_status(ids[0]).unwrap();
+        assert_eq!(status.absolute_deadline, Some(Ticks(80)));
+        assert_eq!(status.state, ProcessState::Waiting);
+        // The release does not arm it again.
+        let registrations = a.pal().stats().registrations;
+        assert!(a.announce_clock_ticks(20, Ticks(30)).is_empty());
+        assert_eq!(a.pal().stats().registrations, registrations);
+        assert_eq!(a.pal().deadline_of(ids[0]), Some(Ticks(80)));
+
+        // A STOP before the release disarms it, and nothing re-arms it.
+        let (mut b, ids) = apex_in_normal_with(vec![
+            ProcessAttributes::new("t").with_deadline(Deadline::relative(Ticks(50)))
+        ]);
+        b.delayed_start(ids[0], Ticks(20), Ticks(10)).unwrap();
+        b.stop(ids[0]).unwrap();
+        assert_eq!(b.process_status(ids[0]).unwrap().0.absolute_deadline, None);
+        assert!(b.announce_clock_ticks(200, Ticks(210)).is_empty());
+        assert_eq!(b.pal().armed_deadlines(), 0);
+    }
+
+    #[test]
     fn deadline_miss_detected_on_announce() {
         let (mut a, ids) = apex_in_normal_with(vec![
             ProcessAttributes::new("t").with_deadline(Deadline::relative(Ticks(50)))
@@ -761,7 +762,7 @@ mod tests {
         a.start(ids[0], Ticks(0)).unwrap();
         let misses = a.announce_clock_ticks(51, Ticks(51));
         assert_eq!(misses, vec![(ids[0], Ticks(50))]);
-        // Detector consumed the armed deadline; the mirror clears.
+        // The detector consumed the armed deadline, so the status shows none.
         assert_eq!(a.pal().armed_deadlines(), 0);
         let (status, _) = a.process_status(ids[0]).unwrap();
         assert_eq!(status.absolute_deadline, None);

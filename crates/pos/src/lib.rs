@@ -49,18 +49,6 @@ pub const MAX_PROCESSES: usize = 32;
 /// Round-robin quantum of the generic kind, in ticks.
 pub const QUANTUM: u64 = 10;
 
-/// A released periodic activation: the process and its release point.
-///
-/// APEX consumes these after each announcement to re-arm deadlines
-/// (`deadline = release + time_capacity`, Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Release {
-    /// The released process.
-    pub process: ProcessId,
-    /// The release point (the instant the process became ready).
-    pub release_point: Ticks,
-}
-
 /// The first release point after `now`: one period past `base` (the
 /// previous release), or — when the process overran past that instant —
 /// the first later multiple of `period` from `base` (the deadline monitor
@@ -112,10 +100,6 @@ pub struct PartitionOs {
     names: HashMap<String, ProcessId>,
     /// Monotonic admission stamp source: the antiquity of Eq. 14.
     next_stamp: u64,
-    /// Periodic/delayed releases since the last [`take_releases`] call.
-    ///
-    /// [`take_releases`]: PartitionOs::take_releases
-    released: Vec<Release>,
     /// The process in the running state, if any.
     running: Option<ProcessId>,
     /// Ticks announced since the generic kind's last rotation or yield.
@@ -132,7 +116,6 @@ impl PartitionOs {
             processes: Vec::new(),
             names: HashMap::new(),
             next_stamp: 0,
-            released: Vec::new(),
             running: None,
             slice_used: 0,
             last_now: Ticks::ZERO,
@@ -229,26 +212,26 @@ impl PartitionOs {
     }
 
     /// Starts a dormant process after `delay` ticks: it waits until
-    /// `now + delay`, then becomes ready (its release point).
+    /// `now + delay`, then becomes ready. Returns that release point (`now`
+    /// for a zero delay, which is a plain [`start`](PartitionOs::start)).
     pub fn delayed_start(
         &mut self,
         process: ProcessId,
         delay: Ticks,
         now: Ticks,
-    ) -> Result<(), PosError> {
+    ) -> Result<Ticks, PosError> {
         if delay.is_zero() {
-            return self.start(process, now);
+            return self.start(process, now).map(|()| now);
         }
         let pcb = self.pcb_mut(process)?;
         if pcb.state != ProcessState::Dormant {
             return Err(PosError::InvalidState(process));
         }
+        let release = now + delay;
         pcb.current_priority = pcb.attributes.base_priority();
         pcb.state = ProcessState::Waiting;
-        pcb.wait_reason = Some(WaitReason::DelayedStart {
-            release: now + delay,
-        });
-        Ok(())
+        pcb.wait_reason = Some(WaitReason::DelayedStart { release });
+        Ok(release)
     }
 
     /// Stops a process: dormant, ineligible for resources.
@@ -392,18 +375,6 @@ impl PartitionOs {
         self.pcb_mut(process).ok()?.pending_wake_cause.take()
     }
 
-    /// Mirrors the armed absolute deadline `D′` into the process status
-    /// (Eq. 12). The PAL registry is the detection-side authority; this
-    /// mirror is what `GET_PROCESS_STATUS` reports.
-    pub fn set_absolute_deadline(
-        &mut self,
-        process: ProcessId,
-        deadline: Option<Ticks>,
-    ) -> Result<(), PosError> {
-        self.pcb_mut(process)?.absolute_deadline = deadline;
-        Ok(())
-    }
-
     /// Announces that time advanced to `now`: charges the elapsed ticks to
     /// the current slice and wakes every sleeper whose wake-up instant has
     /// arrived (delays, timeouts, periodic releases), in process order.
@@ -426,10 +397,6 @@ impl PartitionOs {
                 Some(WaitReason::NextRelease { release })
                 | Some(WaitReason::DelayedStart { release }) => {
                     pcb.last_release = Some(release);
-                    self.released.push(Release {
-                        process: pcb.id,
-                        release_point: release,
-                    });
                     WakeCause::Released
                 }
                 _ => WakeCause::Timeout,
@@ -437,11 +404,6 @@ impl PartitionOs {
             pcb.pending_wake_cause = Some(cause);
             Self::make_ready(pcb, stamp);
         }
-    }
-
-    /// Drains the periodic releases that occurred since the last call.
-    pub fn take_releases(&mut self) -> Vec<Release> {
-        std::mem::take(&mut self.released)
     }
 
     /// Selects the heir process per the kind's ready rule and marks it
@@ -487,7 +449,8 @@ impl PartitionOs {
         self.running
     }
 
-    /// Current status of `process` (Eq. 12).
+    /// Current status of `process` (Eq. 12). The POS keeps no deadline, so
+    /// `absolute_deadline` is `None`: the PAL owns `D′`.
     pub fn status(&self, process: ProcessId) -> Option<ProcessStatus> {
         self.pcb(process).ok().map(|p| p.status())
     }
@@ -513,7 +476,6 @@ impl PartitionOs {
         for pcb in &mut self.processes {
             pcb.make_dormant();
         }
-        self.released.clear();
         self.running = None;
         self.slice_used = 0;
     }

@@ -56,9 +56,6 @@ pub(crate) struct ProcessControlBlock {
     pub state: ProcessState,
     /// Current priority `p′_{m,q}(t)`.
     pub current_priority: Priority,
-    /// Armed absolute deadline `D′_{m,q}(t)` — mirrored here for status
-    /// reporting; the PAL registry is the detector-side authority.
-    pub absolute_deadline: Option<Ticks>,
     /// Why the process waits, when `state == Waiting`.
     pub wait_reason: Option<WaitReason>,
     /// How the process last woke, not yet consumed by APEX.
@@ -78,7 +75,6 @@ impl ProcessControlBlock {
             attributes,
             state: ProcessState::Dormant,
             current_priority: base,
-            absolute_deadline: None,
             wait_reason: None,
             pending_wake_cause: None,
             ready_since: 0,
@@ -86,10 +82,11 @@ impl ProcessControlBlock {
         }
     }
 
-    /// The model-level status tuple (Eq. 12).
+    /// The model-level status tuple (Eq. 12), without `D′`: the PAL owns
+    /// the deadline, and APEX's `GET_PROCESS_STATUS` reads it from there.
     pub fn status(&self) -> ProcessStatus {
         ProcessStatus {
-            absolute_deadline: self.absolute_deadline,
+            absolute_deadline: None,
             current_priority: self.current_priority,
             state: self.state,
         }
@@ -112,7 +109,6 @@ impl ProcessControlBlock {
     pub fn make_dormant(&mut self) {
         self.state = ProcessState::Dormant;
         self.current_priority = self.attributes.base_priority();
-        self.absolute_deadline = None;
         self.wait_reason = None;
         self.pending_wake_cause = None;
         self.last_release = None;
@@ -163,13 +159,11 @@ mod tests {
         let mut p = pcb();
         p.state = ProcessState::Waiting;
         p.current_priority = Priority(1);
-        p.absolute_deadline = Some(Ticks(10));
         p.wait_reason = Some(WaitReason::Suspended);
         p.last_release = Some(Ticks(3));
         p.make_dormant();
         assert_eq!(p.state, ProcessState::Dormant);
         assert_eq!(p.current_priority, Priority(7));
-        assert_eq!(p.absolute_deadline, None);
         assert_eq!(p.wait_reason, None);
         assert_eq!(p.last_release, None);
     }

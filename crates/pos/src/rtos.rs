@@ -76,22 +76,22 @@ mod tests {
     #[test]
     fn delayed_start_releases_at_instant() {
         let (mut pos, ids) = pos_with(&[("a", 5)]);
-        pos.delayed_start(ids[0], Ticks(10), Ticks(0)).unwrap();
+        assert_eq!(
+            pos.delayed_start(ids[0], Ticks(10), Ticks(0)),
+            Ok(Ticks(10))
+        );
         assert_eq!(pos.select_heir(Ticks(5)), None);
         pos.announce_ticks(Ticks(9));
         assert_eq!(pos.select_heir(Ticks(9)), None);
         pos.announce_ticks(Ticks(10));
         assert_eq!(pos.select_heir(Ticks(10)), Some(ids[0]));
-        let released = pos.take_releases();
-        assert_eq!(released.len(), 1);
-        assert_eq!(released[0].release_point, Ticks(10));
-        assert_eq!(pos.take_releases(), vec![], "drained");
+        assert_eq!(pos.take_wake_cause(ids[0]), Some(WakeCause::Released));
     }
 
     #[test]
     fn zero_delay_start_is_immediate() {
         let (mut pos, ids) = pos_with(&[("a", 5)]);
-        pos.delayed_start(ids[0], Ticks(0), Ticks(7)).unwrap();
+        assert_eq!(pos.delayed_start(ids[0], Ticks(0), Ticks(7)), Ok(Ticks(7)));
         assert_eq!(pos.select_heir(Ticks(7)), Some(ids[0]));
     }
 
@@ -314,7 +314,6 @@ mod tests {
             assert_eq!(pos.status(id).unwrap().state, ProcessState::Dormant);
         }
         assert_eq!(pos.select_heir(Ticks(100)), None);
-        assert_eq!(pos.take_releases(), vec![]);
         // Configuration survives the restart.
         assert_eq!(pos.process_count(), 2);
         pos.start(ids[0], Ticks(100)).unwrap();

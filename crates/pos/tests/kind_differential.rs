@@ -64,7 +64,13 @@ fn run_case(kind: PosKind, seed: u64, fnv: &mut Fnv) {
         });
         match rng.below(17) {
             0 => write!(fnv, "start{:?};", pos.start(p, now)),
-            1 => write!(fnv, "dstart{:?};", pos.delayed_start(p, delay, now)),
+            // The returned release point is `now + delay`, fixed by the
+            // operands, so folding it would add nothing.
+            1 => write!(
+                fnv,
+                "dstart{:?};",
+                pos.delayed_start(p, delay, now).map(|_| ())
+            ),
             2 => write!(fnv, "stop{:?};", pos.stop(p)),
             3 => write!(fnv, "susp{:?};", pos.suspend(p)),
             4 => write!(fnv, "res{:?};", pos.resume(p, now)),
@@ -80,16 +86,19 @@ fn run_case(kind: PosKind, seed: u64, fnv: &mut Fnv) {
             }
             9 => write!(fnv, "unblock{:?};", pos.unblock(p, now)),
             10 => write!(fnv, "cause{:?};", pos.take_wake_cause(p)),
+            // Arms 11 and 14 drove a PCB deadline copy and a release
+            // queue, which the POS no longer has (the PAL owns `D′`). They
+            // keep their draws, so the operation stream is unchanged.
             11 => {
-                let deadline = rng.chance(1, 2).then(|| now + delay);
-                write!(fnv, "dl{:?};", pos.set_absolute_deadline(p, deadline))
+                let _ = rng.chance(1, 2);
+                write!(fnv, "dl;")
             }
             12 | 13 => {
                 now += Ticks([0, 0, 1, 1, 2, 3, 5, 9, 14][rng.below_usize(9)]);
                 pos.announce_ticks(now);
                 write!(fnv, "tick{now:?};")
             }
-            14 => write!(fnv, "rel{:?};", pos.take_releases()),
+            14 => write!(fnv, "rel;"),
             15 => {
                 if rng.chance(1, 40) {
                     pos.reset();
@@ -118,10 +127,10 @@ fn digest(kind: PosKind) -> u64 {
 
 #[test]
 fn real_time_kind_digest_is_pinned() {
-    assert_eq!(digest(PosKind::RealTime), 0x8200_29f9_1710_1548);
+    assert_eq!(digest(PosKind::RealTime), 0xc9d4_78f0_f662_9b20);
 }
 
 #[test]
 fn generic_kind_digest_is_pinned() {
-    assert_eq!(digest(PosKind::GenericNonRealTime), 0x8fec_a3ce_fb67_2766);
+    assert_eq!(digest(PosKind::GenericNonRealTime), 0x545e_eafc_6d63_3ae1);
 }

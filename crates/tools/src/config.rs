@@ -553,7 +553,8 @@ pub enum Kind {
     Apid,
     /// A port address `P<n>:<port>`.
     Port,
-    /// Comma-separated `P<n>:<port>` (local) or `remote:P<n>:<port>` ports.
+    /// Comma-separated `P<n>:<port>` (local) or `remote:P<n>:<port>` ports,
+    /// read as written: the `channel` builder parses each port once.
     Destinations,
     /// An error id, spelled as [`error_id_token`] prints it.
     Error,
@@ -587,8 +588,10 @@ enum Value<'a> {
     Absent,
     /// A number or id, 0 or 1 for a flag, or the index of a token.
     Num(u64),
-    /// A name, port address or destination list, as written.
+    /// A name or destination list, as written.
     Text(&'a str),
+    /// A port address: its partition and port name.
+    Port(PartitionId, &'a str),
     Error(ErrorId),
     Recovery(ProcessRecoveryAction),
 }
@@ -704,14 +707,8 @@ impl Kind {
     fn read<'a>(self, key: &str, raw: &'a str) -> Result<Value<'a>, String> {
         let invalid = || format!("invalid number '{raw}' for '{key}'");
         let number = match self {
-            Kind::Name => return Ok(Value::Text(raw)),
-            Kind::Port => return port_addr(raw).map(|_| Value::Text(raw)),
-            Kind::Destinations => {
-                for token in raw.split(',').filter(|d| !d.is_empty()) {
-                    port_addr(token.strip_prefix("remote:").unwrap_or(token))?;
-                }
-                return Ok(Value::Text(raw));
-            }
+            Kind::Name | Kind::Destinations => return Ok(Value::Text(raw)),
+            Kind::Port => return port_addr(raw).map(|(pid, port)| Value::Port(pid, port)),
             Kind::Error => {
                 let error = ErrorId::ALL.into_iter().find(|e| error_id_token(*e) == raw);
                 return error
@@ -754,6 +751,7 @@ impl Kind {
             (Kind::Node, Value::Num(n)) => write!(out, "N{n}"),
             (_, Value::Num(n)) => write!(out, "{n}"),
             (_, Value::Text(text)) => write!(out, "{text}"),
+            (_, Value::Port(pid, port)) => write!(out, "{pid}:{port}"),
             (_, Value::Error(error)) => write!(out, "{}", error_id_token(error)),
             (_, Value::Recovery(action)) => write!(out, "{}", recovery_action_token(action)),
             (_, Value::Absent) => Ok(()),
@@ -915,8 +913,40 @@ fn recovery_action_token(action: ProcessRecoveryAction) -> String {
 struct Builder {
     doc: ConfigDoc,
     open: Option<OpenSchedule>,
-    partitions: BTreeSet<u32>,
-    schedules: BTreeSet<u32>,
+    /// The ids declared so far, in one set: a small document pays one
+    /// allocation for all of them.
+    declared: BTreeSet<Declared>,
+    /// The destinations routed so far.
+    routed: NodeBits,
+}
+
+/// An id a document may declare once.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Declared {
+    Partition(u32),
+    Schedule(u32),
+    Apid(u16),
+    Flow(NodeId, u16, NodeId),
+}
+
+/// A set of node ids, one bit each: a mesh document may route to
+/// thousands of destinations, and the bits cost no allocation.
+struct NodeBits([u64; 1 << 10]);
+
+impl Default for NodeBits {
+    fn default() -> Self {
+        Self([0; 1 << 10])
+    }
+}
+
+impl NodeBits {
+    /// Adds `node`; false when it was already in the set.
+    fn insert(&mut self, node: NodeId) -> bool {
+        let (word, bit) = (usize::from(node.0 / 64), 1 << (node.0 % 64));
+        let fresh = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        fresh
+    }
 }
 
 /// A schedule section being read.
@@ -944,7 +974,7 @@ impl Builder {
 
 fn partition(b: &mut Builder, [id, ..]: Args, [name, pos, system, authority, ..]: Fields) -> Built {
     let id = id.partition();
-    if !b.partitions.insert(id.as_u32()) {
+    if !b.declared.insert(Declared::Partition(id.as_u32())) {
         return Err(format!("duplicate partition id {id}"));
     }
     let mut partition = Partition::new(id, name.text());
@@ -963,7 +993,7 @@ fn partition(b: &mut Builder, [id, ..]: Args, [name, pos, system, authority, ..]
 
 fn schedule(b: &mut Builder, [id, ..]: Args, [name, mtf, ..]: Fields) -> Built {
     let id = ScheduleId(id.num() as u32);
-    if !b.schedules.insert(id.as_u32()) {
+    if !b.declared.insert(Declared::Schedule(id.as_u32())) {
         return Err(format!("duplicate schedule id {id}"));
     }
     b.open = Some(OpenSchedule {
@@ -1068,8 +1098,11 @@ fn memory(b: &mut Builder, [pid, ..]: Args, [base, size, perm, shared, ..]: Fiel
     Ok(span_key::memory(partition, base))
 }
 
+// The row types `from` as a port, so the pattern below always matches.
 fn channel(b: &mut Builder, [id, ..]: Args, [from, to, ..]: Fields) -> Built {
-    let (id, (pid, port)) = (id.num() as u32, port_addr(from.text())?);
+    let (id, Value::Port(pid, port)) = (id.num() as u32, from) else {
+        return Err("expected a port address".into());
+    };
     let destinations = to.text().split(',').filter(|d| !d.is_empty());
     b.doc.channels.push(ChannelConfig {
         id,
@@ -1124,7 +1157,7 @@ fn node(b: &mut Builder, [id, ..]: Args, [name, fallback, ..]: Fields) -> Built 
 
 fn route(b: &mut Builder, [dst, ..]: Args, [via, ..]: Fields) -> Built {
     let (dst, via) = (dst.node(), via.node());
-    if b.doc.routes.iter().any(|r| r.dst == dst) {
+    if !b.routed.insert(dst) {
         return Err(format!("duplicate route for destination {dst}"));
     }
     b.doc.routes.push(RouteDirective { dst, via });
@@ -1133,7 +1166,7 @@ fn route(b: &mut Builder, [dst, ..]: Args, [via, ..]: Fields) -> Built {
 
 fn apid(b: &mut Builder, [apid, ..]: Args, [name, kind, ..]: Fields) -> Built {
     let (apid, name) = (apid.num() as u16, name.text().to_owned());
-    if b.doc.apids.iter().any(|a| a.apid == apid) {
+    if !b.declared.insert(Declared::Apid(apid)) {
         return Err(format!("duplicate apid {apid}"));
     }
     let kind = match kind.num() {
@@ -1146,8 +1179,7 @@ fn apid(b: &mut Builder, [apid, ..]: Args, [name, kind, ..]: Fields) -> Built {
 
 fn flow(b: &mut Builder, [src, apid, dst]: Args, [deadline, ..]: Fields) -> Built {
     let (src, apid, dst, deadline) = (src.node(), apid.num() as u16, dst.node(), deadline.opt());
-    let key = (src, apid, dst);
-    if b.doc.flows.iter().any(|f| (f.src, f.apid, f.dst) == key) {
+    if !b.declared.insert(Declared::Flow(src, apid, dst)) {
         return Err(format!("duplicate flow {src}:{apid} -> {dst}"));
     }
     b.doc.flows.push(FlowDirective {
@@ -1332,8 +1364,9 @@ pub fn emit(doc: &ConfigDoc) -> String {
             Destination::Local(addr) => addr.to_string(),
             Destination::Remote { addr } => format!("remote:{addr}"),
         });
-        let (from, to) = (c.source.to_string(), to.collect::<Vec<_>>().join(","));
-        CHANNEL.put(o, &[Num(c.id.into())], &[Text(&from), Text(&to)]);
+        let from = Value::Port(c.source.partition, &c.source.port);
+        let to = to.collect::<Vec<_>>().join(",");
+        CHANNEL.put(o, &[Num(c.id.into())], &[from, Text(&to)]);
     }
     if let Some(n) = &doc.mesh_node {
         let fields = [Text(&n.name), n.fallback.map_or(Absent, node)];
@@ -1945,6 +1978,38 @@ channel 50 from=P0:tm to=remote:P0:tm
             assert_eq!(e.line, line, "{text}");
             assert!(e.message.contains(needle), "{text}: {e}");
         }
+    }
+
+    #[test]
+    fn channel_port_errors_name_the_offending_token() {
+        let cases = [
+            ("channel 0 from=P0: to=P1:x", "empty port name in 'P0:'"),
+            (
+                "channel 0 from=X0:a to=P1:x",
+                "expected partition id 'P<n>', found 'X0'",
+            ),
+            (
+                "channel 0 from=P0:a to=P1:x,Q2:y",
+                "expected partition id 'P<n>', found 'Q2'",
+            ),
+            (
+                "channel 0 from=P0:a to=remote:P1:",
+                "empty port name in 'P1:'",
+            ),
+            (
+                "channel 0 from=P0:a to=P1:x,nope",
+                "expected 'P<n>:<port>', found 'nope'",
+            ),
+        ];
+        for (text, message) in cases {
+            let e = parse(text).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (1, message), "{text}");
+        }
+        let doc = parse("channel 7 from=P0:a to=P1:x,,remote:P2:y\n").unwrap();
+        assert_eq!(
+            emit(&doc),
+            "# AIR system configuration\nchannel 7 from=P0:a to=P1:x,remote:P2:y\n"
+        );
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! inactive is caught at the partition's next dispatch, "just before
 //! invoking the process scheduler".
 
-use air_core::workload::{FaultSwitch, FaultyPeriodic};
+use air_apex::ErrorHandlerTable;
+use air_core::workload::{FaultSwitch, FaultyPeriodic, PeriodicCompute};
 use air_core::{PartitionConfig, ProcessConfig, SystemBuilder, TraceEvent};
+use air_hm::{ErrorId, ProcessRecoveryAction};
 use air_model::process::{Deadline, Priority, ProcessAttributes, Recurrence};
 use air_model::schedule::{PartitionRequirement, Schedule, TimeWindow};
 use air_model::{Partition, PartitionId, ScheduleId, ScheduleSet, Ticks};
@@ -170,4 +172,60 @@ fn multiple_pending_violations_detected_in_ascending_order_at_dispatch() {
         })
         .collect();
     assert_eq!(order, vec![50, 60, 70], "ascending deadline order");
+}
+
+#[test]
+fn a_deadline_passed_while_inactive_is_reported_once() {
+    // MTF 100: P0 holds [0, 10), P1 the rest. One P0 process, T = 150,
+    // D = 5, C = 3. Releases at 150 and 450 fall in P1's window, so
+    // D′ = 155 and D′ = 455 pass while P0 is inactive. Each is reported
+    // at P0's next dispatch (t = 200, t = 500) and only there, though the
+    // job runs on past it: `PERIODIC_WAIT` armed D′ once, and the release
+    // does not arm it again.
+    for handler in [None, Some(ProcessRecoveryAction::Ignore)] {
+        let schedule = Schedule::new(
+            ScheduleId(0),
+            "late",
+            Ticks(100),
+            vec![
+                PartitionRequirement::new(P0, Ticks(100), Ticks(10)),
+                PartitionRequirement::new(P1, Ticks(100), Ticks(90)),
+            ],
+            vec![
+                TimeWindow::new(P0, Ticks(0), Ticks(10)),
+                TimeWindow::new(P1, Ticks(10), Ticks(90)),
+            ],
+        );
+        let mut p0 =
+            PartitionConfig::new(Partition::new(P0, "late")).with_process(ProcessConfig::new(
+                ProcessAttributes::new("job")
+                    .with_recurrence(Recurrence::Periodic(Ticks(150)))
+                    .with_deadline(Deadline::relative(Ticks(5)))
+                    .with_base_priority(Priority(1)),
+                PeriodicCompute::new(3),
+            ));
+        if let Some(action) = handler {
+            p0 = p0.with_error_handler(
+                ErrorHandlerTable::new().with_action(ErrorId::DeadlineMissed, action),
+            );
+        }
+        let mut system = SystemBuilder::new(ScheduleSet::new(vec![schedule]))
+            .with_partition(p0)
+            .with_partition(PartitionConfig::new(Partition::new(P1, "bystander")))
+            .build()
+            .unwrap();
+        system.run_for(700);
+        let misses: Vec<(u64, u64)> = system
+            .trace()
+            .deadline_misses()
+            .iter()
+            .map(|e| {
+                let TraceEvent::DeadlineMiss { deadline, at, .. } = e else {
+                    unreachable!()
+                };
+                (at.as_u64(), deadline.as_u64())
+            })
+            .collect();
+        assert_eq!(misses, vec![(200, 155), (500, 455)], "handler {handler:?}");
+    }
 }
