@@ -356,13 +356,10 @@ impl SystemBuilder {
         }
 
         // 2. Machine and PMK components.
-        let mut machine_config = self.machine_config;
-        machine_config.console_channels =
-            machine_config.console_channels.max(self.partitions.len());
-        let machine = Machine::new(machine_config.clone());
+        let mut spatial = SpatialManager::new(self.machine_config.memory_size as u64);
+        let machine = Machine::new(self.machine_config);
         let scheduler = PartitionScheduler::new(&self.schedules);
         let mut dispatcher = PartitionDispatcher::new();
-        let mut spatial = SpatialManager::new(machine_config.memory_size as u64);
 
         // 3. Ports and channels.
         let mut registry = PortRegistry::new();
@@ -658,30 +655,6 @@ mod tests {
         assert_ne!(status.state, air_model::ProcessState::Dormant);
     }
 
-    #[test]
-    fn console_channels_scale_with_partition_count() {
-        // More partitions than the default console channels: the builder
-        // widens the console rather than panicking on writes.
-        let mut windows = Vec::new();
-        for m in 0..10u32 {
-            windows.push((m, u64::from(m) * 10, 10));
-        }
-        let mut b = SystemBuilder::new(schedule(windows)).with_machine_config(
-            air_hw::machine::MachineConfig {
-                console_channels: 2,
-                ..Default::default()
-            },
-        );
-        for m in 0..10u32 {
-            b = b.with_partition(PartitionConfig::new(Partition::new(
-                PartitionId(m),
-                format!("p{m}"),
-            )));
-        }
-        let mut system = b.build().unwrap();
-        system.run_for(100);
-        assert_eq!(system.trace().deadline_miss_count(), 0);
-    }
     #[test]
     fn a_zero_period_process_is_refused() {
         // `PERIODIC_WAIT` has no next release for it (AIR015).

@@ -4,18 +4,18 @@
 //! The two-node cluster of [`crate::link_campaign`] generalises here to
 //! an arbitrary topology: N lightweight protocol nodes wired by a
 //! [`MeshFabric`] (one latency-modelled, fault-injectable link per
-//! edge), each node running one go-back-N [`ArqEndpoint`] per neighbour,
-//! a static next-hop [`RoutingTable`], and the PUS-flavoured services —
-//! command verification (accept/start/complete reports) and event
-//! telemetry. A ground node originates a closed budget of telecommands
-//! toward an executor at least two hops away; every hop is a reliable
-//! ARQ link; verification reports and event telemetry route back. A
-//! seeded [`FaultPlan`] over [`FaultClass::LINK`] strikes individual
-//! edges — in-flight drops, header corruption, sustained outages,
-//! acknowledgement destruction — and [`RerouteCampaignRunner`] checks
-//! exactly-once in-order command delivery, complete verification-ack
-//! round trips, loop freedom and byte-identical trace logs on
-//! re-execution.
+//! edge), each node running one go-back-N [`ArqEndpoint`] per neighbour
+//! and the PUS-flavoured services — command verification
+//! (accept/start/complete reports) and event telemetry — with every hop
+//! chosen by the one [`LiveRouter`] the sim owns. A ground node
+//! originates a closed budget of telecommands toward an executor at
+//! least two hops away; every hop is a reliable ARQ link; verification
+//! reports and event telemetry route back. A seeded [`FaultPlan`] over
+//! [`FaultClass::LINK`] strikes individual edges — in-flight drops,
+//! header corruption, sustained outages, acknowledgement destruction —
+//! and [`RerouteCampaignRunner`] checks exactly-once in-order command
+//! delivery, complete verification-ack round trips, loop freedom and
+//! byte-identical trace logs on re-execution.
 //!
 //! Mesh nodes are deliberately *not* full [`crate::system::AirSystem`]s:
 //! the mesh layer exercises the transport, routing and service state
@@ -28,12 +28,12 @@
 //! self-healing one: per-edge health monitors (the loss-streak/probation
 //! machinery of `air_hw::redundant` applied per fabric edge) declare
 //! edges dead from ARQ timeout evidence and recover them on probe
-//! echoes; a [`LiveRouter`] rebuilds every node's next-hop table from
-//! the live-edge mask at each transition; frames caught in a dead
-//! edge's ARQ window are pulled back and re-forwarded through the new
-//! tables; packets with no surviving route park until an edge recovers;
-//! and an optional `fallback` pair promotes a hot-spare executor when
-//! the quorum-of-edges heuristic declares the primary partitioned.
+//! echoes; the router marks the edge dead or live at each transition
+//! and rebuilds its next hops; frames caught in a dead edge's ARQ window
+//! are pulled back and re-forwarded over the new hops; packets with no
+//! surviving route park until an edge recovers; and an optional
+//! `fallback` pair promotes a hot-spare executor when the
+//! quorum-of-edges heuristic declares the primary partitioned.
 //! The same runner drives seeded partition scenarios
 //! ([`PartitionScenario`]); it then drops the in-order demand, since
 //! rerouted packets legally overtake parked ones, and checks eventual
@@ -51,7 +51,7 @@ use air_ports::pus::{
     verification_report, AckStage, CommandVerifier, EventReporter, EventSeverity, SERVICE_EVENT,
     SERVICE_VERIFICATION,
 };
-use air_ports::routing::{LiveRouter, MeshTopology, NodeId, RoutingTable, MESH_HOP_SLACK};
+use air_ports::routing::{LiveRouter, MeshTopology, NodeId, MESH_HOP_SLACK};
 use air_ports::spacepacket::{PacketKind, SpacePacket};
 use air_ports::transport::{ArqConfig, ArqEndpoint, ArqEvent, DataDisposition};
 use air_ports::wire::{bytes_look_like_ack, Frame};
@@ -104,8 +104,8 @@ pub struct MeshPlan {
     pub faults: FaultPlan,
     /// Structured partition faults (empty: no partitions).
     pub partitions: Vec<MeshFault>,
-    /// Self-healing policy (`None`: static routing, no monitors — the
-    /// legacy campaign, bit-identical to pre-heal builds).
+    /// Self-healing policy (`None`: no monitors, so the router never
+    /// marks an edge dead — the static campaign).
     pub heal: Option<HealPolicy>,
 }
 
@@ -390,17 +390,15 @@ pub fn command_endpoints(topology: MeshTopology, nodes: usize) -> (usize, usize)
     }
 }
 
-/// Number of hops from `src` to `dst` under `tables` (`None`: no route
-/// or a loop).
-fn hop_count(tables: &[RoutingTable], src: usize, dst: usize) -> Option<u64> {
-    let n = tables.len();
+/// Number of hops from `src` to `dst` over `router`'s current next hops
+/// among `nodes` nodes (`None`: no route or a loop).
+fn hop_count(router: &LiveRouter, nodes: usize, src: usize, dst: usize) -> Option<u64> {
     let mut at = src;
     let mut hops = 0u64;
     while at != dst {
-        let via = tables.get(at)?.next_hop(NodeId(dst as u16))?;
-        at = via.as_u16() as usize;
+        at = router.next_hop(at, NodeId(dst as u16))?.as_u16() as usize;
         hops += 1;
-        if hops > n as u64 {
+        if hops > nodes as u64 {
             return None;
         }
     }
@@ -461,11 +459,10 @@ fn fault_site(event: &FaultEvent, edges: usize) -> (usize, LinkEndpoint) {
     ((event.target as usize) % edges, toward)
 }
 
-/// One mesh node: routing, per-neighbour reliable transport, the PUS
-/// services, and its own trace.
+/// One mesh node: per-neighbour reliable transport, the PUS services,
+/// and its own trace. Its hops come from the sim's router, passed in.
 struct MeshNode {
     id: u16,
-    router: RoutingTable,
     /// `(peer index, endpoint)` pairs sorted by peer — the deterministic
     /// service order.
     arqs: Vec<(usize, ArqEndpoint)>,
@@ -510,10 +507,9 @@ struct MeshNode {
 }
 
 impl MeshNode {
-    fn new(id: u16, router: RoutingTable, neighbors: &[usize], self_heal: bool) -> Self {
+    fn new(id: u16, neighbors: &[usize], self_heal: bool) -> Self {
         Self {
             id,
-            router,
             arqs: neighbors
                 .iter()
                 .map(|&peer| (peer, ArqEndpoint::new(ArqConfig::default())))
@@ -544,10 +540,10 @@ impl MeshNode {
     }
 
     /// Routes `packet` out of this node: decrements the hop budget,
-    /// consults the table, and offers the encoded packet to the ARQ
-    /// toward the next hop. Records the forward (or the drop) in the
-    /// node's trace.
-    fn forward(&mut self, packet: SpacePacket, now: u64) {
+    /// asks `router` for the next hop, and offers the encoded packet to
+    /// the ARQ toward it. Records the forward (or the drop) in the node's
+    /// trace.
+    fn forward(&mut self, router: &LiveRouter, packet: SpacePacket, now: u64) {
         let at = Ticks(now);
         if packet.ttl == 0 {
             self.packets_dropped += 1;
@@ -560,7 +556,7 @@ impl MeshNode {
             });
             return;
         }
-        let Some(via) = self.router.next_hop(NodeId(packet.dst)) else {
+        let Some(via) = router.next_hop(usize::from(self.id), NodeId(packet.dst)) else {
             if self.self_heal {
                 // No live route right now: hold the packet for the next
                 // edge recovery instead of dropping it.
@@ -595,8 +591,8 @@ impl MeshNode {
         if let Some(arq) = self.arq_toward(via.as_u16() as usize) {
             arq.offer(Frame::new(MESH_CHANNEL, at, bytes));
         } else {
-            // The table names a non-neighbour: statically a lint error
-            // (AIR090/AIR093); dynamically the packet is unroutable.
+            // The router named a non-neighbour, which its construction
+            // rules out; the packet is unroutable.
             self.packets_dropped += 1;
             self.trace.record(TraceEvent::PacketDropped {
                 at,
@@ -609,16 +605,16 @@ impl MeshNode {
 
     /// Hands a locally built packet to the service layer: delivered in
     /// place when addressed to this node, otherwise forwarded.
-    fn send_or_deliver(&mut self, packet: SpacePacket, now: u64) {
+    fn send_or_deliver(&mut self, router: &LiveRouter, packet: SpacePacket, now: u64) {
         if packet.dst == self.id {
-            self.deliver(packet, now);
+            self.deliver(router, packet, now);
         } else {
-            self.forward(packet, now);
+            self.forward(router, packet, now);
         }
     }
 
     /// Terminal delivery: the packet reached its destination node.
-    fn deliver(&mut self, packet: SpacePacket, now: u64) {
+    fn deliver(&mut self, router: &LiveRouter, packet: SpacePacket, now: u64) {
         let at = Ticks(now);
         if self.self_heal {
             // Reroute boundaries can legally re-send an already-delivered
@@ -648,7 +644,7 @@ impl MeshNode {
                     if let Ok(report) =
                         verification_report(transition, self.id, packet.src, MESH_TTL)
                     {
-                        self.send_or_deliver(report, now);
+                        self.send_or_deliver(router, report, now);
                     }
                 }
                 // A duplicate surviving ARQ dedup would be re-accepted and
@@ -683,7 +679,14 @@ impl MeshNode {
 
     /// Publishes an event report toward the ground node (the event
     /// manager: transport-health reports become telemetry packets).
-    fn publish_event(&mut self, ground: u16, severity: EventSeverity, payload: Vec<u8>, now: u64) {
+    fn publish_event(
+        &mut self,
+        router: &LiveRouter,
+        ground: u16,
+        severity: EventSeverity,
+        payload: Vec<u8>,
+        now: u64,
+    ) {
         let Ok(report) = self
             .reporter
             .report(self.id, ground, MESH_TTL, severity, payload)
@@ -695,7 +698,7 @@ impl MeshNode {
             apid: report.apid,
             seq: report.seq,
         });
-        self.send_or_deliver(report, now);
+        self.send_or_deliver(router, report, now);
     }
 }
 
@@ -709,6 +712,9 @@ impl MeshNode {
 pub struct MeshSim {
     plan: MeshPlan,
     fabric: MeshFabric,
+    /// The mesh's one next-hop function. Only edge health transitions
+    /// (self-healing plans) mark its edges dead or live.
+    router: LiveRouter,
     nodes: Vec<MeshNode>,
     pending: Vec<FaultEvent>,
     pending_partitions: Vec<MeshFault>,
@@ -730,26 +736,25 @@ pub struct MeshSim {
 /// Mutable state of the self-healing layer.
 struct HealRuntime {
     policy: HealPolicy,
-    router: LiveRouter,
     failed_over: bool,
     failovers: u64,
     failbacks: u64,
     /// Frames pulled back out of dead-edge ARQ windows and re-offered
-    /// through fresh tables.
+    /// over the rebuilt next hops.
     reroutes: u64,
     edge_downs: u64,
     edge_ups: u64,
 }
 
 impl MeshSim {
-    /// A sim for `plan`, with the routing tables walked end to end as a
+    /// A sim for `plan`, with the router's hops walked end to end as a
     /// build gate (every pair reachable, no loops).
     ///
     /// # Panics
     ///
     /// Panics if `plan` names fewer than 3 nodes or its built-in
-    /// topology fails the reachability walk (impossible for the
-    /// generated tables).
+    /// topology fails the reachability walk (impossible for a connected
+    /// topology with every edge live).
     pub fn new(plan: &MeshPlan) -> Self {
         Self::assemble(plan, true)
     }
@@ -763,13 +768,14 @@ impl MeshSim {
 
     fn assemble(plan: &MeshPlan, checked: bool) -> Self {
         assert!(plan.nodes >= 3, "a mesh campaign needs at least 3 nodes");
-        let tables = plan.topology.routing_tables(plan.nodes);
+        let edges = plan.topology.edges(plan.nodes);
+        let router = LiveRouter::new(plan.nodes, &edges);
         if checked {
             for src in 0..plan.nodes {
                 for dst in 0..plan.nodes {
                     if src != dst {
                         assert!(
-                            hop_count(&tables, src, dst).is_some(),
+                            hop_count(&router, plan.nodes, src, dst).is_some(),
                             "{}[{}]: {src} cannot reach {dst}",
                             plan.topology.label(),
                             plan.nodes
@@ -778,12 +784,10 @@ impl MeshSim {
                 }
             }
         }
-        let mut fabric =
-            MeshFabric::new(plan.nodes, &plan.topology.edges(plan.nodes), MESH_LATENCY)
-                .expect("built-in topologies are valid fabrics");
+        let mut fabric = MeshFabric::new(plan.nodes, &edges, MESH_LATENCY)
+            .expect("built-in topologies are valid fabrics"); // lint: allow(panic) -- built-in edge lists are in range and duplicate-free
         let heal = plan.heal.as_ref().map(|policy| HealRuntime {
             policy: *policy,
-            router: LiveRouter::new(plan.nodes, &plan.topology.edges(plan.nodes)),
             failed_over: false,
             failovers: 0,
             failbacks: 0,
@@ -795,27 +799,17 @@ impl MeshSim {
             fabric.install_monitors(runtime.policy.monitor);
         }
         let (commander, executor) = command_endpoints(plan.topology, plan.nodes);
-        let hops = hop_count(&tables, commander, executor).unwrap_or(plan.nodes as u64);
-        let nodes = tables
-            .into_iter()
-            .enumerate()
-            .map(|(i, table)| {
+        let hops = hop_count(&router, plan.nodes, commander, executor).unwrap_or(plan.nodes as u64);
+        let nodes = (0..plan.nodes)
+            .map(|i| {
                 let neighbors: Vec<usize> =
                     fabric.neighbors(i).iter().map(|&(peer, _)| peer).collect();
-                // Self-healing sims route by the live tables from tick 0.
-                // While every edge is live these match the static tables
-                // except at the antipodes of an even ring, where the live
-                // router takes its lower-id neighbour instead of going
-                // clockwise; the hop counts are equal either way.
-                let table = match &heal {
-                    Some(runtime) => runtime.router.routing_table(i),
-                    None => table,
-                };
-                MeshNode::new(i as u16, table, &neighbors, heal.is_some())
+                MeshNode::new(i as u16, &neighbors, heal.is_some())
             })
             .collect();
         Self {
             fabric,
+            router,
             nodes,
             pending: plan.faults.events().to_vec(),
             pending_partitions: plan.partitions.clone(),
@@ -967,22 +961,11 @@ impl MeshSim {
         }
     }
 
-    /// Reinstalls every node's next-hop table from the live router
-    /// (no-op without a self-healing layer).
-    fn refresh_tables(&mut self) {
-        let Some(heal) = &self.heal else {
-            return;
-        };
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            node.router = heal.router.routing_table(i);
-        }
-    }
-
     /// Applies one edge health transition observed by node `observer`:
-    /// masks the edge in the live router, refreshes every table, pulls
-    /// undelivered frames back out of the dead edge's ARQ windows (Down)
-    /// or re-offers parked packets (Up), and publishes the transition
-    /// through HM as trace + event telemetry.
+    /// marks the edge dead or live in the router (which rebuilds its next
+    /// hops), pulls undelivered frames back out of the dead edge's ARQ
+    /// windows (Down) or re-offers parked packets (Up), and publishes the
+    /// transition through HM as trace + event telemetry.
     fn apply_edge_transition(
         &mut self,
         edge: usize,
@@ -999,9 +982,8 @@ impl MeshSim {
             EdgeHealthEvent::Down => {
                 if let Some(heal) = self.heal.as_mut() {
                     heal.edge_downs += 1;
-                    heal.router.set_edge_live(edge, false);
                 }
-                self.refresh_tables();
+                self.router.set_edge_live(edge, false);
                 self.nodes[observer].trace.record(TraceEvent::MeshEdgeDown {
                     at,
                     a: a as u16,
@@ -1009,10 +991,11 @@ impl MeshSim {
                 });
                 // Both endpoints restart their ARQ toward each other so
                 // link sequencing is consistent if the edge later heals;
-                // the pulled-back frames re-route through fresh tables.
+                // the pulled-back frames re-route over the rebuilt hops.
                 self.requeue_endpoint(a, b, now);
                 self.requeue_endpoint(b, a, now);
                 self.nodes[observer].publish_event(
+                    &self.router,
                     ground,
                     EventSeverity::High,
                     vec![0xED, edge as u8],
@@ -1022,15 +1005,15 @@ impl MeshSim {
             EdgeHealthEvent::Up => {
                 if let Some(heal) = self.heal.as_mut() {
                     heal.edge_ups += 1;
-                    heal.router.set_edge_live(edge, true);
                 }
-                self.refresh_tables();
+                self.router.set_edge_live(edge, true);
                 self.nodes[observer].trace.record(TraceEvent::MeshEdgeUp {
                     at,
                     a: a as u16,
                     b: b as u16,
                 });
                 self.nodes[observer].publish_event(
+                    &self.router,
                     ground,
                     EventSeverity::Info,
                     vec![0xEE, edge as u8],
@@ -1042,7 +1025,7 @@ impl MeshSim {
     }
 
     /// Resets `node`'s ARQ toward `peer` and re-offers every undelivered
-    /// mesh frame through the (just refreshed) routing tables.
+    /// mesh frame over the router's (just rebuilt) next hops.
     fn requeue_endpoint(&mut self, node: usize, peer: usize, now: u64) {
         let frames = {
             let Some(arq) = self.nodes[node].arq_toward(peer) else {
@@ -1063,7 +1046,7 @@ impl MeshSim {
             }
             let slot = &mut self.nodes[node];
             if packet.dst != slot.id {
-                if let Some(via) = slot.router.next_hop(NodeId(packet.dst)) {
+                if let Some(via) = self.router.next_hop(node, NodeId(packet.dst)) {
                     slot.trace.record(TraceEvent::PacketRerouted {
                         at,
                         apid: packet.apid,
@@ -1072,7 +1055,7 @@ impl MeshSim {
                     });
                 }
             }
-            slot.send_or_deliver(packet, now);
+            slot.send_or_deliver(&self.router, packet, now);
         }
     }
 
@@ -1082,7 +1065,7 @@ impl MeshSim {
         for i in 0..self.nodes.len() {
             let parked = std::mem::take(&mut self.nodes[i].parked);
             for packet in parked {
-                self.nodes[i].send_or_deliver(packet, now);
+                self.nodes[i].send_or_deliver(&self.router, packet, now);
             }
         }
     }
@@ -1165,7 +1148,7 @@ impl MeshSim {
         ) else {
             return;
         };
-        self.nodes[commander].send_or_deliver(packet, now);
+        self.nodes[commander].send_or_deliver(&self.router, packet, now);
     }
 
     /// Drains every inbound link of node `i`: ACK frames feed the ARQ
@@ -1231,7 +1214,7 @@ impl MeshSim {
             }
         }
         for packet in inbox {
-            self.nodes[i].send_or_deliver(packet, now);
+            self.nodes[i].send_or_deliver(&self.router, packet, now);
         }
         transitions
     }
@@ -1241,6 +1224,7 @@ impl MeshSim {
     /// to the commander.
     fn node_service(&mut self, i: usize, now: u64) {
         let commander = self.commander as u16;
+        let router = &self.router;
         let node = &mut self.nodes[i];
         let at = Ticks(now);
         for transition in node.verifier.tick(now) {
@@ -1260,7 +1244,7 @@ impl MeshSim {
             };
             node.trace.record(event);
             if let Ok(report) = verification_report(transition, node.id, commander, MESH_TTL) {
-                node.send_or_deliver(report, now);
+                node.send_or_deliver(router, report, now);
             }
         }
     }
@@ -1273,6 +1257,7 @@ impl MeshSim {
     fn node_transmit(&mut self, i: usize, now: u64) -> Vec<(usize, EdgeHealthEvent)> {
         let ground = self.commander as u16;
         let monitored = self.heal.is_some();
+        let router = &self.router;
         let node = &mut self.nodes[i];
         let fabric = &mut self.fabric;
         let at = Ticks(now);
@@ -1311,7 +1296,7 @@ impl MeshSim {
             }
         }
         for (severity, payload) in health {
-            node.publish_event(ground, severity, payload, now);
+            node.publish_event(router, ground, severity, payload, now);
         }
         // Health telemetry may have offered new frames; poll again so
         // they leave this tick when the window allows.
@@ -1402,21 +1387,16 @@ impl MeshSim {
                 health: self.fabric.edge_health(i),
             })
             .collect();
-        let (reroutes, failovers, failbacks, route_rebuilds) = match &self.heal {
-            Some(heal) => (
-                heal.reroutes,
-                heal.failovers,
-                heal.failbacks,
-                heal.router.rebuilds(),
-            ),
-            None => (0, 0, 0, 0),
+        let (reroutes, failovers, failbacks) = match &self.heal {
+            Some(heal) => (heal.reroutes, heal.failovers, heal.failbacks),
+            None => (0, 0, 0),
         };
         MeshStatus {
             edges,
             reroutes,
             failovers,
             failbacks,
-            route_rebuilds,
+            route_rebuilds: self.router.rebuilds(),
             parked: self.nodes.iter().map(|n| n.parked.len() as u64).sum(),
             duplicates_filtered: self.nodes.iter().map(|n| n.duplicates_filtered).sum(),
             active_executor: self.active_executor,
@@ -1610,7 +1590,7 @@ pub struct MeshStatus {
     pub failovers: u64,
     /// Failbacks after quorum recovery.
     pub failbacks: u64,
-    /// Live-table rebuilds performed by the router.
+    /// Next-hop rebuilds performed by the router.
     pub route_rebuilds: u64,
     /// Packets currently parked mesh-wide (no live route).
     pub parked: u64,
@@ -1914,8 +1894,21 @@ mod tests {
     fn ring_endpoints_sit_at_least_two_hops_apart() {
         for n in [4usize, 5, 9] {
             let (src, dst) = command_endpoints(MeshTopology::Ring, n);
-            let tables = MeshTopology::Ring.routing_tables(n);
-            assert!(hop_count(&tables, src, dst).unwrap_or(0) >= 2, "ring[{n}]");
+            let router = LiveRouter::new(n, &MeshTopology::Ring.edges(n));
+            assert!(
+                hop_count(&router, n, src, dst).unwrap_or(0) >= 2,
+                "ring[{n}]"
+            );
+        }
+    }
+
+    #[test]
+    fn ring_commands_cross_half_the_ring() {
+        // The executor sits at n / 2, so the command path is n / 2 hops
+        // whichever way an even ring's tie goes.
+        for n in 3..=16usize {
+            let sim = MeshSim::new(&mesh_plan(MeshTopology::Ring, n, 1, 0));
+            assert_eq!(sim.command_hops(), (n / 2) as u64, "ring[{n}]");
         }
     }
 

@@ -321,7 +321,7 @@ pub enum TraceEvent {
 pub enum PacketDropReason {
     /// The hop budget reached zero before the destination.
     TtlExpired,
-    /// The node's routing table has no entry for the destination.
+    /// The mesh router has no hop toward the destination.
     NoRoute,
 }
 

@@ -1,5 +1,5 @@
-//! Text console device: the output target of the VITRAL window manager and
-//! the source of keyboard interaction events (Fig. 9).
+//! Text console device: the source of keyboard interaction events
+//! (Fig. 9).
 
 use std::collections::VecDeque;
 
@@ -17,70 +17,31 @@ pub enum KeyEvent {
     Function(u8),
 }
 
-/// A character console with per-channel output streams and a keyboard
-/// input queue.
+/// The console device's keyboard input queue.
 ///
-/// Each partition gets its own output channel so that console output never
-/// crosses partition boundaries — the device-side complement of spatial
-/// partitioning; VITRAL multiplexes the channels into windows.
+/// Console *output* is not a device concern here: each partition's text
+/// goes to its own buffer in the system (`AirSystem`), so output never
+/// crosses partition boundaries, and VITRAL multiplexes those buffers
+/// into windows.
 ///
 /// # Examples
 ///
 /// ```
 /// use air_hw::console::{Console, KeyEvent};
 ///
-/// let mut con = Console::new(2);
-/// con.write(0, "AOCS alive\n");
-/// assert_eq!(con.output(0), "AOCS alive\n");
+/// let mut con = Console::new();
 /// con.push_key(KeyEvent::Char('s'));
 /// assert_eq!(con.pop_key(), Some(KeyEvent::Char('s')));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Console {
-    channels: Vec<String>,
     keys: VecDeque<KeyEvent>,
 }
 
 impl Console {
-    /// Creates a console with `channels` independent output streams.
-    pub fn new(channels: usize) -> Self {
-        Self {
-            channels: vec![String::new(); channels],
-            keys: VecDeque::new(),
-        }
-    }
-
-    /// Number of output channels.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// Appends `text` to channel `channel`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range — channel assignment is fixed at
-    /// integration time, so an out-of-range write is a wiring bug.
-    pub fn write(&mut self, channel: usize, text: &str) {
-        self.channels[channel].push_str(text);
-    }
-
-    /// The full output accumulated on `channel`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range.
-    pub fn output(&self, channel: usize) -> &str {
-        &self.channels[channel]
-    }
-
-    /// Drains and returns the accumulated output of `channel`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range.
-    pub fn take_output(&mut self, channel: usize) -> String {
-        std::mem::take(&mut self.channels[channel])
+    /// Creates a console with an empty key queue.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Queues a keyboard event.
@@ -104,38 +65,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn channels_are_independent() {
-        let mut c = Console::new(3);
-        c.write(0, "a");
-        c.write(2, "c");
-        assert_eq!(c.output(0), "a");
-        assert_eq!(c.output(1), "");
-        assert_eq!(c.output(2), "c");
-    }
-
-    #[test]
-    fn take_output_drains() {
-        let mut c = Console::new(1);
-        c.write(0, "x");
-        assert_eq!(c.take_output(0), "x");
-        assert_eq!(c.output(0), "");
-    }
-
-    #[test]
     fn keys_are_fifo() {
-        let mut c = Console::new(1);
+        let mut c = Console::new();
         assert!(!c.has_pending_keys());
         c.push_key(KeyEvent::Char('1'));
         c.push_key(KeyEvent::Function(2));
         assert_eq!(c.pop_key(), Some(KeyEvent::Char('1')));
         assert_eq!(c.pop_key(), Some(KeyEvent::Function(2)));
         assert_eq!(c.pop_key(), None);
-    }
-
-    #[test]
-    #[should_panic]
-    fn out_of_range_channel_is_a_wiring_bug() {
-        let mut c = Console::new(1);
-        c.write(5, "boom");
     }
 }

@@ -21,8 +21,6 @@ use crate::redundant::RedundantLink;
 pub struct MachineConfig {
     /// Installed physical memory in bytes.
     pub memory_size: usize,
-    /// Number of console output channels (≥ number of partitions).
-    pub console_channels: usize,
     /// Primary inter-node link propagation latency in ticks.
     pub link_latency_ticks: u64,
     /// Secondary (redundant) link latency; `None` clones the primary's.
@@ -39,7 +37,6 @@ impl Default for MachineConfig {
     fn default() -> Self {
         Self {
             memory_size: 16 * 1024 * 1024,
-            console_channels: 8,
             link_latency_ticks: 2,
             secondary_link_latency_ticks: None,
             link_failover_threshold: 4,
@@ -52,8 +49,8 @@ impl Default for MachineConfig {
 impl MachineConfig {
     /// A compact profile for fleet-scale emulation: enough installed
     /// memory for a handful of partitions under the standard application
-    /// layout (each partition takes ~144 KiB of frames), and a narrow
-    /// console fan-out. Installed memory is paged on demand (see
+    /// layout (each partition takes ~144 KiB of frames). Installed
+    /// memory is paged on demand (see
     /// [`PhysicalMemory`]), so a machine costs only the pages its
     /// software writes, whatever `memory_size` says.
     ///
@@ -65,7 +62,6 @@ impl MachineConfig {
     pub fn compact() -> Self {
         Self {
             memory_size: 2 * 1024 * 1024,
-            console_channels: 4,
             ..Self::default()
         }
     }
@@ -116,7 +112,7 @@ impl Machine {
             memory: PhysicalMemory::new(config.memory_size),
             mmu: Mmu::new(),
             intc: InterruptController::new(),
-            console: Console::new(config.console_channels),
+            console: Console::new(),
             link: RedundantLink::new(
                 config.link_latency_ticks,
                 config

@@ -25,8 +25,9 @@
 //!   backoff ([`transport`]);
 //! * **space packets** for the routed mesh — CCSDS-flavoured APID/TC/TM
 //!   framing riding inside ARQ frames ([`spacepacket`]);
-//! * **static routing** — per-node next-hop tables and the standard
-//!   line/star/ring topology builders ([`routing`]);
+//! * **mesh routing** — the one next-hop function of the mesh, a
+//!   live shortest-path router, and the standard line/star/ring
+//!   topologies ([`routing`]);
 //! * **PUS-flavoured services** — the command-verification state machine
 //!   (accept/start/complete reports) and the event-report publisher
 //!   ([`pus`]).
@@ -51,7 +52,7 @@ pub use message::{Message, Validity};
 pub use payload::Payload;
 pub use pus::{AckStage, CommandVerifier, EventReporter, EventSeverity};
 pub use queuing::{QueuingPort, QueuingPortConfig};
-pub use routing::{MeshTopology, NodeId, RoutingTable};
+pub use routing::{MeshTopology, NodeId};
 pub use sampling::{SamplingPort, SamplingPortConfig};
 pub use spacepacket::{PacketKind, SpacePacket};
 pub use transport::{ArqConfig, ArqEndpoint, ArqEvent, DataDisposition};

@@ -1,26 +1,23 @@
-//! Static next-hop routing for the N-node mesh.
+//! Next-hop routing for the N-node mesh.
 //!
-//! Routing is integration-time configuration, exactly like channel
-//! wiring: every node carries a table mapping each reachable destination
-//! to the neighbour the packet should leave through. There is no
-//! discovery protocol and no dynamic convergence — the tables are
-//! declared (`route` directives in `.air` configurations), checked
-//! statically by `air-lint` (unreachable destinations, routing loops),
-//! and then trusted at run time. The standard topologies (line, star,
-//! ring) come with deterministic shortest-path table builders; ring
-//! ties break clockwise.
+//! One function picks every hop the mesh simulator takes: the
+//! [`LiveRouter`]. For each destination a node forwards to a neighbour
+//! on a shortest path over the edges currently live; among several such
+//! neighbours it takes the one closest to the destination in the full
+//! graph, then the lower id. A static campaign is one whose router never
+//! marks an edge dead; a self-healing campaign marks edges dead and live
+//! as its health monitors decide, and the router rebuilds its view at
+//! each change. Selection is a function of the topology and the live
+//! edges alone, and a packet only ever moves to a node strictly closer to
+//! its destination, so routes are loop-free and reproducible byte for
+//! byte under any fault schedule.
 //!
-//! The *dynamic* layer sits on top without changing that contract:
-//! [`AlternateTables`] precompute, per `(node, destination)`, a ranked
-//! candidate list of next hops from the full graph (k-alternates), and a
-//! [`LiveRouter`] selects among them under a live-edge mask. Selection
-//! is purely a function of `(topology, mask)` — every node sees the same
-//! mask, every rebuild ranks candidates by live shortest-path distance
-//! with the precomputed preference as tie-break, and a packet only ever
-//! moves to a node strictly closer to its destination, so routes are
-//! loop-free and byte-for-byte reproducible for any fault schedule.
-
-use std::collections::BTreeMap;
+//! The `route` directives of `.air` configurations are a declared layer
+//! beside this one: `air-lint` checks them statically (unreachable
+//! destinations, routing loops, certified flow latencies), but the
+//! simulator never reads them. Its mesh nodes are built from a
+//! [`MeshTopology`], not from configuration documents, so nothing at run
+//! time holds a declared table to the router's choice.
 
 /// Initial hop budget stamped on every originated mesh packet; a relay
 /// drops a packet whose budget runs out (the bound `airlint` checks
@@ -51,97 +48,6 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// Why a route could not be added to a table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteError {
-    /// A route toward this destination already exists.
-    DuplicateDestination {
-        /// The destination declared twice.
-        dst: NodeId,
-    },
-    /// The destination is the table's own node.
-    SelfRoute {
-        /// The node routing to itself.
-        node: NodeId,
-    },
-}
-
-impl std::fmt::Display for RouteError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RouteError::DuplicateDestination { dst } => {
-                write!(f, "duplicate route toward {dst}")
-            }
-            RouteError::SelfRoute { node } => {
-                write!(f, "{node} cannot declare a route toward itself")
-            }
-        }
-    }
-}
-
-/// One node's static next-hop table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoutingTable {
-    node: NodeId,
-    routes: BTreeMap<NodeId, NodeId>,
-}
-
-impl RoutingTable {
-    /// An empty table owned by `node`.
-    pub fn new(node: NodeId) -> Self {
-        Self {
-            node,
-            routes: BTreeMap::new(),
-        }
-    }
-
-    /// The owning node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Declares that packets for `dst` leave through neighbour `via`.
-    /// A direct neighbour route has `dst == via`.
-    pub fn add_route(&mut self, dst: NodeId, via: NodeId) -> Result<(), RouteError> {
-        if dst == self.node {
-            return Err(RouteError::SelfRoute { node: self.node });
-        }
-        if self.routes.contains_key(&dst) {
-            return Err(RouteError::DuplicateDestination { dst });
-        }
-        self.routes.insert(dst, via);
-        Ok(())
-    }
-
-    /// The neighbour packets for `dst` leave through, if routed.
-    pub fn next_hop(&self, dst: NodeId) -> Option<NodeId> {
-        self.routes.get(&dst).copied()
-    }
-
-    /// All `(destination, next hop)` entries in destination order.
-    pub fn routes(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.routes.iter().map(|(d, v)| (*d, *v))
-    }
-
-    /// The distinct neighbours this table forwards through, ascending.
-    pub fn neighbors(&self) -> Vec<NodeId> {
-        let mut vias: Vec<NodeId> = self.routes.values().copied().collect();
-        vias.sort_unstable();
-        vias.dedup();
-        vias
-    }
-
-    /// Number of routed destinations.
-    pub fn len(&self) -> usize {
-        self.routes.len()
-    }
-
-    /// Whether the table routes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
-    }
-}
-
 /// The standard mesh shapes the campaigns and benches quantify over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeshTopology {
@@ -149,8 +55,9 @@ pub enum MeshTopology {
     Line,
     /// Node 0 is the hub; every other node is a leaf (leaf→leaf is 2 hops).
     Star,
-    /// A cycle; shortest-path ties (even `n`, antipodal pairs) break
-    /// clockwise.
+    /// A cycle; on an even ring each node's antipode is as far one way
+    /// as the other, and the router sends it through the lower-id
+    /// neighbour.
     Ring,
 }
 
@@ -166,7 +73,7 @@ impl MeshTopology {
 
     /// The undirected edge set over `n` nodes, each pair normalised
     /// `(low, high)` and the list sorted — the deterministic ground truth
-    /// the fabric and the routing tables are both built from.
+    /// the fabric and the router are both built from.
     pub fn edges(self, n: usize) -> Vec<(usize, usize)> {
         let mut edges = Vec::new();
         if n < 2 {
@@ -195,77 +102,28 @@ impl MeshTopology {
         }
         edges
     }
-
-    /// Deterministic shortest-path next-hop tables for every node,
-    /// indexed by node. Node `i` carries [`NodeId`] `i`.
-    ///
-    /// # Panics
-    ///
-    /// Never — table construction over the built-in topologies cannot
-    /// produce duplicate or self routes.
-    pub fn routing_tables(self, n: usize) -> Vec<RoutingTable> {
-        let mut tables: Vec<RoutingTable> = (0..n)
-            .map(|i| RoutingTable::new(NodeId(i as u16)))
-            .collect();
-        for (i, table) in tables.iter_mut().enumerate() {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let via = match self {
-                    MeshTopology::Line => {
-                        if j > i {
-                            i + 1
-                        } else {
-                            i - 1
-                        }
-                    }
-                    MeshTopology::Star => {
-                        if i == 0 {
-                            j
-                        } else {
-                            0
-                        }
-                    }
-                    MeshTopology::Ring => {
-                        let cw = (j + n - i) % n;
-                        let ccw = n - cw;
-                        if cw <= ccw {
-                            (i + 1) % n
-                        } else {
-                            (i + n - 1) % n
-                        }
-                    }
-                };
-                table
-                    .add_route(NodeId(j as u16), NodeId(via as u16))
-                    .expect("built-in topology tables are duplicate-free"); // lint: allow(panic) -- each (i, j) pair visited once, i != j
-            }
-        }
-        tables
-    }
 }
 
-/// Breadth-first distances from `dst` over the edges for which
-/// `usable(edge_index)` holds. `usize::MAX` marks unreachable nodes.
-/// Neighbour expansion is in ascending `(peer, edge)` order, so the
-/// result is deterministic for any adjacency.
+/// The distance of a node with no path to the destination.
+const UNREACHABLE: usize = usize::MAX;
+
+/// Breadth-first distances to `dst` over the edges for which
+/// `usable(edge_index)` holds, written into `dist` (one slot per node;
+/// [`UNREACHABLE`] where no path exists).
 fn bfs_distances(
     adjacency: &[Vec<(usize, usize)>],
     dst: usize,
     usable: impl Fn(usize) -> bool,
-) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; adjacency.len()];
-    if dst >= adjacency.len() {
-        return dist;
-    }
+    dist: &mut [usize],
+) {
+    dist.fill(UNREACHABLE);
     dist[dst] = 0;
     let mut frontier = vec![dst];
     while !frontier.is_empty() {
         let mut next = Vec::new();
         for &at in &frontier {
             for &(peer, edge) in &adjacency[at] {
-                if usable(edge) && dist[peer] == usize::MAX {
+                if usable(edge) && dist[peer] == UNREACHABLE {
                     dist[peer] = dist[at] + 1;
                     next.push(peer);
                 }
@@ -273,105 +131,33 @@ fn bfs_distances(
         }
         frontier = next;
     }
-    dist
 }
 
-/// Sorted per-node adjacency (`(peer, edge index)` pairs) over a
-/// normalised edge list.
-fn build_adjacency(nodes: usize, edges: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
-    let mut adjacency = vec![Vec::new(); nodes];
-    for (idx, &(a, b)) in edges.iter().enumerate() {
-        if a < nodes && b < nodes {
-            adjacency[a].push((b, idx));
-            adjacency[b].push((a, idx));
-        }
-    }
-    for list in &mut adjacency {
-        list.sort_unstable();
-    }
-    adjacency
-}
-
-/// Precomputed k-alternate next-hop candidates.
+/// The mesh's next-hop function under a set of live edges.
 ///
-/// For every `(node, destination)` pair the table holds the node's
-/// neighbours ranked by `(shortest-path distance from the neighbour to
-/// the destination in the full graph, neighbour id)` — the primary
-/// shortest-path hop first, detour hops after it — truncated to the
-/// first `k`. The ranking is computed once at integration time; run-time
-/// reroute decisions only *select* among these candidates, they never
-/// re-rank, which keeps the selection order stable across reruns.
-#[derive(Debug, Clone)]
-pub struct AlternateTables {
-    /// `candidates[node][dst]` = ranked next-hop candidates.
-    candidates: Vec<BTreeMap<NodeId, Vec<NodeId>>>,
-}
-
-impl AlternateTables {
-    /// Builds the ranked candidate lists over `nodes` nodes and a
-    /// normalised `edges` list, keeping at most `k` alternates per
-    /// destination (`k = usize::MAX` keeps every neighbour).
-    pub fn build(nodes: usize, edges: &[(usize, usize)], k: usize) -> Self {
-        let adjacency = build_adjacency(nodes, edges);
-        let mut candidates: Vec<BTreeMap<NodeId, Vec<NodeId>>> =
-            (0..nodes).map(|_| BTreeMap::new()).collect();
-        for dst in 0..nodes {
-            let dist = bfs_distances(&adjacency, dst, |_| true);
-            for (node, per_node) in candidates.iter_mut().enumerate() {
-                if node == dst || dist[node] == usize::MAX {
-                    continue;
-                }
-                let mut ranked: Vec<(usize, usize)> = adjacency[node]
-                    .iter()
-                    .filter(|&&(peer, _)| dist[peer] != usize::MAX)
-                    .map(|&(peer, _)| (dist[peer], peer))
-                    .collect();
-                ranked.sort_unstable();
-                ranked.truncate(k);
-                per_node.insert(
-                    NodeId(dst as u16),
-                    ranked
-                        .into_iter()
-                        .map(|(_, peer)| NodeId(peer as u16))
-                        .collect(),
-                );
-            }
-        }
-        Self { candidates }
-    }
-
-    /// The ranked candidates for packets at `node` heading to `dst`
-    /// (empty when unrouted).
-    pub fn candidates(&self, node: usize, dst: NodeId) -> &[NodeId] {
-        static EMPTY: [NodeId; 0] = [];
-        self.candidates
-            .get(node)
-            .and_then(|per_node| per_node.get(&dst))
-            .map_or(&EMPTY[..], Vec::as_slice)
-    }
-}
-
-/// Deterministic dynamic next-hop selection under a live-edge mask.
-///
-/// The router owns the precomputed [`AlternateTables`] plus the current
-/// mask of live edges. Whenever the mask changes it rebuilds its
-/// next-hop view: for each destination a breadth-first pass over the
-/// *live* subgraph computes distances, and each node picks the first
-/// precomputed candidate whose edge is live and whose distance is
-/// exactly one less than its own — i.e. a live shortest-path hop,
-/// preferring the integration-time ranking among equals. Distance
-/// strictly decreases along every selected path, so selected routes are
-/// loop-free for any mask, and two routers fed the same mask history
-/// produce identical tables.
+/// The router keeps one live flag per edge and, in a flat
+/// `nodes × nodes` array, the hop each node takes toward each
+/// destination. Whenever a flag changes it rebuilds that array: for each
+/// destination a breadth-first pass over the live edges computes
+/// distances, and each node picks, among its live neighbours exactly one
+/// hop closer, the one with the smallest `(full-graph distance, id)`.
+/// The full-graph distances are computed once, at construction. Distance
+/// strictly decreases along every selected path, so routes are loop-free
+/// for any set of live edges, and two routers fed the same toggles
+/// answer identically.
 #[derive(Debug, Clone)]
 pub struct LiveRouter {
     nodes: usize,
     edges: Vec<(usize, usize)>,
+    /// Per node: `(peer, edge index)` pairs.
     adjacency: Vec<Vec<(usize, usize)>>,
-    alts: AlternateTables,
-    live: u64,
-    /// `next[node][dst]` = selected next hop under the current mask.
-    next: Vec<BTreeMap<NodeId, NodeId>>,
+    /// `full[dst * nodes + node]`: hops from `node` to `dst` with every
+    /// edge live (the tie-break).
+    full: Vec<usize>,
+    /// One flag per edge, indexed like `edges`.
+    live: Vec<bool>,
+    /// `next[node * nodes + dst]`: the selected hop under `live`.
+    next: Vec<Option<NodeId>>,
     rebuilds: u64,
 }
 
@@ -386,20 +172,25 @@ impl LiveRouter {
             .collect();
         normalised.sort_unstable();
         normalised.dedup();
-        let adjacency = build_adjacency(nodes, &normalised);
-        let alts = AlternateTables::build(nodes, &normalised, usize::MAX);
-        let live = if normalised.len() >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << normalised.len()) - 1
-        };
+        let mut adjacency = vec![Vec::new(); nodes];
+        for (idx, &(a, b)) in normalised.iter().enumerate() {
+            if a < nodes && b < nodes {
+                adjacency[a].push((b, idx));
+                adjacency[b].push((a, idx));
+            }
+        }
+        let mut full = vec![UNREACHABLE; nodes * nodes];
+        for dst in 0..nodes {
+            let dist = &mut full[dst * nodes..(dst + 1) * nodes];
+            bfs_distances(&adjacency, dst, |_| true, dist);
+        }
         let mut router = Self {
             nodes,
+            live: vec![true; normalised.len()],
             edges: normalised,
             adjacency,
-            alts,
-            live,
-            next: Vec::new(),
+            full,
+            next: vec![None; nodes * nodes],
             rebuilds: 0,
         };
         router.rebuild();
@@ -412,67 +203,37 @@ impl LiveRouter {
         self.edges.len()
     }
 
-    /// The normalised, sorted edge list (indices match the mask bits).
+    /// The normalised, sorted edge list (the indices
+    /// [`LiveRouter::set_edge_live`] takes).
     pub fn edges(&self) -> &[(usize, usize)] {
         &self.edges
     }
 
-    /// Whether edge `index` is currently live in the mask.
+    /// Whether edge `index` is currently live.
     pub fn is_live(&self, index: usize) -> bool {
-        index < self.edges.len() && self.live & (1u64 << (index as u32 & 63)) != 0
+        self.live.get(index) == Some(&true)
     }
 
-    /// The current live-edge bitmask.
-    pub fn live_mask(&self) -> u64 {
-        self.live
-    }
-
-    /// Marks edge `index` live or dead. Returns whether the mask changed
+    /// Marks edge `index` live or dead. Returns whether its flag changed
     /// (a change rebuilds the next-hop view).
     pub fn set_edge_live(&mut self, index: usize, live: bool) -> bool {
-        if index >= self.edges.len() {
-            return false;
+        match self.live.get_mut(index) {
+            Some(flag) if *flag != live => *flag = live,
+            _ => return false,
         }
-        let bit = 1u64 << (index as u32 & 63);
-        let updated = if live {
-            self.live | bit
-        } else {
-            self.live & !bit
-        };
-        if updated == self.live {
-            return false;
-        }
-        self.live = updated;
         self.rebuild();
         true
     }
 
-    /// The precomputed candidate ranking (full-graph k-alternates).
-    pub fn alternates(&self) -> &AlternateTables {
-        &self.alts
-    }
-
     /// The selected next hop for packets at `node` heading to `dst`
-    /// under the current mask, or `None` when `dst` is unreachable over
-    /// live edges.
+    /// under the current live edges, or `None` when `dst` is unreachable
+    /// over them (or either index is out of range).
     pub fn next_hop(&self, node: usize, dst: NodeId) -> Option<NodeId> {
-        self.next.get(node)?.get(&dst).copied()
-    }
-
-    /// Materialises `node`'s selected next hops as a [`RoutingTable`]
-    /// under the current mask — the drop-in replacement a mesh node
-    /// installs at a reroute boundary.
-    pub fn routing_table(&self, node: usize) -> RoutingTable {
-        let mut table = RoutingTable::new(NodeId(node as u16));
-        if let Some(per_node) = self.next.get(node) {
-            for (dst, via) in per_node {
-                // Entries are unique per destination and never self-routes,
-                // so insertion cannot fail; ignore the impossible error to
-                // stay panic-free.
-                let _ = table.add_route(*dst, *via);
-            }
+        let dst = usize::from(dst.as_u16());
+        if node >= self.nodes || dst >= self.nodes {
+            return None;
         }
-        table
+        self.next[node * self.nodes + dst]
     }
 
     /// Whether `dst` is reachable from `node` over live edges.
@@ -480,48 +241,32 @@ impl LiveRouter {
         node < self.nodes && (NodeId(node as u16) == dst || self.next_hop(node, dst).is_some())
     }
 
-    /// Times the next-hop view was rebuilt by a mask change.
+    /// Times the next-hop view was rebuilt by a live-flag change.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }
 
     fn rebuild(&mut self) {
-        let mut next: Vec<BTreeMap<NodeId, NodeId>> =
-            (0..self.nodes).map(|_| BTreeMap::new()).collect();
-        for dst in 0..self.nodes {
-            let dist = bfs_distances(&self.adjacency, dst, |edge| {
-                self.live & (1u64 << (edge as u32 & 63)) != 0
-            });
-            let dst_id = NodeId(dst as u16);
-            for (node, per_node) in next.iter_mut().enumerate() {
-                if node == dst || dist[node] == usize::MAX {
-                    continue;
-                }
-                let selected = self
-                    .alts
-                    .candidates(node, dst_id)
-                    .iter()
-                    .find(|cand| {
-                        let peer = cand.as_u16() as usize;
-                        dist[peer].saturating_add(1) == dist[node]
-                            && self.edge_is_live_between(node, peer)
-                    })
-                    .copied();
-                if let Some(via) = selected {
-                    per_node.insert(dst_id, via);
-                }
+        let n = self.nodes;
+        let mut dist = vec![UNREACHABLE; n];
+        for dst in 0..n {
+            bfs_distances(&self.adjacency, dst, |edge| self.live[edge], &mut dist);
+            let full = &self.full[dst * n..(dst + 1) * n];
+            for (node, &own) in dist.iter().enumerate() {
+                self.next[node * n + dst] = if node == dst || own == UNREACHABLE {
+                    None
+                } else {
+                    self.adjacency[node]
+                        .iter()
+                        .filter(|&&(peer, edge)| {
+                            self.live[edge] && dist[peer].saturating_add(1) == own
+                        })
+                        .min_by_key(|&&(peer, _)| (full[peer], peer))
+                        .map(|&(peer, _)| NodeId(peer as u16))
+                };
             }
         }
-        self.next = next;
         self.rebuilds += 1;
-    }
-
-    fn edge_is_live_between(&self, a: usize, b: usize) -> bool {
-        let edge = if a < b { (a, b) } else { (b, a) };
-        match self.edges.binary_search(&edge) {
-            Ok(idx) => self.live & (1u64 << (idx as u32 & 63)) != 0,
-            Err(_) => false,
-        }
     }
 }
 
@@ -529,132 +274,108 @@ impl LiveRouter {
 mod tests {
     use super::*;
 
-    #[test]
-    fn table_rejects_duplicates_and_self_routes() {
-        let mut t = RoutingTable::new(NodeId(0));
-        assert_eq!(t.add_route(NodeId(2), NodeId(1)), Ok(()));
-        assert_eq!(
-            t.add_route(NodeId(2), NodeId(3)),
-            Err(RouteError::DuplicateDestination { dst: NodeId(2) })
-        );
-        assert_eq!(
-            t.add_route(NodeId(0), NodeId(1)),
-            Err(RouteError::SelfRoute { node: NodeId(0) })
-        );
-        assert_eq!(t.next_hop(NodeId(2)), Some(NodeId(1)));
-        assert_eq!(t.next_hop(NodeId(9)), None);
-        assert_eq!(t.neighbors(), vec![NodeId(1)]);
+    const TOPOLOGIES: [MeshTopology; 3] =
+        [MeshTopology::Line, MeshTopology::Star, MeshTopology::Ring];
+
+    /// Hops between `a` and `b` on an `n`-node `topo`, in closed form.
+    fn distance(topo: MeshTopology, n: usize, a: usize, b: usize) -> usize {
+        match topo {
+            MeshTopology::Line => a.abs_diff(b),
+            MeshTopology::Star if a == b => 0,
+            MeshTopology::Star if a == 0 || b == 0 => 1,
+            MeshTopology::Star => 2,
+            MeshTopology::Ring => a.abs_diff(b).min(n - a.abs_diff(b)),
+        }
     }
 
     #[test]
     fn line_routes_walk_the_chain() {
-        let tables = MeshTopology::Line.routing_tables(5);
-        assert_eq!(tables[0].next_hop(NodeId(4)), Some(NodeId(1)));
-        assert_eq!(tables[2].next_hop(NodeId(0)), Some(NodeId(1)));
-        assert_eq!(tables[2].next_hop(NodeId(4)), Some(NodeId(3)));
+        let router = LiveRouter::new(5, &MeshTopology::Line.edges(5));
+        assert_eq!(router.next_hop(0, NodeId(4)), Some(NodeId(1)));
+        assert_eq!(router.next_hop(2, NodeId(0)), Some(NodeId(1)));
+        assert_eq!(router.next_hop(2, NodeId(4)), Some(NodeId(3)));
         assert_eq!(MeshTopology::Line.edges(5).len(), 4);
     }
 
     #[test]
     fn star_routes_through_the_hub() {
-        let tables = MeshTopology::Star.routing_tables(5);
-        assert_eq!(tables[1].next_hop(NodeId(4)), Some(NodeId(0)));
-        assert_eq!(tables[0].next_hop(NodeId(3)), Some(NodeId(3)));
+        let router = LiveRouter::new(5, &MeshTopology::Star.edges(5));
+        assert_eq!(router.next_hop(1, NodeId(4)), Some(NodeId(0)));
+        assert_eq!(router.next_hop(0, NodeId(3)), Some(NodeId(3)));
         assert_eq!(MeshTopology::Star.edges(5).len(), 4);
     }
 
     #[test]
-    fn ring_ties_break_clockwise() {
-        let tables = MeshTopology::Ring.routing_tables(4);
-        // Antipodal 0→2: clockwise and counter-clockwise are both 2 hops;
-        // clockwise (via 1) must win.
-        assert_eq!(tables[0].next_hop(NodeId(2)), Some(NodeId(1)));
-        assert_eq!(tables[0].next_hop(NodeId(3)), Some(NodeId(3)));
+    fn even_ring_antipodes_take_the_lower_id_neighbour() {
         assert_eq!(
             MeshTopology::Ring.edges(4),
             vec![(0, 1), (0, 3), (1, 2), (2, 3)]
         );
-    }
-
-    #[test]
-    fn alternate_tables_rank_shortest_first() {
-        // Ring of 5: node 0's candidates toward 1 are [1 (dist 0), 4 (dist 2)].
-        let edges = MeshTopology::Ring.edges(5);
-        let alts = AlternateTables::build(5, &edges, usize::MAX);
-        assert_eq!(alts.candidates(0, NodeId(1)), &[NodeId(1), NodeId(4)]);
-        // k = 1 keeps only the primary hop.
-        let primary_only = AlternateTables::build(5, &edges, 1);
-        assert_eq!(primary_only.candidates(0, NodeId(1)), &[NodeId(1)]);
-        // Unknown destinations have no candidates.
-        assert!(alts.candidates(0, NodeId(9)).is_empty());
-    }
-
-    #[test]
-    fn live_router_matches_static_tables_when_all_edges_live() {
-        // With every edge live the two routers agree on every entry but
-        // one kind: on an even ring the antipode of each node is as far
-        // clockwise as counter-clockwise. The static tables go clockwise;
-        // the live router takes its lower-id neighbour, which is the
-        // counter-clockwise one for every node but 0 and n - 1. Both walks
-        // take n / 2 hops.
-        fn walk(
-            n: usize,
-            mut at: usize,
-            dst: usize,
-            hop: impl Fn(usize) -> Option<NodeId>,
-        ) -> usize {
-            let mut hops = 0;
-            while at != dst {
-                at = hop(at).expect("complete tables").as_u16() as usize;
-                hops += 1;
-                assert!(hops < n, "{at}->{dst} loops");
+        for n in (4..=16usize).step_by(2) {
+            let router = LiveRouter::new(n, &MeshTopology::Ring.edges(n));
+            for src in 0..n {
+                let antipode = NodeId(((src + n / 2) % n) as u16);
+                let lower = ((src + 1) % n).min((src + n - 1) % n);
+                assert_eq!(
+                    router.next_hop(src, antipode),
+                    Some(NodeId(lower as u16)),
+                    "ring {n}: {src}->{antipode}"
+                );
             }
-            hops
         }
-        for topo in [MeshTopology::Line, MeshTopology::Star, MeshTopology::Ring] {
+        // Ring 6: node 2 reaches its antipode 5 through 1, not 3.
+        let router = LiveRouter::new(6, &MeshTopology::Ring.edges(6));
+        assert_eq!(router.next_hop(2, NodeId(5)), Some(NodeId(1)));
+    }
+
+    #[test]
+    fn live_ties_prefer_the_neighbour_nearer_in_the_full_graph() {
+        // Node 0 reaches 3 through 1 (1-5-3) or through 2 (2-3, or 2-4-3
+        // once (2, 3) is dead). With (2, 3) dead both neighbours are two
+        // live hops from 3, and 2 wins although 1 has the lower id:
+        // 2 is one hop from 3 in the full graph, 1 is two.
+        let edges = [(0, 1), (0, 2), (1, 5), (3, 5), (2, 3), (2, 4), (3, 4)];
+        let mut router = LiveRouter::new(6, &edges);
+        assert_eq!(router.next_hop(0, NodeId(3)), Some(NodeId(2)));
+        let dead = router
+            .edges()
+            .iter()
+            .position(|&e| e == (2, 3))
+            .expect("edge");
+        assert!(router.set_edge_live(dead, false));
+        assert_eq!(router.next_hop(0, NodeId(3)), Some(NodeId(2)));
+        assert_eq!(router.next_hop(2, NodeId(3)), Some(NodeId(4)));
+    }
+
+    #[test]
+    fn every_all_live_hop_is_on_a_shortest_path() {
+        for topo in TOPOLOGIES {
             for n in 2..=16usize {
-                let router = LiveRouter::new(n, &topo.edges(n));
-                let tables = topo.routing_tables(n);
-                let mut departures = 0;
+                let edges = topo.edges(n);
+                let router = LiveRouter::new(n, &edges);
                 for src in 0..n {
                     for dst in 0..n {
                         if src == dst {
                             continue;
                         }
-                        let to = NodeId(dst as u16);
-                        let antipode = topo == MeshTopology::Ring
-                            && n % 2 == 0
-                            && (dst + n - src) % n == n / 2;
-                        if !antipode {
-                            assert_eq!(
-                                router.next_hop(src, to),
-                                tables[src].next_hop(to),
-                                "{} {n}: {src}->{dst}",
-                                topo.label()
-                            );
-                            continue;
-                        }
-                        if router.next_hop(src, to) != tables[src].next_hop(to) {
-                            departures += 1;
-                        }
-                        let live = walk(n, src, dst, |at| router.next_hop(at, to));
-                        let fixed = walk(n, src, dst, |at| tables[at].next_hop(to));
-                        assert_eq!((live, fixed), (n / 2, n / 2), "ring {n}: {src}->{dst}");
+                        let via = router
+                            .next_hop(src, NodeId(dst as u16))
+                            .expect("every pair is connected")
+                            .as_u16() as usize;
+                        let label = topo.label();
+                        assert!(
+                            edges.contains(&(src.min(via), src.max(via))),
+                            "{label} {n}: {src}->{dst} leaves through non-neighbour {via}"
+                        );
+                        assert_eq!(
+                            distance(topo, n, via, dst) + 1,
+                            distance(topo, n, src, dst),
+                            "{label} {n}: {src}->{dst} via {via} is off every shortest path"
+                        );
                     }
                 }
-                let expected = if topo == MeshTopology::Ring && n % 2 == 0 {
-                    n - 2
-                } else {
-                    0
-                };
-                assert_eq!(departures, expected, "{} {n}", topo.label());
             }
         }
-        // Ring 6: node 2 reaches its antipode 5 via 1 live, via 3 static.
-        let router = LiveRouter::new(6, &MeshTopology::Ring.edges(6));
-        assert_eq!(router.next_hop(2, NodeId(5)), Some(NodeId(1)));
-        let tables = MeshTopology::Ring.routing_tables(6);
-        assert_eq!(tables[2].next_hop(NodeId(5)), Some(NodeId(3)));
     }
 
     #[test]
@@ -692,7 +413,7 @@ mod tests {
 
     #[test]
     fn live_router_is_loop_free_under_every_single_edge_loss() {
-        for topo in [MeshTopology::Line, MeshTopology::Star, MeshTopology::Ring] {
+        for topo in TOPOLOGIES {
             for n in 3..=9usize {
                 let edges = topo.edges(n);
                 for dead in 0..edges.len() {
@@ -725,21 +446,77 @@ mod tests {
     }
 
     #[test]
+    fn edges_beyond_the_sixty_fourth_keep_their_own_liveness() {
+        // Ring of 70: edge 64 is (63, 64), far from node 0. Killing it
+        // must leave edge 0, (0, 1), and the direct hop over it alone.
+        let edges = MeshTopology::Ring.edges(70);
+        let mut router = LiveRouter::new(70, &edges);
+        assert_eq!(edges[0], (0, 1));
+        assert!(router.set_edge_live(64, false));
+        assert!(!router.is_live(64));
+        assert!(router.is_live(0));
+        assert_eq!(router.next_hop(0, NodeId(1)), Some(NodeId(1)));
+        assert!(router.reachable(0, NodeId(1)));
+    }
+
+    #[test]
+    fn router_differential_digest_is_pinned() {
+        // Line, star and ring over 3..=16 nodes, each under a seeded
+        // sequence of edge toggles (including out-of-range indices). The
+        // digest folds every toggle's return value, then every
+        // `next_hop` and `reachable` answer over all (node, destination)
+        // pairs plus one out-of-range index on each side, and the rebuild
+        // count. The value was recorded with the router that kept the
+        // next hops in per-node maps and the live edges in a `u64` mask;
+        // any change to the selection rule moves it.
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |value: u64| {
+            for byte in value.to_le_bytes() {
+                digest ^= u64::from(byte);
+                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for topo in TOPOLOGIES {
+            for n in 3..=16usize {
+                let edges = topo.edges(n);
+                let mut router = LiveRouter::new(n, &edges);
+                let mut rng = air_model::testkit::TestRng::new(0x0D1F_0000 + n as u64);
+                for step in 0..=24 {
+                    if step > 0 {
+                        let index = rng.below_usize(edges.len() + 1);
+                        let live = rng.chance(2, 5);
+                        fold(u64::from(router.set_edge_live(index, live)));
+                    }
+                    for src in 0..=n {
+                        for dst in 0..=n {
+                            let to = NodeId(dst as u16);
+                            fold(router.next_hop(src, to).map_or(u64::MAX, |v| v.0.into()));
+                            fold(u64::from(router.reachable(src, to)));
+                        }
+                    }
+                    fold(router.rebuilds());
+                }
+            }
+        }
+        assert_eq!(
+            digest, 0xa3b4_5f09_d9ed_6672,
+            "router digest moved: {digest:#018x}"
+        );
+    }
+
+    #[test]
     fn every_topology_walk_terminates() {
-        for topo in [MeshTopology::Line, MeshTopology::Star, MeshTopology::Ring] {
+        for topo in TOPOLOGIES {
             for n in 2..=9usize {
-                let tables = topo.routing_tables(n);
+                let router = LiveRouter::new(n, &topo.edges(n));
                 for src in 0..n {
                     for dst in 0..n {
-                        if src == dst {
-                            continue;
-                        }
                         let mut at = src;
                         let mut hops = 0;
                         while at != dst {
-                            let via = tables[at]
-                                .next_hop(NodeId(dst as u16))
-                                .expect("complete tables");
+                            let via = router
+                                .next_hop(at, NodeId(dst as u16))
+                                .expect("every pair is connected");
                             at = via.as_u16() as usize;
                             hops += 1;
                             assert!(hops <= n, "{}: {src}->{dst} loops", topo.label());

@@ -1,7 +1,8 @@
 //! Soundness of `airlint --timing` against the real simulator (seeded
 //! xorshift, 50 seeds): member configuration documents are generated to
-//! describe exactly the mesh the campaign runs — same topology, same
-//! routing tables, same ARQ tuning, same fabric latency — a `flow` from
+//! describe exactly the mesh the campaign runs — same topology, the
+//! `route` lines of the router the campaign forwards by, same ARQ
+//! tuning, same fabric latency — a `flow` from
 //! the commander to the executor is certified statically, and then the
 //! adversarial partition campaigns (sustained edge outage, flapping
 //! edge, executor isolation, two-edge partition) run over the same mesh
@@ -25,7 +26,7 @@ use air_core::mesh::{
 };
 use air_lint::{lint_timing, parse_members};
 use air_model::testkit::TestRng;
-use air_ports::routing::MeshTopology;
+use air_ports::routing::{LiveRouter, MeshTopology, NodeId};
 
 const TOPOLOGIES: [MeshTopology; 3] = [MeshTopology::Line, MeshTopology::Star, MeshTopology::Ring];
 
@@ -33,15 +34,14 @@ const TOPOLOGIES: [MeshTopology; 3] = [MeshTopology::Line, MeshTopology::Star, M
 const NODES: usize = 6;
 
 /// Member documents describing exactly the mesh the simulator runs:
-/// the generated routing tables, the default ARQ tuning
-/// (`ArqConfig::default()`), and the fabric latency (`MESH_LATENCY`).
-/// The commander's document declares the command flow.
+/// one `route` per destination, read from the all-live router every
+/// campaign starts from (a static campaign never leaves it), the default
+/// ARQ tuning (`ArqConfig::default()`), and the fabric latency
+/// (`MESH_LATENCY`). The commander's document declares the command flow.
 fn member_texts(topology: MeshTopology, src: usize, dst: usize) -> Vec<String> {
-    let tables = topology.routing_tables(NODES);
-    tables
-        .into_iter()
-        .enumerate()
-        .map(|(i, table)| {
+    let router = LiveRouter::new(NODES, &topology.edges(NODES));
+    (0..NODES)
+        .map(|i| {
             let mut text = format!(
                 "partition P0 name=SW{i}\n\
                  schedule chi0 name=ops mtf=100\n\
@@ -51,8 +51,11 @@ fn member_texts(topology: MeshTopology, src: usize, dst: usize) -> Vec<String> {
                  arq window=8 timeout=24 backoff_cap=3 max_retries=8\n\
                  node N{i} name=NODE{i}\n"
             );
-            for (route_dst, via) in table.routes() {
-                text.push_str(&format!("route N{} via=N{}\n", route_dst.0, via.0));
+            for route_dst in (0..NODES).filter(|&d| d != i) {
+                let via = router
+                    .next_hop(i, NodeId(route_dst as u16))
+                    .expect("the topology is connected");
+                text.push_str(&format!("route N{route_dst} via={via}\n"));
             }
             if i == src {
                 // CMD_APID is 100; the deadline is irrelevant to the
