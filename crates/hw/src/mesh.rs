@@ -291,18 +291,6 @@ impl MeshFabric {
         self.monitors.get(index).is_none_or(|m| m.live)
     }
 
-    /// Bitmask of live edges (bit `i` set iff edge `i` is live); edges
-    /// beyond bit 63 would saturate, but fabrics are far smaller.
-    pub fn live_edge_mask(&self) -> u64 {
-        let mut mask = 0u64;
-        for idx in 0..self.edges.len() {
-            if self.edge_live(idx) {
-                mask |= 1u64 << (idx as u32 & 63);
-            }
-        }
-        mask
-    }
-
     /// Snapshot of the monitor on edge `index`, if installed.
     pub fn edge_health(&self, index: usize) -> Option<EdgeHealth> {
         self.monitors.get(index).map(|m| EdgeHealth {
@@ -479,7 +467,7 @@ mod tests {
             recovery_threshold: 2,
         });
         assert!(fabric.monitored());
-        assert_eq!(fabric.live_edge_mask(), 0b11);
+        assert!(fabric.edge_live(0) && fabric.edge_live(1));
 
         // A clean delivery resets the streak.
         assert_eq!(fabric.record_edge_loss(0, 5), None);
@@ -488,7 +476,6 @@ mod tests {
         assert_eq!(fabric.record_edge_loss(0, 7), Some(EdgeHealthEvent::Down));
         assert!(!fabric.edge_live(0));
         assert!(fabric.edge_live(1));
-        assert_eq!(fabric.live_edge_mask(), 0b10);
 
         // Probes pace at the configured interval from the down tick.
         assert_eq!(fabric.next_probe(), Some(17));

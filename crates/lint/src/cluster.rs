@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 
 use air_ports::{Destination, PortAddr};
-use air_tools::config::span_key;
+use air_tools::config::SpanKey;
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::model::SystemModel;
@@ -84,7 +84,7 @@ fn check_remote_channels(
                          its frames would be dropped on arrival"
                     ),
                 )
-                .with_line(sender.spans.get(&span_key::channel(*id))),
+                .with_line(sender.spans.get(&SpanKey::Channel(*id))),
             );
         }
     }
@@ -99,7 +99,7 @@ fn check_remote_channels(
                          destinations would starve"
                     ),
                 )
-                .with_line(receiver.spans.get(&span_key::channel(*id))),
+                .with_line(receiver.spans.get(&SpanKey::Channel(*id))),
             );
         }
     }

@@ -5,7 +5,7 @@
 //! actually log before they act.
 
 use air_hm::{ErrorId, ProcessRecoveryAction};
-use air_tools::config::span_key;
+use air_tools::config::SpanKey;
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::model::SystemModel;
@@ -37,7 +37,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
                          escalating to {then:?}; the log phase is unreachable"
                     ),
                 )
-                .with_line(model.spans.get(&span_key::handler(*pid, *error))),
+                .with_line(model.spans.get(&SpanKey::Handler(*pid, *error))),
             );
         }
     }

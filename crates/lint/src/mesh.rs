@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use air_ports::routing::MESH_TTL;
-use air_tools::config::span_key;
+use air_tools::config::SpanKey;
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::model::SystemModel;
@@ -69,7 +69,7 @@ pub(crate) fn analyze_mesh(models: &[SystemModel], report: &mut LintReport) {
                         node_label(prev)
                     ),
                 )
-                .with_line(m.spans.get(&span_key::node())),
+                .with_line(m.spans.get(&SpanKey::Node)),
             );
         } else {
             owner_of.insert(node.id.0, i);
@@ -82,7 +82,7 @@ pub(crate) fn analyze_mesh(models: &[SystemModel], report: &mut LintReport) {
     for (&id, &i) in &owner_of {
         let m = &models[i];
         for r in &m.routes {
-            let line = m.spans.get(&span_key::route(r.dst.0));
+            let line = m.spans.get(&SpanKey::Route(r.dst.0));
             if r.dst.0 == id {
                 report.push(
                     Diagnostic::new(
@@ -134,7 +134,7 @@ pub(crate) fn analyze_mesh(models: &[SystemModel], report: &mut LintReport) {
                             node_label(i)
                         ),
                     )
-                    .with_line(m.spans.get(&span_key::node())),
+                    .with_line(m.spans.get(&SpanKey::Node)),
                 );
             }
         }
@@ -167,7 +167,7 @@ pub(crate) fn analyze_mesh(models: &[SystemModel], report: &mut LintReport) {
                             .collect();
                         let closer = owner_of
                             .get(&cur)
-                            .and_then(|&i| models[i].spans.get(&span_key::route(dst)));
+                            .and_then(|&i| models[i].spans.get(&SpanKey::Route(dst)));
                         report.push(
                             Diagnostic::new(
                                 Code::MeshRoutingLoop,
@@ -217,7 +217,7 @@ pub(crate) fn analyze_mesh(models: &[SystemModel], report: &mut LintReport) {
                             node_label(*first)
                         ),
                     )
-                    .with_line(models[i].spans.get(&span_key::apid(*apid))),
+                    .with_line(models[i].spans.get(&SpanKey::Apid(*apid))),
                 );
             }
         }
@@ -398,7 +398,7 @@ fn analyze_self_healing(
                     rendering.join(", ")
                 ),
             )
-            .with_line(models[owner_of[&a]].spans.get(&span_key::route(b))),
+            .with_line(models[owner_of[&a]].spans.get(&SpanKey::Route(b))),
         );
     }
 
@@ -410,7 +410,7 @@ fn analyze_self_healing(
         let Some(node) = &models[i].mesh_node else {
             continue;
         };
-        let line = models[i].spans.get(&span_key::node());
+        let line = models[i].spans.get(&SpanKey::Node);
         match node.fallback {
             Some(spare) if !owner_of.contains_key(&spare.0) => {
                 report.push(
@@ -510,7 +510,7 @@ fn analyze_self_healing(
                      to {total}; packets on that detour die of TtlExpired"
                 ),
             )
-            .with_line(models[owner_of[&u]].spans.get(&span_key::route(dst))),
+            .with_line(models[owner_of[&u]].spans.get(&SpanKey::Route(dst))),
         );
     }
 }
@@ -542,7 +542,7 @@ pub(crate) fn analyze_channels_n(models: &[SystemModel], report: &mut LintReport
                             node_label(i)
                         ),
                     )
-                    .with_line(m.spans.get(&span_key::channel(*id))),
+                    .with_line(m.spans.get(&SpanKey::Channel(*id))),
                 );
             }
         }
@@ -562,7 +562,7 @@ pub(crate) fn analyze_channels_n(models: &[SystemModel], report: &mut LintReport
                             node_label(i)
                         ),
                     )
-                    .with_line(m.spans.get(&span_key::channel(*id))),
+                    .with_line(m.spans.get(&SpanKey::Channel(*id))),
                 );
             }
         }

@@ -63,8 +63,8 @@ pub struct SystemModel {
     /// single-node configuration document, where an unknown source port
     /// is a typo.
     pub gateways_allowed: bool,
-    /// Source spans for diagnostics, keyed as in
-    /// [`air_tools::config::span_key`].
+    /// Source spans for diagnostics, by
+    /// [`air_tools::config::SpanKey`].
     pub spans: Spans,
 }
 

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 
 use air_model::schedule::ScheduleChangeAction;
 use air_model::{PartitionId, Schedule};
-use air_tools::config::span_key;
+use air_tools::config::SpanKey;
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::model::SystemModel;
@@ -28,7 +28,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
                             schedule.id()
                         ),
                     )
-                    .with_line(model.spans.get(&span_key::action(schedule.id(), pid))),
+                    .with_line(model.spans.get(&SpanKey::Action(schedule.id(), pid))),
                 );
             }
         }
@@ -67,7 +67,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
                     Code::PartitionNeverScheduled,
                     format!("{} ({}) has no window in any schedule", p.id(), p.name()),
                 )
-                .with_line(model.spans.get(&span_key::partition(p.id()))),
+                .with_line(model.spans.get(&SpanKey::Partition(p.id()))),
             );
         }
     }
@@ -97,7 +97,7 @@ fn reachability(model: &SystemModel, authorities: &[PartitionId], report: &mut L
     }
 
     for (i, schedule) in model.schedules.iter().enumerate() {
-        let span = model.spans.get(&span_key::schedule(schedule.id()));
+        let span = model.spans.get(&SpanKey::Schedule(schedule.id()));
         if !reached.contains(&i) {
             report.push(
                 Diagnostic::new(

@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use air_model::PartitionId;
 use air_ports::sampling::Direction;
 use air_ports::{ChannelConfig, Destination, PortAddr};
-use air_tools::config::span_key;
+use air_tools::config::SpanKey;
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::model::SystemModel;
@@ -26,10 +26,13 @@ struct PortInfo {
     line: Option<usize>,
 }
 
+/// A port by its partition and name, borrowed from the model.
+type PortKey<'m> = (PartitionId, &'m str);
+
 pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
-    let mut ports: BTreeMap<(PartitionId, String), PortInfo> = BTreeMap::new();
-    let mut declare = |pid: PartitionId, name: &str, info: PortInfo, report: &mut LintReport| {
-        if ports.insert((pid, name.to_owned()), info).is_some() {
+    let mut ports: BTreeMap<PortKey<'_>, PortInfo> = BTreeMap::new();
+    let mut declare = |pid: PartitionId, name, info: PortInfo, report: &mut LintReport| {
+        if ports.insert((pid, name), info).is_some() {
             report.push(
                 Diagnostic::new(
                     Code::DuplicatePortName,
@@ -41,7 +44,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
     };
 
     for (pid, cfg) in &model.sampling_ports {
-        let line = model.spans.get(&span_key::port(*pid, &cfg.name));
+        let line = model.spans.get(&SpanKey::Port(*pid, &cfg.name));
         declare(
             *pid,
             &cfg.name,
@@ -64,7 +67,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
         }
     }
     for (pid, cfg) in &model.queuing_ports {
-        let line = model.spans.get(&span_key::port(*pid, &cfg.name));
+        let line = model.spans.get(&SpanKey::Port(*pid, &cfg.name));
         declare(
             *pid,
             &cfg.name,
@@ -100,7 +103,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
         }
     }
 
-    let mut connected: BTreeSet<(PartitionId, String)> = BTreeSet::new();
+    let mut connected: BTreeSet<PortKey<'_>> = BTreeSet::new();
     let mut channel_ids: BTreeSet<u32> = BTreeSet::new();
     for channel in &model.channels {
         check_channel(
@@ -117,34 +120,34 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
     let sampling_names = model
         .sampling_ports
         .iter()
-        .map(|(pid, cfg)| (*pid, cfg.name.clone()));
+        .map(|(pid, cfg)| (*pid, cfg.name.as_str()));
     let queuing_names = model
         .queuing_ports
         .iter()
-        .map(|(pid, cfg)| (*pid, cfg.name.clone()));
+        .map(|(pid, cfg)| (*pid, cfg.name.as_str()));
     for (pid, name) in sampling_names.chain(queuing_names) {
-        if !connected.contains(&(pid, name.clone())) {
+        if !connected.contains(&(pid, name)) {
             report.push(
                 Diagnostic::new(
                     Code::DanglingPort,
                     format!("port '{name}' of {pid} is not connected to any channel"),
                 )
-                .with_line(model.spans.get(&span_key::port(pid, &name))),
+                .with_line(model.spans.get(&SpanKey::Port(pid, name))),
             );
         }
     }
 }
 
-fn check_channel(
+fn check_channel<'m>(
     model: &SystemModel,
-    ports: &BTreeMap<(PartitionId, String), PortInfo>,
-    channel: &ChannelConfig,
+    ports: &BTreeMap<PortKey<'m>, PortInfo>,
+    channel: &'m ChannelConfig,
     channel_ids: &mut BTreeSet<u32>,
-    connected: &mut BTreeSet<(PartitionId, String)>,
+    connected: &mut BTreeSet<PortKey<'m>>,
     report: &mut LintReport,
 ) {
-    let line = model.spans.get(&span_key::channel(channel.id));
-    let lookup = |addr: &PortAddr| ports.get(&(addr.partition, addr.port.clone())).copied();
+    let line = model.spans.get(&SpanKey::Channel(channel.id));
+    let lookup = |addr: &PortAddr| ports.get(&(addr.partition, addr.port.as_str())).copied();
 
     if !channel_ids.insert(channel.id) {
         report.push(
@@ -173,7 +176,7 @@ fn check_channel(
     let source = lookup(&channel.source);
     let source_kind = match source {
         Some(info) => {
-            connected.insert((channel.source.partition, channel.source.port.clone()));
+            connected.insert((channel.source.partition, &channel.source.port));
             if info.direction != Direction::Source {
                 report.push(
                     Diagnostic::new(
@@ -223,13 +226,13 @@ fn check_channel(
         );
     }
 
-    let mut seen_dests: BTreeSet<(PartitionId, String)> = BTreeSet::new();
+    let mut seen_dests: BTreeSet<PortKey<'_>> = BTreeSet::new();
     for dest in &channel.destinations {
         let addr = match dest {
             Destination::Local(addr) => addr,
             Destination::Remote { .. } => continue, // resolved on the peer node
         };
-        if !seen_dests.insert((addr.partition, addr.port.clone())) {
+        if !seen_dests.insert((addr.partition, &addr.port)) {
             report.push(
                 Diagnostic::new(
                     Code::DuplicateChannelEndpoint,
@@ -249,7 +252,7 @@ fn check_channel(
             );
             continue;
         };
-        connected.insert((addr.partition, addr.port.clone()));
+        connected.insert((addr.partition, &addr.port));
         if info.direction != Direction::Destination {
             report.push(
                 Diagnostic::new(

@@ -4,7 +4,7 @@
 //! shared region must carry the same write permission everywhere, so no
 //! partition can scribble over what another reads as constant.
 
-use air_tools::config::{span_key, MemoryRegion};
+use air_tools::config::{MemoryRegion, SpanKey};
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::model::SystemModel;
@@ -16,7 +16,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
     for region in &model.memory {
         let line = model
             .spans
-            .get(&span_key::memory(region.partition, region.base));
+            .get(&SpanKey::Memory(region.partition, region.base));
         if region.size == 0 {
             report.push(
                 Diagnostic::new(
@@ -49,7 +49,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
             if a.partition == b.partition || !overlaps(a, b) {
                 continue;
             }
-            let line = model.spans.get(&span_key::memory(b.partition, b.base));
+            let line = model.spans.get(&SpanKey::Memory(b.partition, b.base));
             if a.shared && b.shared {
                 if a.writable != b.writable {
                     report.push(

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use air_tools::config::span_key;
+use air_tools::config::SpanKey;
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::model::SystemModel;
@@ -17,7 +17,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
                     Code::DuplicatePartitionId,
                     format!("partition id {} is declared more than once", p.id()),
                 )
-                .with_line(model.spans.get(&span_key::partition(p.id()))),
+                .with_line(model.spans.get(&SpanKey::Partition(p.id()))),
             );
         }
     }
@@ -30,7 +30,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
                     Code::DuplicateScheduleId,
                     format!("schedule id {} is declared more than once", s.id()),
                 )
-                .with_line(model.spans.get(&span_key::schedule(s.id()))),
+                .with_line(model.spans.get(&SpanKey::Schedule(s.id()))),
             );
         }
     }
@@ -53,7 +53,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
                         p.id()
                     ),
                 )
-                .with_line(model.spans.get(&span_key::partition(p.id()))),
+                .with_line(model.spans.get(&SpanKey::Partition(p.id()))),
             );
             break; // one finding is enough; later ids are all shifted
         }
@@ -61,13 +61,13 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
 
     let mut seen = BTreeSet::new();
     for (pid, attrs) in &model.processes {
-        if !seen.insert((*pid, attrs.name().to_owned())) {
+        if !seen.insert((*pid, attrs.name())) {
             report.push(
                 Diagnostic::new(
                     Code::DuplicateProcessName,
                     format!("{pid} declares two processes named '{}'", attrs.name()),
                 )
-                .with_line(model.spans.get(&span_key::process(*pid, attrs.name()))),
+                .with_line(model.spans.get(&SpanKey::Process(*pid, attrs.name()))),
             );
         }
         if !model.knows_partition(*pid) {
@@ -76,7 +76,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
                     Code::UnknownPartitionReference,
                     format!("process '{}' belongs to undeclared {pid}", attrs.name()),
                 )
-                .with_line(model.spans.get(&span_key::process(*pid, attrs.name()))),
+                .with_line(model.spans.get(&SpanKey::Process(*pid, attrs.name()))),
             );
         }
     }
@@ -88,7 +88,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
                     Code::UnknownPartitionReference,
                     format!("handler for '{error}' belongs to undeclared {pid}"),
                 )
-                .with_line(model.spans.get(&span_key::handler(*pid, *error))),
+                .with_line(model.spans.get(&SpanKey::Handler(*pid, *error))),
             );
         }
     }
@@ -106,7 +106,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
                 .with_line(
                     model
                         .spans
-                        .get(&span_key::memory(region.partition, region.base)),
+                        .get(&SpanKey::Memory(region.partition, region.base)),
                 ),
             );
         }

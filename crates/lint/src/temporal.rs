@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use air_model::process::{Deadline, ProcessAttributes, Recurrence};
 use air_model::verify::{verify_schedule, Violation};
 use air_model::{PartitionId, Schedule};
-use air_tools::config::span_key;
+use air_tools::config::SpanKey;
 use air_tools::schedulability::{analyze_partition_with_phasing, AnalysisResult, Phasing};
 
 use crate::diag::{Code, Diagnostic, LintReport};
@@ -70,18 +70,18 @@ fn window_span(model: &SystemModel, schedule: &Schedule, index: usize) -> Option
     let w = schedule.windows().get(index)?;
     model
         .spans
-        .get(&span_key::window(schedule.id(), w.partition, w.offset))
+        .get(&SpanKey::Window(schedule.id(), w.partition, w.offset))
 }
 
 fn require_span(model: &SystemModel, schedule: &Schedule, partition: PartitionId) -> Option<usize> {
     model
         .spans
-        .get(&span_key::requirement(schedule.id(), partition))
-        .or_else(|| model.spans.get(&span_key::schedule(schedule.id())))
+        .get(&SpanKey::Requirement(schedule.id(), partition))
+        .or_else(|| model.spans.get(&SpanKey::Schedule(schedule.id())))
 }
 
 fn to_diagnostic(model: &SystemModel, schedule: &Schedule, violation: &Violation) -> Diagnostic {
-    let schedule_span = model.spans.get(&span_key::schedule(schedule.id()));
+    let schedule_span = model.spans.get(&SpanKey::Schedule(schedule.id()));
     match violation {
         Violation::ZeroMtf { .. } => {
             Diagnostic::new(Code::ZeroMtf, violation.to_string()).with_line(schedule_span)
@@ -161,7 +161,7 @@ fn schedulability(model: &SystemModel, report: &mut LintReport) {
                     attrs.name()
                 ),
             )
-            .with_line(model.spans.get(&span_key::process(*pid, attrs.name()))),
+            .with_line(model.spans.get(&SpanKey::Process(*pid, attrs.name()))),
         );
     }
 
@@ -184,7 +184,7 @@ fn schedulability(model: &SystemModel, report: &mut LintReport) {
                     attrs.name()
                 ),
             )
-            .with_line(model.spans.get(&span_key::process(*pid, attrs.name()))),
+            .with_line(model.spans.get(&SpanKey::Process(*pid, attrs.name()))),
         );
     }
 
@@ -205,7 +205,7 @@ fn schedulability(model: &SystemModel, report: &mut LintReport) {
                         schedule.id()
                     ),
                 )
-                .with_line(model.spans.get(&span_key::process(pid, &verdict.name))),
+                .with_line(model.spans.get(&SpanKey::Process(pid, &verdict.name))),
             );
         }
     }

@@ -50,7 +50,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use air_model::Ticks;
 use air_ports::routing::{MESH_HOP_SLACK, MESH_LATENCY, MESH_TTL};
 use air_ports::transport::ArqConfig;
-use air_tools::config::span_key;
+use air_tools::config::SpanKey;
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::mesh::{detours, next_hop, node_label};
@@ -205,7 +205,7 @@ pub(crate) fn analyze(models: &[SystemModel], report: &mut LintReport) -> Vec<Fl
             }
             let line = m
                 .spans
-                .get(&span_key::flow(flow.src.0, flow.apid, flow.dst.0));
+                .get(&SpanKey::Flow(flow.src.0, flow.apid, flow.dst.0));
             let label = format!("N{}:{} -> N{}", flow.src.0, flow.apid, flow.dst.0);
             let who = if models.len() > 1 {
                 format!("{} flow {label}", node_label(i))

@@ -12,14 +12,14 @@
 //! nowhere to go (AIR079).
 
 use air_ports::Destination;
-use air_tools::config::span_key;
+use air_tools::config::SpanKey;
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::model::SystemModel;
 
 pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
     if let Some(arq) = &model.arq {
-        let line = model.spans.get(&span_key::arq());
+        let line = model.spans.get(&SpanKey::Arq);
         if arq.window == 0 {
             report.push(
                 Diagnostic::new(
@@ -61,7 +61,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
                              switch to"
                         ),
                     )
-                    .with_line(model.spans.get(&span_key::link())),
+                    .with_line(model.spans.get(&SpanKey::Link)),
                 );
             }
         }
@@ -76,7 +76,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
                         link.primary_latency
                     ),
                 )
-                .with_line(model.spans.get(&span_key::link())),
+                .with_line(model.spans.get(&SpanKey::Link)),
             );
         }
     }
@@ -98,7 +98,7 @@ pub(crate) fn analyze(model: &SystemModel, report: &mut LintReport) {
                             channel.id
                         ),
                     )
-                    .with_line(model.spans.get(&span_key::channel(channel.id))),
+                    .with_line(model.spans.get(&SpanKey::Channel(channel.id))),
                 );
             }
         }

@@ -21,7 +21,7 @@
 //!   action  P1 warm_restart
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 
 use air_hm::{ErrorId, ErrorLevel, EscalatedProcessAction, ProcessRecoveryAction};
@@ -38,124 +38,161 @@ use air_ports::transport::ArqConfig;
 use air_ports::{ChannelConfig, Destination, PortAddr, QueuingPortConfig, SamplingPortConfig};
 use Presence::{Optional, Required};
 
-/// Source spans: a map from stable entity keys (see [`span_key`]) to the
-/// 1-based line number where the entity was declared. Threaded from the
-/// parser into diagnostics so static-analysis findings point back at the
-/// configuration text.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The entity a declaration line introduces: the key [`Spans`] files the
+/// line under. Each row of [`DIRECTIVES`] builds its line's key, and the
+/// linter looks a finding's line up by the same key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SpanKey<'a> {
+    /// A `partition` line.
+    Partition(PartitionId),
+    /// A `schedule` line.
+    Schedule(ScheduleId),
+    /// A `window` line, by schedule, partition and offset (stable under
+    /// the model's sort-by-offset).
+    Window(ScheduleId, PartitionId, Ticks),
+    /// A `require` line, by schedule and partition.
+    Requirement(ScheduleId, PartitionId),
+    /// An `action` line, by schedule and partition.
+    Action(ScheduleId, PartitionId),
+    /// A `sampling` or `queuing` line, by partition and port name.
+    Port(PartitionId, &'a str),
+    /// A `process` line, by partition and process name.
+    Process(PartitionId, &'a str),
+    /// A `memory` line, by partition and base address.
+    Memory(PartitionId, u64),
+    /// A `channel` line, by channel id.
+    Channel(u32),
+    /// An `hm` line, by error id.
+    Hm(ErrorId),
+    /// The `link` line (at most one per document).
+    Link,
+    /// The `arq` line (at most one per document).
+    Arq,
+    /// A `handler` line, by partition and error id.
+    Handler(PartitionId, ErrorId),
+    /// The `node` line (at most one per document).
+    Node,
+    /// A `route` line, by destination node.
+    Route(u16),
+    /// An `apid` line.
+    Apid(u16),
+    /// A `flow` line, by source node, APID and destination node.
+    Flow(u16, u16, u16),
+}
+
+impl<'a> SpanKey<'a> {
+    /// The key as [`Spans`] orders it: a variant number and two words
+    /// that together hold every field but the name, then the name (""
+    /// for a key without one). Comparing words is cheaper than the
+    /// derived order of the enum.
+    fn packed(self) -> (Packed, &'a str) {
+        use SpanKey as K;
+        let pair = |high: u32, low: u32| u64::from(high) << 32 | u64::from(low);
+        let error = |e| {
+            ErrorId::ALL
+                .iter()
+                .position(|&x| x == e)
+                .map_or(u64::MAX, |i| i as u64)
+        };
+        let (packed, name) = match self {
+            K::Partition(pid) => ((0, pid.0.into(), 0), ""),
+            K::Schedule(id) => ((1, id.0.into(), 0), ""),
+            K::Window(id, pid, offset) => ((2, pair(id.0, pid.0), offset.as_u64()), ""),
+            K::Requirement(id, pid) => ((3, pair(id.0, pid.0), 0), ""),
+            K::Action(id, pid) => ((4, pair(id.0, pid.0), 0), ""),
+            K::Port(pid, name) => ((5, pid.0.into(), 0), name),
+            K::Process(pid, name) => ((6, pid.0.into(), 0), name),
+            K::Memory(pid, base) => ((7, pid.0.into(), base), ""),
+            K::Channel(id) => ((8, id.into(), 0), ""),
+            K::Hm(e) => ((9, error(e), 0), ""),
+            K::Link => ((10, 0, 0), ""),
+            K::Arq => ((11, 0, 0), ""),
+            K::Handler(pid, e) => ((12, pid.0.into(), error(e)), ""),
+            K::Node => ((13, 0, 0), ""),
+            K::Route(dst) => ((14, dst.into(), 0), ""),
+            K::Apid(apid) => ((15, apid.into(), 0), ""),
+            K::Flow(src, apid, dst) => ((16, pair(src.into(), apid.into()), dst.into()), ""),
+        };
+        (packed, name)
+    }
+}
+
+/// A [`SpanKey`] without its name, as [`SpanKey::packed`] packs it.
+type Packed = (u8, u64, u64);
+
+/// Source spans: the 1-based line where each entity was declared, by its
+/// [`SpanKey`]. Threaded from the parser into diagnostics so
+/// static-analysis findings point back at the configuration text. When a
+/// key is declared twice, the later line wins.
+#[derive(Debug, Clone, Default)]
 pub struct Spans {
-    map: BTreeMap<String, usize>,
+    /// One entry per entity, sorted by key once [`parse`] ends.
+    entries: Vec<SpanEntry>,
+    /// The port and process names of the keys, end to end.
+    names: String,
+}
+
+/// A declaration line under its packed key; a port or process name is
+/// `names[name.0..name.1]` of [`Spans`].
+#[derive(Debug, Clone, Copy)]
+struct SpanEntry {
+    key: Packed,
+    name: (usize, usize),
+    line: usize,
+}
+
+impl SpanEntry {
+    /// The entry's port or process name, read from `names`.
+    fn name<'n>(&self, names: &'n str) -> &'n str {
+        &names[self.name.0..self.name.1]
+    }
 }
 
 impl Spans {
-    /// Records that `key` was declared on `line`.
-    pub fn set(&mut self, key: impl Into<String>, line: usize) {
-        self.map.insert(key.into(), line);
+    /// Records that `key` was declared on `line`; [`Spans::sort`] must
+    /// run before the next lookup.
+    fn push(&mut self, key: SpanKey<'_>, line: usize) {
+        let (key, text) = key.packed();
+        let name = (self.names.len(), self.names.len() + text.len());
+        self.names.push_str(text);
+        self.entries.push(SpanEntry { key, name, line });
+    }
+
+    /// Sorts the entries by key and keeps the last line of each key.
+    fn sort(&mut self) {
+        let names = self.names.as_str();
+        self.entries.sort_unstable_by(|a, b| {
+            let by_key = a
+                .key
+                .cmp(&b.key)
+                .then_with(|| a.name(names).cmp(b.name(names)));
+            by_key.then(b.line.cmp(&a.line))
+        });
+        self.entries
+            .dedup_by(|a, b| a.key == b.key && a.name(names) == b.name(names));
     }
 
     /// The declaration line of `key`, if recorded.
-    pub fn get(&self, key: &str) -> Option<usize> {
-        self.map.get(key).copied()
+    pub fn get(&self, key: &SpanKey<'_>) -> Option<usize> {
+        let (key, name) = key.packed();
+        let found = self
+            .entries
+            .binary_search_by(|e| e.key.cmp(&key).then_with(|| e.name(&self.names).cmp(name)));
+        found.ok().map(|i| self.entries[i].line)
     }
+}
 
-    /// Whether any span was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+impl PartialEq for Spans {
+    /// Spans are equal when they map the same keys to the same lines.
+    fn eq(&self, other: &Self) -> bool {
+        self.entries.len() == other.entries.len()
+            && self.entries.iter().zip(&other.entries).all(|(a, b)| {
+                (a.key, a.name(&self.names), a.line) == (b.key, b.name(&other.names), b.line)
+            })
     }
 }
 
-/// Builders for the stable span keys shared by the parser and the linter.
-pub mod span_key {
-    use air_hm::ErrorId;
-    use air_model::{PartitionId, ScheduleId, Ticks};
-
-    /// Key of a `partition` declaration.
-    pub fn partition(id: PartitionId) -> String {
-        format!("partition:{id}")
-    }
-
-    /// Key of a `schedule` declaration.
-    pub fn schedule(id: ScheduleId) -> String {
-        format!("schedule:{id}")
-    }
-
-    /// Key of a `window` line (windows are keyed by schedule, partition
-    /// and offset — stable under the model's sort-by-offset).
-    pub fn window(schedule: ScheduleId, partition: PartitionId, offset: Ticks) -> String {
-        format!("window:{schedule}:{partition}:{}", offset.as_u64())
-    }
-
-    /// Key of a `require` line.
-    pub fn requirement(schedule: ScheduleId, partition: PartitionId) -> String {
-        format!("require:{schedule}:{partition}")
-    }
-
-    /// Key of an `action` line.
-    pub fn action(schedule: ScheduleId, partition: PartitionId) -> String {
-        format!("action:{schedule}:{partition}")
-    }
-
-    /// Key of a `sampling`/`queuing` port declaration.
-    pub fn port(partition: PartitionId, name: &str) -> String {
-        format!("port:{partition}:{name}")
-    }
-
-    /// Key of a `process` declaration.
-    pub fn process(partition: PartitionId, name: &str) -> String {
-        format!("process:{partition}:{name}")
-    }
-
-    /// Key of a `memory` declaration.
-    pub fn memory(partition: PartitionId, base: u64) -> String {
-        format!("memory:{partition}:{base:#x}")
-    }
-
-    /// Key of a `channel` declaration.
-    pub fn channel(id: u32) -> String {
-        format!("channel:{id}")
-    }
-
-    /// Key of an `hm` level declaration.
-    pub fn hm(error: ErrorId) -> String {
-        format!("hm:{}", super::error_id_token(error))
-    }
-
-    /// Key of the `link` declaration (at most one per document).
-    pub fn link() -> String {
-        "link".into()
-    }
-
-    /// Key of the `arq` declaration (at most one per document).
-    pub fn arq() -> String {
-        "arq".into()
-    }
-
-    /// Key of a `handler` declaration.
-    pub fn handler(partition: PartitionId, error: ErrorId) -> String {
-        format!("handler:{partition}:{}", super::error_id_token(error))
-    }
-
-    /// Key of the `node` declaration (at most one per document).
-    pub fn node() -> String {
-        "node".into()
-    }
-
-    /// Key of a `route` declaration, keyed by destination node.
-    pub fn route(dst: u16) -> String {
-        format!("route:N{dst}")
-    }
-
-    /// Key of an `apid` declaration.
-    pub fn apid(apid: u16) -> String {
-        format!("apid:{apid}")
-    }
-
-    /// Key of a `flow` declaration, keyed by source node, APID and
-    /// destination node.
-    pub fn flow(src: u16, apid: u16, dst: u16) -> String {
-        format!("flow:N{src}:{apid}:N{dst}")
-    }
-}
+impl Eq for Spans {}
 
 /// The configuration-file token of an [`ErrorId`] (snake_case).
 pub fn error_id_token(error: ErrorId) -> &'static str {
@@ -571,10 +608,10 @@ pub enum Kind {
 const MAX_ARGS: usize = 3;
 const MAX_FIELDS: usize = 6;
 
-/// Adds a read line to the document and returns its span key, or says
-/// why the line does not fit the document.
-type Build = fn(&mut Builder, Args<'_>, Fields<'_>) -> Built;
-type Built = Result<String, String>;
+/// Adds a read line to the document and returns the key of the entity it
+/// declares, or says why the line does not fit the document.
+type Build = for<'a> fn(&mut Builder, Args<'a>, Fields<'a>) -> Built<'a>;
+type Built<'a> = Result<SpanKey<'a>, String>;
 
 /// A line's positional values and fields, in row order, each typed and
 /// defaulted by the row.
@@ -972,7 +1009,11 @@ impl Builder {
     }
 }
 
-fn partition(b: &mut Builder, [id, ..]: Args, [name, pos, system, authority, ..]: Fields) -> Built {
+fn partition(
+    b: &mut Builder,
+    [id, ..]: Args,
+    [name, pos, system, authority, ..]: Fields,
+) -> Built<'static> {
     let id = id.partition();
     if !b.declared.insert(Declared::Partition(id.as_u32())) {
         return Err(format!("duplicate partition id {id}"));
@@ -988,10 +1029,10 @@ fn partition(b: &mut Builder, [id, ..]: Args, [name, pos, system, authority, ..]
         partition = partition.with_schedule_authority();
     }
     b.doc.partitions.push(partition);
-    Ok(span_key::partition(id))
+    Ok(SpanKey::Partition(id))
 }
 
-fn schedule(b: &mut Builder, [id, ..]: Args, [name, mtf, ..]: Fields) -> Built {
+fn schedule(b: &mut Builder, [id, ..]: Args, [name, mtf, ..]: Fields) -> Built<'static> {
     let id = ScheduleId(id.num() as u32);
     if !b.declared.insert(Declared::Schedule(id.as_u32())) {
         return Err(format!("duplicate schedule id {id}"));
@@ -1004,19 +1045,19 @@ fn schedule(b: &mut Builder, [id, ..]: Args, [name, mtf, ..]: Fields) -> Built {
         windows: Vec::new(),
         actions: Vec::new(),
     });
-    Ok(span_key::schedule(id))
+    Ok(SpanKey::Schedule(id))
 }
 
-fn require(b: &mut Builder, [pid, ..]: Args, [cycle, duration, ..]: Fields) -> Built {
+fn require(b: &mut Builder, [pid, ..]: Args, [cycle, duration, ..]: Fields) -> Built<'static> {
     let s = b.open.as_mut().ok_or("outside a schedule")?;
     let pid = pid.partition();
     let (cycle, duration) = (Ticks(cycle.num()), Ticks(duration.num()));
     s.requirements
         .push(PartitionRequirement::new(pid, cycle, duration));
-    Ok(span_key::requirement(s.id, pid))
+    Ok(SpanKey::Requirement(s.id, pid))
 }
 
-fn window(b: &mut Builder, [pid, ..]: Args, [offset, duration, ..]: Fields) -> Built {
+fn window(b: &mut Builder, [pid, ..]: Args, [offset, duration, ..]: Fields) -> Built<'static> {
     let s = b.open.as_mut().ok_or("outside a schedule")?;
     let pid = pid.partition();
     let (offset, duration) = (offset.num(), duration.num());
@@ -1025,10 +1066,10 @@ fn window(b: &mut Builder, [pid, ..]: Args, [offset, duration, ..]: Fields) -> B
     }
     s.windows
         .push(TimeWindow::new(pid, Ticks(offset), Ticks(duration)));
-    Ok(span_key::window(s.id, pid, Ticks(offset)))
+    Ok(SpanKey::Window(s.id, pid, Ticks(offset)))
 }
 
-fn action(b: &mut Builder, [pid, action, ..]: Args, _: Fields) -> Built {
+fn action(b: &mut Builder, [pid, action, ..]: Args, _: Fields) -> Built<'static> {
     let s = b.open.as_mut().ok_or("outside a schedule")?;
     let pid = pid.partition();
     let action = match action.num() {
@@ -1038,10 +1079,14 @@ fn action(b: &mut Builder, [pid, action, ..]: Args, _: Fields) -> Built {
         _ => ScheduleChangeAction::Stop,
     };
     s.actions.push((pid, action));
-    Ok(span_key::action(s.id, pid))
+    Ok(SpanKey::Action(s.id, pid))
 }
 
-fn sampling(b: &mut Builder, [pid, ..]: Args, [name, dir, size, refresh, ..]: Fields) -> Built {
+fn sampling<'a>(
+    b: &mut Builder,
+    [pid, ..]: Args,
+    [name, dir, size, refresh, ..]: Fields<'a>,
+) -> Built<'a> {
     let (name, size, refresh) = (name.text(), size.num() as usize, Ticks(refresh.num()));
     let config = match dir.num() {
         0 if refresh != Ticks::MAX => {
@@ -1051,20 +1096,24 @@ fn sampling(b: &mut Builder, [pid, ..]: Args, [name, dir, size, refresh, ..]: Fi
         _ => SamplingPortConfig::destination(name, size, refresh),
     };
     b.doc.sampling_ports.push((pid.partition(), config));
-    Ok(span_key::port(pid.partition(), name))
+    Ok(SpanKey::Port(pid.partition(), name))
 }
 
-fn queuing(b: &mut Builder, [pid, ..]: Args, [name, dir, size, depth, ..]: Fields) -> Built {
+fn queuing<'a>(
+    b: &mut Builder,
+    [pid, ..]: Args,
+    [name, dir, size, depth, ..]: Fields<'a>,
+) -> Built<'a> {
     let (name, size, depth) = (name.text(), size.num() as usize, depth.num() as usize);
     let config = match dir.num() {
         0 => QueuingPortConfig::source(name, size, depth),
         _ => QueuingPortConfig::destination(name, size, depth),
     };
     b.doc.queuing_ports.push((pid.partition(), config));
-    Ok(span_key::port(pid.partition(), name))
+    Ok(SpanKey::Port(pid.partition(), name))
 }
 
-fn process(b: &mut Builder, [pid, ..]: Args, fields: Fields) -> Built {
+fn process<'a>(b: &mut Builder, [pid, ..]: Args, fields: Fields<'a>) -> Built<'a> {
     let [name, period, sporadic, deadline, wcet, priority] = fields;
     let recurrence = match (period.opt(), sporadic.opt()) {
         (Some(_), Some(_)) => return Err("'period=' and 'sporadic=' are exclusive".into()),
@@ -1082,10 +1131,14 @@ fn process(b: &mut Builder, [pid, ..]: Args, fields: Fields) -> Built {
         attrs = attrs.with_wcet(Ticks(c));
     }
     b.doc.processes.push((pid.partition(), attrs));
-    Ok(span_key::process(pid.partition(), name.text()))
+    Ok(SpanKey::Process(pid.partition(), name.text()))
 }
 
-fn memory(b: &mut Builder, [pid, ..]: Args, [base, size, perm, shared, ..]: Fields) -> Built {
+fn memory(
+    b: &mut Builder,
+    [pid, ..]: Args,
+    [base, size, perm, shared, ..]: Fields,
+) -> Built<'static> {
     let (partition, base, perm) = (pid.partition(), base.num(), perm.num());
     b.doc.memory.push(MemoryRegion {
         partition,
@@ -1095,11 +1148,11 @@ fn memory(b: &mut Builder, [pid, ..]: Args, [base, size, perm, shared, ..]: Fiel
         executable: perm & 2 != 0,
         shared: shared.num() == 1,
     });
-    Ok(span_key::memory(partition, base))
+    Ok(SpanKey::Memory(partition, base))
 }
 
 // The row types `from` as a port, so the pattern below always matches.
-fn channel(b: &mut Builder, [id, ..]: Args, [from, to, ..]: Fields) -> Built {
+fn channel(b: &mut Builder, [id, ..]: Args, [from, to, ..]: Fields) -> Built<'static> {
     let (id, Value::Port(pid, port)) = (id.num() as u32, from) else {
         return Err("expected a port address".into());
     };
@@ -1109,10 +1162,10 @@ fn channel(b: &mut Builder, [id, ..]: Args, [from, to, ..]: Fields) -> Built {
         source: PortAddr::new(pid, port),
         destinations: destinations.map(destination).collect::<Result<_, _>>()?,
     });
-    Ok(span_key::channel(id))
+    Ok(SpanKey::Channel(id))
 }
 
-fn link(b: &mut Builder, _: Args, fields: Fields) -> Built {
+fn link(b: &mut Builder, _: Args, fields: Fields) -> Built<'static> {
     if b.doc.link.is_some() {
         return Err("duplicate 'link' directive".into());
     }
@@ -1124,10 +1177,10 @@ fn link(b: &mut Builder, _: Args, fields: Fields) -> Built {
         revert_ticks: revert.num(),
         degraded: degraded.opt().map(|n| ScheduleId(n as u32)),
     });
-    Ok(span_key::link())
+    Ok(SpanKey::Link)
 }
 
-fn arq(b: &mut Builder, _: Args, fields: Fields) -> Built {
+fn arq(b: &mut Builder, _: Args, fields: Fields) -> Built<'static> {
     if b.doc.arq.is_some() {
         return Err("duplicate 'arq' directive".into());
     }
@@ -1139,10 +1192,10 @@ fn arq(b: &mut Builder, _: Args, fields: Fields) -> Built {
         max_retries: max_retries.num() as u32,
         recovery_threshold: recovery_threshold.num() as u32,
     });
-    Ok(span_key::arq())
+    Ok(SpanKey::Arq)
 }
 
-fn node(b: &mut Builder, [id, ..]: Args, [name, fallback, ..]: Fields) -> Built {
+fn node(b: &mut Builder, [id, ..]: Args, [name, fallback, ..]: Fields) -> Built<'static> {
     if b.doc.mesh_node.is_some() {
         return Err("duplicate 'node' directive".into());
     }
@@ -1152,19 +1205,19 @@ fn node(b: &mut Builder, [id, ..]: Args, [name, fallback, ..]: Fields) -> Built 
     }
     let name = name.text().to_owned();
     b.doc.mesh_node = Some(MeshNodeDirective { id, name, fallback });
-    Ok(span_key::node())
+    Ok(SpanKey::Node)
 }
 
-fn route(b: &mut Builder, [dst, ..]: Args, [via, ..]: Fields) -> Built {
+fn route(b: &mut Builder, [dst, ..]: Args, [via, ..]: Fields) -> Built<'static> {
     let (dst, via) = (dst.node(), via.node());
     if !b.routed.insert(dst) {
         return Err(format!("duplicate route for destination {dst}"));
     }
     b.doc.routes.push(RouteDirective { dst, via });
-    Ok(span_key::route(dst.0))
+    Ok(SpanKey::Route(dst.0))
 }
 
-fn apid(b: &mut Builder, [apid, ..]: Args, [name, kind, ..]: Fields) -> Built {
+fn apid(b: &mut Builder, [apid, ..]: Args, [name, kind, ..]: Fields) -> Built<'static> {
     let (apid, name) = (apid.num() as u16, name.text().to_owned());
     if !b.declared.insert(Declared::Apid(apid)) {
         return Err(format!("duplicate apid {apid}"));
@@ -1174,10 +1227,10 @@ fn apid(b: &mut Builder, [apid, ..]: Args, [name, kind, ..]: Fields) -> Built {
         _ => PacketKind::Tm,
     };
     b.doc.apids.push(ApidDirective { apid, name, kind });
-    Ok(span_key::apid(apid))
+    Ok(SpanKey::Apid(apid))
 }
 
-fn flow(b: &mut Builder, [src, apid, dst]: Args, [deadline, ..]: Fields) -> Built {
+fn flow(b: &mut Builder, [src, apid, dst]: Args, [deadline, ..]: Fields) -> Built<'static> {
     let (src, apid, dst, deadline) = (src.node(), apid.num() as u16, dst.node(), deadline.opt());
     if !b.declared.insert(Declared::Flow(src, apid, dst)) {
         return Err(format!("duplicate flow {src}:{apid} -> {dst}"));
@@ -1188,12 +1241,12 @@ fn flow(b: &mut Builder, [src, apid, dst]: Args, [deadline, ..]: Fields) -> Buil
         dst,
         deadline,
     });
-    Ok(span_key::flow(src.0, apid, dst.0))
+    Ok(SpanKey::Flow(src.0, apid, dst.0))
 }
 
 // The row types `hm` and `handler` tokens, so the patterns below always
 // match.
-fn hm(b: &mut Builder, [error, ..]: Args, [level, ..]: Fields) -> Built {
+fn hm(b: &mut Builder, [error, ..]: Args, [level, ..]: Fields) -> Built<'static> {
     let Value::Error(error) = error else {
         return Err("expected an error id".into());
     };
@@ -1203,15 +1256,15 @@ fn hm(b: &mut Builder, [error, ..]: Args, [level, ..]: Fields) -> Built {
         _ => ErrorLevel::Module,
     };
     b.doc.hm_levels.push((error, level));
-    Ok(span_key::hm(error))
+    Ok(SpanKey::Hm(error))
 }
 
-fn handler(b: &mut Builder, args: Args, _: Fields) -> Built {
+fn handler(b: &mut Builder, args: Args, _: Fields) -> Built<'static> {
     let [pid, Value::Error(error), Value::Recovery(action)] = args else {
         return Err("expected an error id and an action".into());
     };
     b.doc.handlers.push((pid.partition(), error, action));
-    Ok(span_key::handler(pid.partition(), error))
+    Ok(SpanKey::Handler(pid.partition(), error))
 }
 
 /// Parses a configuration document written in the grammar of
@@ -1263,9 +1316,10 @@ pub fn parse(text: &str) -> Result<ConfigDoc, ConfigError> {
             return Err(err(line_no, format!("'{keyword}' outside a schedule")));
         }
         let span = (row.build)(&mut b, args, fields).map_err(|m| err(line_no, m))?;
-        b.doc.spans.set(span, line_no);
+        b.doc.spans.push(span, line_no);
     }
     b.close();
+    b.doc.spans.sort();
     Ok(b.doc)
 }
 
@@ -1667,9 +1721,9 @@ apid 202 name=HM_EVENTS kind=tm
         assert_eq!(doc.apids[0].kind, PacketKind::Tc);
         assert_eq!(doc.apids[1].kind, PacketKind::Tm);
         // Spans point at the declaration lines.
-        assert_eq!(doc.spans.get(&span_key::node()), Some(2));
-        assert_eq!(doc.spans.get(&span_key::route(4)), Some(4));
-        assert_eq!(doc.spans.get(&span_key::apid(202)), Some(6));
+        assert_eq!(doc.spans.get(&SpanKey::Node), Some(2));
+        assert_eq!(doc.spans.get(&SpanKey::Route(4)), Some(4));
+        assert_eq!(doc.spans.get(&SpanKey::Apid(202)), Some(6));
         // Round-trip: emit(parse(emit(doc))) == emit(doc).
         let emitted = emit(&doc);
         let reparsed = parse(&emitted).unwrap();
@@ -1704,8 +1758,8 @@ flow N0:101 -> N2
                 },
             ]
         );
-        assert_eq!(doc.spans.get(&span_key::flow(0, 100, 4)), Some(2));
-        assert_eq!(doc.spans.get(&span_key::flow(0, 101, 2)), Some(3));
+        assert_eq!(doc.spans.get(&SpanKey::Flow(0, 100, 4)), Some(2));
+        assert_eq!(doc.spans.get(&SpanKey::Flow(0, 101, 2)), Some(3));
         let emitted = emit(&doc);
         assert!(emitted.contains("flow N0:100 -> N4 deadline=5000"));
         assert!(emitted.contains("flow N0:101 -> N2\n"));
@@ -1926,8 +1980,8 @@ channel 50 from=P0:tm to=remote:P0:tm
                 addr: PortAddr::new(PartitionId(0), "tm")
             }]
         );
-        assert_eq!(doc.spans.get(&span_key::link()), Some(6));
-        assert_eq!(doc.spans.get(&span_key::arq()), Some(7));
+        assert_eq!(doc.spans.get(&SpanKey::Link), Some(6));
+        assert_eq!(doc.spans.get(&SpanKey::Arq), Some(7));
 
         // Remote destinations survive emit → parse (they used to be
         // silently dropped by the emitter).
@@ -2014,24 +2068,71 @@ channel 50 from=P0:tm to=remote:P0:tm
 
     #[test]
     fn spans_point_at_declaration_lines() {
-        let doc = parse(
-            "partition P0 name=AOCS\n\
-             schedule chi0 name=ops mtf=100\n\
-             \twindow P0 offset=0 duration=50\n\
-             sampling P0 name=out dir=source size=8\n",
-        )
-        .unwrap();
-        assert_eq!(doc.spans.get(&span_key::partition(PartitionId(0))), Some(1));
-        assert_eq!(doc.spans.get(&span_key::schedule(ScheduleId(0))), Some(2));
-        assert_eq!(
-            doc.spans
-                .get(&span_key::window(ScheduleId(0), PartitionId(0), Ticks(0))),
-            Some(3)
-        );
-        assert_eq!(
-            doc.spans.get(&span_key::port(PartitionId(0), "out")),
-            Some(4)
-        );
+        // A line of every row of the grammar; lines 5, 20 and 21 declare
+        // a `window`, a `process` and a port again, and the later line
+        // wins.
+        let text = "\
+partition P0 name=AOCS
+schedule chi0 name=ops mtf=100
+  require P0 cycle=100 duration=50
+  window P0 offset=0 duration=50
+  window P0 offset=0 duration=40
+  action P0 warm_restart
+sampling P0 name=out dir=source size=8
+queuing P0 name=tc dir=destination size=8 depth=2
+process P0 name=w period=100
+memory P0 base=0x1000 size=0x100 perm=rw
+channel 3 from=P0:out to=P1:in
+link primary_latency=3
+arq window=4 timeout=20
+node N1 name=RELAY
+route N2 via=N3
+apid 100 name=CMD kind=tc
+flow N1:100 -> N2 deadline=500
+hm deadline_missed level=process
+handler P0 deadline_missed ignore
+process P0 name=w period=50
+queuing P0 name=out dir=source size=8 depth=2
+";
+        for row in DIRECTIVES {
+            let first = |line: &str| line.split_whitespace().next() == Some(row.keyword);
+            assert!(text.lines().any(first), "no '{}' line", row.keyword);
+        }
+        let doc = parse(text).unwrap();
+        let (p0, chi0, missed) = (PartitionId(0), ScheduleId(0), ErrorId::DeadlineMissed);
+        let expected = [
+            (SpanKey::Partition(p0), 1),
+            (SpanKey::Schedule(chi0), 2),
+            (SpanKey::Requirement(chi0, p0), 3),
+            (SpanKey::Window(chi0, p0, Ticks(0)), 5),
+            (SpanKey::Action(chi0, p0), 6),
+            (SpanKey::Port(p0, "tc"), 8),
+            (SpanKey::Memory(p0, 0x1000), 10),
+            (SpanKey::Channel(3), 11),
+            (SpanKey::Link, 12),
+            (SpanKey::Arq, 13),
+            (SpanKey::Node, 14),
+            (SpanKey::Route(2), 15),
+            (SpanKey::Apid(100), 16),
+            (SpanKey::Flow(1, 100, 2), 17),
+            (SpanKey::Hm(missed), 18),
+            (SpanKey::Handler(p0, missed), 19),
+            (SpanKey::Process(p0, "w"), 20),
+            (SpanKey::Port(p0, "out"), 21),
+        ];
+        for (key, line) in expected {
+            assert_eq!(doc.spans.get(&key), Some(line), "{key:?}");
+        }
+        // Keys nothing declared, the empty name among them.
+        for key in [
+            SpanKey::Port(p0, ""),
+            SpanKey::Port(p0, "in"),
+            SpanKey::Process(PartitionId(1), "w"),
+            SpanKey::Window(chi0, p0, Ticks(50)),
+            SpanKey::Route(3),
+        ] {
+            assert_eq!(doc.spans.get(&key), None, "{key:?}");
+        }
     }
 
     #[test]

@@ -1,8 +1,13 @@
-//! Parsing allocates for what the document keeps, not per token: each
-//! line's `key=value` pairs sit in one slot per field of its directive,
-//! so only names, spans and the model's own collections reach the heap.
-//! A counting global allocator pins the count for two example documents;
-//! a per-line or per-pair allocation sneaking into the parser fails it.
+//! Reading a configuration allocates for what the document keeps, not
+//! per token or per lookup. Parsing keeps each line's `key=value` pairs
+//! in one slot per field of its directive and files its source span
+//! under a typed key, so only names, the span table and the model's own
+//! collections reach the heap. The model snapshot copies those
+//! collections, and the lint passes look spans up without building a
+//! key. A counting global allocator pins the count of each stage for two
+//! example documents: a per-line, per-pair or per-lookup allocation
+//! (such as a span key formatted into a `String`) sneaking into any of
+//! them fails it.
 //!
 //! The count is per thread, so the other test in this file, running on a
 //! parallel harness thread, cannot allocate into the measured window.
@@ -11,6 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::Path;
 
+use air_lint::{lint, SystemModel};
 use air_tools::config::parse;
 
 /// Counts every allocation (alloc + realloc) on the allocating thread
@@ -49,27 +55,49 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The allocations one `parse` of `examples/<name>` makes.
-fn parse_allocations(name: &str) -> u64 {
+/// Runs `stage` and returns its result with the allocations it made.
+fn counted<T>(stage: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = stage();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// The allocations of one `parse` of `examples/<name>`, then of
+/// `SystemModel::from_config` on the document, then of `lint` on the
+/// model.
+fn stage_allocations(name: &str) -> [u64; 3] {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../examples")
         .join(name);
     let text = std::fs::read_to_string(&path).expect("example exists");
-    let before = ALLOCATIONS.with(Cell::get);
-    let doc = parse(&text);
-    let after = ALLOCATIONS.with(Cell::get);
-    assert!(doc.is_ok(), "{name}: {doc:?}");
-    after - before
+    let (doc, parsed) = counted(|| parse(&text));
+    let doc = doc.unwrap_or_else(|e| panic!("{name}: {e}"));
+    let (model, modelled) = counted(|| SystemModel::from_config(&doc));
+    let (_, linted) = counted(|| lint(&model));
+    [parsed, modelled, linted]
+}
+
+/// Asserts each stage's count is within its budget `[parse, model, lint]`.
+fn assert_within(name: &str, budget: [u64; 3]) {
+    let counted = stage_allocations(name);
+    for ((stage, n), max) in ["parse", "from_config", "lint"]
+        .iter()
+        .zip(counted)
+        .zip(budget)
+    {
+        assert!(
+            n <= max,
+            "{name}: {stage} made {n} allocations (budget {max})"
+        );
+    }
 }
 
 #[test]
-fn parsing_the_hub_allocates_at_most_62_times() {
-    let n = parse_allocations("constellation_hub.air");
-    assert!(n <= 62, "constellation_hub.air: {n} allocations");
+fn the_hub_stays_within_its_allocation_budgets() {
+    assert_within("constellation_hub.air", [28, 19, 45]);
 }
 
 #[test]
-fn parsing_fig8_allocates_at_most_55_times() {
-    let n = parse_allocations("fig8.air");
-    assert!(n <= 55, "fig8.air: {n} allocations");
+fn fig8_stays_within_its_allocation_budgets() {
+    assert_within("fig8.air", [19, 13, 7]);
 }

@@ -24,7 +24,8 @@
 //! Every golden is checked twice: once through the library, and once
 //! through the built `airlint` binary, which must print the golden byte
 //! for byte and exit 1 exactly when it holds an Error-level line. The
-//! binary must also exit 0 on every example invocation below.
+//! binary must also exit 0 on every example invocation below, and its
+//! `--json` reports on the examples must hash to a recorded digest.
 //!
 //! To regenerate a golden after an intentional change:
 //! `cargo run -p air-lint --bin airlint -- --json tests/lint_corpus/<case>.air`
@@ -308,21 +309,40 @@ fn airlint_timing_certifies_nothing_when_a_member_fails_to_parse() {
     assert!(!stdout.lines().any(|l| l.starts_with("flow ")), "{stdout}");
 }
 
-#[test]
-fn airlint_binary_passes_every_example_invocation() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
-    let mut examples: Vec<PathBuf> = std::fs::read_dir(&dir)
+fn examples_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples")
+}
+
+/// Every `examples/*.air` file, sorted.
+fn example_configs() -> Vec<PathBuf> {
+    let mut examples: Vec<PathBuf> = std::fs::read_dir(examples_dir())
         .expect("examples directory exists")
         .filter_map(|entry| entry.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|ext| ext == "air"))
         .collect();
     examples.sort();
-    let example = |name: &str| OsString::from(dir.join(name));
-    let cluster = [
-        example("cluster_degraded_a.air"),
-        example("cluster_degraded_b.air"),
-    ];
-    let mesh: Vec<OsString> = (0..5).map(|n| example(&format!("mesh_n{n}.air"))).collect();
+    examples
+}
+
+fn example(name: &str) -> OsString {
+    examples_dir().join(name).into()
+}
+
+/// The two example cluster nodes and the five example mesh members.
+fn example_member_sets() -> [Vec<OsString>; 2] {
+    [
+        vec![
+            example("cluster_degraded_a.air"),
+            example("cluster_degraded_b.air"),
+        ],
+        (0..5).map(|n| example(&format!("mesh_n{n}.air"))).collect(),
+    ]
+}
+
+#[test]
+fn airlint_binary_passes_every_example_invocation() {
+    let examples = example_configs();
+    let [cluster, mesh] = example_member_sets();
 
     let mut invocations: Vec<Vec<OsString>> = Vec::new();
     // Plain lint over every example at once.
@@ -379,6 +399,44 @@ fn airlint_binary_passes_every_example_invocation() {
     );
 }
 
+/// Folds `bytes` into the 64-bit FNV-1a hash `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn airlint_json_over_the_examples_is_pinned() {
+    // The `--json` reports on the examples: each file alone through the
+    // timing stage and a depth-2 exploration, then the cluster pair and
+    // the mesh set. The examples lint clean on their own; the mesh
+    // cross-check's findings carry the members' `node` and `route`
+    // lines. The digest pins every report's bytes, so a finding that
+    // moves to another line, or any other change to these reports, fails
+    // here as it would against a corpus golden. After an intentional
+    // change, review the reports by hand and record the digest the
+    // failure prints.
+    const DIGEST: u64 = 0x338d_58be_a1f4_1ea8;
+    let json = || -> Vec<OsString> { vec!["--json".into(), "--timing".into()] };
+    let mut invocations: Vec<Vec<OsString>> = example_configs()
+        .into_iter()
+        .map(|path| {
+            let explore = ["--explore", "--depth", "2"].map(OsString::from);
+            [json(), explore.to_vec(), vec![path.into()]].concat()
+        })
+        .collect();
+    for members in example_member_sets() {
+        invocations.push([json(), vec!["--cluster".into()], members].concat());
+    }
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    for args in &invocations {
+        let (stdout, _) = airlint(args);
+        digest = fnv1a(digest, stdout.as_bytes());
+    }
+    assert_eq!(digest, DIGEST, "digest {digest:#018x}");
+}
+
 #[test]
 fn corpus_exercises_every_registered_code() {
     // Codes the text corpus cannot reach: the parser rejects duplicate
@@ -413,20 +471,15 @@ fn corpus_exercises_every_registered_code() {
 
 #[test]
 fn example_configs_lint_clean() {
-    let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
-    let mut found = 0;
-    for entry in std::fs::read_dir(examples).expect("examples directory exists") {
-        let path = entry.expect("readable entry").path();
-        if path.extension().is_some_and(|ext| ext == "air") {
-            let text = std::fs::read_to_string(&path).expect("readable example");
-            let report = lint_config_text(&text);
-            assert!(!report.has_errors(), "{}:\n{report}", path.display());
-            found += 1;
-        }
+    let examples = example_configs();
+    for path in &examples {
+        let report = lint_config_text(&read(path));
+        assert!(!report.has_errors(), "{}:\n{report}", path.display());
     }
     assert!(
-        found >= 2,
-        "expected at least 2 .air examples, found {found}"
+        examples.len() >= 2,
+        "expected at least 2 .air examples, found {}",
+        examples.len()
     );
 }
 
